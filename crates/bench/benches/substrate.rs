@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the substrates the protocols run on:
-//! XML parse/serialize, path evaluation, transparent views, and
+//! XML parse/serialize, path evaluation, transparent evaluation, and
 //! compensation construction.
 
 use axml_core::compensate::compensation_for_effects;
@@ -51,8 +51,13 @@ fn bench_query(c: &mut Criterion) {
 fn bench_view(c: &mut Criterion) {
     let mut g = c.benchmark_group("view");
     let atp = atp_document();
-    g.bench_function("transparent_view_atp", |b| {
-        b.iter(|| black_box(TransparentView::build(&atp)));
+    // The paper's query A: its projections live inside `axml:sc` wrappers.
+    let query = SelectQuery::parse(
+        "Select p/citizenship, p/grandslamswon from p in ATPList//player where p/name/lastname = Federer",
+    )
+    .expect("query");
+    g.bench_function("transparent_select_atp", |b| {
+        b.iter(|| black_box(TransparentView::eval(&atp, &query).expect("evaluates")));
     });
     g.finish();
 }

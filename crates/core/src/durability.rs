@@ -17,6 +17,7 @@ use axml_doc::Repository;
 use axml_p2p::PeerId;
 use axml_query::Effect;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::fmt;
 
 /// One durable event in a transaction's life at one peer.
@@ -266,10 +267,18 @@ pub trait DurabilitySink: fmt::Debug + Send {
 /// The default sink: perfectly durable in-memory storage. Keeps the
 /// pre-WAL behavior (and determinism) — every append succeeds, and a
 /// crash-restart returns everything ever appended.
+///
+/// `bytes_appended` is what the entries would occupy in the journal's
+/// JSON codec. Nothing here writes that encoding, so an append only
+/// stores the entry; [`DurabilitySink::stats`] encodes the entries added
+/// since the last read — each entry once, and none in a run that never
+/// asks.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     entries: Vec<JournalEntry>,
     stats: WalStats,
+    /// How many of `entries` are counted, and their encoded bytes.
+    counted: Cell<(usize, u64)>,
 }
 
 impl MemorySink {
@@ -281,7 +290,6 @@ impl MemorySink {
 
 impl DurabilitySink for MemorySink {
     fn append(&mut self, entry: &JournalEntry) -> bool {
-        self.stats.bytes_appended += serde_json::to_string(entry).map(|s| s.len() as u64).unwrap_or(0);
         self.entries.push(entry.clone());
         true
     }
@@ -296,7 +304,12 @@ impl DurabilitySink for MemorySink {
     }
 
     fn stats(&self) -> WalStats {
-        self.stats
+        let (counted, mut bytes) = self.counted.get();
+        for entry in &self.entries[counted..] {
+            bytes += serde_json::to_string(entry).map(|s| s.len() as u64).unwrap_or(0);
+        }
+        self.counted.set((self.entries.len(), bytes));
+        WalStats { bytes_appended: bytes, ..self.stats }
     }
 }
 
@@ -516,5 +529,46 @@ mod tests {
         for e in journal_of(&tc) {
             assert_eq!(e.txn(), tc.txn);
         }
+    }
+
+    #[test]
+    fn memory_sink_counts_every_appended_byte_whenever_it_is_read() {
+        let (tc, _) = sample_context(Some(TxnState::Aborted));
+        let journal = journal_of(&tc);
+        assert!(journal.len() >= 4);
+        let encoded = |entries: &[JournalEntry]| -> u64 {
+            entries.iter().map(|e| serde_json::to_string(e).unwrap().len() as u64).sum()
+        };
+        let mut sink = MemorySink::new();
+        assert_eq!(sink.stats().bytes_appended, 0);
+        // Reads interleave with plain and forced appends and a crash: each
+        // read sees all bytes appended so far, never fewer than before.
+        let mut last = 0;
+        for (i, entry) in journal.iter().chain(&journal).enumerate() {
+            match i % 3 {
+                0 => assert!(sink.append(entry)),
+                1 => sink.append_forced(entry),
+                _ => {
+                    assert_eq!(sink.crash_restart().len(), i, "a crash loses nothing");
+                    assert!(sink.append(entry));
+                }
+            }
+            if i % 2 == 0 {
+                let read = sink.stats().bytes_appended;
+                assert!(read > last, "monotone under appends");
+                assert_eq!(sink.stats().bytes_appended, read, "reading does not change what is read");
+                last = read;
+            }
+        }
+        let all: Vec<JournalEntry> = journal.iter().chain(&journal).cloned().collect();
+        assert_eq!(sink.stats().bytes_appended, encoded(&all));
+        assert_eq!(sink.crash_restart(), all);
+        assert_eq!(sink.stats().recovery_entries, all.len() as u64);
+        // A sink that is read only once, at the end, reports the same.
+        let mut unread = MemorySink::new();
+        for entry in &all {
+            unread.append(entry);
+        }
+        assert_eq!(unread.stats(), WalStats { recovery_entries: 0, ..sink.stats() });
     }
 }

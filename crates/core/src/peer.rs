@@ -1025,23 +1025,9 @@ impl AxmlPeer {
                     return;
                 };
                 let serving = self.servings.get(&serving_inv).expect("serving exists");
-                let calls = ServiceCall::scan(doc);
                 let hint = HintOnly { catalog: &self.wsdl };
-                for call in calls {
-                    let Some(node) = call.node else { continue };
-                    if serving.done_sc.contains(&node) {
-                        continue;
-                    }
-                    let relevant = match (&query, self.config.eval) {
-                        (_, EvalMode::Eager) | (None, _) => true,
-                        (Some(q), EvalMode::Lazy) => {
-                            let names = axml_doc::materialize::QueryNames::collect(q);
-                            self.engine.relevant(doc, &call, q, &names, &hint)
-                        }
-                    };
-                    if !relevant {
-                        continue;
-                    }
+                for call in self.engine.calls_for_round(doc, query.as_ref(), &serving.done_sc, &hint) {
+                    let node = call.node.expect("scanned calls have nodes");
                     let Ok(sc_path) = NodePath::of(doc, node) else { continue };
                     to_issue.push((call, ChildTarget::ApplySc { doc: doc_name.clone(), sc_path }));
                 }

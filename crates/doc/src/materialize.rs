@@ -29,7 +29,7 @@ use crate::service::ServiceRegistry;
 use crate::view::TransparentView;
 use axml_query::{Condition, Effect, NodePath, Operand, PathExpr, SelectQuery};
 use axml_xml::{Document, Fragment, NameId, NodeId};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Query evaluation mode (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,33 +179,28 @@ impl MaterializationEngine {
         query: &SelectQuery,
         invoker: &mut dyn ServiceInvoker,
     ) -> Result<MaterializationReport, Fault> {
-        self.materialize_for_query_mode(doc, query, invoker, self.mode)
+        self.materialize_rounds(doc, Some(query), invoker)
     }
 
-    /// Shared body of [`Self::materialize_for_query`] and
-    /// [`Self::materialize_all`]: the effective mode is a parameter, so
-    /// the eager fallback never needs to clone the engine (externals map
-    /// and all) just to flip the flag.
-    fn materialize_for_query_mode(
+    /// Materializes every embedded call (one fixpoint pass).
+    pub fn materialize_all(
         &self,
         doc: &mut Document,
-        query: &SelectQuery,
         invoker: &mut dyn ServiceInvoker,
-        mode: EvalMode,
     ) -> Result<MaterializationReport, Fault> {
-        let names = QueryNames::collect(query);
+        self.materialize_rounds(doc, None, invoker)
+    }
+
+    fn materialize_rounds(
+        &self,
+        doc: &mut Document,
+        query: Option<&SelectQuery>,
+        invoker: &mut dyn ServiceInvoker,
+    ) -> Result<MaterializationReport, Fault> {
         let mut report = MaterializationReport::default();
-        let mut done: HashSet<NodeId> = HashSet::new();
+        let mut done: BTreeSet<NodeId> = BTreeSet::new();
         for _round in 0..self.max_depth {
-            let calls = ServiceCall::scan(doc);
-            let todo: Vec<ServiceCall> = calls
-                .into_iter()
-                .filter(|c| c.node.map(|n| !done.contains(&n)).unwrap_or(false))
-                .filter(|c| match mode {
-                    EvalMode::Eager => true,
-                    EvalMode::Lazy => self.relevant(doc, c, query, &names, invoker),
-                })
-                .collect();
+            let todo = self.calls_for_round(doc, query, &done, invoker);
             if todo.is_empty() {
                 break;
             }
@@ -218,52 +213,62 @@ impl MaterializationEngine {
         Ok(report)
     }
 
-    /// Materializes every embedded call (one fixpoint pass).
-    pub fn materialize_all(
+    /// The embedded calls of `doc` that one materialization round must
+    /// handle: every scanned call not yet in `done` — narrowed, in lazy
+    /// mode, to those `query` needs. No query means every call is needed.
+    ///
+    /// This is the one relevance scan, shared by the local fixpoint above
+    /// and by the distributed engine in `axml-core`. What relevance reads
+    /// from the query — the potential bindings of its `from` path and its
+    /// name tests — depends on the document and the query only, so it is
+    /// worked out once per round, not once per scanned call.
+    pub fn calls_for_round(
         &self,
-        doc: &mut Document,
-        invoker: &mut dyn ServiceInvoker,
-    ) -> Result<MaterializationReport, Fault> {
-        // Reuse the query path with a query that needs everything.
-        let q = SelectQuery::parse("Select v from v in *").expect("static query parses");
-        self.materialize_for_query_mode(doc, &q, invoker, EvalMode::Eager)
+        doc: &Document,
+        query: Option<&SelectQuery>,
+        done: &BTreeSet<NodeId>,
+        hints: &dyn ServiceInvoker,
+    ) -> Vec<ServiceCall> {
+        let mut calls = ServiceCall::scan(doc);
+        calls.retain(|c| c.node.is_some_and(|n| !done.contains(&n)));
+        let (Some(query), EvalMode::Lazy) = (query, self.mode) else { return calls };
+        if calls.is_empty() {
+            return calls;
+        }
+        // Potential bindings: what `from` can select, ignoring the `where`
+        // clause (whose data may itself need materialization).
+        let bindings: HashSet<NodeId> = query.from.eval(&TransparentView::new(doc)).into_iter().collect();
+        let names = QueryNames::collect(query);
+        calls.retain(|c| self.relevant(doc, c, &bindings, &names, hints));
+        calls
     }
 
-    /// Lazy relevance: would materializing `call` contribute to `query`?
+    /// Lazy relevance: would materializing `call` contribute to the query?
     ///
     /// Two conditions, both conservative:
     /// 1. the call sits inside a *potential binding subtree* — under (or
-    ///    at) a node the `from` path can select, ignoring the `where`
-    ///    clause (whose data may itself need materialization);
+    ///    at) one of `bindings`;
     /// 2. the query's name tests intersect the call's known result names
     ///    (current result children + WSDL hints); wildcard queries and
     ///    calls with unknown results count as intersecting.
-    pub fn relevant(
+    fn relevant(
         &self,
         doc: &Document,
         call: &ServiceCall,
-        query: &SelectQuery,
+        bindings: &HashSet<NodeId>,
         names: &QueryNames,
-        invoker: &dyn ServiceInvoker,
+        hints: &dyn ServiceInvoker,
     ) -> bool {
         let Some(sc_node) = call.node else { return false };
-        // Condition 1: position check against potential bindings on the view.
-        let view = TransparentView::build(doc);
-        let potential: Vec<NodeId> =
-            query.from.eval(&view.view).into_iter().filter_map(|v| view.to_original(v)).collect();
-        let in_scope = potential.iter().any(|b| sc_node == *b || doc.is_descendant_of(sc_node, *b));
-        if !in_scope {
+        if !std::iter::once(sc_node).chain(doc.ancestors(sc_node)).any(|n| bindings.contains(&n)) {
             return false;
         }
-        // Condition 2: name intersection.
         if names.any_wildcard {
             return true;
         }
         let mut known: Vec<NameId> = call.result_names(doc).iter().map(|q| q.local.clone()).collect();
-        if let Ok(resolved) = self.peek_resolved(call) {
-            if let Some(hints) = invoker.result_hints(&resolved) {
-                known.extend(hints.iter().map(|h| NameId::new(h)));
-            }
+        if let Some(hints) = hints.result_hints(&self.peek_resolved(call)) {
+            known.extend(hints.iter().map(|h| NameId::new(h)));
         }
         if known.is_empty() {
             return true; // unknown results: conservatively materialize
@@ -273,7 +278,7 @@ impl MaterializationEngine {
 
     /// Resolves parameters without invoking nested calls (for relevance
     /// probing only): nested-call params resolve to a placeholder.
-    fn peek_resolved(&self, call: &ServiceCall) -> Result<ResolvedCall, Fault> {
+    fn peek_resolved(&self, call: &ServiceCall) -> ResolvedCall {
         let mut params = Vec::with_capacity(call.params.len());
         for p in &call.params {
             let v = match &p.value {
@@ -284,12 +289,12 @@ impl MaterializationEngine {
             };
             params.push((p.name.clone(), v));
         }
-        Ok(ResolvedCall {
+        ResolvedCall {
             service_url: call.service_url.clone(),
             service_ns: call.service_ns.clone(),
             method: call.method.clone(),
             params,
-        })
+        }
     }
 
     /// Materializes one embedded call: resolves parameters (recursively

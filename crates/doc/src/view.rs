@@ -5,104 +5,138 @@
 //! query A (`Select p/citizenship, p/grandslamswon from p in
 //! ATPList//player …`) selects `grandslamswon` nodes even though they
 //! physically live *inside* the `axml:sc` element. A [`TransparentView`]
-//! realizes that semantics: it is a copy of the document in which every
-//! `axml:sc` element is elided — its control children (`axml:params`,
-//! fault handlers) hidden and its result children hoisted into the
-//! parent — together with a mapping back to the original nodes.
+//! realizes that semantics in place: it is the document's own tree,
+//! navigated with every `axml:sc` element elided on the fly —
+//!
+//! - a wrapper's result children stand where the wrapper stands, in
+//!   order (nested wrappers elide recursively);
+//! - a wrapper's control children (`axml:params`, fault handlers) and
+//!   everything below them are invisible, as are comments and PIs;
+//! - `..` from a result child skips the wrappers above it;
+//! - the root element is never elided, so a view always has a root.
+//!
+//! Nothing is copied: the nodes a query selects are the document's own
+//! [`NodeId`]s, in the document's own order.
 
 use crate::consts;
-use axml_query::SelectQuery;
-use axml_xml::{Document, NodeId, NodeKind};
-use std::collections::HashMap;
+use axml_query::{QueryTree, SelectQuery};
+use axml_xml::{Document, NodeId, NodeKind, QName};
+use std::cmp::Ordering;
 
-/// A copy of the document with `axml:sc` wrappers elided, plus a mapping
-/// from view nodes back to the original document's nodes.
-#[derive(Debug)]
-pub struct TransparentView {
-    /// The elided copy.
-    pub view: Document,
-    back: HashMap<NodeId, NodeId>,
+fn is_wrapper(name: &QName) -> bool {
+    consts::is_sc(name.prefix.as_deref(), &name.local)
 }
 
-impl TransparentView {
-    /// Builds the view of `doc`.
-    pub fn build(doc: &Document) -> TransparentView {
-        let root = doc.root();
-        let root_name = doc.name(root).cloned().unwrap_or_else(|_| "view".into());
-        let mut view = Document::new(root_name);
-        let vroot = view.root();
-        if let Ok(attrs) = doc.attrs(root) {
-            for (n, v) in attrs {
-                view.set_attr(vroot, n.clone(), v.clone()).expect("root is element");
-            }
-        }
-        let mut tv = TransparentView { view, back: HashMap::new() };
-        tv.back.insert(vroot, root);
-        tv.copy_children(doc, root, vroot);
-        tv
+fn is_control(name: &QName) -> bool {
+    consts::is_control_child(name.prefix.as_deref(), &name.local)
+}
+
+/// A document seen through its `axml:sc` wrappers.
+#[derive(Debug, Clone, Copy)]
+pub struct TransparentView<'a> {
+    doc: &'a Document,
+}
+
+impl<'a> TransparentView<'a> {
+    /// The view of `doc`.
+    pub fn new(doc: &'a Document) -> TransparentView<'a> {
+        TransparentView { doc }
     }
 
-    fn copy_children(&mut self, doc: &Document, orig: NodeId, vparent: NodeId) {
-        let Ok(children) = doc.children(orig) else { return };
-        for &child in children {
-            self.copy_one(doc, child, vparent);
-        }
-    }
-
-    fn copy_one(&mut self, doc: &Document, orig: NodeId, vparent: NodeId) {
-        match doc.kind(orig) {
-            Ok(NodeKind::Element { name, attrs }) => {
-                if consts::is_sc(name.prefix.as_deref(), &name.local) {
-                    // Elide the wrapper: hoist its result children
-                    // (nested wrappers elide recursively).
-                    let Ok(sc_children) = doc.children(orig) else { return };
-                    for &rc in sc_children {
-                        let control = doc
-                            .name(rc)
-                            .map(|q| consts::is_control_child(q.prefix.as_deref(), &q.local))
-                            .unwrap_or(false);
-                        if !control {
-                            self.copy_one(doc, rc, vparent);
-                        }
-                    }
-                    return;
-                }
-                // One vector build per element: the names inside are
-                // interned handles, so this copies attr values only.
-                let v = self.view.create_element_with_attrs(name.clone(), attrs.to_vec());
-                self.view.append_child(vparent, v).expect("parent is element");
-                self.back.insert(v, orig);
-                self.copy_children(doc, orig, v);
-            }
-            Ok(NodeKind::Text(t)) => {
-                let v = self.view.create_text(t.clone());
-                self.view.append_child(vparent, v).expect("parent is element");
-                self.back.insert(v, orig);
-            }
-            Ok(NodeKind::Cdata(t)) => {
-                let v = self.view.create_cdata(t.clone());
-                self.view.append_child(vparent, v).expect("parent is element");
-                self.back.insert(v, orig);
-            }
-            Ok(NodeKind::Comment(_)) | Ok(NodeKind::Pi { .. }) | Err(_) => {}
-        }
-    }
-
-    /// Maps a view node back to the original document's node.
-    pub fn to_original(&self, view_node: NodeId) -> Option<NodeId> {
-        self.back.get(&view_node).copied()
-    }
-
-    /// Evaluates a select query on the view, returning **original**
-    /// document node ids.
-    pub fn eval_select(&self, query: &SelectQuery) -> Result<Vec<NodeId>, axml_query::QueryError> {
-        let hits = query.eval(&self.view)?;
-        Ok(hits.into_iter().filter_map(|v| self.to_original(v)).collect())
-    }
-
-    /// One-shot transparent evaluation.
+    /// Evaluates a select query through the wrappers of `doc`.
     pub fn eval(doc: &Document, query: &SelectQuery) -> Result<Vec<NodeId>, axml_query::QueryError> {
-        TransparentView::build(doc).eval_select(query)
+        query.eval(&TransparentView::new(doc))
+    }
+
+    fn walk(&self, node: NodeId, deep: bool) -> Visible<'a> {
+        Visible { doc: self.doc, deep, own: self.doc.children(node).unwrap_or_default().iter(), stack: Vec::new() }
+    }
+}
+
+/// The visible children (`deep == false`) or proper descendants of one
+/// node, in document order.
+struct Visible<'a> {
+    doc: &'a Document,
+    deep: bool,
+    /// The start node's own child list, read in place: a children walk
+    /// that meets no wrapper allocates nothing.
+    own: std::slice::Iter<'a, NodeId>,
+    /// Nodes found below the last one taken from `own` (hoisted out of a
+    /// wrapper, or descended into), next one last.
+    stack: Vec<NodeId>,
+}
+
+impl Iterator for Visible<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let doc = self.doc;
+        let below = |node| doc.children(node).unwrap_or_default().iter().rev();
+        loop {
+            let node = match self.stack.pop() {
+                Some(node) => node,
+                None => *self.own.next()?,
+            };
+            match doc.kind(node) {
+                Ok(NodeKind::Element { name, .. }) if is_wrapper(name) => {
+                    // Its results stand where the wrapper stood.
+                    self.stack.extend(below(node).filter(|c| !doc.name(**c).is_ok_and(is_control)));
+                }
+                Ok(NodeKind::Element { .. }) => {
+                    if self.deep {
+                        self.stack.extend(below(node));
+                    }
+                    return Some(node);
+                }
+                Ok(NodeKind::Text(_) | NodeKind::Cdata(_)) => return Some(node),
+                Ok(NodeKind::Comment(_) | NodeKind::Pi { .. }) | Err(_) => {}
+            }
+        }
+    }
+}
+
+impl QueryTree for TransparentView<'_> {
+    fn root(&self) -> NodeId {
+        self.doc.root()
+    }
+
+    fn element_name(&self, node: NodeId) -> Option<&QName> {
+        self.doc.name(node).ok()
+    }
+
+    fn attr_value(&self, node: NodeId, name: &str) -> Option<&str> {
+        self.doc.attr(node, name)
+    }
+
+    fn parent_of(&self, node: NodeId) -> Option<NodeId> {
+        let mut parent = self.doc.parent(node).ok().flatten()?;
+        while parent != self.doc.root() && self.doc.name(parent).is_ok_and(is_wrapper) {
+            parent = self.doc.parent(parent).ok().flatten()?;
+        }
+        Some(parent)
+    }
+
+    fn children_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.walk(node, false)
+    }
+
+    fn descendants_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.walk(node, true)
+    }
+
+    fn string_value(&self, node: NodeId) -> Option<String> {
+        let text_of = |n: NodeId| match self.doc.kind(n) {
+            Ok(NodeKind::Text(t) | NodeKind::Cdata(t)) => t.as_str(),
+            _ => "",
+        };
+        self.doc.kind(node).ok()?;
+        Some(std::iter::once(node).chain(self.walk(node, true)).map(text_of).collect())
+    }
+
+    // Eliding a wrapper puts its results where it stood, so visible nodes
+    // keep the relative order they have in the document.
+    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering {
+        self.doc.document_order(a, b)
     }
 }
 
@@ -127,6 +161,7 @@ pub fn apply_update_transparent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_xml::Fragment;
 
     const ATP: &str = r#"<ATPList date="18042005">
         <player rank="1">
@@ -143,11 +178,29 @@ mod tests {
         </player>
     </ATPList>"#;
 
+    /// What the traversal sees below (and including) `node`, as XML.
+    fn visible(view: &TransparentView<'_>, node: NodeId) -> Fragment {
+        match view.doc.kind(node).expect("visited nodes are live") {
+            NodeKind::Element { name, attrs } => Fragment::Element {
+                name: name.clone(),
+                attrs: attrs.clone(),
+                children: view.children_of(node).map(|c| visible(view, c)).collect(),
+            },
+            NodeKind::Text(t) => Fragment::Text(t.clone()),
+            NodeKind::Cdata(t) => Fragment::Cdata(t.clone()),
+            other => panic!("{} nodes are never visible", other.label()),
+        }
+    }
+
+    fn visible_xml(doc: &Document) -> String {
+        let view = TransparentView::new(doc);
+        visible(&view, view.root()).to_xml()
+    }
+
     #[test]
     fn view_elides_wrappers() {
         let doc = Document::parse(ATP).unwrap();
-        let tv = TransparentView::build(&doc);
-        let xml = tv.view.to_xml();
+        let xml = visible_xml(&doc);
         assert!(!xml.contains("axml:sc"), "{xml}");
         assert!(!xml.contains("axml:params"), "{xml}");
         assert!(xml.contains("<points>475</points>"), "{xml}");
@@ -164,7 +217,6 @@ mod tests {
         .unwrap();
         let hits = TransparentView::eval(&doc, &q).unwrap();
         assert_eq!(hits.len(), 2);
-        // The returned ids are in the ORIGINAL document.
         assert_eq!(doc.text_content(hits[1]).unwrap(), "475");
         let parent = doc.parent(hits[1]).unwrap().unwrap();
         assert!(doc.name(parent).unwrap().is(Some("axml"), "sc"), "physically inside the wrapper");
@@ -189,10 +241,9 @@ mod tests {
             </axml:sc>
         </r>"#;
         let doc = Document::parse(src).unwrap();
-        let tv = TransparentView::build(&doc);
-        assert_eq!(tv.view.to_xml(), "<r><got>deep</got></r>");
+        assert_eq!(visible_xml(&doc), "<r><got>deep</got></r>");
         let q = SelectQuery::parse("Select v/got from v in r").unwrap();
-        let hits = tv.eval_select(&q).unwrap();
+        let hits = TransparentView::eval(&doc, &q).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(doc.text_content(hits[0]).unwrap(), "deep");
     }
@@ -200,24 +251,38 @@ mod tests {
     #[test]
     fn plain_documents_unchanged() {
         let doc = Document::parse(r#"<r a="1"><x>t</x><![CDATA[c]]></r>"#).unwrap();
-        let tv = TransparentView::build(&doc);
-        assert_eq!(tv.view.to_xml(), doc.to_xml());
+        assert_eq!(visible_xml(&doc), doc.to_xml());
     }
 
     #[test]
     fn comments_dropped_from_view() {
         let doc = Document::parse("<r><!-- hey --><x/></r>").unwrap();
-        let tv = TransparentView::build(&doc);
-        assert_eq!(tv.view.to_xml(), "<r><x/></r>");
+        assert_eq!(visible_xml(&doc), "<r><x/></r>");
     }
 
     #[test]
-    fn mapping_covers_all_view_nodes() {
+    fn upward_navigation_inverts_downward() {
         let doc = Document::parse(ATP).unwrap();
-        let tv = TransparentView::build(&doc);
-        for v in tv.view.all_nodes() {
-            let orig = tv.to_original(v).expect("every view node maps back");
-            assert!(doc.contains(orig));
+        let view = TransparentView::new(&doc);
+        let all: Vec<NodeId> = view.descendants_of(view.root()).collect();
+        assert_eq!(all.len(), 12, "six elements with their six texts; no wrapper, no parameter");
+        for &node in std::iter::once(&view.root()).chain(&all) {
+            for child in view.children_of(node) {
+                assert!(all.contains(&child), "children are among the descendants");
+                assert_eq!(view.parent_of(child), Some(node), "`..` skips the wrapper it was hoisted through");
+            }
         }
+        assert_eq!(view.parent_of(view.root()), None);
+    }
+
+    #[test]
+    fn root_wrapper_is_not_elided() {
+        // A service can return a bare call; hosted as a document, that
+        // call is the root, and a view must still have one.
+        let doc =
+            Document::parse(r#"<axml:sc methodName="m"><axml:sc methodName="n"><x>1</x></axml:sc></axml:sc>"#).unwrap();
+        let view = TransparentView::new(&doc);
+        let hits = SelectQuery::parse("Select v/x/.. from v in axml:sc").unwrap().eval(&view).unwrap();
+        assert_eq!(hits, vec![doc.root()], "x is hoisted to the root, and `..` stops there");
     }
 }

@@ -4,13 +4,19 @@
 //! document and any query, *materialize-then-compensate is the identity* —
 //! the compensation constructed from the materialization effects restores
 //! the exact original document, in both lazy and eager modes.
+//!
+//! Second invariant: evaluating a query through the `axml:sc` wrappers in
+//! place selects exactly the nodes, in exactly the order, that evaluating
+//! it on an explicit wrapper-free copy of the document does.
 
 use axml_doc::{
-    EvalMode, Fault, MaterializationEngine, ResolvedCall, ServiceCall, ServiceInvoker, ServiceResponse, TransparentView,
+    consts, EvalMode, Fault, MaterializationEngine, ResolvedCall, ServiceCall, ServiceInvoker, ServiceResponse,
+    TransparentView,
 };
-use axml_query::{Effect, InsertPos, Locator, SelectQuery, UpdateAction};
-use axml_xml::{Document, Fragment, QName};
+use axml_query::{Effect, InsertPos, Locator, QueryTree, SelectQuery, UpdateAction};
+use axml_xml::{Document, Fragment, NodeId, NodeKind, QName};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const NAMES: &[&str] = &["a", "b", "c", "r0", "r1", "r2"];
 
@@ -129,11 +135,17 @@ proptest! {
 
     #[test]
     fn transparent_view_never_contains_control_elements(doc in axml_doc_strategy()) {
-        let tv = TransparentView::build(&doc);
-        let xml = tv.view.to_xml();
-        prop_assert!(!xml.contains("axml:sc"));
-        prop_assert!(!xml.contains("axml:params"));
-        tv.view.check_consistency().unwrap();
+        let view = TransparentView::new(&doc);
+        let copy = ElidedCopy::build(&doc);
+        let visited: Vec<NodeId> = std::iter::once(view.root()).chain(view.descendants_of(view.root())).collect();
+        for &node in &visited[1..] {
+            if let Some(name) = view.element_name(node) {
+                prop_assert!(!name.has_prefix(consts::AXML_PREFIX), "visited control element {}", name);
+            }
+        }
+        // The traversal visits what the copy holds, in the copy's order.
+        let copied: Vec<NodeId> = copy.copy.all_nodes().map(|c| copy.back[&c]).collect();
+        prop_assert_eq!(visited, copied);
     }
 
     #[test]
@@ -148,9 +160,228 @@ proptest! {
     }
 }
 
+// ----------------------------------------------------------------------
+// In-place transparency against the elided copy.
+// ----------------------------------------------------------------------
+
+/// The reference semantics of transparency, spelled out as data: a *copy*
+/// of the document in which every `axml:sc` element below the root is
+/// elided — control children dropped, result children hoisted into the
+/// parent, comments and PIs dropped — plus the map from the copy's nodes
+/// back to the original's. Only these tests build it.
+struct ElidedCopy {
+    copy: Document,
+    back: HashMap<NodeId, NodeId>,
+}
+
+impl ElidedCopy {
+    fn build(doc: &Document) -> ElidedCopy {
+        let root = doc.root();
+        let mut copy = Document::new(doc.name(root).unwrap().clone());
+        let croot = copy.root();
+        for (n, v) in doc.attrs(root).unwrap() {
+            copy.set_attr(croot, n.clone(), v.clone()).unwrap();
+        }
+        let mut ec = ElidedCopy { copy, back: HashMap::from([(croot, root)]) };
+        for &child in doc.children(root).unwrap() {
+            ec.copy_one(doc, child, croot);
+        }
+        ec
+    }
+
+    fn copy_one(&mut self, doc: &Document, orig: NodeId, cparent: NodeId) {
+        let c = match doc.kind(orig).unwrap() {
+            NodeKind::Element { name, .. } if consts::is_sc(name.prefix.as_deref(), &name.local) => {
+                for &rc in doc.children(orig).unwrap() {
+                    let control = doc.name(rc).is_ok_and(|q| consts::is_control_child(q.prefix.as_deref(), &q.local));
+                    if !control {
+                        self.copy_one(doc, rc, cparent);
+                    }
+                }
+                return;
+            }
+            NodeKind::Element { name, attrs } => self.copy.create_element_with_attrs(name.clone(), attrs.to_vec()),
+            NodeKind::Text(t) => self.copy.create_text(t.clone()),
+            NodeKind::Cdata(t) => self.copy.create_cdata(t.clone()),
+            NodeKind::Comment(_) | NodeKind::Pi { .. } => return,
+        };
+        self.copy.append_child(cparent, c).unwrap();
+        self.back.insert(c, orig);
+        for &child in doc.children(orig).unwrap() {
+            self.copy_one(doc, child, c);
+        }
+    }
+
+    /// Evaluates on the copy, answering in the original's node ids.
+    fn eval(&self, query: &SelectQuery) -> Vec<NodeId> {
+        query.eval(&self.copy).unwrap().into_iter().map(|c| self.back[&c]).collect()
+    }
+}
+
+fn assert_same_as_copy(doc: &Document, query: &str) {
+    let q = SelectQuery::parse(query).unwrap();
+    let in_place = TransparentView::eval(doc, &q).unwrap();
+    assert_eq!(in_place, ElidedCopy::build(doc).eval(&q), "q={query} doc={}", doc.to_xml());
+}
+
+/// Select queries over the generated documents' vocabulary: child and
+/// descendant steps, `..`, wildcards with position predicates, child-text
+/// predicates, and `where` clauses that test existence and compare text.
+fn view_query_strategy() -> impl Strategy<Value = String> {
+    // Containers are named a/b/c; r0/r1/r2 only ever occur as results.
+    let plain = || (0usize..3).prop_map(|i| NAMES[i]);
+    let result = || (3usize..6).prop_map(|i| NAMES[i]);
+    let from = prop_oneof![
+        Just("root".to_string()),
+        Just("root/*".to_string()),
+        Just("root//*".to_string()),
+        plain().prop_map(|n| format!("root//{n}")),
+        result().prop_map(|n| format!("//{n}/..")),
+        (1usize..4).prop_map(|k| format!("root/*[{k}]")),
+        (result(), 1usize..3).prop_map(|(n, k)| format!("root//{n}[{k}]")),
+    ];
+    let projection = prop_oneof![
+        Just("v".to_string()),
+        Just("v/..".to_string()),
+        Just("v/*".to_string()),
+        Just("v//*/..".to_string()),
+        result().prop_map(|n| format!("v/{n}")),
+        result().prop_map(|n| format!("v//{n}")),
+        (plain(), result()).prop_map(|(n, m)| format!("v/{n}//{m}")),
+        (1usize..4).prop_map(|k| format!("v/*[{k}]")),
+        (1usize..3).prop_map(|k| format!("v//*[{k}]/..")),
+        result().prop_map(|n| format!("v/*[{n}=fresh]")),
+    ];
+    let condition = prop_oneof![
+        Just(String::new()),
+        Just(String::new()),
+        result().prop_map(|n| format!(" where exists v//{n}")),
+        result().prop_map(|n| format!(" where not exists v/{n}")),
+        result().prop_map(|n| format!(" where v//{n} = previous or v//{n} = fresh")),
+        Just(" where v != previous".to_string()),
+        Just(" where v//*[1] = fresh".to_string()),
+    ];
+    (from, projection, condition).prop_map(|(f, p, c)| format!("Select {p} from v in {f}{c}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn in_place_evaluation_matches_the_elided_copy(
+        doc in axml_doc_strategy(),
+        queries in prop::collection::vec(view_query_strategy(), 8),
+    ) {
+        // As generated (wrappers empty or holding one previous result),
+        // then with every wrapper holding fresh results.
+        let mut doc = doc;
+        for materialized in [false, true] {
+            if materialized {
+                MaterializationEngine::new(EvalMode::Eager).materialize_all(&mut doc, &mut Fabric).unwrap();
+            }
+            let copy = ElidedCopy::build(&doc);
+            for q in &queries {
+                let query = SelectQuery::parse(q).unwrap();
+                let in_place = TransparentView::eval(&doc, &query).unwrap();
+                prop_assert_eq!(in_place, copy.eval(&query), "q={} doc={}", q, doc.to_xml());
+            }
+        }
+    }
+}
+
+#[test]
+fn nested_wrappers_hoist_to_the_nearest_visible_ancestor() {
+    let doc = Document::parse(
+        r#"<r><a><axml:sc methodName="o"><axml:sc methodName="i"><x>1</x><axml:sc methodName="k"><x>2</x></axml:sc></axml:sc><axml:catchAll><x>9</x></axml:catchAll><x>3</x></axml:sc></a></r>"#,
+    )
+    .unwrap();
+    for q in [
+        "Select v/x from v in r/a",
+        "Select v//x from v in r",
+        "Select v/.. from v in r//x",
+        "Select v/x[2] from v in r/a",
+        "Select v from v in r/a where v/x = 3",
+    ] {
+        assert_same_as_copy(&doc, q);
+    }
+    let q = SelectQuery::parse("Select v/.. from v in r//x").unwrap();
+    let hits = TransparentView::eval(&doc, &q).unwrap();
+    assert_eq!(hits, vec![doc.first_child_element(doc.root(), "a").unwrap()], "`..` skips all three wrappers");
+}
+
+#[test]
+fn text_inside_params_is_invisible_to_where() {
+    let doc = Document::parse(
+        r#"<r><p><axml:sc methodName="m"><axml:params><axml:param name="n"><axml:value>secret</axml:value><x>secret</x></axml:param></axml:params><x>shown</x><axml:catch faultName="F"><x>secret</x></axml:catch></axml:sc></p></r>"#,
+    )
+    .unwrap();
+    for q in [
+        "Select v from v in r/p where v//x = secret",
+        "Select v from v in r/p where v = shown",
+        "Select v//x from v in r",
+        "Select v//axml:value from v in r",
+        "Select v/*[x=secret] from v in r",
+    ] {
+        assert_same_as_copy(&doc, q);
+    }
+    let hidden = SelectQuery::parse("Select v from v in r/p where v//x = secret").unwrap();
+    assert!(TransparentView::eval(&doc, &hidden).unwrap().is_empty(), "parameters and handlers are not content");
+    let text = SelectQuery::parse("Select v from v in r/p where v = shown").unwrap();
+    assert_eq!(TransparentView::eval(&doc, &text).unwrap().len(), 1, "string value skips control children");
+}
+
+#[test]
+fn control_names_are_control_only_directly_under_a_wrapper() {
+    // `axml:catch` under a result element, or under a plain element, is
+    // ordinary content; so is everything under a root that is a wrapper.
+    let doc = Document::parse(
+        r#"<r><axml:sc methodName="m"><x><axml:catch><y>in</y></axml:catch></x></axml:sc><axml:params><y>out</y></axml:params></r>"#,
+    )
+    .unwrap();
+    assert_same_as_copy(&doc, "Select v//y from v in r");
+    assert_eq!(TransparentView::eval(&doc, &SelectQuery::parse("Select v//y from v in r").unwrap()).unwrap().len(), 2);
+    let rooted =
+        Document::parse(r#"<axml:sc methodName="m"><axml:params><y>p</y></axml:params><y>q</y></axml:sc>"#).unwrap();
+    for q in ["Select v//y from v in axml:sc", "Select v/* from v in axml:sc", "Select v from v in //y/.."] {
+        assert_same_as_copy(&rooted, q);
+    }
+}
+
+#[test]
+fn comments_and_cdata_between_hoisted_siblings() {
+    let doc = Document::parse(
+        r#"<r><p>a<!-- c --><axml:sc methodName="m"><!-- in --><x>b</x><![CDATA[<c>]]><?pi d?><x>d</x></axml:sc><![CDATA[e]]></p></r>"#,
+    )
+    .unwrap();
+    for q in [
+        "Select v from v in r/p where v = \"ab<c>de\"",
+        "Select v/x from v in r/p",
+        "Select v/x[2] from v in r/p",
+        "Select v/*[2]/.. from v in r/p",
+    ] {
+        assert_same_as_copy(&doc, q);
+    }
+    let q = SelectQuery::parse("Select v from v in r/p where v = \"ab<c>de\"").unwrap();
+    assert_eq!(TransparentView::eval(&doc, &q).unwrap().len(), 1, "text and CDATA concatenate in document order");
+}
+
+#[test]
+fn position_predicate_counts_across_a_wrapper_boundary() {
+    let doc =
+        Document::parse(r#"<r><x>1</x><axml:sc methodName="m"><axml:params/><x>2</x><x>3</x></axml:sc><x>4</x></r>"#)
+            .unwrap();
+    for k in 1..=5 {
+        assert_same_as_copy(&doc, &format!("Select v/x[{k}] from v in r"));
+        assert_same_as_copy(&doc, &format!("Select v/*[{k}] from v in r"));
+    }
+    let third = SelectQuery::parse("Select v/x[3] from v in r").unwrap();
+    let hits = TransparentView::eval(&doc, &third).unwrap();
+    assert_eq!(doc.text_content(hits[0]).unwrap(), "3", "the wrapper's results count as r's own children");
+}
+
 /// Walks `steps` through the child lists from the root, stopping early at
 /// leaves; always yields an attached node.
-fn pick_node(doc: &Document, steps: &[usize]) -> axml_xml::NodeId {
+fn pick_node(doc: &Document, steps: &[usize]) -> NodeId {
     let mut cur = doc.root();
     for &s in steps {
         let kids = doc.children(cur).expect("attached");

@@ -7,7 +7,8 @@
 
 use crate::error::QueryError;
 use crate::path::PathExpr;
-use axml_xml::{Document, NodeId, QName};
+use crate::tree::QueryTree;
+use axml_xml::{NodeId, QName};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -80,16 +81,16 @@ pub enum Operand {
 
 impl Operand {
     /// Evaluates the operand to its value set for one binding node.
-    pub fn values(&self, doc: &Document, binding: NodeId) -> Vec<String> {
+    pub fn values<T: QueryTree>(&self, tree: &T, binding: NodeId) -> Vec<String> {
         match self {
             Operand::Literal(s) => vec![s.clone()],
             Operand::Path { path, attr } => {
-                let nodes = if path.steps.is_empty() { vec![binding] } else { path.eval_relative(doc, binding) };
+                let nodes = if path.steps.is_empty() { vec![binding] } else { path.eval_relative(tree, binding) };
                 match attr {
-                    None => {
-                        nodes.iter().filter_map(|n| doc.text_content(*n).ok()).map(|t| t.trim().to_string()).collect()
+                    None => nodes.iter().filter_map(|n| tree.string_value(*n)).map(|t| t.trim().to_string()).collect(),
+                    Some(a) => {
+                        nodes.iter().filter_map(|n| tree.attr_value(*n, &a.as_string())).map(str::to_string).collect()
                     }
-                    Some(a) => nodes.iter().filter_map(|n| doc.attr(*n, &a.as_string())).map(str::to_string).collect(),
                 }
             }
         }
@@ -145,18 +146,18 @@ pub enum Condition {
 
 impl Condition {
     /// Evaluates the condition for one binding node.
-    pub fn eval(&self, doc: &Document, binding: NodeId) -> bool {
+    pub fn eval<T: QueryTree>(&self, tree: &T, binding: NodeId) -> bool {
         match self {
             Condition::True => true,
             Condition::Cmp { left, op, right } => {
-                let lv = left.values(doc, binding);
-                let rv = right.values(doc, binding);
+                let lv = left.values(tree, binding);
+                let rv = right.values(tree, binding);
                 lv.iter().any(|a| rv.iter().any(|b| op.apply(a, b)))
             }
-            Condition::Exists(path) => !path.eval_relative(doc, binding).is_empty(),
-            Condition::And(a, b) => a.eval(doc, binding) && b.eval(doc, binding),
-            Condition::Or(a, b) => a.eval(doc, binding) || b.eval(doc, binding),
-            Condition::Not(c) => !c.eval(doc, binding),
+            Condition::Exists(path) => !path.eval_relative(tree, binding).is_empty(),
+            Condition::And(a, b) => a.eval(tree, binding) && b.eval(tree, binding),
+            Condition::Or(a, b) => a.eval(tree, binding) || b.eval(tree, binding),
+            Condition::Not(c) => !c.eval(tree, binding),
         }
     }
 
@@ -191,6 +192,13 @@ impl Condition {
     }
 }
 
+/// True if `bytes` starts with the ASCII keyword `kw`, in any case.
+/// Compares bytes: slicing the `str` at `kw.len()` first would panic when
+/// that offset falls inside a multi-byte character.
+pub(crate) fn starts_with_keyword(bytes: &[u8], kw: &str) -> bool {
+    bytes.get(..kw.len()).is_some_and(|head| head.eq_ignore_ascii_case(kw.as_bytes()))
+}
+
 struct CondParser<'a> {
     input: &'a str,
     pos: usize,
@@ -207,7 +215,7 @@ impl<'a> CondParser<'a> {
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let rest = &self.input[self.pos..];
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        if starts_with_keyword(rest.as_bytes(), kw) {
             let after = &rest[kw.len()..];
             if after.is_empty() || after.starts_with(|c: char| !c.is_alphanumeric() && c != '_') {
                 self.pos += kw.len();

@@ -31,7 +31,10 @@
 //!   were deleted from which positions) that the transaction layer logs to
 //!   build compensating operations at run time;
 //! - [`NodePath`]: stable root-relative structural addresses, the
-//!   peer-independent way to refer to a node across document replicas.
+//!   peer-independent way to refer to a node across document replicas;
+//! - [`QueryTree`]: the navigation the evaluator needs from a tree. A
+//!   [`axml_xml::Document`] is one; `axml-doc` supplies another that sees
+//!   through `axml:sc` wrappers.
 //!
 //! # Example
 //!
@@ -55,6 +58,7 @@ pub mod error;
 pub mod nodepath;
 pub mod path;
 pub mod select;
+pub mod tree;
 pub mod update;
 
 pub use cond::{CmpOp, Condition, Operand};
@@ -62,4 +66,5 @@ pub use error::QueryError;
 pub use nodepath::NodePath;
 pub use path::{Axis, NameTest, PathExpr, Pred, Step};
 pub use select::SelectQuery;
+pub use tree::QueryTree;
 pub use update::{ActionType, Effect, InsertPos, Locator, UpdateAction, UpdateReport};

@@ -18,7 +18,8 @@
 //! consistently.
 
 use crate::error::QueryError;
-use axml_xml::{Document, NodeId, QName};
+use crate::tree::QueryTree;
+use axml_xml::{NodeId, QName};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -45,10 +46,10 @@ pub enum NameTest {
 }
 
 impl NameTest {
-    fn matches(&self, doc: &Document, node: NodeId) -> bool {
+    fn matches<T: QueryTree>(&self, tree: &T, node: NodeId) -> bool {
         match self {
-            NameTest::Any => doc.name(node).is_ok(),
-            NameTest::Name(q) => doc.name(node).map(|n| n == q).unwrap_or(false),
+            NameTest::Any => tree.element_name(node).is_some(),
+            NameTest::Name(q) => tree.element_name(node) == Some(q),
         }
     }
 }
@@ -79,11 +80,11 @@ pub enum Pred {
 }
 
 impl Pred {
-    fn matches(&self, doc: &Document, node: NodeId, position: usize) -> bool {
+    fn matches<T: QueryTree>(&self, tree: &T, node: NodeId, position: usize) -> bool {
         match self {
             Pred::Position(p) => position == *p,
             Pred::Attr { name, value, eq } => {
-                let actual = doc.attr(node, &name.as_string());
+                let actual = tree.attr_value(node, &name.as_string());
                 let m = actual == Some(value.as_str());
                 if *eq {
                     m
@@ -92,15 +93,9 @@ impl Pred {
                 }
             }
             Pred::ChildText { name, value, eq } => {
-                let m = doc
-                    .children(node)
-                    .map(|cs| {
-                        cs.iter().any(|c| {
-                            doc.name(*c).map(|n| n == name).unwrap_or(false)
-                                && doc.text_content(*c).map(|t| t.trim() == value).unwrap_or(false)
-                        })
-                    })
-                    .unwrap_or(false);
+                let m = tree.children_of(node).any(|c| {
+                    tree.element_name(c) == Some(name) && tree.string_value(c).is_some_and(|t| t.trim() == value)
+                });
                 if *eq {
                     m
                 } else {
@@ -167,72 +162,48 @@ impl PathExpr {
     /// Evaluates this path as an **absolute** expression: the context is a
     /// virtual document node whose only child is the root element (so a
     /// leading name step matches the root, as in `ATPList//player`).
-    pub fn eval(&self, doc: &Document) -> Vec<NodeId> {
-        self.eval_with_virtual_root(doc)
-    }
-
-    fn eval_with_virtual_root(&self, doc: &Document) -> Vec<NodeId> {
-        let root = doc.root();
-        let mut ctx: Vec<NodeId> = Vec::new();
+    pub fn eval<T: QueryTree>(&self, tree: &T) -> Vec<NodeId> {
+        let root = tree.root();
         // First step is applied against the virtual document node.
-        match self.steps.first() {
-            None => return vec![],
-            Some(first) => {
-                match first.axis {
-                    Axis::Child => {
-                        // Candidates: just the root element.
-                        let mut matches = Vec::new();
-                        if first.test.matches(doc, root) {
-                            matches.push(root);
-                        }
-                        apply_preds(doc, first, &mut matches);
-                        ctx = matches;
-                    }
-                    Axis::Descendant => {
-                        let mut matches: Vec<NodeId> =
-                            doc.descendants_and_self(root).filter(|n| first.test.matches(doc, *n)).collect();
-                        apply_preds(doc, first, &mut matches);
-                        ctx = matches;
-                    }
-                    Axis::SelfNode => ctx.push(root),
-                    Axis::Parent => { /* document node has no parent: empty */ }
-                }
-            }
+        let Some(first) = self.steps.first() else { return vec![] };
+        let mut ctx: Vec<NodeId> = match first.axis {
+            // Candidates: just the root element.
+            Axis::Child => std::iter::once(root).filter(|n| first.test.matches(tree, *n)).collect(),
+            Axis::Descendant => std::iter::once(root)
+                .chain(tree.descendants_of(root))
+                .filter(|n| first.test.matches(tree, *n))
+                .collect(),
+            Axis::SelfNode => vec![root],
+            Axis::Parent => vec![], // the document node has no parent
+        };
+        if matches!(first.axis, Axis::Child | Axis::Descendant) {
+            apply_preds(tree, first, &mut ctx);
         }
-        self.eval_steps_from(doc, ctx, 1)
+        self.eval_steps_from(tree, ctx, 1)
     }
 
     /// Evaluates this path **relative** to `context` (all steps, including
     /// the first, navigate from the context node).
-    pub fn eval_relative(&self, doc: &Document, context: NodeId) -> Vec<NodeId> {
-        self.eval_steps_from(doc, vec![context], 0)
+    pub fn eval_relative<T: QueryTree>(&self, tree: &T, context: NodeId) -> Vec<NodeId> {
+        self.eval_steps_from(tree, vec![context], 0)
     }
 
-    fn eval_steps_from(&self, doc: &Document, mut ctx: Vec<NodeId>, from: usize) -> Vec<NodeId> {
+    fn eval_steps_from<T: QueryTree>(&self, tree: &T, mut ctx: Vec<NodeId>, from: usize) -> Vec<NodeId> {
         for step in &self.steps[from.min(self.steps.len())..] {
             let mut next: Vec<NodeId> = Vec::new();
             for &node in &ctx {
                 let mut matches: Vec<NodeId> = match step.axis {
-                    Axis::Child => doc
-                        .children(node)
-                        .map(|cs| cs.iter().copied().filter(|c| step.test.matches(doc, *c)).collect())
-                        .unwrap_or_default(),
-                    Axis::Descendant => {
-                        let mut d: Vec<NodeId> =
-                            doc.descendants_and_self(node).filter(|n| step.test.matches(doc, *n)).collect();
-                        // descendant axis excludes self unless it re-matches below; XPath
-                        // `//x` is descendant-or-self::node()/child::x — exclude the
-                        // context node itself.
-                        d.retain(|n| *n != node);
-                        d
-                    }
-                    Axis::Parent => doc.parent(node).ok().flatten().into_iter().collect(),
+                    Axis::Child => tree.children_of(node).filter(|c| step.test.matches(tree, *c)).collect(),
+                    // XPath `//x` is descendant-or-self::node()/child::x:
+                    // the context node itself is never a candidate.
+                    Axis::Descendant => tree.descendants_of(node).filter(|n| step.test.matches(tree, *n)).collect(),
+                    Axis::Parent => tree.parent_of(node).into_iter().collect(),
                     Axis::SelfNode => vec![node],
                 };
-                apply_preds(doc, step, &mut matches);
+                apply_preds(tree, step, &mut matches);
                 next.extend(matches);
             }
-            ctx = dedup_document_order(doc, next);
+            ctx = dedup_document_order(tree, next);
         }
         ctx
     }
@@ -289,19 +260,19 @@ impl fmt::Display for PathExpr {
     }
 }
 
-fn apply_preds(doc: &Document, step: &Step, matches: &mut Vec<NodeId>) {
+fn apply_preds<T: QueryTree>(tree: &T, step: &Step, matches: &mut Vec<NodeId>) {
     for pred in &step.preds {
         let filtered: Vec<NodeId> =
-            matches.iter().enumerate().filter(|(i, n)| pred.matches(doc, **n, i + 1)).map(|(_, n)| *n).collect();
+            matches.iter().enumerate().filter(|(i, n)| pred.matches(tree, **n, i + 1)).map(|(_, n)| *n).collect();
         *matches = filtered;
     }
 }
 
 /// Deduplicates and sorts a node list into document order.
-pub fn dedup_document_order(doc: &Document, mut nodes: Vec<NodeId>) -> Vec<NodeId> {
+pub fn dedup_document_order<T: QueryTree>(tree: &T, mut nodes: Vec<NodeId>) -> Vec<NodeId> {
     nodes.sort();
     nodes.dedup();
-    nodes.sort_by(|a, b| doc.cmp_document_order(*a, *b).unwrap_or(std::cmp::Ordering::Equal));
+    nodes.sort_by(|a, b| tree.document_order(*a, *b));
     nodes
 }
 

@@ -11,10 +11,11 @@
 //! returns the union of all projection paths evaluated relative to each
 //! surviving binding — deduplicated, in document order.
 
-use crate::cond::Condition;
+use crate::cond::{starts_with_keyword, Condition};
 use crate::error::QueryError;
 use crate::path::{dedup_document_order, PathExpr};
-use axml_xml::{Document, NodeId};
+use crate::tree::QueryTree;
+use axml_xml::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -37,13 +38,12 @@ impl SelectQuery {
     /// optional. The paper's examples parse verbatim.
     pub fn parse(input: &str) -> Result<SelectQuery, QueryError> {
         let input = input.trim().trim_end_matches(';').trim();
-        let lower = input.to_lowercase();
-        if !lower.starts_with("select") {
+        if !starts_with_keyword(input.as_bytes(), "select") {
             return Err(QueryError::syntax("select query", "must start with `select`"));
         }
         let from_pos =
-            find_keyword(&lower, "from").ok_or_else(|| QueryError::syntax("select query", "missing `from` clause"))?;
-        let where_pos = find_keyword(&lower, "where");
+            find_keyword(input, "from").ok_or_else(|| QueryError::syntax("select query", "missing `from` clause"))?;
+        let where_pos = find_keyword(input, "where");
 
         let proj_src = input["select".len()..from_pos].trim();
         let (from_src, where_src) = match where_pos {
@@ -106,24 +106,24 @@ impl SelectQuery {
     }
 
     /// The binding nodes: `from` matches that satisfy the condition.
-    pub fn bindings(&self, doc: &Document) -> Vec<NodeId> {
-        self.from.eval(doc).into_iter().filter(|n| self.condition.eval(doc, *n)).collect()
+    pub fn bindings<T: QueryTree>(&self, tree: &T) -> Vec<NodeId> {
+        self.from.eval(tree).into_iter().filter(|n| self.condition.eval(tree, *n)).collect()
     }
 
     /// Evaluates the query: union of projections over all bindings,
     /// deduplicated in document order.
-    pub fn eval(&self, doc: &Document) -> Result<Vec<NodeId>, QueryError> {
+    pub fn eval<T: QueryTree>(&self, tree: &T) -> Result<Vec<NodeId>, QueryError> {
         let mut out = Vec::new();
-        for binding in self.bindings(doc) {
+        for binding in self.bindings(tree) {
             for proj in &self.projections {
                 if proj.steps.is_empty() {
                     out.push(binding);
                 } else {
-                    out.extend(proj.eval_relative(doc, binding));
+                    out.extend(proj.eval_relative(tree, binding));
                 }
             }
         }
-        Ok(dedup_document_order(doc, out))
+        Ok(dedup_document_order(tree, out))
     }
 
     /// Renders the query back to text.
@@ -160,12 +160,14 @@ impl fmt::Display for SelectQuery {
     }
 }
 
-/// Finds a keyword at a word boundary, skipping quoted strings.
-fn find_keyword(lower: &str, kw: &str) -> Option<usize> {
-    let bytes = lower.as_bytes();
+/// Finds an ASCII keyword at a word boundary, skipping quoted strings.
+/// Compares bytes, so the returned offset is a char boundary of `input`
+/// whatever non-ASCII text surrounds the keyword.
+fn find_keyword(input: &str, kw: &str) -> Option<usize> {
+    let bytes = input.as_bytes();
     let mut i = 0;
     let mut quote: Option<u8> = None;
-    while i < lower.len() {
+    while i < bytes.len() {
         let b = bytes[i];
         if let Some(q) = quote {
             if b == q {
@@ -179,10 +181,10 @@ fn find_keyword(lower: &str, kw: &str) -> Option<usize> {
             i += 1;
             continue;
         }
-        if lower[i..].starts_with(kw) {
+        if starts_with_keyword(&bytes[i..], kw) {
             let before_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
             let after = i + kw.len();
-            let after_ok = after >= lower.len() || !bytes[after].is_ascii_alphanumeric();
+            let after_ok = after >= bytes.len() || !bytes[after].is_ascii_alphanumeric();
             if before_ok && after_ok {
                 return Some(i);
             }
@@ -195,6 +197,7 @@ fn find_keyword(lower: &str, kw: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_xml::Document;
 
     fn atp() -> Document {
         Document::parse(
@@ -347,6 +350,7 @@ mod tests {
 mod descendant_projection_tests {
     use super::*;
     use crate::path::Axis;
+    use axml_xml::Document;
 
     /// Regression: `v//x` after the variable must keep the descendant
     /// axis (an earlier version silently degraded it to a child step).

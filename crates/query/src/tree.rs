@@ -1,0 +1,75 @@
+//! The tree navigation the evaluator needs.
+//!
+//! Paths, conditions and select queries evaluate against any
+//! [`QueryTree`]. A plain [`Document`] navigates its arena as it is;
+//! `axml-doc` navigates the same arena with `axml:sc` wrappers elided on
+//! the fly. Either way the node ids are the document's own, and the
+//! evaluator is generic over the tree, so each implementation gets its
+//! own statically dispatched copy of it.
+
+use axml_xml::{Document, NodeId, QName};
+use std::cmp::Ordering;
+
+/// Read-only navigation over a tree of [`NodeId`]s.
+///
+/// Stale or foreign ids never panic: they have no name, no parent, no
+/// children and no string value.
+pub trait QueryTree {
+    /// The root element (the only child of the virtual document node).
+    fn root(&self) -> NodeId;
+
+    /// The element name of `node`; `None` for non-element nodes.
+    fn element_name(&self, node: NodeId) -> Option<&QName>;
+
+    /// Attribute value by `prefix:local` spelling (element nodes only).
+    fn attr_value(&self, node: NodeId, name: &str) -> Option<&str>;
+
+    /// The parent of `node`; `None` for the root.
+    fn parent_of(&self, node: NodeId) -> Option<NodeId>;
+
+    /// The children of `node`, in document order.
+    fn children_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_;
+
+    /// The proper descendants of `node`, in document (pre-)order.
+    fn descendants_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_;
+
+    /// Concatenated text of `node` and its descendants (XPath `string()`).
+    fn string_value(&self, node: NodeId) -> Option<String>;
+
+    /// Compares two nodes in document order (`Equal` if either is stale).
+    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering;
+}
+
+impl QueryTree for Document {
+    fn root(&self) -> NodeId {
+        Document::root(self)
+    }
+
+    fn element_name(&self, node: NodeId) -> Option<&QName> {
+        self.name(node).ok()
+    }
+
+    fn attr_value(&self, node: NodeId, name: &str) -> Option<&str> {
+        self.attr(node, name)
+    }
+
+    fn parent_of(&self, node: NodeId) -> Option<NodeId> {
+        self.parent(node).ok().flatten()
+    }
+
+    fn children_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.children(node).unwrap_or_default().iter().copied()
+    }
+
+    fn descendants_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.descendants_and_self(node).skip(1)
+    }
+
+    fn string_value(&self, node: NodeId) -> Option<String> {
+        self.text_content(node).ok()
+    }
+
+    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering {
+        self.cmp_document_order(a, b).unwrap_or(Ordering::Equal)
+    }
+}

@@ -303,3 +303,52 @@ proptest! {
         prop_assert_eq!(parsed.eval(&doc).unwrap(), reparsed.eval(&doc).unwrap(), "q={}", q);
     }
 }
+
+// ----------------------------------------------------------------------
+// Hostile input: the parsers return errors, they never panic.
+// ----------------------------------------------------------------------
+
+/// Query punctuation and keywords interleaved with multi-byte characters,
+/// so every byte offset a parser computes gets a chance to land inside one.
+const QUERY_SOUP: &[&str] = &[
+    "select", "Select", "from", "where", "in", "and", "or", "not", "exists", "node:", "nodes:", "p", "d", "x", "1",
+    "0", " ", "\t", "/", "//", "..", ".", "*", "@", "[", "]", "(", ")", "=", "!=", "<", ">", "\"", "'", ",", ";", "$",
+    ":", "é", "日", "\u{a0}", "İ",
+];
+
+fn soup(alphabet: &'static [&'static str]) -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..alphabet.len(), 0..24)
+        .prop_map(move |picks| picks.iter().map(|i| alphabet[*i]).collect())
+}
+
+fn parse_everything(input: &str) {
+    let _ = SelectQuery::parse(input);
+    let _ = PathExpr::parse(input);
+    let _ = Locator::parse(input);
+}
+
+/// Keyword search walks the query bytewise; slicing the `str` at those
+/// offsets panics inside a multi-byte character instead of reporting a
+/// syntax error, so the search must compare bytes.
+#[test]
+fn non_ascii_before_a_keyword_is_not_a_panic() {
+    let q = SelectQuery::parse("Select p/é from p in d").expect("non-ASCII names are legal");
+    assert_eq!(q.projections[0].to_text(), "é");
+    // `İ` lower-cases to three bytes: offsets found in a lower-cased copy
+    // are not offsets into the input.
+    let q = SelectQuery::parse("Select p/İ from p in d where p/İ = 1").expect("parses");
+    assert_eq!(q.from.to_text(), "d");
+    for hostile in ["select=日", "Select p from p in d where a = b 日", "select 日 from", "日[日=日]"] {
+        parse_everything(hostile);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn query_parsers_never_panic(input in soup(QUERY_SOUP)) {
+        parse_everything(&input);
+        parse_everything(&format!("Select p/x from p in d where {input}"));
+    }
+}

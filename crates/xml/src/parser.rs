@@ -82,10 +82,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
-        let upto = &self.input[..self.pos.min(self.input.len())];
+        // `bump` advances bytewise, so `pos` can sit inside a multi-byte
+        // character of malformed input: report that character's start.
+        let offset = self.input.floor_char_boundary(self.pos);
+        let upto = &self.input[..offset];
         let line = upto.bytes().filter(|b| *b == b'\n').count() + 1;
         let column = upto.rsplit('\n').next().map(|l| l.chars().count()).unwrap_or(0) + 1;
-        ParseError::new(self.pos, line, column, message)
+        ParseError::new(offset, line, column, message)
     }
 
     fn at_end(&self) -> bool {

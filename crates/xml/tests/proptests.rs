@@ -233,3 +233,65 @@ proptest! {
         let _ = Fragment::parse_all(&input); // must not panic
     }
 }
+
+/// XML punctuation interleaved with multi-byte characters, so every byte
+/// offset the parser computes gets a chance to land inside one.
+const XML_SOUP: &[&str] = &[
+    "<",
+    ">",
+    "</",
+    "/>",
+    "=",
+    "\"",
+    "'",
+    "&",
+    ";",
+    "&#",
+    "&#x",
+    "<!--",
+    "-->",
+    "<![CDATA[",
+    "]]>",
+    "<?",
+    "?>",
+    "<!DOCTYPE",
+    "[",
+    "]",
+    "r",
+    "a",
+    ":",
+    "0",
+    "-",
+    " ",
+    "\t",
+    "\n",
+    "é",
+    "日",
+    "\u{a0}",
+];
+
+/// The parser scans bytewise in places (`bump`), so the offset it reports
+/// an error at can fall inside a multi-byte character; building the error
+/// must not slice the input there.
+#[test]
+fn malformed_input_with_multibyte_chars_is_an_error_not_a_panic() {
+    let err = Document::parse("<a b=日/>").expect_err("unquoted attribute value");
+    assert!(err.message.contains("quoted attribute value"), "{err}");
+    assert_eq!((err.offset, err.line, err.column), (5, 1, 6), "reported at the offending character's start");
+    for hostile in ["<r><:0\t日</r>", "<r a='日", "<!DOCTYPE 日", "<r>&#日;</r>", "<日 日=日>"] {
+        assert!(Document::parse(hostile).is_err(), "{hostile}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parser_never_panics_on_multibyte_soup(picks in prop::collection::vec(0usize..XML_SOUP.len(), 0..24)) {
+        let input: String = picks.iter().map(|i| XML_SOUP[*i]).collect();
+        let _ = Document::parse(&input);
+        let _ = Document::parse(&format!("<r>{input}</r>"));
+        let _ = Document::parse(&format!("<r {input}/>"));
+        let _ = Document::parse(&format!("<r a={input}/>"));
+    }
+}
