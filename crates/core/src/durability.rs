@@ -200,7 +200,7 @@ pub fn replay(entries: &[JournalEntry]) -> Result<Vec<TransactionContext>, Journ
 pub fn encode(entries: &[JournalEntry]) -> String {
     let mut out = String::new();
     for e in entries {
-        out.push_str(&serde_json::to_string(e).expect("journal entries are serializable"));
+        e.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -305,8 +305,11 @@ impl DurabilitySink for MemorySink {
 
     fn stats(&self) -> WalStats {
         let (counted, mut bytes) = self.counted.get();
+        let mut line = String::new();
         for entry in &self.entries[counted..] {
-            bytes += serde_json::to_string(entry).map(|s| s.len() as u64).unwrap_or(0);
+            line.clear();
+            entry.write_json(&mut line);
+            bytes += line.len() as u64;
         }
         self.counted.set((self.entries.len(), bytes));
         WalStats { bytes_appended: bytes, ..self.stats }

@@ -1,6 +1,6 @@
 //! Transaction and invocation identifiers.
 
-use axml_p2p::PeerId;
+use axml_p2p::{PeerId, SpanRef, TxnRef};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,6 +29,13 @@ impl fmt::Display for TxnId {
     }
 }
 
+/// The form lifecycle events carry; it prints exactly as [`TxnId`] does.
+impl From<TxnId> for TxnRef {
+    fn from(t: TxnId) -> TxnRef {
+        TxnRef::new(t.origin.0, t.seq)
+    }
+}
+
 /// Identifies one service invocation within a transaction, unique per
 /// *invoking* peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,6 +59,14 @@ impl fmt::Display for InvocationId {
     }
 }
 
+/// The form lifecycle events carry; it prints exactly as
+/// [`InvocationId`] does.
+impl From<InvocationId> for SpanRef {
+    fn from(i: InvocationId) -> SpanRef {
+        SpanRef::new(i.invoker.0, i.seq)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,6 +75,15 @@ mod tests {
     fn display_forms() {
         assert_eq!(TxnId::new(PeerId(1), 0).to_string(), "T1.0");
         assert_eq!(InvocationId::new(PeerId(3), 7).to_string(), "inv3.7");
+    }
+
+    #[test]
+    fn trace_ids_print_as_the_protocol_ids_do() {
+        for (peer, seq) in [(0, 0), (1, 0), (3, 7), (12, 345), (u32::MAX, u64::MAX)] {
+            let (txn, inv) = (TxnId::new(PeerId(peer), seq), InvocationId::new(PeerId(peer), seq));
+            assert_eq!(TxnRef::from(txn).to_string(), txn.to_string());
+            assert_eq!(SpanRef::from(inv).to_string(), inv.to_string());
+        }
     }
 
     #[test]

@@ -277,38 +277,42 @@ pub struct PeerStats {
 }
 
 impl PeerStats {
-    /// These counters as one flat registry snapshot (names scoped under
-    /// `peer.<id>.`), mergeable with `NetMetrics::snapshot()` into the
-    /// unified view included in trace dumps.
-    pub fn snapshot(&self, peer: PeerId) -> Snapshot {
-        let mut s = Snapshot::default();
-        let p = peer.0;
-        s.set(format!("peer.{p}.served"), self.served);
-        s.set(format!("peer.{p}.isolation_conflicts"), self.isolation_conflicts);
-        s.set(format!("peer.{p}.completed"), self.completed);
-        s.set(format!("peer.{p}.faults_raised"), self.faults_raised);
-        s.set(format!("peer.{p}.retries"), self.retries);
-        s.set(format!("peer.{p}.substitutions"), self.substitutions);
-        s.set(format!("peer.{p}.alternatives_used"), self.alternatives_used);
-        s.set(format!("peer.{p}.compensations_executed"), self.compensations_executed);
-        s.set(format!("peer.{p}.comp_cost_nodes"), self.comp_cost_nodes);
-        s.set(format!("peer.{p}.aborts_received"), self.aborts_received);
-        s.set(format!("peer.{p}.aborts_sent"), self.aborts_sent);
-        s.set(format!("peer.{p}.work_wasted"), self.work_wasted);
-        s.set(format!("peer.{p}.work_reused"), self.work_reused);
-        s.set(format!("peer.{p}.orphan_stops"), self.orphan_stops);
-        s.set(format!("peer.{p}.redirects_sent"), self.redirects_sent);
-        s.set(format!("peer.{p}.redirects_received"), self.redirects_received);
-        s.set(format!("peer.{p}.late_messages"), self.late_messages);
-        s.set(format!("peer.{p}.retransmits"), self.retransmits);
-        s.set(format!("peer.{p}.retransmit_giveups"), self.retransmit_giveups);
-        s.set(format!("peer.{p}.dup_suppressed"), self.dup_suppressed);
-        s.set(format!("peer.{p}.seen_peak"), self.seen_peak);
-        s.set(format!("peer.{p}.storage_faults"), self.storage_faults);
-        s.set(format!("peer.{p}.crash_recoveries"), self.crash_recoveries);
-        s.set(format!("peer.{p}.presumed_aborts"), self.presumed_aborts);
-        s.set(format!("peer.{p}.detections"), self.detections.len() as u64);
-        s
+    /// Folds these counters into `registry` under `peer.<id>.` names —
+    /// straight into the unified view trace dumps include, one key
+    /// allocation per counter.
+    pub fn record_into(&self, peer: PeerId, registry: &mut Snapshot) {
+        let prefix = format!("peer.{}.", peer.0);
+        let mut put = |name: &str, value: u64| {
+            let mut key = String::with_capacity(prefix.len() + name.len());
+            key.push_str(&prefix);
+            key.push_str(name);
+            registry.absorb(key, value);
+        };
+        put("served", self.served);
+        put("isolation_conflicts", self.isolation_conflicts);
+        put("completed", self.completed);
+        put("faults_raised", self.faults_raised);
+        put("retries", self.retries);
+        put("substitutions", self.substitutions);
+        put("alternatives_used", self.alternatives_used);
+        put("compensations_executed", self.compensations_executed);
+        put("comp_cost_nodes", self.comp_cost_nodes);
+        put("aborts_received", self.aborts_received);
+        put("aborts_sent", self.aborts_sent);
+        put("work_wasted", self.work_wasted);
+        put("work_reused", self.work_reused);
+        put("orphan_stops", self.orphan_stops);
+        put("redirects_sent", self.redirects_sent);
+        put("redirects_received", self.redirects_received);
+        put("late_messages", self.late_messages);
+        put("retransmits", self.retransmits);
+        put("retransmit_giveups", self.retransmit_giveups);
+        put("dup_suppressed", self.dup_suppressed);
+        put("seen_peak", self.seen_peak);
+        put("storage_faults", self.storage_faults);
+        put("crash_recoveries", self.crash_recoveries);
+        put("presumed_aborts", self.presumed_aborts);
+        put("detections", self.detections.len() as u64);
     }
 }
 
@@ -610,8 +614,8 @@ impl AxmlPeer {
     // ------------------------------------------------------------------
 
     /// Emits one lifecycle event (no-op when the run is untraced). Ids
-    /// travel in `Display` form so the trace crate stays below the
-    /// protocol layer.
+    /// travel as the trace crate's own `Copy` ids, which sit below the
+    /// protocol layer; their text is produced when a journal is written.
     fn emit(
         &self,
         ctx: &mut Ctx<'_, TxnMsg>,
@@ -621,7 +625,7 @@ impl AxmlPeer {
         kind: EventKind,
     ) {
         if ctx.tracing() {
-            ctx.emit(txn.map(|t| t.to_string()), span.map(|i| i.to_string()), parent.map(|i| i.to_string()), kind);
+            ctx.emit(txn.map(Into::into), span.map(Into::into), parent.map(Into::into), kind);
         }
     }
 
@@ -653,7 +657,7 @@ impl AxmlPeer {
         }
         if ctx.tracing() {
             let (txn, label) = Self::journal_entry_label(&entry);
-            ctx.emit(Some(txn.to_string()), None, None, EventKind::LogAppend { entry: label });
+            ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
         }
         self.journal.push(entry);
         true
@@ -668,7 +672,7 @@ impl AxmlPeer {
         self.sink.append_forced(&entry);
         if ctx.tracing() {
             let (txn, label) = Self::journal_entry_label(&entry);
-            ctx.emit(Some(txn.to_string()), None, None, EventKind::LogAppend { entry: label });
+            ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
         }
         self.journal.push(entry);
     }
@@ -2110,7 +2114,7 @@ impl AxmlPeer {
         // Concurrent notices about the same disconnection arrive in
         // bursts; keep one record per (peer, mechanism, instant).
         if self.stats.detections.last() != Some(&d) && !self.stats.detections.contains(&d) {
-            self.emit(ctx, None, None, None, EventKind::Detect { peer: peer.0, how: how.label().to_string() });
+            self.emit(ctx, None, None, None, EventKind::Detect { peer: peer.0, how: how.label().into() });
             self.stats.detections.push(d);
         }
     }

@@ -543,7 +543,7 @@ impl Scenario {
         let mut s = self.sim.metrics().snapshot();
         for &p in &self.participants {
             let actor = self.sim.actor(p);
-            s.merge(&actor.stats.snapshot(p));
+            actor.stats.record_into(p, &mut s);
             let wal = actor.wal_stats();
             s.add("wal.segments_rotated", wal.segments_rotated);
             s.add("wal.bytes_appended", wal.bytes_appended);

@@ -18,7 +18,7 @@
 //!   delivery, zeros included (acknowledged-first-try deliveries count).
 
 use crate::hist::Histogram;
-use axml_trace::{EventKind, TraceEvent, TraceJournal};
+use axml_trace::{EventKind, SpanRef, TraceEvent, TraceJournal, TxnRef};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -44,34 +44,34 @@ pub fn derive_histograms(journal: &TraceJournal) -> BTreeMap<String, Histogram> 
     let mut retrans = Histogram::default();
 
     // txn → (origin peer, submit time) from its first Submit.
-    let mut submitted: BTreeMap<String, (u32, u64)> = BTreeMap::new();
+    let mut submitted: BTreeMap<TxnRef, (u32, u64)> = BTreeMap::new();
     // txn → (wave start, wave end) over abort-wave events.
-    let mut wave: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut wave: BTreeMap<TxnRef, (u64, u64)> = BTreeMap::new();
     // txn → compensation application times (lag needs the wave start,
     // which may move earlier as the wave is discovered — defer).
-    let mut applies: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    let mut applies: BTreeMap<TxnRef, Vec<u64>> = BTreeMap::new();
     // peer → latest crash/disconnect not yet detected.
     let mut churned_at: BTreeMap<u32, u64> = BTreeMap::new();
     // (sender, receiver, id) → retransmit attempts.
     let mut deliveries: BTreeMap<(u32, u32, u64), u64> = BTreeMap::new();
 
     for e in journal.events() {
-        if let Some(t) = &e.txn {
+        if let Some(t) = e.txn {
             if in_abort_wave(&e.kind) {
-                let w = wave.entry(t.clone()).or_insert((e.at, e.at));
+                let w = wave.entry(t).or_insert((e.at, e.at));
                 w.0 = w.0.min(e.at);
                 w.1 = w.1.max(e.at);
             }
         }
         match &e.kind {
             EventKind::Submit { .. } => {
-                if let Some(t) = &e.txn {
-                    submitted.entry(t.clone()).or_insert((e.peer, e.at));
+                if let Some(t) = e.txn {
+                    submitted.entry(t).or_insert((e.peer, e.at));
                 }
             }
             EventKind::Resolve { committed: true } => {
-                if let Some(t) = &e.txn {
-                    if let Some(&(origin, at0)) = submitted.get(t) {
+                if let Some(t) = e.txn {
+                    if let Some(&(origin, at0)) = submitted.get(&t) {
                         if origin == e.peer {
                             commit.observe(e.at - at0);
                         }
@@ -79,8 +79,8 @@ pub fn derive_histograms(journal: &TraceJournal) -> BTreeMap<String, Histogram> 
                 }
             }
             EventKind::CompensateApply { .. } => {
-                if let Some(t) = &e.txn {
-                    applies.entry(t.clone()).or_default().push(e.at);
+                if let Some(t) = e.txn {
+                    applies.entry(t).or_default().push(e.at);
                 }
             }
             EventKind::Crash | EventKind::Disconnect => {
@@ -136,20 +136,15 @@ struct SpanAgg {
     peer_at: u64,
     first: u64,
     last: u64,
-    parent: Option<String>,
+    parent: Option<SpanRef>,
 }
 
-fn span_aggregates(events: &[&TraceEvent]) -> BTreeMap<String, SpanAgg> {
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
+fn span_aggregates(events: &[&TraceEvent]) -> BTreeMap<SpanRef, SpanAgg> {
+    let mut spans: BTreeMap<SpanRef, SpanAgg> = BTreeMap::new();
     for e in events {
-        let Some(s) = &e.span else { continue };
-        let agg = spans.entry(s.clone()).or_insert(SpanAgg {
-            peer: e.peer,
-            peer_at: e.at,
-            first: e.at,
-            last: e.at,
-            parent: None,
-        });
+        let Some(s) = e.span else { continue };
+        let agg =
+            spans.entry(s).or_insert(SpanAgg { peer: e.peer, peer_at: e.at, first: e.at, last: e.at, parent: None });
         agg.first = agg.first.min(e.at);
         agg.last = agg.last.max(e.at);
         if (e.at, e.peer) < (agg.peer_at, agg.peer) {
@@ -158,15 +153,8 @@ fn span_aggregates(events: &[&TraceEvent]) -> BTreeMap<String, SpanAgg> {
         }
         // Smallest named parent wins — again multiset-pure. Real
         // journals name at most one parent per span (its Invoke).
-        if let Some(p) = &e.parent {
-            match &mut agg.parent {
-                Some(cur) => {
-                    if p < cur {
-                        *cur = p.clone();
-                    }
-                }
-                slot @ None => *slot = Some(p.clone()),
-            }
+        if let Some(p) = e.parent {
+            agg.parent = Some(agg.parent.map_or(p, |cur| cur.min(p)));
         }
     }
     spans
@@ -177,10 +165,10 @@ fn span_aggregates(events: &[&TraceEvent]) -> BTreeMap<String, SpanAgg> {
 /// transaction's wall-clock (sim-time) duration.
 pub fn critical_paths(journal: &TraceJournal) -> String {
     // Group events per transaction, preserving emission order.
-    let mut by_txn: BTreeMap<String, Vec<&TraceEvent>> = BTreeMap::new();
+    let mut by_txn: BTreeMap<TxnRef, Vec<&TraceEvent>> = BTreeMap::new();
     for e in journal.events() {
-        if let Some(t) = &e.txn {
-            by_txn.entry(t.clone()).or_default().push(e);
+        if let Some(t) = e.txn {
+            by_txn.entry(t).or_default().push(e);
         }
     }
     let mut out = String::new();
@@ -191,10 +179,10 @@ pub fn critical_paths(journal: &TraceJournal) -> String {
         }
         // Children index; roots are spans whose parent is unknown or
         // outside the recorded span set.
-        let mut children: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        let mut roots: Vec<&str> = Vec::new();
-        for (name, agg) in &spans {
-            match agg.parent.as_deref().filter(|p| spans.contains_key(*p)) {
+        let mut children: BTreeMap<SpanRef, Vec<SpanRef>> = BTreeMap::new();
+        let mut roots: Vec<SpanRef> = Vec::new();
+        for (&name, agg) in &spans {
+            match agg.parent.filter(|p| spans.contains_key(p)) {
                 Some(p) => children.entry(p).or_default().push(name),
                 None => roots.push(name),
             }
@@ -203,40 +191,40 @@ pub fn critical_paths(journal: &TraceJournal) -> String {
         // can resolve the root while compensation still runs below it),
         // so rank by the deepest finish, not a span's own last event.
         fn deep_last(
-            span: &str,
-            spans: &BTreeMap<String, SpanAgg>,
-            children: &BTreeMap<&str, Vec<&str>>,
-            memo: &mut BTreeMap<String, u64>,
+            span: SpanRef,
+            spans: &BTreeMap<SpanRef, SpanAgg>,
+            children: &BTreeMap<SpanRef, Vec<SpanRef>>,
+            memo: &mut BTreeMap<SpanRef, u64>,
         ) -> u64 {
-            if let Some(&v) = memo.get(span) {
+            if let Some(&v) = memo.get(&span) {
                 return v;
             }
             // Seed the memo before recursing so a malformed journal with
             // a parent cycle terminates instead of overflowing.
-            memo.insert(span.to_string(), spans[span].last);
-            let mut last = spans[span].last;
-            if let Some(cs) = children.get(span) {
-                for c in cs {
+            memo.insert(span, spans[&span].last);
+            let mut last = spans[&span].last;
+            if let Some(cs) = children.get(&span) {
+                for &c in cs {
                     last = last.max(deep_last(c, spans, children, memo));
                 }
             }
-            memo.insert(span.to_string(), last);
+            memo.insert(span, last);
             last
         }
         let mut memo = BTreeMap::new();
         // The critical root is the one whose subtree finishes last.
-        roots.sort_by_key(|r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(*r)));
+        roots.sort_by_key(|&r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(r)));
         let Some(mut cur) = roots.last().copied() else { continue };
-        let t0 = spans[cur].first;
+        let t0 = spans[&cur].first;
         let t_end = deep_last(cur, &spans, &children, &mut memo);
         let _ = write!(out, "{txn}: critical path {} ticks\n  ", t_end - t0);
         loop {
-            let a = &spans[cur];
+            let a = &spans[&cur];
             let _ = write!(out, "{cur}@AP{} [{}..{}]", a.peer, a.first, a.last);
             // Greedy descent: the child whose subtree finishes last
             // bounds the parent's completion.
-            let next = children.get(cur).and_then(|cs| {
-                cs.iter().copied().max_by_key(|c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(*c)))
+            let next = children.get(&cur).and_then(|cs| {
+                cs.iter().copied().max_by_key(|&c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(c)))
             });
             match next {
                 Some(c) => {
@@ -261,22 +249,22 @@ mod tests {
 
     fn journal() -> TraceJournal {
         let mut j = TraceJournal::default();
-        let t = || Some("T1.0".to_string());
-        j.record(0, 1, 0, t(), Some("I1.0".into()), None, EventKind::Submit { method: "m".into() });
+        let t = || Some(TxnRef::new(1, 0));
+        j.record(0, 1, 0, t(), Some(SpanRef::new(1, 0)), None, EventKind::Submit { method: "m".into() });
         j.record(
             2,
             1,
             0,
             t(),
-            Some("I1.1".into()),
-            Some("I1.0".into()),
+            Some(SpanRef::new(1, 1)),
+            Some(SpanRef::new(1, 0)),
             EventKind::Invoke { to: 2, method: "m".into() },
         );
-        j.record(5, 2, 0, t(), Some("I1.1".into()), None, EventKind::Serve { from: 1, method: "m".into() });
+        j.record(5, 2, 0, t(), Some(SpanRef::new(1, 1)), None, EventKind::Serve { from: 1, method: "m".into() });
         j.record(5, 2, 0, t(), None, None, EventKind::AckSend { to: 1, id: 1 });
-        j.record(9, 1, 0, t(), Some("I1.1".into()), None, EventKind::Retransmit { to: 2, id: 2, attempt: 1 });
-        j.record(20, 2, 0, t(), Some("I1.1".into()), None, EventKind::ResultReturn { to: 1 });
-        j.record(24, 1, 0, t(), Some("I1.0".into()), None, EventKind::Resolve { committed: true });
+        j.record(9, 1, 0, t(), Some(SpanRef::new(1, 1)), None, EventKind::Retransmit { to: 2, id: 2, attempt: 1 });
+        j.record(20, 2, 0, t(), Some(SpanRef::new(1, 1)), None, EventKind::ResultReturn { to: 1 });
+        j.record(24, 1, 0, t(), Some(SpanRef::new(1, 0)), None, EventKind::Resolve { committed: true });
         j
     }
 
@@ -301,7 +289,7 @@ mod tests {
     #[test]
     fn abort_wave_and_detection_metrics() {
         let mut j = TraceJournal::default();
-        let t = || Some("T2.0".to_string());
+        let t = || Some(TxnRef::new(2, 0));
         j.record(10, 3, 0, t(), None, None, EventKind::FaultRaise { to: 1 });
         j.record(14, 1, 0, t(), None, None, EventKind::AbortPropagate { to: 2 });
         j.record(18, 2, 0, t(), None, None, EventKind::CompensateApply { actions: 2 });
@@ -329,11 +317,11 @@ mod tests {
             // Span k's parent is span (k-1)/2 (a small binary tree);
             // every event of a span carries the same parent id, so the
             // span graph itself is permutation-independent.
-            let canon: Vec<(u64, u32, String, Option<String>)> = events
+            let canon: Vec<(u64, u32, SpanRef, Option<SpanRef>)> = events
                 .iter()
                 .map(|&(k, peer, at)| {
-                    let parent = (k > 0).then(|| format!("S{}", (k - 1) / 2));
-                    (at, peer, format!("S{k}"), parent)
+                    let parent = (k > 0).then(|| SpanRef::new(0, (k as u64 - 1) / 2));
+                    (at, peer, SpanRef::new(0, k as u64), parent)
                 })
                 .collect();
             let mut permuted = canon.clone();
@@ -341,16 +329,16 @@ mod tests {
             for &(a, b) in &swaps {
                 permuted.swap(a % n, b % n);
             }
-            let journal_of = |evs: &[(u64, u32, String, Option<String>)]| {
+            let journal_of = |evs: &[(u64, u32, SpanRef, Option<SpanRef>)]| {
                 let mut j = TraceJournal::default();
                 for (at, peer, span, parent) in evs {
                     j.record(
                         *at,
                         *peer,
                         0,
-                        Some("T1.0".to_string()),
-                        Some(span.clone()),
-                        parent.clone(),
+                        Some(TxnRef::new(1, 0)),
+                        Some(*span),
+                        *parent,
                         EventKind::Serve { from: 0, method: "m".into() },
                     );
                 }
@@ -367,7 +355,7 @@ mod tests {
     fn critical_path_follows_latest_finishing_chain() {
         let text = critical_paths(&journal());
         assert!(text.contains("T1.0: critical path 24 ticks"), "{text}");
-        assert!(text.contains("I1.0@AP1 [0..24] -> I1.1@AP"), "{text}");
+        assert!(text.contains("inv1.0@AP1 [0..24] -> inv1.1@AP"), "{text}");
         assert_eq!(text, critical_paths(&journal()), "rendering is deterministic");
         assert_eq!(critical_paths(&TraceJournal::default()), "(no spans recorded)\n");
     }

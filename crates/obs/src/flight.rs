@@ -64,11 +64,13 @@ impl FlightRecorder {
         for (peer, ring) in &self.rings {
             let _ = writeln!(out, "-- AP{peer}: {} kept, {} dropped", ring.len(), ring.dropped());
             for e in ring.iter() {
-                let mut line = e.render();
+                out.push_str("  ");
+                e.write_line(&mut out);
                 if let Some(txn) = &e.txn {
-                    let _ = write!(line, " txn={txn}");
+                    out.push_str(" txn=");
+                    txn.push_to(&mut out);
                 }
-                let _ = writeln!(out, "  {line}");
+                out.push('\n');
             }
         }
         out
@@ -87,7 +89,16 @@ mod tests {
     use axml_trace::EventKind;
 
     fn event(at: u64, peer: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent { seq: at, at, peer, epoch: 0, txn: Some("T1.0".into()), span: None, parent: None, kind }
+        TraceEvent {
+            seq: at,
+            at,
+            peer,
+            epoch: 0,
+            txn: Some(axml_trace::TxnRef::new(1, 0)),
+            span: None,
+            parent: None,
+            kind,
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! (M004, unresolved M003 obligations). Findings are deterministic: they
 //! are a pure function of the event stream.
 
-use axml_trace::{EventKind, EventSink, TraceEvent, TraceJournal};
+use axml_trace::{EventKind, EventSink, TraceEvent, TraceJournal, TxnRef};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -49,7 +49,7 @@ pub struct MonitorFinding {
     /// Peer the rule fired at.
     pub peer: u32,
     /// Transaction involved, if any.
-    pub txn: Option<String>,
+    pub txn: Option<TxnRef>,
     /// Human-readable explanation.
     pub detail: String,
 }
@@ -78,7 +78,7 @@ struct PendingDup {
     key: (u32, u64, u32, u64), // (receiver, receiver-epoch, sender, id)
     seq: u64,
     at: u64,
-    txn: Option<String>,
+    txn: Option<TxnRef>,
 }
 
 /// The online monitor. Attach with `Sim::attach_observer` (or feed a
@@ -89,18 +89,18 @@ pub struct Monitor {
     findings: Vec<MonitorFinding>,
     finished: bool,
     // M001: last `undoes` index per (peer, txn).
-    last_undo: BTreeMap<(u32, String), u64>,
+    last_undo: BTreeMap<(u32, TxnRef), u64>,
     // M002 (also M003's "already terminal" excuse): per (peer, txn) state.
-    state: BTreeMap<(u32, String), Terminal>,
+    state: BTreeMap<(u32, TxnRef), Terminal>,
     // M003: deliveries already processed, keyed by receiver epoch, plus
     // the at-most-one outstanding repeat obligation per receiver.
     processed: BTreeSet<(u32, u64, u32, u64)>,
     pending_dup: BTreeMap<u32, PendingDup>,
     // M004: propagated aborts (txn, target), resolves seen (txn → peers),
     // give-ups (txn, target), and per-peer churn/detection excuses.
-    abort_targets: BTreeMap<(String, u32), (u64, u64, u32)>, // → (seq, at, sender)
-    resolved: BTreeMap<String, BTreeSet<u32>>,
-    gave_up: BTreeSet<(String, u32)>,
+    abort_targets: BTreeMap<(TxnRef, u32), (u64, u64, u32)>, // → (seq, at, sender)
+    resolved: BTreeMap<TxnRef, BTreeSet<u32>>,
+    gave_up: BTreeSet<(TxnRef, u32)>,
     churned: BTreeSet<u32>,
     detected: BTreeSet<u32>,
     last_seq: u64,
@@ -137,7 +137,7 @@ impl Monitor {
         let targets = std::mem::take(&mut self.abort_targets);
         for ((txn, target), (seq, at, sender)) in targets {
             let reached = self.resolved.get(&txn).is_some_and(|peers| peers.contains(&target));
-            let absorbed = self.gave_up.contains(&(txn.clone(), target))
+            let absorbed = self.gave_up.contains(&(txn, target))
                 || self.churned.contains(&target)
                 || self.detected.contains(&target);
             if !reached && !absorbed {
@@ -146,7 +146,7 @@ impl Monitor {
                     seq: self.last_seq.max(seq),
                     at: self.last_at.max(at),
                     peer: target,
-                    txn: Some(txn.clone()),
+                    txn: Some(txn),
                     detail: format!(
                         "abort of {txn} propagated by AP{sender} (t={at}) never reached AP{target}: \
                          no terminal resolve there and no crash/disconnect/detection/give-up to absorb it"
@@ -173,7 +173,7 @@ impl Monitor {
         // Excused when the transaction was already terminal at the
         // receiver: the dedup entry was legitimately pruned and the
         // late duplicate is absorbed by the terminal-state no-op paths.
-        let terminal = p.txn.as_ref().is_some_and(|t| self.state.contains_key(&(receiver, t.clone())));
+        let terminal = p.txn.is_some_and(|t| self.state.contains_key(&(receiver, t)));
         if terminal {
             return;
         }
@@ -182,7 +182,7 @@ impl Monitor {
             seq: p.seq,
             at: p.at,
             peer: receiver,
-            txn: p.txn.clone(),
+            txn: p.txn,
             detail: format!(
                 "reliable delivery (AP{sender}, id={id}) processed more than once at AP{receiver}: \
                  repeated ack-send with no dedup-suppress and the transaction still live"
@@ -205,62 +205,61 @@ impl Monitor {
                 self.flag_unsuppressed(&p);
             }
         }
-        let txn_key = |t: &String| (e.peer, t.clone());
         match &e.kind {
             EventKind::Serve { .. } => {
-                if let Some(t) = &e.txn {
-                    match self.state.get(&txn_key(t)) {
+                if let Some(t) = e.txn {
+                    match self.state.get(&(e.peer, t)) {
                         Some(Terminal::Committed) => self.findings.push(MonitorFinding {
                             rule: "M002",
                             seq: e.seq,
                             at: e.at,
                             peer: e.peer,
-                            txn: e.txn.clone(),
+                            txn: e.txn,
                             detail: format!("serve of {t} after it committed at AP{}", e.peer),
                         }),
                         Some(Terminal::Aborted) => {
                             // Legitimate forward-recovery re-join: fresh
                             // context, fresh log — re-arm M001 and M002.
-                            self.state.remove(&txn_key(t));
-                            self.last_undo.remove(&txn_key(t));
+                            self.state.remove(&(e.peer, t));
+                            self.last_undo.remove(&(e.peer, t));
                         }
                         None => {}
                     }
                 }
             }
             EventKind::Submit { .. } | EventKind::Materialize { .. } | EventKind::CompensateDerive { .. } => {
-                if let Some(t) = &e.txn {
-                    if self.state.get(&txn_key(t)) == Some(&Terminal::Committed) {
+                if let Some(t) = e.txn {
+                    if self.state.get(&(e.peer, t)) == Some(&Terminal::Committed) {
                         self.findings.push(MonitorFinding {
                             rule: "M002",
                             seq: e.seq,
                             at: e.at,
                             peer: e.peer,
-                            txn: e.txn.clone(),
+                            txn: e.txn,
                             detail: format!("{} for {t} after it committed at AP{}", e.kind.label(), e.peer),
                         });
                     }
                 }
             }
             EventKind::CompensateOp { undoes, .. } => {
-                if let Some(t) = &e.txn {
-                    if self.state.get(&txn_key(t)) == Some(&Terminal::Committed) {
+                if let Some(t) = e.txn {
+                    if self.state.get(&(e.peer, t)) == Some(&Terminal::Committed) {
                         self.findings.push(MonitorFinding {
                             rule: "M002",
                             seq: e.seq,
                             at: e.at,
                             peer: e.peer,
-                            txn: e.txn.clone(),
+                            txn: e.txn,
                             detail: format!("compensation of {t} after it committed at AP{}", e.peer),
                         });
                     }
-                    match self.last_undo.get(&txn_key(t)) {
+                    match self.last_undo.get(&(e.peer, t)) {
                         Some(&prev) if *undoes >= prev => self.findings.push(MonitorFinding {
                             rule: "M001",
                             seq: e.seq,
                             at: e.at,
                             peer: e.peer,
-                            txn: e.txn.clone(),
+                            txn: e.txn,
                             detail: format!(
                                 "compensation out of order at AP{}: batch undoing log record {undoes} \
                                  applied after record {prev} (must be strictly decreasing — §3.1)",
@@ -269,12 +268,12 @@ impl Monitor {
                         }),
                         _ => {}
                     }
-                    self.last_undo.insert(txn_key(t), *undoes);
+                    self.last_undo.insert((e.peer, t), *undoes);
                 }
             }
             EventKind::Resolve { committed } => {
-                if let Some(t) = &e.txn {
-                    match self.state.get(&txn_key(t)) {
+                if let Some(t) = e.txn {
+                    match self.state.get(&(e.peer, t)) {
                         Some(prev) => {
                             let was = if *prev == Terminal::Committed { "committed" } else { "aborted" };
                             let now = if *committed { "commit" } else { "abort" };
@@ -283,7 +282,7 @@ impl Monitor {
                                 seq: e.seq,
                                 at: e.at,
                                 peer: e.peer,
-                                txn: e.txn.clone(),
+                                txn: e.txn,
                                 detail: format!(
                                     "second terminal decision for {t} at AP{}: {now} after it already {was}",
                                     e.peer
@@ -292,10 +291,10 @@ impl Monitor {
                         }
                         None => {
                             self.state
-                                .insert(txn_key(t), if *committed { Terminal::Committed } else { Terminal::Aborted });
+                                .insert((e.peer, t), if *committed { Terminal::Committed } else { Terminal::Aborted });
                         }
                     }
-                    self.resolved.entry(t.clone()).or_default().insert(e.peer);
+                    self.resolved.entry(t).or_default().insert(e.peer);
                 }
             }
             EventKind::AckSend { to, id } => {
@@ -305,17 +304,17 @@ impl Monitor {
                     // suppress follows immediately, or this was really
                     // processed twice. Defer the verdict to the
                     // receiver's next event (or end of run).
-                    self.pending_dup.insert(e.peer, PendingDup { key, seq: e.seq, at: e.at, txn: e.txn.clone() });
+                    self.pending_dup.insert(e.peer, PendingDup { key, seq: e.seq, at: e.at, txn: e.txn });
                 }
             }
             EventKind::AbortPropagate { to } => {
-                if let Some(t) = &e.txn {
-                    self.abort_targets.entry((t.clone(), *to)).or_insert((e.seq, e.at, e.peer));
+                if let Some(t) = e.txn {
+                    self.abort_targets.entry((t, *to)).or_insert((e.seq, e.at, e.peer));
                 }
             }
             EventKind::RetransmitGiveUp { to, .. } => {
-                if let Some(t) = &e.txn {
-                    self.gave_up.insert((t.clone(), *to));
+                if let Some(t) = e.txn {
+                    self.gave_up.insert((t, *to));
                 }
                 // Give-up is also a detection of the silent peer.
                 self.detected.insert(*to);
@@ -348,7 +347,7 @@ mod tests {
     use super::*;
 
     fn ev(seq: u64, at: u64, peer: u32, txn: Option<&str>, kind: EventKind) -> TraceEvent {
-        TraceEvent { seq, at, peer, epoch: 0, txn: txn.map(str::to_string), span: None, parent: None, kind }
+        TraceEvent { seq, at, peer, epoch: 0, txn: txn.map(|t| t.parse().unwrap()), span: None, parent: None, kind }
     }
 
     fn run(events: Vec<TraceEvent>) -> Vec<MonitorFinding> {
@@ -473,8 +472,8 @@ mod tests {
     #[test]
     fn replay_matches_online() {
         let mut j = TraceJournal::default();
-        j.record(5, 2, 0, Some("T1.0".into()), None, None, EventKind::Resolve { committed: true });
-        j.record(9, 2, 0, Some("T1.0".into()), None, None, EventKind::Serve { from: 1, method: "m".into() });
+        j.record(5, 2, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Resolve { committed: true });
+        j.record(9, 2, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Serve { from: 1, method: "m".into() });
         let offline = Monitor::replay(&j);
         let online = run(j.events().to_vec());
         assert_eq!(offline, online);

@@ -15,7 +15,7 @@
 //! of who bounds the latency.
 
 use crate::hist::Histogram;
-use axml_trace::{EventKind, TraceEvent, TraceJournal};
+use axml_trace::{EventKind, SpanRef, TraceEvent, TraceJournal, TxnRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,8 +65,8 @@ impl PhaseWindow {
 /// One span on a transaction's critical path.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathStep {
-    /// Invocation span id (`I1.0`).
-    pub span: String,
+    /// Invocation span id (`inv1.0`).
+    pub span: SpanRef,
     /// Peer the span executed on.
     pub peer: u32,
     /// First event of the span.
@@ -90,7 +90,7 @@ pub struct PeerSelfTime {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TxnProfile {
     /// Transaction id (`T1.0`).
-    pub txn: String,
+    pub txn: TxnRef,
     /// `committed`, `aborted`, or `unresolved`.
     pub outcome: String,
     /// First lifecycle event (sim time).
@@ -136,7 +136,7 @@ struct SpanAgg {
     serve_peer: Option<(u64, u32)>,
     first: u64,
     last: u64,
-    parent: Option<String>,
+    parent: Option<SpanRef>,
 }
 
 impl SpanAgg {
@@ -146,36 +146,36 @@ impl SpanAgg {
 }
 
 fn deep_last(
-    span: &str,
-    spans: &BTreeMap<String, SpanAgg>,
-    children: &BTreeMap<&str, Vec<&str>>,
-    memo: &mut BTreeMap<String, u64>,
+    span: SpanRef,
+    spans: &BTreeMap<SpanRef, SpanAgg>,
+    children: &BTreeMap<SpanRef, Vec<SpanRef>>,
+    memo: &mut BTreeMap<SpanRef, u64>,
 ) -> u64 {
-    if let Some(&v) = memo.get(span) {
+    if let Some(&v) = memo.get(&span) {
         return v;
     }
     // Seed before recursing so a malformed journal with a parent cycle
     // terminates instead of overflowing (same guard as `critical_paths`).
-    memo.insert(span.to_string(), spans[span].last);
-    let mut last = spans[span].last;
-    if let Some(cs) = children.get(span) {
-        for c in cs {
+    memo.insert(span, spans[&span].last);
+    let mut last = spans[&span].last;
+    if let Some(cs) = children.get(&span) {
+        for &c in cs {
             last = last.max(deep_last(c, spans, children, memo));
         }
     }
-    memo.insert(span.to_string(), last);
+    memo.insert(span, last);
     last
 }
 
 /// Walks one transaction's invocation tree and returns the critical
 /// path with self-time attribution. Tie-breaking matches
-/// [`crate::critical_paths`]: deepest finish wins, then the
-/// lexicographically smallest span id.
+/// [`crate::critical_paths`]: deepest finish wins, then the smallest
+/// span id (ids order as their text).
 fn critical_path(events: &[&TraceEvent]) -> Vec<PathStep> {
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
+    let mut spans: BTreeMap<SpanRef, SpanAgg> = BTreeMap::new();
     for e in events {
-        let Some(s) = &e.span else { continue };
-        let agg = spans.entry(s.clone()).or_insert(SpanAgg {
+        let Some(s) = e.span else { continue };
+        let agg = spans.entry(s).or_insert(SpanAgg {
             peer: e.peer,
             peer_at: e.at,
             serve_peer: None,
@@ -189,15 +189,8 @@ fn critical_path(events: &[&TraceEvent]) -> Vec<PathStep> {
             agg.peer = e.peer;
             agg.peer_at = e.at;
         }
-        if let Some(p) = &e.parent {
-            match &mut agg.parent {
-                Some(cur) => {
-                    if p < cur {
-                        *cur = p.clone();
-                    }
-                }
-                slot @ None => *slot = Some(p.clone()),
-            }
+        if let Some(p) = e.parent {
+            agg.parent = Some(agg.parent.map_or(p, |cur| cur.min(p)));
         }
         if matches!(e.kind, EventKind::Serve { .. } | EventKind::Submit { .. })
             && agg.serve_peer.is_none_or(|sp| (e.at, e.peer) < sp)
@@ -208,48 +201,42 @@ fn critical_path(events: &[&TraceEvent]) -> Vec<PathStep> {
     if spans.is_empty() {
         return Vec::new();
     }
-    let mut children: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    let mut roots: Vec<&str> = Vec::new();
-    for (name, agg) in &spans {
-        match agg.parent.as_deref().filter(|p| spans.contains_key(*p)) {
+    let mut children: BTreeMap<SpanRef, Vec<SpanRef>> = BTreeMap::new();
+    let mut roots: Vec<SpanRef> = Vec::new();
+    for (&name, agg) in &spans {
+        match agg.parent.filter(|p| spans.contains_key(p)) {
             Some(p) => children.entry(p).or_default().push(name),
             None => roots.push(name),
         }
     }
     let mut memo = BTreeMap::new();
-    roots.sort_by_key(|r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(*r)));
+    roots.sort_by_key(|&r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(r)));
     let Some(mut cur) = roots.last().copied() else { return Vec::new() };
     // Collect the chain first, then attribute self-time between
     // consecutive steps.
-    let mut chain: Vec<&str> = vec![cur];
-    while let Some(c) = children.get(cur).and_then(|cs| {
-        cs.iter().copied().max_by_key(|c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(*c)))
+    let mut chain: Vec<SpanRef> = vec![cur];
+    while let Some(c) = children.get(&cur).and_then(|cs| {
+        cs.iter().copied().max_by_key(|&c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(c)))
     }) {
         chain.push(c);
         cur = c;
     }
     let mut steps = Vec::with_capacity(chain.len());
-    for (i, span) in chain.iter().enumerate() {
-        let agg = &spans[*span];
+    for (i, &span) in chain.iter().enumerate() {
+        let agg = &spans[&span];
         let end = deep_last(span, &spans, &children, &mut memo);
         // Self-time: head before the critical child starts, plus tail
         // after the child's subtree finishes. The leaf keeps its whole
         // extent. Telescoping, the chain sums to end₀ − first₀.
         let self_time = match chain.get(i + 1) {
-            Some(child) => {
-                let child_agg = &spans[*child];
+            Some(&child) => {
+                let child_agg = &spans[&child];
                 let child_end = deep_last(child, &spans, &children, &mut memo);
                 child_agg.first.saturating_sub(agg.first) + end.saturating_sub(child_end)
             }
             None => end.saturating_sub(agg.first),
         };
-        steps.push(PathStep {
-            span: (*span).to_string(),
-            peer: agg.executing_peer(),
-            first: agg.first,
-            deep_last: end,
-            self_time,
-        });
+        steps.push(PathStep { span, peer: agg.executing_peer(), first: agg.first, deep_last: end, self_time });
     }
     steps
 }
@@ -257,14 +244,14 @@ fn critical_path(events: &[&TraceEvent]) -> Vec<PathStep> {
 impl ProfileReport {
     /// Profiles every transaction in the journal.
     pub fn from_journal(journal: &TraceJournal) -> Self {
-        let mut by_txn: BTreeMap<String, Vec<&TraceEvent>> = BTreeMap::new();
+        let mut by_txn: BTreeMap<TxnRef, Vec<&TraceEvent>> = BTreeMap::new();
         for e in journal.events() {
-            if let Some(t) = &e.txn {
-                by_txn.entry(t.clone()).or_default().push(e);
+            if let Some(t) = e.txn {
+                by_txn.entry(t).or_default().push(e);
             }
         }
         let mut txns = Vec::with_capacity(by_txn.len());
-        for (txn, events) in &by_txn {
+        for (&txn, events) in &by_txn {
             let first = events.iter().map(|e| e.at).min().unwrap_or(0);
             let last = events.iter().map(|e| e.at).max().unwrap_or(0);
             let mut outcome = "unresolved";
@@ -289,15 +276,7 @@ impl ProfileReport {
                 *by_peer.entry(step.peer).or_default() += step.self_time;
             }
             let peer_self = by_peer.into_iter().map(|(peer, ticks)| PeerSelfTime { peer, ticks }).collect();
-            txns.push(TxnProfile {
-                txn: txn.clone(),
-                outcome: outcome.to_string(),
-                first,
-                last,
-                phases,
-                path,
-                peer_self,
-            });
+            txns.push(TxnProfile { txn, outcome: outcome.to_string(), first, last, phases, path, peer_self });
         }
         ProfileReport { txns }
     }
@@ -378,20 +357,20 @@ mod tests {
     /// The analytics-test journal: a clean two-peer commit.
     fn journal() -> TraceJournal {
         let mut j = TraceJournal::default();
-        let t = || Some("T1.0".to_string());
-        j.record(0, 1, 0, t(), Some("I1.0".into()), None, EventKind::Submit { method: "m".into() });
+        let t = || Some(TxnRef::new(1, 0));
+        j.record(0, 1, 0, t(), Some(SpanRef::new(1, 0)), None, EventKind::Submit { method: "m".into() });
         j.record(
             2,
             1,
             0,
             t(),
-            Some("I1.1".into()),
-            Some("I1.0".into()),
+            Some(SpanRef::new(1, 1)),
+            Some(SpanRef::new(1, 0)),
             EventKind::Invoke { to: 2, method: "m".into() },
         );
-        j.record(5, 2, 0, t(), Some("I1.1".into()), None, EventKind::Serve { from: 1, method: "m".into() });
-        j.record(20, 2, 0, t(), Some("I1.1".into()), None, EventKind::ResultReturn { to: 1 });
-        j.record(24, 1, 0, t(), Some("I1.0".into()), None, EventKind::Resolve { committed: true });
+        j.record(5, 2, 0, t(), Some(SpanRef::new(1, 1)), None, EventKind::Serve { from: 1, method: "m".into() });
+        j.record(20, 2, 0, t(), Some(SpanRef::new(1, 1)), None, EventKind::ResultReturn { to: 1 });
+        j.record(24, 1, 0, t(), Some(SpanRef::new(1, 0)), None, EventKind::Resolve { committed: true });
         j
     }
 
@@ -410,7 +389,7 @@ mod tests {
         let report = ProfileReport::from_journal(&journal());
         assert_eq!(report.txns.len(), 1);
         let t = &report.txns[0];
-        assert_eq!(t.txn, "T1.0");
+        assert_eq!(t.txn, TxnRef::new(1, 0));
         assert_eq!(t.outcome, "committed");
         assert_eq!(t.total(), 24);
         assert_eq!(t.phases["invoke"], PhaseWindow { first: 0, last: 2, events: 2 });
@@ -424,11 +403,11 @@ mod tests {
         let report = ProfileReport::from_journal(&journal());
         let t = &report.txns[0];
         assert_eq!(t.path.len(), 2);
-        // Root I1.0 spans [0..24], child I1.1 spans [2..20]: the root's
+        // Root inv1.0 spans [0..24], child inv1.1 spans [2..20]: the root's
         // self-time is the head (2-0) plus the tail (24-20) = 6; the
         // leaf keeps its whole extent (20-2) = 18.
-        assert_eq!((t.path[0].span.as_str(), t.path[0].self_time), ("I1.0", 6));
-        assert_eq!((t.path[1].span.as_str(), t.path[1].self_time), ("I1.1", 18));
+        assert_eq!((t.path[0].span, t.path[0].self_time), (SpanRef::new(1, 0), 6));
+        assert_eq!((t.path[1].span, t.path[1].self_time), (SpanRef::new(1, 1), 18));
         let total: u64 = t.path.iter().map(|s| s.self_time).sum();
         assert_eq!(total, t.path[0].deep_last - t.path[0].first, "self-times telescope");
         assert_eq!(t.peer_self, vec![PeerSelfTime { peer: 1, ticks: 6 }, PeerSelfTime { peer: 2, ticks: 18 }]);
@@ -452,7 +431,7 @@ mod tests {
         let text = report.render();
         assert!(text.contains("T1.0: committed in 24 ticks [0..24]"), "{text}");
         assert!(text.contains("invoke[0..2] 2t/2ev"), "{text}");
-        assert!(text.contains("I1.0@AP1 self=6 -> I1.1@AP2 self=18"), "{text}");
+        assert!(text.contains("inv1.0@AP1 self=6 -> inv1.1@AP2 self=18"), "{text}");
         assert!(text.contains("peer self-time: AP1=6 AP2=18"), "{text}");
         assert_eq!(text, report.render());
         let back: ProfileReport = serde_json::from_str(&report.to_json()).unwrap();

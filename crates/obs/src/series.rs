@@ -101,7 +101,8 @@ impl SeriesRegistry {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         for p in self.to_points() {
-            let _ = writeln!(out, "{}", serde_json::to_string(&p).expect("series point serializes"));
+            p.write_json(&mut out);
+            out.push('\n');
         }
         out
     }

@@ -32,7 +32,7 @@ fn mapped(rule: &str) -> &'static str {
 fn journal(events: &[(u64, u32, Option<&str>, EventKind)]) -> TraceJournal {
     let mut j = TraceJournal::default();
     for (at, peer, txn, kind) in events {
-        j.record(*at, *peer, 0, txn.map(str::to_string), None, None, kind.clone());
+        j.record(*at, *peer, 0, txn.map(|t| t.parse().expect("well-formed id")), None, None, kind.clone());
     }
     j
 }

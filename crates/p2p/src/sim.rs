@@ -11,7 +11,7 @@
 use crate::fault::{CrashEvent, FaultPlane, FaultRuntime, Injected, ScriptedFault};
 use crate::ids::{PeerId, TimerId};
 use crate::metrics::NetMetrics;
-use axml_trace::{EventKind, SharedSink, TraceEvent, TraceJournal, TraceSink};
+use axml_trace::{EventKind, SharedSink, SpanRef, TraceEvent, TraceJournal, TraceSink, TxnRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -317,9 +317,9 @@ impl<M: Message> SimState<M> {
         at: u64,
         peer: u32,
         epoch: u64,
-        txn: Option<String>,
-        span: Option<String>,
-        parent: Option<String>,
+        txn: Option<TxnRef>,
+        span: Option<SpanRef>,
+        parent: Option<SpanRef>,
         kind: EventKind,
     ) {
         if self.trace.is_none() && self.observers.is_empty() {
@@ -472,7 +472,7 @@ impl<M: Message> Ctx<'_, M> {
     /// Emits one lifecycle event, stamped with the current logical time,
     /// this peer's id, and its crash-restart epoch. A no-op when the
     /// sink is disabled and no observer is attached.
-    pub fn emit(&mut self, txn: Option<String>, span: Option<String>, parent: Option<String>, kind: EventKind) {
+    pub fn emit(&mut self, txn: Option<TxnRef>, span: Option<SpanRef>, parent: Option<SpanRef>, kind: EventKind) {
         let (now, epoch) = (self.state.now, self.state.incarnation[self.me.0 as usize]);
         let peer = self.me.0;
         self.state.emit_event(now, peer, epoch, txn, span, parent, kind);
@@ -751,7 +751,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
                         None,
                         None,
                         None,
-                        EventKind::Gauge { name: name.to_string(), value },
+                        EventKind::Gauge { name: name.into(), value },
                     );
                 }
             }
@@ -1209,7 +1209,7 @@ mod tests {
             fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
                 assert!(ctx.tracing());
-                ctx.emit(Some("T0.0".into()), None, None, EventKind::Resolve { committed: tag == 1 });
+                ctx.emit(Some(TxnRef::new(0, 0)), None, None, EventKind::Resolve { committed: tag == 1 });
             }
         }
         let config = SimConfig { trace: TraceSink::Memory, ..Default::default() };
@@ -1220,7 +1220,7 @@ mod tests {
         assert_eq!(j.len(), 1);
         let e = &j.events()[0];
         assert_eq!((e.at, e.peer, e.epoch, e.seq), (3, 0, 0, 0));
-        assert_eq!(e.txn.as_deref(), Some("T0.0"));
+        assert_eq!(e.txn, Some(TxnRef::new(0, 0)));
     }
 
     #[test]
@@ -1241,7 +1241,7 @@ mod tests {
             fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
                 assert!(ctx.tracing(), "observer alone turns tracing on");
-                ctx.emit(Some("T0.0".into()), None, None, EventKind::Resolve { committed: true });
+                ctx.emit(Some(TxnRef::new(0, 0)), None, None, EventKind::Resolve { committed: true });
             }
         }
         let run = |journal: bool, observe: bool| {

@@ -16,7 +16,7 @@
 //! of the model's invariants: M001 ↔ I2 (R08), M002 ↔ I3, M003 ↔ I5,
 //! M004 ↔ I4 — see `axml-obs`'s cross-check test.
 
-use axml_trace::{EventKind, TraceEvent, TraceJournal};
+use axml_trace::{EventKind, TraceEvent, TraceJournal, TxnRef};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -39,7 +39,7 @@ pub struct Divergence {
     /// Diverging peer.
     pub peer: u32,
     /// Transaction involved, if any.
-    pub txn: Option<String>,
+    pub txn: Option<TxnRef>,
     /// What the trace claimed that the model forbids.
     pub detail: String,
     /// Causal context: the most recent events at the diverging peer, in
@@ -123,34 +123,36 @@ struct PendingDup {
     key: (u32, u64, u32, u64), // (receiver, receiver-epoch, sender, id)
     seq: u64,
     at: u64,
-    txn: Option<String>,
+    txn: Option<TxnRef>,
 }
 
 /// Streaming conformance checker. Feed events in journal order, then
-/// call [`ConformanceChecker::finish`].
+/// call [`ConformanceChecker::finish`]. It borrows the events it is fed
+/// (`'j`, the journal's lifetime): the causal context of a divergence is
+/// rendered from them only when one is reported.
 #[derive(Debug, Default)]
-pub struct ConformanceChecker {
+pub struct ConformanceChecker<'j> {
     events: usize,
     divergences: Vec<Divergence>,
     finished: bool,
     // I2: last undone log index per (peer, txn); reset by re-join serve
     // and by crash (new epoch).
-    last_undo: BTreeMap<(u32, String), u64>,
+    last_undo: BTreeMap<(u32, TxnRef), u64>,
     // I3: terminal outcome per (peer, txn).
-    outcome: BTreeMap<(u32, String), Outcome>,
+    outcome: BTreeMap<(u32, TxnRef), Outcome>,
     // I5: processed deliveries per receiver epoch + the at-most-one
     // outstanding repeat obligation per receiver.
     processed: BTreeSet<(u32, u64, u32, u64)>,
     pending_dup: BTreeMap<u32, PendingDup>,
     // I4: propagated aborts → (seq, at, sender); terminal resolves seen;
     // give-ups and churn/detection excuses.
-    abort_targets: BTreeMap<(String, u32), (u64, u64, u32)>,
-    resolved: BTreeMap<String, BTreeSet<u32>>,
-    gave_up: BTreeSet<(String, u32)>,
+    abort_targets: BTreeMap<(TxnRef, u32), (u64, u64, u32)>,
+    resolved: BTreeMap<TxnRef, BTreeSet<u32>>,
+    gave_up: BTreeSet<(TxnRef, u32)>,
     churned: BTreeSet<u32>,
     detected: BTreeSet<u32>,
-    // Causal context: recent rendered events per peer.
-    recent: BTreeMap<u32, VecDeque<String>>,
+    // Causal context: the last few events per peer.
+    recent: BTreeMap<u32, VecDeque<&'j TraceEvent>>,
     last_seq: u64,
     last_at: u64,
 }
@@ -158,7 +160,7 @@ pub struct ConformanceChecker {
 /// One rendered event line for context reporting.
 fn render_event(e: &TraceEvent) -> String {
     let mut s = format!("#{} t={} AP{}", e.seq, e.at, e.peer);
-    if let Some(t) = &e.txn {
+    if let Some(t) = e.txn {
         let _ = write!(s, " {t}");
     }
     let _ = write!(s, " {}", e.kind.label());
@@ -189,15 +191,15 @@ fn render_event(e: &TraceEvent) -> String {
     s
 }
 
-impl ConformanceChecker {
+impl<'j> ConformanceChecker<'j> {
     /// A fresh checker with no observations.
     #[must_use]
-    pub fn new() -> ConformanceChecker {
+    pub fn new() -> ConformanceChecker<'j> {
         ConformanceChecker::default()
     }
 
     fn context_for(&self, peer: u32) -> Vec<String> {
-        self.recent.get(&peer).map(|r| r.iter().cloned().collect()).unwrap_or_default()
+        self.recent.get(&peer).map(|r| r.iter().map(|e| render_event(e)).collect()).unwrap_or_default()
     }
 
     fn diverge(&mut self, invariant: &'static str, rule: &'static str, e: &TraceEvent, detail: String) {
@@ -208,7 +210,7 @@ impl ConformanceChecker {
             seq: e.seq,
             at: e.at,
             peer: e.peer,
-            txn: e.txn.clone(),
+            txn: e.txn,
             detail,
             context,
         });
@@ -220,7 +222,7 @@ impl ConformanceChecker {
         // receiver: the dedup entry was legitimately pruned and the late
         // duplicate is absorbed by the terminal-state no-op paths (the
         // model's stale-delivery discipline).
-        let terminal = p.txn.as_ref().is_some_and(|t| self.outcome.contains_key(&(receiver, t.clone())));
+        let terminal = p.txn.is_some_and(|t| self.outcome.contains_key(&(receiver, t)));
         if terminal {
             return;
         }
@@ -231,7 +233,7 @@ impl ConformanceChecker {
             seq: p.seq,
             at: p.at,
             peer: receiver,
-            txn: p.txn.clone(),
+            txn: p.txn,
             detail: format!(
                 "reliable delivery (AP{sender}, id={id}) processed more than once at AP{receiver}: \
                  repeated ack-send with no dedup-suppress and the transaction still live"
@@ -244,7 +246,7 @@ impl ConformanceChecker {
     // One arm per journal event kind; splitting the dispatch would
     // scatter the protocol reading of a single event across functions.
     #[allow(clippy::too_many_lines)]
-    pub fn on_event(&mut self, e: &TraceEvent) {
+    pub fn on_event(&mut self, e: &'j TraceEvent) {
         self.events += 1;
         self.last_seq = e.seq;
         self.last_at = e.at;
@@ -260,11 +262,10 @@ impl ConformanceChecker {
                 self.flag_unsuppressed(&p);
             }
         }
-        let key = |t: &String| (e.peer, t.clone());
         match &e.kind {
             EventKind::Serve { .. } => {
-                if let Some(t) = &e.txn {
-                    match self.outcome.get(&key(t)) {
+                if let Some(t) = e.txn {
+                    match self.outcome.get(&(e.peer, t)) {
                         Some(Outcome::Committed) => self.diverge(
                             "I3",
                             "R02",
@@ -275,8 +276,8 @@ impl ConformanceChecker {
                             // Legitimate forward-recovery re-join: model
                             // rule R02 from a fresh frame — fresh log,
                             // fresh order obligation.
-                            self.outcome.remove(&key(t));
-                            self.last_undo.remove(&key(t));
+                            self.outcome.remove(&(e.peer, t));
+                            self.last_undo.remove(&(e.peer, t));
                         }
                         None => {}
                     }
@@ -287,8 +288,8 @@ impl ConformanceChecker {
             EventKind::CompensateDerive { .. } => self.forward_after_commit(e, "R08"),
             EventKind::CompensateOp { undoes, .. } => {
                 self.forward_after_commit(e, "R08");
-                if let Some(t) = &e.txn {
-                    if let Some(&prev) = self.last_undo.get(&key(t)) {
+                if let Some(t) = e.txn {
+                    if let Some(&prev) = self.last_undo.get(&(e.peer, t)) {
                         if *undoes >= prev {
                             self.diverge(
                                 "I2",
@@ -302,12 +303,12 @@ impl ConformanceChecker {
                             );
                         }
                     }
-                    self.last_undo.insert(key(t), *undoes);
+                    self.last_undo.insert((e.peer, t), *undoes);
                 }
             }
             EventKind::Resolve { committed } => {
-                if let Some(t) = &e.txn {
-                    match self.outcome.get(&key(t)) {
+                if let Some(t) = e.txn {
+                    match self.outcome.get(&(e.peer, t)) {
                         Some(prev) => {
                             let was = if *prev == Outcome::Committed { "committed" } else { "aborted" };
                             let now = if *committed { "commit" } else { "abort" };
@@ -323,10 +324,11 @@ impl ConformanceChecker {
                             );
                         }
                         None => {
-                            self.outcome.insert(key(t), if *committed { Outcome::Committed } else { Outcome::Aborted });
+                            self.outcome
+                                .insert((e.peer, t), if *committed { Outcome::Committed } else { Outcome::Aborted });
                         }
                     }
-                    self.resolved.entry(t.clone()).or_default().insert(e.peer);
+                    self.resolved.entry(t).or_default().insert(e.peer);
                 }
             }
             EventKind::AckSend { to, id } => {
@@ -336,17 +338,17 @@ impl ConformanceChecker {
                     // follows immediately, or this really was processed
                     // twice. Defer the verdict to the receiver's next
                     // event (or end of run).
-                    self.pending_dup.insert(e.peer, PendingDup { key: k, seq: e.seq, at: e.at, txn: e.txn.clone() });
+                    self.pending_dup.insert(e.peer, PendingDup { key: k, seq: e.seq, at: e.at, txn: e.txn });
                 }
             }
             EventKind::AbortPropagate { to } => {
-                if let Some(t) = &e.txn {
-                    self.abort_targets.entry((t.clone(), *to)).or_insert((e.seq, e.at, e.peer));
+                if let Some(t) = e.txn {
+                    self.abort_targets.entry((t, *to)).or_insert((e.seq, e.at, e.peer));
                 }
             }
             EventKind::RetransmitGiveUp { to, .. } => {
-                if let Some(t) = &e.txn {
-                    self.gave_up.insert((t.clone(), *to));
+                if let Some(t) = e.txn {
+                    self.gave_up.insert((t, *to));
                 }
                 // Give-up is also a detection of the silent peer.
                 self.detected.insert(*to);
@@ -367,7 +369,7 @@ impl ConformanceChecker {
             _ => {}
         }
         let buf = self.recent.entry(e.peer).or_default();
-        buf.push_back(render_event(e));
+        buf.push_back(e);
         if buf.len() > CONTEXT_DEPTH {
             buf.pop_front();
         }
@@ -375,8 +377,8 @@ impl ConformanceChecker {
 
     /// I3 for forward-progress events: nothing after a commit.
     fn forward_after_commit(&mut self, e: &TraceEvent, rule: &'static str) {
-        if let Some(t) = &e.txn {
-            if self.outcome.get(&(e.peer, t.clone())) == Some(&Outcome::Committed) {
+        if let Some(t) = e.txn {
+            if self.outcome.get(&(e.peer, t)) == Some(&Outcome::Committed) {
                 self.diverge(
                     "I3",
                     rule,
@@ -408,7 +410,7 @@ impl ConformanceChecker {
         let (last_seq, last_at) = (self.last_seq, self.last_at);
         for ((txn, target), (seq, at, sender)) in targets {
             let reached = self.resolved.get(&txn).is_some_and(|peers| peers.contains(&target));
-            let absorbed = self.gave_up.contains(&(txn.clone(), target))
+            let absorbed = self.gave_up.contains(&(txn, target))
                 || self.churned.contains(&target)
                 || self.detected.contains(&target);
             if !reached && !absorbed {
@@ -422,7 +424,7 @@ impl ConformanceChecker {
                     seq: last_seq.max(seq),
                     at: last_at.max(at),
                     peer: target,
-                    txn: Some(txn.clone()),
+                    txn: Some(txn),
                     detail: format!(
                         "abort of {txn} propagated by AP{sender} (t={at}) never landed at AP{target}: \
                          no terminal resolve there and no crash/disconnect/detection/give-up to absorb it"
@@ -451,7 +453,7 @@ mod tests {
     use super::*;
 
     fn ev(seq: u64, at: u64, peer: u32, txn: Option<&str>, kind: EventKind) -> TraceEvent {
-        TraceEvent { seq, at, peer, epoch: 0, txn: txn.map(str::to_string), span: None, parent: None, kind }
+        TraceEvent { seq, at, peer, epoch: 0, txn: txn.map(|t| t.parse().unwrap()), span: None, parent: None, kind }
     }
 
     fn run(events: &[TraceEvent]) -> Conformance {
@@ -562,8 +564,8 @@ mod tests {
     #[test]
     fn journal_replay_and_renderings() {
         let mut j = TraceJournal::default();
-        j.record(5, 2, 0, Some("T1.0".into()), None, None, EventKind::Resolve { committed: true });
-        j.record(9, 2, 0, Some("T1.0".into()), None, None, EventKind::Serve { from: 1, method: "m".into() });
+        j.record(5, 2, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Resolve { committed: true });
+        j.record(9, 2, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Serve { from: 1, method: "m".into() });
         let v = check_journal(&j);
         assert_eq!(v.divergences.len(), 1);
         let text = v.render_text();

@@ -361,3 +361,39 @@ proptest! {
         prop_assert_eq!(recovered.torn_tails_discarded, 1);
     }
 }
+
+#[test]
+fn an_entry_holding_a_fragment_hundreds_of_levels_deep_recovers_on_a_worker_stack() {
+    // The JSON parser refuses input nested deeper than
+    // `serde_json::MAX_DEPTH`; that limit must stay clear of what the
+    // encoder itself emits. A journalled fragment costs three JSON levels
+    // per XML level, and `par_map` workers recover WALs on spawned
+    // threads (2 MiB stacks), so both ends are exercised here.
+    use axml_query::{Effect, NodePath};
+    use axml_xml::Fragment;
+
+    const XML_LEVELS: usize = 300;
+    let mut fragment = Fragment::elem_text("leaf", "bottom");
+    for _ in 1..XML_LEVELS {
+        fragment = Fragment::Element { name: "level".into(), attrs: Vec::new(), children: vec![fragment] };
+    }
+    let deep = JournalEntry::Local {
+        txn: TxnId::new(PeerId(1), 0),
+        doc: "d1".into(),
+        op_label: "delete".into(),
+        effects: vec![Effect::Deleted { fragment, parent_path: NodePath(vec![0]), position: 0 }],
+    };
+    let tmp = TempDir::new();
+    let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
+    assert!(sink.append(&deep));
+    drop(sink);
+    let dir = tmp.path().to_path_buf();
+    let recovered = std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(move || recover_dir(&dir).expect("a clean WAL recovers"))
+        .unwrap()
+        .join()
+        .expect("recovery neither panics nor overflows a worker stack");
+    assert_eq!(recovered.torn_tails_discarded, 0, "the deep frame is not mistaken for a torn tail");
+    assert_eq!(recovered.entries, vec![deep]);
+}

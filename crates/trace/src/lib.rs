@@ -18,11 +18,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::json::write_u64;
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::rc::Rc;
+use std::str::FromStr;
 
 /// Where the simulator sends trace events.
 ///
@@ -63,10 +67,124 @@ pub trait EventSink {
 /// so plain `Rc<RefCell<..>>` interior mutability suffices.
 pub type SharedSink = Rc<RefCell<dyn EventSink>>;
 
+/// Orders two integers as their decimal spellings order as strings
+/// (`1 < 10 < 2`).
+fn cmp_as_decimal_text(a: u64, b: u64) -> Ordering {
+    if a == b {
+        return Ordering::Equal;
+    }
+    let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d + 1);
+    let (da, db) = (digits(a), digits(b));
+    // Pad the shorter one with zeros so leading digits line up; on a tie
+    // one spelling is a prefix of the other and the shorter sorts first.
+    let pad = |n: u64, by: u32| u128::from(n) * 10u128.pow(by);
+    pad(a, db.saturating_sub(da)).cmp(&pad(b, da.saturating_sub(db))).then(da.cmp(&db))
+}
+
+/// One canonical decimal field of an id: digits only, no sign, no
+/// leading zero — so text → id → text is the identity.
+fn parse_decimal<N: FromStr>(text: &str) -> Option<N> {
+    let canonical = text.bytes().all(|b| b.is_ascii_digit()) && (text == "0" || !text.starts_with('0'));
+    if canonical {
+        text.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// Defines a two-part trace id with a fixed text form `<prefix><peer>.<seq>`.
+macro_rules! trace_id {
+    ($(#[$doc:meta])* $name:ident, $peer:ident, $prefix:literal) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub struct $name {
+            /// The peer that allocated the id.
+            pub $peer: u32,
+            /// That peer's sequence number.
+            pub seq: u64,
+        }
+
+        impl $name {
+            /// Builds an id from its two parts.
+            pub fn new($peer: u32, seq: u64) -> $name {
+                $name { $peer, seq }
+            }
+
+            /// Appends the text form (what `Display` prints) to `out`.
+            pub fn push_to(&self, out: &mut String) {
+                out.push_str($prefix);
+                write_u64(u64::from(self.$peer), out);
+                out.push('.');
+                write_u64(self.seq, out);
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, concat!($prefix, "{}.{}"), self.$peer, self.seq)
+            }
+        }
+
+        impl FromStr for $name {
+            type Err = String;
+
+            fn from_str(text: &str) -> Result<$name, String> {
+                text.strip_prefix($prefix)
+                    .and_then(|rest| rest.split_once('.'))
+                    .and_then(|(peer, seq)| Some($name { $peer: parse_decimal(peer)?, seq: parse_decimal(seq)? }))
+                    .ok_or_else(|| format!(concat!("expected ", $prefix, "<peer>.<seq>, got {:?}"), text))
+            }
+        }
+
+        /// Ids order as their text forms do (`T1.10` before `T1.2`): every
+        /// report keyed by id lists them in that order.
+        impl Ord for $name {
+            fn cmp(&self, other: &$name) -> Ordering {
+                cmp_as_decimal_text(u64::from(self.$peer), u64::from(other.$peer))
+                    .then_with(|| cmp_as_decimal_text(self.seq, other.seq))
+            }
+        }
+
+        impl PartialOrd for $name {
+            fn partial_cmp(&self, other: &$name) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        /// The JSON form is the text form, as a string.
+        impl Serialize for $name {
+            fn write_json(&self, out: &mut String) {
+                out.push('"');
+                self.push_to(out);
+                out.push('"');
+            }
+        }
+
+        impl Deserialize for $name {
+            fn from_value(v: &Value) -> Result<$name, DeError> {
+                v.as_str().ok_or_else(|| DeError::expected("id string", v))?.parse().map_err(DeError::new)
+            }
+        }
+    };
+}
+
+trace_id! {
+    /// A transaction id (`T<origin>.<seq>`) as the trace plane carries it.
+    /// This crate sits below the protocol layer, which converts its own
+    /// id into this one at the emit site.
+    TxnRef, origin, "T"
+}
+
+trace_id! {
+    /// An invocation-span id (`inv<invoker>.<seq>`).
+    SpanRef, invoker, "inv"
+}
+
 /// What happened — one variant per protocol transition.
 ///
-/// Peer ids are raw `u32`s (this crate sits below the p2p layer), txn and
-/// invocation ids are their `Display` forms (`T1.0`, `inv3.7`).
+/// Peer ids are raw `u32`s (this crate sits below the p2p layer). Labels
+/// that are literals at the emit site are `Cow<'static, str>`: borrowed
+/// when emitted, owned when a journal is loaded from text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// A transaction was submitted at its origin peer.
@@ -182,7 +300,7 @@ pub enum EventKind {
         /// The peer detected as failed/disconnected.
         peer: u32,
         /// Detection mechanism label.
-        how: String,
+        how: Cow<'static, str>,
     },
     /// The simulator crashed this peer (volatile state lost).
     Crash,
@@ -204,7 +322,7 @@ pub enum EventKind {
     Gauge {
         /// Metric name (snake_case, no peer prefix — the event's `peer`
         /// field scopes it).
-        name: String,
+        name: Cow<'static, str>,
         /// Instantaneous integer reading at the window boundary.
         value: u64,
     },
@@ -240,35 +358,68 @@ impl EventKind {
         }
     }
 
-    fn detail(&self) -> String {
+    /// Appends ` key=value …` for this kind's payload (nothing for the
+    /// payload-free kinds).
+    fn push_detail(&self, out: &mut String) {
+        fn text(out: &mut String, label: &str, value: &str) {
+            out.push_str(label);
+            out.push_str(value);
+        }
+        fn num(out: &mut String, label: &str, value: impl Into<u64>) {
+            out.push_str(label);
+            write_u64(value.into(), out);
+        }
         match self {
-            EventKind::Submit { method } => format!("method={method}"),
-            EventKind::Invoke { to, method } => format!("to=AP{to} method={method}"),
-            EventKind::Serve { from, method } => format!("from=AP{from} method={method}"),
-            EventKind::Materialize { doc, items } => format!("doc={doc} items={items}"),
-            EventKind::LogAppend { entry } => format!("entry={entry}"),
-            EventKind::ResultReturn { to } => format!("to=AP{to}"),
-            EventKind::FaultRaise { to } => format!("to=AP{to}"),
-            EventKind::CompensateDerive { actions } => format!("actions={actions}"),
-            EventKind::CompensateApply { actions } => format!("actions={actions}"),
+            EventKind::Submit { method } => text(out, " method=", method),
+            EventKind::Invoke { to, method } => {
+                num(out, " to=AP", *to);
+                text(out, " method=", method);
+            }
+            EventKind::Serve { from, method } => {
+                num(out, " from=AP", *from);
+                text(out, " method=", method);
+            }
+            EventKind::Materialize { doc, items } => {
+                text(out, " doc=", doc);
+                num(out, " items=", *items);
+            }
+            EventKind::LogAppend { entry } => text(out, " entry=", entry),
+            EventKind::ResultReturn { to } | EventKind::FaultRaise { to } | EventKind::AbortPropagate { to } => {
+                num(out, " to=AP", *to);
+            }
+            EventKind::CompensateDerive { actions } | EventKind::CompensateApply { actions } => {
+                num(out, " actions=", *actions);
+            }
             EventKind::CompensateOp { doc, undoes, actions } => {
-                format!("doc={doc} undoes={undoes} actions={actions}")
+                text(out, " doc=", doc);
+                num(out, " undoes=", *undoes);
+                num(out, " actions=", *actions);
             }
-            EventKind::AbortPropagate { to } => format!("to=AP{to}"),
-            EventKind::Resolve { committed } => (if *committed { "committed" } else { "aborted" }).to_string(),
-            EventKind::AckSend { to, id } => format!("to=AP{to} id={id}"),
+            EventKind::Resolve { committed } => out.push_str(if *committed { " committed" } else { " aborted" }),
+            EventKind::AckSend { to, id } | EventKind::RetransmitGiveUp { to, id } => {
+                num(out, " to=AP", *to);
+                num(out, " id=", *id);
+            }
             EventKind::Retransmit { to, id, attempt } => {
-                format!("to=AP{to} id={id} attempt={attempt}")
+                num(out, " to=AP", *to);
+                num(out, " id=", *id);
+                num(out, " attempt=", *attempt);
             }
-            EventKind::RetransmitGiveUp { to, id } => format!("to=AP{to} id={id}"),
-            EventKind::DedupSuppress { from, id } => format!("from=AP{from} id={id}"),
-            EventKind::DedupPrune { evicted } => format!("evicted={evicted}"),
-            EventKind::Detect { peer, how } => format!("peer=AP{peer} how={how}"),
-            EventKind::Crash | EventKind::Disconnect | EventKind::Reconnect => String::new(),
-            EventKind::Restart { presumed_aborts } => {
-                format!("presumed-aborts={presumed_aborts}")
+            EventKind::DedupSuppress { from, id } => {
+                num(out, " from=AP", *from);
+                num(out, " id=", *id);
             }
-            EventKind::Gauge { name, value } => format!("name={name} value={value}"),
+            EventKind::DedupPrune { evicted } => num(out, " evicted=", *evicted),
+            EventKind::Detect { peer: detected, how } => {
+                num(out, " peer=AP", *detected);
+                text(out, " how=", how);
+            }
+            EventKind::Crash | EventKind::Disconnect | EventKind::Reconnect => {}
+            EventKind::Restart { presumed_aborts } => num(out, " presumed-aborts=", *presumed_aborts),
+            EventKind::Gauge { name, value } => {
+                text(out, " name=", name);
+                num(out, " value=", *value);
+            }
         }
     }
 }
@@ -284,34 +435,44 @@ pub struct TraceEvent {
     pub peer: u32,
     /// Emitting peer's crash-restart epoch.
     pub epoch: u64,
-    /// Transaction this event belongs to, if any (`Display` form).
-    pub txn: Option<String>,
-    /// Invocation span this event belongs to, if any (`Display` form).
-    pub span: Option<String>,
-    /// Parent invocation span, if known (`Display` form) — present on
+    /// Transaction this event belongs to, if any.
+    pub txn: Option<TxnRef>,
+    /// Invocation span this event belongs to, if any.
+    pub span: Option<SpanRef>,
+    /// Parent invocation span, if known — present on
     /// [`EventKind::Invoke`] events, from which the invocation tree of
     /// the paper's Figures 1–2 is reconstructed.
-    pub parent: Option<String>,
+    pub parent: Option<SpanRef>,
     /// What happened.
     pub kind: EventKind,
 }
 
 impl TraceEvent {
-    /// One-line human rendering (`[t=…] label detail span=… parent=…`) —
-    /// shared by [`TraceJournal::render_tree`] and the flight recorder.
-    pub fn render(&self) -> String {
-        let mut line = format!("[t={:>5} AP{} e{}] {}", self.at, self.peer, self.epoch, self.kind.label());
-        let detail = self.kind.detail();
-        if !detail.is_empty() {
-            let _ = write!(line, " {detail}");
+    /// Appends the one-line human rendering (`[t=…] label detail span=…
+    /// parent=…`, no newline) — shared by [`TraceJournal::render_tree`]
+    /// and the flight recorder.
+    pub fn write_line(&self, out: &mut String) {
+        out.push_str("[t=");
+        // The time is right-aligned to five columns.
+        for _ in self.at.checked_ilog10().map_or(1, |d| d + 1)..5 {
+            out.push(' ');
         }
+        write_u64(self.at, out);
+        out.push_str(" AP");
+        write_u64(u64::from(self.peer), out);
+        out.push_str(" e");
+        write_u64(self.epoch, out);
+        out.push_str("] ");
+        out.push_str(self.kind.label());
+        self.kind.push_detail(out);
         if let Some(span) = &self.span {
-            let _ = write!(line, " span={span}");
+            out.push_str(" span=");
+            span.push_to(out);
         }
         if let Some(parent) = &self.parent {
-            let _ = write!(line, " parent={parent}");
+            out.push_str(" parent=");
+            parent.push_to(out);
         }
-        line
     }
 }
 
@@ -329,9 +490,9 @@ impl TraceJournal {
         at: u64,
         peer: u32,
         epoch: u64,
-        txn: Option<String>,
-        span: Option<String>,
-        parent: Option<String>,
+        txn: Option<TxnRef>,
+        span: Option<SpanRef>,
+        parent: Option<SpanRef>,
         kind: EventKind,
     ) {
         let seq = self.events.len() as u64;
@@ -362,9 +523,11 @@ impl TraceJournal {
     /// byte-stable replay artifact: same scripted plane + same seed ⇒
     /// identical output.
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
+        // One buffer for the whole journal; an event line averages
+        // some 126 bytes.
+        let mut out = String::with_capacity(self.events.len() * 128);
         for e in &self.events {
-            out.push_str(&serde_json::to_string(e).expect("trace events serialize"));
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -390,83 +553,156 @@ impl TraceJournal {
     /// [`EventKind::Invoke`] events) — the run-time image of the paper's
     /// Figures 1–2 invocation trees. Events outside any span are listed
     /// under the transaction header; events outside any transaction (the
-    /// delivery/churn substrate) come last.
+    /// delivery/churn substrate) come last. Every event appears exactly
+    /// once, however damaged the span graph is.
     pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        // Transactions in order of first appearance.
-        let mut txns: Vec<&str> = Vec::new();
+        // One pass files every event under its transaction and span, both
+        // kept in order of first appearance.
+        let mut txns: Vec<TxnTree<'_>> = Vec::new();
+        let mut txn_index: HashMap<TxnRef, usize> = HashMap::new();
+        let mut loose: Vec<&TraceEvent> = Vec::new();
         for e in &self.events {
-            if let Some(t) = &e.txn {
-                if !txns.iter().any(|x| x == t) {
-                    txns.push(t);
-                }
-            }
+            let Some(t) = e.txn else {
+                loose.push(e);
+                continue;
+            };
+            let tree = *txn_index.entry(t).or_insert_with(|| {
+                txns.push(TxnTree { id: t, spanless: Vec::new(), spans: Vec::new(), span_index: HashMap::new() });
+                txns.len() - 1
+            });
+            txns[tree].file(e);
         }
-        for txn in &txns {
-            let _ = writeln!(out, "txn {txn}");
-            let evs: Vec<&TraceEvent> = self.events.iter().filter(|e| e.txn.as_deref() == Some(*txn)).collect();
-            // parent edges: child span -> parent span (from Invoke/Submit emissions).
-            let mut parent_of: BTreeMap<&str, &str> = BTreeMap::new();
-            let mut spans: Vec<&str> = Vec::new();
-            for e in &evs {
-                if let Some(s) = &e.span {
-                    if !spans.iter().any(|x| x == s) {
-                        spans.push(s);
-                    }
-                    if let Some(p) = &e.parent {
-                        parent_of.entry(s).or_insert(p);
-                    }
-                }
-            }
-            // Spanless events sit directly under the txn header.
-            for e in evs.iter().filter(|e| e.span.is_none()) {
-                let _ = writeln!(out, "  {}", e.render());
-            }
-            // Roots: spans with no recorded parent (or a parent outside
-            // this txn). A root whose *recorded* parent never appears is
-            // an orphan — typical of a crash truncating the journal —
-            // and is flagged rather than silently promoted.
-            let roots: Vec<&str> =
-                spans.iter().copied().filter(|s| parent_of.get(s).is_none_or(|p| !spans.contains(p))).collect();
-            for root in roots {
-                let orphan_of = parent_of.get(root).copied().filter(|p| !spans.contains(p));
-                render_span(&mut out, root, orphan_of, &spans, &parent_of, &evs, 1);
-            }
+        let mut out = String::with_capacity(self.events.len() * 64);
+        for tree in &mut txns {
+            tree.render(&mut out);
         }
-        let loose: Vec<&TraceEvent> = self.events.iter().filter(|e| e.txn.is_none()).collect();
         if !loose.is_empty() {
-            let _ = writeln!(out, "(no txn)");
+            out.push_str("(no txn)\n");
             for e in loose {
-                let _ = writeln!(out, "  {}", e.render());
+                push_event_line(&mut out, 1, e);
             }
         }
         out
     }
 }
 
-fn render_span(
-    out: &mut String,
-    span: &str,
-    orphan_of: Option<&str>,
-    spans: &[&str],
-    parent_of: &BTreeMap<&str, &str>,
-    evs: &[&TraceEvent],
-    depth: usize,
-) {
-    let pad = "  ".repeat(depth);
-    match orphan_of {
-        Some(missing) => {
-            let _ = writeln!(out, "{pad}span {span} (orphan: parent {missing} not in journal)");
+fn push_event_line(out: &mut String, depth: usize, e: &TraceEvent) {
+    push_indent(out, depth);
+    e.write_line(out);
+    out.push('\n');
+}
+
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// One invocation span of a [`TxnTree`].
+struct SpanNode<'a> {
+    id: SpanRef,
+    /// The first parent any of the span's events names.
+    parent: Option<SpanRef>,
+    events: Vec<&'a TraceEvent>,
+    /// Spans naming this one as parent, in order of first appearance.
+    children: Vec<usize>,
+    rendered: bool,
+}
+
+/// The note (text before and after the parent id) on a span rendered at
+/// the top level although it names a parent: the parent never appears in
+/// the transaction, or the parent chain loops without reaching a root.
+type RootNote = (&'static str, &'static str);
+const ORPHAN: RootNote = (" (orphan: parent ", " not in journal)");
+const CYCLE: RootNote = (" (cycle: parent ", ")");
+
+/// One transaction's events, filed for [`TraceJournal::render_tree`].
+struct TxnTree<'a> {
+    id: TxnRef,
+    spanless: Vec<&'a TraceEvent>,
+    /// In order of first appearance.
+    spans: Vec<SpanNode<'a>>,
+    span_index: HashMap<SpanRef, usize>,
+}
+
+impl<'a> TxnTree<'a> {
+    fn file(&mut self, e: &'a TraceEvent) {
+        let Some(s) = e.span else {
+            self.spanless.push(e);
+            return;
+        };
+        let node = *self.span_index.entry(s).or_insert_with(|| {
+            self.spans.push(SpanNode {
+                id: s,
+                parent: None,
+                events: Vec::new(),
+                children: Vec::new(),
+                rendered: false,
+            });
+            self.spans.len() - 1
+        });
+        let node = &mut self.spans[node];
+        node.events.push(e);
+        node.parent = node.parent.or(e.parent);
+    }
+
+    fn render(&mut self, out: &mut String) {
+        out.push_str("txn ");
+        self.id.push_to(out);
+        out.push('\n');
+        // Spanless events sit directly under the txn header.
+        for e in &self.spanless {
+            push_event_line(out, 1, e);
         }
-        None => {
-            let _ = writeln!(out, "{pad}span {span}");
+        // Roots: spans with no recorded parent, or whose recorded parent
+        // never appears in this txn. The latter is an orphan — typical of
+        // a crash truncating the journal — and is flagged rather than
+        // silently promoted.
+        let mut roots: Vec<(usize, Option<RootNote>)> = Vec::new();
+        for i in 0..self.spans.len() {
+            match self.spans[i].parent.map(|p| self.span_index.get(&p).copied()) {
+                None => roots.push((i, None)),
+                Some(None) => roots.push((i, Some(ORPHAN))),
+                Some(Some(parent)) => self.spans[parent].children.push(i),
+            }
+        }
+        for (root, note) in roots {
+            self.render_subtree(out, root, note);
+        }
+        // Whatever is left hangs off a parent cycle no root reaches (a
+        // damaged or hand-edited journal). Enter each cycle at its first
+        // span, flagged, so no event is lost.
+        for i in 0..self.spans.len() {
+            if !self.spans[i].rendered {
+                self.render_subtree(out, i, Some(CYCLE));
+            }
         }
     }
-    for e in evs.iter().filter(|e| e.span.as_deref() == Some(span)) {
-        let _ = writeln!(out, "{pad}  {}", e.render());
-    }
-    for child in spans.iter().copied().filter(|s| parent_of.get(s) == Some(&span)) {
-        render_span(out, child, None, spans, parent_of, evs, depth + 1);
+
+    /// Renders `root` and everything below it, depth first, children in
+    /// order of first appearance. Iterative, and a span renders once, so
+    /// neither a parent cycle nor a very deep chain can hurt.
+    fn render_subtree(&mut self, out: &mut String, root: usize, note: Option<RootNote>) {
+        let mut stack = vec![(root, 1usize)];
+        while let Some((i, depth)) = stack.pop() {
+            let span = &mut self.spans[i];
+            if std::mem::replace(&mut span.rendered, true) {
+                continue;
+            }
+            push_indent(out, depth);
+            out.push_str("span ");
+            span.id.push_to(out);
+            if let (true, Some((open, close)), Some(parent)) = (i == root, note, span.parent) {
+                out.push_str(open);
+                parent.push_to(out);
+                out.push_str(close);
+            }
+            out.push('\n');
+            for e in &span.events {
+                push_event_line(out, depth + 1, e);
+            }
+            stack.extend(span.children.iter().rev().map(|&c| (c, depth + 1)));
+        }
     }
 }
 
@@ -494,17 +730,20 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Absorbs another snapshot. Plain counters sum; high-water-mark
-    /// names (`*_peak`) take the max — summing a peak across snapshots
+    /// Folds one reading into its counter. Plain counters sum;
+    /// high-water-mark names (`*_peak`) take the max — summing a peak
     /// would fabricate a level no peer ever reached.
+    pub fn absorb(&mut self, name: impl Into<String>, value: u64) {
+        let name = name.into();
+        let peak = name.ends_with("_peak");
+        let slot = self.counters.entry(name).or_default();
+        *slot = if peak { (*slot).max(value) } else { *slot + value };
+    }
+
+    /// Absorbs another snapshot, counter by counter ([`Self::absorb`]).
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
-            let slot = self.counters.entry(k.clone()).or_default();
-            if k.ends_with("_peak") {
-                *slot = (*slot).max(*v);
-            } else {
-                *slot += v;
-            }
+            self.absorb(k.as_str(), *v);
         }
     }
 
@@ -512,7 +751,10 @@ impl Snapshot {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
-            let _ = writeln!(out, "{k} = {v}");
+            out.push_str(k);
+            out.push_str(" = ");
+            write_u64(*v, &mut out);
+            out.push('\n');
         }
         out
     }
@@ -597,8 +839,8 @@ mod tests {
             0,
             1,
             0,
-            Some("T1.0".into()),
-            Some("inv1.0".into()),
+            Some(TxnRef::new(1, 0)),
+            Some(SpanRef::new(1, 0)),
             None,
             EventKind::Submit { method: "book".into() },
         );
@@ -606,23 +848,124 @@ mod tests {
             1,
             1,
             0,
-            Some("T1.0".into()),
-            Some("inv1.1".into()),
-            Some("inv1.0".into()),
+            Some(TxnRef::new(1, 0)),
+            Some(SpanRef::new(1, 1)),
+            Some(SpanRef::new(1, 0)),
             EventKind::Invoke { to: 2, method: "pay".into() },
         );
         j.record(
             4,
             2,
             0,
-            Some("T1.0".into()),
-            Some("inv1.1".into()),
+            Some(TxnRef::new(1, 0)),
+            Some(SpanRef::new(1, 1)),
             None,
             EventKind::Serve { from: 1, method: "pay".into() },
         );
-        j.record(9, 1, 0, Some("T1.0".into()), None, None, EventKind::Resolve { committed: true });
+        j.record(9, 1, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Resolve { committed: true });
         j.record(9, 2, 0, None, None, None, EventKind::AckSend { to: 1, id: 7 });
         j
+    }
+
+    /// Every event of `j` is rendered exactly once: the tree's event
+    /// lines are the journal's, as multisets.
+    fn assert_tree_loses_nothing(j: &TraceJournal, tree: &str) {
+        let mut shown: Vec<&str> = tree.lines().map(str::trim_start).filter(|l| l.starts_with("[t=")).collect();
+        let mut expected: Vec<String> = j
+            .events()
+            .iter()
+            .map(|e| {
+                let mut line = String::new();
+                e.write_line(&mut line);
+                line
+            })
+            .collect();
+        shown.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(shown, expected, "tree drops or repeats events:\n{tree}");
+    }
+
+    #[test]
+    fn ids_have_one_text_form_and_parse_only_that() {
+        for (origin, seq) in [(0, 0), (1, 0), (3, 7), (12, 345), (u32::MAX, u64::MAX)] {
+            let (t, s) = (TxnRef::new(origin, seq), SpanRef::new(origin, seq));
+            assert_eq!(t.to_string(), format!("T{origin}.{seq}"));
+            assert_eq!(s.to_string(), format!("inv{origin}.{seq}"));
+            let mut pushed = String::new();
+            t.push_to(&mut pushed);
+            assert_eq!(pushed, t.to_string());
+            assert_eq!(t.to_string().parse::<TxnRef>(), Ok(t));
+            assert_eq!(s.to_string().parse::<SpanRef>(), Ok(s));
+            assert_eq!(serde_json::to_string(&t).unwrap(), format!("\"{t}\""));
+            assert_eq!(serde_json::from_str::<SpanRef>(&format!("\"{s}\"")).unwrap(), s);
+        }
+        for bad in [
+            "",
+            "T",
+            "T1",
+            "T1.",
+            "T.1",
+            "T1.0.0",
+            "Tx.y",
+            "T-1.0",
+            "T+1.0",
+            "T01.0",
+            "T1.00",
+            "T1.0 ",
+            " T1.0",
+            "t1.0",
+            "inv1.0",
+            "T4294967296.0",
+            "T1.18446744073709551616",
+        ] {
+            assert!(bad.parse::<TxnRef>().is_err(), "{bad:?} must not parse as a txn id");
+        }
+        for bad in ["inv.3", "inv3", "inv3.7.1", "T3.7", "inv03.7", "invx.y"] {
+            assert!(bad.parse::<SpanRef>().is_err(), "{bad:?} must not parse as a span id");
+        }
+        assert!(serde_json::from_str::<TxnRef>("17").is_err(), "an id is a JSON string");
+    }
+
+    #[test]
+    fn ids_order_as_their_text_does() {
+        let parts = [0u64, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 109, 110, 1_000, 4_294_967_295];
+        let wide = [u64::from(u32::MAX) + 1, 10_000_000_000_000_000_000, u64::MAX - 1, u64::MAX];
+        let mut ids: Vec<TxnRef> = Vec::new();
+        for &origin in &parts {
+            for &seq in parts.iter().chain(&wide) {
+                ids.push(TxnRef::new(origin as u32, seq));
+            }
+        }
+        for a in &ids {
+            for b in &ids {
+                assert_eq!(a.cmp(b), a.to_string().cmp(&b.to_string()), "{a} vs {b}");
+            }
+        }
+        assert!(SpanRef::new(1, 10) < SpanRef::new(1, 2), "text order, not numeric");
+    }
+
+    #[test]
+    fn malformed_ids_are_a_load_error_never_a_panic() {
+        let line = |txn: &str| {
+            format!(r#"{{"seq":0,"at":0,"peer":1,"epoch":0,"txn":{txn},"span":null,"parent":null,"kind":"Crash"}}"#)
+        };
+        assert_eq!(TraceJournal::from_json_lines(&line("\"T1.0\"")).unwrap().len(), 1);
+        for bad in ["\"T1\"", "\"inv.3\"", "\"T1.0.0\"", "\"Tx.y\"", "\"\"", "7", "[]"] {
+            assert!(TraceJournal::from_json_lines(&line(bad)).is_err(), "txn {bad} must be rejected");
+        }
+        let span = r#"{"seq":0,"at":0,"peer":1,"epoch":0,"txn":null,"span":"inv.3","parent":null,"kind":"Crash"}"#;
+        assert!(TraceJournal::from_json_lines(span).is_err());
+    }
+
+    #[test]
+    fn loaded_journals_own_their_labels_and_compare_equal() {
+        let mut j = TraceJournal::default();
+        j.record(7, 2, 0, None, None, None, EventKind::Detect { peer: 4, how: "ack-timeout".into() });
+        j.record(25, 2, 0, None, None, None, EventKind::Gauge { name: "outbox_depth".into(), value: 3 });
+        let back = TraceJournal::from_json_lines(&j.to_json_lines()).unwrap();
+        assert_eq!(back, j);
+        assert!(matches!(&j.events()[1].kind, EventKind::Gauge { name: Cow::Borrowed(_), .. }));
+        assert!(matches!(&back.events()[1].kind, EventKind::Gauge { name: Cow::Owned(_), .. }));
     }
 
     #[test]
@@ -659,6 +1002,33 @@ mod tests {
         assert!(tree.starts_with("txn T1.0\n"));
         assert!(tree.contains("(no txn)"), "substrate events listed:\n{tree}");
         assert!(tree.contains("resolve committed"));
+        assert_tree_loses_nothing(&sample(), &tree);
+    }
+
+    #[test]
+    fn tree_renders_spans_on_a_parent_cycle() {
+        // Regression: spans whose parent chain never reaches a root used
+        // to vanish with all their events (the tree was the single line
+        // `txn T1.0`). A damaged or hand-edited journal must lose nothing.
+        let text = [
+            r#"{"seq":0,"at":1,"peer":1,"epoch":0,"txn":"T1.0","span":"inv1.0","parent":"inv1.1","kind":{"Resolve":{"committed":true}}}"#,
+            r#"{"seq":1,"at":2,"peer":2,"epoch":0,"txn":"T1.0","span":"inv1.1","parent":"inv1.0","kind":{"Resolve":{"committed":true}}}"#,
+            r#"{"seq":2,"at":3,"peer":3,"epoch":0,"txn":"T1.0","span":"inv1.2","parent":"inv1.2","kind":{"Resolve":{"committed":false}}}"#,
+        ]
+        .join("\n");
+        let j = TraceJournal::from_json_lines(&text).unwrap();
+        let tree = j.render_tree();
+        assert_eq!(
+            tree,
+            "txn T1.0\n\
+             \x20 span inv1.0 (cycle: parent inv1.1)\n\
+             \x20   [t=    1 AP1 e0] resolve committed span=inv1.0 parent=inv1.1\n\
+             \x20   span inv1.1\n\
+             \x20     [t=    2 AP2 e0] resolve committed span=inv1.1 parent=inv1.0\n\
+             \x20 span inv1.2 (cycle: parent inv1.2)\n\
+             \x20   [t=    3 AP3 e0] resolve aborted span=inv1.2 parent=inv1.2\n"
+        );
+        assert_tree_loses_nothing(&j, &tree);
     }
 
     #[test]
@@ -736,15 +1106,24 @@ mod tests {
             3,
             4,
             0,
-            Some("T1.0".into()),
-            Some("inv1.2".into()),
-            Some("inv1.0".into()),
+            Some(TxnRef::new(1, 0)),
+            Some(SpanRef::new(1, 2)),
+            Some(SpanRef::new(1, 0)),
             EventKind::Serve { from: 1, method: "pay".into() },
         );
-        j.record(5, 4, 0, Some("T1.0".into()), Some("inv1.2".into()), None, EventKind::Resolve { committed: false });
+        j.record(
+            5,
+            4,
+            0,
+            Some(TxnRef::new(1, 0)),
+            Some(SpanRef::new(1, 2)),
+            None,
+            EventKind::Resolve { committed: false },
+        );
         let tree = j.render_tree();
         assert!(tree.contains("span inv1.2 (orphan: parent inv1.0 not in journal)"), "orphan flagged:\n{tree}");
         assert!(tree.contains("resolve aborted"), "orphan's events still render:\n{tree}");
+        assert_tree_loses_nothing(&j, &tree);
     }
 
     #[test]
@@ -795,6 +1174,7 @@ mod tests {
         let back = TraceJournal::from_json_lines(&text).unwrap();
         assert_eq!(back, j, "gauge events survive the JSON round trip");
         assert!(j.render_tree().contains("gauge name=wal_bytes value=4096"));
+        assert_tree_loses_nothing(&j, &j.render_tree());
     }
 
     #[test]

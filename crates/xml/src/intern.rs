@@ -214,8 +214,8 @@ impl From<&NameId> for String {
 }
 
 impl Serialize for NameId {
-    fn to_value(&self) -> Value {
-        Value::Str(self.0.to_string())
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
@@ -292,9 +292,10 @@ mod tests {
     #[test]
     fn serde_round_trips_as_plain_string() {
         let a = NameId::new("axml:sc");
-        let v = a.to_value();
-        assert_eq!(v, Value::Str("axml:sc".to_string()));
-        let back = NameId::from_value(&v).unwrap();
+        let mut json = String::new();
+        a.write_json(&mut json);
+        assert_eq!(json, "\"axml:sc\"");
+        let back = NameId::from_value(&Value::Str("axml:sc".to_string())).unwrap();
         assert_eq!(a, back);
         assert!(NameId::from_value(&Value::UInt(3)).is_err());
     }
