@@ -23,6 +23,7 @@ use axml_spec::{Conformance, Divergence};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::{Debug, Write as _};
+use std::sync::Arc;
 
 /// The printer `serde_json` had before encoding became streaming.
 fn tree_writer(v: &Value, out: &mut String) {
@@ -280,6 +281,45 @@ proptest! {
         round_trips(&local)?;
         // The journal codec is the same encoder plus a newline.
         prop_assert_eq!(durability::encode(std::slice::from_ref(&local)), serde_json::to_string(&local).unwrap() + "\n");
+    }
+
+    #[test]
+    fn shared_fields_encode_as_the_owned_ones(labels in prop::collection::vec(nasty(), 0..4), picks in (any::<usize>(), 0usize..6)) {
+        // `Arc<[T]>` / `Arc<T>` where there was `Vec<T>` / `Box<T>` / `T`:
+        // same bytes, and what either shape wrote both read back.
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Owned {
+            entries: Vec<JournalEntry>,
+            one: JournalEntry,
+            labels: Vec<String>,
+            last: Option<Box<JournalEntry>>,
+        }
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Shared {
+            entries: Arc<[JournalEntry]>,
+            one: Arc<JournalEntry>,
+            labels: Arc<[String]>,
+            last: Option<Arc<JournalEntry>>,
+        }
+        let recorded = recorded_entries_once();
+        let (from, len) = (picks.0 % recorded.len(), picks.1);
+        let entries: Vec<JournalEntry> = recorded.iter().cycle().skip(from).take(len).cloned().collect();
+        let owned = Owned {
+            one: recorded[from].clone(),
+            last: entries.last().cloned().map(Box::new),
+            labels: labels.clone(),
+            entries: entries.clone(),
+        };
+        let shared = Shared {
+            one: Arc::new(recorded[from].clone()),
+            last: entries.last().cloned().map(Arc::new),
+            labels: labels.into(),
+            entries: entries.into(),
+        };
+        let text = encodes_as_before(&owned)?;
+        prop_assert_eq!(&serde_json::to_string(&shared).expect("plain data serializes"), &text);
+        round_trips(&shared)?;
+        prop_assert_eq!(serde_json::from_str::<Owned>(&text).expect("own output loads"), owned);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::ids::{InvocationId, TxnId};
 use axml_p2p::PeerId;
 use axml_query::{Effect, UpdateAction};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Lifecycle of a transaction context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,8 +41,9 @@ pub enum LogRecord {
         doc: String,
         /// Operation label (diagnostics and the static-baseline key).
         op_label: String,
-        /// Primitive effects, in application order.
-        effects: Vec<Effect>,
+        /// Primitive effects, in application order — one allocation,
+        /// shared with the journal entry that made them durable.
+        effects: Arc<[Effect]>,
     },
     /// A service invocation issued to another peer.
     Remote {
@@ -106,8 +108,15 @@ impl TransactionContext {
         }
     }
 
-    /// Appends local effects.
-    pub fn record_local(&mut self, doc: impl Into<String>, op_label: impl Into<String>, effects: Vec<Effect>) {
+    /// Appends local effects (a `Vec` is moved into a shared slice; a
+    /// slice already shared — the journal's — is kept as it is).
+    pub fn record_local(
+        &mut self,
+        doc: impl Into<String>,
+        op_label: impl Into<String>,
+        effects: impl Into<Arc<[Effect]>>,
+    ) {
+        let effects = effects.into();
         if !effects.is_empty() {
             self.log.push(LogRecord::Local { doc: doc.into(), op_label: op_label.into(), effects });
         }
@@ -161,7 +170,7 @@ impl TransactionContext {
     /// effect fragments into a scratch vector first.
     pub fn local_effect_slices(&self) -> impl DoubleEndedIterator<Item = (&str, &[Effect])> + '_ {
         self.log.iter().filter_map(|r| match r {
-            LogRecord::Local { doc, effects, .. } => Some((doc.as_str(), effects.as_slice())),
+            LogRecord::Local { doc, effects, .. } => Some((doc.as_str(), &effects[..])),
             LogRecord::Remote { .. } => None,
         })
     }

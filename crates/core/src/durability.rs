@@ -19,6 +19,7 @@ use axml_query::Effect;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
+use std::sync::Arc;
 
 /// One durable event in a transaction's life at one peer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,8 +43,8 @@ pub enum JournalEntry {
         doc: String,
         /// Operation label.
         op_label: String,
-        /// The effects.
-        effects: Vec<Effect>,
+        /// The effects — the same allocation the context's log holds.
+        effects: Arc<[Effect]>,
     },
     /// A remote invocation was issued.
     RemoteInvoked {
@@ -125,7 +126,7 @@ pub fn journal_of(tc: &TransactionContext) -> Vec<JournalEntry> {
                 txn: tc.txn,
                 doc: doc.clone(),
                 op_label: op_label.clone(),
-                effects: effects.clone(),
+                effects: Arc::clone(effects),
             }),
             LogRecord::Remote { child, inv, method, completed, comp } => {
                 out.push(JournalEntry::RemoteInvoked { txn: tc.txn, child: *child, inv: *inv, method: method.clone() });
@@ -176,7 +177,7 @@ pub fn replay(entries: &[JournalEntry]) -> Result<Vec<TransactionContext>, Journ
             }
             JournalEntry::Local { txn, doc, op_label, effects } => {
                 let i = find(&mut contexts, *txn).ok_or(JournalError::NoBegin(*txn))?;
-                contexts[i].record_local(doc.clone(), op_label.clone(), effects.clone());
+                contexts[i].record_local(doc.clone(), op_label.clone(), Arc::clone(effects));
             }
             JournalEntry::RemoteInvoked { txn, child, inv, method } => {
                 let i = find(&mut contexts, *txn).ok_or(JournalError::NoBegin(*txn))?;
@@ -573,5 +574,29 @@ mod tests {
             unread.append(entry);
         }
         assert_eq!(unread.stats(), WalStats { recovery_entries: 0, ..sink.stats() });
+    }
+
+    #[test]
+    fn memory_sink_keeps_the_effect_lists_it_is_handed() {
+        let (tc, _) = sample_context(None);
+        let journal = journal_of(&tc);
+        let mut sink = MemorySink::new();
+        for entry in &journal {
+            assert!(sink.append(entry));
+        }
+        let recovered = sink.crash_restart();
+        let lists = |entries: &[JournalEntry]| -> Vec<Arc<[Effect]>> {
+            entries
+                .iter()
+                .filter_map(|e| match e {
+                    JournalEntry::Local { effects, .. } => Some(Arc::clone(effects)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (ours, theirs) = (lists(&journal), lists(&recovered));
+        assert!(!ours.is_empty());
+        assert_eq!(ours.len(), theirs.len());
+        assert!(ours.iter().zip(&theirs).all(|(a, b)| Arc::ptr_eq(a, b)), "stored and recovered without a copy");
     }
 }

@@ -12,6 +12,7 @@ use crate::ids::{InvocationId, TxnId};
 use axml_doc::Fault;
 use axml_p2p::{Message, PeerId};
 use axml_xml::Fragment;
+use std::sync::Arc;
 
 /// A message of the transactional AXML protocol.
 #[derive(Debug, Clone)]
@@ -40,8 +41,10 @@ pub enum TxnMsg {
         txn: TxnId,
         /// The invocation being answered.
         inv: InvocationId,
-        /// Result items.
-        items: Vec<Fragment>,
+        /// Result items: one allocation from the provider's
+        /// `finish_serving` to the invoker's materialization, however
+        /// many envelopes and retained copies refer to it on the way.
+        items: Arc<[Fragment]>,
         /// Per-peer compensating-service bundle covering everything the
         /// provider (and its own subtree) did — peer-independent mode
         /// (empty otherwise).
@@ -93,8 +96,8 @@ pub enum TxnMsg {
         failed_parent: PeerId,
         /// The method whose results these are.
         method: String,
-        /// The results.
-        items: Vec<Fragment>,
+        /// The results (shared, as in a normal result).
+        items: Arc<[Fragment]>,
         /// Compensating bundle, as in a normal result.
         comp: CompBundle,
     },
@@ -134,8 +137,9 @@ pub enum TxnMsg {
         id: u64,
         /// 0 on the first send; `> 0` marks a retransmission.
         attempt: u32,
-        /// The payload.
-        inner: Box<TxnMsg>,
+        /// The payload, shared between this envelope, the sender's outbox
+        /// and every retransmission.
+        inner: Arc<TxnMsg>,
     },
     /// Acknowledges receipt of a [`TxnMsg::Reliable`] delivery.
     Ack {
@@ -184,14 +188,14 @@ mod tests {
         let chain = ActiveList::new(PeerId(1), false);
         let msgs: Vec<TxnMsg> = vec![
             TxnMsg::Invoke { txn, inv, method: "m".into(), params: vec![], chain: chain.clone(), prefilled: vec![] },
-            TxnMsg::Result { txn, inv, items: vec![], comp: vec![], chain },
+            TxnMsg::Result { txn, inv, items: Arc::new([]), comp: vec![], chain },
             TxnMsg::Fault { txn, inv, fault: Fault::injected("x") },
             TxnMsg::Abort { txn },
             TxnMsg::Commit { txn },
             TxnMsg::Compensate { txn, service: CompensatingService::default() },
             TxnMsg::Ping,
             TxnMsg::Pong,
-            TxnMsg::Redirected { txn, failed_parent: PeerId(3), method: "m".into(), items: vec![], comp: vec![] },
+            TxnMsg::Redirected { txn, failed_parent: PeerId(3), method: "m".into(), items: Arc::new([]), comp: vec![] },
             TxnMsg::DisconnectNotice { txn, disconnected: PeerId(3) },
             TxnMsg::StreamData { txn, seq: 0 },
             TxnMsg::ChainUpdate { txn, chain: ActiveList::new(PeerId(1), false) },
@@ -204,8 +208,8 @@ mod tests {
     #[test]
     fn reliable_envelope_is_transparent_for_kind_and_flags_retransmits() {
         let txn = TxnId::new(PeerId(1), 0);
-        let first = TxnMsg::Reliable { id: 1, attempt: 0, inner: Box::new(TxnMsg::Abort { txn }) };
-        let again = TxnMsg::Reliable { id: 1, attempt: 2, inner: Box::new(TxnMsg::Abort { txn }) };
+        let first = TxnMsg::Reliable { id: 1, attempt: 0, inner: Arc::new(TxnMsg::Abort { txn }) };
+        let again = TxnMsg::Reliable { id: 1, attempt: 2, inner: Arc::new(TxnMsg::Abort { txn }) };
         assert_eq!(first.kind(), "abort");
         assert!(!first.is_retransmit());
         assert!(again.is_retransmit());

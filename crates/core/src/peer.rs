@@ -60,6 +60,7 @@ use axml_p2p::{Actor, Ctx, Directory, EventKind, PeerId, PingMonitor, SendError,
 use axml_query::{Effect, NodePath, SelectQuery};
 use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Timer tag for the periodic keep-alive tick.
 const TAG_PING: u64 = 1;
@@ -382,7 +383,8 @@ enum TimerPayload {
 #[derive(Debug, Clone)]
 struct PendingDelivery {
     to: PeerId,
-    msg: TxnMsg,
+    /// Shared with every envelope sent for this delivery.
+    msg: Arc<TxnMsg>,
     attempts: u32,
     /// The pending retransmit timer, as `(payload tag, simulator timer)`.
     /// Tracked so an ack (or give-up) cancels the timer and drops its
@@ -475,7 +477,7 @@ pub struct AxmlPeer {
     /// resolves. If the consumer turns out to have disconnected (the
     /// result was dropped in flight), a chain notice lets us re-offer the
     /// work to an ancestor — scenario (c)'s reuse.
-    completed_results: BTreeMap<TxnId, (String, Vec<Fragment>, CompBundle)>,
+    completed_results: BTreeMap<TxnId, (String, Arc<[Fragment]>, CompBundle)>,
     /// Parents we keep-alive-watch while our completed serving awaits
     /// their resolution. A child whose parent vanishes *after* the result
     /// was returned has effects nobody else will compensate: without its
@@ -745,7 +747,8 @@ impl AxmlPeer {
         }
         let id = (self.epoch << 48) | self.next_delivery;
         self.next_delivery += 1;
-        ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Box::new(msg.clone()) })?;
+        let msg = Arc::new(msg);
+        ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Arc::clone(&msg) })?;
         let tag = self.alloc_payload_tag(TimerPayload::Retransmit(id));
         let timer = ctx.set_timer(self.config.retransmit_base, tag);
         self.outbox.insert(id, PendingDelivery { to, msg, attempts: 0, timer: Some((tag, timer)) });
@@ -772,7 +775,7 @@ impl AxmlPeer {
             if attempts > self.config.max_retransmits {
                 (to, attempts, txn, Err(entry.remove()))
             } else {
-                (to, attempts, txn, Ok(pending.msg.clone()))
+                (to, attempts, txn, Ok(Arc::clone(&pending.msg)))
             }
         };
         let msg = match live {
@@ -785,7 +788,7 @@ impl AxmlPeer {
             }
             Ok(msg) => msg,
         };
-        let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: Box::new(msg) };
+        let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: msg };
         self.stats.retransmits += 1;
         self.emit(ctx, txn, None, None, EventKind::Retransmit { to: to.0, id, attempt: attempts });
         match ctx.send(to, envelope) {
@@ -821,7 +824,7 @@ impl AxmlPeer {
 
     /// A reliable delivery definitively failed: react per payload kind.
     fn delivery_failed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, pending: PendingDelivery) {
-        match pending.msg {
+        match *pending.msg {
             TxnMsg::Invoke { inv, .. } => {
                 // The child never acknowledged the invocation: same
                 // recovery decision point as a detected disconnection.
@@ -1335,12 +1338,14 @@ impl AxmlPeer {
         match target {
             ChildTarget::ApplySc { doc, sc_path } => {
                 let doc = doc.clone();
-                let effects = {
+                // One allocation from here on: the journal entry, the
+                // sink's copy of it and the context's log record share it.
+                let effects: Arc<[Effect]> = {
                     let Some(document) = self.repo.get_mut(&doc) else { return };
                     let Ok(sc_node) = sc_path.resolve(document) else { return };
                     let Some(call) = ServiceCall::parse(document, sc_node) else { return };
                     match apply_call_results(document, &call, sc_node, items) {
-                        Ok(effects) => effects,
+                        Ok(effects) => effects.into(),
                         Err(_) => return, // surfaced at execution
                     }
                 };
@@ -1364,7 +1369,7 @@ impl AxmlPeer {
                                 txn,
                                 doc: doc.clone(),
                                 op_label: format!("materialize {method}"),
-                                effects: effects.clone(),
+                                effects: Arc::clone(&effects),
                             },
                         );
                         if !logged {
@@ -1426,8 +1431,10 @@ impl AxmlPeer {
             }
             Ok(resp) => {
                 let doc = self.service_doc(&method);
+                // Shared from here on, as in `apply_child_items`.
+                let effects: Arc<[Effect]> = resp.effects.into();
                 if let Some(doc) = &doc {
-                    if !self.guard_effects(txn, doc, &resp.effects) {
+                    if !self.guard_effects(txn, doc, &effects) {
                         let fault = Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"));
                         self.fail_serving(ctx, serving_inv, fault);
                         return;
@@ -1435,14 +1442,14 @@ impl AxmlPeer {
                 }
                 if let Some(doc) = doc {
                     if self.contexts.contains_key(&txn) {
-                        if !resp.effects.is_empty() {
+                        if !effects.is_empty() {
                             let logged = self.journal_append(
                                 ctx,
                                 JournalEntry::Local {
                                     txn,
                                     doc: doc.clone(),
                                     op_label: method.clone(),
-                                    effects: resp.effects.clone(),
+                                    effects: Arc::clone(&effects),
                                 },
                             );
                             if !logged {
@@ -1451,7 +1458,7 @@ impl AxmlPeer {
                                 // the serving through the normal §3.2
                                 // abort path.
                                 if let Some(document) = self.repo.get_mut(&doc) {
-                                    let inverse = compensation_for_effects(&resp.effects);
+                                    let inverse = compensation_for_effects(&effects);
                                     let _ = crate::compensate::apply_compensation(document, &inverse);
                                 }
                                 let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
@@ -1460,7 +1467,7 @@ impl AxmlPeer {
                             }
                         }
                         if let Some(tc) = self.contexts.get_mut(&txn) {
-                            tc.record_local(doc, method.clone(), resp.effects.clone());
+                            tc.record_local(doc, method.clone(), effects);
                         }
                     }
                 }
@@ -1530,10 +1537,14 @@ impl AxmlPeer {
                 }
             }
             Some(parent) => {
-                self.completed_results.insert(txn, (serving.method.clone(), items.clone(), comp.clone()));
+                // The fragments move into one shared slice: the retained
+                // copy, the message and a re-route all refer to it.
+                let items: Arc<[Fragment]> = items.into();
+                self.completed_results.insert(txn, (serving.method.clone(), Arc::clone(&items), comp.clone()));
                 let chain = self.current_chain(txn);
                 self.emit(ctx, Some(txn), Some(serving.inv), None, EventKind::ResultReturn { to: parent.0 });
-                let msg = TxnMsg::Result { txn, inv: serving.inv, items: items.clone(), comp: comp.clone(), chain };
+                let msg =
+                    TxnMsg::Result { txn, inv: serving.inv, items: Arc::clone(&items), comp: comp.clone(), chain };
                 if self.send_reliable(ctx, parent, msg).is_err() {
                     // Scenario (b): parent disconnected, detected while
                     // returning results.
@@ -1568,7 +1579,7 @@ impl AxmlPeer {
         txn: TxnId,
         dead_parent: PeerId,
         method: &str,
-        items: Vec<Fragment>,
+        items: Arc<[Fragment]>,
         comp: CompBundle,
     ) {
         // Whatever happens below, this result is now either delivered via
@@ -1597,7 +1608,7 @@ impl AxmlPeer {
                 txn,
                 failed_parent: dead_parent,
                 method: method.to_string(),
-                items: items.clone(),
+                items: Arc::clone(&items),
                 comp: comp.clone(),
             };
             if self.send_reliable(ctx, target, msg).is_ok() {
@@ -1623,7 +1634,7 @@ impl AxmlPeer {
         from: PeerId,
         txn: TxnId,
         inv: InvocationId,
-        items: Vec<Fragment>,
+        items: Arc<[Fragment]>,
         comp: CompBundle,
         chain: ActiveList,
     ) {
@@ -2174,7 +2185,7 @@ impl AxmlPeer {
         txn: TxnId,
         failed_parent: PeerId,
         method: String,
-        items: Vec<Fragment>,
+        items: Arc<[Fragment]>,
         comp: CompBundle,
     ) {
         self.stats.redirects_received += 1;
@@ -2195,7 +2206,7 @@ impl AxmlPeer {
         }
         // Keep the orphan's results for reuse when re-invoking the dead
         // peer's service, and its compensation bundle for abort-time.
-        self.prefill_store.entry(txn).or_default().push((method.clone(), items));
+        self.prefill_store.entry(txn).or_default().push((method.clone(), items.to_vec()));
         let orphan_inv = self.alloc_inv();
         if self.contexts.contains_key(&txn) {
             self.journal_append_forced(
@@ -2529,7 +2540,11 @@ impl Actor<TxnMsg> for AxmlPeer {
                         self.prune_seen(ctx, true);
                     }
                 }
-                *inner
+                // The sender's outbox holds the payload too (in the
+                // simulator, the same allocation): take it if it is ours
+                // alone, else copy the message — its result items stay
+                // shared either way.
+                Arc::try_unwrap(inner).unwrap_or_else(|shared| (*shared).clone())
             }
             TxnMsg::Ack { id } => {
                 if let Some(mut pending) = self.outbox.remove(&id) {

@@ -258,37 +258,17 @@ impl ServiceCall {
     /// Scans `doc` for all embedded service calls, in document order.
     /// Calls nested inside parameters are *not* listed (they materialize
     /// as part of their parent call).
+    ///
+    /// The candidates come from the document's by-name lookup, not from
+    /// a walk: an `axml:sc` element is a top-level call iff it is
+    /// attached and no control child of a call (`axml:params`, a fault
+    /// handler) stands above it. Results inside a call can contain
+    /// further calls — top-level in their own right — so a call above a
+    /// candidate vetoes nothing by itself.
     pub fn scan(doc: &Document) -> Vec<ServiceCall> {
-        let mut out = Vec::new();
-        let mut stack = vec![doc.root()];
-        while let Some(node) = stack.pop() {
-            let is_sc = doc.name(node).map(|q| consts::is_sc(q.prefix.as_deref(), &q.local)).unwrap_or(false);
-            if is_sc {
-                if let Some(call) = ServiceCall::parse(doc, node) {
-                    out.push(call);
-                }
-                // Results inside an sc can contain further sc's; those are
-                // top-level calls in their own right (nested invocation
-                // results), so keep scanning result children but skip the
-                // control children (params may hold sc's, handled above).
-                if let Ok(children) = doc.children(node) {
-                    for &c in children.iter().rev() {
-                        let control = doc
-                            .name(c)
-                            .map(|q| consts::is_control_child(q.prefix.as_deref(), &q.local))
-                            .unwrap_or(false);
-                        if !control {
-                            stack.push(c);
-                        }
-                    }
-                }
-            } else if let Ok(children) = doc.children(node) {
-                stack.extend(children.iter().rev());
-            }
-        }
-        // Document order (stack-based scan already visits pre-order, and we
-        // pushed children reversed).
-        out
+        let named_sc = doc.elements_named(&QName::prefixed(consts::AXML_PREFIX, consts::SC));
+        let top_level = named_sc.iter().copied().filter(|sc| !under_control_child(doc, *sc, None));
+        doc.attached_below(doc.root(), top_level).into_iter().filter_map(|sc| ServiceCall::parse(doc, sc)).collect()
     }
 
     /// The result children of this call's element: everything that is not
@@ -419,6 +399,23 @@ impl ServiceCall {
     pub fn handler_for(&self, fault_name: &str) -> Option<&FaultHandler> {
         self.handlers.iter().find(|h| h.matches(fault_name))
     }
+}
+
+/// True if a control child of a call (`axml:params`, a fault handler)
+/// stands between `node` and `top` — or, without a `top`, anywhere above
+/// `node`: what lies below such a child is the call's own business, not
+/// content. The children of `top` itself do not count; a walk that starts
+/// from a call takes all of them.
+pub(crate) fn under_control_child(doc: &Document, node: NodeId, top: Option<NodeId>) -> bool {
+    let is = |n: NodeId, test: fn(Option<&str>, &str) -> bool| {
+        doc.name(n).is_ok_and(|q| test(q.prefix.as_deref(), &q.local))
+    };
+    let mut below = node;
+    doc.ancestors(node).take_while(|above| Some(*above) != top).any(|above| {
+        let control_edge = is(above, consts::is_sc) && is(below, consts::is_control_child);
+        below = above;
+        control_edge
+    })
 }
 
 /// Recognizes the paper's `$year (external value)` convention.

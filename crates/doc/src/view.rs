@@ -19,9 +19,9 @@
 //! [`NodeId`]s, in the document's own order.
 
 use crate::consts;
+use crate::sc::under_control_child;
 use axml_query::{QueryTree, SelectQuery};
 use axml_xml::{Document, NodeId, NodeKind, QName};
-use std::cmp::Ordering;
 
 fn is_wrapper(name: &QName) -> bool {
     consts::is_sc(name.prefix.as_deref(), &name.local)
@@ -135,8 +135,21 @@ impl QueryTree for TransparentView<'_> {
 
     // Eliding a wrapper puts its results where it stood, so visible nodes
     // keep the relative order they have in the document.
-    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering {
-        self.doc.document_order(a, b)
+    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
+        self.doc.document_order_key(node)
+    }
+
+    // Visibility read upward (DESIGN.md §18): the walk from `node` hoists
+    // through every wrapper below it and refuses only their control
+    // children, so an element attached below `node` is visible iff it is
+    // no wrapper itself and sits under no such child.
+    fn descendants_named(&self, node: NodeId, name: &QName) -> Option<Vec<NodeId>> {
+        let found = self.doc.sparse_elements_named(name)?;
+        if is_wrapper(name) {
+            return Some(Vec::new());
+        }
+        let visible = found.iter().copied().filter(|n| *n != node && !under_control_child(self.doc, *n, Some(node)));
+        Some(self.doc.attached_below(node, visible))
     }
 }
 

@@ -8,6 +8,10 @@
 //! Second invariant: evaluating a query through the `axml:sc` wrappers in
 //! place selects exactly the nodes, in exactly the order, that evaluating
 //! it on an explicit wrapper-free copy of the document does.
+//!
+//! Third invariant: what the document's name index answers — the calls
+//! `ServiceCall::scan` lists, the elements a `//name` step selects — is
+//! what walking the document answers, node for node and in order.
 
 use axml_doc::{
     consts, EvalMode, Fault, MaterializationEngine, ResolvedCall, ServiceCall, ServiceInvoker, ServiceResponse,
@@ -450,5 +454,219 @@ proptest! {
         let comp = compensation_for_effects(&log);
         apply_compensation(&mut doc, &comp).expect("compensation applies");
         prop_assert_eq!(doc.to_xml(), before);
+    }
+}
+
+// ----------------------------------------------------------------------
+// By-name lookups against the walks they replace.
+// ----------------------------------------------------------------------
+
+/// `ServiceCall::scan` as it was before the name index: one pre-order
+/// walk that lists every `axml:sc` it meets and, below one, skips the
+/// control children. The oracle of the lookup that replaced it.
+fn scan_by_walking(doc: &Document) -> Vec<ServiceCall> {
+    let named = |n: NodeId, test: fn(Option<&str>, &str) -> bool| {
+        doc.name(n).is_ok_and(|q| test(q.prefix.as_deref(), &q.local))
+    };
+    let mut out = Vec::new();
+    let mut stack = vec![doc.root()];
+    while let Some(node) = stack.pop() {
+        let below = doc.children(node).unwrap().iter().rev();
+        if named(node, consts::is_sc) {
+            out.extend(ServiceCall::parse(doc, node));
+            stack.extend(below.filter(|c| !named(**c, consts::is_control_child)));
+        } else {
+            stack.extend(below);
+        }
+    }
+    out
+}
+
+const LOOKUP_NAMES: &[&str] =
+    &["a", "b", "c", "r0", "r1", "r2", "x", "y", "pad", "axml:sc", "axml:params", "axml:catch"];
+
+/// Wherever `tree` lists the descendants of `node` by name, the list is
+/// what filtering the walk yields. Returns how many lookups were listed.
+fn listed_like_walked<T: QueryTree>(tree: &T, node: NodeId, xml: &str) -> usize {
+    let mut listed = 0;
+    for name in LOOKUP_NAMES.iter().map(|n| QName::new(n)) {
+        if let Some(found) = tree.descendants_named(node, &name) {
+            let walked: Vec<NodeId> =
+                tree.descendants_of(node).filter(|n| tree.element_name(*n) == Some(&name)).collect();
+            assert_eq!(found, walked, "//{name} below {node} in {xml}");
+            listed += 1;
+        }
+    }
+    listed
+}
+
+/// Scan and every by-name descendant lookup — plain and through the
+/// wrappers, from the root and from every interior element — against
+/// their walks. Returns how many lookups took the listed path.
+fn assert_lookups_match_walks(doc: &Document) -> usize {
+    let xml = doc.to_xml();
+    assert_eq!(ServiceCall::scan(doc), scan_by_walking(doc), "doc={xml}");
+    let view = TransparentView::new(doc);
+    let contexts = doc.all_nodes().filter(|n| doc.name(*n).is_ok_and(|q| q.local != "pad"));
+    contexts.map(|node| listed_like_walked(doc, node, &xml) + listed_like_walked(&view, node, &xml)).sum()
+}
+
+/// Appends one `ballast` child holding `pads` empty elements to the root.
+fn add_ballast(doc: &mut Document, pads: usize) {
+    let ballast = doc.create_element("ballast");
+    for _ in 0..pads {
+        let pad = doc.create_element("pad");
+        doc.append_child(ballast, pad).unwrap();
+    }
+    doc.append_child(doc.root(), ballast).unwrap();
+}
+
+/// `doc` grown past the size floor — `pads` empty elements under one
+/// `ballast` child of the root — with a detached subtree that holds a
+/// call and a result name, which no lookup may ever report.
+fn padded(doc: &Document, pads: usize) -> Document {
+    let mut doc = doc.clone();
+    add_ballast(&mut doc, pads);
+    let call = ServiceCall::build("peer://ap9", "svc0", axml_doc::ScMode::Merge);
+    let stray = call.to_fragment().with_child(Fragment::elem_text("r0", "detached"));
+    let _detached = stray.instantiate(&mut doc);
+    doc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn by_name_lookups_match_the_walks(doc in axml_doc_strategy()) {
+        // As generated the documents sit under the size floor and build
+        // no index; padded they sit over it, and materialization then
+        // edits a document whose index is live.
+        let mut listed = 0;
+        for mut doc in [doc.clone(), padded(&doc, 2 * Document::NAME_INDEX_MIN_NODES)] {
+            listed += assert_lookups_match_walks(&doc);
+            MaterializationEngine::new(EvalMode::Eager).materialize_all(&mut doc, &mut Fabric).unwrap();
+            listed += assert_lookups_match_walks(&doc);
+            doc.check_consistency().unwrap();
+        }
+        prop_assert!(listed > 0, "the padded document answers from its index");
+    }
+}
+
+/// A document of exactly `nodes` nodes around `body`, which must hold
+/// elements only: `<r>` + `body` + filler `<pad/>` children of the root.
+fn sized(body: &str, nodes: usize) -> Document {
+    let mut doc = Document::parse(&format!("<r>{body}</r>")).unwrap();
+    while doc.node_count() < nodes {
+        let pad = doc.create_element("pad");
+        doc.append_child(doc.root(), pad).unwrap();
+    }
+    assert_eq!(doc.node_count(), nodes, "body too large for the requested size");
+    doc
+}
+
+const OVER_THE_FLOOR: usize = 2 * Document::NAME_INDEX_MIN_NODES;
+
+#[test]
+fn a_detached_subtree_holding_a_matching_name_is_not_found() {
+    let mut doc = sized(r#"<p><x/><axml:sc methodName="m"><x/></axml:sc></p>"#, OVER_THE_FLOOR);
+    let p = doc.first_child_element(doc.root(), "p").unwrap();
+    let stray =
+        Fragment::parse_one(r#"<x><axml:sc methodName="stray"><x/></axml:sc></x>"#).unwrap().instantiate(&mut doc);
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    assert_eq!(ServiceCall::scan(&doc).len(), 1, "the detached call is not a call of the document");
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("x")).unwrap().len(), 2);
+    // Attached, both its `x` and its call count; detached again, neither.
+    doc.append_child(p, stray).unwrap();
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    assert_eq!(ServiceCall::scan(&doc).len(), 2);
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("x")).unwrap().len(), 4);
+    doc.detach(p).unwrap();
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    assert!(ServiceCall::scan(&doc).is_empty());
+}
+
+#[test]
+fn calls_and_names_under_control_children_are_found_only_where_the_walk_goes() {
+    // A call in a parameter is its parent's business; a handler's
+    // alternative likewise; the same names under a control-named element
+    // that no call owns are plain content.
+    let doc = sized(
+        r#"<p><axml:sc methodName="outer"><axml:params><axml:param name="in"><axml:sc methodName="param"/><x/></axml:param></axml:params><axml:catchAll><axml:retry><axml:sc methodName="alt"/></axml:retry></axml:catchAll><axml:sc methodName="result"><x/></axml:sc></axml:sc></p><axml:params><axml:sc methodName="plain"/><x/></axml:params>"#,
+        OVER_THE_FLOOR,
+    );
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    let methods: Vec<String> = ServiceCall::scan(&doc).iter().map(|c| c.method.to_string()).collect();
+    assert_eq!(methods, ["outer", "result", "plain"]);
+    let through = TransparentView::new(&doc).descendants_named(doc.root(), &QName::new("x")).unwrap();
+    assert_eq!(through.len(), 2, "the parameter's x is hidden, the result's and the plain one are not");
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("x")).unwrap().len(), 3, "the plain tree hides nothing");
+}
+
+#[test]
+fn a_wrapper_as_root_is_scanned_and_keeps_its_own_children_visible() {
+    let mut doc = Document::parse(
+        r#"<axml:sc methodName="root"><axml:params><axml:sc methodName="param"/><y/></axml:params><axml:sc methodName="result"><axml:catch><y/></axml:catch><y/></axml:sc><y/></axml:sc>"#,
+    )
+    .unwrap();
+    add_ballast(&mut doc, OVER_THE_FLOOR);
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    let methods: Vec<String> = ServiceCall::scan(&doc).iter().map(|c| c.method.to_string()).collect();
+    assert_eq!(methods, ["root", "result"]);
+    // The walk starts from the root rather than eliding it, so the
+    // root's own `axml:params` is content; the nested call's handler is not.
+    let seen = TransparentView::new(&doc).descendants_named(doc.root(), &QName::new("y")).unwrap();
+    assert_eq!(seen.len(), 3);
+}
+
+#[test]
+fn a_renamed_element_changes_sides() {
+    let mut doc = sized(r#"<p><x/><axml:sc methodName="m"/></p>"#, OVER_THE_FLOOR);
+    assert_eq!(ServiceCall::scan(&doc).len(), 1, "this lookup builds the index the renames must maintain");
+    let p = doc.first_child_element(doc.root(), "p").unwrap();
+    let (x, sc) = (doc.children(p).unwrap()[0], doc.children(p).unwrap()[1]);
+    doc.set_name(x, "axml:sc").unwrap();
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    assert_eq!(ServiceCall::scan(&doc).iter().map(|c| c.node.unwrap()).collect::<Vec<_>>(), [x, sc]);
+    doc.set_name(sc, "x").unwrap();
+    assert!(assert_lookups_match_walks(&doc) > 0);
+    assert_eq!(ServiceCall::scan(&doc).iter().map(|c| c.node.unwrap()).collect::<Vec<_>>(), [x]);
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("x")).unwrap(), [sc]);
+    doc.check_consistency().unwrap();
+}
+
+#[test]
+fn a_dense_name_is_walked_and_a_sparse_one_listed() {
+    // `pad` is nearly every node; `x` is two of them.
+    let doc = sized(r#"<p><x/><x/></p>"#, OVER_THE_FLOOR);
+    assert!(
+        doc.descendants_named(doc.root(), &QName::new("pad")).is_none(),
+        "far more than one node in NAME_INDEX_SPARSE_RATIO"
+    );
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("x")).unwrap().len(), 2);
+    // Exactly at the ratio is still sparse; one more element is not.
+    let at_ratio = OVER_THE_FLOOR / Document::NAME_INDEX_SPARSE_RATIO;
+    let mut doc = sized(&"<y/>".repeat(at_ratio), OVER_THE_FLOOR);
+    assert_eq!(doc.descendants_named(doc.root(), &QName::new("y")).unwrap().len(), at_ratio);
+    let pad = doc.first_child_element(doc.root(), "pad").unwrap();
+    doc.set_name(pad, "y").unwrap();
+    assert!(doc.descendants_named(doc.root(), &QName::new("y")).is_none());
+    assert!(assert_lookups_match_walks(&doc) > 0, "other names are still listed");
+    for q in ["Select v//y from v in r", "Select v//pad from v in r", "Select v//x from v in r"] {
+        assert_same_as_copy(&doc, q);
+    }
+}
+
+#[test]
+fn the_size_floor_decides_whether_an_index_is_ever_built() {
+    let body = r#"<p><x/><axml:sc methodName="m"><x/></axml:sc></p>"#;
+    let under = sized(body, Document::NAME_INDEX_MIN_NODES - 1);
+    assert_eq!(assert_lookups_match_walks(&under), 0, "one node short of the floor: every lookup walks");
+    assert_eq!(ServiceCall::scan(&under).len(), 1);
+    let over = sized(body, Document::NAME_INDEX_MIN_NODES);
+    assert!(assert_lookups_match_walks(&over) > 0, "at the floor: sparse names are listed");
+    assert_eq!(over.descendants_named(over.root(), &QName::new("x")).unwrap().len(), 2);
+    for q in ["Select v//x from v in r", "Select v/x/.. from v in r//p"] {
+        assert_same_as_copy(&under, q);
+        assert_same_as_copy(&over, q);
     }
 }

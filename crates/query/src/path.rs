@@ -52,6 +52,17 @@ impl NameTest {
             NameTest::Name(q) => tree.element_name(node) == Some(q),
         }
     }
+
+    /// The proper descendants of `node` that pass this test, in document
+    /// order: listed by name where the tree offers that, walked otherwise.
+    fn descendants<T: QueryTree>(&self, tree: &T, node: NodeId) -> Vec<NodeId> {
+        if let NameTest::Name(q) = self {
+            if let Some(named) = tree.descendants_named(node, q) {
+                return named;
+            }
+        }
+        tree.descendants_of(node).filter(|n| self.matches(tree, *n)).collect()
+    }
 }
 
 /// A predicate filtering the nodes a step selects.
@@ -169,9 +180,10 @@ impl PathExpr {
         let mut ctx: Vec<NodeId> = match first.axis {
             // Candidates: just the root element.
             Axis::Child => std::iter::once(root).filter(|n| first.test.matches(tree, *n)).collect(),
+            // The root itself is a candidate here, ahead of its descendants.
             Axis::Descendant => std::iter::once(root)
-                .chain(tree.descendants_of(root))
                 .filter(|n| first.test.matches(tree, *n))
+                .chain(first.test.descendants(tree, root))
                 .collect(),
             Axis::SelfNode => vec![root],
             Axis::Parent => vec![], // the document node has no parent
@@ -196,7 +208,7 @@ impl PathExpr {
                     Axis::Child => tree.children_of(node).filter(|c| step.test.matches(tree, *c)).collect(),
                     // XPath `//x` is descendant-or-self::node()/child::x:
                     // the context node itself is never a candidate.
-                    Axis::Descendant => tree.descendants_of(node).filter(|n| step.test.matches(tree, *n)).collect(),
+                    Axis::Descendant => step.test.descendants(tree, node),
                     Axis::Parent => tree.parent_of(node).into_iter().collect(),
                     Axis::SelfNode => vec![node],
                 };
@@ -268,11 +280,14 @@ fn apply_preds<T: QueryTree>(tree: &T, step: &Step, matches: &mut Vec<NodeId>) {
     }
 }
 
-/// Deduplicates and sorts a node list into document order.
+/// Deduplicates and sorts a node list into document order. Stale ids
+/// have no place in the document: they come first, in id order.
 pub fn dedup_document_order<T: QueryTree>(tree: &T, mut nodes: Vec<NodeId>) -> Vec<NodeId> {
     nodes.sort();
     nodes.dedup();
-    nodes.sort_by(|a, b| tree.document_order(*a, *b));
+    // One key per node; a comparator would climb to the root twice per
+    // comparison.
+    nodes.sort_by_cached_key(|n| tree.document_order_key(*n));
     nodes
 }
 

@@ -8,7 +8,6 @@
 //! own statically dispatched copy of it.
 
 use axml_xml::{Document, NodeId, QName};
-use std::cmp::Ordering;
 
 /// Read-only navigation over a tree of [`NodeId`]s.
 ///
@@ -36,8 +35,17 @@ pub trait QueryTree {
     /// Concatenated text of `node` and its descendants (XPath `string()`).
     fn string_value(&self, node: NodeId) -> Option<String>;
 
-    /// Compares two nodes in document order (`Equal` if either is stale).
-    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering;
+    /// A sort key that orders nodes the way they stand in the document;
+    /// `None` for a stale id.
+    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>>;
+
+    /// The proper descendants of `node` named `name`, in document order —
+    /// what filtering [`Self::descendants_of`] by name yields — when the
+    /// tree can list them without visiting every descendant. `None` says
+    /// walk.
+    fn descendants_named(&self, _node: NodeId, _name: &QName) -> Option<Vec<NodeId>> {
+        None
+    }
 }
 
 impl QueryTree for Document {
@@ -69,7 +77,12 @@ impl QueryTree for Document {
         self.text_content(node).ok()
     }
 
-    fn document_order(&self, a: NodeId, b: NodeId) -> Ordering {
-        self.cmp_document_order(a, b).unwrap_or(Ordering::Equal)
+    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
+        Document::document_order_key(self, node)
+    }
+
+    fn descendants_named(&self, node: NodeId, name: &QName) -> Option<Vec<NodeId>> {
+        let found = self.sparse_elements_named(name)?;
+        Some(self.attached_below(node, found.iter().copied().filter(|n| *n != node)))
     }
 }

@@ -72,7 +72,7 @@ fn torn_commit_record_presumes_abort_and_compensates() {
         txn,
         doc: "d1".into(),
         op_label: "replace".into(),
-        effects: report.effects,
+        effects: report.effects.into(),
     }));
     // The commit decision tears mid-write and the peer dies before the
     // heal: the torn frame stays on disk, but it was never acknowledged.
@@ -381,7 +381,7 @@ fn an_entry_holding_a_fragment_hundreds_of_levels_deep_recovers_on_a_worker_stac
         txn: TxnId::new(PeerId(1), 0),
         doc: "d1".into(),
         op_label: "delete".into(),
-        effects: vec![Effect::Deleted { fragment, parent_path: NodePath(vec![0]), position: 0 }],
+        effects: vec![Effect::Deleted { fragment, parent_path: NodePath(vec![0]), position: 0 }].into(),
     };
     let tmp = TempDir::new();
     let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
@@ -396,4 +396,36 @@ fn an_entry_holding_a_fragment_hundreds_of_levels_deep_recovers_on_a_worker_stac
         .expect("recovery neither panics nor overflows a worker stack");
     assert_eq!(recovered.torn_tails_discarded, 0, "the deep frame is not mistaken for a torn tail");
     assert_eq!(recovered.entries, vec![deep]);
+}
+
+#[test]
+fn a_subtree_at_the_depth_limit_survives_a_wal_round_trip() {
+    // The deepest document the XML parser admits, its whole body logged
+    // as one deleted subtree: the frame the WAL writes for it must be a
+    // frame recovery reads back, or a legal document turns into a
+    // corrupt segment (sealed) or a silently truncated tail (last).
+    use axml_query::{Locator, UpdateAction};
+    use axml_xml::{parser::MAX_DEPTH, Document};
+
+    let nested = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+    assert!(Document::parse(&nested(MAX_DEPTH + 1)).is_err(), "the limit under test is the parser's own");
+    let mut doc = Document::parse(&nested(MAX_DEPTH)).expect("nesting at the limit parses");
+    let report = UpdateAction::delete(Locator::parse("a/a").unwrap()).apply(&mut doc).unwrap();
+    assert_eq!(report.cost_nodes, MAX_DEPTH - 1, "everything below the root went into the log");
+
+    let txn = TxnId::new(PeerId(1), 0);
+    let entries = vec![
+        JournalEntry::Begin { txn, parent: None, chain: ActiveList::new(PeerId(1), true), at: 1 },
+        JournalEntry::Local { txn, doc: "d1".into(), op_label: "delete".into(), effects: report.effects.into() },
+        JournalEntry::Resolved { txn, committed: true, at: 2 },
+    ];
+    let tmp = TempDir::new();
+    let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
+    for e in &entries {
+        assert!(sink.append(e));
+    }
+    drop(sink);
+    let recovered = recover_dir(tmp.path()).expect("a clean WAL recovers");
+    assert_eq!(recovered.torn_tails_discarded, 0, "the deep frame is not mistaken for a torn tail");
+    assert_eq!(recovered.entries, entries, "nor does it take the acknowledged decision after it along");
 }

@@ -27,6 +27,15 @@ impl Default for ParseOptions {
     }
 }
 
+/// How many elements may be open at once, the root included. The parser
+/// and everything that walks its result — fragment capture, `Clone`,
+/// `Drop`, the derived codecs — recurse once per level, so unbounded
+/// nesting would be unbounded stack. Sized so that a subtree this deep,
+/// logged in a journal entry at three JSON containers per XML level
+/// (`{"Element":{…"children":[`), stays under `serde_json`'s 1,024 open
+/// containers: every frame the WAL writes is one recovery can read.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a complete XML document with default options.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     parse_with(input, &ParseOptions::default())
@@ -34,6 +43,11 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 
 /// Parses a complete XML document.
 pub fn parse_with(input: &str, opts: &ParseOptions) -> Result<Document, ParseError> {
+    parse_at_depth(input, opts, 1)
+}
+
+/// Parses a document whose root element counts as nesting level `depth`.
+fn parse_at_depth(input: &str, opts: &ParseOptions, depth: usize) -> Result<Document, ParseError> {
     let mut cur = Cursor::new(input, opts.clone());
     cur.skip_prolog()?;
     if !cur.starts_with("<") {
@@ -41,7 +55,7 @@ pub fn parse_with(input: &str, opts: &ParseOptions) -> Result<Document, ParseErr
     }
     let mut doc = Document::new("placeholder-root");
     let root = doc.root();
-    cur.parse_element_into(&mut doc, root, true)?;
+    cur.parse_element_into(&mut doc, root, true, depth)?;
     cur.skip_misc()?;
     if !cur.at_end() {
         return Err(cur.err("trailing content after root element"));
@@ -60,7 +74,9 @@ pub fn parse_with(input: &str, opts: &ParseOptions) -> Result<Document, ParseErr
 /// ```
 pub fn parse_fragment(input: &str) -> Result<Vec<Fragment>, ParseError> {
     let wrapped = format!("<axml-fragment-wrapper>{input}</axml-fragment-wrapper>");
-    let doc = parse_with(&wrapped, &ParseOptions { trim_whitespace: true })?;
+    // The wrapper is not the caller's: the fragments' own elements nest
+    // from level 1.
+    let doc = parse_at_depth(&wrapped, &ParseOptions { trim_whitespace: true }, 0)?;
     let root = doc.root();
     let mut out = Vec::new();
     for &child in doc.children(root).expect("live root") {
@@ -258,10 +274,19 @@ impl<'a> Cursor<'a> {
         self.decode_entities(raw, start)
     }
 
-    /// Parses one element. If `into_root` is true, the element's name and
-    /// attributes overwrite `node` (used for the document root); otherwise a
-    /// fresh child is appended under `node`.
-    fn parse_element_into(&mut self, doc: &mut Document, node: NodeId, into_root: bool) -> Result<(), ParseError> {
+    /// Parses one element, nesting level `depth`. If `into_root` is true,
+    /// the element's name and attributes overwrite `node` (used for the
+    /// document root); otherwise a fresh child is appended under `node`.
+    fn parse_element_into(
+        &mut self,
+        doc: &mut Document,
+        node: NodeId,
+        into_root: bool,
+        depth: usize,
+    ) -> Result<(), ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH} levels")));
+        }
         self.expect_str("<")?;
         let name = QName::new(self.read_name()?);
         let elem = if into_root {
@@ -326,7 +351,7 @@ impl<'a> Cursor<'a> {
                 let p = doc.create_pi(target, data);
                 doc.append_child(elem, p).expect("elem live");
             } else if self.starts_with("<") {
-                self.parse_element_into(doc, elem, false)?;
+                self.parse_element_into(doc, elem, false, depth + 1)?;
             } else if self.at_end() {
                 return Err(self.err(format!("unexpected end of input inside `<{name}>`")));
             } else {
@@ -516,5 +541,35 @@ mod tests {
     fn spaces_around_attr_equals() {
         let doc = parse(r#"<r a = "1"/>"#).unwrap();
         assert_eq!(doc.attr(doc.root(), "a"), Some("1"));
+    }
+
+    fn nested(levels: usize) -> String {
+        format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_documents_and_fragments_alike() {
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert_eq!((err.offset, err.line, err.column), (3 * MAX_DEPTH, 1, 3 * MAX_DEPTH + 1), "at the offending `<`");
+        // The wrapper `parse_fragment` adds is not the caller's level.
+        assert_eq!(parse_fragment(&nested(MAX_DEPTH)).unwrap().len(), 1);
+        assert!(parse_fragment(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_hundred_thousand_open_tags_are_an_error_not_a_stack_overflow() {
+        // 100,000 levels of per-element recursion overflow even the 8 MiB
+        // main thread; the bound must hold on a quarter of that.
+        let parsing = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            for input in ["<a>".repeat(100_000), nested(100_000)] {
+                let err = parse(&input).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+                assert_eq!(err.offset, 3 * MAX_DEPTH);
+                assert!(crate::Fragment::parse_all(&input).is_err());
+            }
+        });
+        parsing.expect("thread spawns").join().expect("no panic, no overflow");
     }
 }

@@ -17,7 +17,10 @@ use crate::error::TreeError;
 use crate::name::QName;
 use crate::serialize::{self, SerializeOptions};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A stable, unique identifier for a node within one [`Document`].
 ///
@@ -99,6 +102,43 @@ struct Slot {
     node: Option<Node>,
 }
 
+/// Every live element of a document by name, attached or not (DESIGN.md
+/// §18). An element's name comes and goes in three places — `alloc`,
+/// `dealloc` and `set_name` — and each keeps a built index current.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    by_name: HashMap<QName, Vec<NodeId>>,
+    /// Slot index → where that slot's element sits in its name's list, so
+    /// an entry is removed by `swap_remove` without searching for it.
+    pos: Vec<u32>,
+}
+
+impl NameIndex {
+    fn named(&self, name: &QName) -> &[NodeId] {
+        self.by_name.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn insert(&mut self, id: NodeId, name: &QName) {
+        let list = self.by_name.entry(name.clone()).or_default();
+        let slot = id.index as usize;
+        if self.pos.len() <= slot {
+            self.pos.resize(slot + 1, 0);
+        }
+        self.pos[slot] = u32::try_from(list.len()).expect("more than u32::MAX nodes");
+        list.push(id);
+    }
+
+    fn remove(&mut self, id: NodeId, name: &QName) {
+        let list = self.by_name.get_mut(name).expect("indexed elements are listed under their name");
+        let at = self.pos[id.index as usize] as usize;
+        debug_assert_eq!(list[at], id);
+        list.swap_remove(at);
+        if let Some(moved) = list.get(at) {
+            self.pos[moved.index as usize] = at as u32;
+        }
+    }
+}
+
 /// A mutable XML document: one arena of nodes plus a distinguished root
 /// element.
 ///
@@ -112,13 +152,36 @@ pub struct Document {
     free: Vec<u32>,
     root: NodeId,
     live: usize,
+    /// Unset until a by-name lookup wants it (see [`Self::elements_named`]),
+    /// so a document nobody looks into by name never pays for one.
+    names: OnceLock<NameIndex>,
 }
 
 impl Document {
+    /// Documents with fewer live nodes answer by-name lookups without an
+    /// index. Building one costs about four walks of the document and
+    /// saves most of a walk per lookup from then on; at this size a walk
+    /// is some 2 µs, so a document that is looked into only a handful of
+    /// times — every document of a short-lived peer — never gets the
+    /// build back (DESIGN.md §18 has the measurements).
+    pub const NAME_INDEX_MIN_NODES: usize = 256;
+
+    /// A name is *sparse* when at most one live node in this many carries
+    /// it. Placing the elements of a name in document order costs a path
+    /// each — a sibling scan per level — and a sort; at this density that
+    /// equals one walk of the whole document, and for a denser name the
+    /// walk is the cheaper way to list them.
+    pub const NAME_INDEX_SPARSE_RATIO: usize = 16;
+
     /// Creates a document whose root is an empty element named `root_name`.
     pub fn new(root_name: impl Into<QName>) -> Self {
-        let mut doc =
-            Document { slots: Vec::new(), free: Vec::new(), root: NodeId { index: 0, generation: 0 }, live: 0 };
+        let mut doc = Document {
+            slots: Vec::new(),
+            free: Vec::new(),
+            root: NodeId { index: 0, generation: 0 },
+            live: 0,
+            names: OnceLock::new(),
+        };
         let root = doc.alloc(NodeKind::Element { name: root_name.into(), attrs: Vec::new() });
         doc.root = root;
         doc
@@ -171,7 +234,7 @@ impl Document {
     fn alloc(&mut self, kind: NodeKind) -> NodeId {
         self.live += 1;
         let node = Node { parent: None, children: Vec::new(), kind };
-        if let Some(index) = self.free.pop() {
+        let id = if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             debug_assert!(slot.node.is_none());
             slot.node = Some(node);
@@ -180,12 +243,23 @@ impl Document {
             let index = u32::try_from(self.slots.len()).expect("more than u32::MAX nodes");
             self.slots.push(Slot { generation: 0, node: Some(node) });
             NodeId { index, generation: 0 }
+        };
+        if let Some(names) = self.names.get_mut() {
+            if let Some(Node { kind: NodeKind::Element { name, .. }, .. }) = &self.slots[id.index as usize].node {
+                names.insert(id, name);
+            }
         }
+        id
     }
 
     fn dealloc(&mut self, id: NodeId) {
         let slot = &mut self.slots[id.index as usize];
         debug_assert_eq!(slot.generation, id.generation);
+        if let (Some(names), Some(Node { kind: NodeKind::Element { name, .. }, .. })) =
+            (self.names.get_mut(), &slot.node)
+        {
+            names.remove(id, name);
+        }
         slot.node = None;
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.index);
@@ -359,13 +433,16 @@ impl Document {
 
     /// Renames an element node.
     pub fn set_name(&mut self, node: NodeId, name: impl Into<QName>) -> Result<(), TreeError> {
-        match &mut self.expect_mut(node)?.kind {
-            NodeKind::Element { name: n, .. } => {
-                *n = name.into();
-                Ok(())
-            }
-            _ => Err(TreeError::WrongKind { expected: "element" }),
+        let name = name.into();
+        let old = match &mut self.expect_mut(node)?.kind {
+            NodeKind::Element { name: n, .. } => std::mem::replace(n, name.clone()),
+            _ => return Err(TreeError::WrongKind { expected: "element" }),
+        };
+        if let Some(names) = self.names.get_mut() {
+            names.remove(node, &old);
+            names.insert(node, &name);
         }
+        Ok(())
     }
 
     /// The text of a text/CDATA node.
@@ -537,25 +614,114 @@ impl Document {
     ///
     /// Returns `Less` if `a` strictly precedes `b` in pre-order.
     pub fn cmp_document_order(&self, a: NodeId, b: NodeId) -> Result<std::cmp::Ordering, TreeError> {
-        use std::cmp::Ordering;
         if a == b {
-            return Ok(Ordering::Equal);
+            return Ok(std::cmp::Ordering::Equal);
         }
-        self.expect(a)?;
-        self.expect(b)?;
-        // Paths from root: sequence of child positions.
-        let path = |mut n: NodeId| -> Result<Vec<usize>, TreeError> {
-            let mut p = Vec::new();
-            while let Some(parent) = self.expect(n)?.parent {
-                p.push(self.position_in_parent(n)?);
-                n = parent;
+        let key = |n| self.document_order_key(n).ok_or(TreeError::StaleNode);
+        Ok(key(a)?.cmp(&key(b)?))
+    }
+
+    /// The child positions leading from the top of `node`'s tree (the
+    /// root, or the head of a detached subtree) down to `node`; `None` if
+    /// `node` is stale. Keys order the way their nodes stand in the
+    /// document, so a sort computes one key per node, not two per
+    /// comparison.
+    pub fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
+        self.path_up(node, None)
+    }
+
+    /// The child positions leading from `ancestor` down to `node` (empty
+    /// when they are the same node); `None` if `node` is stale or not
+    /// attached below `ancestor`.
+    pub fn path_below(&self, ancestor: NodeId, node: NodeId) -> Option<Vec<usize>> {
+        self.path_up(node, Some(ancestor))
+    }
+
+    /// Those of `nodes` attached at or below `ancestor`, in document order.
+    pub fn attached_below(&self, ancestor: NodeId, nodes: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
+        let mut below: Vec<(Vec<usize>, NodeId)> =
+            nodes.into_iter().filter_map(|n| Some((self.path_below(ancestor, n)?, n))).collect();
+        below.sort_unstable();
+        below.into_iter().map(|(_, n)| n).collect()
+    }
+
+    /// Climbs from `node` to `stop` — or, without one, to the top of the
+    /// tree — collecting each level's position among its siblings.
+    fn path_up(&self, node: NodeId, stop: Option<NodeId>) -> Option<Vec<usize>> {
+        let mut path = Vec::new();
+        let mut cur = node;
+        let mut parent = self.get(node)?.parent;
+        while Some(cur) != stop {
+            let Some(up) = parent else {
+                if stop.is_some() {
+                    return None;
+                }
+                break;
+            };
+            let above = self.get(up)?;
+            path.push(above.children.iter().position(|c| *c == cur)?);
+            cur = up;
+            parent = above.parent;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    // ------------------------------------------------------------------
+    // Lookup by element name.
+    // ------------------------------------------------------------------
+
+    /// Every live element named `name` — attached or not, in no particular
+    /// order.
+    ///
+    /// A document of [`Self::NAME_INDEX_MIN_NODES`] nodes or more answers
+    /// from its name index, which the first such call builds and every
+    /// edit keeps current from then on; a smaller one looks through its
+    /// arena and builds nothing.
+    pub fn elements_named(&self, name: &QName) -> Cow<'_, [NodeId]> {
+        match self.name_index_if_wanted() {
+            Some(names) => Cow::Borrowed(names.named(name)),
+            None => Cow::Owned(self.live_elements().filter(|(_, n)| *n == name).map(|(id, _)| id).collect()),
+        }
+    }
+
+    /// [`Self::elements_named`] where going through them one by one is
+    /// cheaper than walking the tree; `None` says walk — the document is
+    /// under the size floor, or more than one node in
+    /// [`Self::NAME_INDEX_SPARSE_RATIO`] carries the name.
+    pub fn sparse_elements_named(&self, name: &QName) -> Option<&[NodeId]> {
+        let found = self.name_index_if_wanted()?.named(name);
+        (found.len() * Self::NAME_INDEX_SPARSE_RATIO <= self.live).then_some(found)
+    }
+
+    /// Builds the name index now if it is not built yet — whatever the
+    /// document's size, so tests can put a small document on the indexed
+    /// side.
+    pub fn ensure_name_index(&self) {
+        self.name_index();
+    }
+
+    /// The index of a document that has one or is large enough to want
+    /// one.
+    fn name_index_if_wanted(&self) -> Option<&NameIndex> {
+        (self.live >= Self::NAME_INDEX_MIN_NODES || self.names.get().is_some()).then(|| self.name_index())
+    }
+
+    fn name_index(&self) -> &NameIndex {
+        self.names.get_or_init(|| {
+            let mut names = NameIndex::default();
+            for (id, name) in self.live_elements() {
+                names.insert(id, name);
             }
-            p.reverse();
-            Ok(p)
-        };
-        let pa = path(a)?;
-        let pb = path(b)?;
-        Ok(pa.cmp(&pb))
+            names
+        })
+    }
+
+    fn live_elements(&self) -> impl Iterator<Item = (NodeId, &QName)> {
+        self.slots.iter().enumerate().filter_map(|(index, slot)| match &slot.node.as_ref()?.kind {
+            NodeKind::Element { name, .. } => Some((NodeId { index: index as u32, generation: slot.generation }, name)),
+            _ => None,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -580,8 +746,10 @@ impl Document {
     /// Validates internal consistency; used by tests and debug assertions.
     ///
     /// Checks that every live node is reachable from the root or from a
-    /// detached head, that parent/child links agree, and the live count
-    /// matches. Returns the number of live nodes on success.
+    /// detached head, that parent/child links agree, the live count
+    /// matches and — once the name index is built — that it lists every
+    /// live element exactly once, under its current name. Returns the
+    /// number of live nodes on success.
     pub fn check_consistency(&self) -> Result<usize, String> {
         let mut seen = 0usize;
         for (index, slot) in self.slots.iter().enumerate() {
@@ -606,6 +774,20 @@ impl Document {
         }
         if self.get(self.root).is_none() {
             return Err("root is not live".into());
+        }
+        if let Some(names) = self.names.get() {
+            // Every live element sits where `pos` says under its current
+            // name; with as many entries as elements, nothing else is listed.
+            for (id, name) in self.live_elements() {
+                let at = names.pos.get(id.index as usize).map(|p| *p as usize);
+                if at.and_then(|at| names.by_name.get(name)?.get(at)) != Some(&id) {
+                    return Err(format!("{id}: not in the name index under `{name}` at {at:?}"));
+                }
+            }
+            let (listed, live) = (names.by_name.values().map(Vec::len).sum::<usize>(), self.live_elements().count());
+            if listed != live {
+                return Err(format!("name index lists {listed} elements, {live} are live"));
+            }
         }
         Ok(seen)
     }

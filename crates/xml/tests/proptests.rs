@@ -234,6 +234,114 @@ proptest! {
     }
 }
 
+// ----------------------------------------------------------------------
+// The element-name index under edits.
+// ----------------------------------------------------------------------
+
+/// A vocabulary small enough that every name recurs.
+const INDEXED_NAMES: [&str; 5] = ["a", "b", "c", "axml:sc", "axml:params"];
+
+/// Applies edit `op` to `doc`, aimed by `x` and `y` at `known` — every id
+/// the script has seen that is still live, attached or not. Refused edits
+/// (cycles, a text node as parent, the root as victim) are part of the
+/// script: they must leave the index alone too.
+fn scripted_edit(doc: &mut Document, known: &mut Vec<NodeId>, op: u8, x: usize, y: usize) {
+    known.retain(|n| doc.contains(*n));
+    let (at, other, name) = (known[x % known.len()], known[y % known.len()], INDEXED_NAMES[y % INDEXED_NAMES.len()]);
+    let subtree =
+        Fragment::elem(name).with_child(Fragment::elem(INDEXED_NAMES[x % INDEXED_NAMES.len()]).with_text("t"));
+    match op {
+        0 => known.push(doc.create_element(name)),
+        1 => known.push(doc.create_text(name)),
+        2 => drop(doc.append_child(other, at)),
+        3 => {
+            let slots = doc.children(other).map_or(1, |c| c.len() + 1);
+            drop(doc.insert_child(other, x % slots, at));
+        }
+        4 => drop(doc.detach(at)),
+        5 => drop(doc.delete(at)),
+        6 => {
+            let new = doc.create_element(name);
+            known.push(new);
+            if doc.replace(at, new).is_err() {
+                doc.delete(new).unwrap();
+            }
+        }
+        7 => drop(doc.set_name(at, name)),
+        8 => {
+            if let Ok(id) = doc.insert_fragment(at, 0, &subtree) {
+                known.extend(doc.descendants_and_self(id));
+            }
+        }
+        9 => drop(doc.remove_to_fragment(at)),
+        10 => {
+            // An update and its compensation: delete, then re-insert the
+            // logged subtree where it stood.
+            if let Ok((logged, parent, pos)) = doc.remove_to_fragment(at) {
+                let id = doc.insert_fragment(parent, pos, &logged).unwrap();
+                known.extend(doc.descendants_and_self(id));
+            }
+        }
+        11 => {
+            // The other way round: insert, then delete the returned id.
+            if let Ok(id) = doc.insert_fragment(at, 0, &subtree) {
+                doc.delete(id).unwrap();
+            }
+        }
+        _ => *doc = doc.clone(),
+    }
+}
+
+fn sorted_named(doc: &Document, name: &str) -> Vec<NodeId> {
+    let mut found = doc.elements_named(&QName::new(name)).into_owned();
+    found.sort();
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two documents take the same edit script; one has its name index
+    /// built at some point — before the script, in the middle of it or
+    /// after it — the other never does and answers by looking through its
+    /// arena. After every step both are consistent and list the same
+    /// elements under every name.
+    #[test]
+    fn the_name_index_follows_every_edit(
+        frags in prop::collection::vec(fragment_strategy(), 0..4),
+        script in prop::collection::vec((0u8..13, any::<usize>(), any::<usize>()), 1..40),
+        build_at in 0usize..41,
+    ) {
+        let mut plain = Document::new("a");
+        let root = plain.root();
+        for f in &frags {
+            plain.append_fragment(root, f).unwrap();
+        }
+        let mut indexed = plain.clone();
+        let mut known: Vec<NodeId> = plain.all_nodes().collect();
+        let mut known_indexed = known.clone();
+        for (step, (op, x, y)) in script.iter().enumerate() {
+            if step == build_at {
+                indexed.ensure_name_index();
+            }
+            scripted_edit(&mut plain, &mut known, *op, *x, *y);
+            scripted_edit(&mut indexed, &mut known_indexed, *op, *x, *y);
+            prop_assert_eq!(&known, &known_indexed, "the index never changes which id an edit returns");
+            prop_assert_eq!(plain.check_consistency(), indexed.check_consistency());
+            indexed.check_consistency().unwrap();
+            for name in INDEXED_NAMES {
+                prop_assert_eq!(sorted_named(&indexed, name), sorted_named(&plain, name), "step {} op {} `{}`", step, op, name);
+            }
+        }
+        indexed.ensure_name_index();
+        indexed.check_consistency().unwrap();
+        for name in INDEXED_NAMES {
+            prop_assert_eq!(sorted_named(&indexed, name), sorted_named(&plain, name), "`{}` after the script", name);
+        }
+        prop_assert_eq!(indexed.to_xml(), plain.to_xml());
+    }
+}
+
 /// XML punctuation interleaved with multi-byte characters, so every byte
 /// offset the parser computes gets a chance to land inside one.
 const XML_SOUP: &[&str] = &[
