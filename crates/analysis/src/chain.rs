@@ -193,16 +193,14 @@ mod tests {
 
     #[test]
     fn duplicates_trip_l001_and_l002() {
-        let l = ActiveList {
-            root: ChainNode {
-                peer: PeerId(1),
-                is_super: false,
-                children: vec![
-                    ChainNode::leaf(PeerId(2), false),
-                    ChainNode { peer: PeerId(2), is_super: true, children: vec![ChainNode::leaf(PeerId(9), false)] },
-                ],
-            },
-        };
+        let l = ActiveList::from_root(ChainNode {
+            peer: PeerId(1),
+            is_super: false,
+            children: vec![
+                ChainNode::leaf(PeerId(2), false),
+                ChainNode { peer: PeerId(2), is_super: true, children: vec![ChainNode::leaf(PeerId(9), false)] },
+            ],
+        });
         let diags = analyze_chain(&l);
         let rules: Vec<_> = diags.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&"L001"), "{diags:?}");

@@ -75,16 +75,14 @@ pub fn broken() -> BrokenFixture {
     // AP2 appears twice (L001/L002), hiding the super marker the second
     // occurrence carries (L003); AP9 is never invoked by the scenario
     // (L005).
-    let chain = ActiveList {
-        root: ChainNode {
-            peer: PeerId(1),
-            is_super: false,
-            children: vec![
-                ChainNode::leaf(PeerId(2), false),
-                ChainNode { peer: PeerId(2), is_super: true, children: vec![ChainNode::leaf(PeerId(9), false)] },
-            ],
-        },
-    };
+    let chain = ActiveList::from_root(ChainNode {
+        peer: PeerId(1),
+        is_super: false,
+        children: vec![
+            ChainNode::leaf(PeerId(2), false),
+            ChainNode { peer: PeerId(2), is_super: true, children: vec![ChainNode::leaf(PeerId(9), false)] },
+        ],
+    });
     // A hand-edited rendering that lost its closing brackets (L004).
     let notation = "[AP1 → [AP2] || [AP2".to_string();
     BrokenFixture { builder, effects, compensation, reordered_effects, reordered_compensation, chain, notation }

@@ -15,6 +15,7 @@
 use axml_p2p::PeerId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One node of the active-peer list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,6 +37,13 @@ impl ChainNode {
 
 /// The active-peer list of a transaction.
 ///
+/// The whole tree is one shared allocation: a clone — one per `Invoke`,
+/// `Result`, `ChainUpdate` and journalled `Begin` — bumps a reference
+/// count, and a write copies the tree first only if someone else still
+/// holds it *and* the write changes something. The list only grows by
+/// monotone merges, so a holder of the old allocation sees a valid,
+/// merely older, view; nobody observes a write they did not make.
+///
 /// ```
 /// use axml_core::ActiveList;
 /// use axml_p2p::PeerId;
@@ -49,13 +57,18 @@ impl ChainNode {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActiveList {
     /// The invocation-tree root (the origin peer).
-    pub root: ChainNode,
+    pub root: Arc<ChainNode>,
 }
 
 impl ActiveList {
     /// A list containing only the origin.
     pub fn new(origin: PeerId, is_super: bool) -> ActiveList {
-        ActiveList { root: ChainNode::leaf(origin, is_super) }
+        ActiveList::from_root(ChainNode::leaf(origin, is_super))
+    }
+
+    /// A list with the given invocation tree.
+    pub fn from_root(root: ChainNode) -> ActiveList {
+        ActiveList { root: Arc::new(root) }
     }
 
     fn find(&self, peer: PeerId) -> Option<&ChainNode> {
@@ -68,6 +81,8 @@ impl ActiveList {
         go(&self.root, peer)
     }
 
+    /// Copy-on-write access: un-shares the tree. Callers establish first
+    /// that the write changes something.
     fn find_mut(&mut self, peer: PeerId) -> Option<&mut ChainNode> {
         fn go(node: &mut ChainNode, peer: PeerId) -> Option<&mut ChainNode> {
             if node.peer == peer {
@@ -75,7 +90,7 @@ impl ActiveList {
             }
             node.children.iter_mut().find_map(|c| go(c, peer))
         }
-        go(&mut self.root, peer)
+        go(Arc::make_mut(&mut self.root), peer)
     }
 
     /// True if `peer` appears in the list.
@@ -84,14 +99,37 @@ impl ActiveList {
     }
 
     /// Records that `parent` invoked `child`'s service. No-op if the
-    /// parent is unknown; duplicate children are ignored.
-    pub fn add_invocation(&mut self, parent: PeerId, child: PeerId, child_is_super: bool) {
-        if self.contains(child) {
-            return;
+    /// parent is unknown; duplicate children are ignored. Returns true if
+    /// the edge was added.
+    pub fn add_invocation(&mut self, parent: PeerId, child: PeerId, child_is_super: bool) -> bool {
+        if self.contains(child) || !self.contains(parent) {
+            return false;
         }
-        if let Some(p) = self.find_mut(parent) {
-            p.children.push(ChainNode::leaf(child, child_is_super));
+        let p = self.find_mut(parent).expect("parent is in the list");
+        p.children.push(ChainNode::leaf(child, child_is_super));
+        true
+    }
+
+    /// Merges `other` into this list: every edge and super-peer mark known
+    /// to either ends up here (ours are the base; `other`'s unknown edges
+    /// are grafted in, in its pre-order). A list rooted at a peer we do
+    /// not know is ignored. Returns true if anything was learned — only
+    /// then is memory allocated.
+    pub fn merge_from(&mut self, other: &ActiveList) -> bool {
+        fn graft(into: &mut ActiveList, node: &ChainNode) -> bool {
+            let mut learned = false;
+            for child in &node.children {
+                learned |= into.add_invocation(node.peer, child.peer, child.is_super);
+                learned |= child.is_super && into.mark_super(child.peer);
+                learned |= graft(into, child);
+            }
+            learned
         }
+        if Arc::ptr_eq(&self.root, &other.root) || !self.contains(other.root.peer) {
+            return false;
+        }
+        let learned = graft(self, &other.root);
+        (other.root.is_super && self.mark_super(other.root.peer)) || learned
     }
 
     /// The parent of `peer` in the invocation tree.
@@ -110,17 +148,25 @@ impl ActiveList {
         go(&self.root, peer)
     }
 
+    /// The children of `peer`, in invocation order.
+    pub fn children(&self, peer: PeerId) -> impl Iterator<Item = PeerId> + '_ {
+        self.find(peer).into_iter().flat_map(|n| n.children.iter().map(|c| c.peer))
+    }
+
     /// The children of `peer`.
     pub fn children_of(&self, peer: PeerId) -> Vec<PeerId> {
-        self.find(peer).map(|n| n.children.iter().map(|c| c.peer).collect()).unwrap_or_default()
+        self.children(peer).collect()
+    }
+
+    /// The siblings of `peer` (same parent, excluding itself), in
+    /// invocation order.
+    pub fn siblings(&self, peer: PeerId) -> impl Iterator<Item = PeerId> + '_ {
+        self.parent_of(peer).into_iter().flat_map(move |parent| self.children(parent)).filter(move |p| *p != peer)
     }
 
     /// The siblings of `peer` (same parent, excluding itself).
     pub fn siblings_of(&self, peer: PeerId) -> Vec<PeerId> {
-        match self.parent_of(peer) {
-            None => Vec::new(),
-            Some(parent) => self.children_of(parent).into_iter().filter(|p| *p != peer).collect(),
-        }
+        self.siblings(peer).collect()
     }
 
     /// Ancestors of `peer`, nearest first ("the next closest peer" order
@@ -192,11 +238,13 @@ impl ActiveList {
         go(&self.root)
     }
 
-    /// Marks a peer as super (used when building lists programmatically).
-    pub fn mark_super(&mut self, peer: PeerId) {
-        if let Some(n) = self.find_mut(peer) {
-            n.is_super = true;
+    /// Marks a peer as super. Returns true if the mark is new.
+    pub fn mark_super(&mut self, peer: PeerId) -> bool {
+        if self.find(peer).is_none_or(|n| n.is_super) {
+            return false;
         }
+        self.find_mut(peer).expect("peer is in the list").is_super = true;
+        true
     }
 
     /// Removes `peer`'s subtree from the list (after a confirmed
@@ -209,7 +257,8 @@ impl ActiveList {
             }
             node.children.iter_mut().any(|c| go(c, peer))
         }
-        go(&mut self.root, peer)
+        // The root has no parent to be removed from.
+        self.parent_of(peer).is_some() && go(Arc::make_mut(&mut self.root), peer)
     }
 
     /// Parses the paper's notation back into a list — the inverse of
@@ -288,7 +337,7 @@ impl ActiveList {
         if !p.rest.is_empty() {
             return Err(format!("trailing input `{}`", p.rest));
         }
-        Ok(ActiveList { root })
+        Ok(ActiveList::from_root(root))
     }
 
     /// Renders the paper's notation, e.g.

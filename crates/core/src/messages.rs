@@ -205,6 +205,17 @@ mod tests {
         assert_eq!(kinds.len(), msgs.len());
     }
 
+    /// A message is moved into a batch slot on every send and out of it
+    /// on every delivery, and a queue entry through every heap sift: a new
+    /// field must not silently fatten either.
+    #[test]
+    fn messages_and_queue_entries_stay_small() {
+        let msg = std::mem::size_of::<TxnMsg>();
+        assert!(msg <= 136, "TxnMsg grew to {msg} bytes");
+        let entry = axml_p2p::sim::scheduled_entry_size::<TxnMsg>();
+        assert!(entry <= 64, "a scheduled TxnMsg entry grew to {entry} bytes");
+    }
+
     #[test]
     fn reliable_envelope_is_transparent_for_kind_and_flags_retransmits() {
         let txn = TxnId::new(PeerId(1), 0);

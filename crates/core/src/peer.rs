@@ -352,7 +352,6 @@ struct Serving {
     reply_to: Option<PeerId>,
     method: String,
     params: Vec<(String, String)>,
-    doc: Option<String>,
     pending: BTreeSet<InvocationId>,
     prefilled: Vec<(String, Vec<Fragment>)>,
     done_sc: BTreeSet<NodeId>,
@@ -413,8 +412,8 @@ impl WsdlCatalog {
     }
 
     /// Declared result names for a method.
-    pub fn hints(&self, method: &str) -> Option<Vec<String>> {
-        self.entries.get(method).cloned()
+    pub fn hints(&self, method: &str) -> Option<&[String]> {
+        self.entries.get(method).map(Vec::as_slice)
     }
 }
 
@@ -429,7 +428,7 @@ impl ServiceInvoker for HintOnly<'_> {
     }
 
     fn result_hints(&self, call: &ResolvedCall) -> Option<Vec<String>> {
-        self.catalog.hints(&call.method)
+        self.catalog.hints(&call.method).map(<[String]>::to_vec)
     }
 }
 
@@ -460,6 +459,11 @@ pub struct AxmlPeer {
     /// Results of committed transactions originated here.
     pub results: BTreeMap<TxnId, Vec<Fragment>>,
     contexts: BTreeMap<TxnId, TransactionContext>,
+    /// How many of `contexts` are still [`TxnState::Active`] — the
+    /// `in_flight_txns` gauge, kept by [`Self::insert_context`] and
+    /// [`Self::resolve_context`] so a sample need not walk every context
+    /// this peer has ever held.
+    active_contexts: usize,
     servings: BTreeMap<InvocationId, Serving>,
     waiting: BTreeMap<InvocationId, WaitingChild>,
     monitor: PingMonitor,
@@ -505,10 +509,10 @@ pub struct AxmlPeer {
     /// mapped to its transaction so entries can be pruned once that
     /// transaction finalizes (see [`PeerConfig::dedup_capacity`]).
     seen_deliveries: BTreeMap<(PeerId, u64), Option<TxnId>>,
-    /// Scratch buffer for [`PingMonitor::suspects_into`] on the ping
-    /// tick — reused across ticks so the periodic suspicion scan stops
-    /// allocating.
-    suspect_buf: Vec<PeerId>,
+    /// Scratch list of peers — the ping tick's suspects, a gossip round's
+    /// targets — taken, filled, and put back empty, so neither periodic
+    /// job allocates.
+    peer_buf: Vec<PeerId>,
 }
 
 impl AxmlPeer {
@@ -530,6 +534,7 @@ impl AxmlPeer {
             outcomes: Vec::new(),
             results: BTreeMap::new(),
             contexts: BTreeMap::new(),
+            active_contexts: 0,
             servings: BTreeMap::new(),
             waiting: BTreeMap::new(),
             monitor,
@@ -551,7 +556,7 @@ impl AxmlPeer {
             next_delivery: 0,
             outbox: BTreeMap::new(),
             seen_deliveries: BTreeMap::new(),
-            suspect_buf: Vec::new(),
+            peer_buf: Vec::new(),
         }
     }
 
@@ -563,6 +568,29 @@ impl AxmlPeer {
     /// All transaction ids this peer has contexts for.
     pub fn known_txns(&self) -> Vec<TxnId> {
         self.contexts.keys().copied().collect()
+    }
+
+    /// Adds `tc` as its transaction's context (over an older, terminal
+    /// one when the peer re-joins).
+    fn insert_context(&mut self, tc: TransactionContext) {
+        self.active_contexts += usize::from(!tc.is_terminal());
+        if let Some(old) = self.contexts.insert(tc.txn, tc) {
+            self.active_contexts -= usize::from(!old.is_terminal());
+        }
+    }
+
+    /// Moves `txn`'s context to the terminal `state`. Returns false,
+    /// changing nothing, if there is none or it is terminal already
+    /// (first decision wins).
+    fn resolve_context(&mut self, txn: TxnId, state: TxnState, now: u64) -> bool {
+        match self.contexts.get_mut(&txn) {
+            Some(tc) if !tc.is_terminal() => {
+                tc.resolve(state, now);
+                self.active_contexts -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// True if the peer has no in-flight work.
@@ -595,7 +623,7 @@ impl AxmlPeer {
     /// Peers currently being kept alive by this peer's failure detector
     /// (diagnostics; empty when quiescent).
     pub fn watched_peers(&self) -> Vec<PeerId> {
-        self.monitor.watched()
+        self.monitor.watched().collect()
     }
 
     fn alloc_inv(&mut self) -> InvocationId {
@@ -615,19 +643,21 @@ impl AxmlPeer {
     // Lifecycle tracing.
     // ------------------------------------------------------------------
 
-    /// Emits one lifecycle event (no-op when the run is untraced). Ids
-    /// travel as the trace crate's own `Copy` ids, which sit below the
-    /// protocol layer; their text is produced when a journal is written.
+    /// Emits one lifecycle event. `kind` builds the payload and runs only
+    /// when the run is traced, so an untraced run formats and copies
+    /// nothing. Ids travel as the trace crate's own `Copy` ids, which sit
+    /// below the protocol layer; their text is produced when a journal is
+    /// written.
     fn emit(
         &self,
         ctx: &mut Ctx<'_, TxnMsg>,
         txn: Option<TxnId>,
         span: Option<InvocationId>,
         parent: Option<InvocationId>,
-        kind: EventKind,
+        kind: impl FnOnce() -> EventKind,
     ) {
         if ctx.tracing() {
-            ctx.emit(txn.map(Into::into), span.map(Into::into), parent.map(Into::into), kind);
+            ctx.emit(txn.map(Into::into), span.map(Into::into), parent.map(Into::into), kind());
         }
     }
 
@@ -721,7 +751,7 @@ impl AxmlPeer {
         });
         let evicted = (before - self.seen_deliveries.len()) as u64;
         if evicted > 0 {
-            self.emit(ctx, None, None, None, EventKind::DedupPrune { evicted });
+            self.emit(ctx, None, None, None, || EventKind::DedupPrune { evicted });
         }
     }
 
@@ -781,7 +811,7 @@ impl AxmlPeer {
         let msg = match live {
             Err(pending) => {
                 self.stats.retransmit_giveups += 1;
-                self.emit(ctx, txn, None, None, EventKind::RetransmitGiveUp { to: to.0, id });
+                self.emit(ctx, txn, None, None, || EventKind::RetransmitGiveUp { to: to.0, id });
                 self.record_detection(ctx, to, DetectHow::AckTimeout);
                 self.delivery_failed(ctx, pending);
                 return;
@@ -790,7 +820,7 @@ impl AxmlPeer {
         };
         let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: msg };
         self.stats.retransmits += 1;
-        self.emit(ctx, txn, None, None, EventKind::Retransmit { to: to.0, id, attempt: attempts });
+        self.emit(ctx, txn, None, None, || EventKind::Retransmit { to: to.0, id, attempt: attempts });
         match ctx.send(to, envelope) {
             Ok(()) => {
                 // Saturating multiply: `base << attempts` would wrap for
@@ -877,16 +907,15 @@ impl AxmlPeer {
         let chain = ActiveList::new(self.id, self.config.is_super);
         let tc = TransactionContext::new(txn, None, chain.clone(), ctx.now());
         self.journal_append_forced(ctx, JournalEntry::Begin { txn, parent: None, chain, at: ctx.now() });
-        self.contexts.insert(txn, tc);
+        self.insert_context(tc);
         let inv = self.alloc_inv();
-        self.emit(ctx, Some(txn), Some(inv), None, EventKind::Submit { method: method.to_string() });
+        self.emit(ctx, Some(txn), Some(inv), None, || EventKind::Submit { method: method.to_string() });
         let serving = Serving {
             txn,
             inv,
             reply_to: None,
             method: method.to_string(),
             params,
-            doc: self.service_doc(method),
             pending: BTreeSet::new(),
             prefilled: Vec::new(),
             done_sc: BTreeSet::new(),
@@ -897,24 +926,6 @@ impl AxmlPeer {
         self.servings.insert(inv, serving);
         self.advance_serving(ctx, inv);
         txn
-    }
-
-    fn service_doc(&self, method: &str) -> Option<String> {
-        match self.registry.get(method).map(|d| &d.kind) {
-            Some(ServiceKind::Query { doc, .. }) | Some(ServiceKind::Update { doc, .. }) => Some(doc.clone()),
-            _ => None,
-        }
-    }
-
-    fn service_query(&self, method: &str) -> Option<SelectQuery> {
-        match self.registry.get(method).map(|d| &d.kind) {
-            Some(ServiceKind::Query { query, .. }) => Some(query.clone()),
-            Some(ServiceKind::Update { action, .. }) => match &action.location {
-                axml_query::Locator::Select(q) => Some(q.clone()),
-                _ => None,
-            },
-            _ => None,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -931,10 +942,10 @@ impl AxmlPeer {
         from: PeerId,
         txn: TxnId,
         inv: InvocationId,
-        method: String,
-        params: Vec<(String, String)>,
-        chain: ActiveList,
-        prefilled: Vec<(String, Vec<Fragment>)>,
+        method: &str,
+        params: &[(String, String)],
+        chain: &ActiveList,
+        prefilled: &[(String, Vec<Fragment>)],
     ) {
         // Context (re)use: one context per transaction per peer. A peer
         // whose context was *aborted* (e.g. the subtree failed and was
@@ -971,15 +982,15 @@ impl AxmlPeer {
                 let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
                 return;
             }
-            self.contexts.insert(txn, tc);
+            self.insert_context(tc);
         }
         let tc = self.contexts.get_mut(&txn).expect("inserted above");
         // Adopt the (possibly richer) incoming chain, marking ourselves.
-        tc.chain = merge_chains(&tc.chain, &chain);
+        tc.chain.merge_from(chain);
         if self.config.is_super {
             tc.chain.mark_super(self.id);
         }
-        if self.registry.get(&method).is_none() {
+        if self.registry.get(method).is_none() {
             let fault = Fault::no_such_service(format!("{method} at {}", self.id));
             let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
             return;
@@ -988,18 +999,17 @@ impl AxmlPeer {
             txn,
             inv,
             reply_to: Some(from),
-            method: method.clone(),
-            params,
-            doc: self.service_doc(&method),
+            method: method.to_string(),
+            params: params.to_vec(),
             pending: BTreeSet::new(),
-            prefilled,
+            prefilled: prefilled.to_vec(),
             done_sc: BTreeSet::new(),
             param_cache: BTreeMap::new(),
             rounds: 0,
         };
         self.stats.served += 1;
         self.servings.insert(inv, serving);
-        self.emit(ctx, Some(txn), Some(inv), None, EventKind::Serve { from: from.0, method });
+        self.emit(ctx, Some(txn), Some(inv), None, || EventKind::Serve { from: from.0, method: method.to_string() });
         self.maybe_start_stream(ctx);
         self.advance_serving(ctx, inv);
     }
@@ -1007,37 +1017,35 @@ impl AxmlPeer {
     /// Issues the next wave of sub-invocations for a serving, or — when
     /// nothing is pending — schedules its completion.
     fn advance_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId) {
-        let Some(serving) = self.servings.get(&serving_inv) else { return };
+        let Some(serving) = self.servings.get_mut(&serving_inv) else { return };
         if !serving.pending.is_empty() {
             return;
         }
         let txn = serving.txn;
-        let doc_name = serving.doc.clone();
-        if let Some(doc_name) = doc_name {
-            let Some(serving) = self.servings.get_mut(&serving_inv) else { return };
+        // The hosted document the service is declared over, if any.
+        if let Some(doc_name) = service_doc(&self.registry, &serving.method) {
             serving.rounds += 1;
             if serving.rounds > self.engine.max_depth {
                 let fault = Fault::execution(format!("materialization exceeded {} waves", self.engine.max_depth));
                 self.fail_serving(ctx, serving_inv, fault);
                 return;
             }
-            let method = serving.method.clone();
-            let query = self.service_query(&method);
-            // Scan the hosted document for embedded calls to handle.
+            // Scan the hosted document for embedded calls to handle. The
+            // serving, the registry's query and the document are borrowed
+            // side by side; only what a wave keeps is copied.
+            let serving = &*serving;
+            let Some(doc) = self.repo.get(doc_name) else {
+                let fault = Fault::execution(format!("document {doc_name} missing at {}", self.id));
+                self.fail_serving(ctx, serving_inv, fault);
+                return;
+            };
+            let query = service_query(&self.registry, &serving.method);
+            let hint = HintOnly { catalog: &self.wsdl };
             let mut to_issue: Vec<(ServiceCall, ChildTarget)> = Vec::new();
-            {
-                let Some(doc) = self.repo.get(&doc_name) else {
-                    let fault = Fault::execution(format!("document {doc_name} missing at {}", self.id));
-                    self.fail_serving(ctx, serving_inv, fault);
-                    return;
-                };
-                let serving = self.servings.get(&serving_inv).expect("serving exists");
-                let hint = HintOnly { catalog: &self.wsdl };
-                for call in self.engine.calls_for_round(doc, query.as_ref(), &serving.done_sc, &hint) {
-                    let node = call.node.expect("scanned calls have nodes");
-                    let Ok(sc_path) = NodePath::of(doc, node) else { continue };
-                    to_issue.push((call, ChildTarget::ApplySc { doc: doc_name.clone(), sc_path }));
-                }
+            for call in self.engine.calls_for_round(doc, query, &serving.done_sc, &hint) {
+                let node = call.node.expect("scanned calls have nodes");
+                let Ok(sc_path) = NodePath::of(doc, node) else { continue };
+                to_issue.push((call, ChildTarget::ApplySc { doc: doc_name.to_string(), sc_path }));
             }
             if !to_issue.is_empty() {
                 self.issue_wave(ctx, serving_inv, txn, to_issue);
@@ -1152,40 +1160,37 @@ impl AxmlPeer {
             return;
         }
         let Some(tc) = self.contexts.get(&txn) else { return };
-        let chain = tc.chain.clone();
-        let mut targets: Vec<PeerId> = Vec::new();
-        if let Some(p) = chain.parent_of(self.id) {
-            targets.push(p);
-        }
-        targets.extend(chain.children_of(self.id));
-        targets.extend(chain.siblings_of(self.id));
+        // Every target receives the same allocation.
+        let chain = &tc.chain;
+        let mut targets = std::mem::take(&mut self.peer_buf);
+        targets.extend(chain.parent_of(self.id));
+        targets.extend(chain.children(self.id));
+        targets.extend(chain.siblings(self.id));
         if self.config.chain_scope == ChainScope::Extended {
-            if let Some(g) = chain.grandparent_of(self.id) {
-                targets.push(g);
-            }
+            targets.extend(chain.grandparent_of(self.id));
             targets.extend(chain.uncles_of(self.id));
             targets.extend(chain.cousins_of(self.id));
         }
         targets.sort();
         targets.dedup();
-        for t in targets {
+        for &t in &targets {
             if t == self.id || Some(t) == except {
                 continue;
             }
             let _ = ctx.send(t, TxnMsg::ChainUpdate { txn, chain: chain.clone() });
         }
+        targets.clear();
+        self.peer_buf = targets;
     }
 
     /// Merges a gossiped chain; re-gossips only when something new was
     /// learned (monotone merge ⇒ convergence).
-    fn handle_chain_update(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, chain: ActiveList) {
+    fn handle_chain_update(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, chain: &ActiveList) {
         let Some(tc) = self.contexts.get_mut(&txn) else { return };
         if tc.is_terminal() {
             return;
         }
-        let merged = merge_chains(&tc.chain, &chain);
-        if merged != tc.chain {
-            tc.chain = merged;
+        if tc.chain.merge_from(chain) {
             self.gossip_chain(ctx, txn, Some(from));
         }
     }
@@ -1210,43 +1215,39 @@ impl AxmlPeer {
                 _ => None,
             })
             .unwrap_or(0);
-        let wc = WaitingChild {
-            txn,
-            serving_inv,
-            child_peer: peer,
-            method: call.method.to_string(),
-            params: params.clone(),
-            target,
-            handlers: call.handlers.clone(),
-            retries_left,
-            attempted: vec![peer],
-        };
+        let method: &str = &call.method;
         if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.record_remote(peer, inv, call.method.clone());
-        }
-        if self.contexts.contains_key(&txn) {
+            tc.record_remote(peer, inv, method);
             // A durable record of the outgoing invocation must exist
             // before the Invoke leaves: a crash between send and append
             // would orphan the child subtree (it would never be aborted).
             self.journal_append_forced(
                 ctx,
-                JournalEntry::RemoteInvoked { txn, child: peer, inv, method: call.method.to_string() },
+                JournalEntry::RemoteInvoked { txn, child: peer, inv, method: method.to_string() },
             );
         }
-        self.emit(
-            ctx,
-            Some(txn),
-            Some(inv),
-            Some(serving_inv),
-            EventKind::Invoke { to: peer.0, method: call.method.to_string() },
-        );
+        self.emit(ctx, Some(txn), Some(inv), Some(serving_inv), || EventKind::Invoke {
+            to: peer.0,
+            method: method.to_string(),
+        });
         let chain = self.current_chain(txn);
         let prefilled = self.prefill_store.get(&txn).cloned().unwrap_or_default();
+        let msg = TxnMsg::Invoke { txn, inv, method: method.to_string(), params: params.clone(), chain, prefilled };
+        let wc = WaitingChild {
+            txn,
+            serving_inv,
+            child_peer: peer,
+            method: method.to_string(),
+            params,
+            target,
+            handlers: call.handlers,
+            retries_left,
+            attempted: vec![peer],
+        };
         self.waiting.insert(inv, wc);
         if let Some(s) = self.servings.get_mut(&serving_inv) {
             s.pending.insert(inv);
         }
-        let msg = TxnMsg::Invoke { txn, inv, method: call.method.to_string(), params, chain, prefilled };
         match self.send_reliable(ctx, peer, msg) {
             Ok(()) => {
                 self.watch(ctx, peer);
@@ -1337,11 +1338,10 @@ impl AxmlPeer {
     ) {
         match target {
             ChildTarget::ApplySc { doc, sc_path } => {
-                let doc = doc.clone();
                 // One allocation from here on: the journal entry, the
                 // sink's copy of it and the context's log record share it.
                 let effects: Arc<[Effect]> = {
-                    let Some(document) = self.repo.get_mut(&doc) else { return };
+                    let Some(document) = self.repo.get_mut(doc) else { return };
                     let Ok(sc_node) = sc_path.resolve(document) else { return };
                     let Some(call) = ServiceCall::parse(document, sc_node) else { return };
                     match apply_call_results(document, &call, sc_node, items) {
@@ -1349,46 +1349,38 @@ impl AxmlPeer {
                         Err(_) => return, // surfaced at execution
                     }
                 };
-                if !self.guard_effects(txn, &doc, &effects) {
+                if !self.guard_effects(txn, doc, &effects) {
                     let fault = Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"));
                     self.fail_serving(ctx, serving_inv, fault);
                     return;
                 }
-                if self.contexts.contains_key(&txn) {
-                    self.emit(
-                        ctx,
-                        Some(txn),
-                        Some(serving_inv),
-                        None,
-                        EventKind::Materialize { doc: doc.clone(), items: items.len() as u64 },
-                    );
-                    if !effects.is_empty() {
-                        let logged = self.journal_append(
-                            ctx,
-                            JournalEntry::Local {
-                                txn,
-                                doc: doc.clone(),
-                                op_label: format!("materialize {method}"),
-                                effects: Arc::clone(&effects),
-                            },
-                        );
-                        if !logged {
-                            // Effect barrier: the effects may not outlive
-                            // an unlogged (uncompensatable) record. Undo
-                            // them and fail the serving — same shape as
-                            // an isolation-conflict rollback.
-                            if let Some(document) = self.repo.get_mut(&doc) {
-                                let inverse = compensation_for_effects(&effects);
-                                let _ = crate::compensate::apply_compensation(document, &inverse);
-                            }
-                            let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
-                            self.fail_serving(ctx, serving_inv, fault);
-                            return;
-                        }
-                    }
-                    if let Some(tc) = self.contexts.get_mut(&txn) {
-                        tc.record_local(doc, format!("materialize {method}"), effects);
-                    }
+                if !self.contexts.contains_key(&txn) {
+                    return;
+                }
+                self.emit(ctx, Some(txn), Some(serving_inv), None, || EventKind::Materialize {
+                    doc: doc.clone(),
+                    items: items.len() as u64,
+                });
+                if effects.is_empty() {
+                    return; // nothing to compensate, nothing to log
+                }
+                let op_label = format!("materialize {method}");
+                let entry = JournalEntry::Local {
+                    txn,
+                    doc: doc.clone(),
+                    op_label: op_label.clone(),
+                    effects: Arc::clone(&effects),
+                };
+                if !self.journal_append(ctx, entry) {
+                    // Effect barrier: the effects may not outlive an
+                    // unlogged (uncompensatable) record. Undo them and
+                    // fail the serving — same shape as an
+                    // isolation-conflict rollback.
+                    self.undo_unlogged_effects(ctx, serving_inv, doc, &effects);
+                    return;
+                }
+                if let Some(tc) = self.contexts.get_mut(&txn) {
+                    tc.record_local(doc.as_str(), op_label, effects);
                 }
             }
             ChildTarget::ParamFill { node } => {
@@ -1405,8 +1397,6 @@ impl AxmlPeer {
     fn complete_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId) {
         let Some(serving) = self.servings.get(&serving_inv) else { return };
         let txn = serving.txn;
-        let method = serving.method.clone();
-        let params = serving.params.clone();
         if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
             // Resolved while we were processing: the work is moot. Tell
             // the invoker so it does not wait on us forever.
@@ -1419,61 +1409,69 @@ impl AxmlPeer {
             }
             return;
         }
-        let Some(def) = self.registry.get(&method) else {
-            self.fail_serving(ctx, serving_inv, Fault::no_such_service(method));
+        // The definition and the serving's parameters are read where they
+        // live; only an update's log records copy any of it.
+        let Some(def) = self.registry.get(&serving.method) else {
+            let fault = Fault::no_such_service(serving.method.clone());
+            self.fail_serving(ctx, serving_inv, fault);
             return;
         };
-        let def = def.clone();
-        match def.execute(&params, &mut self.repo) {
+        match def.execute(&serving.params, &mut self.repo) {
             Err(fault) => {
                 self.stats.faults_raised += 1;
                 self.fail_serving(ctx, serving_inv, fault);
             }
             Ok(resp) => {
-                let doc = self.service_doc(&method);
                 // Shared from here on, as in `apply_child_items`.
                 let effects: Arc<[Effect]> = resp.effects.into();
-                if let Some(doc) = &doc {
-                    if !self.guard_effects(txn, doc, &effects) {
+                // A body with effects is an update over a hosted document.
+                let updated = if effects.is_empty() { None } else { service_doc(&self.registry, &serving.method) };
+                if let Some(doc) = updated.map(str::to_string) {
+                    let method = serving.method.clone();
+                    if !self.guard_effects(txn, &doc, &effects) {
                         let fault = Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"));
                         self.fail_serving(ctx, serving_inv, fault);
                         return;
                     }
-                }
-                if let Some(doc) = doc {
                     if self.contexts.contains_key(&txn) {
-                        if !effects.is_empty() {
-                            let logged = self.journal_append(
-                                ctx,
-                                JournalEntry::Local {
-                                    txn,
-                                    doc: doc.clone(),
-                                    op_label: method.clone(),
-                                    effects: Arc::clone(&effects),
-                                },
-                            );
-                            if !logged {
-                                // Effect barrier (see apply_child_items):
-                                // undo the just-applied effects and fail
-                                // the serving through the normal §3.2
-                                // abort path.
-                                if let Some(document) = self.repo.get_mut(&doc) {
-                                    let inverse = compensation_for_effects(&effects);
-                                    let _ = crate::compensate::apply_compensation(document, &inverse);
-                                }
-                                let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
-                                self.fail_serving(ctx, serving_inv, fault);
-                                return;
-                            }
+                        let entry = JournalEntry::Local {
+                            txn,
+                            doc: doc.clone(),
+                            op_label: method.clone(),
+                            effects: Arc::clone(&effects),
+                        };
+                        if !self.journal_append(ctx, entry) {
+                            // Effect barrier (see apply_child_items): the
+                            // serving fails through the normal §3.2 abort
+                            // path.
+                            self.undo_unlogged_effects(ctx, serving_inv, &doc, &effects);
+                            return;
                         }
                         if let Some(tc) = self.contexts.get_mut(&txn) {
-                            tc.record_local(doc, method.clone(), effects);
+                            tc.record_local(doc, method, effects);
                         }
                     }
                 }
                 self.finish_serving(ctx, serving_inv, resp.items);
             }
         }
+    }
+
+    /// A journal append was refused after `effects` had been applied to
+    /// `doc`: rolls them back and fails the serving with a storage fault.
+    fn undo_unlogged_effects(
+        &mut self,
+        ctx: &mut Ctx<'_, TxnMsg>,
+        serving_inv: InvocationId,
+        doc: &str,
+        effects: &[Effect],
+    ) {
+        if let Some(document) = self.repo.get_mut(doc) {
+            let inverse = compensation_for_effects(effects);
+            let _ = crate::compensate::apply_compensation(document, &inverse);
+        }
+        let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
+        self.fail_serving(ctx, serving_inv, fault);
     }
 
     /// Ships a successful serving's results. (Spec rule **R04**; after
@@ -1513,20 +1511,11 @@ impl AxmlPeer {
                         }
                     }
                 }
-                let mut resolved = false;
-                if let Some(tc) = self.contexts.get_mut(&txn) {
-                    tc.resolve(TxnState::Committed, ctx.now());
-                    self.outcomes.push(TxnOutcome {
-                        txn,
-                        committed: true,
-                        started_at: tc.created_at,
-                        resolved_at: ctx.now(),
-                    });
-                    resolved = true;
-                }
-                if resolved {
+                self.resolve_context(txn, TxnState::Committed, ctx.now());
+                if let Some(started_at) = self.contexts.get(&txn).map(|tc| tc.created_at) {
+                    self.outcomes.push(TxnOutcome { txn, committed: true, started_at, resolved_at: ctx.now() });
                     self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
-                    self.emit(ctx, Some(txn), Some(serving.inv), None, EventKind::Resolve { committed: true });
+                    self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::Resolve { committed: true });
                     self.prune_seen(ctx, false);
                 }
                 self.results.insert(txn, items);
@@ -1540,9 +1529,8 @@ impl AxmlPeer {
                 // The fragments move into one shared slice: the retained
                 // copy, the message and a re-route all refer to it.
                 let items: Arc<[Fragment]> = items.into();
-                self.completed_results.insert(txn, (serving.method.clone(), Arc::clone(&items), comp.clone()));
                 let chain = self.current_chain(txn);
-                self.emit(ctx, Some(txn), Some(serving.inv), None, EventKind::ResultReturn { to: parent.0 });
+                self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::ResultReturn { to: parent.0 });
                 let msg =
                     TxnMsg::Result { txn, inv: serving.inv, items: Arc::clone(&items), comp: comp.clone(), chain };
                 if self.send_reliable(ctx, parent, msg).is_err() {
@@ -1551,6 +1539,8 @@ impl AxmlPeer {
                     self.record_detection(ctx, parent, DetectHow::SendFailure);
                     self.reroute_past_dead_parent(ctx, txn, parent, &serving.method, items, comp);
                 } else {
+                    // Retained for a re-route should the parent vanish.
+                    self.completed_results.insert(txn, (serving.method, items, comp));
                     // Our effects are live until the parent resolves the
                     // transaction — keep-alive-watch it so a parent that
                     // vanishes mid-protocol is *detected* here, not just
@@ -1634,9 +1624,9 @@ impl AxmlPeer {
         from: PeerId,
         txn: TxnId,
         inv: InvocationId,
-        items: Arc<[Fragment]>,
-        comp: CompBundle,
-        chain: ActiveList,
+        items: &[Fragment],
+        comp: &CompBundle,
+        chain: &ActiveList,
     ) {
         let Some(wc) = self.waiting.remove(&inv) else {
             // Unwanted work (the invocation was aborted/superseded): tell
@@ -1650,15 +1640,12 @@ impl AxmlPeer {
             self.journal_append_forced(ctx, JournalEntry::RemoteCompleted { txn, inv, comp: comp.clone() });
         }
         if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.complete_remote(inv, comp);
-            let merged = merge_chains(&tc.chain, &chain);
-            let grew = merged != tc.chain;
-            tc.chain = merged;
-            if grew {
+            tc.complete_remote(inv, comp.clone());
+            if tc.chain.merge_from(chain) {
                 self.gossip_chain(ctx, txn, Some(from));
             }
         }
-        self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, &items);
+        self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, items);
         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
             s.pending.remove(&inv);
         }
@@ -1776,13 +1763,10 @@ impl AxmlPeer {
                 JournalEntry::RemoteInvoked { txn, child: to_peer, inv, method: to_method.clone() },
             );
         }
-        self.emit(
-            ctx,
-            Some(txn),
-            Some(inv),
-            Some(wc.serving_inv),
-            EventKind::Invoke { to: to_peer.0, method: to_method.clone() },
-        );
+        self.emit(ctx, Some(txn), Some(inv), Some(wc.serving_inv), || EventKind::Invoke {
+            to: to_peer.0,
+            method: to_method.clone(),
+        });
         let chain = self.current_chain(txn);
         let prefilled = self.prefill_store.get(&txn).cloned().unwrap_or_default();
         let msg = TxnMsg::Invoke { txn, inv, method: to_method, params: wc.params.clone(), chain, prefilled };
@@ -1826,7 +1810,7 @@ impl AxmlPeer {
         match serving.reply_to {
             Some(parent) => {
                 self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), Some(serving.inv), None, EventKind::FaultRaise { to: parent.0 });
+                self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::FaultRaise { to: parent.0 });
                 if self.send_reliable(ctx, parent, TxnMsg::Fault { txn, inv: serving.inv, fault }).is_err() {
                     self.record_detection(ctx, parent, DetectHow::SendFailure);
                     // Route the bad news past the dead parent.
@@ -1852,17 +1836,13 @@ impl AxmlPeer {
     /// context aborted. (Spec rules **R06**/**R08**: undo runs in
     /// strictly decreasing log order — invariant I2.)
     fn abort_local(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
-        let mut batches = {
-            let Some(tc) = self.contexts.get_mut(&txn) else { return };
-            if tc.is_terminal() {
-                return;
-            }
-            let batches = tc.own_compensation_indexed();
-            tc.resolve(TxnState::Aborted, ctx.now());
-            batches
+        let mut batches = match self.contexts.get(&txn) {
+            Some(tc) if !tc.is_terminal() => tc.own_compensation_indexed(),
+            _ => return,
         };
+        self.resolve_context(txn, TxnState::Aborted, ctx.now());
         self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
-        self.emit(ctx, Some(txn), None, None, EventKind::Resolve { committed: false });
+        self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
         self.prune_seen(ctx, false);
         self.release_parent_watch(txn);
         self.completed_results.remove(&txn);
@@ -1874,7 +1854,7 @@ impl AxmlPeer {
                 batches.reverse();
             }
             let actions: u64 = batches.iter().map(|(_, _, a)| a.len() as u64).sum();
-            self.emit(ctx, Some(txn), None, None, EventKind::CompensateDerive { actions });
+            self.emit(ctx, Some(txn), None, None, || EventKind::CompensateDerive { actions });
             for (undoes, doc, acts) in &batches {
                 let mut cost = 0usize;
                 if let Some(document) = self.repo.get_mut(doc) {
@@ -1883,17 +1863,13 @@ impl AxmlPeer {
                     }
                 }
                 self.stats.comp_cost_nodes += cost as u64;
-                if ctx.tracing() {
-                    self.emit(
-                        ctx,
-                        Some(txn),
-                        None,
-                        None,
-                        EventKind::CompensateOp { doc: doc.clone(), undoes: *undoes, actions: acts.len() as u64 },
-                    );
-                }
+                self.emit(ctx, Some(txn), None, None, || EventKind::CompensateOp {
+                    doc: doc.clone(),
+                    undoes: *undoes,
+                    actions: acts.len() as u64,
+                });
             }
-            self.emit(ctx, Some(txn), None, None, EventKind::CompensateApply { actions });
+            self.emit(ctx, Some(txn), None, None, || EventKind::CompensateApply { actions });
             self.stats.compensations_executed += 1;
         }
         self.drop_txn_work(ctx, txn);
@@ -1967,7 +1943,7 @@ impl AxmlPeer {
                     continue;
                 }
                 self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, EventKind::AbortPropagate { to: peer.0 });
+                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
                 if self.send_reliable(ctx, peer, TxnMsg::Compensate { txn, service: cs.clone() }).is_err() {
                     // Original peer gone: run it on a replica if one holds
                     // the documents (structural addressing makes this
@@ -1993,7 +1969,7 @@ impl AxmlPeer {
                     continue;
                 }
                 self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, EventKind::AbortPropagate { to: peer.0 });
+                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
                 let _ = self.send_reliable(ctx, peer, TxnMsg::Abort { txn });
             }
         } else {
@@ -2002,7 +1978,7 @@ impl AxmlPeer {
                     continue;
                 }
                 self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, EventKind::AbortPropagate { to: peer.0 });
+                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
                 let _ = self.send_reliable(ctx, peer, TxnMsg::Abort { txn });
             }
         }
@@ -2027,8 +2003,8 @@ impl AxmlPeer {
             // The tombstone is a terminal decision: emit it, so abort
             // reachability is visible to the online monitor even when the
             // Abort overtook the Invoke.
-            self.emit(ctx, Some(txn), None, None, EventKind::Resolve { committed: false });
-            self.contexts.insert(txn, t);
+            self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
+            self.insert_context(t);
             return;
         }
         if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
@@ -2041,15 +2017,11 @@ impl AxmlPeer {
     /// Delivers a `Commit` from the parent and cascades it to invokees.
     /// (Spec rule **R09**.)
     fn handle_commit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
-        {
-            let Some(tc) = self.contexts.get_mut(&txn) else { return };
-            if tc.is_terminal() {
-                return;
-            }
-            tc.resolve(TxnState::Committed, ctx.now());
+        if !self.resolve_context(txn, TxnState::Committed, ctx.now()) {
+            return;
         }
         self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
-        self.emit(ctx, Some(txn), None, None, EventKind::Resolve { committed: true });
+        self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: true });
         self.prune_seen(ctx, false);
         self.release_parent_watch(txn);
         let invoked = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
@@ -2080,10 +2052,10 @@ impl AxmlPeer {
 
     /// Executes a received compensating service — statelessly, as §3.2
     /// prescribes. (Spec rule **R08**.)
-    fn handle_compensate(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, service: CompensatingService) {
+    fn handle_compensate(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, service: &CompensatingService) {
         let actions: u64 = service.actions.iter().map(|(_, a)| a.len() as u64).sum();
-        let cost = self.execute_compensation(&service);
-        self.emit(ctx, Some(txn), None, None, EventKind::CompensateApply { actions });
+        let cost = self.execute_compensation(service);
+        self.emit(ctx, Some(txn), None, None, || EventKind::CompensateApply { actions });
         self.stats.compensations_executed += 1;
         self.stats.comp_cost_nodes += cost as u64;
         // Mark the context resolved *without* self-compensating: the
@@ -2095,20 +2067,11 @@ impl AxmlPeer {
                 ctx,
                 JournalEntry::Begin { txn, parent: None, chain: t.chain.clone(), at: ctx.now() },
             );
-            self.contexts.insert(txn, t);
+            self.insert_context(t);
         }
-        let resolved = {
-            let tc = self.contexts.get_mut(&txn).expect("inserted above");
-            if tc.is_terminal() {
-                false
-            } else {
-                tc.resolve(TxnState::Aborted, ctx.now());
-                true
-            }
-        };
-        if resolved {
+        if self.resolve_context(txn, TxnState::Aborted, ctx.now()) {
             self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
-            self.emit(ctx, Some(txn), None, None, EventKind::Resolve { committed: false });
+            self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
             self.prune_seen(ctx, false);
             self.drop_txn_work(ctx, txn);
         }
@@ -2125,7 +2088,7 @@ impl AxmlPeer {
         // Concurrent notices about the same disconnection arrive in
         // bursts; keep one record per (peer, mechanism, instant).
         if self.stats.detections.last() != Some(&d) && !self.stats.detections.contains(&d) {
-            self.emit(ctx, None, None, None, EventKind::Detect { peer: peer.0, how: how.label().into() });
+            self.emit(ctx, None, None, None, || EventKind::Detect { peer: peer.0, how: how.label().into() });
             self.stats.detections.push(d);
         }
     }
@@ -2184,9 +2147,9 @@ impl AxmlPeer {
         from: PeerId,
         txn: TxnId,
         failed_parent: PeerId,
-        method: String,
-        items: Arc<[Fragment]>,
-        comp: CompBundle,
+        method: &str,
+        items: &[Fragment],
+        comp: &CompBundle,
     ) {
         self.stats.redirects_received += 1;
         self.record_detection(ctx, failed_parent, DetectHow::Notice);
@@ -2197,7 +2160,7 @@ impl AxmlPeer {
         if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(false) {
             if self.config.peer_independent && !comp.is_empty() {
                 for (peer, cs) in comp {
-                    let _ = self.send_reliable(ctx, peer, TxnMsg::Compensate { txn, service: cs });
+                    let _ = self.send_reliable(ctx, *peer, TxnMsg::Compensate { txn, service: cs.clone() });
                 }
             } else {
                 let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
@@ -2206,17 +2169,17 @@ impl AxmlPeer {
         }
         // Keep the orphan's results for reuse when re-invoking the dead
         // peer's service, and its compensation bundle for abort-time.
-        self.prefill_store.entry(txn).or_default().push((method.clone(), items.to_vec()));
+        self.prefill_store.entry(txn).or_default().push((method.to_string(), items.to_vec()));
         let orphan_inv = self.alloc_inv();
         if self.contexts.contains_key(&txn) {
             self.journal_append_forced(
                 ctx,
-                JournalEntry::RemoteInvoked { txn, child: from, inv: orphan_inv, method: method.clone() },
+                JournalEntry::RemoteInvoked { txn, child: from, inv: orphan_inv, method: method.to_string() },
             );
             self.journal_append_forced(ctx, JournalEntry::RemoteCompleted { txn, inv: orphan_inv, comp: comp.clone() });
         }
         if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.record_orphan_comp(from, orphan_inv, method, comp);
+            tc.record_orphan_comp(from, orphan_inv, method, comp.clone());
         }
         // Now treat the dead parent like a disconnected child (it may or
         // may not be one of ours; if it is, recovery starts here).
@@ -2370,8 +2333,11 @@ impl AxmlPeer {
         let mut contexts = durability::replay(&self.journal).unwrap_or_default();
         let outcome = durability::recover_in_doubt(&mut contexts, &mut self.repo, ctx.now());
         self.stats.presumed_aborts += outcome.presumed_aborted.len() as u64;
-        self.emit(ctx, None, None, None, EventKind::Restart { presumed_aborts: outcome.presumed_aborted.len() as u64 });
+        self.emit(ctx, None, None, None, || EventKind::Restart {
+            presumed_aborts: outcome.presumed_aborted.len() as u64,
+        });
         self.contexts = contexts.into_iter().map(|t| (t.txn, t)).collect();
+        self.active_contexts = self.contexts.values().filter(|tc| !tc.is_terminal()).count();
         for txn in &outcome.presumed_aborted {
             self.journal_append_forced(ctx, JournalEntry::Resolved { txn: *txn, committed: false, at: ctx.now() });
         }
@@ -2440,34 +2406,57 @@ impl AxmlPeer {
     }
 
     fn ping_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        let watched = self.monitor.watched();
-        if watched.is_empty() {
-            self.ping_running = false;
-            return;
-        }
         let mut dead = Vec::new();
-        for peer in watched {
+        let mut watching = false;
+        for peer in self.monitor.watched() {
+            watching = true;
             if ctx.send(peer, TxnMsg::Ping).is_err() {
                 dead.push(peer);
             }
+        }
+        if !watching {
+            self.ping_running = false;
+            return;
         }
         for peer in dead {
             self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
         }
         // Reusable buffer (taken, not borrowed: `on_child_disconnected`
         // needs `&mut self` while we iterate).
-        let mut suspects = std::mem::take(&mut self.suspect_buf);
+        let mut suspects = std::mem::take(&mut self.peer_buf);
         self.monitor.suspects_into(ctx.now(), &mut suspects);
         for &peer in &suspects {
             self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
         }
         suspects.clear();
-        self.suspect_buf = suspects;
+        self.peer_buf = suspects;
         ctx.set_timer(self.config.ping_interval, TAG_PING);
     }
 }
 
 struct NeedParams(Vec<ServiceCall>);
+
+/// The hosted document `method` is declared over. Borrows the registry
+/// alone, so the caller's other fields stay free.
+fn service_doc<'r>(registry: &'r ServiceRegistry, method: &str) -> Option<&'r str> {
+    match &registry.get(method)?.kind {
+        ServiceKind::Query { doc, .. } | ServiceKind::Update { doc, .. } => Some(doc),
+        ServiceKind::Function(_) => None,
+    }
+}
+
+/// The query that decides which embedded calls `method` needs (lazy
+/// relevance): the declared query, or an update's select locator.
+fn service_query<'r>(registry: &'r ServiceRegistry, method: &str) -> Option<&'r SelectQuery> {
+    match &registry.get(method)?.kind {
+        ServiceKind::Query { query, .. } => Some(query),
+        ServiceKind::Update { action, .. } => match &action.location {
+            axml_query::Locator::Select(q) => Some(q),
+            _ => None,
+        },
+        ServiceKind::Function(_) => None,
+    }
+}
 
 /// The transaction a protocol message belongs to (`None` for transport
 /// traffic: pings, acks). Drives trace attribution and dedup pruning.
@@ -2488,42 +2477,22 @@ fn txn_of(msg: &TxnMsg) -> Option<TxnId> {
     }
 }
 
-/// Merges two active lists: edges present in either appear in the result
-/// (`a` is the base; unknown edges from `b` are grafted in).
-fn merge_chains(a: &ActiveList, b: &ActiveList) -> ActiveList {
-    let mut out = a.clone();
-    if !out.contains(b.root.peer) {
-        // Disjoint roots: keep ours (shouldn't happen within one txn).
-        return out;
-    }
-    fn graft(out: &mut ActiveList, node: &crate::chain::ChainNode) {
-        for child in &node.children {
-            out.add_invocation(node.peer, child.peer, child.is_super);
-            if child.is_super {
-                out.mark_super(child.peer);
-            }
-            graft(out, child);
-        }
-    }
-    graft(&mut out, &b.root);
-    if b.root.is_super {
-        out.mark_super(b.root.peer);
-    }
-    out
-}
-
 impl Actor<TxnMsg> for AxmlPeer {
     fn on_message(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
         // Any traffic from a peer proves liveness.
         self.monitor.heard_from(from, ctx.now());
-        // Strip the at-least-once envelope before protocol dispatch.
-        let msg = match msg {
+        // Look inside the at-least-once envelope before protocol dispatch.
+        // Handlers borrow the payload: the sender's outbox holds it too
+        // (in the simulator, the same allocation) until our ack arrives,
+        // so taking it by value would copy every delivery.
+        let msg = match &msg {
             TxnMsg::Reliable { id, attempt: _, inner } => {
+                let id = *id;
                 // Always ack — even re-deliveries, since the original ack
                 // may itself have been dropped.
                 let _ = ctx.send(from, TxnMsg::Ack { id });
-                let txn = txn_of(&inner);
-                self.emit(ctx, txn, None, None, EventKind::AckSend { to: from.0, id });
+                let txn = txn_of(inner);
+                self.emit(ctx, txn, None, None, || EventKind::AckSend { to: from.0, id });
                 if self.config.dedup {
                     // Single-pass dedup: one insert both tests and
                     // records. A re-delivery overwrites its own entry
@@ -2532,7 +2501,7 @@ impl Actor<TxnMsg> for AxmlPeer {
                     // capacity bookkeeping belong to first sight only.
                     if self.seen_deliveries.insert((from, id), txn).is_some() {
                         self.stats.dup_suppressed += 1;
-                        self.emit(ctx, txn, None, None, EventKind::DedupSuppress { from: from.0, id });
+                        self.emit(ctx, txn, None, None, || EventKind::DedupSuppress { from: from.0, id });
                         return;
                     }
                     self.stats.seen_peak = self.stats.seen_peak.max(self.seen_deliveries.len() as u64);
@@ -2540,14 +2509,10 @@ impl Actor<TxnMsg> for AxmlPeer {
                         self.prune_seen(ctx, true);
                     }
                 }
-                // The sender's outbox holds the payload too (in the
-                // simulator, the same allocation): take it if it is ours
-                // alone, else copy the message — its result items stay
-                // shared either way.
-                Arc::try_unwrap(inner).unwrap_or_else(|shared| (*shared).clone())
+                &**inner
             }
             TxnMsg::Ack { id } => {
-                if let Some(mut pending) = self.outbox.remove(&id) {
+                if let Some(mut pending) = self.outbox.remove(id) {
                     // The delivery is settled: its retransmit timer must
                     // die with it, or the stale firing would re-enter
                     // `retransmit` for a recycled outbox slot.
@@ -2559,30 +2524,30 @@ impl Actor<TxnMsg> for AxmlPeer {
         };
         match msg {
             TxnMsg::Invoke { txn, inv, method, params, chain, prefilled } => {
-                self.handle_invoke(ctx, from, txn, inv, method, params, chain, prefilled);
+                self.handle_invoke(ctx, from, *txn, *inv, method, params, chain, prefilled);
             }
             TxnMsg::Result { txn, inv, items, comp, chain } => {
-                self.handle_result(ctx, from, txn, inv, items, comp, chain);
+                self.handle_result(ctx, from, *txn, *inv, items, comp, chain);
             }
             TxnMsg::Fault { inv, fault, .. } => {
-                self.child_failed(ctx, inv, fault);
+                self.child_failed(ctx, *inv, fault.clone());
             }
-            TxnMsg::Abort { txn } => self.handle_abort(ctx, txn, from),
-            TxnMsg::Commit { txn } => self.handle_commit(ctx, txn),
-            TxnMsg::Compensate { txn, service } => self.handle_compensate(ctx, txn, service),
+            TxnMsg::Abort { txn } => self.handle_abort(ctx, *txn, from),
+            TxnMsg::Commit { txn } => self.handle_commit(ctx, *txn),
+            TxnMsg::Compensate { txn, service } => self.handle_compensate(ctx, *txn, service),
             TxnMsg::Ping => {
                 let _ = ctx.send(from, TxnMsg::Pong);
             }
             TxnMsg::Pong => { /* heard_from above is enough */ }
             TxnMsg::Redirected { txn, failed_parent, method, items, comp } => {
-                self.handle_redirected(ctx, from, txn, failed_parent, method, items, comp);
+                self.handle_redirected(ctx, from, *txn, *failed_parent, method, items, comp);
             }
-            TxnMsg::DisconnectNotice { txn, disconnected } => self.handle_notice(ctx, txn, disconnected),
+            TxnMsg::DisconnectNotice { txn, disconnected } => self.handle_notice(ctx, *txn, *disconnected),
             TxnMsg::StreamData { txn, .. } => {
-                self.stream_last.insert((txn, from), ctx.now());
+                self.stream_last.insert((*txn, from), ctx.now());
                 self.maybe_start_stream(ctx);
             }
-            TxnMsg::ChainUpdate { txn, chain } => self.handle_chain_update(ctx, from, txn, chain),
+            TxnMsg::ChainUpdate { txn, chain } => self.handle_chain_update(ctx, from, *txn, chain),
             // Unwrapped above; a nested envelope is never constructed.
             TxnMsg::Reliable { .. } | TxnMsg::Ack { .. } => {}
         }
@@ -2629,7 +2594,7 @@ impl Actor<TxnMsg> for AxmlPeer {
             }
         }
         // Same for the keep-alive and stream loops.
-        if self.config.ping_interval > 0 && !self.monitor.watched().is_empty() && !self.ping_running {
+        if self.config.ping_interval > 0 && self.monitor.watched().next().is_some() && !self.ping_running {
             self.ping_running = true;
             ctx.set_timer(self.config.ping_interval, TAG_PING);
         }
@@ -2649,7 +2614,8 @@ impl Actor<TxnMsg> for AxmlPeer {
         // contexts (the backlog that still holds resources); terminal
         // contexts stay in the map for the oracle but are settled work.
         out.push(("outbox_depth", self.outbox.len() as u64));
-        out.push(("in_flight_txns", self.contexts.values().filter(|tc| tc.state == TxnState::Active).count() as u64));
+        debug_assert_eq!(self.active_contexts, self.contexts.values().filter(|tc| !tc.is_terminal()).count());
+        out.push(("in_flight_txns", self.active_contexts as u64));
         out.push(("dedup_seen", self.seen_deliveries.len() as u64));
         out.push(("retransmit_timers", self.outbox.values().filter(|p| p.timer.is_some()).count() as u64));
         let wal = self.sink.stats();
@@ -2681,9 +2647,9 @@ mod tests {
         let mut w = WsdlCatalog::default();
         assert_eq!(w.hints("m"), None);
         w.publish("m", &["a", "b"]);
-        assert_eq!(w.hints("m"), Some(vec!["a".to_string(), "b".to_string()]));
+        assert_eq!(w.hints("m"), Some(&["a".to_string(), "b".to_string()][..]));
         w.publish("m", &["c"]);
-        assert_eq!(w.hints("m"), Some(vec!["c".to_string()]), "re-publish replaces");
+        assert_eq!(w.hints("m"), Some(&["c".to_string()][..]), "re-publish replaces");
     }
 
     #[test]
@@ -2693,18 +2659,21 @@ mod tests {
         let mut b = ActiveList::new(PeerId(1), true);
         b.add_invocation(PeerId(1), PeerId(2), false);
         b.add_invocation(PeerId(2), PeerId(3), true);
-        let m = merge_chains(&a, &b);
+        let mut m = a.clone();
+        assert!(m.merge_from(&b), "learned an edge and two super marks");
         assert!(m.contains(PeerId(3)));
         assert_eq!(m.parent_of(PeerId(3)), Some(PeerId(2)));
         assert!(m.all_peers().len() == 3);
         // Super flags flow across merges.
         assert!(crate::spheres::sphere_violations(&m).len() < 3);
         // Disjoint roots: ours wins.
-        let other = ActiveList::new(PeerId(9), false);
-        let m2 = merge_chains(&a, &other);
+        let mut m2 = a.clone();
+        assert!(!m2.merge_from(&ActiveList::new(PeerId(9), false)));
         assert_eq!(m2, a);
         // Merge is idempotent.
-        assert_eq!(merge_chains(&m, &m), m);
+        let before = m.clone();
+        assert!(!m.merge_from(&before));
+        assert_eq!(m, before);
     }
 
     /// Local nesting across peers: "the service call parameters may

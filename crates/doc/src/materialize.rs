@@ -266,14 +266,20 @@ impl MaterializationEngine {
         if names.any_wildcard {
             return true;
         }
-        let mut known: Vec<NameId> = call.result_names(doc).iter().map(|q| q.local.clone()).collect();
+        // The first known name the query tests settles it; the WSDL is
+        // consulted only if no current result child does.
+        let mut current = call.result_nodes(doc).filter_map(|c| doc.name(c).ok()).peekable();
+        let mut known = current.peek().is_some();
+        if current.any(|q| names.names.contains(&q.local)) {
+            return true;
+        }
         if let Some(hints) = hints.result_hints(&self.peek_resolved(call)) {
-            known.extend(hints.iter().map(|h| NameId::new(h)));
+            known |= !hints.is_empty();
+            if hints.iter().any(|h| names.names.contains(h.as_str())) {
+                return true;
+            }
         }
-        if known.is_empty() {
-            return true; // unknown results: conservatively materialize
-        }
-        known.iter().any(|k| names.names.contains(k))
+        !known // unknown results: conservatively materialize
     }
 
     /// Resolves parameters without invoking nested calls (for relevance

@@ -275,18 +275,21 @@ impl ServiceCall {
     /// an `axml:` control child. These are "the previous invocation
     /// results".
     pub fn result_children(&self, doc: &Document) -> Vec<NodeId> {
-        let Some(node) = self.node else { return Vec::new() };
-        let Ok(children) = doc.children(node) else { return Vec::new() };
+        self.result_nodes(doc).collect()
+    }
+
+    /// [`Self::result_children`], visited in place.
+    pub fn result_nodes<'d>(&self, doc: &'d Document) -> impl Iterator<Item = NodeId> + 'd {
+        let children = self.node.and_then(|node| doc.children(node).ok()).unwrap_or_default();
         children
             .iter()
             .copied()
             .filter(|c| !doc.name(*c).map(|q| consts::is_control_child(q.prefix.as_deref(), &q.local)).unwrap_or(false))
-            .collect()
     }
 
     /// Element names of the current result children (relevance hints).
     pub fn result_names(&self, doc: &Document) -> Vec<QName> {
-        self.result_children(doc).into_iter().filter_map(|c| doc.name(c).ok().cloned()).collect()
+        self.result_nodes(doc).filter_map(|c| doc.name(c).ok().cloned()).collect()
     }
 
     /// Builds the `axml:sc` fragment form of this call (used when a

@@ -13,6 +13,7 @@ use crate::repo::Repository;
 use crate::view::TransparentView;
 use axml_query::{SelectQuery, UpdateAction};
 use axml_xml::Fragment;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -198,20 +199,29 @@ fn substitute_text_xml(text: &str, params: &[(String, String)]) -> String {
     out
 }
 
-fn substitute_query(query: &SelectQuery, params: &[(String, String)]) -> Result<SelectQuery, Fault> {
+/// The declared query with `params` substituted in — the declaration
+/// itself when there is nothing to substitute.
+fn substitute_query<'q>(query: &'q SelectQuery, params: &[(String, String)]) -> Result<Cow<'q, SelectQuery>, Fault> {
     if params.is_empty() {
-        return Ok(query.clone());
+        return Ok(Cow::Borrowed(query));
     }
     let text = substitute_text(&query.to_text(), params);
-    SelectQuery::parse(&text).map_err(|e| Fault::execution(format!("parameter substitution broke the query: {e}")))
+    SelectQuery::parse(&text)
+        .map(Cow::Owned)
+        .map_err(|e| Fault::execution(format!("parameter substitution broke the query: {e}")))
 }
 
-fn substitute_action(action: &UpdateAction, params: &[(String, String)]) -> Result<UpdateAction, Fault> {
+/// As [`substitute_query`], for a declared update.
+fn substitute_action<'a>(
+    action: &'a UpdateAction,
+    params: &[(String, String)],
+) -> Result<Cow<'a, UpdateAction>, Fault> {
     if params.is_empty() {
-        return Ok(action.clone());
+        return Ok(Cow::Borrowed(action));
     }
     let xml = substitute_text_xml(&action.to_action_xml(), params);
     UpdateAction::parse_action_xml(&xml)
+        .map(Cow::Owned)
         .map_err(|e| Fault::execution(format!("parameter substitution broke the action: {e}")))
 }
 

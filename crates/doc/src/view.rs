@@ -135,8 +135,8 @@ impl QueryTree for TransparentView<'_> {
 
     // Eliding a wrapper puts its results where it stood, so visible nodes
     // keep the relative order they have in the document.
-    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
-        self.doc.document_order_key(node)
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
+        self.doc.document_order_key_into(node, key)
     }
 
     // Visibility read upward (DESIGN.md §18): the walk from `node` hoists

@@ -68,9 +68,9 @@ impl PingMonitor {
         out.extend(self.watched.iter().filter(|(_, &last)| now.saturating_sub(last) > self.timeout).map(|(&p, _)| p));
     }
 
-    /// Peers currently watched.
-    pub fn watched(&self) -> Vec<PeerId> {
-        self.watched.keys().copied().collect()
+    /// Peers currently watched, in id order.
+    pub fn watched(&self) -> impl Iterator<Item = PeerId> + '_ {
+        self.watched.keys().copied()
     }
 
     /// True if `peer` is watched.
@@ -156,6 +156,6 @@ mod tests {
         let mut m = PingMonitor::new(5, 10);
         m.watch(PeerId(2), 0);
         m.watch(PeerId(1), 0);
-        assert_eq!(m.watched(), vec![PeerId(1), PeerId(2)]);
+        assert_eq!(m.watched().collect::<Vec<_>>(), vec![PeerId(1), PeerId(2)]);
     }
 }

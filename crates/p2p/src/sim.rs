@@ -15,7 +15,7 @@ use axml_trace::{EventKind, SharedSink, SpanRef, TraceEvent, TraceJournal, Trace
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Messages exchanged between actors.
@@ -144,11 +144,14 @@ impl Default for SimConfig {
     }
 }
 
+/// A queue entry's payload. Every heap sift moves a whole entry, so the
+/// message of a lone delivery is boxed: the entry stays at 48 bytes
+/// whatever `M` is (see [`scheduled_entry_size`]).
 enum Event<M> {
     Deliver {
         from: PeerId,
         to: PeerId,
-        msg: M,
+        msg: Box<M>,
         link_seq: u64,
         dup: bool,
     },
@@ -190,6 +193,68 @@ struct Scheduled<M> {
     event: Event<M>,
 }
 
+/// Bytes one event-queue entry occupies for message type `M` — what every
+/// heap sift moves. Exposed so a protocol crate can pin it in a test.
+#[doc(hidden)]
+pub const fn scheduled_entry_size<M>() -> usize {
+    std::mem::size_of::<Scheduled<M>>()
+}
+
+/// Which timers are still in the queue. A [`TimerId`] is a slot of this
+/// table stamped with the slot's generation when the timer was set; the
+/// slot is freed — its generation bumped — the moment the queue pops the
+/// timer, fired or not. Cancelling therefore costs an index, and
+/// cancelling a timer that is no longer queued (it fired, or was discarded
+/// for an offline or crashed peer) matches no live generation and is a
+/// true no-op.
+#[derive(Default)]
+struct TimerTable {
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    /// Cancelled timers the queue has not popped yet.
+    cancelled: usize,
+}
+
+#[derive(Clone, Copy, Default)]
+struct TimerSlot {
+    generation: u32,
+    cancelled: bool,
+}
+
+impl TimerTable {
+    fn set(&mut self) -> TimerId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(TimerSlot::default());
+            (self.slots.len() - 1) as u32
+        });
+        TimerId(u64::from(self.slots[slot as usize].generation) << 32 | u64::from(slot))
+    }
+
+    fn live_slot(&mut self, id: TimerId) -> Option<&mut TimerSlot> {
+        let slot = self.slots.get_mut((id.0 & 0xffff_ffff) as usize)?;
+        (u64::from(slot.generation) == id.0 >> 32).then_some(slot)
+    }
+
+    fn cancel(&mut self, id: TimerId) {
+        if let Some(slot) = self.live_slot(id) {
+            if !std::mem::replace(&mut slot.cancelled, true) {
+                self.cancelled += 1;
+            }
+        }
+    }
+
+    /// The queue popped timer `id`: frees its slot and says whether the
+    /// timer had been cancelled.
+    fn retire(&mut self, id: TimerId) -> bool {
+        let slot = self.live_slot(id).expect("a queued timer holds its slot");
+        slot.generation = slot.generation.wrapping_add(1);
+        let cancelled = std::mem::take(&mut slot.cancelled);
+        self.free.push((id.0 & 0xffff_ffff) as u32);
+        self.cancelled -= usize::from(cancelled);
+        cancelled
+    }
+}
+
 impl<M> PartialEq for Scheduled<M> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -212,12 +277,11 @@ impl<M> Ord for Scheduled<M> {
 pub struct SimState<M> {
     now: u64,
     seq: u64,
-    next_timer: u64,
+    timers: TimerTable,
     queue: BinaryHeap<Scheduled<M>>,
     connected: Vec<bool>,
     super_peer: Vec<bool>,
     incarnation: Vec<u64>,
-    cancelled: HashSet<u64>,
     rng: StdRng,
     latency: LatencyModel,
     max_events: u64,
@@ -268,6 +332,13 @@ impl<M: Message> SimState<M> {
         self.seq += 1;
         self.queue.push(Scheduled { at, seq, event });
         self.heap_pushed += 1;
+    }
+
+    fn schedule_timer(&mut self, at: u64, peer: PeerId, tag: u64) -> TimerId {
+        let id = self.timers.set();
+        let inc = self.incarnation[peer.0 as usize];
+        self.schedule(at, Event::Timer { peer, id, tag, inc });
+        id
     }
 
     /// Enqueues a clean (fault-free) delivery, coalescing it onto the open
@@ -386,7 +457,7 @@ impl<M: Message> Ctx<'_, M> {
                 if self.state.batch_links {
                     self.state.push_batched(at, from, to, link, msg, link_seq);
                 } else {
-                    self.state.schedule(at, Event::Deliver { from, to, msg, link_seq, dup: false });
+                    self.state.schedule(at, Event::Deliver { from, to, msg: Box::new(msg), link_seq, dup: false });
                 }
             }
             Some(Injected::PartitionDrop) => {
@@ -401,6 +472,7 @@ impl<M: Message> Ctx<'_, M> {
             Some(Injected::Duplicate { extra }) => {
                 self.state.metrics.injected_dups += 1;
                 *self.state.metrics.dups_by_kind.entry(kind).or_default() += 1;
+                let msg = Box::new(msg);
                 let copy = msg.clone();
                 self.state.schedule(at, Event::Deliver { from, to, msg, link_seq, dup: false });
                 self.state
@@ -408,10 +480,12 @@ impl<M: Message> Ctx<'_, M> {
             }
             Some(Injected::Spike { extra }) => {
                 self.state.metrics.injected_spikes += 1;
+                let msg = Box::new(msg);
                 self.state.schedule(at.saturating_add(extra), Event::Deliver { from, to, msg, link_seq, dup: false });
             }
             Some(Injected::Reorder { extra }) => {
                 self.state.metrics.injected_reorders += 1;
+                let msg = Box::new(msg);
                 self.state.schedule(at.saturating_add(extra), Event::Deliver { from, to, msg, link_seq, dup: false });
             }
         }
@@ -424,13 +498,8 @@ impl<M: Message> Ctx<'_, M> {
     /// the end of logical time instead of wrapping (a timer that "never"
     /// fires stays a timer that never fires).
     pub fn set_timer(&mut self, delay: u64, tag: u64) -> TimerId {
-        let id = TimerId(self.state.next_timer);
-        self.state.next_timer += 1;
-        let me = self.me;
         let at = self.state.now.saturating_add(delay);
-        let inc = self.state.incarnation[me.0 as usize];
-        self.state.schedule(at, Event::Timer { peer: me, id, tag, inc });
-        id
+        self.state.schedule_timer(at, self.me, tag)
     }
 
     /// This peer's crash-restart incarnation (0 until the first crash).
@@ -440,9 +509,11 @@ impl<M: Message> Ctx<'_, M> {
         self.state.incarnation[self.me.0 as usize]
     }
 
-    /// Cancels a pending timer (no-op if it already fired).
+    /// Cancels a pending timer. A no-op if the simulator already popped
+    /// it — because it fired, or because it was discarded while this peer
+    /// was offline or had crashed.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.state.cancelled.insert(id.0);
+        self.state.timers.cancel(id);
     }
 
     /// Connectivity oracle — **for assertions and the churn driver only**.
@@ -482,7 +553,7 @@ impl<M: Message> Ctx<'_, M> {
 /// The simulator: actors plus the event queue.
 pub struct Sim<M: Message, A: Actor<M>> {
     state: SimState<M>,
-    actors: Vec<Option<A>>,
+    actors: Vec<A>,
 }
 
 impl<M: Message, A: Actor<M>> Sim<M, A> {
@@ -495,12 +566,11 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
             state: SimState {
                 now: 0,
                 seq: 0,
-                next_timer: 0,
+                timers: TimerTable::default(),
                 queue: BinaryHeap::new(),
                 connected: vec![true; n],
                 super_peer: vec![false; n],
                 incarnation: vec![0; n],
-                cancelled: HashSet::new(),
                 rng: StdRng::seed_from_u64(config.seed),
                 latency: config.latency,
                 max_events: config.max_events,
@@ -520,7 +590,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
                 heap_pushed: 0,
                 metrics: NetMetrics::default(),
             },
-            actors: actors.into_iter().map(Some).collect(),
+            actors,
         };
         for c in crashes {
             sim.state.schedule(c.at, Event::CrashRestart(c.peer));
@@ -535,6 +605,12 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
     /// enabled.
     pub fn heap_pushes(&self) -> u64 {
         self.state.heap_pushed
+    }
+
+    /// Cancelled timers still waiting in the event queue — zero once the
+    /// queue has drained (a leak diagnostic for soak tests).
+    pub fn cancelled_timers(&self) -> usize {
+        self.state.timers.cancelled
     }
 
     /// Attaches an online event observer (e.g. the `axml-obs` protocol
@@ -574,10 +650,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
     /// scenario: e.g. tag 0 = "submit the transaction now"). Like actor
     /// timers, it dies if the peer crash-restarts first.
     pub fn schedule_timer(&mut self, at: u64, peer: PeerId, tag: u64) {
-        let id = TimerId(self.state.next_timer);
-        self.state.next_timer += 1;
-        let inc = self.state.incarnation[peer.0 as usize];
-        self.state.schedule(at, Event::Timer { peer, id, tag, inc });
+        self.state.schedule_timer(at, peer, tag);
     }
 
     /// Runs until the queue drains or the event cap is hit. Returns the
@@ -627,7 +700,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
                         }
                     }
                     self.state.metrics.delivered += 1;
-                    self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
+                    self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, *msg));
                 }
                 Event::DeliverBatch { from, to, batch } => {
                     // Members occupy consecutive seqs starting at this
@@ -682,7 +755,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
                     }
                 }
                 Event::Timer { peer, id, tag, inc } => {
-                    if self.state.cancelled.remove(&id.0) {
+                    if self.state.timers.retire(id) {
                         continue;
                     }
                     if inc != self.state.incarnation[peer.0 as usize] {
@@ -739,7 +812,6 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
             let at = self.state.next_sample;
             let mut gauges: Vec<(&'static str, u64)> = Vec::new();
             for (peer, actor) in self.actors.iter().enumerate() {
-                let Some(actor) = actor.as_ref() else { continue };
                 gauges.clear();
                 actor.sample_gauges(&mut gauges);
                 let epoch = self.state.incarnation[peer];
@@ -763,26 +835,22 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
         }
     }
 
+    /// Runs `f` on the actor where it lives: the actor and the shared
+    /// state are separate fields, so neither is moved to lend them both.
     fn with_actor(&mut self, peer: PeerId, f: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
-        let slot = peer.0 as usize;
-        let Some(mut actor) = self.actors.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        {
-            let mut ctx = Ctx { state: &mut self.state, me: peer };
-            f(&mut actor, &mut ctx);
+        if let Some(actor) = self.actors.get_mut(peer.0 as usize) {
+            f(actor, &mut Ctx { state: &mut self.state, me: peer });
         }
-        self.actors[slot] = Some(actor);
     }
 
     /// Immutable access to an actor (assertions after a run).
     pub fn actor(&self, peer: PeerId) -> &A {
-        self.actors[peer.0 as usize].as_ref().expect("actor not in use")
+        &self.actors[peer.0 as usize]
     }
 
     /// Mutable access to an actor (setup between runs).
     pub fn actor_mut(&mut self, peer: PeerId) -> &mut A {
-        self.actors[peer.0 as usize].as_mut().expect("actor not in use")
+        &mut self.actors[peer.0 as usize]
     }
 
     /// The current logical time.
@@ -995,29 +1063,78 @@ mod tests {
         assert!(s.actor(PeerId(0)).fired.is_empty());
     }
 
-    #[test]
-    fn timer_cancellation() {
-        struct Canceller {
-            fired: Vec<u64>,
-            pending: Option<TimerId>,
-        }
-        impl Actor<Msg> for Canceller {
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-                self.fired.push(tag);
-                if tag == 1 {
-                    // Set a timer then immediately cancel it; set another that survives.
-                    let t = ctx.set_timer(10, 2);
-                    ctx.cancel_timer(t);
-                    ctx.set_timer(10, 3);
-                }
+    struct Canceller {
+        fired: Vec<u64>,
+        pending: Option<TimerId>,
+    }
+    impl Actor<Msg> for Canceller {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.fired.push(tag);
+            if tag == 1 {
+                // Set a timer then immediately cancel it; set another that survives.
+                let t = ctx.set_timer(10, 2);
+                ctx.cancel_timer(t);
+                ctx.set_timer(10, 3);
             }
         }
+    }
+
+    #[test]
+    fn timer_cancellation() {
         let mut s = Sim::new(SimConfig::default(), vec![Canceller { fired: vec![], pending: None }]);
         let _ = &s.actor(PeerId(0)).pending; // silence unused-field pattern
         s.schedule_timer(0, PeerId(0), 1);
         s.run();
         assert_eq!(s.actor(PeerId(0)).fired, vec![1, 3]);
+    }
+
+    /// Regression: a timer popped and discarded while its peer was offline
+    /// is dead. Cancelling it afterwards used to park its id in a set
+    /// nothing ever cleared; now it matches no live timer — not even the
+    /// one that has since taken over its slot.
+    #[test]
+    fn cancelling_a_discarded_timer_is_a_no_op() {
+        #[derive(Default)]
+        struct LateCanceller {
+            fired: Vec<u64>,
+            stale: Option<TimerId>,
+        }
+        impl Actor<Msg> for LateCanceller {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+                self.fired.push(tag);
+                if tag == 1 {
+                    self.stale = Some(ctx.set_timer(5, 2)); // due at t=5, while offline
+                }
+            }
+            fn on_reconnect(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                let fresh = ctx.set_timer(1, 3);
+                let stale = self.stale.take().expect("set before the outage");
+                assert_ne!(fresh, stale, "ids are never reused");
+                ctx.cancel_timer(stale);
+            }
+        }
+        let mut s = Sim::new(SimConfig::default(), vec![LateCanceller::default()]);
+        s.schedule_timer(0, PeerId(0), 1);
+        s.schedule_disconnect(1, PeerId(0));
+        s.schedule_reconnect(10, PeerId(0));
+        s.run();
+        assert_eq!(s.actor(PeerId(0)).fired, vec![1, 3], "the discarded timer never fires, its successor does");
+        assert_eq!(s.cancelled_timers(), 0, "nothing is left waiting for a pop that already happened");
+        // A live cancellation is still counted until the queue pops it.
+        let mut s = Sim::new(SimConfig::default(), vec![Canceller { fired: vec![], pending: None }]);
+        s.schedule_timer(0, PeerId(0), 1);
+        s.run_until(5);
+        assert_eq!(s.cancelled_timers(), 1);
+        s.run();
+        assert_eq!(s.cancelled_timers(), 0);
+    }
+
+    #[test]
+    fn scheduled_entries_stay_small_whatever_the_message() {
+        assert!(scheduled_entry_size::<[u64; 64]>() <= 64, "{} bytes", scheduled_entry_size::<[u64; 64]>());
+        assert_eq!(scheduled_entry_size::<[u64; 64]>(), scheduled_entry_size::<u8>());
     }
 
     #[test]

@@ -285,9 +285,25 @@ fn apply_preds<T: QueryTree>(tree: &T, step: &Step, matches: &mut Vec<NodeId>) {
 pub fn dedup_document_order<T: QueryTree>(tree: &T, mut nodes: Vec<NodeId>) -> Vec<NodeId> {
     nodes.sort();
     nodes.dedup();
-    // One key per node; a comparator would climb to the root twice per
-    // comparison.
-    nodes.sort_by_cached_key(|n| tree.document_order_key(*n));
+    if nodes.len() < 2 {
+        return nodes;
+    }
+    // One key per node — a comparator would climb to the root twice per
+    // comparison — and all of them in one buffer: a node's key is its
+    // range of `keys`, `None` for a stale id.
+    let mut keys = Vec::new();
+    let mut keyed: Vec<(Option<std::ops::Range<usize>>, NodeId)> = Vec::with_capacity(nodes.len());
+    for &n in &nodes {
+        let start = keys.len();
+        let live = tree.document_order_key_into(n, &mut keys);
+        keyed.push((live.then_some(start..keys.len()), n));
+    }
+    let key = |range: &Option<std::ops::Range<usize>>| range.clone().map(|r| &keys[r]);
+    // Stable, so stale ids keep their id order.
+    keyed.sort_by(|(a, _), (b, _)| key(a).cmp(&key(b)));
+    for (slot, (_, n)) in nodes.iter_mut().zip(keyed) {
+        *slot = n;
+    }
     nodes
 }
 

@@ -35,9 +35,9 @@ pub trait QueryTree {
     /// Concatenated text of `node` and its descendants (XPath `string()`).
     fn string_value(&self, node: NodeId) -> Option<String>;
 
-    /// A sort key that orders nodes the way they stand in the document;
-    /// `None` for a stale id.
-    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>>;
+    /// Appends to `key` a sort key that orders nodes the way they stand
+    /// in the document; returns false, appending nothing, for a stale id.
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool;
 
     /// The proper descendants of `node` named `name`, in document order —
     /// what filtering [`Self::descendants_of`] by name yields — when the
@@ -77,8 +77,8 @@ impl QueryTree for Document {
         self.text_content(node).ok()
     }
 
-    fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
-        Document::document_order_key(self, node)
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
+        Document::document_order_key_into(self, node, key)
     }
 
     fn descendants_named(&self, node: NodeId, name: &QName) -> Option<Vec<NodeId>> {

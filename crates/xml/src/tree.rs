@@ -617,54 +617,71 @@ impl Document {
         if a == b {
             return Ok(std::cmp::Ordering::Equal);
         }
-        let key = |n| self.document_order_key(n).ok_or(TreeError::StaleNode);
-        Ok(key(a)?.cmp(&key(b)?))
+        let mut keys = Vec::new();
+        if !self.document_order_key_into(a, &mut keys) {
+            return Err(TreeError::StaleNode);
+        }
+        let split = keys.len();
+        if !self.document_order_key_into(b, &mut keys) {
+            return Err(TreeError::StaleNode);
+        }
+        let (key_a, key_b) = keys.split_at(split);
+        Ok(key_a.cmp(key_b))
     }
 
-    /// The child positions leading from the top of `node`'s tree (the
-    /// root, or the head of a detached subtree) down to `node`; `None` if
-    /// `node` is stale. Keys order the way their nodes stand in the
-    /// document, so a sort computes one key per node, not two per
-    /// comparison.
-    pub fn document_order_key(&self, node: NodeId) -> Option<Vec<usize>> {
-        self.path_up(node, None)
-    }
-
-    /// The child positions leading from `ancestor` down to `node` (empty
-    /// when they are the same node); `None` if `node` is stale or not
-    /// attached below `ancestor`.
-    pub fn path_below(&self, ancestor: NodeId, node: NodeId) -> Option<Vec<usize>> {
-        self.path_up(node, Some(ancestor))
+    /// Appends to `key` the child positions leading from the top of
+    /// `node`'s tree (the root, or the head of a detached subtree) down to
+    /// `node`; returns false, appending nothing, if `node` is stale. Keys
+    /// order the way their nodes stand in the document, so a sort computes
+    /// one key per node, not two per comparison — and every key of one
+    /// sort can live in the same buffer.
+    pub fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
+        self.path_up_into(node, None, key)
     }
 
     /// Those of `nodes` attached at or below `ancestor`, in document order.
     pub fn attached_below(&self, ancestor: NodeId, nodes: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
-        let mut below: Vec<(Vec<usize>, NodeId)> =
-            nodes.into_iter().filter_map(|n| Some((self.path_below(ancestor, n)?, n))).collect();
-        below.sort_unstable();
+        // Every path in one buffer; a node's key is its range of it.
+        let mut paths = Vec::new();
+        let mut below: Vec<(std::ops::Range<usize>, NodeId)> = Vec::new();
+        for n in nodes {
+            let start = paths.len();
+            if self.path_up_into(n, Some(ancestor), &mut paths) {
+                below.push((start..paths.len(), n));
+            }
+        }
+        below.sort_unstable_by(|(a, na), (b, nb)| paths[a.clone()].cmp(&paths[b.clone()]).then(na.cmp(nb)));
         below.into_iter().map(|(_, n)| n).collect()
     }
 
     /// Climbs from `node` to `stop` — or, without one, to the top of the
-    /// tree — collecting each level's position among its siblings.
-    fn path_up(&self, node: NodeId, stop: Option<NodeId>) -> Option<Vec<usize>> {
-        let mut path = Vec::new();
-        let mut cur = node;
-        let mut parent = self.get(node)?.parent;
-        while Some(cur) != stop {
-            let Some(up) = parent else {
-                if stop.is_some() {
-                    return None;
-                }
-                break;
-            };
-            let above = self.get(up)?;
-            path.push(above.children.iter().position(|c| *c == cur)?);
-            cur = up;
-            parent = above.parent;
+    /// tree — appending each level's position among its siblings to
+    /// `path`, topmost first. Returns false, leaving `path` as it was, if
+    /// `node` is stale or not attached below `stop`.
+    fn path_up_into(&self, node: NodeId, stop: Option<NodeId>, path: &mut Vec<usize>) -> bool {
+        let start = path.len();
+        let climbed = (|| {
+            let mut cur = node;
+            let mut parent = self.get(node)?.parent;
+            while Some(cur) != stop {
+                let Some(up) = parent else {
+                    if stop.is_some() {
+                        return None;
+                    }
+                    break;
+                };
+                let above = self.get(up)?;
+                path.push(above.children.iter().position(|c| *c == cur)?);
+                cur = up;
+                parent = above.parent;
+            }
+            Some(())
+        })();
+        match climbed {
+            Some(()) => path[start..].reverse(),
+            None => path.truncate(start),
         }
-        path.reverse();
-        Some(path)
+        climbed.is_some()
     }
 
     // ------------------------------------------------------------------

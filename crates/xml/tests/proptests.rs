@@ -342,6 +342,84 @@ proptest! {
     }
 }
 
+/// The climb as it was when every key was a `Vec` of its own: the child
+/// positions from `stop` — or, without one, the top of `node`'s tree —
+/// down to `node`. The oracle for the keys that now share one buffer.
+fn path_up_oracle(doc: &Document, node: NodeId, stop: Option<NodeId>) -> Option<Vec<usize>> {
+    let mut path = Vec::new();
+    let mut cur = node;
+    let mut parent = doc.parent(node).ok()?;
+    while Some(cur) != stop {
+        let Some(up) = parent else {
+            if stop.is_some() {
+                return None;
+            }
+            break;
+        };
+        path.push(doc.children(up).ok()?.iter().position(|c| *c == cur)?);
+        cur = up;
+        parent = doc.parent(up).ok()?;
+    }
+    path.reverse();
+    Some(path)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After any edit script — attached nodes, detached subtrees and ids
+    /// gone stale alike — a key written into a shared buffer is the key
+    /// the allocating climb computed, an order comparison is a comparison
+    /// of those keys, and `attached_below` is a sort by them.
+    #[test]
+    fn document_order_keys_in_one_buffer_match_the_allocating_climb(
+        frags in prop::collection::vec(fragment_strategy(), 0..4),
+        script in prop::collection::vec((0u8..13, any::<usize>(), any::<usize>()), 0..30),
+        pick in any::<usize>(),
+    ) {
+        let mut doc = Document::new("a");
+        let root = doc.root();
+        for f in &frags {
+            doc.append_fragment(root, f).unwrap();
+        }
+        let mut known: Vec<NodeId> = doc.all_nodes().collect();
+        let mut seen = known.clone();
+        for (op, x, y) in &script {
+            scripted_edit(&mut doc, &mut known, *op, *x, *y);
+            for n in &known {
+                if !seen.contains(n) {
+                    seen.push(*n);
+                }
+            }
+        }
+        // `seen` keeps the ids the script deleted: stale ones.
+        let mut buffer = vec![usize::MAX; 3];
+        for &n in &seen {
+            let start = buffer.len();
+            let live = doc.document_order_key_into(n, &mut buffer);
+            let expected = path_up_oracle(&doc, n, None);
+            prop_assert_eq!(live, expected.is_some());
+            prop_assert_eq!(&buffer[start..], expected.as_deref().unwrap_or_default());
+            prop_assert_eq!(&buffer[..3], &[usize::MAX; 3][..], "earlier keys are left alone");
+        }
+        for &a in &seen {
+            let b = seen[pick % seen.len()];
+            let expected = match (path_up_oracle(&doc, a, None), path_up_oracle(&doc, b, None)) {
+                _ if a == b => Some(std::cmp::Ordering::Equal),
+                (Some(ka), Some(kb)) => Some(ka.cmp(&kb)),
+                _ => None,
+            };
+            prop_assert_eq!(doc.cmp_document_order(a, b).ok(), expected);
+        }
+        let ancestor = seen[pick % seen.len()];
+        let mut expected: Vec<(Vec<usize>, NodeId)> =
+            seen.iter().filter_map(|&n| Some((path_up_oracle(&doc, n, Some(ancestor))?, n))).collect();
+        expected.sort_unstable();
+        let expected: Vec<NodeId> = expected.into_iter().map(|(_, n)| n).collect();
+        prop_assert_eq!(doc.attached_below(ancestor, seen.iter().copied()), expected);
+    }
+}
+
 /// XML punctuation interleaved with multi-byte characters, so every byte
 /// offset the parser computes gets a chance to land inside one.
 const XML_SOUP: &[&str] = &[

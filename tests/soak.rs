@@ -100,3 +100,22 @@ fn interleaved_transactions_from_two_origins() {
         assert!(scenario.sim.actor(PeerId(provider)).is_quiescent());
     }
 }
+
+/// A peer that drops out mid-transaction has unacked deliveries; their
+/// retransmit timers come due while it is offline and the simulator
+/// discards them. On reconnect the peer retires that bookkeeping with
+/// `cancel_timer` — of timers that no longer exist. Each such call used
+/// to leave an id in the simulator's cancelled set for the rest of the
+/// run; at quiescence nothing may be left waiting to be cancelled.
+#[test]
+fn churn_leaves_no_cancelled_timer_behind() {
+    // Outages placed inside the first transaction, where every one of
+    // these peers still has an unacknowledged delivery in its outbox.
+    for (at, peer) in [(5u64, 3u32), (10, 2), (15, 6), (20, 5), (45, 3)] {
+        let scenario = run_sequential(3, Some((at, peer, at + 150)));
+        let origin = scenario.sim.actor(PeerId(1));
+        assert_eq!(origin.outcomes.len(), 3, "outage of AP{peer} at t={at}");
+        assert!(origin.outcomes[2].committed, "AP{peer} is back for the last transaction");
+        assert_eq!(scenario.sim.cancelled_timers(), 0, "outage of AP{peer} at t={at} leaked a cancelled timer id");
+    }
+}
