@@ -30,11 +30,14 @@ use axml_obs::{
     derive_histograms, FlightRecorder, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
     DEFAULT_FLIGHT_CAPACITY,
 };
-use axml_p2p::{CrashEvent, FaultPlane, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot, StorageFaultPlane};
+use axml_p2p::{
+    CrashEvent, FaultPlane, Fnv64, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot, StorageFaultPlane,
+};
 use axml_spec::Conformance;
 use axml_store::{WalConfig, WalSink};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -284,7 +287,9 @@ pub fn check_atomicity(s: &Scenario, report: &ScenarioReport) -> Verdict {
     let Some(outcome) = &report.outcome else {
         return Verdict::violation("transaction unresolved at the deadline");
     };
-    if !s.atomicity_holds() {
+    // `Scenario::run` already compared every document with its baseline.
+    debug_assert_eq!(report.atomic, s.atomicity_holds(), "the report is this scenario's own");
+    if !report.atomic {
         return Verdict::violation(format!(
             "{} but divergent documents remain: {:?}",
             if outcome.committed { "committed" } else { "aborted" },
@@ -330,13 +335,22 @@ pub fn check_atomicity(s: &Scenario, report: &ScenarioReport) -> Verdict {
     Verdict::ok()
 }
 
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Feeds one `doc <peer> <name> <xml>` line per final document of every
+/// participant to each hasher in `into`. A document is serialised once,
+/// into a line buffer the whole walk reuses.
+fn digest_docs(s: &Scenario, into: &mut [&mut Fnv64]) {
+    let mut line = String::new();
+    for &p in &s.participants {
+        for (name, doc) in s.sim.actor(p).repo.iter() {
+            line.clear();
+            let _ = write!(line, "doc {p} {name} ");
+            doc.write_xml(&mut line);
+            line.push('\n');
+            for h in into.iter_mut() {
+                h.write(line.as_bytes());
+            }
+        }
     }
-    h
 }
 
 /// Digest over the participants' final document state alone — the part
@@ -344,34 +358,34 @@ fn fnv64(text: &str) -> u64 {
 /// of the same topology agree on this digest iff compensation restored
 /// every document to the same bytes, whatever faults each run saw.
 pub fn doc_state_digest(s: &Scenario) -> u64 {
-    let mut text = String::new();
-    for &p in &s.participants {
-        let actor = s.sim.actor(p);
-        for name in actor.repo.names() {
-            text.push_str(&format!("doc {p} {name} {}\n", actor.repo.get(name).expect("listed").to_xml()));
-        }
-    }
-    fnv64(&text)
+    let mut h = Fnv64::default();
+    digest_docs(s, &mut [&mut h]);
+    h.finish()
 }
 
 /// Deterministic digest of a finished run.
 pub fn run_digest(s: &Scenario, report: &ScenarioReport) -> u64 {
-    let mut text = String::new();
-    text.push_str(&format!(
-        "outcome={:?} finished={} sent={} kinds={:?}\n",
+    digest_run(s, report, None)
+}
+
+/// [`run_digest`]; the document lines it hashes also go to `docs`, which
+/// then holds [`doc_state_digest`] without a second serialisation.
+fn digest_run(s: &Scenario, report: &ScenarioReport, docs: Option<&mut Fnv64>) -> u64 {
+    let mut run = Fnv64::default();
+    let _ = writeln!(
+        run,
+        "outcome={:?} finished={} sent={} kinds={:?}",
         report.outcome.as_ref().map(|o| o.committed),
         report.finished_at,
         report.metrics.sent,
         report.metrics.by_kind,
-    ));
-    for &p in &s.participants {
-        let actor = s.sim.actor(p);
-        for name in actor.repo.names() {
-            text.push_str(&format!("doc {p} {name} {}\n", actor.repo.get(name).expect("listed").to_xml()));
-        }
+    );
+    match docs {
+        Some(docs) => digest_docs(s, &mut [&mut run, docs]),
+        None => digest_docs(s, &mut [&mut run]),
     }
-    text.push_str(&format!("trace={:?}\n", s.sim.fault_trace()));
-    fnv64(&text)
+    let _ = writeln!(run, "trace={:?}", s.sim.fault_trace());
+    run.finish()
 }
 
 /// What a traced chaos run leaves behind alongside its [`CaseResult`]:
@@ -497,7 +511,8 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
             verdict = Verdict::violation(format!("spec conformance: {d}"));
         }
     }
-    let digest = run_digest(&s, &report);
+    let mut doc_digest = Fnv64::default();
+    let digest = digest_run(&s, &report, Some(&mut doc_digest));
     let snapshot = s.snapshot();
     let dump = s.trace().map(|j| TraceDump {
         journal: j.to_json_lines(),
@@ -512,10 +527,10 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
         committed: report.outcome.as_ref().map(|o| o.committed),
         verdict,
         digest,
-        doc_digest: doc_state_digest(&s),
+        doc_digest: doc_digest.finish(),
         trace: s.sim.fault_trace().to_vec(),
         plane,
-        metrics: report.metrics.clone(),
+        metrics: report.metrics,
         findings,
         snapshot,
         conformance,
@@ -896,7 +911,7 @@ pub fn sweep_jobs(
     let cases = case_matrix(scenarios, profiles, seeds, dedup);
     let runs = par_map(&cases, jobs, |_, case| run_cell(case));
     let mut out = SweepOutcome::default();
-    let mut digest_text = String::new();
+    let mut digest = Fnv64::default();
     for (case, run) in cases.iter().zip(runs) {
         out.runs += 1;
         match run.result.committed {
@@ -904,7 +919,7 @@ pub fn sweep_jobs(
             Some(false) => out.aborted += 1,
             None => {}
         }
-        digest_text.push_str(&format!("{} {:016x} ok={}\n", case.label(), run.result.digest, run.result.verdict.ok));
+        let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
         out.snapshot.merge(&run.result.snapshot);
         for (name, h) in &run.histograms {
             out.histograms.entry(name.clone()).or_default().merge(h);
@@ -918,7 +933,7 @@ pub fn sweep_jobs(
             out.violations.push(v);
         }
     }
-    out.digest = fnv64(&digest_text);
+    out.digest = digest.finish();
     out
 }
 

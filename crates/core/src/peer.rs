@@ -56,7 +56,7 @@ use axml_doc::{
     apply_call_results, EvalMode, Fault, MaterializationEngine, ParamValue, Repository, ResolvedCall, ServiceCall,
     ServiceInvoker, ServiceKind, ServiceRegistry,
 };
-use axml_p2p::{Actor, Ctx, Directory, EventKind, PeerId, PingMonitor, SendError, Snapshot, TimerId};
+use axml_p2p::{Actor, Ctx, Directory, EventKind, PeerId, PingMonitor, SendError, TimerId};
 use axml_query::{Effect, NodePath, SelectQuery};
 use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -278,42 +278,39 @@ pub struct PeerStats {
 }
 
 impl PeerStats {
-    /// Folds these counters into `registry` under `peer.<id>.` names —
-    /// straight into the unified view trace dumps include, one key
-    /// allocation per counter.
-    pub fn record_into(&self, peer: PeerId, registry: &mut Snapshot) {
+    /// Appends these counters to `out` as `peer.<id>.<name>` pairs, in
+    /// name order — one key allocation per counter and nothing else, so
+    /// a registry over many peers can be built from one sorted list.
+    pub fn counters_into(&self, peer: PeerId, out: &mut Vec<(String, u64)>) {
         let prefix = format!("peer.{}.", peer.0);
-        let mut put = |name: &str, value: u64| {
-            let mut key = String::with_capacity(prefix.len() + name.len());
-            key.push_str(&prefix);
-            key.push_str(name);
-            registry.absorb(key, value);
-        };
-        put("served", self.served);
-        put("isolation_conflicts", self.isolation_conflicts);
-        put("completed", self.completed);
-        put("faults_raised", self.faults_raised);
-        put("retries", self.retries);
-        put("substitutions", self.substitutions);
-        put("alternatives_used", self.alternatives_used);
-        put("compensations_executed", self.compensations_executed);
-        put("comp_cost_nodes", self.comp_cost_nodes);
-        put("aborts_received", self.aborts_received);
-        put("aborts_sent", self.aborts_sent);
-        put("work_wasted", self.work_wasted);
-        put("work_reused", self.work_reused);
-        put("orphan_stops", self.orphan_stops);
-        put("redirects_sent", self.redirects_sent);
-        put("redirects_received", self.redirects_received);
-        put("late_messages", self.late_messages);
-        put("retransmits", self.retransmits);
-        put("retransmit_giveups", self.retransmit_giveups);
-        put("dup_suppressed", self.dup_suppressed);
-        put("seen_peak", self.seen_peak);
-        put("storage_faults", self.storage_faults);
-        put("crash_recoveries", self.crash_recoveries);
-        put("presumed_aborts", self.presumed_aborts);
-        put("detections", self.detections.len() as u64);
+        let named = [
+            ("aborts_received", self.aborts_received),
+            ("aborts_sent", self.aborts_sent),
+            ("alternatives_used", self.alternatives_used),
+            ("comp_cost_nodes", self.comp_cost_nodes),
+            ("compensations_executed", self.compensations_executed),
+            ("completed", self.completed),
+            ("crash_recoveries", self.crash_recoveries),
+            ("detections", self.detections.len() as u64),
+            ("dup_suppressed", self.dup_suppressed),
+            ("faults_raised", self.faults_raised),
+            ("isolation_conflicts", self.isolation_conflicts),
+            ("late_messages", self.late_messages),
+            ("orphan_stops", self.orphan_stops),
+            ("presumed_aborts", self.presumed_aborts),
+            ("redirects_received", self.redirects_received),
+            ("redirects_sent", self.redirects_sent),
+            ("retransmit_giveups", self.retransmit_giveups),
+            ("retransmits", self.retransmits),
+            ("retries", self.retries),
+            ("seen_peak", self.seen_peak),
+            ("served", self.served),
+            ("storage_faults", self.storage_faults),
+            ("substitutions", self.substitutions),
+            ("work_reused", self.work_reused),
+            ("work_wasted", self.work_wasted),
+        ];
+        out.extend(named.map(|(name, value)| ([prefix.as_str(), name].concat(), value)));
     }
 }
 
@@ -393,10 +390,11 @@ struct PendingDelivery {
 }
 
 /// WSDL knowledge shared across the fabric: method → declared result
-/// element names (drives lazy relevance for *remote* calls).
+/// element names (drives lazy relevance for *remote* calls). Copy-on-write:
+/// clones share the entries until one of them publishes.
 #[derive(Debug, Clone, Default)]
 pub struct WsdlCatalog {
-    entries: BTreeMap<String, Vec<String>>,
+    entries: Arc<BTreeMap<String, Vec<String>>>,
 }
 
 impl WsdlCatalog {
@@ -408,7 +406,7 @@ impl WsdlCatalog {
     /// query selecting a descendant of the result (e.g. `citizenship`
     /// inside a returned `player`) must still trigger the call.
     pub fn publish(&mut self, method: impl Into<String>, result_names: &[&str]) {
-        self.entries.insert(method.into(), result_names.iter().map(|s| s.to_string()).collect());
+        Arc::make_mut(&mut self.entries).insert(method.into(), result_names.iter().map(|s| s.to_string()).collect());
     }
 
     /// Declared result names for a method.

@@ -13,12 +13,14 @@
 //! unfolds into the paper's invocation tree.
 
 use crate::context::{TxnOutcome, TxnState};
+use crate::durability::WalStats;
 use crate::ids::TxnId;
 use crate::messages::TxnMsg;
 use crate::peer::{AxmlPeer, PeerConfig, PeerStats, WsdlCatalog};
 use axml_doc::Fault;
 use axml_p2p::{Directory, FaultPlane, NetMetrics, PeerId, Sim, SimConfig, Snapshot, TraceJournal, TraceSink};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// What kind of service each peer exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -260,11 +262,14 @@ impl ScenarioBuilder {
     pub fn doc_xml(&self, peer: u32) -> String {
         let mut xml = format!("<d><slot>initial-{peer}</slot><out>base-{peer}</out>");
         for child in self.children_of(peer) {
-            let handlers: String =
-                self.handlers.iter().filter(|(p, c, _)| *p == peer && *c == child).map(|(_, _, h)| h.clone()).collect();
-            xml.push_str(&format!(
-                r#"<axml:sc mode="replace" serviceNameSpace="S{child}" serviceURL="peer://ap{child}" methodName="S{child}">{handlers}</axml:sc>"#
-            ));
+            let _ = write!(
+                xml,
+                r#"<axml:sc mode="replace" serviceNameSpace="S{child}" serviceURL="peer://ap{child}" methodName="S{child}">"#
+            );
+            for (_, _, handler) in self.handlers.iter().filter(|(p, c, _)| *p == peer && *c == child) {
+                xml.push_str(handler);
+            }
+            xml.push_str("</axml:sc>");
         }
         xml.push_str("</d>");
         xml
@@ -290,22 +295,27 @@ impl ScenarioBuilder {
         chain
     }
 
-    fn service_for(&self, peer: u32) -> axml_doc::ServiceDef {
+    /// The flavor's service query — the same for every peer, so
+    /// [`Self::build`] parses it once.
+    fn service_query(&self) -> axml_query::SelectQuery {
+        axml_query::SelectQuery::parse(match self.flavor {
+            Flavor::Query => "Select v//out from v in d",
+            // The location query needs `out` data, so lazy evaluation
+            // materializes the embedded calls; the written element is
+            // named `done` so children's materialized results never
+            // collide with the parent's own `slot` target.
+            Flavor::Update => "Select v/slot from v in d where exists v//out",
+        })
+        .expect("static query")
+    }
+
+    fn service_for(&self, peer: u32, query: &axml_query::SelectQuery) -> axml_doc::ServiceDef {
         let doc = format!("d{peer}");
         match self.flavor {
-            Flavor::Query => {
-                let q = axml_query::SelectQuery::parse("Select v//out from v in d").expect("static query");
-                axml_doc::ServiceDef::query(format!("S{peer}"), doc, q).with_results(&["out"])
-            }
+            Flavor::Query => axml_doc::ServiceDef::query(format!("S{peer}"), doc, query.clone()).with_results(&["out"]),
             Flavor::Update => {
-                // The location query needs `out` data, so lazy evaluation
-                // materializes the embedded calls; the written element is
-                // named `done` so children's materialized results never
-                // collide with the parent's own `slot` target.
-                let loc = axml_query::Locator::parse("Select v/slot from v in d where exists v//out")
-                    .expect("static locator");
                 let action = axml_query::UpdateAction::replace(
-                    loc,
+                    axml_query::Locator::Select(query.clone()),
                     vec![axml_xml::Fragment::elem_text("done", format!("done-{peer}"))],
                 );
                 axml_doc::ServiceDef::update(format!("S{peer}"), doc, action).with_results(&["done"])
@@ -334,6 +344,7 @@ impl ScenarioBuilder {
             directory.add_doc_replica(format!("d{of}"), PeerId(replica));
         }
         // Actors.
+        let query = self.service_query();
         let mut actors = Vec::with_capacity(n);
         for idx in 0..n as u32 {
             let mut config = self.config.clone();
@@ -348,7 +359,7 @@ impl ScenarioBuilder {
                     .collect();
                 for of in serves {
                     peer.repo.put_xml(format!("d{of}"), &self.doc_xml(of)).expect("scenario doc parses");
-                    let mut def = self.service_for(of);
+                    let mut def = self.service_for(of, &query);
                     if let Some(d) = self.durations.get(&of) {
                         def.duration = *d;
                     } else {
@@ -385,13 +396,13 @@ impl ScenarioBuilder {
         sim.actor_mut(origin).auto_submit = Some((format!("S{}", self.origin), vec![]));
         sim.schedule_timer(self.submit_at, origin, 0);
         // Baseline snapshot for atomicity checking.
-        let mut baseline = BTreeMap::new();
-        for &p in &peers {
-            let actor = sim.actor(PeerId(p));
-            for name in actor.repo.names() {
-                baseline.insert((PeerId(p), name.to_string()), actor.repo.get(name).expect("listed").to_xml());
-            }
-        }
+        let baseline = peers
+            .iter()
+            .map(|&p| {
+                let docs = sim.actor(PeerId(p)).repo.iter().map(|(name, doc)| (name.to_string(), doc.to_xml()));
+                (PeerId(p), docs.collect())
+            })
+            .collect();
         Scenario {
             sim,
             origin,
@@ -410,7 +421,8 @@ pub struct Scenario {
     pub origin: PeerId,
     /// All participating peers (including replicas).
     pub participants: Vec<PeerId>,
-    baseline: BTreeMap<(PeerId, String), String>,
+    /// Every participant's `(name, xml)` before the transaction, by name.
+    baseline: BTreeMap<PeerId, Vec<(String, String)>>,
     deadline: u64,
 }
 
@@ -513,19 +525,19 @@ impl Scenario {
     /// missing name means compensation dropped a document outright) and
     /// every document's bytes must match.
     fn peer_matches_baseline(&self, p: PeerId) -> bool {
-        let actor = self.sim.actor(p);
-        let names = actor.repo.names();
-        let baseline_names: Vec<&str> =
-            self.baseline.keys().filter(|(q, _)| *q == p).map(|(_, n)| n.as_str()).collect();
-        if names != baseline_names {
-            return false;
-        }
-        names.iter().all(|name| {
-            self.baseline
-                .get(&(p, (*name).to_string()))
-                .map(|base| actor.repo.get(name).expect("listed").to_xml() == *base)
-                .unwrap_or(false)
-        })
+        let base = self.baseline_of(p);
+        let repo = &self.sim.actor(p).repo;
+        let mut xml = String::new();
+        repo.len() == base.len()
+            && repo.iter().zip(base).all(|((name, doc), (base_name, base_xml))| {
+                xml.clear();
+                doc.write_xml(&mut xml);
+                name == base_name && xml == *base_xml
+            })
+    }
+
+    fn baseline_of(&self, p: PeerId) -> &[(String, String)] {
+        self.baseline.get(&p).map(Vec::as_slice).unwrap_or_default()
     }
 
     /// The lifecycle-event journal, if the scenario was built with
@@ -540,18 +552,33 @@ impl Scenario {
     /// This is the snapshot trace dumps embed so a single artifact
     /// carries both the event stream and the totals.
     pub fn snapshot(&self) -> Snapshot {
-        let mut s = self.sim.metrics().snapshot();
+        let mut pairs = Vec::with_capacity(64 + 25 * self.participants.len());
+        self.sim.metrics().counters_into(&mut pairs);
+        let mut wal = WalStats::default();
         for &p in &self.participants {
             let actor = self.sim.actor(p);
-            actor.stats.record_into(p, &mut s);
-            let wal = actor.wal_stats();
-            s.add("wal.segments_rotated", wal.segments_rotated);
-            s.add("wal.bytes_appended", wal.bytes_appended);
-            s.add("wal.recovery_entries", wal.recovery_entries);
-            s.add("wal.torn_tails_discarded", wal.torn_tails_discarded);
-            s.add("wal.append_faults", wal.append_faults);
+            actor.stats.counters_into(p, &mut pairs);
+            let w = actor.wal_stats();
+            wal.segments_rotated += w.segments_rotated;
+            wal.bytes_appended += w.bytes_appended;
+            wal.recovery_entries += w.recovery_entries;
+            wal.torn_tails_discarded += w.torn_tails_discarded;
+            wal.append_faults += w.append_faults;
         }
-        s
+        pairs.extend(
+            [
+                ("wal.append_faults", wal.append_faults),
+                ("wal.bytes_appended", wal.bytes_appended),
+                ("wal.recovery_entries", wal.recovery_entries),
+                ("wal.segments_rotated", wal.segments_rotated),
+                ("wal.torn_tails_discarded", wal.torn_tails_discarded),
+            ]
+            .map(|(name, value)| (name.to_string(), value)),
+        );
+        // Every name is distinct, so collecting is one sort of a nearly
+        // sorted list and one bulk tree build — not a tree insertion per
+        // counter.
+        Snapshot { counters: pairs.into_iter().collect() }
     }
 
     /// Documents diverging from the baseline on connected peers
@@ -565,19 +592,19 @@ impl Scenario {
             if !self.sim.is_connected(p) {
                 continue;
             }
-            let actor = self.sim.actor(p);
-            for name in actor.repo.names() {
-                match self.baseline.get(&(p, name.to_string())) {
-                    Some(base) => {
-                        if actor.repo.get(name).expect("listed").to_xml() != *base {
+            let (repo, base) = (&self.sim.actor(p).repo, self.baseline_of(p));
+            for (name, doc) in repo.iter() {
+                match base.iter().find(|(base_name, _)| base_name == name) {
+                    Some((_, base_xml)) => {
+                        if doc.to_xml() != *base_xml {
                             out.push((p, name.to_string()));
                         }
                     }
                     None => out.push((p, format!("{name} (created during the transaction)"))),
                 }
             }
-            for (_, name) in self.baseline.keys().filter(|(q, _)| *q == p) {
-                if actor.repo.get(name).is_none() {
+            for (name, _) in base {
+                if repo.get(name).is_none() {
                     out.push((p, format!("{name} (missing after the run)")));
                 }
             }
@@ -612,6 +639,29 @@ mod tests {
         assert_eq!(report.metrics.kind("invoke"), 5);
         assert_eq!(report.metrics.kind("result"), 5);
         assert_eq!(report.metrics.kind("abort"), 0);
+    }
+
+    #[test]
+    fn a_peer_changing_its_fabric_tables_changes_no_siblings() {
+        // Every actor of a build starts from one shared catalogue and one
+        // shared directory; what a peer then learns is its own.
+        let mut s = ScenarioBuilder::fig1().build();
+        let ap3 = s.sim.actor_mut(PeerId(3));
+        ap3.wsdl.publish("extra", &["x"]);
+        ap3.wsdl.publish("S2", &["other"]);
+        ap3.directory.add_service_provider("S2", PeerId(9));
+        ap3.directory.add_doc_replica("d9", PeerId(3));
+        assert_eq!(ap3.wsdl.hints("extra"), Some(&["x".to_string()][..]));
+        assert_eq!(ap3.directory.service_providers("S2"), &[PeerId(2), PeerId(9)]);
+        for p in [0, 1, 2, 4, 5, 6] {
+            let sibling = s.sim.actor(PeerId(p));
+            assert_eq!(sibling.wsdl.hints("extra"), None, "AP{p}");
+            assert_eq!(sibling.wsdl.hints("S2"), Some(&["slot".to_string()][..]), "AP{p}");
+            assert_eq!(sibling.directory.service_providers("S2"), &[PeerId(2)], "AP{p}");
+            assert!(sibling.directory.doc_replicas("d9").is_empty(), "AP{p}");
+        }
+        let report = s.run();
+        assert!(report.outcome.is_some_and(|o| o.committed) && report.atomic);
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl Repository {
         self.docs.keys().map(String::as_str).collect()
     }
 
+    /// Every `(name, document)`, sorted by name.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Document)> {
+        self.docs.iter().map(|(name, doc)| (name.as_str(), doc))
+    }
+
     /// Number of documents.
     pub fn len(&self) -> usize {
         self.docs.len()

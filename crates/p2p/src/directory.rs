@@ -9,10 +9,20 @@
 
 use crate::ids::PeerId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where documents and services live.
+///
+/// Copy-on-write: a clone shares the tables — a fabric hands every peer
+/// the same directory — until one copy registers something new, which
+/// then changes that copy alone.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
+    tables: Arc<Tables>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Tables {
     doc_replicas: BTreeMap<String, Vec<PeerId>>,
     service_providers: BTreeMap<String, Vec<PeerId>>,
 }
@@ -25,7 +35,7 @@ impl Directory {
 
     /// Registers a replica of `doc` on `peer`.
     pub fn add_doc_replica(&mut self, doc: impl Into<String>, peer: PeerId) {
-        let entry = self.doc_replicas.entry(doc.into()).or_default();
+        let entry = Arc::make_mut(&mut self.tables).doc_replicas.entry(doc.into()).or_default();
         if !entry.contains(&peer) {
             entry.push(peer);
         }
@@ -33,7 +43,7 @@ impl Directory {
 
     /// Registers `peer` as a provider of `service`.
     pub fn add_service_provider(&mut self, service: impl Into<String>, peer: PeerId) {
-        let entry = self.service_providers.entry(service.into()).or_default();
+        let entry = Arc::make_mut(&mut self.tables).service_providers.entry(service.into()).or_default();
         if !entry.contains(&peer) {
             entry.push(peer);
         }
@@ -41,12 +51,12 @@ impl Directory {
 
     /// Peers hosting a replica of `doc`, in registration order.
     pub fn doc_replicas(&self, doc: &str) -> &[PeerId] {
-        self.doc_replicas.get(doc).map(Vec::as_slice).unwrap_or(&[])
+        self.tables.doc_replicas.get(doc).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Peers providing `service`, in registration order.
     pub fn service_providers(&self, service: &str) -> &[PeerId] {
-        self.service_providers.get(service).map(Vec::as_slice).unwrap_or(&[])
+        self.tables.service_providers.get(service).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// An alternative provider of `service`, excluding the given peers —
@@ -84,6 +94,19 @@ mod tests {
         assert_eq!(d.alternative_provider("getPoints", &[PeerId(2)]), Some(PeerId(5)));
         assert_eq!(d.alternative_provider("getPoints", &[PeerId(2), PeerId(5)]), None);
         assert_eq!(d.alternative_provider("unknown", &[]), None);
+    }
+
+    #[test]
+    fn a_clone_shares_until_one_side_registers() {
+        let mut a = Directory::new();
+        a.add_service_provider("getPoints", PeerId(1));
+        let mut b = a.clone();
+        b.add_service_provider("getPoints", PeerId(2));
+        b.add_doc_replica("atp", PeerId(2));
+        assert_eq!(a.service_providers("getPoints"), &[PeerId(1)]);
+        assert!(a.doc_replicas("atp").is_empty());
+        assert_eq!(b.service_providers("getPoints"), &[PeerId(1), PeerId(2)]);
+        assert_eq!(b.doc_replicas("atp"), &[PeerId(2)]);
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use metrics::NetMetrics;
 pub use sim::{Actor, Ctx, LatencyModel, Message, SendError, Sim, SimConfig};
 
 // Re-exported so protocol layers and harnesses name one tracing surface.
-pub use axml_trace::{EventKind, Snapshot, SpanRef, TraceEvent, TraceJournal, TraceSink, TxnRef};
+pub use axml_trace::{fnv64, EventKind, Fnv64, Snapshot, SpanRef, TraceEvent, TraceJournal, TraceSink, TxnRef};

@@ -81,40 +81,45 @@ impl NetMetrics {
         self.injected_drops + self.injected_dups + self.injected_spikes + self.injected_reorders
     }
 
+    /// Appends these counters to `out` as `(name, value)` pairs, names
+    /// scoped under `net.`.
+    pub fn counters_into(&self, out: &mut Vec<(String, u64)>) {
+        let scalars = [
+            ("net.sent", self.sent),
+            ("net.delivered", self.delivered),
+            ("net.send_failures", self.send_failures),
+            ("net.dropped_in_flight", self.dropped_in_flight),
+            ("net.timers_fired", self.timers_fired),
+            ("net.disconnects", self.disconnects),
+            ("net.reconnects", self.reconnects),
+            ("net.injected_drops", self.injected_drops),
+            ("net.partition_drops", self.partition_drops),
+            ("net.injected_dups", self.injected_dups),
+            ("net.injected_spikes", self.injected_spikes),
+            ("net.injected_reorders", self.injected_reorders),
+            ("net.out_of_order", self.out_of_order),
+            ("net.retransmits", self.retransmits),
+            ("net.crash_restarts", self.crash_restarts),
+            ("net.stale_timers", self.stale_timers),
+        ];
+        out.extend(scalars.map(|(name, value)| (name.to_string(), value)));
+        for (scope, by_kind) in [
+            ("net.sent.", &self.by_kind),
+            ("net.drops.", &self.drops_by_kind),
+            ("net.dups.", &self.dups_by_kind),
+            ("net.retransmits.", &self.retransmits_by_kind),
+        ] {
+            out.extend(by_kind.iter().map(|(kind, value)| ([scope, kind].concat(), *value)));
+        }
+    }
+
     /// These counters as one flat registry snapshot (names scoped under
     /// `net.`), ready to merge with per-peer protocol stats into the
     /// unified view included in trace dumps.
     pub fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::default();
-        s.set("net.sent", self.sent);
-        s.set("net.delivered", self.delivered);
-        s.set("net.send_failures", self.send_failures);
-        s.set("net.dropped_in_flight", self.dropped_in_flight);
-        s.set("net.timers_fired", self.timers_fired);
-        s.set("net.disconnects", self.disconnects);
-        s.set("net.reconnects", self.reconnects);
-        s.set("net.injected_drops", self.injected_drops);
-        s.set("net.partition_drops", self.partition_drops);
-        s.set("net.injected_dups", self.injected_dups);
-        s.set("net.injected_spikes", self.injected_spikes);
-        s.set("net.injected_reorders", self.injected_reorders);
-        s.set("net.out_of_order", self.out_of_order);
-        s.set("net.retransmits", self.retransmits);
-        s.set("net.crash_restarts", self.crash_restarts);
-        s.set("net.stale_timers", self.stale_timers);
-        for (k, v) in &self.by_kind {
-            s.set(format!("net.sent.{k}"), *v);
-        }
-        for (k, v) in &self.drops_by_kind {
-            s.set(format!("net.drops.{k}"), *v);
-        }
-        for (k, v) in &self.dups_by_kind {
-            s.set(format!("net.dups.{k}"), *v);
-        }
-        for (k, v) in &self.retransmits_by_kind {
-            s.set(format!("net.retransmits.{k}"), *v);
-        }
-        s
+        let mut pairs = Vec::new();
+        self.counters_into(&mut pairs);
+        Snapshot { counters: pairs.into_iter().collect() }
     }
 
     /// A human-readable multi-line summary, used by the chaos harness to

@@ -83,12 +83,7 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// FNV-1a 64-bit, the workspace's standard content hash.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    axml_p2p::fnv64(bytes)
 }
 
 /// Encodes one journal entry as a WAL frame (header + JSON payload).
@@ -318,8 +313,14 @@ impl WalSink {
     /// Opens a sink whose appends draw storage faults from `faults`
     /// using a deterministic RNG seeded with `seed`.
     pub fn with_faults(config: WalConfig, faults: StorageFaultPlane, seed: u64) -> Result<WalSink, WalError> {
-        std::fs::create_dir_all(&config.dir)?;
-        let recovered = recover_dir(&config.dir)?;
+        // A directory this call creates holds no segments to scan; one
+        // that exists, or whose parents do not, takes the general path.
+        let recovered = if std::fs::create_dir(&config.dir).is_ok() {
+            Recovered::default()
+        } else {
+            std::fs::create_dir_all(&config.dir)?;
+            recover_dir(&config.dir)?
+        };
         let mut sink = WalSink {
             config,
             faults,
@@ -346,9 +347,15 @@ impl WalSink {
         }
         let path = segment_path(&self.config.dir, self.segment);
         let mut file = OpenOptions::new().create(true).truncate(false).write(true).read(true).open(&path)?;
-        // Never trust whatever sits past the clean high-water mark.
-        file.set_len(self.clean_len)?;
-        file.seek(SeekFrom::Start(self.clean_len))?;
+        // Never trust whatever sits past the clean high-water mark. A file
+        // that ends there (just created, or cut back by `heal` or recovery)
+        // is left alone: ext4 flushes a truncated file when it is closed.
+        if file.metadata()?.len() != self.clean_len {
+            file.set_len(self.clean_len)?;
+        }
+        if self.clean_len > 0 {
+            file.seek(SeekFrom::Start(self.clean_len))?;
+        }
         self.writer = Some(BufWriter::new(file));
         Ok(())
     }

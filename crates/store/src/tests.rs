@@ -296,6 +296,87 @@ fn frame_codec_round_trips() {
 }
 
 #[test]
+fn a_sink_creates_missing_parents_and_starts_an_empty_log() {
+    let tmp = TempDir::new();
+    let dir = tmp.path().join("run-7").join("peer-3");
+    let mut sink = WalSink::with_faults(WalConfig::new(&dir), StorageFaultPlane::default(), 9).unwrap();
+    assert!(dir.is_dir());
+    assert_eq!((sink.segment, sink.clean_len, sink.torn_bytes), (0, 0, 0));
+    assert_eq!(sink.stats(), WalStats::default());
+    // Straight into a parent that exists — the directory this call makes
+    // is not scanned — the sink starts the same.
+    let sibling = tmp.path().join("run-7").join("peer-4");
+    let fresh = WalSink::with_faults(WalConfig::new(&sibling), StorageFaultPlane::default(), 9).unwrap();
+    assert_eq!((fresh.segment, fresh.clean_len, fresh.stats()), (0, 0, WalStats::default()));
+    let entries: Vec<JournalEntry> = (0..4).map(entry).collect();
+    for e in &entries {
+        assert!(sink.append(e));
+    }
+    assert_eq!(segment_indices(&dir).unwrap(), vec![0]);
+    assert_eq!(sink.crash_restart(), entries);
+}
+
+#[test]
+fn a_sink_over_sealed_segments_and_a_torn_tail_recovers_them() {
+    // The directory exists, so opening it must take the scanning path:
+    // stitch the sealed segments, cut the torn tail, count it, and go on
+    // appending after the last clean frame.
+    let tmp = TempDir::new();
+    let mut config = WalConfig::new(tmp.path());
+    config.segment_bytes = 256;
+    let entries: Vec<JournalEntry> = (0..20).map(entry).collect();
+    let mut sink = WalSink::create(config.clone()).unwrap();
+    for e in &entries {
+        assert!(sink.append(e));
+    }
+    let (tail, clean_len) = (sink.segment, sink.clean_len);
+    assert!(tail >= 2 && clean_len > 0, "sealed segments and a tail with frames in it: {tail} / {clean_len}");
+    drop(sink);
+    let frame = encode_frame(&entry(99));
+    let tail_path = segment_path(tmp.path(), tail);
+    let mut bytes = std::fs::read(&tail_path).unwrap();
+    bytes.extend_from_slice(&frame[..frame.len() / 2]);
+    std::fs::write(&tail_path, &bytes).unwrap();
+
+    let mut sink = WalSink::with_faults(config.clone(), StorageFaultPlane::default(), 1).unwrap();
+    assert_eq!((sink.segment, sink.clean_len), (tail, clean_len));
+    assert_eq!(sink.stats().torn_tails_discarded, 1);
+    assert_eq!(std::fs::metadata(&tail_path).unwrap().len(), clean_len, "tail cut back to the high-water mark");
+    assert!(sink.append(&entry(20)));
+    drop(sink);
+
+    // Opening the same directory again — twice more, in this process —
+    // finds a clean log each time and what the last sink appended.
+    let all: Vec<JournalEntry> = (0..21).map(entry).collect();
+    for _ in 0..2 {
+        let mut sink = WalSink::with_faults(config.clone(), StorageFaultPlane::default(), 1).unwrap();
+        assert_eq!(sink.stats().torn_tails_discarded, 0);
+        assert_eq!(sink.crash_restart(), all);
+    }
+}
+
+#[test]
+fn a_segment_already_at_its_clean_length_is_opened_without_truncating() {
+    // What `open_writer` skips must not change what lands on disk: bytes
+    // past the clean mark are still cut, bytes up to it still kept.
+    let tmp = TempDir::new();
+    let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
+    assert!(sink.append(&entry(0)));
+    let clean_len = sink.clean_len;
+    sink.writer = None;
+    let path = segment_path(tmp.path(), 0);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(b"left by nobody");
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(sink.append(&entry(1)));
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), sink.clean_len);
+    assert!(sink.clean_len > clean_len);
+    sink.writer = None;
+    assert!(sink.append(&entry(2)), "a tail already at the clean length is appended to in place");
+    assert_eq!(sink.crash_restart(), (0..3).map(entry).collect::<Vec<_>>());
+}
+
+#[test]
 fn empty_directory_recovers_empty() {
     let tmp = TempDir::new();
     let recovered = recover_dir(tmp.path()).unwrap();

@@ -819,14 +819,44 @@ impl EventRing {
     }
 }
 
-/// FNV-1a over a byte slice — the workspace's standard cheap fingerprint.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a — the workspace's standard cheap fingerprint. Takes
+/// bytes through [`Fnv64::write`] and formatted text through
+/// [`fmt::Write`], so a digest over rendered text needs no rendering.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv64 {
+    /// Absorbs `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over a byte slice ([`Fnv64`] in one call).
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::default();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

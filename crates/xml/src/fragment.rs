@@ -8,7 +8,7 @@
 
 use crate::error::TreeError;
 use crate::name::QName;
-use crate::serialize::{escape_attr, escape_text};
+use crate::serialize::{push_attr, push_text};
 use crate::tree::{Document, NodeId, NodeKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -182,12 +182,12 @@ impl Fragment {
         match self {
             Fragment::Element { name, attrs, children } => {
                 out.push('<');
-                out.push_str(&name.as_string());
+                name.push_to(out);
                 for (an, av) in attrs {
                     out.push(' ');
-                    out.push_str(&an.as_string());
+                    an.push_to(out);
                     out.push_str("=\"");
-                    out.push_str(&escape_attr(av));
+                    push_attr(out, av);
                     out.push('"');
                 }
                 if children.is_empty() {
@@ -198,11 +198,11 @@ impl Fragment {
                         c.write_xml(out);
                     }
                     out.push_str("</");
-                    out.push_str(&name.as_string());
+                    name.push_to(out);
                     out.push('>');
                 }
             }
-            Fragment::Text(t) => out.push_str(&escape_text(t)),
+            Fragment::Text(t) => push_text(out, t),
             Fragment::Cdata(t) => {
                 out.push_str("<![CDATA[");
                 out.push_str(t);

@@ -75,12 +75,20 @@ impl QName {
         }
     }
 
+    /// Appends the full `prefix:local` form to `out`.
+    pub fn push_to(&self, out: &mut String) {
+        if let Some(p) = &self.prefix {
+            out.push_str(p);
+            out.push(':');
+        }
+        out.push_str(&self.local);
+    }
+
     /// The full `prefix:local` form.
     pub fn as_string(&self) -> String {
-        match &self.prefix {
-            Some(p) => format!("{p}:{}", self.local),
-            None => self.local.as_str().to_owned(),
-        }
+        let mut out = String::new();
+        self.push_to(&mut out);
+        out
     }
 }
 

@@ -303,12 +303,12 @@ impl<'a> Cursor<'a> {
             match self.peek() {
                 Some(b'/') | Some(b'>') => break,
                 Some(_) => {
-                    let aname = QName::new(self.read_name()?);
+                    let aname = self.read_name()?;
                     self.skip_ws();
                     self.expect_str("=")?;
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    if doc.attr(elem, &aname.as_string()).is_some() {
+                    if doc.attr(elem, aname).is_some() {
                         return Err(self.err(format!("duplicate attribute `{aname}`")));
                     }
                     doc.set_attr(elem, aname, value).expect("elem is an element");
@@ -325,7 +325,7 @@ impl<'a> Cursor<'a> {
             if self.starts_with("</") {
                 self.pos += 2;
                 let end_name = self.read_name()?;
-                if end_name != name.as_string() {
+                if !name.matches_raw(end_name) {
                     return Err(self.err(format!("mismatched end tag `</{end_name}>`, expected `</{name}>`")));
                 }
                 self.skip_ws();

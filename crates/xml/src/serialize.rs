@@ -30,66 +30,82 @@ impl Default for SerializeOptions {
     }
 }
 
+/// Appends `s` with `&`, `<`, `>` escaped — and, for attribute values,
+/// `"`, newline and tab too. Every escaped character is ASCII, so the
+/// runs between them are copied as whole slices.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\n' if attr => "&#10;",
+            b'\t' if attr => "&#9;",
+            _ => continue,
+        };
+        out.push_str(&s[from..i]);
+        out.push_str(escaped);
+        from = i + 1;
+    }
+    out.push_str(&s[from..]);
+}
+
+/// Appends escaped text-node content.
+pub(crate) fn push_text(out: &mut String, s: &str) {
+    push_escaped(out, s, false);
+}
+
+/// Appends escaped attribute-value content.
+pub(crate) fn push_attr(out: &mut String, s: &str) {
+    push_escaped(out, s, true);
+}
+
 /// Escapes text-node content (`&`, `<`, `>`).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    push_text(&mut out, s);
     out
 }
 
 /// Escapes attribute-value content (also `"` and newlines).
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
-        }
-    }
+    push_attr(&mut out, s);
     out
 }
 
 /// Serializes the subtree rooted at `node`.
 pub fn serialize(doc: &Document, node: NodeId, opts: &SerializeOptions) -> String {
     let mut out = String::new();
+    serialize_into(doc, node, opts, &mut out);
+    out
+}
+
+/// Appends the serialization of the subtree rooted at `node` to `out`.
+pub fn serialize_into(doc: &Document, node: NodeId, opts: &SerializeOptions, out: &mut String) {
     if opts.declaration {
         out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
         if opts.pretty {
             out.push('\n');
         }
     }
-    write_node(doc, node, opts, 0, &mut out);
-    out
+    write_node(doc, node, opts.pretty, 0, out);
 }
 
-fn has_element_children(doc: &Document, node: NodeId) -> bool {
-    doc.children(node)
-        .map(|cs| {
-            cs.iter().any(|c| {
-                matches!(
-                    doc.kind(*c),
-                    Ok(NodeKind::Element { .. }) | Ok(NodeKind::Comment(_)) | Ok(NodeKind::Pi { .. })
-                )
-            })
-        })
-        .unwrap_or(false)
+fn has_element_children(doc: &Document, children: &[NodeId]) -> bool {
+    children.iter().any(|c| {
+        matches!(doc.kind(*c), Ok(NodeKind::Element { .. }) | Ok(NodeKind::Comment(_)) | Ok(NodeKind::Pi { .. }))
+    })
 }
 
-fn write_node(doc: &Document, node: NodeId, opts: &SerializeOptions, depth: usize, out: &mut String) {
-    let indent = |out: &mut String, depth: usize| {
-        if opts.pretty {
+/// Appends one node. With `pretty`, element, comment and PI lines are
+/// indented by `depth` and end in a newline; text-bearing elements write
+/// their content inline (not pretty) so no whitespace text is invented.
+fn write_node(doc: &Document, node: NodeId, pretty: bool, depth: usize, out: &mut String) {
+    let indent = |out: &mut String| {
+        if pretty {
             for _ in 0..depth {
                 out.push_str("  ");
             }
@@ -97,67 +113,55 @@ fn write_node(doc: &Document, node: NodeId, opts: &SerializeOptions, depth: usiz
     };
     match doc.kind(node) {
         Ok(NodeKind::Element { name, attrs }) => {
-            indent(out, depth);
+            indent(out);
             out.push('<');
-            out.push_str(&name.as_string());
+            name.push_to(out);
             for (an, av) in attrs {
                 out.push(' ');
-                out.push_str(&an.as_string());
+                an.push_to(out);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(av));
+                push_attr(out, av);
                 out.push('"');
             }
-            let children = doc.children(node).map(|c| c.to_vec()).unwrap_or_default();
+            let children = doc.children(node).unwrap_or_default();
             if children.is_empty() {
                 out.push_str("/>");
-                if opts.pretty {
+            } else {
+                out.push('>');
+                let block = pretty && has_element_children(doc, children);
+                if block {
                     out.push('\n');
                 }
-                return;
-            }
-            out.push('>');
-            let block = opts.pretty && has_element_children(doc, node);
-            if block {
-                out.push('\n');
-            }
-            for child in children {
-                if block {
-                    write_node(doc, child, opts, depth + 1, out);
-                } else {
-                    // Inline (text-only content, or compact mode).
-                    let inline_opts = SerializeOptions { declaration: false, pretty: false };
-                    write_node(doc, child, &inline_opts, 0, out);
+                for &child in children {
+                    write_node(doc, child, block, depth + 1, out);
                 }
-            }
-            if block {
-                indent(out, depth);
-            }
-            out.push_str("</");
-            out.push_str(&name.as_string());
-            out.push('>');
-            if opts.pretty {
-                out.push('\n');
+                if block {
+                    indent(out);
+                }
+                out.push_str("</");
+                name.push_to(out);
+                out.push('>');
             }
         }
+        // Character data never starts or ends a line of its own.
         Ok(NodeKind::Text(t)) => {
-            out.push_str(&escape_text(t));
+            push_text(out, t);
+            return;
         }
         Ok(NodeKind::Cdata(t)) => {
             out.push_str("<![CDATA[");
             out.push_str(t);
             out.push_str("]]>");
+            return;
         }
         Ok(NodeKind::Comment(t)) => {
-            indent(out, depth);
+            indent(out);
             out.push_str("<!--");
             out.push_str(t);
             out.push_str("-->");
-            if opts.pretty {
-                out.push('\n');
-            }
         }
         Ok(NodeKind::Pi { target, data }) => {
-            indent(out, depth);
+            indent(out);
             out.push_str("<?");
             out.push_str(target);
             if !data.is_empty() {
@@ -165,11 +169,11 @@ fn write_node(doc: &Document, node: NodeId, opts: &SerializeOptions, depth: usiz
                 out.push_str(data);
             }
             out.push_str("?>");
-            if opts.pretty {
-                out.push('\n');
-            }
         }
-        Err(_) => {}
+        Err(_) => return,
+    }
+    if pretty {
+        out.push('\n');
     }
 }
 

@@ -747,7 +747,16 @@ impl Document {
 
     /// Serializes the whole document (no XML declaration, compact).
     pub fn to_xml(&self) -> String {
-        serialize::serialize(self, self.root, &SerializeOptions::compact())
+        let mut out = String::new();
+        self.write_xml(&mut out);
+        out
+    }
+
+    /// Appends the whole document (as [`Self::to_xml`] renders it) to `out`.
+    pub fn write_xml(&self, out: &mut String) {
+        // Tags and a little text: a guess that saves most regrowth.
+        out.reserve(32 * self.live);
+        serialize::serialize_into(self, self.root, &SerializeOptions::compact(), out);
     }
 
     /// Serializes the whole document with options.

@@ -7,7 +7,10 @@
 //!   node ids stable;
 //! - canonical equivalence is reflexive and invariant under comment noise.
 
-use axml_xml::{canonical, equivalent_ordered, equivalent_unordered, Document, Fragment, NodeId, QName};
+use axml_xml::{
+    canonical, equivalent_ordered, equivalent_unordered, escape_attr, escape_text, Document, Fragment, NodeId,
+    NodeKind, QName, SerializeOptions,
+};
 use proptest::prelude::*;
 
 /// Strategy for XML names (restricted alphabet keeps shrinking readable).
@@ -479,5 +482,175 @@ proptest! {
         let _ = Document::parse(&format!("<r>{input}</r>"));
         let _ = Document::parse(&format!("<r {input}/>"));
         let _ = Document::parse(&format!("<r a={input}/>"));
+    }
+}
+
+// ----------------------------------------------------------------------
+// The serializer against the allocating one it replaced.
+// ----------------------------------------------------------------------
+
+/// The escapers as they were: a `String` per call, a `char` at a time.
+fn escape_oracle(s: &str, attr: bool) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' if attr => out.push_str("&quot;"),
+            '\n' if attr => out.push_str("&#10;"),
+            '\t' if attr => out.push_str("&#9;"),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// `write_node` as it was before it appended in place: `as_string` and
+/// `escape_*` temporaries, a copied child list, inline children written
+/// with their own non-pretty options. Reads the tree through the public
+/// API only.
+fn write_node_oracle(doc: &Document, node: NodeId, pretty: bool, depth: usize, out: &mut String) {
+    let indent = |out: &mut String, depth: usize| {
+        if pretty {
+            out.push_str(&"  ".repeat(depth));
+        }
+    };
+    match doc.kind(node) {
+        Ok(NodeKind::Element { name, attrs }) => {
+            indent(out, depth);
+            out.push('<');
+            out.push_str(&name.as_string());
+            for (an, av) in attrs {
+                out.push_str(&format!(" {}=\"{}\"", an.as_string(), escape_oracle(av, true)));
+            }
+            let children = doc.children(node).map(|c| c.to_vec()).unwrap_or_default();
+            if children.is_empty() {
+                out.push_str("/>");
+                if pretty {
+                    out.push('\n');
+                }
+                return;
+            }
+            out.push('>');
+            let block = pretty
+                && children.iter().any(|c| {
+                    matches!(doc.kind(*c), Ok(NodeKind::Element { .. } | NodeKind::Comment(_) | NodeKind::Pi { .. }))
+                });
+            if block {
+                out.push('\n');
+            }
+            for child in children {
+                if block {
+                    write_node_oracle(doc, child, pretty, depth + 1, out);
+                } else {
+                    write_node_oracle(doc, child, false, 0, out);
+                }
+            }
+            if block {
+                indent(out, depth);
+            }
+            out.push_str(&format!("</{}>", name.as_string()));
+            if pretty {
+                out.push('\n');
+            }
+        }
+        Ok(NodeKind::Text(t)) => out.push_str(&escape_oracle(t, false)),
+        Ok(NodeKind::Cdata(t)) => out.push_str(&format!("<![CDATA[{t}]]>")),
+        Ok(NodeKind::Comment(t)) => {
+            indent(out, depth);
+            out.push_str(&format!("<!--{t}-->"));
+            if pretty {
+                out.push('\n');
+            }
+        }
+        Ok(NodeKind::Pi { target, data }) => {
+            indent(out, depth);
+            out.push_str(&format!("<?{target}"));
+            if !data.is_empty() {
+                out.push_str(&format!(" {data}"));
+            }
+            out.push_str("?>");
+            if pretty {
+                out.push('\n');
+            }
+        }
+        Err(_) => {}
+    }
+}
+
+fn serialize_oracle(doc: &Document, node: NodeId, opts: &SerializeOptions) -> String {
+    let mut out = String::new();
+    if opts.declaration {
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+        if opts.pretty {
+            out.push('\n');
+        }
+    }
+    write_node_oracle(doc, node, opts.pretty, 0, &mut out);
+    out
+}
+
+/// Text over an alphabet where every escaped character is frequent.
+fn markup_text_strategy() -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 12] = ['a', 'z', ' ', '&', '<', '>', '"', '\'', '\n', '\t', 'é', 'λ'];
+    prop::collection::vec(0usize..ALPHABET.len(), 0..12).prop_map(|picks| picks.iter().map(|i| ALPHABET[*i]).collect())
+}
+
+fn markup_name_strategy() -> impl Strategy<Value = QName> {
+    const NAMES: [&str; 6] = ["a", "item", "axml:sc", "axml:params", "ns:deep", "x:y:z"];
+    (0usize..NAMES.len()).prop_map(|i| QName::new(NAMES[i]))
+}
+
+/// Fragments of every node kind, with prefixed names and attribute and
+/// text content that needs escaping.
+fn markup_fragment_strategy() -> impl Strategy<Value = Fragment> {
+    let attrs = || prop::collection::vec((markup_name_strategy(), markup_text_strategy()), 0..3);
+    let leaf = prop_oneof![
+        markup_text_strategy().prop_map(Fragment::Text),
+        "[a-z<&\\]]{0,6}".prop_map(Fragment::Cdata),
+        "[a-z <&]{0,6}".prop_map(Fragment::Comment),
+        ("[a-z]{1,4}", "[a-z =]{0,6}").prop_map(|(target, data)| Fragment::Pi { target, data }),
+        (markup_name_strategy(), attrs()).prop_map(|(name, attrs)| Fragment::Element { name, attrs, children: vec![] }),
+    ];
+    leaf.prop_recursive(4, 48, 4, move |inner| {
+        (markup_name_strategy(), attrs(), prop::collection::vec(inner, 0..4))
+            .prop_map(|(name, attrs, children)| Fragment::Element { name, attrs, children })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Compact, pretty and declaration-less pretty output, whole documents
+    /// and subtrees, `Fragment::to_xml` and the public escapers: every
+    /// byte the appending writer produces is the byte the allocating one
+    /// produced, and the append form leaves what the buffer held alone.
+    #[test]
+    fn the_appending_serializer_writes_the_bytes_of_the_allocating_one(
+        frags in prop::collection::vec(markup_fragment_strategy(), 0..4),
+        text in markup_text_strategy(),
+    ) {
+        let mut doc = Document::new("axml:root");
+        let root = doc.root();
+        doc.set_attr(root, "ns:k", text.as_str()).unwrap();
+        let ids: Vec<NodeId> = frags.iter().map(|f| doc.append_fragment(root, f).unwrap()).collect();
+
+        let compact = SerializeOptions::compact();
+        prop_assert_eq!(doc.to_xml(), serialize_oracle(&doc, root, &compact));
+        for opts in [SerializeOptions::pretty(), SerializeOptions { declaration: false, pretty: true }, compact] {
+            prop_assert_eq!(doc.to_xml_with(&opts), serialize_oracle(&doc, root, &opts));
+        }
+        for (id, frag) in ids.iter().zip(&frags) {
+            let expected = serialize_oracle(&doc, *id, &SerializeOptions::compact());
+            prop_assert_eq!(doc.subtree_to_xml(*id), expected.as_str());
+            prop_assert_eq!(frag.to_xml(), expected.as_str());
+        }
+        let mut buffer = String::from("kept ");
+        doc.write_xml(&mut buffer);
+        prop_assert_eq!(buffer, format!("kept {}", doc.to_xml()));
+
+        prop_assert_eq!(escape_text(&text), escape_oracle(&text, false));
+        prop_assert_eq!(escape_attr(&text), escape_oracle(&text, true));
     }
 }

@@ -12,13 +12,13 @@
 //! node or grows a `Vec` differently does not trip it; a copy that comes
 //! back does.
 //!
-//! This is its own test crate so the counting `GlobalAlloc` stays outside
-//! every `#![forbid(unsafe_code)]` crate (the only other `unsafe` in the
-//! repository is the profiler, `examples/hot_path_profile.rs`).
+//! This is its own test crate because the counter is process-wide (see
+//! `common/mod.rs`, which holds the counting `GlobalAlloc`).
+
+mod common;
 
 use axml::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use common::allocations;
 
 /// Allocations per committed transaction the commit path may perform
 /// (817 at the parent of the commit that introduced this test).
@@ -26,51 +26,16 @@ const PER_TXN_BUDGET: u64 = 420;
 /// Ticks between submissions (`benchmark/src/inputs.rs`).
 const SUBMIT_EVERY: u64 = 400;
 
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// relaxed counter bump that neither allocates nor touches the block.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Runs steps `steps` of the stream and returns the allocations they made.
 fn allocations_over(s: &mut Scenario, steps: std::ops::Range<u64>) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for k in steps {
         if k > 0 {
             s.sim.schedule_timer(k * SUBMIT_EVERY, s.origin, 0);
         }
         s.sim.run_until((k + 1) * SUBMIT_EVERY - 1);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 // One test in this crate on purpose: the counter is process-wide, and a
