@@ -21,7 +21,7 @@
 use crate::diag::Diagnostic;
 use axml_core::compensate::{apply_compensation, compensation_for_effects};
 use axml_query::{ActionType, Effect, InsertPos, Locator, NodePath, UpdateAction};
-use axml_xml::{Document, Fragment};
+use axml_xml::{Document, Fragment, FragmentKind};
 
 /// The structural address an update action operates on, when it has one.
 fn action_root(a: &UpdateAction) -> Option<NodePath> {
@@ -48,10 +48,7 @@ fn paths_interfere(a: &NodePath, b: &NodePath) -> bool {
 /// paper requires "the results of the `<location>` queries of the delete
 /// operations" to be logged; an empty placeholder means they were not.
 fn fragment_is_empty(f: &Fragment) -> bool {
-    match f {
-        Fragment::Text(t) | Fragment::Cdata(t) => t.is_empty(),
-        _ => false,
-    }
+    matches!(f.kind(), FragmentKind::Text("") | FragmentKind::Cdata(""))
 }
 
 /// Audits an effect log on its own: can a sound compensation even be
@@ -257,11 +254,8 @@ mod tests {
 
     #[test]
     fn c001_empty_deleted_fragment() {
-        let effects = vec![Effect::Deleted {
-            fragment: Fragment::Text(String::new()),
-            parent_path: NodePath(vec![0]),
-            position: 2,
-        }];
+        let effects =
+            vec![Effect::Deleted { fragment: Fragment::text(""), parent_path: NodePath(vec![0]), position: 2 }];
         let diags = analyze_effect_log(&effects);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "C001");

@@ -56,7 +56,7 @@ pub fn broken() -> BrokenFixture {
     // inside the subtree the first effect removed (C003).
     let any_node = Document::parse("<d/>").expect("static").root();
     let effects = vec![
-        Effect::Deleted { fragment: Fragment::Text(String::new()), parent_path: NodePath(vec![0]), position: 0 },
+        Effect::Deleted { fragment: Fragment::text(""), parent_path: NodePath(vec![0]), position: 0 },
         Effect::Inserted { node: any_node, path: NodePath(vec![0, 0, 1]), fragment: Fragment::elem_text("ghost", "y") },
     ];
     // One action for two effects (C002), located by query instead of a

@@ -514,8 +514,14 @@ pub struct AxmlPeer {
 }
 
 impl AxmlPeer {
-    /// Builds a peer.
+    /// Builds a peer that knows no replica, provider or WSDL yet.
     pub fn new(id: PeerId, config: PeerConfig) -> AxmlPeer {
+        AxmlPeer::on_fabric(id, config, Directory::new(), WsdlCatalog::default())
+    }
+
+    /// Builds a peer holding the fabric's `directory` and `wsdl` — both
+    /// copy-on-write, so every peer of a fabric shares one of each.
+    pub fn on_fabric(id: PeerId, config: PeerConfig, directory: Directory, wsdl: WsdlCatalog) -> AxmlPeer {
         let monitor = PingMonitor::new(config.ping_interval.max(1), config.ping_timeout.max(1));
         let eval = config.eval;
         AxmlPeer {
@@ -523,9 +529,9 @@ impl AxmlPeer {
             config,
             repo: Repository::new(),
             registry: ServiceRegistry::new(),
-            directory: Directory::new(),
+            directory,
             engine: MaterializationEngine::new(eval),
-            wsdl: WsdlCatalog::default(),
+            wsdl,
             auto_submit: None,
             conflicts: ConflictTable::new(),
             stats: PeerStats::default(),

@@ -349,9 +349,7 @@ impl ScenarioBuilder {
         for idx in 0..n as u32 {
             let mut config = self.config.clone();
             config.is_super = self.supers.contains(&idx);
-            let mut peer = AxmlPeer::new(PeerId(idx), config);
-            peer.wsdl = wsdl.clone();
-            peer.directory = directory.clone();
+            let mut peer = AxmlPeer::on_fabric(PeerId(idx), config, directory.clone(), wsdl.clone());
             if peers.contains(&idx) {
                 let serves: Vec<u32> = std::iter::once(idx)
                     .filter(|i| self.edges.iter().any(|(a, b)| a == i || b == i) || *i == self.origin)

@@ -23,7 +23,7 @@
 //! ```
 
 use crate::consts;
-use axml_xml::{Document, Fragment, NameId, NodeId, QName};
+use axml_xml::{Document, Fragment, FragmentKind, NameId, NodeId, QName};
 use serde::{Deserialize, Serialize};
 
 /// Result mode of a service call (§1).
@@ -246,7 +246,7 @@ impl ServiceCall {
         let frags: Vec<Fragment> = children
             .iter()
             .filter_map(|c| doc.extract_fragment(*c).ok())
-            .filter(|f| !matches!(f, Fragment::Comment(_)))
+            .filter(|f| !matches!(f.kind(), FragmentKind::Comment(_)))
             .collect();
         if frags.is_empty() {
             HandlerAction::Propagate

@@ -194,13 +194,12 @@ mod tests {
     /// What the traversal sees below (and including) `node`, as XML.
     fn visible(view: &TransparentView<'_>, node: NodeId) -> Fragment {
         match view.doc.kind(node).expect("visited nodes are live") {
-            NodeKind::Element { name, attrs } => Fragment::Element {
-                name: name.clone(),
-                attrs: attrs.clone(),
-                children: view.children_of(node).map(|c| visible(view, c)).collect(),
-            },
-            NodeKind::Text(t) => Fragment::Text(t.clone()),
-            NodeKind::Cdata(t) => Fragment::Cdata(t.clone()),
+            NodeKind::Element { name, attrs } => {
+                let element = attrs.iter().fold(Fragment::elem(name.clone()), |e, (n, v)| e.with_attr(n.clone(), v));
+                view.children_of(node).fold(element, |e, c| e.with_child(visible(view, c)))
+            }
+            NodeKind::Text(t) => Fragment::text(t),
+            NodeKind::Cdata(t) => Fragment::cdata(t),
             other => panic!("{} nodes are never visible", other.label()),
         }
     }

@@ -44,11 +44,8 @@ fn axml_doc_strategy() -> impl Strategy<Value = Document> {
         }),
     ];
     let frag = leaf.prop_recursive(3, 24, 4, |inner| {
-        (0usize..3, prop::collection::vec(inner, 0..4)).prop_map(|(i, children)| Fragment::Element {
-            name: QName::local(NAMES[i]),
-            attrs: vec![],
-            children,
-        })
+        (0usize..3, prop::collection::vec(inner, 0..4))
+            .prop_map(|(i, children)| children.into_iter().fold(Fragment::elem(NAMES[i]), Fragment::with_child))
     });
     prop::collection::vec(frag, 1..5).prop_map(|frags| {
         let mut doc = Document::new("root");

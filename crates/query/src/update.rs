@@ -426,7 +426,7 @@ impl UpdateAction {
         let mut location = None;
         for child in frag.children() {
             match child.name().map(|n| n.local.as_str()) {
-                Some("data") => data.extend(child.children().iter().cloned()),
+                Some("data") => data.extend(child.children()),
                 Some("location") => location = Some(Locator::parse(&child.text_content())?),
                 _ => {}
             }

@@ -10,7 +10,7 @@
 
 use axml_query::update::Effect;
 use axml_query::{InsertPos, Locator, NodePath, PathExpr, SelectQuery, UpdateAction};
-use axml_xml::{Document, Fragment, NodeId, QName};
+use axml_xml::{Document, Fragment, NodeId};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
@@ -22,11 +22,8 @@ const NAMES: &[&str] = &["a", "b", "c"];
 fn doc_strategy() -> impl Strategy<Value = Document> {
     let leaf = (0usize..NAMES.len()).prop_map(|i| Fragment::elem(NAMES[i]));
     let frag = leaf.prop_recursive(4, 40, 4, |inner| {
-        (0usize..NAMES.len(), prop::collection::vec(inner, 0..4)).prop_map(|(i, children)| Fragment::Element {
-            name: QName::local(NAMES[i]),
-            attrs: vec![],
-            children,
-        })
+        (0usize..NAMES.len(), prop::collection::vec(inner, 0..4))
+            .prop_map(|(i, children)| children.into_iter().fold(Fragment::elem(NAMES[i]), Fragment::with_child))
     });
     prop::collection::vec(frag, 0..5).prop_map(|frags| {
         let mut doc = Document::new("r");

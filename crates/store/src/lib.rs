@@ -313,9 +313,21 @@ impl WalSink {
     /// Opens a sink whose appends draw storage faults from `faults`
     /// using a deterministic RNG seeded with `seed`.
     pub fn with_faults(config: WalConfig, faults: StorageFaultPlane, seed: u64) -> Result<WalSink, WalError> {
-        // A directory this call creates holds no segments to scan; one
-        // that exists, or whose parents do not, takes the general path.
-        let recovered = if std::fs::create_dir(&config.dir).is_ok() {
+        // A directory this call creates holds no segments to scan. When
+        // only its parents are missing they are made and the creation tried
+        // once more; a directory that exists — or appears meanwhile — and
+        // every other failure take the general path.
+        let created = match std::fs::create_dir(&config.dir) {
+            Ok(()) => true,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if let Some(parent) = config.dir.parent() {
+                    std::fs::create_dir_all(parent)?;
+                }
+                std::fs::create_dir(&config.dir).is_ok()
+            }
+            Err(_) => false,
+        };
+        let recovered = if created {
             Recovered::default()
         } else {
             std::fs::create_dir_all(&config.dir)?;

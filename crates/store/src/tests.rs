@@ -314,6 +314,11 @@ fn a_sink_creates_missing_parents_and_starts_an_empty_log() {
     }
     assert_eq!(segment_indices(&dir).unwrap(), vec![0]);
     assert_eq!(sink.crash_restart(), entries);
+    // Only a missing parent is made up for: below something that is not a
+    // directory there is no log to start, empty or otherwise.
+    let file = tmp.path().join("run-7").join("not-a-dir");
+    std::fs::write(&file, b"x").unwrap();
+    assert!(WalSink::with_faults(WalConfig::new(file.join("peer-5")), StorageFaultPlane::default(), 9).is_err());
 }
 
 #[test]
@@ -456,7 +461,7 @@ fn an_entry_holding_a_fragment_hundreds_of_levels_deep_recovers_on_a_worker_stac
     const XML_LEVELS: usize = 300;
     let mut fragment = Fragment::elem_text("leaf", "bottom");
     for _ in 1..XML_LEVELS {
-        fragment = Fragment::Element { name: "level".into(), attrs: Vec::new(), children: vec![fragment] };
+        fragment = Fragment::elem("level").with_child(fragment);
     }
     let deep = JournalEntry::Local {
         txn: TxnId::new(PeerId(1), 0),

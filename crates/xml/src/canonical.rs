@@ -14,7 +14,7 @@
 //! Both normalize adjacent text, treat CDATA as text, ignore comments and
 //! processing instructions, and compare attributes as unordered sets.
 
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, FragmentKind};
 use crate::name::QName;
 use crate::tree::{Document, NodeId};
 
@@ -26,14 +26,14 @@ enum Canon {
 }
 
 fn canon_fragment(f: &Fragment, sort_siblings: bool) -> Option<Canon> {
-    match f {
-        Fragment::Element { name, attrs, children } => {
-            let mut attrs: Vec<(QName, String)> = attrs.clone();
+    match f.kind() {
+        FragmentKind::Element { name } => {
+            let mut attrs: Vec<(QName, String)> = f.attrs().map(|(n, v)| (n.clone(), v.to_string())).collect();
             attrs.sort();
-            let kids = canon_children(children.iter().filter_map(|c| canon_fragment(c, sort_siblings)), sort_siblings);
+            let kids = canon_children(f.children().filter_map(|c| canon_fragment(&c, sort_siblings)), sort_siblings);
             Some(Canon::Element { name: name.clone(), attrs, children: kids })
         }
-        Fragment::Text(t) | Fragment::Cdata(t) => {
+        FragmentKind::Text(t) | FragmentKind::Cdata(t) => {
             let t = t.trim();
             if t.is_empty() {
                 None
@@ -41,7 +41,7 @@ fn canon_fragment(f: &Fragment, sort_siblings: bool) -> Option<Canon> {
                 Some(Canon::Text(t.to_string()))
             }
         }
-        Fragment::Comment(_) | Fragment::Pi { .. } => None,
+        FragmentKind::Comment(_) | FragmentKind::Pi { .. } => None,
     }
 }
 

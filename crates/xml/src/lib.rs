@@ -48,7 +48,7 @@ pub mod tree;
 
 pub use canonical::{equivalent_ordered, equivalent_unordered};
 pub use error::{ParseError, TreeError};
-pub use fragment::Fragment;
+pub use fragment::{Fragment, FragmentKind};
 pub use intern::{intern, intern_stats, intern_table_len, NameId};
 pub use name::QName;
 pub use parser::{parse, parse_fragment, ParseOptions};

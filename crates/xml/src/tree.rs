@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// A stable, unique identifier for a node within one [`Document`].
@@ -104,13 +105,40 @@ struct Slot {
 
 /// Every live element of a document by name, attached or not (DESIGN.md
 /// §18). An element's name comes and goes in three places — `alloc`,
-/// `dealloc` and `set_name` — and each keeps a built index current.
+/// `vacate` and `set_name` — and each keeps a built index current.
 #[derive(Debug, Clone, Default)]
 struct NameIndex {
-    by_name: HashMap<QName, Vec<NodeId>>,
+    /// Reached by key only — nothing iterates it into output — so its
+    /// hasher is free to be fast.
+    by_name: HashMap<QName, Vec<NodeId>, BuildHasherDefault<Fnv1a>>,
     /// Slot index → where that slot's element sits in its name's list, so
     /// an entry is removed by `swap_remove` without searching for it.
     pos: Vec<u32>,
+}
+
+/// FNV-1a over a name's bytes. Every element allocated or freed under a
+/// built index hashes its name; SipHash made that a tenth of a large
+/// document's transaction. A document whose names are chosen to collide
+/// gets lookups as slow as the walk a document without an index does.
+#[derive(Debug, Clone)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl NameIndex {
@@ -119,13 +147,21 @@ impl NameIndex {
     }
 
     fn insert(&mut self, id: NodeId, name: &QName) {
-        let list = self.by_name.entry(name.clone()).or_default();
         let slot = id.index as usize;
         if self.pos.len() <= slot {
             self.pos.resize(slot + 1, 0);
         }
-        self.pos[slot] = u32::try_from(list.len()).expect("more than u32::MAX nodes");
-        list.push(id);
+        // Nearly every name is listed already: look before cloning one.
+        match self.by_name.get_mut(name) {
+            Some(list) => {
+                self.pos[slot] = u32::try_from(list.len()).expect("more than u32::MAX nodes");
+                list.push(id);
+            }
+            None => {
+                self.pos[slot] = 0;
+                self.by_name.insert(name.clone(), vec![id]);
+            }
+        }
     }
 
     fn remove(&mut self, id: NodeId, name: &QName) {
@@ -252,18 +288,45 @@ impl Document {
         id
     }
 
-    fn dealloc(&mut self, id: NodeId) {
+    /// Empties `id`'s slot and hands back what it held. The slot is not
+    /// reusable until its index is put on the free list.
+    fn vacate(&mut self, id: NodeId) -> Node {
         let slot = &mut self.slots[id.index as usize];
         debug_assert_eq!(slot.generation, id.generation);
-        if let (Some(names), Some(Node { kind: NodeKind::Element { name, .. }, .. })) =
-            (self.names.get_mut(), &slot.node)
-        {
+        let node = slot.node.take().expect("only live nodes are freed");
+        slot.generation = slot.generation.wrapping_add(1);
+        self.live -= 1;
+        if let (Some(names), NodeKind::Element { name, .. }) = (self.names.get_mut(), &node.kind) {
             names.remove(id, name);
         }
-        slot.node = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.index);
-        self.live -= 1;
+        node
+    }
+
+    /// A live node's payload and children, in one lookup.
+    pub(crate) fn parts(&self, id: NodeId) -> Result<(&NodeKind, &[NodeId]), TreeError> {
+        let node = self.expect(id)?;
+        Ok((&node.kind, &node.children))
+    }
+
+    /// Starts taking apart a detached subtree of `nodes` nodes.
+    pub(crate) fn release(&mut self, nodes: usize) -> Release<'_> {
+        let next = self.free.len() + nodes;
+        self.free.resize(next, 0);
+        Release { doc: self, next }
+    }
+
+    /// Makes the fresh, detached nodes `children` the children of the
+    /// fresh, childless element `parent`: what [`Self::append_child`] does
+    /// one by one, for nodes that need none of its checks.
+    pub(crate) fn adopt(&mut self, parent: NodeId, children: Vec<NodeId>) {
+        for &child in &children {
+            let node = self.get_mut(child).expect("a fresh child is live");
+            debug_assert!(node.parent.is_none());
+            node.parent = Some(parent);
+        }
+        let node = self.get_mut(parent).expect("a fresh parent is live");
+        debug_assert!(node.children.is_empty() && matches!(node.kind, NodeKind::Element { .. }));
+        node.children = children;
     }
 
     // ------------------------------------------------------------------
@@ -393,9 +456,8 @@ impl Document {
         let mut stack = vec![node];
         let mut count = 0usize;
         while let Some(id) = stack.pop() {
-            let children = std::mem::take(&mut self.expect_mut(id)?.children);
-            stack.extend(children);
-            self.dealloc(id);
+            stack.extend(self.vacate(id).children);
+            self.free.push(id.index);
             count += 1;
         }
         Ok(count)
@@ -819,6 +881,36 @@ impl Document {
     }
 }
 
+/// A detached subtree being taken apart node by node, parent before
+/// child, by a walk that wants what the nodes held (see
+/// [`Document::remove_to_fragment`]).
+///
+/// The slots go back on the free list in the order [`Document::delete`]
+/// frees them — a node, then its subtrees last child first — which read
+/// backwards is the subtree in post-order. Later allocations, and so the
+/// [`NodeId`]s a log records, therefore do not depend on which of the two
+/// removed a subtree.
+pub(crate) struct Release<'d> {
+    doc: &'d mut Document,
+    /// One past the free-list entry the next retired node fills.
+    next: usize,
+}
+
+impl Release<'_> {
+    /// Empties `node`'s slot, handing over its payload and children.
+    pub(crate) fn take(&mut self, node: NodeId) -> (NodeKind, Vec<NodeId>) {
+        let Node { kind, children, .. } = self.doc.vacate(node);
+        (kind, children)
+    }
+
+    /// Lists `node`'s slot as free; call it once `node`'s children are
+    /// retired.
+    pub(crate) fn retire(&mut self, node: NodeId) {
+        self.next -= 1;
+        self.doc.free[self.next] = node.index;
+    }
+}
+
 /// Pre-order (document order) iterator over a subtree.
 pub struct Descendants<'a> {
     doc: &'a Document,
@@ -1042,6 +1134,54 @@ mod tests {
         doc.set_name(a, "renamed").unwrap();
         assert_eq!(doc.name(a).unwrap().local, "renamed");
         assert_eq!(doc.set_name(t, "x"), Err(TreeError::WrongKind { expected: "element" }));
+    }
+
+    /// The index's map has a hasher chosen for speed, so its iteration
+    /// order means nothing: every answer is a lookup by key, and equals
+    /// what a document without an index finds by looking through its arena.
+    #[test]
+    fn the_name_index_answers_by_key_whatever_order_its_map_keeps() {
+        let mut plain = Document::new("r");
+        let root = plain.root();
+        let names: Vec<String> =
+            (0..40).map(|k| if k % 3 == 0 { format!("ns{k}:e") } else { format!("e{k}") }).collect();
+        let mut ids = Vec::new();
+        for k in 0..300 {
+            let e = plain.create_element(names[k * 7 % names.len()].as_str());
+            plain.append_child(if k % 5 == 0 { root } else { ids[k / 2] }, e).unwrap();
+            ids.push(e);
+        }
+        let mut indexed = plain.clone();
+        indexed.ensure_name_index();
+        for doc in [&mut plain, &mut indexed] {
+            doc.delete(ids[200]).unwrap();
+            doc.set_name(ids[10], "renamed").unwrap();
+            let fresh = doc.create_element("ns0:e");
+            doc.append_child(ids[3], fresh).unwrap();
+        }
+        assert!(plain.names.get().is_none() && indexed.names.get().is_some());
+        indexed.check_consistency().unwrap();
+        for name in names.iter().map(String::as_str).chain(["renamed", "r", "absent"]) {
+            let sorted = |doc: &Document| {
+                let mut found = doc.elements_named(&QName::new(name)).into_owned();
+                found.sort();
+                found
+            };
+            assert_eq!(sorted(&indexed), sorted(&plain), "{name}");
+        }
+        assert_eq!(indexed.to_xml(), plain.to_xml());
+    }
+
+    #[test]
+    fn fnv1a_is_the_published_function() {
+        let hash = |bytes: &[u8]| {
+            let mut h = Fnv1a::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

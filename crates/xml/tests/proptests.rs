@@ -8,10 +8,162 @@
 //! - canonical equivalence is reflexive and invariant under comment noise.
 
 use axml_xml::{
-    canonical, equivalent_ordered, equivalent_unordered, escape_attr, escape_text, Document, Fragment, NodeId,
-    NodeKind, QName, SerializeOptions,
+    canonical, equivalent_ordered, equivalent_unordered, escape_attr, escape_text, Document, Fragment, FragmentKind,
+    NodeId, NodeKind, QName, SerializeOptions, TreeError,
 };
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
+
+// ----------------------------------------------------------------------
+// The recursive fragment `Fragment` was, as the oracle for the table it is.
+// ----------------------------------------------------------------------
+
+/// `axml_xml::Fragment` as it was before it became a flat table: a tree of
+/// boxes with derived serde, equality and the recursive walks. Generated
+/// values are trees; [`TreeFragment::flat`] builds the fragment under test
+/// through the public constructors.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+enum TreeFragment {
+    Element { name: QName, attrs: Vec<(QName, String)>, children: Vec<TreeFragment> },
+    Text(String),
+    Cdata(String),
+    Comment(String),
+    Pi { target: String, data: String },
+}
+
+impl TreeFragment {
+    fn flat(&self) -> Fragment {
+        match self {
+            TreeFragment::Element { name, attrs, children } => {
+                let element = attrs.iter().fold(Fragment::elem(name.clone()), |e, (n, v)| e.with_attr(n.clone(), v));
+                children.iter().fold(element, |e, c| e.with_child(c.flat()))
+            }
+            TreeFragment::Text(t) => Fragment::text(t),
+            TreeFragment::Cdata(t) => Fragment::cdata(t),
+            TreeFragment::Comment(t) => Fragment::comment(t),
+            TreeFragment::Pi { target, data } => Fragment::pi(target, data),
+        }
+    }
+
+    fn from_node(doc: &Document, node: NodeId) -> Result<TreeFragment, TreeError> {
+        match doc.kind(node)? {
+            NodeKind::Element { name, attrs } => {
+                let mut children = Vec::new();
+                for &child in doc.children(node)? {
+                    children.push(TreeFragment::from_node(doc, child)?);
+                }
+                Ok(TreeFragment::Element { name: name.clone(), attrs: attrs.clone(), children })
+            }
+            NodeKind::Text(t) => Ok(TreeFragment::Text(t.clone())),
+            NodeKind::Cdata(t) => Ok(TreeFragment::Cdata(t.clone())),
+            NodeKind::Comment(t) => Ok(TreeFragment::Comment(t.clone())),
+            NodeKind::Pi { target, data } => Ok(TreeFragment::Pi { target: target.clone(), data: data.clone() }),
+        }
+    }
+
+    fn instantiate(&self, doc: &mut Document) -> NodeId {
+        match self {
+            TreeFragment::Element { name, attrs, children } => {
+                let id = doc.create_element_with_attrs(name.clone(), attrs.iter().cloned());
+                for child in children {
+                    let cid = child.instantiate(doc);
+                    doc.append_child(id, cid).expect("freshly created element accepts children");
+                }
+                id
+            }
+            TreeFragment::Text(t) => doc.create_text(t.clone()),
+            TreeFragment::Cdata(t) => doc.create_cdata(t.clone()),
+            TreeFragment::Comment(t) => doc.create_comment(t.clone()),
+            TreeFragment::Pi { target, data } => doc.create_pi(target.clone(), data.clone()),
+        }
+    }
+
+    fn attr(&self, name: &str) -> Option<&str> {
+        match self {
+            TreeFragment::Element { attrs, .. } => {
+                attrs.iter().find(|(n, _)| n.matches_raw(name)).map(|(_, v)| v.as_str())
+            }
+            _ => None,
+        }
+    }
+
+    fn children(&self) -> &[TreeFragment] {
+        match self {
+            TreeFragment::Element { children, .. } => children,
+            _ => &[],
+        }
+    }
+
+    fn text_content(&self) -> String {
+        match self {
+            TreeFragment::Text(t) | TreeFragment::Cdata(t) => t.clone(),
+            TreeFragment::Element { children, .. } => children.iter().map(TreeFragment::text_content).collect(),
+            _ => String::new(),
+        }
+    }
+
+    fn node_count(&self) -> usize {
+        match self {
+            TreeFragment::Element { children, .. } => 1 + children.iter().map(TreeFragment::node_count).sum::<usize>(),
+            _ => 1,
+        }
+    }
+
+    fn to_xml(&self) -> String {
+        let mut out = String::new();
+        self.write_xml(&mut out);
+        out
+    }
+
+    fn write_xml(&self, out: &mut String) {
+        match self {
+            TreeFragment::Element { name, attrs, children } => {
+                out.push_str(&format!("<{name}"));
+                for (an, av) in attrs {
+                    out.push_str(&format!(" {an}=\"{}\"", escape_attr(av)));
+                }
+                if children.is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    for c in children {
+                        c.write_xml(out);
+                    }
+                    out.push_str(&format!("</{name}>"));
+                }
+            }
+            TreeFragment::Text(t) => out.push_str(&escape_text(t)),
+            TreeFragment::Cdata(t) => out.push_str(&format!("<![CDATA[{t}]]>")),
+            TreeFragment::Comment(t) => out.push_str(&format!("<!--{t}-->")),
+            TreeFragment::Pi { target, data } if data.is_empty() => out.push_str(&format!("<?{target}?>")),
+            TreeFragment::Pi { target, data } => out.push_str(&format!("<?{target} {data}?>")),
+        }
+    }
+
+    /// The subtrees below (and including) this one, in document order.
+    fn subtrees(&self) -> Vec<&TreeFragment> {
+        let mut all = vec![self];
+        for child in self.children() {
+            all.extend(child.subtrees());
+        }
+        all
+    }
+}
+
+/// [`TreeFragment::subtrees`] of the flat fragment: views of views.
+fn flat_subtrees(f: &Fragment) -> Vec<Fragment> {
+    let mut all = vec![f.clone()];
+    for child in f.children() {
+        all.extend(flat_subtrees(&child));
+    }
+    all
+}
+
+fn json_of<T: Serialize>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
 
 /// Strategy for XML names (restricted alphabet keeps shrinking readable).
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -32,11 +184,11 @@ fn attr_strategy() -> impl Strategy<Value = (QName, String)> {
 /// Recursive fragment strategy.
 fn fragment_strategy() -> impl Strategy<Value = Fragment> {
     let leaf = prop_oneof![
-        text_strategy().prop_map(Fragment::Text),
+        text_strategy().prop_map(TreeFragment::Text),
         (name_strategy(), prop::collection::vec(attr_strategy(), 0..3)).prop_map(|(n, mut attrs)| {
             attrs.sort();
             attrs.dedup_by(|a, b| a.0 == b.0);
-            Fragment::Element { name: QName::local(n), attrs, children: vec![] }
+            TreeFragment::Element { name: QName::local(n), attrs, children: vec![] }
         }),
     ];
     leaf.prop_recursive(4, 64, 5, |inner| {
@@ -46,22 +198,23 @@ fn fragment_strategy() -> impl Strategy<Value = Fragment> {
                 attrs.dedup_by(|a, b| a.0 == b.0);
                 // Adjacent text nodes are merged by the parser; normalize the
                 // generated value so round-trips are comparable.
-                let mut merged: Vec<Fragment> = Vec::new();
+                let mut merged: Vec<TreeFragment> = Vec::new();
                 for c in children {
                     match (merged.last_mut(), c) {
-                        (Some(Fragment::Text(prev)), Fragment::Text(t)) => prev.push_str(&t),
+                        (Some(TreeFragment::Text(prev)), TreeFragment::Text(t)) => prev.push_str(&t),
                         (_, c) => merged.push(c),
                     }
                 }
-                Fragment::Element { name: QName::local(n), attrs, children: merged }
+                TreeFragment::Element { name: QName::local(n), attrs, children: merged }
             },
         )
     })
+    .prop_map(|tree| tree.flat())
 }
 
 /// Element-rooted fragment (documents need an element root).
 fn element_strategy() -> impl Strategy<Value = Fragment> {
-    fragment_strategy().prop_filter("element root", |f| matches!(f, Fragment::Element { .. }))
+    fragment_strategy().prop_filter("element root", |f| matches!(f.kind(), FragmentKind::Element { .. }))
 }
 
 proptest! {
@@ -603,20 +756,28 @@ fn markup_name_strategy() -> impl Strategy<Value = QName> {
 }
 
 /// Fragments of every node kind, with prefixed names and attribute and
-/// text content that needs escaping.
-fn markup_fragment_strategy() -> impl Strategy<Value = Fragment> {
+/// text content that needs escaping, as the trees they used to be.
+fn markup_tree_strategy() -> impl Strategy<Value = TreeFragment> {
     let attrs = || prop::collection::vec((markup_name_strategy(), markup_text_strategy()), 0..3);
     let leaf = prop_oneof![
-        markup_text_strategy().prop_map(Fragment::Text),
-        "[a-z<&\\]]{0,6}".prop_map(Fragment::Cdata),
-        "[a-z <&]{0,6}".prop_map(Fragment::Comment),
-        ("[a-z]{1,4}", "[a-z =]{0,6}").prop_map(|(target, data)| Fragment::Pi { target, data }),
-        (markup_name_strategy(), attrs()).prop_map(|(name, attrs)| Fragment::Element { name, attrs, children: vec![] }),
+        markup_text_strategy().prop_map(TreeFragment::Text),
+        "[a-z<&\\]]{0,6}".prop_map(TreeFragment::Cdata),
+        "[a-z <&]{0,6}".prop_map(TreeFragment::Comment),
+        ("[a-z]{1,4}", "[a-z =]{0,6}").prop_map(|(target, data)| TreeFragment::Pi { target, data }),
+        (markup_name_strategy(), attrs()).prop_map(|(name, attrs)| TreeFragment::Element {
+            name,
+            attrs,
+            children: vec![]
+        }),
     ];
     leaf.prop_recursive(4, 48, 4, move |inner| {
         (markup_name_strategy(), attrs(), prop::collection::vec(inner, 0..4))
-            .prop_map(|(name, attrs, children)| Fragment::Element { name, attrs, children })
+            .prop_map(|(name, attrs, children)| TreeFragment::Element { name, attrs, children })
     })
+}
+
+fn markup_fragment_strategy() -> impl Strategy<Value = Fragment> {
+    markup_tree_strategy().prop_map(|tree| tree.flat())
 }
 
 proptest! {
@@ -652,5 +813,202 @@ proptest! {
 
         prop_assert_eq!(escape_text(&text), escape_oracle(&text, false));
         prop_assert_eq!(escape_attr(&text), escape_oracle(&text, true));
+    }
+}
+
+// ----------------------------------------------------------------------
+// The flat fragment against the recursive one.
+// ----------------------------------------------------------------------
+
+/// `tree` with one attribute value changed, if it has an attribute
+/// anywhere (the first in document order).
+fn with_one_attr_changed(tree: &TreeFragment) -> Option<TreeFragment> {
+    let TreeFragment::Element { name, attrs, children } = tree else { return None };
+    let (name, mut attrs, mut children) = (name.clone(), attrs.clone(), children.clone());
+    if let Some((_, value)) = attrs.first_mut() {
+        value.push('!');
+    } else {
+        let at = children.iter().position(|c| with_one_attr_changed(c).is_some())?;
+        children[at] = with_one_attr_changed(&children[at])?;
+    }
+    Some(TreeFragment::Element { name, attrs, children })
+}
+
+/// `tree` with the first unequal pair of adjacent siblings swapped.
+fn with_one_sibling_pair_swapped(tree: &TreeFragment) -> Option<TreeFragment> {
+    let TreeFragment::Element { name, attrs, children } = tree else { return None };
+    let mut children = children.clone();
+    if let Some(at) = children.windows(2).position(|w| w[0] != w[1]) {
+        children.swap(at, at + 1);
+    } else {
+        let at = children.iter().position(|c| with_one_sibling_pair_swapped(c).is_some())?;
+        children[at] = with_one_sibling_pair_swapped(&children[at])?;
+    }
+    Some(TreeFragment::Element { name: name.clone(), attrs: attrs.clone(), children })
+}
+
+/// A host document holding `trees` side by side under its root, built
+/// through the old instantiation; returns the ids of their roots.
+fn host_of(trees: &[TreeFragment]) -> (Document, Vec<NodeId>) {
+    let mut doc = Document::new("host");
+    let root = doc.root();
+    let ids = trees
+        .iter()
+        .map(|t| {
+            let id = t.instantiate(&mut doc);
+            doc.append_child(root, id).unwrap();
+            id
+        })
+        .collect();
+    (doc, ids)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Everything a fragment can be asked, asked of the flat table and of
+    /// the tree of boxes it replaced — of whole fragments and of every
+    /// child view, views of views included.
+    #[test]
+    fn a_flat_fragment_answers_as_the_recursive_one_did(tree in markup_tree_strategy()) {
+        let flat = tree.flat();
+        let views = flat_subtrees(&flat);
+        let subtrees = tree.subtrees();
+        prop_assert_eq!(views.len(), subtrees.len());
+        for (view, sub) in views.iter().zip(&subtrees) {
+            prop_assert_eq!(view.to_xml(), sub.to_xml());
+            prop_assert_eq!(format!("{view}"), sub.to_xml());
+            prop_assert_eq!(json_of(view), json_of(*sub));
+            prop_assert_eq!(format!("{view:?}"), format!("{sub:?}"));
+            prop_assert_eq!(format!("{view:#?}"), format!("{sub:#?}"));
+            prop_assert_eq!(view.node_count(), sub.node_count());
+            prop_assert_eq!(view.text_content(), sub.text_content());
+            prop_assert_eq!(view.children().count(), sub.children().len());
+            for name in ["a", "item", "axml:sc", "ns:deep", "x:y:z", "sc", "missing"] {
+                prop_assert_eq!(view.attr(name), sub.attr(name));
+            }
+            // A view equals the same subtree in a table of its own, and
+            // building on a view leaves the table it looks into alone.
+            prop_assert_eq!(view, &sub.flat());
+            let grown = view.clone().with_attr("added", "1").with_text("more");
+            prop_assert_eq!(grown == *view, view.name().is_none());
+        }
+        prop_assert_eq!(flat.to_xml(), tree.to_xml(), "views were built on, the table was not written");
+
+        // JSON: the derived encoding's bytes, and both decoders read them.
+        let value: Value = serde_json::from_str(&json_of(&tree)).unwrap();
+        prop_assert_eq!(&Fragment::from_value(&value).unwrap(), &flat);
+        prop_assert_eq!(&TreeFragment::from_value(&value).unwrap(), &tree);
+        let list = vec![flat.clone(), flat.clone()];
+        prop_assert_eq!(json_of(&list), json_of(&vec![tree.clone(), tree.clone()]));
+
+        // Equality is structural: the same tree built twice is equal, one
+        // changed attribute value or one swapped sibling pair is not.
+        prop_assert_eq!(&flat, &tree.flat());
+        prop_assert_eq!(&flat, &flat.clone());
+        for other in [with_one_attr_changed(&tree), with_one_sibling_pair_swapped(&tree)].into_iter().flatten() {
+            prop_assert!(other != tree);
+            prop_assert!(other.flat() != flat, "{other:?} equals {tree:?}");
+        }
+    }
+
+    /// Instantiating a flat fragment allocates the ids, in the order, the
+    /// recursive one did, and capturing the result gives the fragment back.
+    #[test]
+    fn instantiate_and_capture_are_the_recursive_walks(trees in prop::collection::vec(markup_tree_strategy(), 1..4)) {
+        let (old, old_ids) = host_of(&trees);
+        let mut new = Document::new("host");
+        let root = new.root();
+        for (tree, old_id) in trees.iter().zip(&old_ids) {
+            let flat = tree.flat();
+            let id = new.append_fragment(root, &flat).unwrap();
+            prop_assert_eq!(id, *old_id);
+            prop_assert_eq!(&Fragment::from_node(&new, id).unwrap(), &flat);
+            prop_assert_eq!(&TreeFragment::from_node(&new, id).unwrap(), tree);
+        }
+        prop_assert_eq!(new.to_xml(), old.to_xml());
+        prop_assert_eq!(new.all_nodes().collect::<Vec<_>>(), old.all_nodes().collect::<Vec<_>>());
+        new.check_consistency().unwrap();
+    }
+
+    /// `remove_to_fragment` is the old capture, detach and delete: the
+    /// same fragment, the same document, the same slots handed out
+    /// afterwards — with the name index built or not.
+    #[test]
+    fn remove_to_fragment_is_capture_then_detach_then_delete(
+        trees in prop::collection::vec(markup_tree_strategy(), 1..4),
+        pick in any::<usize>(),
+        indexed in any::<bool>(),
+    ) {
+        let (mut old, _) = host_of(&trees);
+        if indexed {
+            old.ensure_name_index();
+        }
+        let mut new = old.clone();
+        let victims: Vec<NodeId> = old.all_nodes().skip(1).collect();
+        let victim = victims[pick % victims.len()];
+
+        let expected = TreeFragment::from_node(&old, victim).unwrap();
+        let (parent, pos) = old.detach(victim).unwrap();
+        old.delete(victim).unwrap();
+
+        let (captured, new_parent, new_pos) = new.remove_to_fragment(victim).unwrap();
+        prop_assert_eq!(&captured, &expected.flat());
+        prop_assert_eq!(json_of(&captured), json_of(&expected));
+        prop_assert_eq!((new_parent, new_pos), (parent, pos));
+        prop_assert_eq!(new.to_xml(), old.to_xml());
+        prop_assert_eq!(new.node_count(), old.node_count());
+        prop_assert_eq!(new.check_consistency(), old.check_consistency());
+        new.check_consistency().unwrap();
+        prop_assert!(!new.contains(victim));
+        for name in ["a", "item", "axml:sc", "axml:params", "ns:deep", "x:y:z", "host"] {
+            prop_assert_eq!(sorted_named(&new, name), sorted_named(&old, name), "//{}", name);
+        }
+        // The freed slots come back in the same order: the compensating
+        // insert's ids are the ones the log of the old walk recorded.
+        prop_assert_eq!(captured.instantiate(&mut new), expected.instantiate(&mut old));
+        prop_assert_eq!(new.create_element("next"), old.create_element("next"));
+        prop_assert_eq!(new.all_nodes().collect::<Vec<_>>(), old.all_nodes().collect::<Vec<_>>());
+    }
+}
+
+/// JSON values shaped nearly like a fragment: the right tags and field
+/// names in the wrong places, missing fields, non-string text.
+fn hostile_value_strategy() -> impl Strategy<Value = Value> {
+    const KEYS: [&str; 13] = [
+        "Element", "Text", "Cdata", "Comment", "Pi", "name", "attrs", "children", "target", "data", "prefix", "local",
+        "Other",
+    ];
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        (-3i64..3).prop_map(Value::Int),
+        "[a-z<&\"]{0,4}".prop_map(Value::Str),
+        (0usize..KEYS.len()).prop_map(|k| Value::Str(KEYS[k].to_string())),
+    ];
+    leaf.prop_recursive(5, 48, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
+            prop::collection::vec((0usize..KEYS.len(), inner), 0..4)
+                .prop_map(|entries| Value::Map(entries.into_iter().map(|(k, v)| (KEYS[k].to_string(), v)).collect())),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Decoding never panics, accepts exactly what the derived decoder
+    /// accepted, and reads it as the same tree.
+    #[test]
+    fn from_value_accepts_what_the_derived_decoder_accepted(value in hostile_value_strategy()) {
+        match (Fragment::from_value(&value), TreeFragment::from_value(&value)) {
+            (Ok(flat), Ok(tree)) => {
+                prop_assert_eq!(&flat, &tree.flat());
+                prop_assert_eq!(json_of(&flat), json_of(&tree));
+            }
+            (Err(_), Err(_)) => {}
+            (flat, tree) => prop_assert!(false, "{value:?}: flat {flat:?}, tree {tree:?}"),
+        }
     }
 }

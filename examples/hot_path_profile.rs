@@ -6,10 +6,13 @@
 //!     cargo run --release --example hot_path_profile [-- ROWS]
 //! ```
 //!
-//! Two workloads are profiled, each in two modes:
+//! Three workloads are profiled, each in two modes:
 //!
 //! - **`commit-stream`-shaped**: sequential query-flavor Fig. 1 commits
 //!   on one long-lived simulator (handlers + queue);
+//! - **`big-doc`-shaped**: the same tree over 2,000-node documents,
+//!   commit and abort alternating (scan, materialisation, fragment
+//!   capture, compensation) — `tests/common/big_doc.rs`;
 //! - **`run_case`-shaped**: the chaos matrix's cases through
 //!   `axml_chaos::run_case` (recovery, WAL, oracle).
 //!
@@ -42,6 +45,10 @@ fn main() {
 fn main() {
     imp::main();
 }
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[path = "../tests/common/big_doc.rs"]
+mod big_doc;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
@@ -329,10 +336,31 @@ mod imp {
     // Workloads.
     // ------------------------------------------------------------------
 
-    /// Transactions one simulator runs before it is replaced — a benchmark
-    /// pass. Peers keep every context and journal entry, so an endless
-    /// stream would profile the allocator growing the heap instead.
-    const PASS_TXNS: u64 = 4000;
+    /// A closed-loop stream workload: each call runs the next `txns`
+    /// transactions of a simulator that is replaced after `pass` of them —
+    /// a benchmark pass. Peers keep every context and journal entry, so an
+    /// endless stream would profile the allocator growing the heap instead.
+    /// Warmed up like a benchmark pass; the first warm-up happens here,
+    /// outside the measured window.
+    fn stream(
+        build: impl Fn() -> Scenario,
+        run: fn(&mut Scenario, std::ops::Range<u64>),
+        (warm_up, pass, txns): (u64, u64, u64),
+    ) -> impl FnMut() {
+        let fresh = move || {
+            let mut s = build();
+            run(&mut s, 0..warm_up);
+            (s, warm_up)
+        };
+        let (mut s, mut next) = fresh();
+        move || {
+            if next + txns > pass {
+                (s, next) = fresh();
+            }
+            run(&mut s, next..next + txns);
+            next += txns;
+        }
+    }
 
     fn commit_stream(txns: u64) -> impl FnMut() {
         fn run(s: &mut Scenario, steps: std::ops::Range<u64>) {
@@ -343,21 +371,11 @@ mod imp {
                 s.sim.run_until((k + 1) * 400 - 1);
             }
         }
-        // Warmed up like a benchmark pass; the first warm-up happens here,
-        // outside the measured window.
-        let fresh = || {
-            let mut s = ScenarioBuilder::fig1().flavor(Flavor::Query).with_seed(0).build();
-            run(&mut s, 0..100);
-            (s, 100)
-        };
-        let (mut s, mut next) = fresh();
-        move || {
-            if next + txns > PASS_TXNS {
-                (s, next) = fresh();
-            }
-            run(&mut s, next..next + txns);
-            next += txns;
-        }
+        stream(|| ScenarioBuilder::fig1().flavor(Flavor::Query).with_seed(0).build(), run, (100, 4000, txns))
+    }
+
+    fn big_doc(txns: u64) -> impl FnMut() {
+        stream(|| crate::big_doc::scenario(0), crate::big_doc::run, (20, 200, txns))
     }
 
     fn run_cases(seeds: u64) -> impl FnMut() {
@@ -488,6 +506,8 @@ mod imp {
         println!("(build with RUSTFLAGS=\"-C force-frame-pointers=yes\" or the call chains are unreliable)");
         profile_cpu("commit-stream-shaped (Fig. 1 query commits)", &mut syms, commit_stream(500), 4000);
         profile_allocs("commit-stream-shaped (Fig. 1 query commits)", &mut syms, commit_stream(200), ("txn", 200));
+        profile_cpu("big-doc-shaped (2,000-node documents, commit/abort)", &mut syms, big_doc(60), 4000);
+        profile_allocs("big-doc-shaped (2,000-node documents, commit/abort)", &mut syms, big_doc(40), ("txn", 40));
         profile_cpu("run_case-shaped (chaos matrix, 4 seeds)", &mut syms, run_cases(4), 4000);
         profile_allocs("run_case-shaped (chaos matrix, 1 seed)", &mut syms, run_cases(1), ("case", 25));
     }

@@ -7,39 +7,60 @@
 //! it. The simulator is seeded and single-threaded, so the allocation
 //! count is a pure function of the code: 817 per transaction at the
 //! commit before the commit path stopped copying active-peer lists,
-//! service definitions and queue entries, 391 after it. The budget sits
+//! service definitions and queue entries, 391 after it, 388 with results
+//! and logged subtrees shared instead of copied. The budget sits
 //! a little above that, so a standard library that sizes a `BTreeMap`
 //! node or grows a `Vec` differently does not trip it; a copy that comes
 //! back does.
 //!
-//! This is its own test crate because the counter is process-wide (see
-//! `common/mod.rs`, which holds the counting `GlobalAlloc`).
+//! Beside it, the same count for the benchmark's `big-doc` workload —
+//! 2,000-node documents, commit and abort alternating, where moving
+//! subtrees as values is the cost: 6,496 allocations per transaction while
+//! a `Fragment` was a tree of boxes, 3,148 now that it is one shared table
+//! — and the two properties of that table the count rests on: a clone
+//! allocates nothing, and a capture allocates the same few blocks whatever
+//! the subtree's size.
+//!
+//! `common/mod.rs` holds the counting `GlobalAlloc`; it counts per thread,
+//! so the tests here do not see one another.
 
 mod common;
 
 use axml::prelude::*;
-use common::allocations;
+use common::{allocations, big_doc};
 
 /// Allocations per committed transaction the commit path may perform
 /// (817 at the parent of the commit that introduced this test).
 const PER_TXN_BUDGET: u64 = 420;
+/// Allocations per `big-doc` transaction, commits and aborts averaged
+/// (6,496 at the parent of the commit that made `Fragment` a flat table).
+const PER_BIG_DOC_TXN_BUDGET: u64 = 3_400;
+/// Allocations one capture of a subtree may make, whatever its size: the
+/// table's three vectors and the `Arc` around them.
+const PER_CAPTURE_BUDGET: u64 = 4;
 /// Ticks between submissions (`benchmark/src/inputs.rs`).
 const SUBMIT_EVERY: u64 = 400;
 
-/// Runs steps `steps` of the stream and returns the allocations they made.
-fn allocations_over(s: &mut Scenario, steps: std::ops::Range<u64>) -> u64 {
+/// Runs `work`; returns the allocations it made and what it returned.
+fn counted<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = allocations();
-    for k in steps {
-        if k > 0 {
-            s.sim.schedule_timer(k * SUBMIT_EVERY, s.origin, 0);
-        }
-        s.sim.run_until((k + 1) * SUBMIT_EVERY - 1);
-    }
-    allocations() - before
+    let out = work();
+    (allocations() - before, out)
 }
 
-// One test in this crate on purpose: the counter is process-wide, and a
-// second test running on another thread would be counted too.
+/// Runs steps `steps` of the stream and returns the allocations they made.
+fn allocations_over(s: &mut Scenario, steps: std::ops::Range<u64>) -> u64 {
+    let run = || {
+        for k in steps {
+            if k > 0 {
+                s.sim.schedule_timer(k * SUBMIT_EVERY, s.origin, 0);
+            }
+            s.sim.run_until((k + 1) * SUBMIT_EVERY - 1);
+        }
+    };
+    counted(run).0
+}
+
 #[test]
 fn a_committed_fig1_transaction_stays_within_its_allocation_budget() {
     let mut s = ScenarioBuilder::fig1().flavor(Flavor::Query).with_seed(0).build();
@@ -58,4 +79,62 @@ fn a_committed_fig1_transaction_stays_within_its_allocation_budget() {
         drift * 100 <= second,
         "allocations grow with the transactions already run: {second} for steps 100..200, {third} for 200..300"
     );
+}
+
+#[test]
+fn a_big_doc_transaction_stays_within_its_allocation_budget() {
+    let mut s = big_doc::scenario(0);
+    let over = |s: &mut Scenario, steps| counted(|| big_doc::run(s, steps)).0;
+    over(&mut s, 0..20); // warm-up: intern table, name indexes, queue and map capacity
+    let second = over(&mut s, 20..40);
+    let third = over(&mut s, 40..60);
+
+    let outcomes = &s.sim.actor(s.origin).outcomes;
+    assert_eq!(outcomes.len(), 60);
+    assert!(outcomes.iter().enumerate().all(|(k, o)| o.committed == (k % 2 == 0)), "even steps commit, odd abort");
+
+    let per_txn = (second + third) / 40;
+    assert!(
+        per_txn <= PER_BIG_DOC_TXN_BUDGET,
+        "{per_txn} allocations per transaction, budget {PER_BIG_DOC_TXN_BUDGET}"
+    );
+    let drift = second.abs_diff(third);
+    assert!(
+        drift * 100 <= second,
+        "allocations grow with the transactions already run: {second} for steps 20..40, {third} for 40..60"
+    );
+}
+
+#[test]
+fn a_fragment_is_cloned_for_free_and_captured_in_a_fixed_number_of_allocations() {
+    for nodes in [10, 2_000] {
+        let mut doc = axml::workload::random_plain_doc(7, &axml::workload::DocParams { nodes, ..Default::default() });
+        let root = doc.root();
+        assert!(doc.node_count() >= nodes);
+        let (capture, fragment) = counted(|| Fragment::from_node(&doc, root).unwrap());
+        assert_eq!(fragment.node_count(), doc.node_count());
+        assert!(capture <= PER_CAPTURE_BUDGET, "{capture} allocations to capture {nodes} nodes");
+
+        let mut copies = Vec::with_capacity(8);
+        let (clones, ()) = counted(|| copies.extend((0..8).map(|_| fragment.clone())));
+        assert_eq!(clones, 0, "cloning a {nodes}-node fragment allocated");
+        let (drops, ()) = counted(|| copies.clear());
+        assert_eq!(drops, 0, "dropping a shared fragment allocated");
+
+        // Capture-and-remove: the same blocks, nothing for the walk, and at
+        // most one growth of the document's free list.
+        let child = doc.children(root).unwrap()[0];
+        let size = doc.subtree_size(child);
+        let (remove, (removed, _, _)) = counted(|| doc.remove_to_fragment(child).unwrap());
+        assert_eq!(removed.node_count(), size);
+        assert!(remove <= PER_CAPTURE_BUDGET + 1, "{remove} allocations to remove {size} nodes");
+    }
+
+    // The smallest result a service returns: built in three blocks where
+    // the tree of boxes took two, and then shared where that was copied —
+    // two more per holder.
+    drop(Fragment::elem_text("done", "warm-up: interns the name"));
+    let (built, done) = counted(|| Fragment::elem_text("done", "x"));
+    assert!(built <= 3, "{built} allocations for <done>x</done>");
+    assert_eq!(done.to_xml(), "<done>x</done>");
 }

@@ -7,11 +7,12 @@
 //! code: 2,294 per case at the commit before a case stopped serialising
 //! its documents three times, deep-copying the fabric tables into every
 //! peer and filling its counter registry one key at a time; 1,267 after
-//! it. The budget leaves room for a standard library that sizes a map
+//! it; 1,224 with logged subtrees shared, the fabric tables handed to each
+//! peer's constructor and no scan of a directory whose parents were
+//! missing. The budget leaves room for a standard library that sizes a map
 //! node or grows a `String` differently, not for one of those coming back.
 //!
-//! Its own test crate because the counter is process-wide (see
-//! `common/mod.rs`).
+//! `common/mod.rs` holds the counting `GlobalAlloc`.
 
 mod common;
 
@@ -33,7 +34,6 @@ fn allocations_over_the_cells() -> u64 {
     allocations() - before
 }
 
-// One test in this crate on purpose: see `common/mod.rs`.
 #[test]
 fn a_chaos_case_stays_within_its_allocation_budget() {
     allocations_over_the_cells(); // warm-up: the intern table

@@ -1,23 +1,35 @@
-//! A counting `GlobalAlloc` for the allocation-budget tests. Each of
-//! them is its own test crate — the counter is process-wide, so a second
-//! test on another thread would be counted too — and includes this file
-//! as a module, which keeps the `unsafe` outside every
+//! A counting `GlobalAlloc` for the allocation-budget tests, which
+//! include this file as a module — that keeps the `unsafe` outside every
 //! `#![forbid(unsafe_code)]` crate (the only other `unsafe` in the
 //! repository is the profiler, `examples/hot_path_profile.rs`).
+//!
+//! The count is per thread: the harness runs each test on a thread of its
+//! own and everything measured here is single-threaded, so a test reads
+//! exactly the allocations it made itself, whatever runs beside it.
+
+pub mod big_doc;
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so reading it never
+    // allocates and is valid for the whole life of the thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// relaxed counter bump that neither allocates nor touches the block.
+// which upholds the `GlobalAlloc` contract; the only addition is a bump of
+// a thread-local counter that neither allocates nor touches the block.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -28,13 +40,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -43,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) this process has made so far.
+/// Allocations (and reallocations) the calling thread has made so far.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
