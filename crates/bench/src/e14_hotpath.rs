@@ -157,16 +157,16 @@ fn owned_name(q: &axml_xml::QName) -> (Option<String>, String) {
 /// instead of a refcount bump.
 pub fn from_node_owned(doc: &axml_xml::Document, node: axml_xml::NodeId) -> OwnedFragment {
     match doc.kind(node).expect("attached") {
-        axml_xml::NodeKind::Element { name, attrs } => {
+        axml_xml::NodeKind::Element { name } => {
             let mut children = Vec::new();
-            for &child in doc.children(node).expect("element") {
+            for child in doc.children(node).expect("element") {
                 children.push(from_node_owned(doc, child));
             }
-            let attrs = attrs.iter().map(|(k, v)| (owned_name(k), v.clone())).collect();
+            let attrs = doc.attrs(node).expect("element").map(|(k, v)| (owned_name(k), v.to_string())).collect();
             OwnedFragment::Element { name: owned_name(name), attrs, children }
         }
         axml_xml::NodeKind::Text(t) | axml_xml::NodeKind::Cdata(t) | axml_xml::NodeKind::Comment(t) => {
-            OwnedFragment::Other(t.clone())
+            OwnedFragment::Other(t.to_string())
         }
         axml_xml::NodeKind::Pi { target, data } => OwnedFragment::Other(format!("{target}{data}")),
     }
@@ -200,7 +200,7 @@ pub fn deep_doc() -> axml_xml::Document {
     let mut doc = axml_xml::Document::new(NAMES[0]);
     let mut stack = vec![(skeleton.root(), doc.root())];
     while let Some((src, dst)) = stack.pop() {
-        for &child in skeleton.children(src).expect("element").iter().rev().collect::<Vec<_>>() {
+        for child in skeleton.children(src).expect("element").rev() {
             match skeleton.kind(child).expect("attached") {
                 axml_xml::NodeKind::Element { name, .. } => {
                     let idx: usize = name.local.trim_start_matches('e').parse().unwrap_or(0);
@@ -211,7 +211,7 @@ pub fn deep_doc() -> axml_xml::Document {
                     stack.push((child, elem));
                 }
                 axml_xml::NodeKind::Text(t) => {
-                    let text = doc.create_text(t.clone());
+                    let text = doc.create_text(t);
                     doc.append_child(dst, text).expect("element");
                 }
                 _ => {}

@@ -1633,10 +1633,10 @@ impl AxmlPeer {
         chain: &ActiveList,
     ) {
         let Some(wc) = self.waiting.remove(&inv) else {
-            // Unwanted work (the invocation was aborted/superseded): tell
-            // the sender to abort so its effects do not linger.
+            // Unwanted work: the invocation was aborted or superseded — or
+            // this is a late copy of a result already used.
             self.stats.late_messages += 1;
-            let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
+            self.answer_with_outcome(ctx, from, txn);
             return;
         };
         self.unwatch(from);
@@ -1654,6 +1654,28 @@ impl AxmlPeer {
             s.pending.remove(&inv);
         }
         self.advance_serving(ctx, wc.serving_inv);
+    }
+
+    /// Answers work this peer has no use for — a late or duplicate
+    /// `Result` or `Redirected` — with the outcome it holds for `txn`. A
+    /// peer MUST NOT send `Abort` (nor `Compensate`) about a transaction
+    /// it has resolved `Committed`: a duplicate of a result that was used
+    /// arrives after the commit as easily as before it, commit having
+    /// dropped the dedup entries that would have suppressed it, and an
+    /// `Abort` that overtakes the `Commit` makes the sender undo work the
+    /// transaction committed with. The sender of such a message is told
+    /// `Commit` — by the one already on its way to it, retransmitted
+    /// until acked, if there is one. An undecided or aborted context, or
+    /// none, says `Abort`, so the sender's effects do not linger.
+    fn answer_with_outcome(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId) {
+        let committed = self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed);
+        let is_its_commit =
+            |p: &PendingDelivery| p.to == from && matches!(&*p.msg, TxnMsg::Commit { txn: t } if *t == txn);
+        if !committed {
+            let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
+        } else if !self.outbox.values().any(is_its_commit) {
+            let _ = self.send_reliable(ctx, from, TxnMsg::Commit { txn });
+        }
     }
 
     /// A child invocation failed (fault message, failed send, or detected
@@ -2157,17 +2179,17 @@ impl AxmlPeer {
     ) {
         self.stats.redirects_received += 1;
         self.record_detection(ctx, failed_parent, DetectHow::Notice);
-        // If the transaction already aborted here, the orphan's work is
-        // unwanted: tell it to abort (and compensate) itself. Without
-        // this, an orphan whose Redirected loses the race against the
-        // abort would keep its effects forever.
-        if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(false) {
-            if self.config.peer_independent && !comp.is_empty() {
+        // If the transaction is already resolved here, the orphan's work
+        // is unwanted. Aborted: tell it to abort (and compensate) itself —
+        // without this, an orphan whose Redirected loses the race against
+        // the abort would keep its effects forever. Committed: tell it so.
+        if let Some(state) = self.contexts.get(&txn).filter(|t| t.is_terminal()).map(|t| t.state) {
+            if state != TxnState::Committed && self.config.peer_independent && !comp.is_empty() {
                 for (peer, cs) in comp {
                     let _ = self.send_reliable(ctx, *peer, TxnMsg::Compensate { txn, service: cs.clone() });
                 }
             } else {
-                let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
+                self.answer_with_outcome(ctx, from, txn);
             }
             return;
         }
@@ -2866,6 +2888,60 @@ mod tests {
         sim.run();
         assert!(sim.actor(PeerId(1)).outcomes.first().expect("resolved").committed);
         assert!(sim.actor(PeerId(1)).outbox.is_empty());
+    }
+
+    /// ROADMAP item 1: a `Result` delivered a second time *after* the
+    /// origin has committed — commit dropped the dedup entry that would
+    /// have suppressed it — used to be answered with `Abort`, and the
+    /// child undid work the transaction had committed with. The origin
+    /// answers with the outcome it holds, and no `Abort` leaves it.
+    #[test]
+    fn a_result_delivered_again_after_the_commit_is_answered_with_the_commit() {
+        let mut peers = fabric(3);
+        peers[1]
+            .repo
+            .put_xml(
+                "main",
+                r#"<d><out>x</out><axml:sc mode="replace" serviceNameSpace="r" serviceURL="peer://ap2" methodName="fetch"/></d>"#,
+            )
+            .unwrap();
+        peers[1].registry.register(
+            ServiceDef::query(
+                "root",
+                "main",
+                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
+            )
+            .with_results(&["out"]),
+        );
+        peers[1].wsdl.publish("fetch", &["out"]);
+        peers[2].registry.register(
+            ServiceDef::function("fetch", |_| Ok(vec![Fragment::elem_text("out", "y")])).with_results(&["out"]),
+        );
+        let mut sim_config = SimConfig::default();
+        // The copy arrives 30 ticks after the original: the origin has
+        // committed on the original long before.
+        sim_config.fault.script.push(axml_p2p::ScriptedFault {
+            from: PeerId(2),
+            to: PeerId(1),
+            kind: "result".into(),
+            nth: 0,
+            action: axml_p2p::FaultAction::Duplicate { extra: 30 },
+        });
+        let mut sim = Sim::new(sim_config, peers);
+        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
+        sim.schedule_timer(0, PeerId(1), 0);
+        sim.run();
+        let origin = sim.actor(PeerId(1));
+        assert!(origin.outcomes.first().expect("resolved").committed);
+        assert_eq!(origin.stats.late_messages, 1, "the second delivery got past dedup and found nobody waiting");
+        assert_eq!(sim.metrics().kind("abort"), 0, "no Abort about a committed transaction");
+        assert_eq!(sim.metrics().kind("compensate"), 0);
+        assert_eq!(sim.metrics().kind("commit"), 2, "the decision, and the answer to the late copy");
+        let txn = origin.outcomes[0].txn;
+        for id in [PeerId(1), PeerId(2)] {
+            assert_eq!(sim.actor(id).contexts[&txn].state, TxnState::Committed, "{id}");
+            assert!(sim.actor(id).is_quiescent(), "{id}");
+        }
     }
 
     /// Regression: with an extreme `retransmit_base`, the backoff must

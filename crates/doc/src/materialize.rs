@@ -334,7 +334,7 @@ impl MaterializationEngine {
             // Results that are themselves service calls: nested invocation.
             let mut nested = Vec::new();
             if let Ok(children) = doc.children(sc_node) {
-                for &c in children {
+                for c in children {
                     if let Ok(name) = doc.name(c) {
                         if consts::is_sc(name.prefix.as_deref(), &name.local) {
                             if let Some(nc) = ServiceCall::parse(doc, c) {
@@ -493,17 +493,19 @@ pub fn apply_call_results(
 ) -> Result<Vec<Effect>, Fault> {
     let tree_err = |e: axml_xml::TreeError| Fault::execution(format!("applying results failed: {e}"));
     let query_err = |e: axml_query::QueryError| Fault::execution(format!("applying results failed: {e}"));
-    let mut effects = Vec::new();
-    let mut insert_at = None;
+    let sc_path = NodePath::of(doc, sc_node).map_err(query_err)?;
+    // Replace deletes the previous results, last first, remembering the
+    // first slot: siblings, so one table holds them all.
+    let mut previous: Vec<NodeId> = Vec::new();
     if call.mode == ScMode::Replace {
-        // Delete previous results, remembering the first slot.
-        let previous = call.result_children(doc);
-        let sc_path = NodePath::of(doc, sc_node).map_err(query_err)?;
-        for &old in previous.iter().rev() {
-            let (fragment, _parent, position) = doc.remove_to_fragment(old).map_err(tree_err)?;
-            insert_at = Some(position);
-            effects.push(Effect::Deleted { fragment, parent_path: sc_path.clone(), position });
-        }
+        previous.extend(call.result_nodes(doc));
+        previous.reverse();
+    }
+    let mut effects = Vec::with_capacity(previous.len() + items.len());
+    let mut insert_at = None;
+    for (fragment, _parent, position) in doc.remove_to_fragments(&previous).map_err(tree_err)? {
+        insert_at = Some(position);
+        effects.push(Effect::Deleted { fragment, parent_path: sc_path.clone(), position });
     }
     let base = match insert_at {
         Some(p) => p,
@@ -511,7 +513,9 @@ pub fn apply_call_results(
     };
     for (k, item) in items.iter().enumerate() {
         let node = doc.insert_fragment(sc_node, base + k, item).map_err(tree_err)?;
-        let path = NodePath::of(doc, node).map_err(query_err)?;
+        // Derived, not climbed: an item's place is the call's and a count.
+        let path = sc_path.child(base + k);
+        debug_assert_eq!(Ok(&path), NodePath::of(doc, node).as_ref());
         effects.push(Effect::Inserted { node, path, fragment: item.clone() });
     }
     Ok(effects)

@@ -164,14 +164,14 @@ impl ServiceCall {
             params: Vec::new(),
             handlers: Vec::new(),
         };
-        for &child in doc.children(node).ok()? {
+        for child in doc.children(node).ok()? {
             let Ok(cname) = doc.name(child) else { continue };
             if !cname.has_prefix(consts::AXML_PREFIX) {
                 continue; // previous results
             }
             match cname.local.as_str() {
                 consts::PARAMS => {
-                    for &p in doc.children(child).ok()? {
+                    for p in doc.children(child).ok()? {
                         if let Some(param) = Self::parse_param(doc, p) {
                             call.params.push(param);
                         }
@@ -199,7 +199,7 @@ impl ServiceCall {
         let pname = doc.attr(node, consts::ATTR_NAME).unwrap_or_default().to_string();
         // Value forms: a nested sc, an axml:value literal, or raw XML.
         let children = doc.children(node).ok()?;
-        for &c in children {
+        for c in children.clone() {
             if let Ok(cname) = doc.name(c) {
                 if consts::is_sc(cname.prefix.as_deref(), &cname.local) {
                     let nested = ServiceCall::parse(doc, c)?;
@@ -215,13 +215,13 @@ impl ServiceCall {
             }
         }
         // Raw XML value.
-        let frags: Vec<Fragment> = children.iter().filter_map(|c| doc.extract_fragment(*c).ok()).collect();
+        let frags = doc.extract_fragments(&children.collect::<Vec<_>>());
         Some(Param { name: pname, value: ParamValue::Xml(frags) })
     }
 
     fn parse_handler_action(doc: &Document, handler: NodeId) -> HandlerAction {
         let Ok(children) = doc.children(handler) else { return HandlerAction::Propagate };
-        for &c in children {
+        for c in children.clone() {
             if let Ok(cname) = doc.name(c) {
                 if cname.is(Some(consts::AXML_PREFIX), consts::RETRY) {
                     let times = doc.attr(c, consts::ATTR_TIMES).and_then(|t| t.parse().ok()).unwrap_or(1);
@@ -229,12 +229,10 @@ impl ServiceCall {
                     let alternative = doc
                         .children(c)
                         .ok()
-                        .and_then(|cs| {
-                            cs.iter()
-                                .find(|n| {
-                                    doc.name(**n).map(|q| consts::is_sc(q.prefix.as_deref(), &q.local)).unwrap_or(false)
-                                })
-                                .copied()
+                        .and_then(|mut cs| {
+                            cs.find(|n| {
+                                doc.name(*n).map(|q| consts::is_sc(q.prefix.as_deref(), &q.local)).unwrap_or(false)
+                            })
                         })
                         .and_then(|sc| ServiceCall::parse(doc, sc))
                         .map(Box::new);
@@ -243,11 +241,8 @@ impl ServiceCall {
             }
         }
         // Non-retry handler bodies substitute their content as the result.
-        let frags: Vec<Fragment> = children
-            .iter()
-            .filter_map(|c| doc.extract_fragment(*c).ok())
-            .filter(|f| !matches!(f.kind(), FragmentKind::Comment(_)))
-            .collect();
+        let body: Vec<NodeId> = children.filter(|c| !matches!(doc.kind(*c), Ok(FragmentKind::Comment(_)))).collect();
+        let frags = doc.extract_fragments(&body);
         if frags.is_empty() {
             HandlerAction::Propagate
         } else {
@@ -282,8 +277,6 @@ impl ServiceCall {
     pub fn result_nodes<'d>(&self, doc: &'d Document) -> impl Iterator<Item = NodeId> + 'd {
         let children = self.node.and_then(|node| doc.children(node).ok()).unwrap_or_default();
         children
-            .iter()
-            .copied()
             .filter(|c| !doc.name(*c).map(|q| consts::is_control_child(q.prefix.as_deref(), &q.local)).unwrap_or(false))
     }
 

@@ -135,7 +135,7 @@ impl ServiceDef {
                 })?;
                 let hits = TransparentView::eval(document, &query)
                     .map_err(|e| Fault::execution(format!("query failed: {e}")))?;
-                let items = hits.iter().filter_map(|n| document.extract_fragment(*n).ok()).collect();
+                let items = document.extract_fragments(&hits);
                 Ok(ServiceResponse { items, effects: Vec::new() })
             }
             ServiceKind::Update { doc, action } => {

@@ -47,7 +47,7 @@ impl SharedRepository {
             let document = repo.get(doc).ok_or_else(|| Fault::execution(format!("no document {doc}")))?;
             let hits =
                 TransparentView::eval(document, query).map_err(|e| Fault::execution(format!("query failed: {e}")))?;
-            Ok(hits.into_iter().filter_map(|n| document.extract_fragment(n).ok()).collect())
+            Ok(document.extract_fragments(&hits))
         })
     }
 

@@ -21,7 +21,7 @@
 use crate::consts;
 use crate::sc::under_control_child;
 use axml_query::{QueryTree, SelectQuery};
-use axml_xml::{Document, NodeId, NodeKind, QName};
+use axml_xml::{Climb, Document, NodeId, NodeKind, QName};
 
 fn is_wrapper(name: &QName) -> bool {
     consts::is_sc(name.prefix.as_deref(), &name.local)
@@ -49,7 +49,7 @@ impl<'a> TransparentView<'a> {
     }
 
     fn walk(&self, node: NodeId, deep: bool) -> Visible<'a> {
-        Visible { doc: self.doc, deep, own: self.doc.children(node).unwrap_or_default().iter(), stack: Vec::new() }
+        Visible { doc: self.doc, deep, own: self.doc.children(node).unwrap_or_default(), stack: Vec::new() }
     }
 }
 
@@ -60,7 +60,7 @@ struct Visible<'a> {
     deep: bool,
     /// The start node's own child list, read in place: a children walk
     /// that meets no wrapper allocates nothing.
-    own: std::slice::Iter<'a, NodeId>,
+    own: axml_xml::tree::Children<'a>,
     /// Nodes found below the last one taken from `own` (hoisted out of a
     /// wrapper, or descended into), next one last.
     stack: Vec<NodeId>,
@@ -71,16 +71,16 @@ impl Iterator for Visible<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let doc = self.doc;
-        let below = |node| doc.children(node).unwrap_or_default().iter().rev();
+        let below = |node| doc.children(node).unwrap_or_default().rev();
         loop {
             let node = match self.stack.pop() {
                 Some(node) => node,
-                None => *self.own.next()?,
+                None => self.own.next()?,
             };
             match doc.kind(node) {
                 Ok(NodeKind::Element { name, .. }) if is_wrapper(name) => {
                     // Its results stand where the wrapper stood.
-                    self.stack.extend(below(node).filter(|c| !doc.name(**c).is_ok_and(is_control)));
+                    self.stack.extend(below(node).filter(|c| !doc.name(*c).is_ok_and(is_control)));
                 }
                 Ok(NodeKind::Element { .. }) => {
                     if self.deep {
@@ -126,7 +126,7 @@ impl QueryTree for TransparentView<'_> {
 
     fn string_value(&self, node: NodeId) -> Option<String> {
         let text_of = |n: NodeId| match self.doc.kind(n) {
-            Ok(NodeKind::Text(t) | NodeKind::Cdata(t)) => t.as_str(),
+            Ok(NodeKind::Text(t) | NodeKind::Cdata(t)) => t,
             _ => "",
         };
         self.doc.kind(node).ok()?;
@@ -135,8 +135,8 @@ impl QueryTree for TransparentView<'_> {
 
     // Eliding a wrapper puts its results where it stood, so visible nodes
     // keep the relative order they have in the document.
-    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
-        self.doc.document_order_key_into(node, key)
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>, near: &mut Climb) -> bool {
+        self.doc.document_order_key_into(node, key, near)
     }
 
     // Visibility read upward (DESIGN.md §18): the walk from `node` hoists
@@ -194,8 +194,9 @@ mod tests {
     /// What the traversal sees below (and including) `node`, as XML.
     fn visible(view: &TransparentView<'_>, node: NodeId) -> Fragment {
         match view.doc.kind(node).expect("visited nodes are live") {
-            NodeKind::Element { name, attrs } => {
-                let element = attrs.iter().fold(Fragment::elem(name.clone()), |e, (n, v)| e.with_attr(n.clone(), v));
+            NodeKind::Element { name } => {
+                let attrs = view.doc.attrs(node).unwrap();
+                let element = attrs.fold(Fragment::elem(name.clone()), |e, (n, v)| e.with_attr(n.clone(), v));
                 view.children_of(node).fold(element, |e, c| e.with_child(visible(view, c)))
             }
             NodeKind::Text(t) => Fragment::text(t),

@@ -181,10 +181,10 @@ impl ElidedCopy {
         let mut copy = Document::new(doc.name(root).unwrap().clone());
         let croot = copy.root();
         for (n, v) in doc.attrs(root).unwrap() {
-            copy.set_attr(croot, n.clone(), v.clone()).unwrap();
+            copy.set_attr(croot, n.clone(), v).unwrap();
         }
         let mut ec = ElidedCopy { copy, back: HashMap::from([(croot, root)]) };
-        for &child in doc.children(root).unwrap() {
+        for child in doc.children(root).unwrap() {
             ec.copy_one(doc, child, croot);
         }
         ec
@@ -193,7 +193,7 @@ impl ElidedCopy {
     fn copy_one(&mut self, doc: &Document, orig: NodeId, cparent: NodeId) {
         let c = match doc.kind(orig).unwrap() {
             NodeKind::Element { name, .. } if consts::is_sc(name.prefix.as_deref(), &name.local) => {
-                for &rc in doc.children(orig).unwrap() {
+                for rc in doc.children(orig).unwrap() {
                     let control = doc.name(rc).is_ok_and(|q| consts::is_control_child(q.prefix.as_deref(), &q.local));
                     if !control {
                         self.copy_one(doc, rc, cparent);
@@ -201,14 +201,17 @@ impl ElidedCopy {
                 }
                 return;
             }
-            NodeKind::Element { name, attrs } => self.copy.create_element_with_attrs(name.clone(), attrs.to_vec()),
-            NodeKind::Text(t) => self.copy.create_text(t.clone()),
-            NodeKind::Cdata(t) => self.copy.create_cdata(t.clone()),
+            NodeKind::Element { name } => {
+                let attrs = doc.attrs(orig).unwrap().map(|(n, v)| (n.clone(), v));
+                self.copy.create_element_with_attrs(name.clone(), attrs)
+            }
+            NodeKind::Text(t) => self.copy.create_text(t),
+            NodeKind::Cdata(t) => self.copy.create_cdata(t),
             NodeKind::Comment(_) | NodeKind::Pi { .. } => return,
         };
         self.copy.append_child(cparent, c).unwrap();
         self.back.insert(c, orig);
-        for &child in doc.children(orig).unwrap() {
+        for child in doc.children(orig).unwrap() {
             self.copy_one(doc, child, c);
         }
     }
@@ -385,11 +388,11 @@ fn position_predicate_counts_across_a_wrapper_boundary() {
 fn pick_node(doc: &Document, steps: &[usize]) -> NodeId {
     let mut cur = doc.root();
     for &s in steps {
-        let kids = doc.children(cur).expect("attached");
-        if kids.is_empty() {
+        let kids = doc.children(cur).expect("attached").len();
+        if kids == 0 {
             break;
         }
-        cur = kids[s % kids.len()];
+        cur = doc.child_at(cur, s % kids).unwrap().unwrap();
     }
     cur
 }
@@ -468,10 +471,10 @@ fn scan_by_walking(doc: &Document) -> Vec<ServiceCall> {
     let mut out = Vec::new();
     let mut stack = vec![doc.root()];
     while let Some(node) = stack.pop() {
-        let below = doc.children(node).unwrap().iter().rev();
+        let below = doc.children(node).unwrap().rev();
         if named(node, consts::is_sc) {
             out.extend(ServiceCall::parse(doc, node));
-            stack.extend(below.filter(|c| !named(**c, consts::is_control_child)));
+            stack.extend(below.filter(|c| !named(*c, consts::is_control_child)));
         } else {
             stack.extend(below);
         }
@@ -620,7 +623,7 @@ fn a_renamed_element_changes_sides() {
     let mut doc = sized(r#"<p><x/><axml:sc methodName="m"/></p>"#, OVER_THE_FLOOR);
     assert_eq!(ServiceCall::scan(&doc).len(), 1, "this lookup builds the index the renames must maintain");
     let p = doc.first_child_element(doc.root(), "p").unwrap();
-    let (x, sc) = (doc.children(p).unwrap()[0], doc.children(p).unwrap()[1]);
+    let (x, sc) = (doc.child_at(p, 0).unwrap().unwrap(), doc.child_at(p, 1).unwrap().unwrap());
     doc.set_name(x, "axml:sc").unwrap();
     assert!(assert_lookups_match_walks(&doc) > 0);
     assert_eq!(ServiceCall::scan(&doc).iter().map(|c| c.node.unwrap()).collect::<Vec<_>>(), [x, sc]);

@@ -50,8 +50,7 @@ impl NodePath {
     pub fn resolve(&self, doc: &Document) -> Result<NodeId, QueryError> {
         let mut cur = doc.root();
         for &idx in &self.0 {
-            let children = doc.children(cur)?;
-            cur = *children.get(idx).ok_or_else(|| QueryError::PathUnresolved(self.to_string()))?;
+            cur = doc.child_at(cur, idx)?.ok_or_else(|| QueryError::PathUnresolved(self.to_string()))?;
         }
         Ok(cur)
     }
@@ -72,7 +71,9 @@ impl NodePath {
 
     /// Extends the path by one child index.
     pub fn child(&self, idx: usize) -> NodePath {
-        let mut v = self.0.clone();
+        // Sized for the push: a clone would be grown by it at once.
+        let mut v = Vec::with_capacity(self.0.len() + 1);
+        v.extend_from_slice(&self.0);
         v.push(idx);
         NodePath(v)
     }

@@ -19,7 +19,7 @@
 
 use crate::error::QueryError;
 use crate::tree::QueryTree;
-use axml_xml::{NodeId, QName};
+use axml_xml::{Climb, NodeId, QName};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -215,7 +215,9 @@ impl PathExpr {
                 apply_preds(tree, step, &mut matches);
                 next.extend(matches);
             }
-            ctx = dedup_document_order(tree, next);
+            // One context node's matches are in document order and
+            // distinct as every axis yields them.
+            ctx = if ctx.len() == 1 { next } else { dedup_document_order(tree, next) };
         }
         ctx
     }
@@ -291,11 +293,11 @@ pub fn dedup_document_order<T: QueryTree>(tree: &T, mut nodes: Vec<NodeId>) -> V
     // One key per node — a comparator would climb to the root twice per
     // comparison — and all of them in one buffer: a node's key is its
     // range of `keys`, `None` for a stale id.
-    let mut keys = Vec::new();
+    let (mut keys, mut near) = (Vec::new(), Climb::default());
     let mut keyed: Vec<(Option<std::ops::Range<usize>>, NodeId)> = Vec::with_capacity(nodes.len());
     for &n in &nodes {
         let start = keys.len();
-        let live = tree.document_order_key_into(n, &mut keys);
+        let live = tree.document_order_key_into(n, &mut keys, &mut near);
         keyed.push((live.then_some(start..keys.len()), n));
     }
     let key = |range: &Option<std::ops::Range<usize>>| range.clone().map(|r| &keys[r]);

@@ -7,7 +7,7 @@
 //! evaluator is generic over the tree, so each implementation gets its
 //! own statically dispatched copy of it.
 
-use axml_xml::{Document, NodeId, QName};
+use axml_xml::{Climb, Document, NodeId, QName};
 
 /// Read-only navigation over a tree of [`NodeId`]s.
 ///
@@ -37,7 +37,9 @@ pub trait QueryTree {
 
     /// Appends to `key` a sort key that orders nodes the way they stand
     /// in the document; returns false, appending nothing, for a stale id.
-    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool;
+    /// `near` carries what one key's climb found to the next of the same
+    /// sort ([`Climb`]).
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>, near: &mut Climb) -> bool;
 
     /// The proper descendants of `node` named `name`, in document order —
     /// what filtering [`Self::descendants_of`] by name yields — when the
@@ -66,7 +68,7 @@ impl QueryTree for Document {
     }
 
     fn children_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children(node).unwrap_or_default().iter().copied()
+        self.children(node).unwrap_or_default()
     }
 
     fn descendants_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
@@ -77,8 +79,8 @@ impl QueryTree for Document {
         self.text_content(node).ok()
     }
 
-    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
-        Document::document_order_key_into(self, node, key)
+    fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>, near: &mut Climb) -> bool {
+        Document::document_order_key_into(self, node, key, near)
     }
 
     fn descendants_named(&self, node: NodeId, name: &QName) -> Option<Vec<NodeId>> {

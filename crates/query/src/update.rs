@@ -357,7 +357,9 @@ impl UpdateAction {
                     report.effects.push(Effect::Deleted { fragment: old, parent_path: parent_path.clone(), position });
                     for (k, frag) in self.data.iter().enumerate() {
                         let node = doc.insert_fragment(parent_id, position + k, frag)?;
-                        let path = NodePath::of(doc, node)?;
+                        // Derived, not climbed: the parent's path is in hand.
+                        let path = parent_path.child(position + k);
+                        debug_assert_eq!(Ok(&path), NodePath::of(doc, node).as_ref());
                         report.effects.push(Effect::Inserted { node, path, fragment: frag.clone() });
                     }
                 }

@@ -24,18 +24,18 @@ fn raw_name(q: &axml_xml::QName) -> String {
 /// serializer's compact mode byte for byte.
 fn write_raw(doc: &Document, node: NodeId, out: &mut String) {
     match doc.kind(node).expect("attached") {
-        NodeKind::Element { name, attrs } => {
+        NodeKind::Element { name } => {
             out.push('<');
             out.push_str(&raw_name(name));
-            for (an, av) in attrs {
+            for (an, av) in doc.attrs(node).expect("element") {
                 out.push(' ');
                 out.push_str(&raw_name(an));
                 out.push_str("=\"");
                 out.push_str(&escape_attr(av));
                 out.push('"');
             }
-            let children = doc.children(node).expect("element").to_vec();
-            if children.is_empty() {
+            let children = doc.children(node).expect("element");
+            if children.len() == 0 {
                 out.push_str("/>");
                 return;
             }

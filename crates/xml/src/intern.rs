@@ -4,9 +4,17 @@
 //! `serviceURL`, …) across thousands of nodes, and the hot paths —
 //! fragment capture, subtree materialization, view construction — used
 //! to deep-clone a `String` per name per node. [`NameId`] replaces those
-//! strings with a shared `Arc<str>` handle drawn from a thread-local
-//! intern table: the first sighting of a spelling allocates once, every
-//! later sighting (and every clone) is a reference-count bump.
+//! strings with a `&'static str` drawn from a thread-local intern table:
+//! the first sighting of a spelling allocates once and *leaks* that
+//! allocation, every later sighting returns the same reference, and a
+//! clone or a drop is a plain copy — no reference count, so a structure
+//! full of names (a document's arena, a fragment's table) is dropped
+//! without visiting them.
+//!
+//! The table lived as long as its thread anyway; leaking means a thread's
+//! spellings (a few hundred bytes for an AXML vocabulary) stay allocated
+//! after it exits. A process that spawns threads without bound and
+//! interns fresh names on each would grow by that much per thread.
 //!
 //! Properties relied on elsewhere:
 //!
@@ -30,18 +38,17 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
 
 thread_local! {
-    static TABLE: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+    static TABLE: RefCell<HashSet<&'static str>> = RefCell::new(HashSet::new());
     static HITS: Cell<u64> = const { Cell::new(0) };
     static MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// An interned string handle. Cheap to clone (`Arc` bump), compares by
+/// An interned string handle. Free to clone and to drop, compares by
 /// content, dereferences to `&str`.
 #[derive(Clone)]
-pub struct NameId(Arc<str>);
+pub struct NameId(&'static str);
 
 impl NameId {
     /// Interns `s`, returning the canonical handle for this thread.
@@ -50,19 +57,19 @@ impl NameId {
             let mut table = t.borrow_mut();
             if let Some(existing) = table.get(s) {
                 HITS.with(|c| c.set(c.get() + 1));
-                NameId(Arc::clone(existing))
+                NameId(existing)
             } else {
                 MISSES.with(|c| c.set(c.get() + 1));
-                let arc: Arc<str> = Arc::from(s);
-                table.insert(Arc::clone(&arc));
-                NameId(arc)
+                let leaked: &'static str = Box::leak(Box::from(s));
+                table.insert(leaked);
+                NameId(leaked)
             }
         })
     }
 
     /// The interned string.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
@@ -87,25 +94,25 @@ pub fn intern_table_len() -> usize {
 impl Deref for NameId {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for NameId {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Borrow<str> for NameId {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for NameId {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
 
@@ -125,55 +132,55 @@ impl PartialOrd for NameId {
 
 impl Ord for NameId {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
+        self.0.cmp(other.0)
     }
 }
 
 impl PartialEq<str> for NameId {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.0 == other
     }
 }
 
 impl PartialEq<&str> for NameId {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        self.0 == *other
     }
 }
 
 impl PartialEq<String> for NameId {
     fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
+        self.0 == other.as_str()
     }
 }
 
 impl PartialEq<NameId> for str {
     fn eq(&self, other: &NameId) -> bool {
-        self == &*other.0
+        self == other.0
     }
 }
 
 impl PartialEq<NameId> for &str {
     fn eq(&self, other: &NameId) -> bool {
-        *self == &*other.0
+        *self == other.0
     }
 }
 
 impl PartialEq<NameId> for String {
     fn eq(&self, other: &NameId) -> bool {
-        self.as_str() == &*other.0
+        self.as_str() == other.0
     }
 }
 
 impl fmt::Debug for NameId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(self.0, f)
     }
 }
 
 impl fmt::Display for NameId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -236,7 +243,7 @@ mod tests {
     fn same_spelling_shares_storage() {
         let a = NameId::new("player-intern-test");
         let b = NameId::new("player-intern-test");
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(std::ptr::eq(a.0, b.0));
         assert_eq!(a, b);
     }
 
@@ -263,9 +270,10 @@ mod tests {
     #[test]
     fn compares_by_content() {
         let a = NameId::new("content-eq");
-        // Bypass the table to build a distinct allocation with equal text.
-        let b = NameId(Arc::from("content-eq"));
-        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        // Bypass the table to build a distinct allocation with equal text,
+        // as a second thread's table would.
+        let b = NameId(Box::leak(Box::from("content-eq")));
+        assert!(!std::ptr::eq(a.0, b.0));
         assert_eq!(a, b);
         let mut set = HashSet::new();
         set.insert(a);

@@ -42,6 +42,7 @@ pub mod error;
 pub mod fragment;
 pub mod intern;
 pub mod name;
+mod node;
 pub mod parser;
 pub mod serialize;
 pub mod tree;
@@ -53,4 +54,4 @@ pub use intern::{intern, intern_stats, intern_table_len, NameId};
 pub use name::QName;
 pub use parser::{parse, parse_fragment, ParseOptions};
 pub use serialize::{escape_attr, escape_text, SerializeOptions};
-pub use tree::{Document, NodeId, NodeKind};
+pub use tree::{Climb, Document, NodeId, NodeKind};

@@ -7,10 +7,10 @@
 //! practice. Full URI-based namespace resolution is out of scope for the
 //! protocols under study.
 //!
-//! Both parts are [`NameId`]s — interned handles, not owned `String`s —
-//! so cloning a `QName` (fragment capture, materialization, view
-//! construction all do this per node) is two reference-count bumps
-//! instead of heap copies. Comparison, hashing, ordering and the serde
+//! Both parts are [`NameId`]s — interned `&'static str`s, not owned
+//! `String`s — so cloning a `QName` (fragment capture, materialization,
+//! view construction all do this per node) copies 32 bytes and dropping
+//! one does nothing. Comparison, hashing, ordering and the serde
 //! encoding are all by string content, so behavior and every serialized
 //! byte match the pre-interning representation.
 

@@ -12,6 +12,7 @@ use crate::error::ParseError;
 use crate::fragment::Fragment;
 use crate::name::QName;
 use crate::tree::{Document, NodeId};
+use std::borrow::Cow;
 
 /// Options controlling parsing.
 #[derive(Debug, Clone)]
@@ -77,12 +78,8 @@ pub fn parse_fragment(input: &str) -> Result<Vec<Fragment>, ParseError> {
     // The wrapper is not the caller's: the fragments' own elements nest
     // from level 1.
     let doc = parse_at_depth(&wrapped, &ParseOptions { trim_whitespace: true }, 0)?;
-    let root = doc.root();
-    let mut out = Vec::new();
-    for &child in doc.children(root).expect("live root") {
-        out.push(Fragment::from_node(&doc, child).expect("live child"));
-    }
-    Ok(out)
+    let items: Vec<NodeId> = doc.children(doc.root()).expect("live root").collect();
+    Ok(doc.extract_fragments(&items))
 }
 
 struct Cursor<'a> {
@@ -219,7 +216,12 @@ impl<'a> Cursor<'a> {
         Ok(name)
     }
 
-    fn decode_entities(&self, raw: &str, base: usize) -> Result<String, ParseError> {
+    /// `raw` with its entity references resolved: `raw` itself when it has
+    /// none, as most text and nearly every attribute value.
+    fn decode_entities(&self, raw: &'a str, base: usize) -> Result<Cow<'a, str>, ParseError> {
+        if !raw.contains('&') {
+            return Ok(Cow::Borrowed(raw));
+        }
         let mut out = String::with_capacity(raw.len());
         let mut rest = raw;
         let mut consumed = 0usize;
@@ -258,16 +260,16 @@ impl<'a> Cursor<'a> {
             rest = &after[semi + 1..];
         }
         out.push_str(rest);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, ParseError> {
+    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let quote = match self.bump() {
             Some(q @ (b'"' | b'\'')) => q as char,
             _ => return Err(self.err("expected quoted attribute value")),
         };
         let start = self.pos;
-        let raw = self.read_until(&quote.to_string())?;
+        let raw = self.read_until(if quote == '"' { "\"" } else { "'" })?;
         if raw.contains('<') {
             return Err(self.err("`<` not allowed in attribute value"));
         }
@@ -333,22 +335,17 @@ impl<'a> Cursor<'a> {
                 return Ok(());
             } else if self.starts_with("<!--") {
                 self.pos += 4;
-                let text = self.read_until("-->")?.to_string();
-                let c = doc.create_comment(text);
+                let c = doc.create_comment(self.read_until("-->")?);
                 doc.append_child(elem, c).expect("elem live");
             } else if self.starts_with("<![CDATA[") {
                 self.pos += 9;
-                let text = self.read_until("]]>")?.to_string();
-                let c = doc.create_cdata(text);
+                let c = doc.create_cdata(self.read_until("]]>")?);
                 doc.append_child(elem, c).expect("elem live");
             } else if self.starts_with("<?") {
                 self.pos += 2;
                 let body = self.read_until("?>")?;
-                let (target, data) = match body.split_once(|c: char| c.is_ascii_whitespace()) {
-                    Some((t, d)) => (t.to_string(), d.trim().to_string()),
-                    None => (body.to_string(), String::new()),
-                };
-                let p = doc.create_pi(target, data);
+                let (target, data) = body.split_once(|c: char| c.is_ascii_whitespace()).unwrap_or((body, ""));
+                let p = doc.create_pi(target, data.trim());
                 doc.append_child(elem, p).expect("elem live");
             } else if self.starts_with("<") {
                 self.parse_element_into(doc, elem, false, depth + 1)?;
@@ -367,8 +364,7 @@ impl<'a> Cursor<'a> {
                 let decoded = self.decode_entities(raw, start)?;
                 let keep = if self.opts.trim_whitespace { !decoded.trim().is_empty() } else { !decoded.is_empty() };
                 if keep {
-                    let text = if self.opts.trim_whitespace { decoded.trim().to_string() } else { decoded };
-                    let t = doc.create_text(text);
+                    let t = doc.create_text(if self.opts.trim_whitespace { decoded.trim() } else { &decoded });
                     doc.append_child(elem, t).expect("elem live");
                 }
             }
@@ -418,19 +414,19 @@ mod tests {
     fn cdata_preserved_verbatim() {
         let doc = parse("<r><![CDATA[a < b & c]]></r>").unwrap();
         let root = doc.root();
-        let kids = doc.children(root).unwrap();
+        let kids: Vec<NodeId> = doc.children(root).unwrap().collect();
         assert_eq!(kids.len(), 1);
-        assert_eq!(doc.kind(kids[0]).unwrap(), &NodeKind::Cdata("a < b & c".into()));
+        assert_eq!(doc.kind(kids[0]).unwrap(), NodeKind::Cdata("a < b & c"));
     }
 
     #[test]
     fn comments_and_pis_in_content() {
         let doc = parse("<r><!-- c --><?pi data here?><a/></r>").unwrap();
         let root = doc.root();
-        let kids = doc.children(root).unwrap().to_vec();
+        let kids: Vec<NodeId> = doc.children(root).unwrap().collect();
         assert_eq!(kids.len(), 3);
-        assert_eq!(doc.kind(kids[0]).unwrap(), &NodeKind::Comment(" c ".into()));
-        assert_eq!(doc.kind(kids[1]).unwrap(), &NodeKind::Pi { target: "pi".into(), data: "data here".into() });
+        assert_eq!(doc.kind(kids[0]).unwrap(), NodeKind::Comment(" c "));
+        assert_eq!(doc.kind(kids[1]).unwrap(), NodeKind::Pi { target: "pi", data: "data here" });
     }
 
     #[test]
@@ -487,8 +483,8 @@ mod tests {
         let doc = parse(r#"<axml:sc mode="replace"><axml:params/></axml:sc>"#).unwrap();
         let root = doc.root();
         assert!(doc.name(root).unwrap().is(Some("axml"), "sc"));
-        let kids = doc.children(root).unwrap();
-        assert!(doc.name(kids[0]).unwrap().is(Some("axml"), "params"));
+        let first = doc.child_at(root, 0).unwrap().unwrap();
+        assert!(doc.name(first).unwrap().is(Some("axml"), "params"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! XML serialization: escaping plus compact and pretty output.
 
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Children, Document, NodeId, NodeKind};
 
 /// Options controlling serialization.
 #[derive(Debug, Clone)]
@@ -94,9 +94,9 @@ pub fn serialize_into(doc: &Document, node: NodeId, opts: &SerializeOptions, out
     write_node(doc, node, opts.pretty, 0, out);
 }
 
-fn has_element_children(doc: &Document, children: &[NodeId]) -> bool {
-    children.iter().any(|c| {
-        matches!(doc.kind(*c), Ok(NodeKind::Element { .. }) | Ok(NodeKind::Comment(_)) | Ok(NodeKind::Pi { .. }))
+fn has_element_children(doc: &Document, mut children: Children<'_>) -> bool {
+    children.any(|c| {
+        matches!(doc.kind(c), Ok(NodeKind::Element { .. }) | Ok(NodeKind::Comment(_)) | Ok(NodeKind::Pi { .. }))
     })
 }
 
@@ -112,11 +112,11 @@ fn write_node(doc: &Document, node: NodeId, pretty: bool, depth: usize, out: &mu
         }
     };
     match doc.kind(node) {
-        Ok(NodeKind::Element { name, attrs }) => {
+        Ok(NodeKind::Element { name }) => {
             indent(out);
             out.push('<');
             name.push_to(out);
-            for (an, av) in attrs {
+            for (an, av) in doc.attrs(node).expect("an element") {
                 out.push(' ');
                 an.push_to(out);
                 out.push_str("=\"");
@@ -124,15 +124,15 @@ fn write_node(doc: &Document, node: NodeId, pretty: bool, depth: usize, out: &mu
                 out.push('"');
             }
             let children = doc.children(node).unwrap_or_default();
-            if children.is_empty() {
+            if children.len() == 0 {
                 out.push_str("/>");
             } else {
                 out.push('>');
-                let block = pretty && has_element_children(doc, children);
+                let block = pretty && has_element_children(doc, children.clone());
                 if block {
                     out.push('\n');
                 }
-                for &child in children {
+                for child in children {
                     write_node(doc, child, block, depth + 1, out);
                 }
                 if block {

@@ -15,6 +15,8 @@
 
 use crate::error::TreeError;
 use crate::name::QName;
+use crate::node::{index, Attr, Leaf, Node, Size, Span, Strings, NONE};
+pub use crate::node::{Attrs, NodeKind};
 use crate::serialize::{self, SerializeOptions};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -52,55 +54,74 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// The payload of a tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
-    /// An element with a qualified name and ordered attributes.
-    Element {
-        /// Element name.
-        name: QName,
-        /// Attributes, in document order.
-        attrs: Vec<(QName, String)>,
-    },
-    /// A text node.
-    Text(String),
-    /// A CDATA section (serialized as `<![CDATA[..]]>`, compared as text).
-    Cdata(String),
-    /// A comment.
-    Comment(String),
-    /// A processing instruction.
-    Pi {
-        /// PI target.
-        target: String,
-        /// PI data.
-        data: String,
-    },
+/// A slot's `parent` while it holds no node.
+const VACANT: u32 = u32::MAX - 1;
+
+/// One arena slot, 64 bytes: a generation, the links the node record
+/// does not carry itself, and the record.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    generation: u32,
+    /// Slot of the parent; [`NONE`] for the root and the heads of detached
+    /// subtrees, [`VACANT`] while the slot is free (the record is then
+    /// whatever was there last).
+    pub(crate) parent: u32,
+    /// Previous sibling — for a first child, the *last* child, so both
+    /// ends of a child list are one hop from the parent. [`NONE`] when
+    /// the node has no parent.
+    prev: u32,
+    /// Next sibling; [`NONE`] for a last child.
+    pub(crate) next: u32,
+    pub(crate) node: Node,
 }
 
-impl NodeKind {
-    /// Short kind label for error messages.
-    pub fn label(&self) -> &'static str {
-        match self {
-            NodeKind::Element { .. } => "element",
-            NodeKind::Text(_) => "text",
-            NodeKind::Cdata(_) => "cdata",
-            NodeKind::Comment(_) => "comment",
-            NodeKind::Pi { .. } => "pi",
+impl Slot {
+    /// `(first child, child count)`; `(NONE, 0)` for leaves.
+    fn child_list(&self) -> (u32, usize) {
+        match self.node {
+            Node::Element { below, children, .. } => (below, children as usize),
+            Node::Leaf { .. } => (NONE, 0),
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    kind: NodeKind,
+/// One step of a [`Walk`]: a node is entered before its children and left
+/// after them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Visit {
+    Enter(u32),
+    Leave(u32),
 }
 
+/// A walk of one subtree along the sibling links, holding no stack.
 #[derive(Debug, Clone)]
-struct Slot {
-    generation: u32,
-    node: Option<Node>,
+pub(crate) struct Walk {
+    top: u32,
+    next: Option<Visit>,
+}
+
+impl Walk {
+    pub(crate) fn new(top: u32) -> Walk {
+        Walk { top, next: Some(Visit::Enter(top)) }
+    }
+
+    /// The next step. Where the walk goes after it is read off the slots
+    /// now, so the caller may vacate a slot it is told to leave.
+    pub(crate) fn step(&mut self, slots: &[Slot]) -> Option<Visit> {
+        let visit = self.next.take()?;
+        self.next = match visit {
+            Visit::Enter(at) => match slots[at as usize].child_list() {
+                (NONE, _) => Some(Visit::Leave(at)),
+                (first, _) => Some(Visit::Enter(first)),
+            },
+            Visit::Leave(at) if at == self.top => None,
+            Visit::Leave(at) => match &slots[at as usize] {
+                Slot { next: NONE, parent, .. } => Some(Visit::Leave(*parent)),
+                Slot { next, .. } => Some(Visit::Enter(*next)),
+            },
+        };
+        Some(visit)
+    }
 }
 
 /// Every live element of a document by name, attached or not (DESIGN.md
@@ -154,7 +175,7 @@ impl NameIndex {
         // Nearly every name is listed already: look before cloning one.
         match self.by_name.get_mut(name) {
             Some(list) => {
-                self.pos[slot] = u32::try_from(list.len()).expect("more than u32::MAX nodes");
+                self.pos[slot] = index(list.len());
                 list.push(id);
             }
             None => {
@@ -182,15 +203,57 @@ impl NameIndex {
 /// well-formedness (no cycles, parent/child links consistent) and surface
 /// enough information (positions, detached subtrees) for a transaction log
 /// to construct compensating operations later.
+///
+/// The arena is three vectors (DESIGN.md §18): fixed-size slots linked to
+/// parent, siblings and first child, and the attribute run and text
+/// buffer their records point into. Deletes and overwrites leave dead
+/// entries in the latter two; [`Self::COMPACT_FLOOR`] says when they are
+/// rebuilt.
 #[derive(Debug, Clone)]
 pub struct Document {
-    slots: Vec<Slot>,
+    pub(crate) slots: Vec<Slot>,
+    pub(crate) strings: Strings,
+    /// How much of `strings` no live node points at (`nodes` is unused).
+    dead: Size,
     free: Vec<u32>,
     root: NodeId,
     live: usize,
     /// Unset until a by-name lookup wants it (see [`Self::elements_named`]),
     /// so a document nobody looks into by name never pays for one.
     names: OnceLock<NameIndex>,
+}
+
+const WANTS_ELEMENT: TreeError = TreeError::WrongKind { expected: "element" };
+
+/// A child whose position is known: slot of the parent, slot, position.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    parent: u32,
+    node: u32,
+    pos: usize,
+}
+
+impl Placed {
+    const NOWHERE: Placed = Placed { parent: NONE, node: NONE, pos: 0 };
+}
+
+/// What the last climb to the top of a tree found, level by level, for
+/// the next one to start from (see [`Document::document_order_key_into`]).
+/// A position among siblings is counted along their links, so a sort of
+/// many children of one parent would otherwise walk the child list once
+/// per child; with this, a sibling of the node placed last costs the hops
+/// between the two, and an ancestor met again costs none. Good for one
+/// batch over a document that is not edited meanwhile.
+#[derive(Debug, Clone)]
+pub struct Climb {
+    /// Nearest level first; levels further up are counted afresh.
+    levels: [Placed; 4],
+}
+
+impl Default for Climb {
+    fn default() -> Self {
+        Climb { levels: [Placed::NOWHERE; 4] }
+    }
 }
 
 impl Document {
@@ -209,17 +272,25 @@ impl Document {
     /// walk is the cheaper way to list them.
     pub const NAME_INDEX_SPARSE_RATIO: usize = 16;
 
+    /// The text buffer and the attribute run are rebuilt, in one pass over
+    /// the live slots, when more of either is dead than live — and more
+    /// than this many bytes (entries) are dead, so a small document is
+    /// not rebuilt over and over. Each therefore holds at most twice what
+    /// is live plus this.
+    pub const COMPACT_FLOOR: usize = 1024;
+
     /// Creates a document whose root is an empty element named `root_name`.
     pub fn new(root_name: impl Into<QName>) -> Self {
         let mut doc = Document {
             slots: Vec::new(),
+            strings: Strings::default(),
+            dead: Size::default(),
             free: Vec::new(),
             root: NodeId { index: 0, generation: 0 },
             live: 0,
             names: OnceLock::new(),
         };
-        let root = doc.alloc(NodeKind::Element { name: root_name.into(), attrs: Vec::new() });
-        doc.root = root;
+        doc.root = doc.create_element(root_name);
         doc
     }
 
@@ -243,90 +314,117 @@ impl Document {
         self.get(id).is_some()
     }
 
-    fn get(&self, id: NodeId) -> Option<&Node> {
+    fn get(&self, id: NodeId) -> Option<&Slot> {
         let slot = self.slots.get(id.index as usize)?;
-        if slot.generation != id.generation {
-            return None;
-        }
-        slot.node.as_ref()
+        (slot.generation == id.generation && slot.parent != VACANT).then_some(slot)
     }
 
-    fn get_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        let slot = self.slots.get_mut(id.index as usize)?;
-        if slot.generation != id.generation {
-            return None;
-        }
-        slot.node.as_mut()
-    }
-
-    fn expect(&self, id: NodeId) -> Result<&Node, TreeError> {
+    fn expect(&self, id: NodeId) -> Result<&Slot, TreeError> {
         self.get(id).ok_or(TreeError::StaleNode)
     }
 
-    fn expect_mut(&mut self, id: NodeId) -> Result<&mut Node, TreeError> {
-        self.get_mut(id).ok_or(TreeError::StaleNode)
+    /// The slot of a live node.
+    pub(crate) fn slot_of(&self, id: NodeId) -> Result<u32, TreeError> {
+        self.expect(id).map(|_| id.index)
     }
 
-    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+    /// The id of the live node in slot `at`.
+    fn id_at(&self, at: u32) -> NodeId {
+        NodeId { index: at, generation: self.slots[at as usize].generation }
+    }
+
+    fn link_id(&self, at: u32) -> Option<NodeId> {
+        (at != NONE).then(|| self.id_at(at))
+    }
+
+    /// Puts `node`, whose spans lie in this document's strings, into a
+    /// slot: the one freed last, or a new one.
+    pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
         self.live += 1;
-        let node = Node { parent: None, children: Vec::new(), kind };
+        let mut slot = Slot { generation: 0, parent: NONE, prev: NONE, next: NONE, node };
         let id = if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            debug_assert!(slot.node.is_none());
-            slot.node = Some(node);
-            NodeId { index, generation: slot.generation }
+            let old = &mut self.slots[index as usize];
+            debug_assert_eq!(old.parent, VACANT);
+            slot.generation = old.generation;
+            *old = slot;
+            NodeId { index, generation: old.generation }
         } else {
-            let index = u32::try_from(self.slots.len()).expect("more than u32::MAX nodes");
-            self.slots.push(Slot { generation: 0, node: Some(node) });
-            NodeId { index, generation: 0 }
+            assert!(self.slots.len() < VACANT as usize, "more than u32::MAX - 1 nodes");
+            self.slots.push(slot);
+            NodeId { index: self.slots.len() as u32 - 1, generation: 0 }
         };
-        if let Some(names) = self.names.get_mut() {
-            if let Some(Node { kind: NodeKind::Element { name, .. }, .. }) = &self.slots[id.index as usize].node {
-                names.insert(id, name);
-            }
+        if let (Some(names), Node::Element { name, .. }) = (self.names.get_mut(), &self.slots[id.index as usize].node) {
+            names.insert(id, name);
         }
         id
     }
 
-    /// Empties `id`'s slot and hands back what it held. The slot is not
-    /// reusable until its index is put on the free list.
-    fn vacate(&mut self, id: NodeId) -> Node {
-        let slot = &mut self.slots[id.index as usize];
-        debug_assert_eq!(slot.generation, id.generation);
-        let node = slot.node.take().expect("only live nodes are freed");
+    /// Empties slot `at`, counting what its node held as dead. The slot is
+    /// not reusable until its index is put on the free list.
+    fn vacate(&mut self, at: u32) {
+        let slot = &mut self.slots[at as usize];
+        debug_assert_ne!(slot.parent, VACANT, "only live nodes are freed");
+        let id = NodeId { index: at, generation: slot.generation };
         slot.generation = slot.generation.wrapping_add(1);
+        slot.parent = VACANT;
         self.live -= 1;
-        if let (Some(names), NodeKind::Element { name, .. }) = (self.names.get_mut(), &node.kind) {
+        self.strings.measure(&slot.node, &mut self.dead);
+        if let (Some(names), Node::Element { name, .. }) = (self.names.get_mut(), &slot.node) {
             names.remove(id, name);
         }
-        node
     }
 
-    /// A live node's payload and children, in one lookup.
-    pub(crate) fn parts(&self, id: NodeId) -> Result<(&NodeKind, &[NodeId]), TreeError> {
-        let node = self.expect(id)?;
-        Ok((&node.kind, &node.children))
-    }
-
-    /// Starts taking apart a detached subtree of `nodes` nodes.
-    pub(crate) fn release(&mut self, nodes: usize) -> Release<'_> {
-        let next = self.free.len() + nodes;
-        self.free.resize(next, 0);
-        Release { doc: self, next }
-    }
-
-    /// Makes the fresh, detached nodes `children` the children of the
-    /// fresh, childless element `parent`: what [`Self::append_child`] does
-    /// one by one, for nodes that need none of its checks.
-    pub(crate) fn adopt(&mut self, parent: NodeId, children: Vec<NodeId>) {
-        for &child in &children {
-            let node = self.get_mut(child).expect("a fresh child is live");
-            debug_assert!(node.parent.is_none());
-            node.parent = Some(parent);
+    /// Frees the detached subtree at `top`, telling `visit` each step of
+    /// the walk before acting on it; returns how many nodes it held.
+    ///
+    /// The slots go on the free list a node first, then its subtrees last
+    /// child first — the walk's leaving order, reversed. Later
+    /// allocations, and so the [`NodeId`]s a log records, depend on that
+    /// order and on nothing else about how a subtree was removed.
+    pub(crate) fn free_subtree(&mut self, top: u32, mut visit: impl FnMut(&Document, Visit)) -> usize {
+        let start = self.free.len();
+        let mut walk = Walk::new(top);
+        while let Some(step) = walk.step(&self.slots) {
+            visit(self, step);
+            if let Visit::Leave(at) = step {
+                self.vacate(at);
+                self.free.push(at);
+            }
         }
-        let node = self.get_mut(parent).expect("a fresh parent is live");
-        debug_assert!(node.children.is_empty() && matches!(node.kind, NodeKind::Element { .. }));
-        node.children = children;
+        self.free[start..].reverse();
+        self.free.len() - start
+    }
+
+    /// Makes room for freeing `nodes` more nodes without regrowth.
+    pub(crate) fn reserve_free(&mut self, nodes: usize) {
+        self.free.reserve(nodes);
+    }
+
+    /// Rebuilds the strings from the live slots if [`Self::COMPACT_FLOOR`]
+    /// says so. No id and no output byte changes; spans do.
+    pub(crate) fn compact_if_sparse(&mut self) {
+        let sparse = |dead: usize, len: usize| dead > Self::COMPACT_FLOOR && dead > len - dead;
+        let Strings { attrs, text } = &self.strings;
+        if !sparse(self.dead.text, text.len()) && !sparse(self.dead.attrs, attrs.len()) {
+            return;
+        }
+        // As roomy as before: what was deleted is often put back.
+        let fresh = Strings::with_capacity(attrs.capacity(), text.capacity());
+        let old = std::mem::replace(&mut self.strings, fresh);
+        for slot in self.slots.iter_mut().filter(|slot| slot.parent != VACANT) {
+            slot.node = self.strings.copy_in(&old, &slot.node);
+        }
+        self.dead = Size::default();
+    }
+
+    /// Adds what the subtree at `top` takes to `size`.
+    pub(crate) fn measure(&self, top: u32, size: &mut Size) {
+        let mut walk = Walk::new(top);
+        while let Some(step) = walk.step(&self.slots) {
+            if let Visit::Enter(at) = step {
+                self.strings.measure(&self.slots[at as usize].node, size);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -335,45 +433,112 @@ impl Document {
 
     /// Creates a detached element node.
     pub fn create_element(&mut self, name: impl Into<QName>) -> NodeId {
-        self.alloc(NodeKind::Element { name: name.into(), attrs: Vec::new() })
+        self.create_element_with_attrs(name, std::iter::empty::<(QName, &str)>())
     }
 
     /// Creates a detached element node with attributes.
-    pub fn create_element_with_attrs<N, A>(&mut self, name: N, attrs: A) -> NodeId
+    pub fn create_element_with_attrs<N, A, S>(&mut self, name: N, attrs: A) -> NodeId
     where
         N: Into<QName>,
-        A: IntoIterator<Item = (QName, String)>,
+        A: IntoIterator<Item = (QName, S)>,
+        S: AsRef<str>,
     {
-        self.alloc(NodeKind::Element { name: name.into(), attrs: attrs.into_iter().collect() })
+        let attrs = self.strings.push_attrs(attrs);
+        self.alloc(Node::Element { name: name.into(), attrs, below: NONE, children: 0 })
+    }
+
+    fn create_leaf(&mut self, kind: Leaf, text: &str, data: &str) -> NodeId {
+        let (text, data) = (self.strings.push_str(text), self.strings.push_str(data));
+        self.alloc(Node::Leaf { kind, text, data })
     }
 
     /// Creates a detached text node.
-    pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Text(text.into()))
+    pub fn create_text(&mut self, text: impl AsRef<str>) -> NodeId {
+        self.create_leaf(Leaf::Text, text.as_ref(), "")
     }
 
     /// Creates a detached CDATA node.
-    pub fn create_cdata(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Cdata(text.into()))
+    pub fn create_cdata(&mut self, text: impl AsRef<str>) -> NodeId {
+        self.create_leaf(Leaf::Cdata, text.as_ref(), "")
     }
 
     /// Creates a detached comment node.
-    pub fn create_comment(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Comment(text.into()))
+    pub fn create_comment(&mut self, text: impl AsRef<str>) -> NodeId {
+        self.create_leaf(Leaf::Comment, text.as_ref(), "")
     }
 
     /// Creates a detached processing-instruction node.
-    pub fn create_pi(&mut self, target: impl Into<String>, data: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Pi { target: target.into(), data: data.into() })
+    pub fn create_pi(&mut self, target: impl AsRef<str>, data: impl AsRef<str>) -> NodeId {
+        self.create_leaf(Leaf::Pi, target.as_ref(), data.as_ref())
     }
 
     // ------------------------------------------------------------------
     // Structural edits.
     // ------------------------------------------------------------------
 
+    /// The child list of the element in slot `at`, to be edited.
+    fn child_list_mut(&mut self, at: u32) -> (&mut u32, &mut u32) {
+        match &mut self.slots[at as usize].node {
+            Node::Element { below, children, .. } => (below, children),
+            Node::Leaf { .. } => unreachable!("only elements have children"),
+        }
+    }
+
+    /// Makes the parentless node in slot `child` a child of the element in
+    /// slot `parent`: the one before its child `before`, or the last.
+    pub(crate) fn link(&mut self, parent: u32, child: u32, before: u32) {
+        let (first, children) = self.child_list_mut(parent);
+        *children += 1;
+        let old_first = *first;
+        if old_first == NONE || before == old_first {
+            *first = child;
+        }
+        // The child after the new one, or the first if it becomes the last:
+        // the one whose `prev` it takes over.
+        let after = if before != NONE { before } else { old_first };
+        let prev = if after == NONE { child } else { std::mem::replace(&mut self.slots[after as usize].prev, child) };
+        if before != old_first {
+            self.slots[prev as usize].next = child;
+        }
+        let slot = &mut self.slots[child as usize];
+        (slot.parent, slot.prev, slot.next) = (parent, prev, before);
+    }
+
+    /// Takes the node in slot `child` out of its parent's child list.
+    fn unlink(&mut self, child: u32) {
+        let Slot { parent, prev, next, .. } = self.slots[child as usize];
+        let (first, children) = self.child_list_mut(parent);
+        *children -= 1;
+        let first = if *first == child { std::mem::replace(first, next) } else { *first };
+        if first != child {
+            self.slots[prev as usize].next = next;
+        }
+        // Its `prev` passes to the child after it, or to the first if it
+        // was the last (to nobody if it was the only one).
+        let heir = if next != NONE { next } else { first };
+        if heir != child {
+            self.slots[heir as usize].prev = prev;
+        }
+        let slot = &mut self.slots[child as usize];
+        (slot.parent, slot.prev, slot.next) = (NONE, NONE, NONE);
+    }
+
+    /// The slot of child `n` of the node in slot `parent`, reached from
+    /// the nearer end of the child list; [`NONE`] if there is none.
+    fn nth_child(&self, parent: u32, n: usize) -> u32 {
+        let (first, count) = self.slots[parent as usize].child_list();
+        if n >= count {
+            return NONE;
+        }
+        let hop = |at: u32, back: bool| if back { self.slots[at as usize].prev } else { self.slots[at as usize].next };
+        // One hop back from the first child is the last.
+        let (back, hops) = if n <= count / 2 { (false, n) } else { (true, count - n) };
+        (0..hops).fold(first, |at, _| hop(at, back))
+    }
+
     /// Appends detached node `child` as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> Result<(), TreeError> {
-        let len = self.expect(parent)?.children.len();
+        let len = self.expect(parent)?.child_list().1;
         self.insert_child(parent, len, child)
     }
 
@@ -384,11 +549,8 @@ impl Document {
     /// the compensating insert restores it "before/after a specific node"
     /// as the paper notes XQuery! allows.
     pub fn insert_child(&mut self, parent: NodeId, index: usize, child: NodeId) -> Result<(), TreeError> {
-        if !matches!(self.expect(parent)?.kind, NodeKind::Element { .. }) {
-            return Err(TreeError::WrongKind { expected: "element" });
-        }
-        let child_node = self.expect(child)?;
-        if child_node.parent.is_some() {
+        let Node::Element { children, .. } = self.expect(parent)?.node else { return Err(WANTS_ELEMENT) };
+        if self.expect(child)?.parent != NONE {
             return Err(TreeError::NotAttached);
         }
         if child == self.root {
@@ -399,29 +561,55 @@ impl Document {
         if parent == child || self.is_descendant_of(parent, child) {
             return Err(TreeError::WouldCycle);
         }
-        let len = self.expect(parent)?.children.len();
+        let len = children as usize;
         if index > len {
             return Err(TreeError::PositionOutOfBounds { len, index });
         }
-        self.expect_mut(parent)?.children.insert(index, child);
-        self.expect_mut(child)?.parent = Some(parent);
+        let before = self.nth_child(parent.index, index);
+        self.link(parent.index, child.index, before);
         Ok(())
     }
 
     /// Inserts detached node `child` immediately before `reference`
     /// (which must be attached).
     pub fn insert_before(&mut self, reference: NodeId, child: NodeId) -> Result<(), TreeError> {
-        let parent = self.expect(reference)?.parent.ok_or(TreeError::NotAttached)?;
-        let pos = self.position_in_parent(reference)?;
+        let (parent, pos) = self.place(reference)?;
         self.insert_child(parent, pos, child)
     }
 
     /// Inserts detached node `child` immediately after `reference`
     /// (which must be attached).
     pub fn insert_after(&mut self, reference: NodeId, child: NodeId) -> Result<(), TreeError> {
-        let parent = self.expect(reference)?.parent.ok_or(TreeError::NotAttached)?;
-        let pos = self.position_in_parent(reference)?;
+        let (parent, pos) = self.place(reference)?;
         self.insert_child(parent, pos + 1, child)
+    }
+
+    /// The parent of attached node `node` and its position there.
+    fn place(&self, node: NodeId) -> Result<(NodeId, usize), TreeError> {
+        let mut nowhere = Placed::NOWHERE;
+        self.place_near(node, &mut nowhere)
+    }
+
+    /// [`Self::place`], counting from `near` — a sibling placed just
+    /// before, or `node` itself — where that is nearer than the first
+    /// child; `near` is left at `node`.
+    fn place_near(&self, node: NodeId, near: &mut Placed) -> Result<(NodeId, usize), TreeError> {
+        let parent = self.expect(node)?.parent;
+        if parent == NONE {
+            return Err(TreeError::NotAttached);
+        }
+        // `prev` of the first child is the last, never `node` again before
+        // the first is reached.
+        let first = self.slots[parent as usize].child_list().0;
+        let known = if near.parent == parent { near.node } else { NONE };
+        let (mut at, mut hops) = (node.index, 0);
+        while at != first && at != known {
+            at = self.slots[at as usize].prev;
+            hops += 1;
+        }
+        let pos = if at == first { hops } else { near.pos + hops };
+        *near = Placed { parent, node: node.index, pos };
+        Ok((self.id_at(parent), pos))
     }
 
     /// Detaches `node` from its parent, keeping its subtree alive.
@@ -432,11 +620,9 @@ impl Document {
         if node == self.root {
             return Err(TreeError::RootImmutable);
         }
-        let parent = self.expect(node)?.parent.ok_or(TreeError::NotAttached)?;
-        let pos = self.position_in_parent(node)?;
-        self.expect_mut(parent)?.children.remove(pos);
-        self.expect_mut(node)?.parent = None;
-        Ok((parent, pos))
+        let place = self.place(node)?;
+        self.unlink(node.index);
+        Ok(place)
     }
 
     /// Deletes `node` and its entire subtree, freeing their slots.
@@ -449,17 +635,11 @@ impl Document {
         if node == self.root {
             return Err(TreeError::RootImmutable);
         }
-        self.expect(node)?;
-        if self.expect(node)?.parent.is_some() {
-            self.detach(node)?;
+        if self.expect(node)?.parent != NONE {
+            self.unlink(node.index);
         }
-        let mut stack = vec![node];
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            stack.extend(self.vacate(id).children);
-            self.free.push(id.index);
-            count += 1;
-        }
+        let count = self.free_subtree(node.index, |_, _| ());
+        self.compact_if_sparse();
         Ok(count)
     }
 
@@ -481,25 +661,24 @@ impl Document {
     // ------------------------------------------------------------------
 
     /// The kind (payload) of a node.
-    pub fn kind(&self, node: NodeId) -> Result<&NodeKind, TreeError> {
-        Ok(&self.expect(node)?.kind)
+    pub fn kind(&self, node: NodeId) -> Result<NodeKind<'_>, TreeError> {
+        Ok(self.strings.kind(&self.expect(node)?.node))
     }
 
     /// The element name of a node, if it is an element.
     pub fn name(&self, node: NodeId) -> Result<&QName, TreeError> {
-        match &self.expect(node)?.kind {
-            NodeKind::Element { name, .. } => Ok(name),
-            _ => Err(TreeError::WrongKind { expected: "element" }),
+        match &self.expect(node)?.node {
+            Node::Element { name, .. } => Ok(name),
+            Node::Leaf { .. } => Err(WANTS_ELEMENT),
         }
     }
 
     /// Renames an element node.
     pub fn set_name(&mut self, node: NodeId, name: impl Into<QName>) -> Result<(), TreeError> {
         let name = name.into();
-        let old = match &mut self.expect_mut(node)?.kind {
-            NodeKind::Element { name: n, .. } => std::mem::replace(n, name.clone()),
-            _ => return Err(TreeError::WrongKind { expected: "element" }),
-        };
+        let at = self.slot_of(node)? as usize;
+        let Node::Element { name: held, .. } = &mut self.slots[at].node else { return Err(WANTS_ELEMENT) };
+        let old = std::mem::replace(held, name.clone());
         if let Some(names) = self.names.get_mut() {
             names.remove(node, &old);
             names.insert(node, &name);
@@ -509,18 +688,23 @@ impl Document {
 
     /// The text of a text/CDATA node.
     pub fn node_text(&self, node: NodeId) -> Result<&str, TreeError> {
-        match &self.expect(node)?.kind {
+        match self.kind(node)? {
             NodeKind::Text(t) | NodeKind::Cdata(t) => Ok(t),
             _ => Err(TreeError::WrongKind { expected: "text" }),
         }
     }
 
     /// Overwrites the text of a text/CDATA node, returning the old value.
-    pub fn set_node_text(&mut self, node: NodeId, text: impl Into<String>) -> Result<String, TreeError> {
-        match &mut self.expect_mut(node)?.kind {
-            NodeKind::Text(t) | NodeKind::Cdata(t) => Ok(std::mem::replace(t, text.into())),
-            _ => Err(TreeError::WrongKind { expected: "text" }),
-        }
+    pub fn set_node_text(&mut self, node: NodeId, text: impl AsRef<str>) -> Result<String, TreeError> {
+        let at = self.slot_of(node)? as usize;
+        let Node::Leaf { kind: Leaf::Text | Leaf::Cdata, text: held, .. } = &mut self.slots[at].node else {
+            return Err(TreeError::WrongKind { expected: "text" });
+        };
+        let old = self.strings.str(*held).to_string();
+        self.dead.text += old.len();
+        *held = self.strings.push_str(text.as_ref());
+        self.compact_if_sparse();
+        Ok(old)
     }
 
     /// Concatenated descendant text content of `node` (like XPath `string()`).
@@ -528,8 +712,8 @@ impl Document {
         self.expect(node)?;
         let mut out = String::new();
         for id in self.descendants_and_self(node) {
-            if let NodeKind::Text(t) | NodeKind::Cdata(t) = &self.expect(id)?.kind {
-                out.push_str(t);
+            if let Node::Leaf { kind: Leaf::Text | Leaf::Cdata, text, .. } = self.slots[id.index as usize].node {
+                out.push_str(self.strings.str(text));
             }
         }
         Ok(out)
@@ -537,18 +721,30 @@ impl Document {
 
     /// Attribute value by name, if present (element nodes only).
     pub fn attr(&self, node: NodeId, name: &str) -> Option<&str> {
-        match &self.get(node)?.kind {
-            NodeKind::Element { attrs, .. } => attrs.iter().find(|(n, _)| n.matches_raw(name)).map(|(_, v)| v.as_str()),
-            _ => None,
-        }
+        self.attrs(node).ok()?.find(|(n, _)| n.matches_raw(name)).map(|(_, v)| v)
     }
 
     /// All attributes of an element, in document order.
-    pub fn attrs(&self, node: NodeId) -> Result<&[(QName, String)], TreeError> {
-        match &self.expect(node)?.kind {
-            NodeKind::Element { attrs, .. } => Ok(attrs),
-            _ => Err(TreeError::WrongKind { expected: "element" }),
+    pub fn attrs(&self, node: NodeId) -> Result<Attrs<'_>, TreeError> {
+        match self.expect(node)?.node {
+            Node::Element { attrs, .. } => Ok(self.strings.attrs(attrs)),
+            Node::Leaf { .. } => Err(WANTS_ELEMENT),
         }
+    }
+
+    /// The attribute run of the element `node`, where in the strings the
+    /// attribute `is_it` picks out stands, and the rest an edit needs.
+    #[allow(clippy::type_complexity)]
+    fn attr_run_mut(
+        &mut self,
+        node: NodeId,
+        is_it: impl Fn(&QName) -> bool,
+    ) -> Result<(&mut Span, Option<usize>, &mut Strings, &mut Size), TreeError> {
+        let at = self.slot_of(node)? as usize;
+        let Node::Element { attrs: run, .. } = &mut self.slots[at].node else { return Err(WANTS_ELEMENT) };
+        let found = self.strings.attrs[run.range()].iter().position(|a| is_it(&a.name));
+        let found = found.map(|k| run.start as usize + k);
+        Ok((run, found, &mut self.strings, &mut self.dead))
     }
 
     /// Sets (or inserts) an attribute, returning the previous value if any.
@@ -556,36 +752,47 @@ impl Document {
         &mut self,
         node: NodeId,
         name: impl Into<QName>,
-        value: impl Into<String>,
+        value: impl AsRef<str>,
     ) -> Result<Option<String>, TreeError> {
         let name = name.into();
-        let value = value.into();
-        match &mut self.expect_mut(node)?.kind {
-            NodeKind::Element { attrs, .. } => {
-                for (n, v) in attrs.iter_mut() {
-                    if *n == name {
-                        return Ok(Some(std::mem::replace(v, value)));
-                    }
-                }
-                attrs.push((name, value));
-                Ok(None)
+        let (run, found, strings, dead) = self.attr_run_mut(node, |n| *n == name)?;
+        let old = match found {
+            Some(at) => {
+                let old = strings.str(strings.attrs[at].value).to_string();
+                dead.text += old.len();
+                strings.attrs[at].value = strings.push_str(value.as_ref());
+                Some(old)
             }
-            _ => Err(TreeError::WrongKind { expected: "element" }),
-        }
+            None => {
+                // A run grows in place only at the end of the vector.
+                if run.end as usize != strings.attrs.len() {
+                    dead.attrs += run.len();
+                    let start = index(strings.attrs.len());
+                    strings.attrs.extend_from_within(run.range());
+                    *run = Span { start, end: index(strings.attrs.len()) };
+                }
+                let value = strings.push_str(value.as_ref());
+                strings.attrs.push(Attr { name, value });
+                run.end += 1;
+                None
+            }
+        };
+        self.compact_if_sparse();
+        Ok(old)
     }
 
     /// Removes an attribute, returning its previous value if present.
     pub fn remove_attr(&mut self, node: NodeId, name: &str) -> Result<Option<String>, TreeError> {
-        match &mut self.expect_mut(node)?.kind {
-            NodeKind::Element { attrs, .. } => {
-                if let Some(pos) = attrs.iter().position(|(n, _)| n.matches_raw(name)) {
-                    Ok(Some(attrs.remove(pos).1))
-                } else {
-                    Ok(None)
-                }
-            }
-            _ => Err(TreeError::WrongKind { expected: "element" }),
-        }
+        let (run, found, strings, dead) = self.attr_run_mut(node, |n| n.matches_raw(name))?;
+        let Some(at) = found else { return Ok(None) };
+        let old = strings.str(strings.attrs[at].value).to_string();
+        // The run closes up; the entry past its new end is the dead one.
+        strings.attrs[at..run.end as usize].rotate_left(1);
+        run.end -= 1;
+        dead.attrs += 1;
+        dead.text += old.len();
+        self.compact_if_sparse();
+        Ok(Some(old))
     }
 
     // ------------------------------------------------------------------
@@ -594,67 +801,60 @@ impl Document {
 
     /// The parent of `node`, or `None` for the root / detached nodes.
     pub fn parent(&self, node: NodeId) -> Result<Option<NodeId>, TreeError> {
-        Ok(self.expect(node)?.parent)
+        Ok(self.link_id(self.expect(node)?.parent))
     }
 
     /// The children of `node`, in document order.
-    pub fn children(&self, node: NodeId) -> Result<&[NodeId], TreeError> {
-        Ok(&self.expect(node)?.children)
+    pub fn children(&self, node: NodeId) -> Result<Children<'_>, TreeError> {
+        let (front, left) = self.expect(node)?.child_list();
+        let back = if left == 0 { NONE } else { self.slots[front as usize].prev };
+        Ok(Children { slots: &self.slots, front, back, left })
+    }
+
+    /// Child `n` of `node`, reached from the nearer end of its child list.
+    pub fn child_at(&self, node: NodeId, n: usize) -> Result<Option<NodeId>, TreeError> {
+        Ok(self.link_id(self.nth_child(self.slot_of(node)?, n)))
     }
 
     /// Child elements only (skipping text/comments/PIs).
     pub fn child_elements(&self, node: NodeId) -> Result<Vec<NodeId>, TreeError> {
-        Ok(self
-            .expect(node)?
-            .children
-            .iter()
-            .copied()
-            .filter(|c| matches!(self.get(*c).map(|n| &n.kind), Some(NodeKind::Element { .. })))
-            .collect())
+        Ok(self.children(node)?.filter(|c| matches!(self.slots[c.index as usize].node, Node::Element { .. })).collect())
     }
 
     /// First child element with the given name.
     pub fn first_child_element(&self, node: NodeId, name: &str) -> Option<NodeId> {
-        self.get(node)?.children.iter().copied().find(
-            |c| matches!(self.get(*c).map(|n| &n.kind), Some(NodeKind::Element { name: n, .. }) if n.matches_raw(name)),
+        self.children(node).ok()?.find(
+            |c| matches!(&self.slots[c.index as usize].node, Node::Element { name: n, .. } if n.matches_raw(name)),
         )
     }
 
     /// Position of `node` among its parent's children.
     pub fn position_in_parent(&self, node: NodeId) -> Result<usize, TreeError> {
-        let parent = self.expect(node)?.parent.ok_or(TreeError::NotAttached)?;
-        self.expect(parent)?.children.iter().position(|c| *c == node).ok_or(TreeError::StaleNode)
+        Ok(self.place(node)?.1)
     }
 
     /// True if `node` is a (strict) descendant of `ancestor`.
     pub fn is_descendant_of(&self, node: NodeId, ancestor: NodeId) -> bool {
-        let mut cur = match self.get(node) {
-            Some(n) => n.parent,
-            None => return false,
-        };
-        while let Some(p) = cur {
-            if p == ancestor {
-                return true;
-            }
-            cur = self.get(p).and_then(|n| n.parent);
-        }
-        false
+        self.ancestors(node).any(|a| a == ancestor)
     }
 
     /// Iterator over `node`'s ancestors, nearest first.
     pub fn ancestors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut cur = self.get(node).and_then(|n| n.parent);
+        let mut at = self.get(node).map_or(NONE, |slot| slot.parent);
         std::iter::from_fn(move || {
-            let next = cur?;
-            cur = self.get(next).and_then(|n| n.parent);
+            let next = self.link_id(at)?;
+            at = self.slots[at as usize].parent;
             Some(next)
         })
     }
 
     /// Pre-order iterator over `node` and all its descendants.
     pub fn descendants_and_self(&self, node: NodeId) -> Descendants<'_> {
-        let stack = if self.contains(node) { vec![node] } else { Vec::new() };
-        Descendants { doc: self, stack }
+        let mut walk = Walk::new(node.index);
+        if !self.contains(node) {
+            walk.next = None;
+        }
+        Descendants { doc: self, walk }
     }
 
     /// Pre-order iterator over the whole document starting at the root.
@@ -679,12 +879,12 @@ impl Document {
         if a == b {
             return Ok(std::cmp::Ordering::Equal);
         }
-        let mut keys = Vec::new();
-        if !self.document_order_key_into(a, &mut keys) {
+        let (mut keys, mut near) = (Vec::new(), Climb::default());
+        if !self.document_order_key_into(a, &mut keys, &mut near) {
             return Err(TreeError::StaleNode);
         }
         let split = keys.len();
-        if !self.document_order_key_into(b, &mut keys) {
+        if !self.document_order_key_into(b, &mut keys, &mut near) {
             return Err(TreeError::StaleNode);
         }
         let (key_a, key_b) = keys.split_at(split);
@@ -696,9 +896,9 @@ impl Document {
     /// `node`; returns false, appending nothing, if `node` is stale. Keys
     /// order the way their nodes stand in the document, so a sort computes
     /// one key per node, not two per comparison — and every key of one
-    /// sort can live in the same buffer.
-    pub fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>) -> bool {
-        self.path_up_into(node, None, key)
+    /// sort can live in the same buffer, with one `near` between them.
+    pub fn document_order_key_into(&self, node: NodeId, key: &mut Vec<usize>, near: &mut Climb) -> bool {
+        self.path_up_into(node, None, key, near)
     }
 
     /// Those of `nodes` attached at or below `ancestor`, in document order.
@@ -706,9 +906,10 @@ impl Document {
         // Every path in one buffer; a node's key is its range of it.
         let mut paths = Vec::new();
         let mut below: Vec<(std::ops::Range<usize>, NodeId)> = Vec::new();
+        let mut near = Climb::default();
         for n in nodes {
             let start = paths.len();
-            if self.path_up_into(n, Some(ancestor), &mut paths) {
+            if self.path_up_into(n, Some(ancestor), &mut paths, &mut near) {
                 below.push((start..paths.len(), n));
             }
         }
@@ -720,30 +921,33 @@ impl Document {
     /// tree — appending each level's position among its siblings to
     /// `path`, topmost first. Returns false, leaving `path` as it was, if
     /// `node` is stale or not attached below `stop`.
-    fn path_up_into(&self, node: NodeId, stop: Option<NodeId>, path: &mut Vec<usize>) -> bool {
-        let start = path.len();
-        let climbed = (|| {
-            let mut cur = node;
-            let mut parent = self.get(node)?.parent;
-            while Some(cur) != stop {
-                let Some(up) = parent else {
-                    if stop.is_some() {
-                        return None;
-                    }
-                    break;
-                };
-                let above = self.get(up)?;
-                path.push(above.children.iter().position(|c| *c == cur)?);
-                cur = up;
-                parent = above.parent;
-            }
-            Some(())
-        })();
-        match climbed {
-            Some(()) => path[start..].reverse(),
-            None => path.truncate(start),
+    fn path_up_into(&self, node: NodeId, stop: Option<NodeId>, path: &mut Vec<usize>, near: &mut Climb) -> bool {
+        if !self.contains(node) {
+            return false;
         }
-        climbed.is_some()
+        let start = path.len();
+        let mut cur = node;
+        while Some(cur) != stop {
+            let level = path.len() - start;
+            let placed = match near.levels.get_mut(level) {
+                Some(near) => self.place_near(cur, near),
+                None => self.place(cur),
+            };
+            match placed {
+                Ok((parent, pos)) => {
+                    path.push(pos);
+                    cur = parent;
+                }
+                // The top of the tree: where a climb without a stop ends.
+                Err(_) if stop.is_none() => break,
+                Err(_) => {
+                    path.truncate(start);
+                    return false;
+                }
+            }
+        }
+        path[start..].reverse();
+        true
     }
 
     // ------------------------------------------------------------------
@@ -796,10 +1000,14 @@ impl Document {
         })
     }
 
+    fn live_slots(&self) -> impl Iterator<Item = (u32, &Slot)> {
+        self.slots.iter().enumerate().filter(|(_, slot)| slot.parent != VACANT).map(|(at, slot)| (at as u32, slot))
+    }
+
     fn live_elements(&self) -> impl Iterator<Item = (NodeId, &QName)> {
-        self.slots.iter().enumerate().filter_map(|(index, slot)| match &slot.node.as_ref()?.kind {
-            NodeKind::Element { name, .. } => Some((NodeId { index: index as u32, generation: slot.generation }, name)),
-            _ => None,
+        self.live_slots().filter_map(|(index, slot)| match &slot.node {
+            Node::Element { name, .. } => Some((NodeId { index, generation: slot.generation }, name)),
+            Node::Leaf { .. } => None,
         })
     }
 
@@ -833,35 +1041,75 @@ impl Document {
 
     /// Validates internal consistency; used by tests and debug assertions.
     ///
-    /// Checks that every live node is reachable from the root or from a
-    /// detached head, that parent/child links agree, the live count
-    /// matches and — once the name index is built — that it lists every
-    /// live element exactly once, under its current name. Returns the
-    /// number of live nodes on success.
+    /// Checks that every child list is linked both ways under a parent
+    /// that counts it right, that nodes without a parent have no siblings,
+    /// that the live count, the free list and the dead-string accounting
+    /// match the slots and — once the name index is built — that it lists
+    /// every live element exactly once, under its current name. Returns
+    /// the number of live nodes on success.
     pub fn check_consistency(&self) -> Result<usize, String> {
-        let mut seen = 0usize;
-        for (index, slot) in self.slots.iter().enumerate() {
-            let Some(node) = &slot.node else { continue };
+        let (mut seen, mut parented, mut listed) = (0usize, 0usize, 0usize);
+        let mut held = Size::default();
+        for (at, slot) in self.live_slots() {
+            let id = self.id_at(at);
             seen += 1;
-            let id = NodeId { index: index as u32, generation: slot.generation };
-            if let Some(parent) = node.parent {
-                let pnode = self.get(parent).ok_or_else(|| format!("{id}: dangling parent {parent}"))?;
-                if !pnode.children.contains(&id) {
-                    return Err(format!("{id}: parent {parent} does not list it as a child"));
+            self.strings.measure(&slot.node, &mut held);
+            if slot.parent == NONE {
+                if (slot.prev, slot.next) != (NONE, NONE) {
+                    return Err(format!("{id}: no parent, but siblings {} and {}", slot.prev, slot.next));
+                }
+            } else {
+                parented += 1;
+                let parent = self.slots.get(slot.parent as usize).filter(|p| p.parent != VACANT);
+                if !matches!(parent, Some(Slot { node: Node::Element { .. }, .. })) {
+                    return Err(format!("{id}: parent slot {} holds no live element", slot.parent));
                 }
             }
-            for &child in &node.children {
-                let cnode = self.get(child).ok_or_else(|| format!("{id}: dangling child {child}"))?;
-                if cnode.parent != Some(id) {
-                    return Err(format!("{id}: child {child} has parent {:?}", cnode.parent));
+            let (first, count) = slot.child_list();
+            if (first == NONE) != (count == 0) {
+                return Err(format!("{id}: first child {first}, but {count} children"));
+            }
+            let (mut prev, mut child) = (NONE, first);
+            for _ in 0..count {
+                let Some(c) = self.slots.get(child as usize).filter(|c| c.parent == at) else {
+                    return Err(format!("{id}: child slot {child} is not a live child of it"));
+                };
+                if prev != NONE && c.prev != prev {
+                    return Err(format!("{id}: child slot {child} follows {prev} but points back at {}", c.prev));
                 }
+                (prev, child) = (child, c.next);
+                listed += 1;
+            }
+            if child != NONE {
+                return Err(format!("{id}: more than its {count} children are linked"));
+            }
+            if count > 0 && self.slots[first as usize].prev != prev {
+                return Err(format!("{id}: first child does not point back at the last, {prev}"));
             }
         }
         if seen != self.live {
             return Err(format!("live count mismatch: counted {seen}, recorded {}", self.live));
         }
-        if self.get(self.root).is_none() {
-            return Err("root is not live".into());
+        if listed != parented {
+            return Err(format!("{parented} nodes have a parent, {listed} are in a child list"));
+        }
+        if seen + self.free.len() != self.slots.len() {
+            return Err(format!("{} slots, {seen} live and {} free", self.slots.len(), self.free.len()));
+        }
+        if self.free.iter().any(|at| self.slots[*at as usize].parent != VACANT) {
+            return Err("a live slot is on the free list".into());
+        }
+        let Strings { attrs, text } = &self.strings;
+        if (held.attrs + self.dead.attrs, held.text + self.dead.text) != (attrs.len(), text.len()) {
+            return Err(format!(
+                "strings hold {} attributes and {} bytes; {held:?} is live and {:?} counted dead",
+                attrs.len(),
+                text.len(),
+                self.dead
+            ));
+        }
+        if self.get(self.root).is_none_or(|root| root.parent != NONE) {
+            return Err("root is not live at the top".into());
         }
         if let Some(names) = self.names.get() {
             // Every live element sits where `pos` says under its current
@@ -879,53 +1127,75 @@ impl Document {
         }
         Ok(seen)
     }
-}
 
-/// A detached subtree being taken apart node by node, parent before
-/// child, by a walk that wants what the nodes held (see
-/// [`Document::remove_to_fragment`]).
-///
-/// The slots go back on the free list in the order [`Document::delete`]
-/// frees them — a node, then its subtrees last child first — which read
-/// backwards is the subtree in post-order. Later allocations, and so the
-/// [`NodeId`]s a log records, therefore do not depend on which of the two
-/// removed a subtree.
-pub(crate) struct Release<'d> {
-    doc: &'d mut Document,
-    /// One past the free-list entry the next retired node fills.
-    next: usize,
-}
-
-impl Release<'_> {
-    /// Empties `node`'s slot, handing over its payload and children.
-    pub(crate) fn take(&mut self, node: NodeId) -> (NodeKind, Vec<NodeId>) {
-        let Node { kind, children, .. } = self.doc.vacate(node);
-        (kind, children)
-    }
-
-    /// Lists `node`'s slot as free; call it once `node`'s children are
-    /// retired.
-    pub(crate) fn retire(&mut self, node: NodeId) {
-        self.next -= 1;
-        self.doc.free[self.next] = node.index;
+    /// Bytes of text and attribute entries held, dead ones included (for
+    /// tests of [`Self::COMPACT_FLOOR`]).
+    pub fn string_footprint(&self) -> (usize, usize) {
+        (self.strings.text.len(), self.strings.attrs.len())
     }
 }
+
+/// The children of one node, in document order.
+#[derive(Debug, Clone, Default)]
+pub struct Children<'a> {
+    slots: &'a [Slot],
+    front: u32,
+    back: u32,
+    left: usize,
+}
+
+impl Children<'_> {
+    fn hand_out(&mut self, at: u32) -> Option<NodeId> {
+        self.left -= 1;
+        Some(NodeId { index: at, generation: self.slots[at as usize].generation })
+    }
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        let at = self.front;
+        self.front = self.slots[at as usize].next;
+        self.hand_out(at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl DoubleEndedIterator for Children<'_> {
+    fn next_back(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        let at = self.back;
+        self.back = self.slots[at as usize].prev;
+        self.hand_out(at)
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
 
 /// Pre-order (document order) iterator over a subtree.
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    walk: Walk,
 }
 
 impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        if let Some(node) = self.doc.get(id) {
-            self.stack.extend(node.children.iter().rev());
+        loop {
+            if let Visit::Enter(at) = self.walk.step(&self.doc.slots)? {
+                return Some(self.doc.id_at(at));
+            }
         }
-        Some(id)
     }
 }
 
@@ -945,6 +1215,15 @@ mod tests {
         let b = doc.create_element("b");
         doc.append_child(root, b).unwrap();
         (doc, a, t, b)
+    }
+
+    #[test]
+    fn a_slot_is_64_bytes_and_owns_nothing() {
+        assert!(std::mem::size_of::<Slot>() <= 64, "{} bytes", std::mem::size_of::<Slot>());
+        assert!(!std::mem::needs_drop::<Slot>());
+        assert!(!std::mem::needs_drop::<Node>());
+        fn shared<T: Send + Sync + Clone>() {}
+        shared::<Document>();
     }
 
     #[test]
@@ -1102,7 +1381,11 @@ mod tests {
         let root = doc.root();
         assert_eq!(doc.parent(a).unwrap(), Some(root));
         assert_eq!(doc.parent(root).unwrap(), None);
-        assert_eq!(doc.children(root).unwrap(), &[a, b]);
+        assert_eq!(doc.children(root).unwrap().collect::<Vec<_>>(), [a, b]);
+        assert_eq!(doc.children(root).unwrap().rev().collect::<Vec<_>>(), [b, a]);
+        assert_eq!((doc.children(root).unwrap().len(), doc.children(t).unwrap().len()), (2, 0));
+        assert_eq!(doc.child_at(root, 1).unwrap(), Some(b));
+        assert_eq!(doc.child_at(root, 2).unwrap(), None);
         assert_eq!(doc.child_elements(root).unwrap(), vec![a, b]);
         assert_eq!(doc.first_child_element(root, "b"), Some(b));
         assert_eq!(doc.first_child_element(root, "zz"), None);

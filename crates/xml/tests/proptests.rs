@@ -47,17 +47,20 @@ impl TreeFragment {
 
     fn from_node(doc: &Document, node: NodeId) -> Result<TreeFragment, TreeError> {
         match doc.kind(node)? {
-            NodeKind::Element { name, attrs } => {
+            NodeKind::Element { name } => {
                 let mut children = Vec::new();
-                for &child in doc.children(node)? {
+                for child in doc.children(node)? {
                     children.push(TreeFragment::from_node(doc, child)?);
                 }
-                Ok(TreeFragment::Element { name: name.clone(), attrs: attrs.clone(), children })
+                let attrs = doc.attrs(node)?.map(|(n, v)| (n.clone(), v.to_string())).collect();
+                Ok(TreeFragment::Element { name: name.clone(), attrs, children })
             }
-            NodeKind::Text(t) => Ok(TreeFragment::Text(t.clone())),
-            NodeKind::Cdata(t) => Ok(TreeFragment::Cdata(t.clone())),
-            NodeKind::Comment(t) => Ok(TreeFragment::Comment(t.clone())),
-            NodeKind::Pi { target, data } => Ok(TreeFragment::Pi { target: target.clone(), data: data.clone() }),
+            NodeKind::Text(t) => Ok(TreeFragment::Text(t.to_string())),
+            NodeKind::Cdata(t) => Ok(TreeFragment::Cdata(t.to_string())),
+            NodeKind::Comment(t) => Ok(TreeFragment::Comment(t.to_string())),
+            NodeKind::Pi { target, data } => {
+                Ok(TreeFragment::Pi { target: target.to_string(), data: data.to_string() })
+            }
         }
     }
 
@@ -512,7 +515,7 @@ fn path_up_oracle(doc: &Document, node: NodeId, stop: Option<NodeId>) -> Option<
             }
             break;
         };
-        path.push(doc.children(up).ok()?.iter().position(|c| *c == cur)?);
+        path.push(doc.children(up).ok()?.position(|c| c == cur)?);
         cur = up;
         parent = doc.parent(up).ok()?;
     }
@@ -549,10 +552,12 @@ proptest! {
             }
         }
         // `seen` keeps the ids the script deleted: stale ones.
-        let mut buffer = vec![usize::MAX; 3];
+        // One `Climb` across every key, as a sort keeps it: whatever it
+        // remembers of the last node, the next key is the climbed one.
+        let (mut buffer, mut near) = (vec![usize::MAX; 3], axml_xml::Climb::default());
         for &n in &seen {
             let start = buffer.len();
-            let live = doc.document_order_key_into(n, &mut buffer);
+            let live = doc.document_order_key_into(n, &mut buffer, &mut near);
             let expected = path_up_oracle(&doc, n, None);
             prop_assert_eq!(live, expected.is_some());
             prop_assert_eq!(&buffer[start..], expected.as_deref().unwrap_or_default());
@@ -670,14 +675,14 @@ fn write_node_oracle(doc: &Document, node: NodeId, pretty: bool, depth: usize, o
         }
     };
     match doc.kind(node) {
-        Ok(NodeKind::Element { name, attrs }) => {
+        Ok(NodeKind::Element { name }) => {
             indent(out, depth);
             out.push('<');
             out.push_str(&name.as_string());
-            for (an, av) in attrs {
+            for (an, av) in doc.attrs(node).unwrap() {
                 out.push_str(&format!(" {}=\"{}\"", an.as_string(), escape_oracle(av, true)));
             }
-            let children = doc.children(node).map(|c| c.to_vec()).unwrap_or_default();
+            let children: Vec<NodeId> = doc.children(node).unwrap_or_default().collect();
             if children.is_empty() {
                 out.push_str("/>");
                 if pretty {

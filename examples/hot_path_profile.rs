@@ -452,15 +452,21 @@ mod imp {
         print_top("non-repository self time by nearest repository caller", libc_from, total, "samples");
     }
 
-    fn profile_allocs(name: &str, syms: &mut Symbols, mut work: impl FnMut(), per: (&str, u64)) {
+    /// `tag` labels the exact total on a line of its own (`alloc-count TAG
+    /// N`). `tests/alloc_budget.rs` prints the same lines for the same
+    /// `fig1` and `big-doc` windows, and CI fails unless they agree — a
+    /// profiler that measured something else than the budgets gate would
+    /// send the next optimisation after the wrong allocations.
+    fn profile_allocs(name: &str, tag: &str, syms: &mut Symbols, mut work: impl FnMut(), per: (&str, u64)) {
         LEN.store(0, Relaxed);
         RECORD_ALLOCS.store(true, Relaxed);
         work();
         RECORD_ALLOCS.store(false, Relaxed);
         let (recs, overflow) = records();
         let total = recs.len() as u64 + overflow as u64;
+        println!("\nalloc-count {tag} {total}");
         println!(
-            "\n== {name}: allocations, {total} in all = {:.1} per {} ({overflow} past the buffer) ==",
+            "== {name}: allocations, {total} in all = {:.1} per {} ({overflow} past the buffer) ==",
             total as f64 / per.1 as f64,
             per.0
         );
@@ -505,10 +511,22 @@ mod imp {
         println!("hot_path_profile: frame-pointer sampler + allocation-site recorder");
         println!("(build with RUSTFLAGS=\"-C force-frame-pointers=yes\" or the call chains are unreliable)");
         profile_cpu("commit-stream-shaped (Fig. 1 query commits)", &mut syms, commit_stream(500), 4000);
-        profile_allocs("commit-stream-shaped (Fig. 1 query commits)", &mut syms, commit_stream(200), ("txn", 200));
+        profile_allocs(
+            "commit-stream-shaped (Fig. 1 query commits)",
+            "fig1",
+            &mut syms,
+            commit_stream(200),
+            ("txn", 200),
+        );
         profile_cpu("big-doc-shaped (2,000-node documents, commit/abort)", &mut syms, big_doc(60), 4000);
-        profile_allocs("big-doc-shaped (2,000-node documents, commit/abort)", &mut syms, big_doc(40), ("txn", 40));
+        profile_allocs(
+            "big-doc-shaped (2,000-node documents, commit/abort)",
+            "big-doc",
+            &mut syms,
+            big_doc(40),
+            ("txn", 40),
+        );
         profile_cpu("run_case-shaped (chaos matrix, 4 seeds)", &mut syms, run_cases(4), 4000);
-        profile_allocs("run_case-shaped (chaos matrix, 1 seed)", &mut syms, run_cases(1), ("case", 25));
+        profile_allocs("run_case-shaped (chaos matrix, 1 seed)", "run_case", &mut syms, run_cases(1), ("case", 25));
     }
 }
