@@ -7,6 +7,19 @@
 //! WAL segment sealed by that commit's `WalSink`); `corpus/` holds
 //! entries written by older commits still. Whatever this commit encodes
 //! must come out as those bytes.
+//!
+//! A change of *protocol* behaviour — other messages, other times — moves
+//! what there is to encode. Such a commit leaves every encoder file
+//! alone (`encoder_equivalence.rs` and `old_paths.rs` hold the encoders
+//! to the old writers meanwhile) and rewrites the pins with
+//!
+//! ```text
+//! AXML_BLESS_GOLDEN=1 cargo test -p axml-chaos --test golden
+//! ```
+//!
+//! which stores what each test would have compared: the three demo
+//! artefacts, the sealed Fig. 1 segment, and the flight dump embedded in
+//! `corpus/gen-0-dups-0.json`.
 
 use axml_chaos::{builder_for, plane_for, run_with_plane_traced, CaseConfig, CorpusEntry, Profile};
 use axml_core::durability::{DurabilitySink, JournalEntry};
@@ -19,8 +32,20 @@ fn golden(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-fn golden_text(name: &str) -> String {
-    std::fs::read_to_string(golden(name)).expect("golden file is checked in")
+/// True when this run rewrites the pins instead of checking them.
+fn blessing() -> bool {
+    std::env::var_os("AXML_BLESS_GOLDEN").is_some()
+}
+
+/// Holds `actual` to the checked-in bytes at `path` (or stores it there
+/// when [`blessing`]). Compared as a `bool`: a failure names the
+/// artefact, not 49 KB of it.
+fn pinned(path: &Path, actual: &[u8], what: &str) {
+    if blessing() {
+        std::fs::write(path, actual).expect("golden file is writable");
+    }
+    let on_disk = std::fs::read(path).expect("golden file is checked in");
+    assert!(actual == on_disk, "{what} drifted from {}", path.display());
 }
 
 /// A scratch directory removed on drop.
@@ -47,11 +72,10 @@ fn demo_journal_tree_and_snapshot_match_the_checked_in_bytes() {
     let case = CaseConfig::new("fig1-abort", Profile::Mixed, 5);
     let plane = plane_for(case.profile, case.seed, &builder_for(&case.scenario).expect("known scenario").peers());
     let (_, dump) = run_with_plane_traced(&case, plane);
-    // Compared as `bool`s: a failure names the artefact, not 49 KB of it.
-    assert!(dump.journal == golden_text("demo.jsonl"), "journal JSON lines drifted from tests/golden/demo.jsonl");
-    assert!(dump.tree == golden_text("demo.tree"), "causal tree drifted from tests/golden/demo.tree");
-    assert!(dump.snapshot == golden_text("demo.snapshot"), "snapshot drifted from tests/golden/demo.snapshot");
-    assert_eq!(dump.journal.lines().count(), 389, "the demo journal holds 389 events");
+    pinned(&golden("demo.jsonl"), dump.journal.as_bytes(), "journal JSON lines");
+    pinned(&golden("demo.tree"), dump.tree.as_bytes(), "causal tree");
+    pinned(&golden("demo.snapshot"), dump.snapshot.as_bytes(), "snapshot");
+    assert_eq!(dump.journal.lines().count(), 216, "the demo journal holds 216 events");
 }
 
 /// The journals of a clean Fig. 1 run, participant by participant — what
@@ -64,8 +88,18 @@ fn fig1_entries() -> Vec<JournalEntry> {
 
 #[test]
 fn checked_in_wal_segment_recovers_and_reencodes_byte_for_byte() {
-    let sealed = std::fs::read(golden("fig1.wal-00000000.seg")).expect("golden segment is checked in");
     let scratch = Scratch::new("wal");
+    if blessing() {
+        // The threshold is the frames' total length: the last append seals.
+        let entries = fig1_entries();
+        let mut config = WalConfig::new(scratch.0.join("bless"));
+        config.segment_bytes = entries.iter().map(|e| axml_store::encode_frame(e).len() as u64).sum();
+        let mut sink = WalSink::create(config).expect("temp dir is writable");
+        entries.iter().for_each(|e| sink.append_forced(e));
+        std::fs::copy(sink.dir().join("wal-00000000.seg"), golden("fig1.wal-00000000.seg"))
+            .expect("golden is writable");
+    }
+    let sealed = std::fs::read(golden("fig1.wal-00000000.seg")).expect("golden segment is checked in");
 
     // Recovery of the old bytes yields the entries a Fig. 1 run journals.
     let old = scratch.0.join("old");
@@ -96,13 +130,20 @@ fn corpus_entries_reencode_to_what_is_on_disk() {
 
     // The one machine-written entry: compact, so byte-comparable.
     let text = text_of("gen-0-dups-0.json");
-    let entry: CorpusEntry = serde_json::from_str(&text).expect("entry parses");
-    assert_eq!(serde_json::to_string(&entry).expect("entry serializes"), text);
+    let mut entry: CorpusEntry = serde_json::from_str(&text).expect("entry parses");
     // Its embedded flight dump is what a replay renders today.
     let mut case = CaseConfig::new(&entry.scenario, Profile::parse(&entry.profile).expect("known profile"), entry.seed);
     case.dedup = entry.dedup;
     let (replay, _) = run_with_plane_traced(&case, entry.plane.clone());
+    if blessing() {
+        entry.flight = replay.flight.clone();
+    }
     assert_eq!(replay.flight, entry.flight, "flight dump drifted from the one gen-0-dups-0.json embeds");
+    pinned(
+        &dir.join("gen-0-dups-0.json"),
+        serde_json::to_string(&entry).expect("entry serializes").as_bytes(),
+        "entry",
+    );
 
     // The hand-formatted ones: equal as JSON values. (None of them has a
     // `flight` key, which the re-encoding spells `"flight":null`.)

@@ -188,6 +188,8 @@ fn old_snapshot(s: &Scenario) -> Snapshot {
             ("retransmit_giveups", st.retransmit_giveups),
             ("dup_suppressed", st.dup_suppressed),
             ("seen_peak", st.seen_peak),
+            ("keepalive_probes", st.keepalive_probes),
+            ("keepalive_suppressed", st.keepalive_suppressed),
             ("storage_faults", st.storage_faults),
             ("crash_recoveries", st.crash_recoveries),
             ("presumed_aborts", st.presumed_aborts),

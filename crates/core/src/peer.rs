@@ -62,7 +62,7 @@ use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Timer tag for the periodic keep-alive tick.
+/// Timer tag for the keep-alive timer (the next idle-link probe deadline).
 const TAG_PING: u64 = 1;
 /// Timer tag for the periodic sibling-stream tick.
 const TAG_STREAM: u64 = 2;
@@ -114,9 +114,13 @@ pub struct PeerConfig {
     /// Use the replica directory to re-invoke a failed/disconnected
     /// child's service on an alternative provider.
     pub use_alternative_providers: bool,
-    /// Keep-alive interval while waiting on children (0 disables pings).
+    /// How long a watched link may stay idle before it is probed with a
+    /// ping (0 disables pings). Any message from the peer counts as
+    /// traffic, so only idle links are probed.
     pub ping_interval: u64,
     /// Silence past this duration declares a watched peer disconnected.
+    /// MUST exceed `ping_interval` plus one maximal round trip, the
+    /// longest a live peer can stay silent.
     pub ping_timeout: u64,
     /// Subscription-stream interval between siblings (scenario (d));
     /// `None` disables streams.
@@ -267,6 +271,11 @@ pub struct PeerStats {
     pub dup_suppressed: u64,
     /// High-water mark of the dedup set (entries, before pruning).
     pub seen_peak: u64,
+    /// Keep-alive pings sent: probes of links idle for a full interval.
+    pub keepalive_probes: u64,
+    /// Probes a fixed-cadence keep-alive would have sent and traffic made
+    /// unnecessary (the peer had been heard from inside the interval).
+    pub keepalive_suppressed: u64,
     /// Journal appends refused by the durability sink (storage faults).
     pub storage_faults: u64,
     /// Crash-restarts this peer recovered from.
@@ -295,6 +304,8 @@ impl PeerStats {
             ("dup_suppressed", self.dup_suppressed),
             ("faults_raised", self.faults_raised),
             ("isolation_conflicts", self.isolation_conflicts),
+            ("keepalive_probes", self.keepalive_probes),
+            ("keepalive_suppressed", self.keepalive_suppressed),
             ("late_messages", self.late_messages),
             ("orphan_stops", self.orphan_stops),
             ("presumed_aborts", self.presumed_aborts),
@@ -503,13 +514,17 @@ pub struct AxmlPeer {
     next_delivery: u64,
     /// Unacked reliable deliveries by delivery id.
     outbox: BTreeMap<u64, PendingDelivery>,
-    /// Reliable deliveries already executed, by `(sender, id)`, each
-    /// mapped to its transaction so entries can be pruned once that
-    /// transaction finalizes (see [`PeerConfig::dedup_capacity`]).
-    seen_deliveries: BTreeMap<(PeerId, u64), Option<TxnId>>,
-    /// Scratch list of peers — the ping tick's suspects, a gossip round's
-    /// targets — taken, filled, and put back empty, so neither periodic
-    /// job allocates.
+    /// Reliable deliveries already executed, by `(sender, id)` under
+    /// their transaction — a re-delivery carries the same payload, hence
+    /// the same transaction — so that a transaction's entries are one
+    /// range, pruned without touching the rest of the table once it
+    /// commits (see [`PeerConfig::dedup_capacity`]). Under `None` sit the
+    /// entries that protect nothing and go at the next finalize: those
+    /// recorded for a transaction that had already committed here.
+    seen_deliveries: BTreeSet<(Option<TxnId>, PeerId, u64)>,
+    /// Scratch list of peers — the ping tick's probes and suspects, a
+    /// gossip round's targets — taken, filled, and put back empty, so
+    /// neither job allocates.
     peer_buf: Vec<PeerId>,
 }
 
@@ -559,7 +574,7 @@ impl AxmlPeer {
             epoch: 0,
             next_delivery: 0,
             outbox: BTreeMap::new(),
-            seen_deliveries: BTreeMap::new(),
+            seen_deliveries: BTreeSet::new(),
             peer_buf: Vec::new(),
         }
     }
@@ -729,33 +744,49 @@ impl AxmlPeer {
     /// transactions are kept, so the set is *soft*-bounded: it can exceed
     /// [`PeerConfig::dedup_capacity`] while many transactions are in
     /// flight, but returns to it as they resolve. Called whenever a
-    /// transaction finalizes and whenever an insert pushes the set past
-    /// capacity.
+    /// transaction finalizes (`finalized`) and whenever an insert pushes
+    /// the set past capacity (`None`).
     ///
     /// Entries of *aborted* transactions are only evicted under capacity
-    /// pressure (`aggressive`), never at finalize time: an aborted peer
+    /// pressure, never at finalize time: an aborted peer
     /// can legitimately be re-invoked during forward recovery, and the
     /// retransmission window for pre-abort deliveries is still open — a
     /// stale retransmitted `Abort` that missed the pruned set would be
     /// processed a second time and kill the freshly re-joined context.
     /// A *committed* context refuses re-invocation forever, so its
     /// entries protect nothing and go at the first opportunity.
-    fn prune_seen(&mut self, ctx: &mut Ctx<'_, TxnMsg>, aggressive: bool) {
+    ///
+    /// A finalize touches only the entries it evicts — the transaction's
+    /// own range if it committed, and the `None` range; capacity pressure
+    /// walks the table.
+    fn prune_seen(&mut self, ctx: &mut Ctx<'_, TxnMsg>, finalized: Option<TxnId>) {
         let before = self.seen_deliveries.len();
-        let contexts = &self.contexts;
-        self.seen_deliveries.retain(|_, txn| match txn {
-            Some(t) => match contexts.get(t) {
-                Some(tc) if tc.state == TxnState::Committed => false,
-                Some(tc) => !(aggressive && tc.is_terminal()),
-                None => true,
-            },
-            // Transaction-less protocol traffic is never sent reliably;
-            // an entry without one has nothing left to protect.
-            None => false,
-        });
+        match finalized {
+            Some(txn) => {
+                self.evict_seen_of(None);
+                if self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed) {
+                    self.evict_seen_of(Some(txn));
+                }
+            }
+            None => {
+                let contexts = &self.contexts;
+                self.seen_deliveries.retain(|(txn, ..)| match txn {
+                    Some(t) => contexts.get(t).is_none_or(|tc| !tc.is_terminal()),
+                    None => false,
+                });
+            }
+        }
         let evicted = (before - self.seen_deliveries.len()) as u64;
         if evicted > 0 {
             self.emit(ctx, None, None, None, || EventKind::DedupPrune { evicted });
+        }
+    }
+
+    /// Removes the dedup entries filed under `txn`, one contiguous range.
+    fn evict_seen_of(&mut self, txn: Option<TxnId>) {
+        let range = (txn, PeerId(0), 0)..=(txn, PeerId(u32::MAX), u64::MAX);
+        while let Some(&entry) = self.seen_deliveries.range(range.clone()).next() {
+            self.seen_deliveries.remove(&entry);
         }
     }
 
@@ -1142,7 +1173,8 @@ impl AxmlPeer {
                 }
             }
         }
-        // …then send.
+        // …then send. Every `Invoke` of the wave carries the chain as it
+        // stands now, whole wave included.
         let grew = !wave.is_empty();
         for (call, target, peer, params) in wave {
             if !self.servings.contains_key(&serving_inv) {
@@ -1151,15 +1183,17 @@ impl AxmlPeer {
             self.issue_child(ctx, serving_inv, txn, call, target, peer, params);
         }
         if grew {
-            // Share the new edges with parent/children/siblings so they
-            // can act on disconnections (scenarios (c)/(d)).
-            self.gossip_chain(ctx, txn, None);
+            // Share the new edges with the parent, the siblings and the
+            // children of earlier waves so they can act on disconnections
+            // (scenarios (c)/(d)).
+            self.gossip_chain(ctx, txn, Informed::WaveOf(serving_inv));
         }
     }
 
     /// Shares this peer's chain view with its parent, children, and
-    /// siblings in the chain — the paper's chaining scope.
-    fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, except: Option<PeerId>) {
+    /// siblings in the chain — the paper's chaining scope — leaving out
+    /// the peers that hold it already.
+    fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, informed: Informed) {
         if !self.config.chaining || !self.config.chain_gossip {
             return;
         }
@@ -1178,7 +1212,11 @@ impl AxmlPeer {
         targets.sort();
         targets.dedup();
         for &t in &targets {
-            if t == self.id || Some(t) == except {
+            let holds_it = match informed {
+                Informed::By(from) => t == from,
+                Informed::WaveOf(s) => self.waiting.values().any(|wc| wc.serving_inv == s && wc.child_peer == t),
+            };
+            if t == self.id || holds_it {
                 continue;
             }
             let _ = ctx.send(t, TxnMsg::ChainUpdate { txn, chain: chain.clone() });
@@ -1195,7 +1233,7 @@ impl AxmlPeer {
             return;
         }
         if tc.chain.merge_from(chain) {
-            self.gossip_chain(ctx, txn, Some(from));
+            self.gossip_chain(ctx, txn, Informed::By(from));
         }
     }
 
@@ -1520,7 +1558,7 @@ impl AxmlPeer {
                     self.outcomes.push(TxnOutcome { txn, committed: true, started_at, resolved_at: ctx.now() });
                     self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
                     self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::Resolve { committed: true });
-                    self.prune_seen(ctx, false);
+                    self.prune_seen(ctx, Some(txn));
                 }
                 self.results.insert(txn, items);
                 for peer in targets {
@@ -1646,7 +1684,7 @@ impl AxmlPeer {
         if let Some(tc) = self.contexts.get_mut(&txn) {
             tc.complete_remote(inv, comp.clone());
             if tc.chain.merge_from(chain) {
-                self.gossip_chain(ctx, txn, Some(from));
+                self.gossip_chain(ctx, txn, Informed::By(from));
             }
         }
         self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, items);
@@ -1869,7 +1907,7 @@ impl AxmlPeer {
         self.resolve_context(txn, TxnState::Aborted, ctx.now());
         self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
         self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
-        self.prune_seen(ctx, false);
+        self.prune_seen(ctx, Some(txn));
         self.release_parent_watch(txn);
         self.completed_results.remove(&txn);
         self.conflicts.release(txn);
@@ -2048,7 +2086,7 @@ impl AxmlPeer {
         }
         self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
         self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: true });
-        self.prune_seen(ctx, false);
+        self.prune_seen(ctx, Some(txn));
         self.release_parent_watch(txn);
         let invoked = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
         for peer in invoked {
@@ -2098,7 +2136,7 @@ impl AxmlPeer {
         if self.resolve_context(txn, TxnState::Aborted, ctx.now()) {
             self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
             self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
-            self.prune_seen(ctx, false);
+            self.prune_seen(ctx, Some(txn));
             self.drop_txn_work(ctx, txn);
         }
         self.release_parent_watch(txn);
@@ -2415,9 +2453,19 @@ impl AxmlPeer {
         if !self.monitor.is_watching(peer) {
             self.monitor.watch(peer, ctx.now());
         }
-        if self.config.ping_interval > 0 && !self.ping_running {
+        self.arm_ping(ctx);
+    }
+
+    /// Arms the one keep-alive timer for the monitor's next probe
+    /// deadline, if something is watched and no timer runs. Deadlines only
+    /// move later while the timer waits, so it never fires late.
+    fn arm_ping(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+        if self.config.ping_interval == 0 || self.ping_running {
+            return;
+        }
+        if let Some(deadline) = self.monitor.next_deadline() {
             self.ping_running = true;
-            ctx.set_timer(self.config.ping_interval, TAG_PING);
+            ctx.set_timer(deadline.saturating_sub(ctx.now()), TAG_PING);
         }
     }
 
@@ -2431,36 +2479,44 @@ impl AxmlPeer {
         }
     }
 
+    /// The keep-alive timer fired: probe the links that have been idle
+    /// for a full interval (a link that carried any message since is
+    /// alive and is left alone), declare the peers silent past the
+    /// timeout disconnected, and re-arm for the next deadline.
     fn ping_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        let mut dead = Vec::new();
-        let mut watching = false;
-        for peer in self.monitor.watched() {
-            watching = true;
-            if ctx.send(peer, TxnMsg::Ping).is_err() {
-                dead.push(peer);
-            }
-        }
-        if !watching {
-            self.ping_running = false;
-            return;
-        }
-        for peer in dead {
-            self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
-        }
+        self.ping_running = false;
         // Reusable buffer (taken, not borrowed: `on_child_disconnected`
         // needs `&mut self` while we iterate).
-        let mut suspects = std::mem::take(&mut self.peer_buf);
-        self.monitor.suspects_into(ctx.now(), &mut suspects);
-        for &peer in &suspects {
+        let mut peers = std::mem::take(&mut self.peer_buf);
+        self.stats.keepalive_suppressed += self.monitor.due_into(ctx.now(), &mut peers);
+        self.stats.keepalive_probes += peers.len() as u64;
+        // Keep the probes that failed synchronously: those peers are gone.
+        peers.retain(|&peer| ctx.send(peer, TxnMsg::Ping).is_err());
+        for &peer in &peers {
             self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
         }
-        suspects.clear();
-        self.peer_buf = suspects;
-        ctx.set_timer(self.config.ping_interval, TAG_PING);
+        self.monitor.suspects_into(ctx.now(), &mut peers);
+        for &peer in &peers {
+            self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
+        }
+        peers.clear();
+        self.peer_buf = peers;
+        self.arm_ping(ctx);
     }
 }
 
 struct NeedParams(Vec<ServiceCall>);
+
+/// Who holds a chain already when it is gossiped.
+#[derive(Clone, Copy)]
+enum Informed {
+    /// The peer it was learnt from.
+    By(PeerId),
+    /// The children this serving awaits. A serving issues a wave only once
+    /// the one before has been answered, so right after a wave those are
+    /// the peers just invoked, each handed this very list by its `Invoke`.
+    WaveOf(InvocationId),
+}
 
 /// The hosted document `method` is declared over. Borrows the registry
 /// alone, so the caller's other fields stay free.
@@ -2521,18 +2577,23 @@ impl Actor<TxnMsg> for AxmlPeer {
                 self.emit(ctx, txn, None, None, || EventKind::AckSend { to: from.0, id });
                 if self.config.dedup {
                     // Single-pass dedup: one insert both tests and
-                    // records. A re-delivery overwrites its own entry
-                    // with the identical transaction — harmless — and
-                    // leaves the set's size untouched, so the peak and
-                    // capacity bookkeeping belong to first sight only.
-                    if self.seen_deliveries.insert((from, id), txn).is_some() {
+                    // records. A re-delivery leaves the set untouched, so
+                    // the peak and capacity bookkeeping belong to first
+                    // sight only. An entry about a transaction that has
+                    // committed here protects nothing — a committed
+                    // context refuses every re-invocation — and is filed
+                    // under no transaction, where the next finalize finds
+                    // it (as it would one without a transaction, though
+                    // none is ever sent reliably).
+                    let committed = |t: &TxnId| self.contexts.get(t).is_some_and(|tc| tc.state == TxnState::Committed);
+                    if !self.seen_deliveries.insert((txn.filter(|t| !committed(t)), from, id)) {
                         self.stats.dup_suppressed += 1;
                         self.emit(ctx, txn, None, None, || EventKind::DedupSuppress { from: from.0, id });
                         return;
                     }
                     self.stats.seen_peak = self.stats.seen_peak.max(self.seen_deliveries.len() as u64);
                     if self.seen_deliveries.len() > self.config.dedup_capacity {
-                        self.prune_seen(ctx, true);
+                        self.prune_seen(ctx, None);
                     }
                 }
                 &**inner
@@ -2620,10 +2681,7 @@ impl Actor<TxnMsg> for AxmlPeer {
             }
         }
         // Same for the keep-alive and stream loops.
-        if self.config.ping_interval > 0 && self.monitor.watched().next().is_some() && !self.ping_running {
-            self.ping_running = true;
-            ctx.set_timer(self.config.ping_interval, TAG_PING);
-        }
+        self.arm_ping(ctx);
         if self.config.stream_interval.is_some() && !self.stream_running && !self.servings.is_empty() {
             self.maybe_start_stream(ctx);
         }

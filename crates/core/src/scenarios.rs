@@ -326,11 +326,54 @@ impl ScenarioBuilder {
     /// Builds the simulator and supporting state.
     pub fn build(self) -> Scenario {
         let peers = self.peers();
+        let mut sim = Sim::new(self.sim_config(), self.actors(&peers));
+        for &s in &self.supers {
+            sim.mark_super(PeerId(s));
+        }
+        for &(at, p) in &self.disconnects {
+            sim.schedule_disconnect(at, PeerId(p));
+        }
+        // Submission.
+        let origin = PeerId(self.origin);
+        sim.actor_mut(origin).auto_submit = Some((format!("S{}", self.origin), vec![]));
+        sim.schedule_timer(self.submit_at, origin, 0);
+        // Baseline snapshot for atomicity checking.
+        let baseline = peers
+            .iter()
+            .map(|&p| {
+                let docs = sim.actor(PeerId(p)).repo.iter().map(|(name, doc)| (name.to_string(), doc.to_xml()));
+                (PeerId(p), docs.collect())
+            })
+            .collect();
+        Scenario {
+            sim,
+            origin,
+            participants: peers.iter().map(|p| PeerId(*p)).collect(),
+            baseline,
+            deadline: self.deadline,
+        }
+    }
+
+    /// The simulator configuration the scenario runs under.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            seed: self.seed,
+            fault: self.fault.clone(),
+            trace: if self.trace { TraceSink::Memory } else { TraceSink::Disabled },
+            sample_interval: self.sample_interval,
+            batch_links: self.batch_links,
+            ..Default::default()
+        }
+    }
+
+    /// The scenario's peers, indexed by id, each hosting its documents
+    /// and services (ids the tree does not use get an empty peer).
+    fn actors(&self, peers: &[u32]) -> Vec<AxmlPeer> {
         let n = peers.iter().max().copied().unwrap_or(0) as usize + 1;
         // Shared fabric knowledge.
         let mut wsdl = WsdlCatalog::default();
         let mut directory = Directory::new();
-        for &p in &peers {
+        for &p in peers {
             let result = match self.flavor {
                 Flavor::Query => "out",
                 Flavor::Update => "slot",
@@ -371,43 +414,7 @@ impl ScenarioBuilder {
             }
             actors.push(peer);
         }
-        let trace = if self.trace { TraceSink::Memory } else { TraceSink::Disabled };
-        let mut sim = Sim::new(
-            SimConfig {
-                seed: self.seed,
-                fault: self.fault.clone(),
-                trace,
-                sample_interval: self.sample_interval,
-                batch_links: self.batch_links,
-                ..Default::default()
-            },
-            actors,
-        );
-        for &s in &self.supers {
-            sim.mark_super(PeerId(s));
-        }
-        for &(at, p) in &self.disconnects {
-            sim.schedule_disconnect(at, PeerId(p));
-        }
-        // Submission.
-        let origin = PeerId(self.origin);
-        sim.actor_mut(origin).auto_submit = Some((format!("S{}", self.origin), vec![]));
-        sim.schedule_timer(self.submit_at, origin, 0);
-        // Baseline snapshot for atomicity checking.
-        let baseline = peers
-            .iter()
-            .map(|&p| {
-                let docs = sim.actor(PeerId(p)).repo.iter().map(|(name, doc)| (name.to_string(), doc.to_xml()));
-                (PeerId(p), docs.collect())
-            })
-            .collect();
-        Scenario {
-            sim,
-            origin,
-            participants: peers.iter().map(|p| PeerId(*p)).collect(),
-            baseline,
-            deadline: self.deadline,
-        }
+        actors
     }
 }
 
@@ -614,6 +621,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ActiveList;
     use crate::peer::{DetectHow, RecoveryStyle};
 
     // ------------------------------------------------------------------
@@ -818,14 +826,27 @@ mod tests {
         b
     }
 
+    /// Someone detects `dead` within `ping_timeout + ping_interval` ticks
+    /// of its disconnection at `at`: a silent link is probed an interval
+    /// after it was last heard on, and the probe round that follows the
+    /// timeout declares the peer gone.
+    fn assert_detected_in_time(report: &ScenarioReport, dead: u32, at: u64, cfg: &PeerConfig) {
+        let detections = report.stats.values().flat_map(|st| &st.detections);
+        let first = detections.filter(|d| d.disconnected == PeerId(dead)).map(|d| d.at).min();
+        let first = first.unwrap_or_else(|| panic!("nobody detected AP{dead}"));
+        let bound = at + cfg.ping_timeout + cfg.ping_interval;
+        assert!((at..=bound).contains(&first), "AP{dead} left at {at}, detected at {first}, bound {bound}");
+    }
+
     #[test]
     fn fig2a_leaf_disconnection_detected_by_parent() {
         // (a) AP6 disconnects while processing S6; parent AP3 detects via
         // keep-alive and follows the nested recovery protocol.
         let mut cfg = PeerConfig::default();
         cfg.use_alternative_providers = false;
-        let mut s = fig2_with(&[(6, 500)]).disconnect(40, 6).config(cfg).build();
+        let mut s = fig2_with(&[(6, 500)]).disconnect(40, 6).config(cfg.clone()).build();
         let report = s.run();
+        assert_detected_in_time(&report, 6, 40, &cfg);
         let outcome = report.outcome.expect("resolved");
         assert!(!outcome.committed);
         assert!(report.atomic, "divergent: {:?}", s.divergent_docs());
@@ -845,8 +866,9 @@ mod tests {
         cfg.ping_interval = 300;
         cfg.ping_timeout = 700;
         let (b, replica) = fig2_with(&[(6, 60)]).with_replica(3);
-        let mut s = b.disconnect(30, 3).config(cfg).build();
+        let mut s = b.disconnect(30, 3).config(cfg.clone()).build();
         let report = s.run();
+        assert_detected_in_time(&report, 3, 30, &cfg);
         let outcome = report.outcome.expect("resolved");
         let ap6 = &report.stats[&PeerId(6)];
         let det = ap6.detections.iter().find(|d| d.disconnected == PeerId(3)).expect("AP6 detected AP3");
@@ -900,8 +922,9 @@ mod tests {
         let mut cfg = PeerConfig::default();
         cfg.use_alternative_providers = false;
         // AP6 busy for a long time: without the notice it would keep going.
-        let mut s = fig2_with(&[(6, 2000), (3, 3000)]).disconnect(50, 3).config(cfg).build();
+        let mut s = fig2_with(&[(6, 2000), (3, 3000)]).disconnect(50, 3).config(cfg.clone()).build();
         let report = s.run();
+        assert_detected_in_time(&report, 3, 50, &cfg);
         assert!(!report.outcome.expect("resolved").committed);
         let ap2 = &report.stats[&PeerId(2)];
         assert!(
@@ -923,8 +946,9 @@ mod tests {
         cfg.ping_interval = 400; // pings would otherwise detect first
         cfg.ping_timeout = 900;
         cfg.use_alternative_providers = false;
-        let mut s = fig2_with(&[(3, 3000), (4, 3000), (5, 50), (6, 50)]).disconnect(60, 3).config(cfg).build();
+        let mut s = fig2_with(&[(3, 3000), (4, 3000), (5, 50), (6, 50)]).disconnect(60, 3).config(cfg.clone()).build();
         let report = s.run();
+        assert_detected_in_time(&report, 3, 60, &cfg);
         let ap4 = &report.stats[&PeerId(4)];
         let det = ap4.detections.iter().find(|d| d.disconnected == PeerId(3)).expect("AP4 detected its sibling");
         assert!(
@@ -1073,6 +1097,62 @@ mod tests {
         let txn = report.txn.unwrap();
         let chain = &s.sim.actor(PeerId(1)).context(txn).unwrap().chain;
         assert_eq!(chain.to_notation(), "[AP1* → AP2 → [AP3 → AP6] || [AP4 → AP5]]");
+    }
+
+    /// A peer that notes the chain each `Invoke` and `ChainUpdate` hands
+    /// it, as `(sender, chain)`, before acting on the message.
+    struct Tap {
+        peer: AxmlPeer,
+        invoked_with: Vec<(PeerId, ActiveList)>,
+        updated_with: Vec<(PeerId, ActiveList)>,
+    }
+
+    impl axml_p2p::Actor<TxnMsg> for Tap {
+        fn on_message(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+            match &msg {
+                TxnMsg::ChainUpdate { chain, .. } => self.updated_with.push((from, chain.clone())),
+                TxnMsg::Reliable { inner, .. } => {
+                    if let TxnMsg::Invoke { chain, .. } = &**inner {
+                        self.invoked_with.push((from, chain.clone()));
+                    }
+                }
+                _ => {}
+            }
+            self.peer.on_message(ctx, from, msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, tag: u64) {
+            self.peer.on_timer(ctx, tag);
+        }
+    }
+
+    #[test]
+    fn a_wave_gossips_its_chain_to_everyone_but_the_children_it_has_just_invoked_with_it() {
+        let b = ScenarioBuilder::fig1();
+        let taps = b.actors(&b.peers()).into_iter();
+        let taps = taps.map(|peer| Tap { peer, invoked_with: Vec::new(), updated_with: Vec::new() }).collect();
+        let mut sim = Sim::new(b.sim_config(), taps);
+        sim.actor_mut(PeerId(1)).peer.auto_submit = Some(("S1".to_string(), vec![]));
+        sim.schedule_timer(0, PeerId(1), 0);
+        sim.run();
+        assert!(sim.actor(PeerId(1)).peer.outcomes.first().is_some_and(|o| o.committed));
+
+        // No child is told again what its `Invoke` told it.
+        for child in [2, 3, 4, 5, 6] {
+            let tap = sim.actor(PeerId(child));
+            assert_eq!(tap.invoked_with.len(), 1, "AP{child} is invoked once");
+            let handed = &tap.invoked_with[0];
+            assert!(!tap.updated_with.contains(handed), "AP{child} was sent the chain of its Invoke a second time");
+        }
+        // AP3's wave {AP4, AP5} still reaches its parent and its sibling,
+        // and AP5's wave {AP6} its parent and its sibling AP4.
+        let told_by = |peer: u32, by: u32, edge: (u32, u32)| {
+            let carries = |c: &ActiveList| c.parent_of(PeerId(edge.1)) == Some(PeerId(edge.0));
+            sim.actor(PeerId(peer)).updated_with.iter().any(|(from, c)| *from == PeerId(by) && carries(c))
+        };
+        for (peer, by, edge) in [(1, 3, (3, 4)), (1, 3, (3, 5)), (2, 3, (3, 5)), (3, 5, (5, 6)), (4, 5, (5, 6))] {
+            assert!(told_by(peer, by, edge), "AP{peer} did not learn AP{}→AP{} from AP{by}", edge.0, edge.1);
+        }
     }
 
     // ------------------------------------------------------------------

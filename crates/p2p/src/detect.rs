@@ -2,25 +2,53 @@
 //!
 //! "Related P2P research relies on ping (or keep-alive) messages to detect
 //! peer disconnection." (§3.3) A [`PingMonitor`] is the bookkeeping a peer
-//! embeds to watch a set of peers: it tells the protocol when to ping and
+//! embeds to watch a set of peers: it tells the protocol which links have
+//! been idle long enough to need a probe, when the next one will be, and
 //! which peers have been silent past the timeout. The actual ping/pong
 //! messages are the embedding protocol's own message variants.
+//!
+//! Liveness rides on traffic: every message from a watched peer counts as
+//! heard-from, so a link that carries protocol messages is never probed.
+//! A peer is probed once `max(last heard, last probe) + interval` has
+//! passed — a full interval of silence on a link nobody has probed in
+//! that interval. The silence of a live peer is therefore at most
+//! `interval + 2 × (max one-way latency)`, and `timeout` MUST exceed that.
+//! Probing on a fixed cadence and skipping the peers heard from within it
+//! does NOT give this bound: a peer heard from one tick after a probe
+//! round is skipped at the next round and probed only at the one after,
+//! `2 × interval − 1` ticks into its silence.
 
 use crate::ids::PeerId;
 use std::collections::BTreeMap;
 
-/// Tracks last-heard times for a set of watched peers.
+/// What the monitor remembers of one watched peer.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    /// When the peer was last heard from (or watched, if never).
+    heard: u64,
+    /// When it was last probed (or watched, if never).
+    probed: u64,
+}
+
+impl Watch {
+    /// The time from which the link counts as idle and unprobed.
+    fn idle_since(&self) -> u64 {
+        self.heard.max(self.probed)
+    }
+}
+
+/// Tracks last-heard and last-probed times for a set of watched peers.
 #[derive(Debug, Clone)]
 pub struct PingMonitor {
-    /// How often to send pings.
+    /// How long a link may stay idle before it is probed.
     pub interval: u64,
     /// Silence longer than this declares the peer disconnected.
     pub timeout: u64,
-    watched: BTreeMap<PeerId, u64>, // last heard-from time
+    watched: BTreeMap<PeerId, Watch>,
 }
 
 impl PingMonitor {
-    /// A monitor with the given ping interval and timeout.
+    /// A monitor with the given idle interval and timeout.
     pub fn new(interval: u64, timeout: u64) -> PingMonitor {
         PingMonitor { interval, timeout, watched: BTreeMap::new() }
     }
@@ -31,7 +59,7 @@ impl PingMonitor {
     /// `now` — so a peer that was about to be declared suspect gets a
     /// full fresh timeout window.
     pub fn watch(&mut self, peer: PeerId, now: u64) {
-        self.watched.insert(peer, now);
+        self.watched.insert(peer, Watch { heard: now, probed: now });
     }
 
     /// Stops watching a peer.
@@ -41,9 +69,41 @@ impl PingMonitor {
 
     /// Records any message (ping reply or payload) from a watched peer.
     pub fn heard_from(&mut self, peer: PeerId, now: u64) {
-        if let Some(t) = self.watched.get_mut(&peer) {
-            *t = now;
+        if let Some(w) = self.watched.get_mut(&peer) {
+            w.heard = now;
         }
+    }
+
+    /// The peers to probe at `now`, into `out` (cleared first): those
+    /// neither heard from nor probed for a full interval. They count as
+    /// probed at `now`. Returns how many other watched peers a probe
+    /// round every `interval` would have probed too — not probed for a
+    /// full interval, but heard from within it.
+    ///
+    /// The comparison is inclusive: a link idle for exactly `interval`
+    /// is due, so a timer armed for [`Self::next_deadline`] finds the
+    /// peer it was armed for.
+    pub fn due_into(&mut self, now: u64, out: &mut Vec<PeerId>) -> u64 {
+        out.clear();
+        let mut suppressed = 0;
+        for (&peer, w) in &mut self.watched {
+            if now >= w.idle_since().saturating_add(self.interval) {
+                w.probed = now;
+                out.push(peer);
+            } else if now >= w.probed.saturating_add(self.interval) {
+                suppressed += 1;
+            }
+        }
+        suppressed
+    }
+
+    /// The earliest time at which some watched peer will be due for a
+    /// probe if nothing is heard until then (`None` when nothing is
+    /// watched). Hearing from a peer, probing it or watching a new one
+    /// only ever moves this later, so a timer armed for it never fires
+    /// late — at worst early, to find nobody due and a later deadline.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.watched.values().map(|w| w.idle_since().saturating_add(self.interval)).min()
     }
 
     /// Peers silent past the timeout as of `now`.
@@ -61,11 +121,11 @@ impl PingMonitor {
 
     /// Like [`Self::suspects`], but reuses `out` (cleared first) instead
     /// of allocating a fresh `Vec` — the embedding protocol's ping tick
-    /// calls this every interval on every peer, so the allocation is
-    /// pure churn. Same strict-`>` boundary as [`Self::suspects`].
+    /// calls this on every firing, so the allocation is pure churn. Same
+    /// strict-`>` boundary as [`Self::suspects`].
     pub fn suspects_into(&self, now: u64, out: &mut Vec<PeerId>) {
         out.clear();
-        out.extend(self.watched.iter().filter(|(_, &last)| now.saturating_sub(last) > self.timeout).map(|(&p, _)| p));
+        out.extend(self.watched.iter().filter(|(_, w)| now.saturating_sub(w.heard) > self.timeout).map(|(&p, _)| p));
     }
 
     /// Peers currently watched, in id order.
@@ -149,6 +209,89 @@ mod tests {
         m.watch(PeerId(1), 26);
         assert!(m.suspects(51).is_empty(), "window restarts at the re-watch");
         assert_eq!(m.suspects(52), vec![PeerId(1)]);
+    }
+
+    fn due(m: &mut PingMonitor, now: u64) -> (Vec<PeerId>, u64) {
+        let mut out = vec![PeerId(99)]; // stale garbage to be cleared
+        let suppressed = m.due_into(now, &mut out);
+        (out, suppressed)
+    }
+
+    #[test]
+    fn a_link_is_due_after_exactly_one_idle_interval() {
+        let mut m = PingMonitor::new(10, 25);
+        assert_eq!(m.next_deadline(), None, "nothing watched, nothing to arm");
+        m.watch(PeerId(1), 0);
+        assert_eq!(m.next_deadline(), Some(10));
+        assert_eq!(due(&mut m, 9), (vec![], 0), "one tick short of the interval");
+        assert_eq!(due(&mut m, 10), (vec![PeerId(1)], 0), "inclusive: the deadline itself is due");
+        assert_eq!(due(&mut m, 10), (vec![], 0), "a probed link is not probed again at once");
+        assert_eq!(m.next_deadline(), Some(20), "the probe restarts the idle clock");
+    }
+
+    #[test]
+    fn traffic_postpones_the_probe_and_is_counted_as_suppressing_it() {
+        let mut m = PingMonitor::new(10, 25);
+        m.watch(PeerId(1), 0);
+        m.heard_from(PeerId(1), 7);
+        assert_eq!(m.next_deadline(), Some(17));
+        assert_eq!(due(&mut m, 10), (vec![], 1), "a fixed cadence would have probed here");
+        assert_eq!(due(&mut m, 16), (vec![], 1));
+        assert_eq!(due(&mut m, 17), (vec![PeerId(1)], 0));
+        // Heard from after the probe: the next one is an interval after that.
+        m.heard_from(PeerId(1), 21);
+        assert_eq!(m.next_deadline(), Some(31));
+    }
+
+    #[test]
+    fn the_next_deadline_is_the_earliest_and_only_ever_moves_later() {
+        let mut m = PingMonitor::new(10, 25);
+        m.watch(PeerId(1), 0);
+        m.watch(PeerId(2), 4);
+        assert_eq!(m.next_deadline(), Some(10));
+        m.heard_from(PeerId(1), 6);
+        assert_eq!(m.next_deadline(), Some(14), "peer 2 is now the idlest");
+        m.watch(PeerId(3), 9);
+        assert_eq!(m.next_deadline(), Some(14), "a new watch is due a full interval from now");
+        assert_eq!(due(&mut m, 14), (vec![PeerId(2)], 1), "only the idle link; peer 1 was heard from at 6");
+        assert_eq!(m.next_deadline(), Some(16));
+        m.unwatch(PeerId(1));
+        assert_eq!(m.next_deadline(), Some(19));
+    }
+
+    #[test]
+    fn probing_does_not_refresh_the_silence_clock() {
+        let mut m = PingMonitor::new(10, 25);
+        m.watch(PeerId(1), 0);
+        for now in [10, 20] {
+            assert_eq!(due(&mut m, now).0, vec![PeerId(1)]);
+            assert!(m.suspects(now).is_empty());
+        }
+        assert_eq!(due(&mut m, 30).0, vec![PeerId(1)]);
+        assert_eq!(m.suspects(30), vec![PeerId(1)], "three unanswered probes: silent since 0");
+    }
+
+    #[test]
+    fn a_live_peer_is_silent_for_at_most_an_interval_and_a_round_trip() {
+        // Worst case under the idle rule: every probe leaves exactly at
+        // its deadline and the reply takes the maximal round trip.
+        let (interval, timeout, round_trip) = (10, 25, 2 * 5);
+        let mut m = PingMonitor::new(interval, timeout);
+        m.watch(PeerId(1), 0);
+        let mut reply_at = None;
+        for now in 0..400 {
+            if reply_at == Some(now) {
+                m.heard_from(PeerId(1), now);
+                reply_at = None;
+            }
+            if m.next_deadline() == Some(now) && !due(&mut m, now).0.is_empty() {
+                reply_at = Some(now + round_trip);
+            }
+            assert!(m.suspects(now).is_empty(), "false suspicion at {now}");
+        }
+        // The shortcut — probe rounds every `interval`, skipping peers
+        // heard from within it — reaches 2 × interval − 1 + round trip.
+        assert!(interval + round_trip < timeout && 2 * interval - 1 + round_trip > timeout);
     }
 
     #[test]

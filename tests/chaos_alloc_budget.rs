@@ -10,7 +10,9 @@
 //! it; 1,224 with logged subtrees shared, the fabric tables handed to each
 //! peer's constructor and no scan of a directory whose parents were
 //! missing; 1,149 with a service's results captured into one table and
-//! document nodes that own no strings. The budget leaves room for a standard library that sizes a map
+//! document nodes that own no strings; 1,152 with an idle-link keep-alive
+//! — other cases, since faults are drawn per message and fewer are sent,
+//! and two more counter keys per peer in the snapshot. The budget leaves room for a standard library that sizes a map
 //! node or grows a `String` differently, not for one of those coming back.
 //!
 //! `common/mod.rs` holds the counting `GlobalAlloc`.
