@@ -120,7 +120,7 @@ pub fn table(rows: &[Row]) -> Table {
     t.with_note(
         "expected shape: invoke-only (strict piggyback) spends zero chain-updates but converges \
          only as results return; standard gossip converges mid-flight; extended converges at \
-         least as fast again for ~2× the chain-update messages — the feasibility trade-off the \
+         least as fast again for 1.5–2× the chain-update messages — the feasibility trade-off the \
          paper left open",
     )
 }

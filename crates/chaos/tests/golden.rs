@@ -75,7 +75,7 @@ fn demo_journal_tree_and_snapshot_match_the_checked_in_bytes() {
     pinned(&golden("demo.jsonl"), dump.journal.as_bytes(), "journal JSON lines");
     pinned(&golden("demo.tree"), dump.tree.as_bytes(), "causal tree");
     pinned(&golden("demo.snapshot"), dump.snapshot.as_bytes(), "snapshot");
-    assert_eq!(dump.journal.lines().count(), 216, "the demo journal holds 216 events");
+    assert_eq!(dump.journal.lines().count(), 229, "the demo journal holds 229 events");
 }
 
 /// The journals of a clean Fig. 1 run, participant by participant — what

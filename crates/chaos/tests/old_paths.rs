@@ -187,6 +187,8 @@ fn old_snapshot(s: &Scenario) -> Snapshot {
             ("retransmits", st.retransmits),
             ("retransmit_giveups", st.retransmit_giveups),
             ("dup_suppressed", st.dup_suppressed),
+            ("acks_carried", st.acks_carried),
+            ("acks_alone", st.acks_alone),
             ("seen_peak", st.seen_peak),
             ("keepalive_probes", st.keepalive_probes),
             ("keepalive_suppressed", st.keepalive_suppressed),

@@ -14,6 +14,34 @@ use axml_p2p::{Message, PeerId};
 use axml_xml::Fragment;
 use std::sync::Arc;
 
+/// Reliable-delivery ids a message acknowledges on the side (see
+/// [`crate::peer::PeerConfig::reliable`]): what its sender owed the
+/// receiver when it left. An inline array, so that a ride allocates
+/// nothing; what does not fit leaves in a [`TxnMsg::Ack`] of its own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AckIds {
+    len: u8,
+    ids: [u64; AckIds::CAPACITY],
+}
+
+impl AckIds {
+    /// How many ids one message can carry.
+    pub const CAPACITY: usize = 4;
+
+    /// Adds `id`; false, changing nothing, when the array is full.
+    pub fn push(&mut self, id: u64) -> bool {
+        let Some(slot) = self.ids.get_mut(usize::from(self.len)) else { return false };
+        *slot = id;
+        self.len += 1;
+        true
+    }
+
+    /// The ids carried, in the order they were owed.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
 /// A message of the transactional AXML protocol.
 #[derive(Debug, Clone)]
 pub enum TxnMsg {
@@ -125,6 +153,8 @@ pub enum TxnMsg {
         txn: TxnId,
         /// The sender's current active-peer list.
         chain: ActiveList,
+        /// Deliveries of the receiver's this update acknowledges.
+        acks: AckIds,
     },
     /// At-least-once delivery envelope: the sender retransmits `inner`
     /// with bounded exponential backoff until the receiver acknowledges
@@ -140,12 +170,28 @@ pub enum TxnMsg {
         /// The payload, shared between this envelope, the sender's outbox
         /// and every retransmission.
         inner: Arc<TxnMsg>,
+        /// Deliveries of the receiver's this envelope acknowledges.
+        acks: AckIds,
     },
-    /// Acknowledges receipt of a [`TxnMsg::Reliable`] delivery.
+    /// Acknowledges [`TxnMsg::Reliable`] deliveries that no message bound
+    /// for their sender was there to carry.
     Ack {
-        /// The delivery id being acknowledged.
-        id: u64,
+        /// The delivery ids being acknowledged.
+        ids: AckIds,
     },
+}
+
+impl TxnMsg {
+    /// The deliveries of the receiver's this message acknowledges,
+    /// whichever kind of message carries them.
+    pub fn acks(&self) -> &[u64] {
+        match self {
+            TxnMsg::Reliable { acks, .. } | TxnMsg::ChainUpdate { acks, .. } | TxnMsg::Ack { ids: acks } => {
+                acks.as_slice()
+            }
+            _ => &[],
+        }
+    }
 }
 
 impl Message for TxnMsg {
@@ -198,8 +244,8 @@ mod tests {
             TxnMsg::Redirected { txn, failed_parent: PeerId(3), method: "m".into(), items: Arc::new([]), comp: vec![] },
             TxnMsg::DisconnectNotice { txn, disconnected: PeerId(3) },
             TxnMsg::StreamData { txn, seq: 0 },
-            TxnMsg::ChainUpdate { txn, chain: ActiveList::new(PeerId(1), false) },
-            TxnMsg::Ack { id: 7 },
+            TxnMsg::ChainUpdate { txn, chain: ActiveList::new(PeerId(1), false), acks: AckIds::default() },
+            TxnMsg::Ack { ids: AckIds::default() },
         ];
         let kinds: HashSet<&'static str> = msgs.iter().map(|m| m.kind()).collect();
         assert_eq!(kinds.len(), msgs.len());
@@ -219,11 +265,23 @@ mod tests {
     #[test]
     fn reliable_envelope_is_transparent_for_kind_and_flags_retransmits() {
         let txn = TxnId::new(PeerId(1), 0);
-        let first = TxnMsg::Reliable { id: 1, attempt: 0, inner: Arc::new(TxnMsg::Abort { txn }) };
-        let again = TxnMsg::Reliable { id: 1, attempt: 2, inner: Arc::new(TxnMsg::Abort { txn }) };
+        let acks = AckIds::default();
+        let first = TxnMsg::Reliable { id: 1, attempt: 0, inner: Arc::new(TxnMsg::Abort { txn }), acks };
+        let again = TxnMsg::Reliable { id: 1, attempt: 2, inner: Arc::new(TxnMsg::Abort { txn }), acks };
         assert_eq!(first.kind(), "abort");
         assert!(!first.is_retransmit());
         assert!(again.is_retransmit());
-        assert!(!TxnMsg::Ack { id: 1 }.is_retransmit());
+        assert!(!TxnMsg::Ack { ids: acks }.is_retransmit());
+    }
+
+    #[test]
+    fn carried_ack_ids_fill_in_order_and_refuse_overflow() {
+        let mut acks = AckIds::default();
+        assert!(acks.as_slice().is_empty());
+        for id in 0..AckIds::CAPACITY as u64 {
+            assert!(acks.push(10 + id));
+        }
+        assert!(!acks.push(99), "a full array takes no more");
+        assert_eq!(acks.as_slice(), [10, 11, 12, 13]);
     }
 }

@@ -51,7 +51,7 @@ use crate::context::{TransactionContext, TxnOutcome, TxnState};
 use crate::durability::{self, DurabilitySink, JournalEntry, MemorySink, WalStats};
 use crate::ids::{InvocationId, TxnId};
 use crate::isolation::ConflictTable;
-use crate::messages::TxnMsg;
+use crate::messages::{AckIds, TxnMsg};
 use axml_doc::{
     apply_call_results, EvalMode, Fault, MaterializationEngine, ParamValue, Repository, ResolvedCall, ServiceCall,
     ServiceInvoker, ServiceKind, ServiceRegistry,
@@ -66,6 +66,9 @@ use std::sync::Arc;
 const TAG_PING: u64 = 1;
 /// Timer tag for the periodic sibling-stream tick.
 const TAG_STREAM: u64 = 2;
+/// Timer tag for the held-acknowledgement timer (the earliest deadline of
+/// an `Invoke`'s ack waiting for the answer to carry it).
+const TAG_ACK: u64 = 3;
 /// First tag available for payload timers.
 const TAG_PAYLOAD_BASE: u64 = 16;
 
@@ -120,7 +123,7 @@ pub struct PeerConfig {
     pub ping_interval: u64,
     /// Silence past this duration declares a watched peer disconnected.
     /// MUST exceed `ping_interval` plus one maximal round trip, the
-    /// longest a live peer can stay silent.
+    /// longest a live peer can stay silent ([`PeerConfig::check_timing`]).
     pub ping_timeout: u64,
     /// Subscription-stream interval between siblings (scenario (d));
     /// `None` disables streams.
@@ -133,9 +136,12 @@ pub struct PeerConfig {
     /// Whether this peer is a super peer (it advertises this in chains).
     pub is_super: bool,
     /// At-least-once delivery for protocol messages: wrap them in
-    /// [`TxnMsg::Reliable`] envelopes, ack on receipt, and retransmit
+    /// [`TxnMsg::Reliable`] envelopes, acknowledge them, and retransmit
     /// unacked sends with bounded exponential backoff. Keep-alives,
-    /// streams, and chain gossip stay best-effort.
+    /// streams, and chain gossip stay best-effort. An acknowledgement
+    /// rides on the next envelope or chain update bound for the sender
+    /// and leaves alone when the handler ends without one; an `Invoke`'s
+    /// waits up to `retransmit_base / 3` for the answer to carry it.
     pub reliable: bool,
     /// Suppress re-execution of an already-seen reliable delivery
     /// (`(sender, id)` dedup). Turning this off under message duplication
@@ -143,8 +149,10 @@ pub struct PeerConfig {
     pub dedup: bool,
     /// Delay before the first retransmission; doubles per attempt (capped
     /// at `base × 64`, saturating — an extreme base never wraps into a
-    /// same-instant retransmit storm). Must exceed one round trip, or
-    /// fault-free runs retransmit spuriously.
+    /// same-instant retransmit storm). MUST exceed the longest an
+    /// acknowledgement is held, [`PeerConfig::ack_hold`], plus one maximal
+    /// round trip, or fault-free runs retransmit spuriously
+    /// ([`PeerConfig::check_timing`]).
     pub retransmit_base: u64,
     /// Retransmissions before the sender gives up and treats the silence
     /// as a failure ([`DetectHow::AckTimeout`]).
@@ -160,6 +168,39 @@ pub struct PeerConfig {
     /// be demonstrated catching an out-of-order compensation; never
     /// enable it outside that demonstration.
     pub compensate_in_log_order: bool,
+}
+
+impl PeerConfig {
+    /// How long an `Invoke`'s acknowledgement waits for the answer to
+    /// carry it: a third of `retransmit_base`, derived rather than set, so
+    /// that the bound beside [`PeerConfig::retransmit_base`] comes to
+    /// `retransmit_base > 1.5 ×` the maximal round trip — 16 or more with
+    /// the shipped 1–5 tick latency. Below that an `Invoke` served for
+    /// longer than the hold can be sent again before its ack is back.
+    pub fn ack_hold(&self) -> u64 {
+        self.retransmit_base / 3
+    }
+
+    /// Checks the two timing MUSTs — [`PeerConfig::ping_timeout`]'s and
+    /// [`PeerConfig::retransmit_base`]'s — for a fabric whose messages take
+    /// at most `max_latency` one way, and names the one that fails.
+    pub fn check_timing(&self, max_latency: u64) -> Result<(), String> {
+        let round_trip = 2 * max_latency;
+        if self.ping_interval > 0 && self.ping_timeout <= self.ping_interval.saturating_add(round_trip) {
+            return Err(format!(
+                "ping_timeout {} must exceed ping_interval {} plus a round trip of {round_trip}",
+                self.ping_timeout, self.ping_interval
+            ));
+        }
+        if self.reliable && self.retransmit_base <= self.ack_hold().saturating_add(round_trip) {
+            return Err(format!(
+                "retransmit_base {} must exceed the ack hold {} plus a round trip of {round_trip}",
+                self.retransmit_base,
+                self.ack_hold()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for PeerConfig {
@@ -269,6 +310,11 @@ pub struct PeerStats {
     pub retransmit_giveups: u64,
     /// Re-deliveries suppressed by `(sender, id)` dedup (receiver side).
     pub dup_suppressed: u64,
+    /// Acknowledgements that rode on an envelope or chain update bound
+    /// for their sender anyway.
+    pub acks_carried: u64,
+    /// Acknowledgements that left in an `Ack` message of their own.
+    pub acks_alone: u64,
     /// High-water mark of the dedup set (entries, before pruning).
     pub seen_peak: u64,
     /// Keep-alive pings sent: probes of links idle for a full interval.
@@ -295,6 +341,8 @@ impl PeerStats {
         let named = [
             ("aborts_received", self.aborts_received),
             ("aborts_sent", self.aborts_sent),
+            ("acks_alone", self.acks_alone),
+            ("acks_carried", self.acks_carried),
             ("alternatives_used", self.alternatives_used),
             ("comp_cost_nodes", self.comp_cost_nodes),
             ("compensations_executed", self.compensations_executed),
@@ -400,6 +448,16 @@ struct PendingDelivery {
     timer: Option<(u64, TimerId)>,
 }
 
+/// A received reliable delivery whose acknowledgement has not left yet.
+#[derive(Debug, Clone, Copy)]
+struct OwedAck {
+    to: PeerId,
+    id: u64,
+    /// When it leaves alone if nothing bound for `to` has carried it: the
+    /// time of receipt, or `ack_hold` later for an `Invoke`.
+    due: u64,
+}
+
 /// WSDL knowledge shared across the fabric: method → declared result
 /// element names (drives lazy relevance for *remote* calls). Copy-on-write:
 /// clones share the entries until one of them publishes.
@@ -481,7 +539,10 @@ pub struct AxmlPeer {
     next_tag: u64,
     next_inv: u64,
     next_txn: u64,
-    ping_running: bool,
+    /// The keep-alive timer, while one is queued.
+    ping_timer: Option<TimerId>,
+    /// The held-acknowledgement timer, while one is queued.
+    ack_timer: Option<TimerId>,
     stream_running: bool,
     stream_seq: u64,
     stream_last: BTreeMap<(TxnId, PeerId), u64>,
@@ -522,6 +583,10 @@ pub struct AxmlPeer {
     /// entries that protect nothing and go at the next finalize: those
     /// recorded for a transaction that had already committed here.
     seen_deliveries: BTreeSet<(Option<TxnId>, PeerId, u64)>,
+    /// Acknowledgements owed, oldest first: reliable ids received and not
+    /// yet acknowledged to their sender. Empty between handlers but for
+    /// the held acks of `Invoke`s.
+    owed: Vec<OwedAck>,
     /// Scratch list of peers — the ping tick's probes and suspects, a
     /// gossip round's targets — taken, filled, and put back empty, so
     /// neither job allocates.
@@ -562,7 +627,8 @@ impl AxmlPeer {
             next_tag: TAG_PAYLOAD_BASE,
             next_inv: 0,
             next_txn: 0,
-            ping_running: false,
+            ping_timer: None,
+            ack_timer: None,
             stream_running: false,
             stream_seq: 0,
             stream_last: BTreeMap::new(),
@@ -575,6 +641,7 @@ impl AxmlPeer {
             next_delivery: 0,
             outbox: BTreeMap::new(),
             seen_deliveries: BTreeSet::new(),
+            owed: Vec::new(),
             peer_buf: Vec::new(),
         }
     }
@@ -813,7 +880,8 @@ impl AxmlPeer {
         let id = (self.epoch << 48) | self.next_delivery;
         self.next_delivery += 1;
         let msg = Arc::new(msg);
-        ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Arc::clone(&msg) })?;
+        let acks = self.carry_owed(ctx, to);
+        ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Arc::clone(&msg), acks })?;
         let tag = self.alloc_payload_tag(TimerPayload::Retransmit(id));
         let timer = ctx.set_timer(self.config.retransmit_base, tag);
         self.outbox.insert(id, PendingDelivery { to, msg, attempts: 0, timer: Some((tag, timer)) });
@@ -853,7 +921,7 @@ impl AxmlPeer {
             }
             Ok(msg) => msg,
         };
-        let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: msg };
+        let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: msg, acks: self.carry_owed(ctx, to) };
         self.stats.retransmits += 1;
         self.emit(ctx, txn, None, None, || EventKind::Retransmit { to: to.0, id, attempt: attempts });
         match ctx.send(to, envelope) {
@@ -884,6 +952,62 @@ impl AxmlPeer {
         if let Some((tag, timer)) = pending.timer.take() {
             self.timers.remove(&tag);
             ctx.cancel_timer(timer);
+        }
+    }
+
+    /// The acknowledgement of `id` arrived, alone or carried: the delivery
+    /// is settled, and its retransmit timer must die with it, or the stale
+    /// firing would re-enter `retransmit` for a recycled outbox slot.
+    fn settle(&mut self, ctx: &mut Ctx<'_, TxnMsg>, id: u64) {
+        if let Some(mut pending) = self.outbox.remove(&id) {
+            self.clear_delivery_timer(ctx, &mut pending);
+        }
+    }
+
+    /// Removes the oldest ids owed to `to`, as many as one message
+    /// carries. The held-ack timer is cancelled with the last id owed.
+    fn take_owed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId) -> AckIds {
+        let mut acks = AckIds::default();
+        // An entry stays if it is another peer's or the array is full.
+        self.owed.retain(|o| o.to != to || !acks.push(o.id));
+        if self.owed.is_empty() {
+            if let Some(timer) = self.ack_timer.take() {
+                ctx.cancel_timer(timer);
+            }
+        }
+        acks
+    }
+
+    /// The ids owed to `to`, for an envelope or chain update about to
+    /// leave for it.
+    fn carry_owed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId) -> AckIds {
+        let acks = self.take_owed(ctx, to);
+        self.stats.acks_carried += acks.as_slice().len() as u64;
+        acks
+    }
+
+    /// Sends what is owed and due as one `Ack` per peer — with it, what
+    /// else that peer is owed — and arms the held-ack timer for the rest.
+    /// Run as every message handler returns, and by that timer.
+    fn flush_acks(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+        let now = ctx.now();
+        while let Some(to) = self.owed.iter().find(|o| o.due <= now).map(|o| o.to) {
+            let ids = self.take_owed(ctx, to);
+            self.stats.acks_alone += ids.as_slice().len() as u64;
+            let _ = ctx.send(to, TxnMsg::Ack { ids });
+        }
+        self.arm_ack(ctx);
+    }
+
+    /// Arms the one held-ack timer for the earliest deadline, if an ack
+    /// is held and no timer runs. A later hold ends later, so the timer
+    /// never fires late.
+    fn arm_ack(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+        if self.ack_timer.is_some() {
+            return;
+        }
+        if let Some(due) = self.owed.iter().map(|o| o.due).min() {
+            self.ack_timer = Some(ctx.set_timer(due.saturating_sub(ctx.now()), TAG_ACK));
         }
     }
 
@@ -1186,54 +1310,68 @@ impl AxmlPeer {
             // Share the new edges with the parent, the siblings and the
             // children of earlier waves so they can act on disconnections
             // (scenarios (c)/(d)).
-            self.gossip_chain(ctx, txn, Informed::WaveOf(serving_inv));
+            // A serving issues a wave only once the one before has been
+            // answered, so the children it awaits are those just invoked,
+            // each handed this very chain by its `Invoke`.
+            self.gossip_chain(ctx, txn, |me, t| {
+                me.waiting.values().any(|wc| wc.serving_inv == serving_inv && wc.child_peer == t)
+            });
         }
     }
 
-    /// Shares this peer's chain view with its parent, children, and
-    /// siblings in the chain — the paper's chaining scope — leaving out
-    /// the peers that hold it already.
-    fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, informed: Informed) {
+    /// `of`'s gossip scope in `chain`: parent, children and siblings — the
+    /// paper's chaining scope — and under [`ChainScope::Extended`]
+    /// grandparent, uncles and cousins.
+    fn gossip_scope(scope: ChainScope, chain: &ActiveList, of: PeerId) -> impl Iterator<Item = PeerId> + '_ {
+        let near = chain.parent_of(of).into_iter().chain(chain.children(of)).chain(chain.siblings(of));
+        let far = (scope == ChainScope::Extended)
+            .then(|| chain.grandparent_of(of).into_iter().chain(chain.uncles_of(of)).chain(chain.cousins_of(of)));
+        near.chain(far.into_iter().flatten())
+    }
+
+    /// Shares this peer's chain view with its gossip scope, one update per
+    /// peer in peer order, leaving out the peers that hold it already. An
+    /// update carries the acknowledgements owed to its target.
+    fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
         if !self.config.chaining || !self.config.chain_gossip {
             return;
         }
-        let Some(tc) = self.contexts.get(&txn) else { return };
         // Every target receives the same allocation.
-        let chain = &tc.chain;
+        let Some(chain) = self.contexts.get(&txn).map(|tc| tc.chain.clone()) else { return };
         let mut targets = std::mem::take(&mut self.peer_buf);
-        targets.extend(chain.parent_of(self.id));
-        targets.extend(chain.children(self.id));
-        targets.extend(chain.siblings(self.id));
-        if self.config.chain_scope == ChainScope::Extended {
-            targets.extend(chain.grandparent_of(self.id));
-            targets.extend(chain.uncles_of(self.id));
-            targets.extend(chain.cousins_of(self.id));
-        }
+        targets.extend(Self::gossip_scope(self.config.chain_scope, &chain, self.id));
         targets.sort();
         targets.dedup();
         for &t in &targets {
-            let holds_it = match informed {
-                Informed::By(from) => t == from,
-                Informed::WaveOf(s) => self.waiting.values().any(|wc| wc.serving_inv == s && wc.child_peer == t),
-            };
-            if t == self.id || holds_it {
+            if t == self.id || holds_it(self, t) {
                 continue;
             }
-            let _ = ctx.send(t, TxnMsg::ChainUpdate { txn, chain: chain.clone() });
+            let acks = self.carry_owed(ctx, t);
+            let _ = ctx.send(t, TxnMsg::ChainUpdate { txn, chain: chain.clone(), acks });
         }
         targets.clear();
         self.peer_buf = targets;
     }
 
-    /// Merges a gossiped chain; re-gossips only when something new was
-    /// learned (monotone merge ⇒ convergence).
-    fn handle_chain_update(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, chain: &ActiveList) {
-        let Some(tc) = self.contexts.get_mut(&txn) else { return };
-        if tc.is_terminal() {
-            return;
+    /// Merges the chain `from` sent and, when it taught something, relays
+    /// the merged chain (monotone merge ⇒ convergence) — beyond `from`'s
+    /// own gossip scope only, which `from` tells first-hand. That scope is
+    /// read off the chain `from` sent, not off the merged one: `from` has
+    /// told the peers it knew of, and one it did not know is still owed
+    /// the news by whoever does.
+    fn learn_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
+        if self.contexts.get_mut(&txn).is_some_and(|tc| tc.chain.merge_from(theirs)) {
+            let scope = self.config.chain_scope;
+            self.gossip_chain(ctx, txn, |_, t| {
+                t == from || Self::gossip_scope(scope, theirs, from).any(|told| told == t)
+            });
         }
-        if tc.chain.merge_from(chain) {
-            self.gossip_chain(ctx, txn, Informed::By(from));
+    }
+
+    /// Merges a gossiped chain into a context that is still live.
+    fn handle_chain_update(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, chain: &ActiveList) {
+        if self.contexts.get(&txn).is_some_and(|tc| !tc.is_terminal()) {
+            self.learn_chain(ctx, from, txn, chain);
         }
     }
 
@@ -1683,9 +1821,7 @@ impl AxmlPeer {
         }
         if let Some(tc) = self.contexts.get_mut(&txn) {
             tc.complete_remote(inv, comp.clone());
-            if tc.chain.merge_from(chain) {
-                self.gossip_chain(ctx, txn, Informed::By(from));
-            }
+            self.learn_chain(ctx, from, txn, chain);
         }
         self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, items);
         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
@@ -2371,7 +2507,11 @@ impl AxmlPeer {
         self.watch_counts.clear();
         self.parent_watch.clear();
         self.monitor = PingMonitor::new(self.config.ping_interval.max(1), self.config.ping_timeout.max(1));
-        self.ping_running = false;
+        // The crash killed every timer, and what was owed is forgotten:
+        // the senders retransmit and are acknowledged again.
+        self.ping_timer = None;
+        self.ack_timer = None;
+        self.owed.clear();
         self.stream_running = false;
         self.stream_seq = 0;
         self.stream_last.clear();
@@ -2460,13 +2600,26 @@ impl AxmlPeer {
     /// deadline, if something is watched and no timer runs. Deadlines only
     /// move later while the timer waits, so it never fires late.
     fn arm_ping(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        if self.config.ping_interval == 0 || self.ping_running {
+        if self.config.ping_interval == 0 || self.ping_timer.is_some() {
             return;
         }
         if let Some(deadline) = self.monitor.next_deadline() {
-            self.ping_running = true;
-            ctx.set_timer(deadline.saturating_sub(ctx.now()), TAG_PING);
+            self.ping_timer = Some(ctx.set_timer(deadline.saturating_sub(ctx.now()), TAG_PING));
         }
+    }
+
+    /// Back online: the simulator discarded the timers that came due
+    /// meanwhile, so the keep-alive and held-ack timers are set anew — an
+    /// earlier one still queued is cancelled first, or two would run. A
+    /// peer that could not listen cannot accuse anyone of silence: every
+    /// watched peer's silence is counted from now.
+    fn rearm_link_timers(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+        for timer in [self.ping_timer.take(), self.ack_timer.take()].into_iter().flatten() {
+            ctx.cancel_timer(timer);
+        }
+        self.monitor.restart(ctx.now());
+        self.arm_ping(ctx);
+        self.arm_ack(ctx);
     }
 
     fn unwatch(&mut self, peer: PeerId) {
@@ -2484,7 +2637,7 @@ impl AxmlPeer {
     /// alive and is left alone), declare the peers silent past the
     /// timeout disconnected, and re-arm for the next deadline.
     fn ping_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        self.ping_running = false;
+        self.ping_timer = None;
         // Reusable buffer (taken, not borrowed: `on_child_disconnected`
         // needs `&mut self` while we iterate).
         let mut peers = std::mem::take(&mut self.peer_buf);
@@ -2506,17 +2659,6 @@ impl AxmlPeer {
 }
 
 struct NeedParams(Vec<ServiceCall>);
-
-/// Who holds a chain already when it is gossiped.
-#[derive(Clone, Copy)]
-enum Informed {
-    /// The peer it was learnt from.
-    By(PeerId),
-    /// The children this serving awaits. A serving issues a wave only once
-    /// the one before has been answered, so right after a wave those are
-    /// the peers just invoked, each handed this very list by its `Invoke`.
-    WaveOf(InvocationId),
-}
 
 /// The hosted document `method` is declared over. Borrows the registry
 /// alone, so the caller's other fields stay free.
@@ -2559,38 +2701,53 @@ fn txn_of(msg: &TxnMsg) -> Option<TxnId> {
     }
 }
 
-impl Actor<TxnMsg> for AxmlPeer {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+impl AxmlPeer {
+    /// Acts on one received message. The acknowledgements it makes this
+    /// peer owe leave with whatever the handler sends their way; the
+    /// caller flushes the rest.
+    fn receive(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
         // Any traffic from a peer proves liveness.
         self.monitor.heard_from(from, ctx.now());
+        // An acknowledgement settles a delivery the same whichever kind
+        // of message brought it.
+        for &acked in msg.acks() {
+            self.settle(ctx, acked);
+        }
         // Look inside the at-least-once envelope before protocol dispatch.
         // Handlers borrow the payload: the sender's outbox holds it too
         // (in the simulator, the same allocation) until our ack arrives,
         // so taking it by value would copy every delivery.
         let msg = match &msg {
-            TxnMsg::Reliable { id, attempt: _, inner } => {
+            TxnMsg::Reliable { id, inner, .. } => {
                 let id = *id;
-                // Always ack — even re-deliveries, since the original ack
-                // may itself have been dropped.
-                let _ = ctx.send(from, TxnMsg::Ack { id });
                 let txn = txn_of(inner);
+                // Single-pass dedup: one insert both tests and records. A
+                // re-delivery leaves the set untouched, so the peak and
+                // capacity bookkeeping belong to first sight only. An
+                // entry about a transaction that has committed here
+                // protects nothing — a committed context refuses every
+                // re-invocation — and is filed under no transaction, where
+                // the next finalize finds it (as it would one without a
+                // transaction, though none is ever sent reliably).
+                let committed = |t: &TxnId| self.contexts.get(t).is_some_and(|tc| tc.state == TxnState::Committed);
+                let again =
+                    self.config.dedup && !self.seen_deliveries.insert((txn.filter(|t| !committed(t)), from, id));
+                // Always ack — even re-deliveries, since the original ack
+                // may itself have been lost. The ack is owed from here on
+                // and due as this handler returns, but for a first
+                // `Invoke`: the one message whose answer goes back on this
+                // link — a wave's `ChainUpdate`, the `Result`, a refusal —
+                // waits for it. A re-delivery's sender is retransmitting
+                // already and is not kept waiting.
+                let hold = if !again && matches!(**inner, TxnMsg::Invoke { .. }) { self.config.ack_hold() } else { 0 };
+                self.owed.push(OwedAck { to: from, id, due: ctx.now().saturating_add(hold) });
                 self.emit(ctx, txn, None, None, || EventKind::AckSend { to: from.0, id });
+                if again {
+                    self.stats.dup_suppressed += 1;
+                    self.emit(ctx, txn, None, None, || EventKind::DedupSuppress { from: from.0, id });
+                    return;
+                }
                 if self.config.dedup {
-                    // Single-pass dedup: one insert both tests and
-                    // records. A re-delivery leaves the set untouched, so
-                    // the peak and capacity bookkeeping belong to first
-                    // sight only. An entry about a transaction that has
-                    // committed here protects nothing — a committed
-                    // context refuses every re-invocation — and is filed
-                    // under no transaction, where the next finalize finds
-                    // it (as it would one without a transaction, though
-                    // none is ever sent reliably).
-                    let committed = |t: &TxnId| self.contexts.get(t).is_some_and(|tc| tc.state == TxnState::Committed);
-                    if !self.seen_deliveries.insert((txn.filter(|t| !committed(t)), from, id)) {
-                        self.stats.dup_suppressed += 1;
-                        self.emit(ctx, txn, None, None, || EventKind::DedupSuppress { from: from.0, id });
-                        return;
-                    }
                     self.stats.seen_peak = self.stats.seen_peak.max(self.seen_deliveries.len() as u64);
                     if self.seen_deliveries.len() > self.config.dedup_capacity {
                         self.prune_seen(ctx, None);
@@ -2598,15 +2755,7 @@ impl Actor<TxnMsg> for AxmlPeer {
                 }
                 &**inner
             }
-            TxnMsg::Ack { id } => {
-                if let Some(mut pending) = self.outbox.remove(id) {
-                    // The delivery is settled: its retransmit timer must
-                    // die with it, or the stale firing would re-enter
-                    // `retransmit` for a recycled outbox slot.
-                    self.clear_delivery_timer(ctx, &mut pending);
-                }
-                return;
-            }
+            TxnMsg::Ack { .. } => return,
             other => other,
         };
         match msg {
@@ -2634,10 +2783,17 @@ impl Actor<TxnMsg> for AxmlPeer {
                 self.stream_last.insert((*txn, from), ctx.now());
                 self.maybe_start_stream(ctx);
             }
-            TxnMsg::ChainUpdate { txn, chain } => self.handle_chain_update(ctx, from, *txn, chain),
+            TxnMsg::ChainUpdate { txn, chain, .. } => self.handle_chain_update(ctx, from, *txn, chain),
             // Unwrapped above; a nested envelope is never constructed.
             TxnMsg::Reliable { .. } | TxnMsg::Ack { .. } => {}
         }
+    }
+}
+
+impl Actor<TxnMsg> for AxmlPeer {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+        self.receive(ctx, from, msg);
+        self.flush_acks(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TxnMsg>, tag: u64) {
@@ -2649,6 +2805,10 @@ impl Actor<TxnMsg> for AxmlPeer {
             }
             TAG_PING => self.ping_tick(ctx),
             TAG_STREAM => self.stream_tick(ctx),
+            TAG_ACK => {
+                self.ack_timer = None;
+                self.flush_acks(ctx);
+            }
             _ => match self.timers.remove(&tag) {
                 Some(TimerPayload::ServiceDone(inv)) => self.complete_serving(ctx, inv),
                 Some(TimerPayload::RetryChild { wc, to_peer, to_method, placeholder }) => {
@@ -2680,8 +2840,8 @@ impl Actor<TxnMsg> for AxmlPeer {
                 self.outbox.insert(id, pending);
             }
         }
-        // Same for the keep-alive and stream loops.
-        self.arm_ping(ctx);
+        // Same for the keep-alive, the held acks and the stream loop.
+        self.rearm_link_timers(ctx);
         if self.config.stream_interval.is_some() && !self.stream_running && !self.servings.is_empty() {
             self.maybe_start_stream(ctx);
         }
@@ -2929,8 +3089,9 @@ mod tests {
         let mut sim = Sim::new(SimConfig::default(), peers);
         sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
         sim.schedule_timer(0, PeerId(1), 0);
-        // Latency is 1..=5, so the Invoke's ack is back by t=10 — well
-        // before its retransmit timer (base 16) would fire. At this
+        // Latency is 1..=5 and `fetch` takes one tick, so the Invoke's ack
+        // is back by t=11, on the `Result` — well before its retransmit
+        // timer (base 16) would fire. At this
         // checkpoint every Retransmit payload must match a live outbox
         // entry; an orphaned payload is exactly the pre-fix stale state.
         sim.run_until(12);
@@ -2946,6 +3107,26 @@ mod tests {
         sim.run();
         assert!(sim.actor(PeerId(1)).outcomes.first().expect("resolved").committed);
         assert!(sim.actor(PeerId(1)).outbox.is_empty());
+    }
+
+    /// A reconnect sets the keep-alive timer anew whether or not the old
+    /// one came due — and was discarded — while the peer was offline. One
+    /// that is still queued is cancelled, not left to run beside the new.
+    #[test]
+    fn a_reconnect_replaces_a_keepalive_timer_that_is_still_queued() {
+        use crate::scenarios::ScenarioBuilder;
+        let mut s = ScenarioBuilder::new(1, &[(1, 2)]).duration(2, 1000).disconnect(31, 1).build();
+        s.sim.schedule_reconnect(32, PeerId(1));
+        s.sim.run_until(30);
+        // AP1 waits for AP2 and watches it; nothing else is in flight, so
+        // the keep-alive timer is the only one the reconnect will touch.
+        let ap1 = s.sim.actor(PeerId(1));
+        assert!(ap1.outbox.is_empty() && ap1.owed.is_empty());
+        let queued = ap1.ping_timer.expect("watching AP2");
+        s.sim.run_until(32);
+        let rearmed = s.sim.actor(PeerId(1)).ping_timer.expect("still watching AP2");
+        assert_ne!(queued, rearmed);
+        assert_eq!(s.sim.cancelled_timers(), 1, "the queued timer was cancelled");
     }
 
     /// ROADMAP item 1: a `Result` delivered a second time *after* the
@@ -3000,6 +3181,25 @@ mod tests {
             assert_eq!(sim.actor(id).contexts[&txn].state, TxnState::Committed, "{id}");
             assert!(sim.actor(id).is_quiescent(), "{id}");
         }
+    }
+
+    /// The shipped configuration meets both timing MUSTs on the shipped
+    /// fabric, and `retransmit_base` is as low as the derived hold allows:
+    /// one less, and a held ack can come back a tick too late.
+    #[test]
+    fn the_timing_musts_are_checked_against_the_round_trip() {
+        let max_latency = SimConfig::default().latency.max;
+        let mut config = PeerConfig::default();
+        assert_eq!(config.check_timing(max_latency), Ok(()));
+        assert_eq!(config.ack_hold() + 2 * max_latency, 15);
+        config.retransmit_base = 15;
+        assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("retransmit_base 15")));
+        config.reliable = false;
+        assert_eq!(config.check_timing(max_latency), Ok(()));
+        config.ping_timeout = config.ping_interval + 2 * max_latency;
+        assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("ping_timeout 20")));
+        config.ping_interval = 0;
+        assert_eq!(config.check_timing(max_latency), Ok(()));
     }
 
     /// Regression: with an extreme `retransmit_base`, the backoff must

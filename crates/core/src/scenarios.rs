@@ -326,7 +326,9 @@ impl ScenarioBuilder {
     /// Builds the simulator and supporting state.
     pub fn build(self) -> Scenario {
         let peers = self.peers();
-        let mut sim = Sim::new(self.sim_config(), self.actors(&peers));
+        let sim_config = self.sim_config();
+        debug_assert_eq!(self.config.check_timing(sim_config.latency.max), Ok(()));
+        let mut sim = Sim::new(sim_config, self.actors(&peers));
         for &s in &self.supers {
             sim.mark_super(PeerId(s));
         }
@@ -966,6 +968,24 @@ mod tests {
         assert!(ap2.detections.iter().any(|d| d.disconnected == PeerId(3)));
     }
 
+    #[test]
+    fn a_watcher_back_from_a_disconnection_detects_a_peer_that_dies_afterwards() {
+        // AP1 watches AP2, busy for 1,000 ticks. AP1 is offline from 16 to
+        // 46 — longer than a probe interval, so its keep-alive timer comes
+        // due meanwhile and is discarded — and AP2 leaves for good at 100.
+        let mut cfg = PeerConfig::default();
+        cfg.use_alternative_providers = false;
+        let tree = ScenarioBuilder::new(1, &[(1, 2)]).duration(2, 1000).config(cfg.clone());
+        let mut s = tree.disconnect(16, 1).disconnect(100, 2).build();
+        s.sim.schedule_reconnect(46, PeerId(1));
+        let report = s.run();
+        assert_detected_in_time(&report, 2, 100, &cfg);
+        let ap1 = &report.stats[&PeerId(1)];
+        assert_eq!(ap1.detections.len(), 1, "the silence of AP1's own absence is held against nobody");
+        assert_eq!(ap1.detections[0].how, DetectHow::PingTimeout);
+        assert!(!report.outcome.expect("resolved").committed);
+    }
+
     // ------------------------------------------------------------------
     // Crash-restart round trips (durability journal + presumed abort).
     // ------------------------------------------------------------------
@@ -1100,23 +1120,39 @@ mod tests {
     }
 
     /// A peer that notes the chain each `Invoke` and `ChainUpdate` hands
-    /// it, as `(sender, chain)`, before acting on the message.
-    struct Tap {
-        peer: AxmlPeer,
+    /// it, as `(sender, chain)`, the delivery id of each `Invoke` and what
+    /// each message acknowledges, before acting on the message.
+    #[derive(Default)]
+    struct Tapped {
         invoked_with: Vec<(PeerId, ActiveList)>,
         updated_with: Vec<(PeerId, ActiveList)>,
+        /// `(invoker, delivery id)` of every `Invoke` envelope.
+        invoke_ids: Vec<(PeerId, u64)>,
+        /// `(sender, kind of the message, ids it acknowledges)`, of every
+        /// message that acknowledges something, in arrival order.
+        acked_by: Vec<(PeerId, &'static str, Vec<u64>)>,
+    }
+
+    struct Tap {
+        peer: AxmlPeer,
+        seen: Tapped,
     }
 
     impl axml_p2p::Actor<TxnMsg> for Tap {
         fn on_message(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+            use axml_p2p::Message;
             match &msg {
-                TxnMsg::ChainUpdate { chain, .. } => self.updated_with.push((from, chain.clone())),
-                TxnMsg::Reliable { inner, .. } => {
+                TxnMsg::ChainUpdate { chain, .. } => self.seen.updated_with.push((from, chain.clone())),
+                TxnMsg::Reliable { id, inner, .. } => {
                     if let TxnMsg::Invoke { chain, .. } = &**inner {
-                        self.invoked_with.push((from, chain.clone()));
+                        self.seen.invoked_with.push((from, chain.clone()));
+                        self.seen.invoke_ids.push((from, *id));
                     }
                 }
                 _ => {}
+            }
+            if !msg.acks().is_empty() {
+                self.seen.acked_by.push((from, msg.kind(), msg.acks().to_vec()));
             }
             self.peer.on_message(ctx, from, msg);
         }
@@ -1126,20 +1162,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_wave_gossips_its_chain_to_everyone_but_the_children_it_has_just_invoked_with_it() {
+    /// One committed Fig. 1 transaction with every inbox tapped.
+    fn tapped_fig1() -> Sim<TxnMsg, Tap> {
         let b = ScenarioBuilder::fig1();
-        let taps = b.actors(&b.peers()).into_iter();
-        let taps = taps.map(|peer| Tap { peer, invoked_with: Vec::new(), updated_with: Vec::new() }).collect();
+        let taps = b.actors(&b.peers()).into_iter().map(|peer| Tap { peer, seen: Tapped::default() }).collect();
         let mut sim = Sim::new(b.sim_config(), taps);
         sim.actor_mut(PeerId(1)).peer.auto_submit = Some(("S1".to_string(), vec![]));
         sim.schedule_timer(0, PeerId(1), 0);
         sim.run();
         assert!(sim.actor(PeerId(1)).peer.outcomes.first().is_some_and(|o| o.committed));
+        sim
+    }
+
+    #[test]
+    fn a_wave_gossips_its_chain_to_everyone_but_the_children_it_has_just_invoked_with_it() {
+        let sim = tapped_fig1();
 
         // No child is told again what its `Invoke` told it.
         for child in [2, 3, 4, 5, 6] {
-            let tap = sim.actor(PeerId(child));
+            let tap = &sim.actor(PeerId(child)).seen;
             assert_eq!(tap.invoked_with.len(), 1, "AP{child} is invoked once");
             let handed = &tap.invoked_with[0];
             assert!(!tap.updated_with.contains(handed), "AP{child} was sent the chain of its Invoke a second time");
@@ -1148,11 +1189,71 @@ mod tests {
         // and AP5's wave {AP6} its parent and its sibling AP4.
         let told_by = |peer: u32, by: u32, edge: (u32, u32)| {
             let carries = |c: &ActiveList| c.parent_of(PeerId(edge.1)) == Some(PeerId(edge.0));
-            sim.actor(PeerId(peer)).updated_with.iter().any(|(from, c)| *from == PeerId(by) && carries(c))
+            sim.actor(PeerId(peer)).seen.updated_with.iter().any(|(from, c)| *from == PeerId(by) && carries(c))
         };
         for (peer, by, edge) in [(1, 3, (3, 4)), (1, 3, (3, 5)), (2, 3, (3, 5)), (3, 5, (5, 6)), (4, 5, (5, 6))] {
             assert!(told_by(peer, by, edge), "AP{peer} did not learn AP{}→AP{} from AP{by}", edge.0, edge.1);
         }
+        // A relay carries news only beyond its informant's own scope. AP3
+        // has told its parent AP1 and its sibling AP2 first-hand, so neither
+        // passes AP3's wave on to the other; AP5's wave reaches them — out
+        // of AP5's scope — through AP3 alone, once each.
+        for (peer, other) in [(1, 2), (2, 1)] {
+            let updates = &sim.actor(PeerId(peer)).seen.updated_with;
+            assert!(updates.iter().all(|(from, _)| *from != PeerId(other)), "AP{other} relayed to AP{peer}");
+            assert!(told_by(peer, 3, (5, 6)), "AP{peer} did not learn AP5→AP6 through AP3");
+            assert_eq!(updates.len(), 2, "AP{peer} is told each wave once: {updates:?}");
+        }
+    }
+
+    #[test]
+    fn the_ack_of_an_invoke_rides_on_the_answer_and_every_other_ack_leaves_alone() {
+        let sim = tapped_fig1();
+        // (child, its invoker, the kind of message that answers first): an
+        // interior peer's wave tells its parent the new edges in the
+        // handler of the `Invoke` itself, a leaf has only its `Result`.
+        let answers =
+            [(2, 1, "result"), (3, 1, "chain-update"), (4, 3, "result"), (5, 3, "chain-update"), (6, 5, "result")];
+        for (child, invoker, answer) in answers {
+            let &(from, id) = sim.actor(PeerId(child)).seen.invoke_ids.first().expect("invoked");
+            assert_eq!(from, PeerId(invoker));
+            let acked = &sim.actor(from).seen.acked_by;
+            let by: Vec<_> = acked.iter().filter(|(p, _, ids)| *p == PeerId(child) && ids.contains(&id)).collect();
+            assert_eq!(by.len(), 1, "AP{child}'s Invoke is acknowledged once: {by:?}");
+            assert_eq!(by[0].1, answer, "AP{child}'s Invoke is acknowledged by the answer, no Ack before it");
+        }
+        // Nothing else travels the way of the sender within the handler
+        // that receives it — a `Result` is answered by a decision much
+        // later, a decision by nothing — so the other 13 leave alone.
+        let acked = (1..=6).flat_map(|p| sim.actor(PeerId(p)).seen.acked_by.iter());
+        let (alone, carried): (Vec<_>, Vec<_>) = acked.partition(|(_, kind, _)| *kind == "ack");
+        assert_eq!((carried.len(), alone.len()), (5, 13), "carried: {carried:?}");
+        assert!(alone.iter().all(|(_, _, ids)| ids.len() == 1));
+        // No delivery was acknowledged late enough to be sent again.
+        assert_eq!(sim.metrics().retransmits, 0);
+    }
+
+    #[test]
+    fn a_lost_carried_ack_costs_one_retransmission_answered_at_once() {
+        // AP2's `Result` carries the ack of its `Invoke`; the network drops
+        // it. AP1 sends the `Invoke` again, AP2 suppresses it and
+        // acknowledges it in the same handler; AP2's own retransmission
+        // brings the `Result`.
+        use axml_p2p::{FaultAction, ScriptedFault};
+        let lost =
+            ScriptedFault { from: PeerId(2), to: PeerId(1), kind: "result".into(), nth: 0, action: FaultAction::Drop };
+        let mut s = ScenarioBuilder::fig1().fault_plane(FaultPlane::scripted(vec![lost])).build();
+        let report = s.run();
+        assert!(report.outcome.is_some_and(|o| o.committed));
+        assert!(report.atomic);
+        let (ap1, ap2) = (&report.stats[&PeerId(1)], &report.stats[&PeerId(2)]);
+        assert_eq!((ap1.retransmits, ap2.retransmits), (1, 1), "the Invoke once, the Result once");
+        assert_eq!((ap2.dup_suppressed, ap2.served), (1, 1), "nothing executes twice");
+        assert_eq!(report.metrics.retransmits, 2);
+        // The lost ride is counted as carried; the re-ack left alone.
+        let carried: u64 = report.stats.values().map(|st| st.acks_carried).sum();
+        let alone: u64 = report.stats.values().map(|st| st.acks_alone).sum();
+        assert_eq!((carried, alone), (5, 14), "18 deliveries and the re-delivery acknowledged");
     }
 
     // ------------------------------------------------------------------
@@ -1336,6 +1437,33 @@ mod config_matrix_tests {
         for p in [1u32, 2, 3, 4, 5, 6] {
             let tc = s.sim.actor(PeerId(p)).context(txn).expect("participated");
             assert_eq!(tc.state, crate::context::TxnState::Committed, "AP{p}");
+        }
+    }
+
+    /// A relay stops short of the peers its informant tells itself, and
+    /// every peer still learns the whole tree while the leaves compute. The
+    /// informant's scope is read off the chain it sent: read off the merged
+    /// chain, the two halves of the tree each count on the other to tell
+    /// cousins neither has heard of yet, and at seed 59 under
+    /// [`ChainScope::Extended`] AP2's subtree never hears of AP3's.
+    #[test]
+    fn every_peer_learns_the_whole_tree_under_either_scope() {
+        let edges: Vec<(u32, u32)> = (2..=15).map(|child| (child / 2, child)).collect();
+        for (scope, seed) in [(ChainScope::Standard, 17), (ChainScope::Extended, 17), (ChainScope::Extended, 59)] {
+            let mut cfg = PeerConfig::default();
+            cfg.chain_scope = scope;
+            let mut b = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).with_seed(seed).config(cfg);
+            for peer in 1..=15 {
+                b.durations.insert(peer, 40);
+            }
+            let mut s = b.build();
+            s.sim.run_until(100);
+            let txn = s.sim.actor(PeerId(1)).known_txns()[0];
+            for peer in 1..=15 {
+                let known = s.sim.actor(PeerId(peer)).context(txn).expect("invoked").chain.all_peers().len();
+                assert_eq!(known, 15, "{scope:?}, seed {seed}: AP{peer} knows {known} of the 15 peers at t=100");
+            }
+            assert!(s.run().outcome.is_some_and(|o| o.committed));
         }
     }
 

@@ -62,6 +62,15 @@ impl PingMonitor {
         self.watched.insert(peer, Watch { heard: now, probed: now });
     }
 
+    /// Restarts every watched peer's silence clock at `now`, as if each
+    /// had just been watched: for a monitor that was deaf for a while —
+    /// its peer offline — and must not hold that silence against anyone.
+    pub fn restart(&mut self, now: u64) {
+        for w in self.watched.values_mut() {
+            *w = Watch { heard: now, probed: now };
+        }
+    }
+
     /// Stops watching a peer.
     pub fn unwatch(&mut self, peer: PeerId) {
         self.watched.remove(&peer);
@@ -169,6 +178,17 @@ mod tests {
         assert_eq!(m.suspects(100), vec![PeerId(1)]);
         m.unwatch(PeerId(1));
         assert!(m.suspects(100).is_empty());
+    }
+
+    #[test]
+    fn restart_counts_every_silence_from_now() {
+        let mut m = PingMonitor::new(10, 25);
+        m.watch(PeerId(1), 0);
+        m.watch(PeerId(2), 30);
+        m.restart(40);
+        assert!(m.suspects(65).is_empty(), "the silence before the restart is forgotten");
+        assert_eq!(m.next_deadline(), Some(50));
+        assert_eq!(m.suspects(66), vec![PeerId(1), PeerId(2)]);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! missing; 1,149 with a service's results captured into one table and
 //! document nodes that own no strings; 1,152 with an idle-link keep-alive
 //! — other cases, since faults are drawn per message and fewer are sent,
-//! and two more counter keys per peer in the snapshot. The budget leaves room for a standard library that sizes a map
+//! and two more counter keys per peer in the snapshot; 1,175 with
+//! acknowledgements carried — other cases again, two more counter keys per
+//! peer and each peer's table of acks owed, which leaves 25 below the
+//! budget. The budget leaves room for a standard library that sizes a map
 //! node or grows a `String` differently, not for one of those coming back.
 //!
 //! `common/mod.rs` holds the counting `GlobalAlloc`.
