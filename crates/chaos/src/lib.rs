@@ -242,6 +242,9 @@ impl Verdict {
 pub struct CaseResult {
     /// The origin-side decision (`None` = unresolved by the deadline).
     pub committed: Option<bool>,
+    /// Participant contexts still undecided when the run ended — what a
+    /// lost decision leaves behind on a peer that nobody told.
+    pub open_contexts: usize,
     /// The oracle's verdict.
     pub verdict: Verdict,
     /// Deterministic digest of the run: outcome, metrics, final document
@@ -525,6 +528,7 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
     let flight = (!verdict.ok).then(|| recorder.borrow().dump());
     let result = CaseResult {
         committed: report.outcome.as_ref().map(|o| o.committed),
+        open_contexts: s.participants.iter().map(|&p| s.sim.actor(p).open_contexts()).sum(),
         verdict,
         digest,
         doc_digest: doc_digest.finish(),
@@ -808,6 +812,8 @@ pub struct SweepOutcome {
     pub committed: usize,
     /// Runs that aborted (atomically).
     pub aborted: usize,
+    /// [`CaseResult::open_contexts`] summed over every run.
+    pub open_contexts: usize,
     /// Oracle violations with shrunk, traced reproducers.
     pub violations: Vec<Violation>,
     /// FNV-1a digest over every case's label, per-run digest, and
@@ -919,6 +925,7 @@ pub fn sweep_jobs(
             Some(false) => out.aborted += 1,
             None => {}
         }
+        out.open_contexts += run.result.open_contexts;
         let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
         out.snapshot.merge(&run.result.snapshot);
         for (name, h) in &run.histograms {

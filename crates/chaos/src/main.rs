@@ -132,6 +132,7 @@ fn report(out: &SweepOutcome) -> bool {
         out.violations.len()
     );
     println!("digest={:016x}", out.digest);
+    println!("open_contexts={}", out.open_contexts);
     for (label, finding) in &out.findings {
         println!("FINDING {label}: {finding}");
     }

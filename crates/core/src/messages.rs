@@ -101,6 +101,12 @@ pub enum TxnMsg {
     Commit {
         /// The transaction.
         txn: TxnId,
+        /// The peers to which the deciding origin sent this decision
+        /// itself: its active-peer list, shared, not copied. A receiver
+        /// forwards the `Commit` only to invokees outside it. `None` — no
+        /// chaining, or a decision re-sent to a late sender — covers
+        /// nobody.
+        covered: Option<ActiveList>,
     },
     /// Peer-independent compensation: execute these compensating actions.
     /// "The original peers do not even need to be aware that the services
@@ -237,7 +243,7 @@ mod tests {
             TxnMsg::Result { txn, inv, items: Arc::new([]), comp: vec![], chain },
             TxnMsg::Fault { txn, inv, fault: Fault::injected("x") },
             TxnMsg::Abort { txn },
-            TxnMsg::Commit { txn },
+            TxnMsg::Commit { txn, covered: None },
             TxnMsg::Compensate { txn, service: CompensatingService::default() },
             TxnMsg::Ping,
             TxnMsg::Pong,

@@ -42,7 +42,7 @@
 //! | R06 abort-up | `child_failed` → `abort_local` |
 //! | R07 abort-down | `propagate_abort` / `handle_abort` |
 //! | R08 compensate | `abort_local`, `handle_compensate` |
-//! | R09 commit cascade | `handle_commit` |
+//! | R09 commit cascade — never to a peer the received `covered` list names | `handle_commit` |
 //! | R10 crash / presumed abort | `crash_recover` |
 
 use crate::chain::ActiveList;
@@ -543,7 +543,8 @@ pub struct AxmlPeer {
     ping_timer: Option<TimerId>,
     /// The held-acknowledgement timer, while one is queued.
     ack_timer: Option<TimerId>,
-    stream_running: bool,
+    /// The sibling-stream timer, while one is queued.
+    stream_timer: Option<TimerId>,
     stream_seq: u64,
     stream_last: BTreeMap<(TxnId, PeerId), u64>,
     prefill_store: BTreeMap<TxnId, Vec<(String, Vec<Fragment>)>>,
@@ -629,7 +630,7 @@ impl AxmlPeer {
             next_txn: 0,
             ping_timer: None,
             ack_timer: None,
-            stream_running: false,
+            stream_timer: None,
             stream_seq: 0,
             stream_last: BTreeMap::new(),
             prefill_store: BTreeMap::new(),
@@ -677,6 +678,11 @@ impl AxmlPeer {
             }
             _ => false,
         }
+    }
+
+    /// How many of this peer's transaction contexts are still undecided.
+    pub fn open_contexts(&self) -> usize {
+        self.active_contexts
     }
 
     /// True if the peer has no in-flight work.
@@ -1679,15 +1685,17 @@ impl AxmlPeer {
                 // Origin root: the transaction commits. With chaining on,
                 // fan the Commit out to *every* chained participant (the
                 // gossiped active list) — a dead intermediate peer then
-                // cannot cut its descendants off from the decision.
-                // Without chaining, cascade through direct invokees only.
-                let mut targets = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
-                if self.config.chaining {
-                    if let Some(tc) = self.contexts.get(&txn) {
-                        for p in tc.chain.all_peers() {
-                            if !targets.contains(&p) {
-                                targets.push(p);
-                            }
+                // cannot cut its descendants off from the decision — and
+                // name them in it, so nobody tells them again. Without
+                // chaining, cascade through direct invokees only.
+                let (mut targets, covered) = match self.contexts.get(&txn) {
+                    Some(tc) => (tc.invoked_peers(), self.config.chaining.then(|| tc.chain.clone())),
+                    None => (Vec::new(), None),
+                };
+                if let Some(chain) = &covered {
+                    for p in chain.all_peers() {
+                        if !targets.contains(&p) {
+                            targets.push(p);
                         }
                     }
                 }
@@ -1701,7 +1709,7 @@ impl AxmlPeer {
                 self.results.insert(txn, items);
                 for peer in targets {
                     if peer != self.id {
-                        let _ = self.send_reliable(ctx, peer, TxnMsg::Commit { txn });
+                        let _ = self.send_reliable(ctx, peer, TxnMsg::Commit { txn, covered: covered.clone() });
                     }
                 }
             }
@@ -1844,11 +1852,11 @@ impl AxmlPeer {
     fn answer_with_outcome(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId) {
         let committed = self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed);
         let is_its_commit =
-            |p: &PendingDelivery| p.to == from && matches!(&*p.msg, TxnMsg::Commit { txn: t } if *t == txn);
+            |p: &PendingDelivery| p.to == from && matches!(&*p.msg, TxnMsg::Commit { txn: t, .. } if *t == txn);
         if !committed {
             let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
         } else if !self.outbox.values().any(is_its_commit) {
-            let _ = self.send_reliable(ctx, from, TxnMsg::Commit { txn });
+            let _ = self.send_reliable(ctx, from, TxnMsg::Commit { txn, covered: None });
         }
     }
 
@@ -2214,9 +2222,11 @@ impl AxmlPeer {
         self.propagate_abort(ctx, txn, None);
     }
 
-    /// Delivers a `Commit` from the parent and cascades it to invokees.
-    /// (Spec rule **R09**.)
-    fn handle_commit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
+    /// Delivers a `Commit` and cascades it to the invokees that `covered`,
+    /// the peers the origin told itself, leaves out. (Spec rule **R09**: a
+    /// peer MUST NOT send `Commit` to a peer in the `covered` list it
+    /// received.)
+    fn handle_commit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, covered: Option<&ActiveList>) {
         if !self.resolve_context(txn, TxnState::Committed, ctx.now()) {
             return;
         }
@@ -2226,8 +2236,8 @@ impl AxmlPeer {
         self.release_parent_watch(txn);
         let invoked = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
         for peer in invoked {
-            if peer != self.id {
-                let _ = self.send_reliable(ctx, peer, TxnMsg::Commit { txn });
+            if peer != self.id && !covered.is_some_and(|c| c.contains(peer)) {
+                let _ = self.send_reliable(ctx, peer, TxnMsg::Commit { txn, covered: covered.cloned() });
             }
         }
         self.stream_last.retain(|(t, _), _| *t != txn);
@@ -2419,13 +2429,10 @@ impl AxmlPeer {
 
     /// Sibling stream upkeep + silence detection (scenario (d)).
     fn stream_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        let Some(interval) = self.config.stream_interval else {
-            self.stream_running = false;
-            return;
-        };
+        self.stream_timer = None;
+        let Some(interval) = self.config.stream_interval else { return };
         let active_txns: BTreeSet<TxnId> = self.servings.values().map(|s| s.txn).collect();
         if active_txns.is_empty() {
-            self.stream_running = false;
             return;
         }
         for txn in &active_txns {
@@ -2455,16 +2462,13 @@ impl AxmlPeer {
             self.stream_last.remove(&(txn, peer));
             self.on_sibling_disconnected(ctx, txn, peer, DetectHow::StreamSilence);
         }
-        ctx.set_timer(interval, TAG_STREAM);
-        self.stream_running = true;
+        self.maybe_start_stream(ctx);
     }
 
+    /// Arms the one stream timer, if streams are on and none is queued.
     fn maybe_start_stream(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        if let Some(interval) = self.config.stream_interval {
-            if !self.stream_running {
-                self.stream_running = true;
-                ctx.set_timer(interval, TAG_STREAM);
-            }
+        if let (Some(interval), None) = (self.config.stream_interval, self.stream_timer) {
+            self.stream_timer = Some(ctx.set_timer(interval, TAG_STREAM));
         }
     }
 
@@ -2512,7 +2516,7 @@ impl AxmlPeer {
         self.ping_timer = None;
         self.ack_timer = None;
         self.owed.clear();
-        self.stream_running = false;
+        self.stream_timer = None;
         self.stream_seq = 0;
         self.stream_last.clear();
         self.prefill_store.clear();
@@ -2570,14 +2574,19 @@ impl AxmlPeer {
         }
         // Contexts that were already aborted on disk may have died with
         // abort propagation still in flight: the crash killed the retry
-        // timers, and a partitioned child might not have heard yet.
-        // Presumed abort makes re-sending safe (children absorb repeats
-        // via tombstones), so re-establish the obligation for every
-        // recovered aborted context with remote children in its log.
+        // timers, and a partitioned child might not have heard yet — nor
+        // the invoker, whose `Fault` died in the outbox. Presumed abort
+        // makes re-sending safe (children absorb repeats via tombstones,
+        // an invoker that knows takes the `Fault` for a late message), so
+        // re-establish the obligation both ways for every recovered
+        // aborted context.
         for txn in outcome.already_terminal {
-            if self.contexts.get(&txn).is_some_and(|t| t.state == TxnState::Aborted) {
-                self.propagate_abort(ctx, txn, None);
+            let Some(tc) = self.contexts.get(&txn).filter(|t| t.state == TxnState::Aborted) else { continue };
+            if let Some((pp, inv)) = tc.parent {
+                let fault = Fault::peer_unreachable(format!("{} restarted; aborted", self.id));
+                let _ = self.send_reliable(ctx, pp, TxnMsg::Fault { txn, inv, fault });
             }
+            self.propagate_abort(ctx, txn, None);
         }
     }
 
@@ -2609,17 +2618,24 @@ impl AxmlPeer {
     }
 
     /// Back online: the simulator discarded the timers that came due
-    /// meanwhile, so the keep-alive and held-ack timers are set anew — an
-    /// earlier one still queued is cancelled first, or two would run. A
-    /// peer that could not listen cannot accuse anyone of silence: every
-    /// watched peer's silence is counted from now.
+    /// meanwhile, so the keep-alive, held-ack and stream timers are set
+    /// anew — an earlier one still queued is cancelled first, or two would
+    /// run. A peer that could not listen cannot accuse anyone of silence:
+    /// every watched peer's and every streaming sibling's silence is
+    /// counted from now.
     fn rearm_link_timers(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        for timer in [self.ping_timer.take(), self.ack_timer.take()].into_iter().flatten() {
+        for timer in [self.ping_timer.take(), self.ack_timer.take(), self.stream_timer.take()].into_iter().flatten() {
             ctx.cancel_timer(timer);
         }
         self.monitor.restart(ctx.now());
+        for last in self.stream_last.values_mut() {
+            *last = ctx.now();
+        }
         self.arm_ping(ctx);
         self.arm_ack(ctx);
+        if !self.servings.is_empty() {
+            self.maybe_start_stream(ctx);
+        }
     }
 
     fn unwatch(&mut self, peer: PeerId) {
@@ -2690,7 +2706,7 @@ fn txn_of(msg: &TxnMsg) -> Option<TxnId> {
         | TxnMsg::Result { txn, .. }
         | TxnMsg::Fault { txn, .. }
         | TxnMsg::Abort { txn }
-        | TxnMsg::Commit { txn }
+        | TxnMsg::Commit { txn, .. }
         | TxnMsg::Compensate { txn, .. }
         | TxnMsg::Redirected { txn, .. }
         | TxnMsg::DisconnectNotice { txn, .. }
@@ -2769,7 +2785,7 @@ impl AxmlPeer {
                 self.child_failed(ctx, *inv, fault.clone());
             }
             TxnMsg::Abort { txn } => self.handle_abort(ctx, *txn, from),
-            TxnMsg::Commit { txn } => self.handle_commit(ctx, *txn),
+            TxnMsg::Commit { txn, covered } => self.handle_commit(ctx, *txn, covered.as_ref()),
             TxnMsg::Compensate { txn, service } => self.handle_compensate(ctx, *txn, service),
             TxnMsg::Ping => {
                 let _ = ctx.send(from, TxnMsg::Pong);
@@ -2842,9 +2858,6 @@ impl Actor<TxnMsg> for AxmlPeer {
         }
         // Same for the keep-alive, the held acks and the stream loop.
         self.rearm_link_timers(ctx);
-        if self.config.stream_interval.is_some() && !self.stream_running && !self.servings.is_empty() {
-            self.maybe_start_stream(ctx);
-        }
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {

@@ -624,7 +624,9 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::chain::ActiveList;
+    use crate::durability::JournalEntry;
     use crate::peer::{DetectHow, RecoveryStyle};
+    use std::sync::Arc;
 
     // ------------------------------------------------------------------
     // Happy path.
@@ -969,6 +971,45 @@ mod tests {
     }
 
     #[test]
+    fn streaming_peers_back_from_a_disconnection_stream_again_and_detect_a_sibling_that_leaves() {
+        // AP1 invokes the siblings AP2 and AP3, busy for 1,000 ticks and
+        // streaming to each other every 7. Both are offline from 100 to
+        // 130 — their stream timers come due meanwhile and are discarded,
+        // and neither tries to reach the other — and AP2 leaves for good
+        // at 300. A replica of S2 carries the transaction on, so AP3 is
+        // still serving, and streaming, once AP2 has gone.
+        let mut cfg = PeerConfig::default();
+        cfg.stream_interval = Some(7);
+        cfg.ping_interval = 400;
+        cfg.ping_timeout = 900;
+        let b = ScenarioBuilder::new(1, &[(1, 2), (1, 3)]).duration(2, 1000).duration(3, 1000).config(cfg);
+        let (b, _replica) = b.with_replica(2);
+        let sim = tapped(b.disconnect(300, 2), |sim| {
+            for p in [2, 3] {
+                sim.schedule_disconnect(100, PeerId(p));
+                sim.schedule_reconnect(130, PeerId(p));
+            }
+        });
+        for (to, from) in [(2, 3), (3, 2)] {
+            let streams = &sim.actor(PeerId(to)).seen.streams;
+            assert!(
+                streams.iter().any(|&(p, at)| p == PeerId(from) && at > 130),
+                "AP{from} streams again: {streams:?}"
+            );
+        }
+        // The silence of their own absence is held against nobody; AP2's
+        // departure is, by the stream, once it has lasted three intervals.
+        for p in [1, 2, 3] {
+            let early = sim.actor(PeerId(p)).peer.stats.detections.iter().find(|d| d.at < 300).cloned();
+            assert_eq!(early, None, "AP{p} suspected a peer before anyone left");
+        }
+        let ap3 = &sim.actor(PeerId(3)).peer.stats.detections;
+        let by_silence = ap3.iter().find(|d| d.how == DetectHow::StreamSilence).expect("AP3 noticed the silence");
+        assert_eq!(by_silence.disconnected, PeerId(2));
+        assert!(by_silence.at <= 300 + 4 * 7, "detected at {}", by_silence.at);
+    }
+
+    #[test]
     fn a_watcher_back_from_a_disconnection_detects_a_peer_that_dies_afterwards() {
         // AP1 watches AP2, busy for 1,000 ticks. AP1 is offline from 16 to
         // 46 — longer than a probe interval, so its keep-alive timer comes
@@ -1019,7 +1060,7 @@ mod tests {
                 .actor(PeerId(3))
                 .journal()
                 .iter()
-                .any(|e| matches!(e, crate::durability::JournalEntry::Resolved { committed: false, .. })),
+                .any(|e| matches!(e, JournalEntry::Resolved { committed: false, .. })),
             "presumed abort appended to the journal"
         );
     }
@@ -1120,8 +1161,9 @@ mod tests {
     }
 
     /// A peer that notes the chain each `Invoke` and `ChainUpdate` hands
-    /// it, as `(sender, chain)`, the delivery id of each `Invoke` and what
-    /// each message acknowledges, before acting on the message.
+    /// it, as `(sender, chain)`, the delivery id of each `Invoke`, what
+    /// each message acknowledges, who sent each `Commit` and when each
+    /// `StreamData` came, before acting on the message.
     #[derive(Default)]
     struct Tapped {
         invoked_with: Vec<(PeerId, ActiveList)>,
@@ -1131,24 +1173,51 @@ mod tests {
         /// `(sender, kind of the message, ids it acknowledges)`, of every
         /// message that acknowledges something, in arrival order.
         acked_by: Vec<(PeerId, &'static str, Vec<u64>)>,
+        /// The sender of every `Commit` envelope, in arrival order.
+        commits_from: Vec<PeerId>,
+        /// `(sender, arrival time)` of every `StreamData`.
+        streams: Vec<(PeerId, u64)>,
     }
 
     struct Tap {
         peer: AxmlPeer,
         seen: Tapped,
+        /// Struck from the `covered` list of every `Commit` this peer
+        /// receives before the peer sees it.
+        uncover: Option<PeerId>,
+    }
+
+    /// `list` without `peer`, whose children hang under the root instead,
+    /// so that the list still names everyone else.
+    fn without(list: &ActiveList, peer: PeerId) -> ActiveList {
+        let mut out = list.clone();
+        let orphans = out.children_of(peer);
+        assert!(out.remove(peer), "{peer} is in the list");
+        for child in orphans {
+            out.add_invocation(out.root.peer, child, false);
+        }
+        out
     }
 
     impl axml_p2p::Actor<TxnMsg> for Tap {
-        fn on_message(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+        fn on_message(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, from: PeerId, mut msg: TxnMsg) {
             use axml_p2p::Message;
-            match &msg {
+            match &mut msg {
                 TxnMsg::ChainUpdate { chain, .. } => self.seen.updated_with.push((from, chain.clone())),
-                TxnMsg::Reliable { id, inner, .. } => {
-                    if let TxnMsg::Invoke { chain, .. } = &**inner {
+                TxnMsg::StreamData { .. } => self.seen.streams.push((from, ctx.now())),
+                TxnMsg::Reliable { id, inner, .. } => match &**inner {
+                    TxnMsg::Invoke { chain, .. } => {
                         self.seen.invoked_with.push((from, chain.clone()));
                         self.seen.invoke_ids.push((from, *id));
                     }
-                }
+                    TxnMsg::Commit { txn, covered } => {
+                        self.seen.commits_from.push(from);
+                        if let (Some(peer), Some(list)) = (self.uncover, covered) {
+                            *inner = Arc::new(TxnMsg::Commit { txn: *txn, covered: Some(without(list, peer)) });
+                        }
+                    }
+                    _ => {}
+                },
                 _ => {}
             }
             if !msg.acks().is_empty() {
@@ -1160,17 +1229,39 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>, tag: u64) {
             self.peer.on_timer(ctx, tag);
         }
+
+        fn on_reconnect(&mut self, ctx: &mut axml_p2p::Ctx<'_, TxnMsg>) {
+            self.peer.on_reconnect(ctx);
+        }
+    }
+
+    /// One transaction over `b`'s tree with every inbox tapped, run to the
+    /// end; `prepare` sets the taps and schedules churn first.
+    fn tapped(b: ScenarioBuilder, prepare: impl FnOnce(&mut Sim<TxnMsg, Tap>)) -> Sim<TxnMsg, Tap> {
+        let taps = b.actors(&b.peers()).into_iter().map(|peer| Tap { peer, seen: Tapped::default(), uncover: None });
+        let mut sim = Sim::new(b.sim_config(), taps.collect());
+        for &(at, p) in &b.disconnects {
+            sim.schedule_disconnect(at, PeerId(p));
+        }
+        let origin = PeerId(b.origin);
+        sim.actor_mut(origin).peer.auto_submit = Some((format!("S{}", b.origin), vec![]));
+        sim.schedule_timer(0, origin, 0);
+        prepare(&mut sim);
+        sim.run();
+        sim
+    }
+
+    /// The first transaction `b`'s origin decided committed.
+    fn committed(sim: &Sim<TxnMsg, Tap>, b: &ScenarioBuilder) -> TxnId {
+        let outcome = sim.actor(PeerId(b.origin)).peer.outcomes.first().expect("decided");
+        assert!(outcome.committed);
+        outcome.txn
     }
 
     /// One committed Fig. 1 transaction with every inbox tapped.
     fn tapped_fig1() -> Sim<TxnMsg, Tap> {
-        let b = ScenarioBuilder::fig1();
-        let taps = b.actors(&b.peers()).into_iter().map(|peer| Tap { peer, seen: Tapped::default() }).collect();
-        let mut sim = Sim::new(b.sim_config(), taps);
-        sim.actor_mut(PeerId(1)).peer.auto_submit = Some(("S1".to_string(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
-        sim.run();
-        assert!(sim.actor(PeerId(1)).peer.outcomes.first().is_some_and(|o| o.committed));
+        let sim = tapped(ScenarioBuilder::fig1(), |_| {});
+        committed(&sim, &ScenarioBuilder::fig1());
         sim
     }
 
@@ -1224,10 +1315,10 @@ mod tests {
         }
         // Nothing else travels the way of the sender within the handler
         // that receives it — a `Result` is answered by a decision much
-        // later, a decision by nothing — so the other 13 leave alone.
+        // later, a decision by nothing — so the other 10 leave alone.
         let acked = (1..=6).flat_map(|p| sim.actor(PeerId(p)).seen.acked_by.iter());
         let (alone, carried): (Vec<_>, Vec<_>) = acked.partition(|(_, kind, _)| *kind == "ack");
-        assert_eq!((carried.len(), alone.len()), (5, 13), "carried: {carried:?}");
+        assert_eq!((carried.len(), alone.len()), (5, 10), "carried: {carried:?}");
         assert!(alone.iter().all(|(_, _, ids)| ids.len() == 1));
         // No delivery was acknowledged late enough to be sent again.
         assert_eq!(sim.metrics().retransmits, 0);
@@ -1253,7 +1344,56 @@ mod tests {
         // The lost ride is counted as carried; the re-ack left alone.
         let carried: u64 = report.stats.values().map(|st| st.acks_carried).sum();
         let alone: u64 = report.stats.values().map(|st| st.acks_alone).sum();
-        assert_eq!((carried, alone), (5, 14), "18 deliveries and the re-delivery acknowledged");
+        assert_eq!((carried, alone), (5, 11), "15 deliveries and the re-delivery acknowledged");
+    }
+
+    #[test]
+    fn every_participant_is_told_the_decision_once_by_the_origin_or_else_by_its_invoker() {
+        let deep = ScenarioBuilder::new(1, &[(1, 2), (2, 3), (3, 4)]);
+        for b in [ScenarioBuilder::fig1(), ScenarioBuilder::fig2(), deep] {
+            for chaining in [true, false] {
+                let mut cfg = PeerConfig::default();
+                cfg.chaining = chaining;
+                let b = b.clone().config(cfg);
+                let sim = tapped(b.clone(), |_| {});
+                committed(&sim, &b);
+                for &(invoker, child) in &b.edges {
+                    // With chaining the origin's `Commit` names the whole
+                    // tree, so nobody passes it on; without, each invoker
+                    // passes on the one it received.
+                    let told_by = PeerId(if chaining { b.origin } else { invoker });
+                    let from = &sim.actor(PeerId(child)).seen.commits_from;
+                    assert_eq!(from, &[told_by], "AP{child}, chaining {chaining}, edges {:?}", b.edges);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_left_out_of_the_cover_is_told_by_its_invoker_and_commits_once() {
+        let plain = tapped_fig1();
+        let b = ScenarioBuilder::fig1();
+        let sim = tapped(b.clone(), |sim| sim.actor_mut(PeerId(3)).uncover = Some(PeerId(5)));
+        let txn = committed(&sim, &b);
+        // AP3 is told a cover without AP5 and passes the decision on to
+        // AP5; everyone else hears it once, from AP1, as without the tap.
+        for peer in [2, 3, 4, 5, 6] {
+            let mut from = sim.actor(PeerId(peer)).seen.commits_from.clone();
+            from.sort();
+            let expected: &[PeerId] = if peer == 5 { &[PeerId(1), PeerId(3)] } else { &[PeerId(1)] };
+            assert_eq!(from, expected, "AP{peer}");
+        }
+        let ap5 = &sim.actor(PeerId(5)).peer;
+        let resolved =
+            ap5.journal().iter().filter(|e| matches!(e, JournalEntry::Resolved { txn: t, .. } if *t == txn)).count();
+        assert_eq!((ap5.context(txn).expect("joined").state, resolved), (TxnState::Committed, 1));
+        // The one extra `Commit` and its `Ack` are the only difference.
+        let (before, after) = (plain.metrics(), sim.metrics());
+        let kinds: std::collections::BTreeSet<_> = before.by_kind.keys().chain(after.by_kind.keys()).collect();
+        for kind in kinds {
+            let extra = u64::from(matches!(*kind, "commit" | "ack"));
+            assert_eq!(after.kind(kind), before.kind(kind) + extra, "{kind}");
+        }
     }
 
     // ------------------------------------------------------------------

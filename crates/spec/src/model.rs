@@ -23,7 +23,7 @@
 //! | R06  | abort-up: a fault is delivered; the parent compensates and spreads the abort |
 //! | R07  | abort-down: an abort is delivered; the subordinate compensates and forwards it |
 //! | R08  | compensate-op: undo one forward-log record (strictly decreasing index — §3.1) |
-//! | R09  | commit: a commit is delivered; the subordinate finalizes and forwards it |
+//! | R09  | commit: a commit is delivered; the subordinate finalizes and forwards it — never to a peer in the `covered` list it received (the model has no fan-out: every commit it sends covers nobody) |
 //! | R10  | crash: a peer loses volatile state and recovers by presumed abort (§4) |
 //!
 //! ## Invariant catalogue
