@@ -15,7 +15,15 @@
 //!   or failure detections — the paper's acknowledged atomicity limit
 //!   under churn. Pure message-level faults (drop / duplicate /
 //!   reorder / delay) are **not** an excuse: the at-least-once delivery
-//!   layer must absorb them completely.
+//!   layer must absorb them completely;
+//! - every participant decides: a context still undecided at case end is
+//!   a violation unless its peer is offline then (a crash here always
+//!   restarts its peer, so no peer is crashed and not restarted). The
+//!   excused ones are named in [`CaseResult::open_contexts_excused`].
+//!
+//! Each case also counts its **false suspicions** ([`false_suspicions`]):
+//! keep-alive timeouts that named a peer which was up and reachable — the
+//! liveness a cut in messages can cost, which the oracle cannot see.
 //!
 //! Runs are fully deterministic: the same scenario + seeds + fault
 //! profile produce the same metrics and the same [`run digest`](run_case).
@@ -25,13 +33,15 @@
 //! violates the oracle — a printable, RNG-free reproducer.
 
 use axml_core::context::TxnState;
+use axml_core::peer::DetectHow;
 use axml_core::scenarios::{Scenario, ScenarioBuilder, ScenarioReport};
 use axml_obs::{
     derive_histograms, FlightRecorder, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use axml_p2p::{
-    CrashEvent, FaultPlane, Fnv64, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot, StorageFaultPlane,
+    CrashEvent, EventKind, FaultPlane, Fnv64, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot,
+    StorageFaultPlane, TraceJournal,
 };
 use axml_spec::Conformance;
 use axml_store::{WalConfig, WalSink};
@@ -242,9 +252,15 @@ impl Verdict {
 pub struct CaseResult {
     /// The origin-side decision (`None` = unresolved by the deadline).
     pub committed: Option<bool>,
-    /// Participant contexts still undecided when the run ended — what a
-    /// lost decision leaves behind on a peer that nobody told.
+    /// Participant contexts still undecided when the run ended.
     pub open_contexts: usize,
+    /// The undecided ones the oracle excuses, named
+    /// (`AP4 T1.0 awaiting the decision`): their peer is offline at case
+    /// end. Any other open context is a violation.
+    pub open_contexts_excused: Vec<String>,
+    /// Keep-alive timeouts that named a live, reachable peer
+    /// ([`false_suspicions`]).
+    pub false_suspicions: u64,
     /// The oracle's verdict.
     pub verdict: Verdict,
     /// Deterministic digest of the run: outcome, metrics, final document
@@ -335,7 +351,107 @@ pub fn check_atomicity(s: &Scenario, report: &ScenarioReport) -> Verdict {
             }
         }
     }
+    // Every participant decides: an undecided context on a peer that can
+    // still be reached is one nobody will ever resolve.
+    if let Some(open) = open_contexts(s).1.first() {
+        return Verdict::violation(format!("{open} at case end, on a connected peer"));
+    }
     Verdict::ok()
+}
+
+/// Every participant context still undecided at case end, named with
+/// where it stands and what its origin decided (`AP4 T1.0 awaiting the
+/// decision, committed at the origin`), as `(excused, unexcused)`. A
+/// context is excused when its peer is offline: no protocol can reach it.
+pub fn open_contexts(s: &Scenario) -> (Vec<String>, Vec<String>) {
+    let (mut excused, mut unexcused) = (Vec::new(), Vec::new());
+    for &p in &s.participants {
+        for (txn, stands) in s.sim.actor(p).undecided() {
+            let decided = match s.sim.actor(txn.origin).context(txn).map(|tc| tc.state) {
+                Some(TxnState::Committed) => "committed",
+                Some(TxnState::Aborted) => "aborted",
+                _ => "undecided",
+            };
+            let name = format!("AP{} {txn} {stands}, {decided} at the origin", p.0);
+            if s.sim.is_connected(p) {
+                unexcused.push(name);
+            } else {
+                excused.push(name);
+            }
+        }
+    }
+    (excused, unexcused)
+}
+
+// ----------------------------------------------------------------------
+// False suspicions.
+// ----------------------------------------------------------------------
+
+/// True if a partition of `partitions` separates `a` from `b` at some
+/// time in `[from, to]`.
+fn cut_off(partitions: &[Partition], a: u32, b: u32, from: u64, to: u64) -> bool {
+    partitions.iter().any(|p| {
+        let side = |v: &[PeerId], x: u32| v.iter().any(|q| q.0 == x);
+        let apart = (side(&p.a, a) && side(&p.b, b)) || (side(&p.b, a) && side(&p.a, b));
+        apart && p.start <= to && p.end >= from
+    })
+}
+
+/// The `(detector, suspect, time)` of every keep-alive timeout in a
+/// traced run's `journal` that names a live peer: within `window` ticks
+/// before it, neither the suspect nor the detector crashed, went offline
+/// or came back, nor was offline throughout, and no partition of
+/// `partitions` cut one off from the other.
+pub fn live_suspects(journal: &TraceJournal, partitions: &[Partition], window: u64) -> Vec<(u32, u32, u64)> {
+    let events = journal.events();
+    let away = |peer: u32, from: u64, to: u64| {
+        // Offline at `from`, or crashed, disconnected or reconnected since.
+        let mut offline = false;
+        for e in events.iter().filter(|e| e.peer == peer && e.at <= to) {
+            match e.kind {
+                EventKind::Crash if e.at >= from => return true,
+                EventKind::Disconnect | EventKind::Reconnect if e.at >= from => return true,
+                EventKind::Disconnect => offline = true,
+                EventKind::Reconnect => offline = false,
+                _ => {}
+            }
+        }
+        offline
+    };
+    events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Detect { peer, how } if how == DetectHow::PingTimeout.label() => Some((e.peer, *peer, e.at)),
+            _ => None,
+        })
+        .filter(|&(by, of, at)| {
+            let from = at.saturating_sub(window);
+            !away(of, from, at) && !away(by, from, at) && !cut_off(partitions, by, of, from, at)
+        })
+        .collect()
+}
+
+/// [`live_suspects`] counted without a journal, so untraced runs report
+/// it too: read off every participant's [`DetectHow::PingTimeout`]
+/// detections, the case's effective fault plane (its crashes and
+/// partitions) and the scenario's `disconnects` of peers that are not
+/// super peers. No scenario reconnects a peer, so a peer disconnected by
+/// the time of a detection is away from then on.
+pub fn false_suspicions(s: &Scenario, plane: &FaultPlane, disconnects: &[(u64, u32)], window: u64) -> u64 {
+    let away = |peer: u32, from: u64, to: u64| {
+        disconnects.iter().any(|&(at, p)| p == peer && at <= to)
+            || plane.crashes.iter().any(|c| c.peer.0 == peer && (from..=to).contains(&c.at))
+    };
+    let mut count = 0;
+    for &p in &s.participants {
+        for d in s.sim.actor(p).stats.detections.iter().filter(|d| d.how == DetectHow::PingTimeout) {
+            let (by, of, from) = (p.0, d.disconnected.0, d.at.saturating_sub(window));
+            if !away(of, from, d.at) && !away(by, from, d.at) && !cut_off(&plane.partitions, by, of, from, d.at) {
+                count += 1;
+            }
+        }
+    }
+    count
 }
 
 /// Feeds one `doc <peer> <name> <xml>` line per final document of every
@@ -474,6 +590,10 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
     // Whether the scenario itself demands disk-backed durability (its own
     // crash schedule must recover from real segments).
     let scenario_wants_wal = !b.fault.crashes.is_empty();
+    // What a false suspicion is told apart by: the scenario's disconnects
+    // (a super peer ignores its own) and the window of two timeouts.
+    let disconnects: Vec<(u64, u32)> = b.disconnects.iter().copied().filter(|(_, p)| !b.supers.contains(p)).collect();
+    let window = 2 * b.config.ping_timeout;
     // Decouple latency jitter from the fault seed but vary both per case.
     b.seed = 1000 + case.seed;
     b.batch_links = case.batch_links;
@@ -516,7 +636,9 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
     }
     let mut doc_digest = Fnv64::default();
     let digest = digest_run(&s, &report, Some(&mut doc_digest));
-    let snapshot = s.snapshot();
+    let false_suspicions = false_suspicions(&s, &effective, &disconnects, window);
+    let mut snapshot = s.snapshot();
+    snapshot.set("chaos.false_suspicions", false_suspicions);
     let dump = s.trace().map(|j| TraceDump {
         journal: j.to_json_lines(),
         tree: j.render_tree(),
@@ -529,6 +651,8 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
     let result = CaseResult {
         committed: report.outcome.as_ref().map(|o| o.committed),
         open_contexts: s.participants.iter().map(|&p| s.sim.actor(p).open_contexts()).sum(),
+        open_contexts_excused: open_contexts(&s).0,
+        false_suspicions,
         verdict,
         digest,
         doc_digest: doc_digest.finish(),
@@ -814,6 +938,11 @@ pub struct SweepOutcome {
     pub aborted: usize,
     /// [`CaseResult::open_contexts`] summed over every run.
     pub open_contexts: usize,
+    /// Every run's [`CaseResult::open_contexts_excused`], as `(case
+    /// label, context)`, in canonical case order.
+    pub open_contexts_excused: Vec<(String, String)>,
+    /// [`CaseResult::false_suspicions`] summed over every run.
+    pub false_suspicions: u64,
     /// Oracle violations with shrunk, traced reproducers.
     pub violations: Vec<Violation>,
     /// FNV-1a digest over every case's label, per-run digest, and
@@ -926,6 +1055,8 @@ pub fn sweep_jobs(
             None => {}
         }
         out.open_contexts += run.result.open_contexts;
+        out.open_contexts_excused.extend(run.result.open_contexts_excused.iter().map(|c| (case.label(), c.clone())));
+        out.false_suspicions += run.result.false_suspicions;
         let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
         out.snapshot.merge(&run.result.snapshot);
         for (name, h) in &run.histograms {

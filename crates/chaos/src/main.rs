@@ -16,7 +16,11 @@
 //! 5 × 5 × 16 = 400 runs) — every run watched by the online protocol
 //! monitor — and exits non-zero on any oracle violation or monitor
 //! finding, printing each violation's shrunk scripted reproducer as JSON
-//! plus the lifecycle trace of the minimal failing run. `--jobs N`
+//! plus the lifecycle trace of the minimal failing run. Its report also
+//! counts the contexts left undecided (`open_contexts=`, and
+//! `open_contexts_unexcused=`: on a connected peer, each a violation),
+//! names every excused one on an `EXCUSED` line, and counts the
+//! keep-alive timeouts that named a live peer (`false_suspicions=`). `--jobs N`
 //! shards the cases across N worker threads; the report, sweep digest,
 //! and `--prom` exposition are byte-identical for every jobs value
 //! (cases merge in canonical order, not completion order).
@@ -63,8 +67,8 @@
 
 use axml_chaos::{
     builder_for, events_of, gen_scenario_names, load_corpus, plane_for, run_case, run_with_plane,
-    run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CorpusEntry, GenConfig, GenScenario, Profile,
-    SweepOutcome, SCENARIOS,
+    run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenConfig, GenScenario,
+    Profile, SweepOutcome, SCENARIOS,
 };
 use axml_obs::{critical_paths, derive_histograms, percentile_table, render_prometheus};
 use axml_p2p::{FaultPlane, TraceJournal};
@@ -133,6 +137,11 @@ fn report(out: &SweepOutcome) -> bool {
     );
     println!("digest={:016x}", out.digest);
     println!("open_contexts={}", out.open_contexts);
+    println!("open_contexts_unexcused={}", out.open_contexts - out.open_contexts_excused.len());
+    println!("false_suspicions={}", out.false_suspicions);
+    for (label, open) in &out.open_contexts_excused {
+        println!("EXCUSED {label}: {open}, offline at case end");
+    }
     for (label, finding) in &out.findings {
         println!("FINDING {label}: {finding}");
     }
@@ -156,6 +165,26 @@ fn report(out: &SweepOutcome) -> bool {
         }
     }
     out.violations.is_empty()
+}
+
+/// The end of a one-case report (`trace`, `gen --run`): the outcome, the
+/// oracle's verdict, each open context it excused, and the false
+/// suspicions.
+fn print_verdict(result: &CaseResult) {
+    match result.committed {
+        Some(true) => println!("outcome: committed"),
+        Some(false) => println!("outcome: aborted"),
+        None => println!("outcome: unresolved at the deadline"),
+    }
+    if result.verdict.ok {
+        println!("oracle: atomicity held");
+    } else {
+        println!("oracle: VIOLATION — {}", result.verdict.reason);
+    }
+    for open in &result.open_contexts_excused {
+        println!("excused: {open}, offline at case end");
+    }
+    println!("false suspicions: {}", result.false_suspicions);
 }
 
 /// Shared `--series FILE` handling for `sweep` / `gen-sweep`: writes the
@@ -271,16 +300,7 @@ fn main() {
                 let (result, dump) = run_with_plane_traced(&case, plane);
                 println!("case {}", case.label());
                 println!("{}", dump.tree);
-                match result.committed {
-                    Some(true) => println!("outcome: committed"),
-                    Some(false) => println!("outcome: aborted"),
-                    None => println!("outcome: unresolved at the deadline"),
-                }
-                if result.verdict.ok {
-                    println!("oracle: atomicity held");
-                } else {
-                    println!("oracle: VIOLATION — {}", result.verdict.reason);
-                }
+                print_verdict(&result);
             }
             true
         }
@@ -415,16 +435,7 @@ fn main() {
                 }
                 println!("journal written to {path}");
             }
-            match result.committed {
-                Some(true) => println!("outcome: committed"),
-                Some(false) => println!("outcome: aborted"),
-                None => println!("outcome: unresolved at the deadline"),
-            }
-            if result.verdict.ok {
-                println!("oracle: atomicity held");
-            } else {
-                println!("oracle: VIOLATION — {}", result.verdict.reason);
-            }
+            print_verdict(&result);
             true
         }
         "stats" => {

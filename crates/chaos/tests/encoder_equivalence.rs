@@ -133,7 +133,7 @@ fn edgy_u32() -> impl Strategy<Value = u32> {
 
 /// Every [`EventKind`], by index.
 fn event_kind() -> impl Strategy<Value = EventKind> {
-    (0usize..23, edgy_u32(), edgy_u64(), edgy_u64(), nasty()).prop_map(|(which, peer, a, b, text)| match which {
+    (0usize..24, edgy_u32(), edgy_u64(), edgy_u64(), nasty()).prop_map(|(which, peer, a, b, text)| match which {
         0 => EventKind::Submit { method: text },
         1 => EventKind::Invoke { to: peer, method: text },
         2 => EventKind::Serve { from: peer, method: text },
@@ -156,6 +156,7 @@ fn event_kind() -> impl Strategy<Value = EventKind> {
         19 => EventKind::Restart { presumed_aborts: a },
         20 => EventKind::Disconnect,
         21 => EventKind::Reconnect,
+        22 => EventKind::Inquire { to: peer },
         _ => EventKind::Gauge { name: text.into(), value: a },
     })
 }

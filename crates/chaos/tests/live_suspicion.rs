@@ -5,61 +5,50 @@
 //! outbox. Recovery re-sent the abort downward and nothing upward, so the
 //! invoker waited on a live, restarted child, pinging it, until a
 //! `PingTimeout` ended the wait. Crash recovery now re-sends the `Fault`.
+//!
+//! Every case also counts the timeouts that did name a live peer — its
+//! false suspicions — without a journal; that count must be the one the
+//! journal gives.
 
-use axml_chaos::{builder_for, plane_for, run_with_plane_traced, CaseConfig, Profile};
-use axml_core::peer::PeerConfig;
-use axml_p2p::{EventKind, TraceJournal};
+use axml_chaos::{
+    builder_for, case_matrix, live_suspects, par_map, plane_for, run_with_plane_traced, CaseConfig, Profile, SCENARIOS,
+};
+use axml_p2p::{Partition, TraceJournal};
 
-/// The `(detector, suspect, time)` of every `PingTimeout` in the case
-/// whose suspect neither crashed nor was offline, and was not cut off
-/// from the detector by a partition, in the two timeouts before it.
-fn live_suspects(scenario: &str, profile: Profile, seed: u64) -> Vec<(u32, u32, u64)> {
-    let case = CaseConfig::new(scenario, profile, seed);
-    let b = builder_for(scenario).expect("known scenario");
-    let plane = plane_for(profile, seed, &b.peers());
-    let (result, dump) = run_with_plane_traced(&case, plane.clone());
+/// The journal's live suspects of one case, and the count the case
+/// reported without reading a journal.
+fn suspects(case: &CaseConfig) -> (Vec<(u32, u32, u64)>, u64) {
+    let b = builder_for(&case.scenario).expect("known scenario");
+    let plane = plane_for(case.profile, case.seed, &b.peers());
+    let (result, dump) = run_with_plane_traced(case, plane.clone());
     assert!(result.verdict.ok, "{}: {}", case.label(), result.verdict.reason);
     let journal = TraceJournal::from_json_lines(&dump.journal).expect("journal parses");
-    let window = 2 * PeerConfig::default().ping_timeout;
-    let partitions: Vec<_> = plane.partitions.iter().chain(&b.fault.partitions).collect();
-    let events = journal.events();
-    let away = |peer: u32, from: u64, to: u64| {
-        // Offline at `from`, or crashed, disconnected or reconnected since.
-        let mut offline = false;
-        for e in events.iter().filter(|e| e.peer == peer && e.at <= to) {
-            match e.kind {
-                EventKind::Crash if e.at >= from => return true,
-                EventKind::Disconnect | EventKind::Reconnect if e.at >= from => return true,
-                EventKind::Disconnect => offline = true,
-                EventKind::Reconnect => offline = false,
-                _ => {}
-            }
-        }
-        offline
-    };
-    let cut_off = |a: u32, b: u32, from: u64, to: u64| {
-        partitions.iter().any(|p| {
-            let side = |v: &[axml_p2p::PeerId], x: u32| v.iter().any(|q| q.0 == x);
-            let apart = (side(&p.a, a) && side(&p.b, b)) || (side(&p.b, a) && side(&p.a, b));
-            apart && p.start <= to && p.end >= from
-        })
-    };
-    events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::Detect { peer, how } if how == "ping-timeout" => Some((e.peer, *peer, e.at)),
-            _ => None,
-        })
-        .filter(|&(by, of, at)| {
-            let from = at.saturating_sub(window);
-            !away(of, from, at) && !away(by, from, at) && !cut_off(by, of, from, at)
-        })
-        .collect()
+    let partitions: Vec<Partition> = plane.partitions.iter().chain(&b.fault.partitions).cloned().collect();
+    (live_suspects(&journal, &partitions, 2 * b.config.ping_timeout), result.false_suspicions)
 }
 
 #[test]
 fn no_ping_timeout_names_a_peer_that_is_up_after_a_crash_recovered_an_aborted_context() {
     for (scenario, profile, seed) in [("deep", Profile::Storage, 82), ("fig1-crash", Profile::Storm, 5)] {
-        assert_eq!(live_suspects(scenario, profile, seed), [], "{scenario}/{}/seed={seed}", profile.name());
+        let case = CaseConfig::new(scenario, profile, seed);
+        assert_eq!(suspects(&case), (vec![], 0), "{}", case.label());
     }
+}
+
+/// Over every case of the 16-seed sweep, the untraced count equals the
+/// journal's.
+#[test]
+fn the_untraced_false_suspicion_count_is_the_journals() {
+    let scenarios: Vec<String> = SCENARIOS.iter().map(|s| s.to_string()).collect();
+    let cases = case_matrix(&scenarios, Profile::all(), 0..16, true);
+    let counted = par_map(&cases, 2, |_, case| {
+        let (journal, untraced) = suspects(case);
+        (journal.len() as u64, untraced)
+    });
+    let mut total = 0;
+    for (case, (journal, untraced)) in cases.iter().zip(counted) {
+        assert_eq!(untraced, journal, "{}", case.label());
+        total += journal;
+    }
+    assert!(total > 0, "the sweep has false suspicions to count");
 }

@@ -195,6 +195,7 @@ fn old_snapshot(s: &Scenario) -> Snapshot {
             ("storage_faults", st.storage_faults),
             ("crash_recoveries", st.crash_recoveries),
             ("presumed_aborts", st.presumed_aborts),
+            ("inquiries", st.inquiries),
             ("detections", st.detections.len() as u64),
         ] {
             snap.absorb(format!("peer.{}.{name}", p.0), value);
@@ -220,7 +221,13 @@ fn the_bulk_built_snapshot_equals_the_counter_by_counter_one() {
         let (new, old) = (f.s.snapshot(), old_snapshot(&f.s));
         assert_eq!(new, old, "{}", case.label());
         assert_eq!(new.render(), old.render(), "{}", case.label());
-        assert_eq!(new, run_with_plane(&case, plane).snapshot, "{}: the shipped case's registry", case.label());
+        // The shipped case's registry is the scenario's plus the case's own
+        // false-suspicion count.
+        let shipped = run_with_plane(&case, plane);
+        let mut case_registry = shipped.snapshot;
+        let counted = case_registry.counters.remove("chaos.false_suspicions");
+        assert_eq!(counted, Some(shipped.false_suspicions), "{}", case.label());
+        assert_eq!(new, case_registry, "{}: the shipped case's registry", case.label());
         // The case did something worth counting, on the wire and in the log.
         assert_eq!(f.wal.is_some(), on_disk, "{}", case.label());
         assert!(new.get("net.sent") > 0 && new.counters.len() > 150, "{}: {}", case.label(), new.counters.len());

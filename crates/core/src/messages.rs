@@ -3,8 +3,9 @@
 //! The vocabulary of §3.2/§3.3: service invocations (with the active-peer
 //! list piggybacked — chaining), results (with compensating-service
 //! definitions piggybacked — peer-independent compensation), `Abort TA`
-//! messages, keep-alive pings, re-routed results, disconnection notices,
-//! and sibling data streams.
+//! messages, commit decisions and the inquiries that pull a missed one,
+//! keep-alive pings, re-routed results, disconnection notices, and
+//! sibling data streams.
 
 use crate::chain::ActiveList;
 use crate::compensate::{CompBundle, CompensatingService};
@@ -97,16 +98,23 @@ pub enum TxnMsg {
         /// The transaction.
         txn: TxnId,
     },
-    /// Finalize: the transaction committed.
+    /// Finalize: the transaction committed. Sent once, unacknowledged: a
+    /// participant that misses it asks with [`TxnMsg::Inquire`].
     Commit {
         /// The transaction.
         txn: TxnId,
         /// The peers to which the deciding origin sent this decision
         /// itself: its active-peer list, shared, not copied. A receiver
         /// forwards the `Commit` only to invokees outside it. `None` — no
-        /// chaining, or a decision re-sent to a late sender — covers
-        /// nobody.
+        /// chaining, or a decision re-sent to a late sender or an
+        /// inquirer — covers nobody.
         covered: Option<ActiveList>,
+    },
+    /// A participant that returned its result and has waited a decision
+    /// timeout asks the origin (or a super ancestor) for the outcome.
+    Inquire {
+        /// The transaction.
+        txn: TxnId,
     },
     /// Peer-independent compensation: execute these compensating actions.
     /// "The original peers do not even need to be aware that the services
@@ -208,6 +216,7 @@ impl Message for TxnMsg {
             TxnMsg::Fault { .. } => "fault",
             TxnMsg::Abort { .. } => "abort",
             TxnMsg::Commit { .. } => "commit",
+            TxnMsg::Inquire { .. } => "inquire",
             TxnMsg::Compensate { .. } => "compensate",
             TxnMsg::Ping => "ping",
             TxnMsg::Pong => "pong",
@@ -244,6 +253,7 @@ mod tests {
             TxnMsg::Fault { txn, inv, fault: Fault::injected("x") },
             TxnMsg::Abort { txn },
             TxnMsg::Commit { txn, covered: None },
+            TxnMsg::Inquire { txn },
             TxnMsg::Compensate { txn, service: CompensatingService::default() },
             TxnMsg::Ping,
             TxnMsg::Pong,

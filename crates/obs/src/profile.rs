@@ -5,7 +5,7 @@
 //! lifecycle events are bucketed into the paper's protocol phases —
 //! invoke (submit + downstream invocations), serve (service execution,
 //! materialization, logging, result return), decide (commit/abort
-//! resolution), compensate (the abort wave and undo work), recover
+//! resolution, and the inquiries that pull a missed one), compensate (the abort wave and undo work), recover
 //! (crash, restart, and failure detection) — and the invocation tree's
 //! critical path is walked to attribute *self-time* to each span on it:
 //! the portion of the end-to-end latency that span alone accounts for
@@ -33,7 +33,7 @@ pub fn phase_of(kind: &EventKind) -> Option<&'static str> {
         | EventKind::Materialize { .. }
         | EventKind::LogAppend { .. }
         | EventKind::ResultReturn { .. } => Some("serve"),
-        EventKind::Resolve { .. } => Some("decide"),
+        EventKind::Resolve { .. } | EventKind::Inquire { .. } => Some("decide"),
         EventKind::FaultRaise { .. }
         | EventKind::AbortPropagate { .. }
         | EventKind::CompensateDerive { .. }

@@ -299,6 +299,24 @@ mod tests {
     }
 
     #[test]
+    fn lost_commits_nobody_pulls_back_leave_a_done_peer_at_quiescence() {
+        let (cfg, invariant) = SpecConfig::broken_variants().pop().expect("the lost-commit variant");
+        assert_eq!(invariant, "I4");
+        let report = check(&cfg, 200_000);
+        let v = report.violations.iter().find(|v| v.invariant == "I4").expect("I4 violation");
+        assert_eq!(v.rule, "quiescent");
+        assert!(v.detail.contains("stuck in phase done"), "{}", v.detail);
+        assert!(v.trace.iter().any(|step| step.starts_with("R11")), "{:?}", v.trace);
+        assert!(report.violations.iter().all(|v| v.invariant == "I4"), "{}", report.render_text());
+        // With R12 the same losses end decided, in states R11 alone never
+        // reaches.
+        let pulled = SpecConfig::by_name("fig1-frag-lose-commit").expect("catalogue config");
+        let clean = check(&pulled, 200_000);
+        assert!(clean.is_clean(), "{}", clean.render_text());
+        assert!(clean.states > report.states);
+    }
+
+    #[test]
     fn exploration_is_deterministic() {
         for cfg in SpecConfig::catalogue() {
             let a = check(&cfg, 200_000);

@@ -8,9 +8,10 @@
 //!
 //! `check` explores the clean configuration catalogue (or one named
 //! configuration) and exits nonzero on any invariant violation; with
-//! `--broken` it explores the `compensate_in_log_order` broken-peer
-//! variant instead and exits nonzero unless the expected I2
-//! counterexample is found. `conform` replays a JSON-lines trace journal
+//! `--broken` it explores the broken variants instead — the
+//! `compensate_in_log_order` peer and lost commits with no inquiry — and
+//! exits nonzero unless each yields its expected counterexample (I2 and
+//! I4). `conform` replays a JSON-lines trace journal
 //! (e.g. from `axml-chaos trace --journal`) against the model and exits
 //! nonzero on divergence.
 
@@ -47,35 +48,36 @@ fn cmd_check(args: &[String]) -> ExitCode {
         None => DEFAULT_MAX_STATES,
     };
     let json = has_flag(args, "--json");
-    let configs: Vec<SpecConfig> = if has_flag(args, "--broken") {
-        vec![SpecConfig::broken_variant()]
+    // Each configuration with the invariant that must refute it, if any.
+    let configs: Vec<(SpecConfig, Option<&'static str>)> = if has_flag(args, "--broken") {
+        SpecConfig::broken_variants().into_iter().map(|(c, refuted_by)| (c, Some(refuted_by))).collect()
     } else if let Some(name) = parse_flag(args, "--config") {
         if let Some(c) = SpecConfig::by_name(&name) {
-            vec![c]
+            let refuted_by = SpecConfig::broken_variants().into_iter().find(|(b, _)| b.name == c.name).map(|(_, i)| i);
+            vec![(c, refuted_by)]
         } else {
             eprintln!("unknown config `{name}`; try `axml-spec list`");
             return ExitCode::from(2);
         }
     } else {
-        SpecConfig::catalogue()
+        SpecConfig::catalogue().into_iter().map(|c| (c, None)).collect()
     };
-    let expect_violation = has_flag(args, "--broken");
     let mut ok = true;
-    for cfg in &configs {
+    for (cfg, refuted_by) in &configs {
         let report = check(cfg, max_states);
         if json {
             println!("{}", report.render_json());
         } else {
             print!("{}", report.render_text());
         }
-        let refuted = report.violations.iter().any(|v| v.invariant == "I2");
-        if expect_violation {
-            if !refuted {
-                eprintln!("{}: expected an I2 counterexample for the broken variant, found none", cfg.name);
+        match refuted_by {
+            Some(invariant) if !report.violations.iter().any(|v| v.invariant == *invariant) => {
+                eprintln!("{}: expected an {invariant} counterexample for the broken variant, found none", cfg.name);
                 ok = false;
             }
-        } else if !report.is_clean() || report.truncated {
-            ok = false;
+            Some(_) => {}
+            None if !report.is_clean() || report.truncated => ok = false,
+            None => {}
         }
     }
     if ok {
@@ -129,9 +131,12 @@ fn main() -> ExitCode {
                     _ => String::new(),
                 };
                 let dup = if c.dup_results { ", duplicate results" } else { "" };
-                println!("{}: {} peers{failure}{dup}", c.name, c.peers().len());
+                let lost = if c.lose_commits { ", lost commits" } else { "" };
+                let inquire = if c.inquire { ", inquiry" } else { "" };
+                println!("{}: {} peers{failure}{dup}{lost}{inquire}", c.name, c.peers().len());
             }
             println!("fork4-abort-broken: 4 peers, fault at AP4, forward-order compensation (broken)");
+            println!("fig1-frag-lose-commit-broken: 4 peers, lost commits, no inquiry (broken)");
             ExitCode::SUCCESS
         }
         _ => usage(),

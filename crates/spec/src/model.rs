@@ -23,8 +23,32 @@
 //! | R06  | abort-up: a fault is delivered; the parent compensates and spreads the abort |
 //! | R07  | abort-down: an abort is delivered; the subordinate compensates and forwards it |
 //! | R08  | compensate-op: undo one forward-log record (strictly decreasing index — §3.1) |
-//! | R09  | commit: a commit is delivered; the subordinate finalizes and forwards it — never to a peer in the `covered` list it received (the model has no fan-out: every commit it sends covers nobody) |
+//! | R09  | commit: a commit is delivered; the subordinate finalizes and forwards it, unacknowledged — never to a peer in the `covered` list it received (the model has no fan-out: every commit it sends covers nobody) |
 //! | R10  | crash: a peer loses volatile state and recovers by presumed abort (§4) |
+//! | R11  | lose-commit: an undelivered commit vanishes (configs with [`SpecConfig::lose_commits`]) |
+//! | R12  | inquire: a done peer with no commit in flight to it receives the origin's recorded outcome (configs with [`SpecConfig::inquire`]) |
+//!
+//! ## Decision delivery (R11, R12)
+//!
+//! A commit is pulled, an abort is pushed.
+//!
+//! **R11 lose-commit.** *Guard:* a `Commit` is in flight. *Action:* it is
+//! removed undelivered. A `Commit` is sent once and never acknowledged or
+//! retransmitted, so the network MAY lose it, and a peer MUST NOT count on
+//! one arriving.
+//!
+//! **R12 inquire.** *Guard:* a peer is `Done`, no `Commit` is in flight to
+//! it, and the origin has decided. *Action:* the peer receives the
+//! origin's recorded outcome — committed: it commits and forwards
+//! `Commit` to its children, as in R09; aborted, or no record at all
+//! (presumed abort): it aborts, as in R07. A `Done` peer that has waited
+//! the decision timeout MUST ask the origin, and ask again while no answer
+//! comes. The origin MUST answer from its decision record and MUST NOT
+//! answer while it is undecided.
+//!
+//! Without R12, R11 leaves a `Done` peer at quiescence: one of
+//! [`SpecConfig::broken_variants`] runs R11 alone, and invariant I4 must
+//! refute it.
 //!
 //! ## Invariant catalogue
 //!
@@ -262,6 +286,11 @@ pub struct SpecConfig {
     /// reverse (`PeerConfig::compensate_in_log_order` in `core`). The
     /// checker must refute this with an I2 counterexample.
     pub broken_forward_compensation: bool,
+    /// R11: an undelivered `Commit` may vanish.
+    pub lose_commits: bool,
+    /// R12: a `Done` peer that holds no `Commit` in flight inquires and
+    /// receives the origin's recorded outcome.
+    pub inquire: bool,
 }
 
 impl SpecConfig {
@@ -276,6 +305,8 @@ impl SpecConfig {
             crash_at: None,
             dup_results: false,
             broken_forward_compensation: false,
+            lose_commits: false,
+            inquire: false,
         }
     }
 
@@ -349,6 +380,12 @@ impl SpecConfig {
         c.fault_at = Some(3);
         c.dup_results = true;
         v.push(c);
+        // Decisions that vanish, pulled back by inquiry: the Figure 1
+        // fragment loses any of its commits, AP3's forwarded one included.
+        let mut c = SpecConfig::new("fig1-frag-lose-commit", 1, &[(1, 2), (1, 3), (3, 4)]);
+        c.lose_commits = true;
+        c.inquire = true;
+        v.push(c);
         v
     }
 
@@ -364,13 +401,23 @@ impl SpecConfig {
         c
     }
 
-    /// Look up a catalogue configuration (or the broken variant) by name.
+    /// Every broken variant, each with the invariant that must refute it:
+    /// [`SpecConfig::broken_variant`] by I2, and lost commits nobody pulls
+    /// back (R11 without R12) by I4 — a `Done` peer at quiescence.
+    #[must_use]
+    pub fn broken_variants() -> Vec<(SpecConfig, &'static str)> {
+        let mut lost = SpecConfig::new("fig1-frag-lose-commit-broken", 1, &[(1, 2), (1, 3), (3, 4)]);
+        lost.lose_commits = true;
+        vec![(SpecConfig::broken_variant(), "I2"), (lost, "I4")]
+    }
+
+    /// Look up a catalogue configuration (or a broken variant) by name.
     #[must_use]
     pub fn by_name(name: &str) -> Option<SpecConfig> {
-        if name == "fork4-abort-broken" {
-            return Some(SpecConfig::broken_variant());
-        }
-        SpecConfig::catalogue().into_iter().find(|c| c.name == name)
+        SpecConfig::catalogue()
+            .into_iter()
+            .chain(SpecConfig::broken_variants().into_iter().map(|(c, _)| c))
+            .find(|c| c.name == name)
     }
 
     /// Begin compensating `peer`: clear outstanding children and move to
@@ -433,6 +480,37 @@ impl SpecConfig {
             n.consume(m);
             let (rule, detail) = self.deliver(&mut n, m);
             steps.push(SpecStep { rule, detail, next: n, violation: None });
+        }
+
+        // R11 — lose-commit: an undelivered commit vanishes.
+        if self.lose_commits {
+            for &m in s.net.keys().filter(|m| m.kind == MsgKind::Commit) {
+                let mut n = s.clone();
+                n.consume(m);
+                let detail = format!("the commit from AP{} to AP{} is lost", m.from, m.to);
+                steps.push(SpecStep { rule: "R11", detail, next: n, violation: None });
+            }
+        }
+
+        // R12 — inquire: a done peer no commit is on its way to receives
+        // the decided origin's outcome, committed or (presumed) aborted.
+        let decided = match s.peers[&self.origin].phase {
+            Phase::Committed => Some(MsgKind::Commit),
+            Phase::Compensating | Phase::Aborted => Some(MsgKind::Abort),
+            _ => None,
+        };
+        if let (true, Some(outcome)) = (self.inquire, decided) {
+            for (&p, f) in &s.peers {
+                let commit_due = s.net.keys().any(|m| m.to == p && m.kind == MsgKind::Commit);
+                if f.phase != Phase::Done || commit_due {
+                    continue;
+                }
+                let mut n = s.clone();
+                self.deliver(&mut n, Msg { from: self.origin, to: p, kind: outcome });
+                let told = if outcome == MsgKind::Commit { "committed" } else { "aborted" };
+                let detail = format!("AP{p} inquires and learns the origin AP{} {told}", self.origin);
+                steps.push(SpecStep { rule: "R12", detail, next: n, violation: None });
+            }
         }
 
         // Local rules, per peer.
@@ -667,7 +745,10 @@ mod tests {
         for c in &cat {
             assert!(SpecConfig::by_name(&c.name).is_some());
         }
-        assert!(SpecConfig::by_name("fork4-abort-broken").is_some());
+        for (broken, _) in SpecConfig::broken_variants() {
+            assert!(!names.contains(&broken.name.as_str()));
+            assert!(SpecConfig::by_name(&broken.name).is_some());
+        }
         assert!(SpecConfig::by_name("nope").is_none());
     }
 }

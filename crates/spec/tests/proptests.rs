@@ -17,13 +17,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn exploration_is_deterministic(idx in 0usize..13, max_states in 16usize..4096) {
-        let catalogue = SpecConfig::catalogue();
-        let cfg = if idx == catalogue.len() {
-            SpecConfig::broken_variant()
-        } else {
-            catalogue[idx % catalogue.len()].clone()
-        };
+    fn exploration_is_deterministic(idx in 0usize..15, max_states in 16usize..4096) {
+        let mut configs = SpecConfig::catalogue();
+        configs.extend(SpecConfig::broken_variants().into_iter().map(|(c, _)| c));
+        let cfg = configs[idx % configs.len()].clone();
         let a = check(&cfg, max_states);
         let b = check(&cfg, max_states);
         prop_assert_eq!(a.states, b.states);

@@ -260,6 +260,11 @@ pub enum EventKind {
         /// True for commit, false for abort.
         committed: bool,
     },
+    /// A participant awaiting the decision asked another peer for it.
+    Inquire {
+        /// The peer asked (the origin, or a super ancestor).
+        to: u32,
+    },
     /// An acknowledgement was sent for a reliable delivery.
     AckSend {
         /// Receiving peer.
@@ -344,6 +349,7 @@ impl EventKind {
             EventKind::CompensateOp { .. } => "compensate-op",
             EventKind::AbortPropagate { .. } => "abort-propagate",
             EventKind::Resolve { .. } => "resolve",
+            EventKind::Inquire { .. } => "inquire",
             EventKind::AckSend { .. } => "ack-send",
             EventKind::Retransmit { .. } => "retransmit",
             EventKind::RetransmitGiveUp { .. } => "retransmit-give-up",
@@ -384,7 +390,10 @@ impl EventKind {
                 num(out, " items=", *items);
             }
             EventKind::LogAppend { entry } => text(out, " entry=", entry),
-            EventKind::ResultReturn { to } | EventKind::FaultRaise { to } | EventKind::AbortPropagate { to } => {
+            EventKind::ResultReturn { to }
+            | EventKind::FaultRaise { to }
+            | EventKind::AbortPropagate { to }
+            | EventKind::Inquire { to } => {
                 num(out, " to=AP", *to);
             }
             EventKind::CompensateDerive { actions } | EventKind::CompensateApply { actions } => {
