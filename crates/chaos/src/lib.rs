@@ -33,8 +33,9 @@
 //! violates the oracle — a printable, RNG-free reproducer.
 
 use axml_core::context::TxnState;
-use axml_core::peer::DetectHow;
-use axml_core::scenarios::{Scenario, ScenarioBuilder, ScenarioReport};
+use axml_core::durability::WalStats;
+use axml_core::peer::{DetectHow, PeerCounters, PeerStats};
+use axml_core::scenarios::{render_counters, Scenario, ScenarioBuilder, ScenarioReport};
 use axml_obs::{
     derive_histograms, FlightRecorder, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
     DEFAULT_FLIGHT_CAPACITY,
@@ -276,16 +277,15 @@ pub struct CaseResult {
     pub plane: FaultPlane,
     /// Network counters.
     pub metrics: NetMetrics,
+    /// Every participant's protocol counters, by peer.
+    pub stats: BTreeMap<PeerId, PeerStats>,
+    /// The participants' durability-sink counters, summed.
+    pub wal: WalStats,
     /// Everything the online protocol monitor flagged. Always collected
     /// (the monitor rides every run as a sim observer); when the
     /// atomicity oracle passes but the monitor does not, the verdict is
     /// downgraded to a violation.
     pub findings: Vec<MonitorFinding>,
-    /// The unified `net.*` + `peer.*` counter registry of the finished
-    /// run. Counter-additive ([`Snapshot::merge`]), which is what lets a
-    /// parallel sweep recombine per-case snapshots into the same merged
-    /// registry a serial sweep produces.
-    pub snapshot: Snapshot,
     /// Trace conformance against the executable reference model
     /// (`axml-spec`): the journal of a traced run replayed against the
     /// model's permitted transitions. `None` for untraced runs (no
@@ -299,6 +299,29 @@ pub struct CaseResult {
     /// recorder rides every run, traced or not, as a sim observer;
     /// recording never perturbs the seeded schedule or the digest.
     pub flight: Option<String>,
+}
+
+impl CaseResult {
+    /// The case's unified counter registry — `net.*`, `peer.<k>.*`,
+    /// `wal.*` and `chaos.false_suspicions` — named only now, from the
+    /// typed counters the case carries.
+    pub fn snapshot(&self) -> Snapshot {
+        let peers = self.stats.iter().map(|(&p, st)| (p, st.counters()));
+        chaos_snapshot(&self.metrics, peers, &self.wal, self.false_suspicions)
+    }
+}
+
+/// [`render_counters`] plus the chaos harness's own counter: the one
+/// rendering of a case's or a sweep's typed counters.
+fn chaos_snapshot(
+    net: &NetMetrics,
+    peers: impl ExactSizeIterator<Item = (PeerId, PeerCounters)>,
+    wal: &WalStats,
+    false_suspicions: u64,
+) -> Snapshot {
+    let mut snapshot = render_counters(net, peers, wal);
+    snapshot.set("chaos.false_suspicions", false_suspicions);
+    snapshot
 }
 
 /// The atomicity oracle (see the crate docs for the exact rule).
@@ -508,16 +531,16 @@ fn digest_run(s: &Scenario, report: &ScenarioReport, docs: Option<&mut Fnv64>) -
 }
 
 /// What a traced chaos run leaves behind alongside its [`CaseResult`]:
-/// the lifecycle journal (JSON lines, byte-stable across replays), its
-/// causal-tree rendering, and the unified net + peer counter snapshot.
+/// the lifecycle journal itself and what a sweep aggregates from it.
+/// Nothing here is text: a reader that wants the JSON lines or the
+/// causal tree renders them from [`Self::journal`]
+/// ([`TraceJournal::to_json_lines`], [`TraceJournal::render_tree`], both
+/// byte-stable across replays), and the counter registry from the case
+/// ([`CaseResult::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct TraceDump {
-    /// The journal as JSON lines ([`axml_p2p::TraceJournal::to_json_lines`]).
-    pub journal: String,
-    /// Human-readable causal tree of the run.
-    pub tree: String,
-    /// Rendered counter registry (`net.*` + `peer.*`).
-    pub snapshot: String,
+    /// The run's journal, moved out of the finished simulator.
+    pub journal: TraceJournal,
     /// Latency histograms derived from the journal
     /// ([`axml_obs::derive_histograms`]) — fixed bucket layout, so
     /// per-case histograms merge into sweep-level distributions by plain
@@ -569,8 +592,20 @@ fn attach_wal_sinks(s: &mut Scenario, storage: &StorageFaultPlane, seed: u64) ->
     WalDirs { base }
 }
 
-fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult, Option<TraceDump>) {
-    let mut b = builder_for(&case.scenario).expect("known scenario");
+/// The case's scenario builder.
+fn builder_of(case: &CaseConfig) -> ScenarioBuilder {
+    builder_for(&case.scenario).expect("known scenario")
+}
+
+/// Runs one case from its builder `b` (so a caller that derived the plane
+/// from the builder does not build it twice). Nothing here renders text:
+/// the counters stay typed and the journal is moved into the dump.
+fn run_inner(
+    case: &CaseConfig,
+    mut b: ScenarioBuilder,
+    plane: FaultPlane,
+    traced: bool,
+) -> (CaseResult, Option<TraceDump>) {
     // The scenario's own peer configuration is the template (generated
     // scenarios carry their knob choices there; the hand-written ones use
     // the default plus per-scenario overrides set in `builder_for`); the
@@ -603,12 +638,12 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
         // `Gauge` events.
         b = b.traced().sampled(SAMPLE_INTERVAL);
     }
-    let mut s = b.config(cfg).fault_plane(effective.clone()).build();
+    let mut s = b.config(cfg).fault_plane(effective).build();
     // Disk-backed durability whenever storage faults are in play or the
     // scenario is about crash-restart-from-disk; everything else keeps
     // the in-memory sink (perfectly durable storage, pre-WAL behavior).
-    let _wal_dirs = (!effective.storage.is_inert() || scenario_wants_wal)
-        .then(|| attach_wal_sinks(&mut s, &effective.storage, case.seed));
+    let storage = s.sim.fault_plane().storage.clone();
+    let _wal_dirs = (!storage.is_inert() || scenario_wants_wal).then(|| attach_wal_sinks(&mut s, &storage, case.seed));
     // The online protocol monitor observes every run (traced or not);
     // observation never perturbs the seeded schedule, so digests are
     // unaffected.
@@ -636,16 +671,16 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
     }
     let mut doc_digest = Fnv64::default();
     let digest = digest_run(&s, &report, Some(&mut doc_digest));
-    let false_suspicions = false_suspicions(&s, &effective, &disconnects, window);
-    let mut snapshot = s.snapshot();
-    snapshot.set("chaos.false_suspicions", false_suspicions);
-    let dump = s.trace().map(|j| TraceDump {
-        journal: j.to_json_lines(),
-        tree: j.render_tree(),
-        snapshot: snapshot.render(),
-        histograms: derive_histograms(j),
-        series: SeriesRegistry::from_journal(j),
-        phase_histograms: ProfileReport::from_journal(j).phase_histograms(),
+    let false_suspicions = false_suspicions(&s, s.sim.fault_plane(), &disconnects, window);
+    let mut wal = WalStats::default();
+    for &p in &s.participants {
+        wal.merge(&s.sim.actor(p).wal_stats());
+    }
+    let dump = s.sim.take_trace().map(|journal| TraceDump {
+        histograms: derive_histograms(&journal),
+        series: SeriesRegistry::from_journal(&journal),
+        phase_histograms: ProfileReport::from_journal(&journal).phase_histograms(),
+        journal,
     });
     let flight = (!verdict.ok).then(|| recorder.borrow().dump());
     let result = CaseResult {
@@ -656,11 +691,12 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
         verdict,
         digest,
         doc_digest: doc_digest.finish(),
-        trace: s.sim.fault_trace().to_vec(),
+        trace: s.sim.take_fault_trace(),
         plane,
         metrics: report.metrics,
+        stats: report.stats,
+        wal,
         findings,
-        snapshot,
         conformance,
         flight,
     };
@@ -670,7 +706,7 @@ fn run_inner(case: &CaseConfig, plane: FaultPlane, traced: bool) -> (CaseResult,
 /// Runs one case with an explicit plane (the sweep computes the plane
 /// from the profile; the shrinker passes scripted candidates).
 pub fn run_with_plane(case: &CaseConfig, plane: FaultPlane) -> CaseResult {
-    run_inner(case, plane, false).0
+    run_inner(case, builder_of(case), plane, false).0
 }
 
 /// Like [`run_with_plane`] but with the lifecycle trace collected.
@@ -678,15 +714,19 @@ pub fn run_with_plane(case: &CaseConfig, plane: FaultPlane) -> CaseResult {
 /// untraced one, and replaying the same case yields a byte-identical
 /// journal.
 pub fn run_with_plane_traced(case: &CaseConfig, plane: FaultPlane) -> (CaseResult, TraceDump) {
-    let (result, dump) = run_inner(case, plane, true);
+    run_traced(case, builder_of(case), plane)
+}
+
+fn run_traced(case: &CaseConfig, b: ScenarioBuilder, plane: FaultPlane) -> (CaseResult, TraceDump) {
+    let (result, dump) = run_inner(case, b, plane, true);
     (result, dump.expect("traced run collects a journal"))
 }
 
 /// Runs one sweep cell (plane derived from the profile).
 pub fn run_case(case: &CaseConfig) -> CaseResult {
-    let b = builder_for(&case.scenario).expect("known scenario");
+    let b = builder_of(case);
     let plane = plane_for(case.profile, case.seed, &b.peers());
-    run_with_plane(case, plane)
+    run_inner(case, b, plane, false).0
 }
 
 // ----------------------------------------------------------------------
@@ -949,8 +989,9 @@ pub struct SweepOutcome {
     /// verdict, folded in canonical case order. Equal sweep digests ⇔
     /// every single run was equal.
     pub digest: u64,
-    /// All per-case counter snapshots merged ([`Snapshot::merge`]:
-    /// counters sum, `*_peak` names take the max).
+    /// The counter registry of the whole sweep, rendered once from every
+    /// case's typed counters merged: they sum, `seen_peak` takes the max,
+    /// as [`Snapshot::merge`] of the per-case registries would.
     pub snapshot: Snapshot,
     /// All per-case latency histograms merged (fixed bucket layout ⇒
     /// plain counter addition).
@@ -982,9 +1023,9 @@ struct CaseRun {
 /// violation) trace-replay shrinking plus the traced reproducer replay.
 /// Fully deterministic per case, so it can execute on any worker.
 fn run_cell(case: &CaseConfig) -> CaseRun {
-    let b = builder_for(&case.scenario).expect("known scenario");
+    let b = builder_of(case);
     let plane = plane_for(case.profile, case.seed, &b.peers());
-    let (result, dump) = run_with_plane_traced(case, plane);
+    let (result, dump) = run_traced(case, b, plane);
     let violation = (!result.verdict.ok).then(|| {
         // Replay the shrunk schedule traced: the violation ships with
         // the exact lifecycle story of a minimal failing run — and that
@@ -1047,6 +1088,10 @@ pub fn sweep_jobs(
     let runs = par_map(&cases, jobs, |_, case| run_cell(case));
     let mut out = SweepOutcome::default();
     let mut digest = Fnv64::default();
+    // The cases' typed counters, merged; named once, after the loop.
+    let mut net = NetMetrics::default();
+    let mut peers: BTreeMap<PeerId, PeerCounters> = BTreeMap::new();
+    let mut wal = WalStats::default();
     for (case, run) in cases.iter().zip(runs) {
         out.runs += 1;
         match run.result.committed {
@@ -1058,7 +1103,11 @@ pub fn sweep_jobs(
         out.open_contexts_excused.extend(run.result.open_contexts_excused.iter().map(|c| (case.label(), c.clone())));
         out.false_suspicions += run.result.false_suspicions;
         let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
-        out.snapshot.merge(&run.result.snapshot);
+        net.merge(&run.result.metrics);
+        for (&p, st) in &run.result.stats {
+            peers.entry(p).or_default().merge(&st.counters());
+        }
+        wal.merge(&run.result.wal);
         for (name, h) in &run.histograms {
             out.histograms.entry(name.clone()).or_default().merge(h);
         }
@@ -1072,6 +1121,7 @@ pub fn sweep_jobs(
         }
     }
     out.digest = digest.finish();
+    out.snapshot = chaos_snapshot(&net, peers.into_iter(), &wal, out.false_suspicions);
     out
 }
 
@@ -1179,8 +1229,8 @@ mod tests {
             assert!(result.verdict.ok, "seed {seed}: {}", result.verdict.reason);
             assert_eq!(result.committed, Some(false), "seed {seed}: fig1-crash aborts");
             assert!(result.conformance.expect("traced").is_clean());
-            assert_eq!(result.snapshot.get("peer.3.crash_recoveries"), 1, "seed {seed}: AP3 crash-restarted");
-            if result.snapshot.get("wal.recovery_entries") > 0 {
+            assert_eq!(result.stats[&PeerId(3)].crash_recoveries, 1, "seed {seed}: AP3 crash-restarted");
+            if result.wal.recovery_entries > 0 {
                 recovered_somewhere = true;
             }
         }
@@ -1303,6 +1353,27 @@ mod tests {
     }
 
     #[test]
+    fn violations_ship_a_journal_that_parses_and_a_tree_that_renders() {
+        // The `shrink-demo` case: the first no-dedup Fig. 1 seed under
+        // duplication that the oracle catches. Its violation report keeps
+        // the shrunk run's journal, and renders it only when asked.
+        let seed = (0..64)
+            .find(|&seed| {
+                let mut case = CaseConfig::new("fig1", Profile::Dups, seed);
+                case.dedup = false;
+                !run_case(&case).verdict.ok
+            })
+            .expect("the broken variant is caught");
+        let out = sweep(&["fig1".to_string()], &[Profile::Dups], seed..seed + 1, false);
+        let dump = out.violations[0].trace.as_ref().expect("the shrunk run was replayed traced");
+        let lines = dump.journal.to_json_lines();
+        assert_eq!(TraceJournal::from_json_lines(&lines).expect("the journal parses"), dump.journal);
+        let tree = dump.journal.render_tree();
+        assert!(tree.contains("span inv1."), "{tree}");
+        assert_eq!(dump.histograms, derive_histograms(&dump.journal));
+    }
+
+    #[test]
     fn duplicate_storm_keeps_the_dedup_set_bounded() {
         // A tiny dedup capacity under heavy duplication: finalize-time
         // pruning (plus the capacity trigger) must keep every peer's
@@ -1354,9 +1425,9 @@ mod tests {
         let (ra, da) = run_with_plane_traced(&case, plane.clone());
         let (rb, db) = run_with_plane_traced(&case, plane);
         assert!(!da.journal.is_empty());
-        assert_eq!(da.journal, db.journal, "traced replays must be byte-identical");
-        assert_eq!(da.tree, db.tree);
-        assert_eq!(da.snapshot, db.snapshot);
+        assert_eq!(da.journal.to_json_lines(), db.journal.to_json_lines(), "traced replays must be byte-identical");
+        assert_eq!(da.journal.render_tree(), db.journal.render_tree());
+        assert_eq!(ra.snapshot().render(), rb.snapshot().render());
         assert_eq!(ra.digest, rb.digest);
         // Tracing is observation only: same digest as the untraced run.
         assert_eq!(ra.digest, run_with_plane(&case, rb.plane).digest);

@@ -70,8 +70,8 @@ use axml_chaos::{
     run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenConfig, GenScenario,
     Profile, SweepOutcome, SCENARIOS,
 };
-use axml_obs::{critical_paths, derive_histograms, percentile_table, render_prometheus};
-use axml_p2p::{FaultPlane, TraceJournal};
+use axml_obs::{critical_paths, percentile_table, render_prometheus};
+use axml_p2p::FaultPlane;
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -153,7 +153,7 @@ fn report(out: &SweepOutcome) -> bool {
         }
         if let Some(dump) = &v.trace {
             println!("  lifecycle trace of the shrunk run:");
-            for line in dump.tree.lines() {
+            for line in dump.journal.render_tree().lines() {
                 println!("    {line}");
             }
         }
@@ -244,14 +244,14 @@ fn main() {
                 let (crashed, _dump) = run_with_plane_traced(&case, plane);
                 let ref_case = CaseConfig::new("fig1-abort", Profile::Storage, seed);
                 let reference = run_with_plane(&ref_case, FaultPlane::probabilistic(seed, 0.0, 0.0, 0.0, 0.0));
-                let recovered = crashed.snapshot.get("wal.recovery_entries");
+                let recovered = crashed.wal.recovery_entries;
                 println!(
                     "seed {seed}: crashed docs={:016x} reference docs={:016x} wal.recovery_entries={recovered} \
                      wal.torn_tails_discarded={} wal.append_faults={}",
                     crashed.doc_digest,
                     reference.doc_digest,
-                    crashed.snapshot.get("wal.torn_tails_discarded"),
-                    crashed.snapshot.get("wal.append_faults"),
+                    crashed.wal.torn_tails_discarded,
+                    crashed.wal.append_faults,
                 );
                 if !crashed.verdict.ok {
                     println!("  VIOLATION: {}", crashed.verdict.reason);
@@ -299,7 +299,7 @@ fn main() {
                 let plane = plane_for(profile, run_seed, &g.builder().peers());
                 let (result, dump) = run_with_plane_traced(&case, plane);
                 println!("case {}", case.label());
-                println!("{}", dump.tree);
+                println!("{}", dump.journal.render_tree());
                 print_verdict(&result);
             }
             true
@@ -426,10 +426,10 @@ fn main() {
             let (case, plane) = resolve_case("trace", &args);
             let (result, dump) = run_with_plane_traced(&case, plane);
             println!("case {}", case.label());
-            println!("{}", dump.tree);
-            println!("{}", dump.snapshot);
+            println!("{}", dump.journal.render_tree());
+            println!("{}", result.snapshot().render());
             if let Some(path) = parse_flag(&args, "--journal") {
-                if let Err(e) = std::fs::write(&path, &dump.journal) {
+                if let Err(e) = std::fs::write(&path, dump.journal.to_json_lines()) {
                     eprintln!("cannot write {path}: {e}");
                     std::process::exit(1);
                 }
@@ -441,20 +441,19 @@ fn main() {
         "stats" => {
             let (case, plane) = resolve_case("stats", &args);
             let (result, dump) = run_with_plane_traced(&case, plane);
-            let journal = TraceJournal::from_json_lines(&dump.journal).expect("journal round-trips");
             println!("case {}", case.label());
             println!();
             println!("== critical paths");
-            print!("{}", critical_paths(&journal));
+            print!("{}", critical_paths(&dump.journal));
             println!();
             println!("== latency percentiles (sim-time ticks)");
-            let hists = derive_histograms(&journal);
-            print!("{}", percentile_table(&hists));
+            let hists = &dump.histograms;
+            print!("{}", percentile_table(hists));
             println!();
             println!("== gauge series (window={} ticks)", axml_chaos::SAMPLE_INTERVAL);
             print!("{}", dump.series.render_summary());
             if let Some(path) = parse_flag(&args, "--prom") {
-                if let Err(e) = std::fs::write(&path, render_prometheus(&hists)) {
+                if let Err(e) = std::fs::write(&path, render_prometheus(hists)) {
                     eprintln!("cannot write {path}: {e}");
                     std::process::exit(1);
                 }

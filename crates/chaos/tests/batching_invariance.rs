@@ -32,8 +32,8 @@ fn link_batching_is_invisible_across_the_chaos_matrix() {
                 assert_eq!(rb.committed, ru.committed, "{label}: outcome diverged");
                 assert_eq!(rb.verdict.ok, ru.verdict.ok, "{label}: verdict diverged");
                 assert_eq!(rb.metrics, ru.metrics, "{label}: net metrics diverged");
-                assert_eq!(db.journal, du.journal, "{label}: journal diverged");
-                assert_eq!(db.snapshot, du.snapshot, "{label}: counter snapshot diverged");
+                assert_eq!(db.journal.to_json_lines(), du.journal.to_json_lines(), "{label}: journal diverged");
+                assert_eq!(rb.snapshot(), ru.snapshot(), "{label}: counter snapshot diverged");
                 checked += 1;
             }
         }

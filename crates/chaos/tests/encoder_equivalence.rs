@@ -382,7 +382,7 @@ fn every_recorded_journal_entry_and_demo_event_encodes_as_before() {
     let plane = plane_for(case.profile, case.seed, &builder_for(&case.scenario).expect("known scenario").peers());
     round_trips(&plane).unwrap_or_else(|err| panic!("{err}"));
     let (result, dump) = run_with_plane_traced(&case, plane);
-    for e in TraceJournal::from_json_lines(&dump.journal).expect("journal loads").events() {
+    for e in TraceJournal::from_json_lines(&dump.journal.to_json_lines()).expect("journal loads").events() {
         round_trips(e).unwrap_or_else(|err| panic!("{err}"));
     }
     let verdict = result.conformance.expect("traced runs are checked");

@@ -71,11 +71,11 @@ impl Drop for Scratch {
 fn demo_journal_tree_and_snapshot_match_the_checked_in_bytes() {
     let case = CaseConfig::new("fig1-abort", Profile::Mixed, 5);
     let plane = plane_for(case.profile, case.seed, &builder_for(&case.scenario).expect("known scenario").peers());
-    let (_, dump) = run_with_plane_traced(&case, plane);
-    pinned(&golden("demo.jsonl"), dump.journal.as_bytes(), "journal JSON lines");
-    pinned(&golden("demo.tree"), dump.tree.as_bytes(), "causal tree");
-    pinned(&golden("demo.snapshot"), dump.snapshot.as_bytes(), "snapshot");
-    assert_eq!(dump.journal.lines().count(), 229, "the demo journal holds 229 events");
+    let (result, dump) = run_with_plane_traced(&case, plane);
+    pinned(&golden("demo.jsonl"), dump.journal.to_json_lines().as_bytes(), "journal JSON lines");
+    pinned(&golden("demo.tree"), dump.journal.render_tree().as_bytes(), "causal tree");
+    pinned(&golden("demo.snapshot"), result.snapshot().render().as_bytes(), "snapshot");
+    assert_eq!(dump.journal.len(), 229, "the demo journal holds 229 events");
 }
 
 /// The journals of a clean Fig. 1 run, participant by participant — what

@@ -13,7 +13,7 @@
 use axml_chaos::{
     builder_for, case_matrix, live_suspects, par_map, plane_for, run_with_plane_traced, CaseConfig, Profile, SCENARIOS,
 };
-use axml_p2p::{Partition, TraceJournal};
+use axml_p2p::Partition;
 
 /// The journal's live suspects of one case, and the count the case
 /// reported without reading a journal.
@@ -22,9 +22,8 @@ fn suspects(case: &CaseConfig) -> (Vec<(u32, u32, u64)>, u64) {
     let plane = plane_for(case.profile, case.seed, &b.peers());
     let (result, dump) = run_with_plane_traced(case, plane.clone());
     assert!(result.verdict.ok, "{}: {}", case.label(), result.verdict.reason);
-    let journal = TraceJournal::from_json_lines(&dump.journal).expect("journal parses");
     let partitions: Vec<Partition> = plane.partitions.iter().chain(&b.fault.partitions).cloned().collect();
-    (live_suspects(&journal, &partitions, 2 * b.config.ping_timeout), result.false_suspicions)
+    (live_suspects(&dump.journal, &partitions, 2 * b.config.ping_timeout), result.false_suspicions)
 }
 
 #[test]

@@ -1,12 +1,16 @@
 //! The bookkeeping a case does after its simulation, against the code it
 //! replaced: the run and document digests that built their text before
 //! hashing it, and the counter registry that was filled one `absorb` at
-//! a time. The old paths live here only.
+//! a time — once per case, and merged per sweep, where a case and a sweep
+//! now keep their counters typed and name them only when asked. The old
+//! paths live here only.
 
 use axml_chaos::{
-    builder_for, doc_state_digest, load_corpus, plane_for, run_digest, run_with_plane, CaseConfig, Profile, SCENARIOS,
+    builder_for, case_matrix, doc_state_digest, load_corpus, par_map, plane_for, run_case, run_digest, run_with_plane,
+    sweep_jobs, CaseConfig, Profile, SCENARIOS,
 };
 use axml_core::scenarios::{Scenario, ScenarioReport};
+use axml_obs::render_snapshot_prometheus;
 use axml_p2p::{FaultPlane, Snapshot};
 use axml_store::{WalConfig, WalSink};
 use std::path::{Path, PathBuf};
@@ -224,7 +228,7 @@ fn the_bulk_built_snapshot_equals_the_counter_by_counter_one() {
         // The shipped case's registry is the scenario's plus the case's own
         // false-suspicion count.
         let shipped = run_with_plane(&case, plane);
-        let mut case_registry = shipped.snapshot;
+        let mut case_registry = shipped.snapshot();
         let counted = case_registry.counters.remove("chaos.false_suspicions");
         assert_eq!(counted, Some(shipped.false_suspicions), "{}", case.label());
         assert_eq!(new, case_registry, "{}: the shipped case's registry", case.label());
@@ -238,4 +242,54 @@ fn the_bulk_built_snapshot_equals_the_counter_by_counter_one() {
             net.counters
         });
     }
+}
+
+/// What a case's registry was before its counters stayed typed: the
+/// scenario's, built key by key, plus the case's false-suspicion count.
+/// `tag` keeps the scratch WAL directory apart from other tests'.
+fn old_case_snapshot(case: &CaseConfig, plane: &FaultPlane, false_suspicions: u64, tag: &str) -> Snapshot {
+    let tag = format!("{tag}-{}-{}-{}", case.scenario, case.profile.name(), case.seed);
+    let mut snap = old_snapshot(&finish(case, plane, &tag).s);
+    snap.set("chaos.false_suspicions", false_suspicions);
+    snap
+}
+
+/// Both renderings of a registry must come out as the old one's bytes.
+fn same_registry(typed: &Snapshot, old: &Snapshot, what: &str) {
+    assert_eq!(typed, old, "{what}");
+    assert_eq!(typed.render(), old.render(), "{what}: render");
+    assert_eq!(render_snapshot_prometheus(typed), render_snapshot_prometheus(old), "{what}: exposition");
+}
+
+#[test]
+fn a_case_renders_its_typed_counters_as_the_old_registry_on_every_cell() {
+    for scenario in SCENARIOS {
+        for &profile in Profile::all() {
+            let case = CaseConfig::new(scenario, profile, 0);
+            let plane = plane_for(profile, 0, &builder_for(scenario).expect("known").peers());
+            let shipped = run_case(&case);
+            let old = old_case_snapshot(&case, &plane, shipped.false_suspicions, "case");
+            same_registry(&shipped.snapshot(), &old, &case.label());
+        }
+    }
+}
+
+/// The sweep merges typed counters and renders once; the old sweep merged
+/// one string-keyed registry per case.
+#[test]
+fn a_sweep_renders_its_merged_counters_as_the_merged_old_registries() {
+    let scenarios: Vec<String> = SCENARIOS.iter().map(|s| s.to_string()).collect();
+    let out = sweep_jobs(&scenarios, Profile::all(), 0..16, true, 2);
+    let cases = case_matrix(&scenarios, Profile::all(), 0..16, true);
+    let old = par_map(&cases, 2, |_, case| {
+        let plane = plane_for(case.profile, case.seed, &builder_for(&case.scenario).expect("known").peers());
+        old_case_snapshot(case, &plane, run_case(case).false_suspicions, "sweep")
+    });
+    let mut merged = Snapshot::default();
+    for snap in &old {
+        merged.merge(snap);
+    }
+    assert_eq!(out.runs, 400);
+    assert!(merged.get("peer.1.seen_peak") > 0, "a peak to take the max of");
+    same_registry(&out.snapshot, &merged, "16-seed sweep");
 }

@@ -235,6 +235,17 @@ pub struct WalStats {
     pub append_faults: u64,
 }
 
+impl WalStats {
+    /// Adds another sink's counters into these (fleet and sweep totals).
+    pub fn merge(&mut self, other: &WalStats) {
+        self.segments_rotated += other.segments_rotated;
+        self.bytes_appended += other.bytes_appended;
+        self.recovery_entries += other.recovery_entries;
+        self.torn_tails_discarded += other.torn_tails_discarded;
+        self.append_faults += other.append_faults;
+    }
+}
+
 /// Stable storage for a peer's journal.
 ///
 /// The peer writes every [`JournalEntry`] through its sink *before*

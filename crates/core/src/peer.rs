@@ -362,44 +362,101 @@ pub struct PeerStats {
 }
 
 impl PeerStats {
-    /// Appends these counters to `out` as `peer.<id>.<name>` pairs, in
-    /// name order — one key allocation per counter and nothing else, so
-    /// a registry over many peers can be built from one sorted list.
+    /// These counters as one typed row ([`PeerCounters`]): what a sweep
+    /// adds up case by case before anything is named.
+    pub fn counters(&self) -> PeerCounters {
+        PeerCounters([
+            self.aborts_received,
+            self.aborts_sent,
+            self.acks_alone,
+            self.acks_carried,
+            self.alternatives_used,
+            self.comp_cost_nodes,
+            self.compensations_executed,
+            self.completed,
+            self.crash_recoveries,
+            self.detections.len() as u64,
+            self.dup_suppressed,
+            self.faults_raised,
+            self.inquiries,
+            self.isolation_conflicts,
+            self.keepalive_probes,
+            self.keepalive_suppressed,
+            self.late_messages,
+            self.orphan_stops,
+            self.presumed_aborts,
+            self.redirects_received,
+            self.redirects_sent,
+            self.retransmit_giveups,
+            self.retransmits,
+            self.retries,
+            self.seen_peak,
+            self.served,
+            self.storage_faults,
+            self.substitutions,
+            self.work_reused,
+            self.work_wasted,
+        ])
+    }
+}
+
+/// A peer's [`PeerStats`] as plain numbers, one per name of
+/// [`PeerCounters::NAMES`] and in that order (`detections` is their
+/// count). Rows of many runs merge without a key; names are given only
+/// when a registry is rendered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeerCounters(pub [u64; PeerCounters::NAMES.len()]);
+
+impl PeerCounters {
+    /// The counter names, sorted: the `peer.<id>.` suffixes of a registry.
+    pub const NAMES: [&'static str; 30] = [
+        "aborts_received",
+        "aborts_sent",
+        "acks_alone",
+        "acks_carried",
+        "alternatives_used",
+        "comp_cost_nodes",
+        "compensations_executed",
+        "completed",
+        "crash_recoveries",
+        "detections",
+        "dup_suppressed",
+        "faults_raised",
+        "inquiries",
+        "isolation_conflicts",
+        "keepalive_probes",
+        "keepalive_suppressed",
+        "late_messages",
+        "orphan_stops",
+        "presumed_aborts",
+        "redirects_received",
+        "redirects_sent",
+        "retransmit_giveups",
+        "retransmits",
+        "retries",
+        "seen_peak",
+        "served",
+        "storage_faults",
+        "substitutions",
+        "work_reused",
+        "work_wasted",
+    ];
+
+    /// Adds another row into this one under the registry's merge rule
+    /// ([`axml_p2p::Snapshot::absorb`]): counters sum, the high-water
+    /// mark (`*_peak`) takes the max.
+    pub fn merge(&mut self, other: &PeerCounters) {
+        for ((slot, value), name) in self.0.iter_mut().zip(other.0).zip(Self::NAMES) {
+            *slot = if name.ends_with("_peak") { (*slot).max(value) } else { *slot + value };
+        }
+    }
+
+    /// Appends the row to `out` as `peer.<id>.<name>` pairs, in name
+    /// order — one key allocation per counter and nothing else, so a
+    /// registry over many peers can be built from one sorted list.
     pub fn counters_into(&self, peer: PeerId, out: &mut Vec<(String, u64)>) {
         let prefix = format!("peer.{}.", peer.0);
-        let named = [
-            ("aborts_received", self.aborts_received),
-            ("aborts_sent", self.aborts_sent),
-            ("acks_alone", self.acks_alone),
-            ("acks_carried", self.acks_carried),
-            ("alternatives_used", self.alternatives_used),
-            ("comp_cost_nodes", self.comp_cost_nodes),
-            ("compensations_executed", self.compensations_executed),
-            ("completed", self.completed),
-            ("crash_recoveries", self.crash_recoveries),
-            ("detections", self.detections.len() as u64),
-            ("dup_suppressed", self.dup_suppressed),
-            ("faults_raised", self.faults_raised),
-            ("inquiries", self.inquiries),
-            ("isolation_conflicts", self.isolation_conflicts),
-            ("keepalive_probes", self.keepalive_probes),
-            ("keepalive_suppressed", self.keepalive_suppressed),
-            ("late_messages", self.late_messages),
-            ("orphan_stops", self.orphan_stops),
-            ("presumed_aborts", self.presumed_aborts),
-            ("redirects_received", self.redirects_received),
-            ("redirects_sent", self.redirects_sent),
-            ("retransmit_giveups", self.retransmit_giveups),
-            ("retransmits", self.retransmits),
-            ("retries", self.retries),
-            ("seen_peak", self.seen_peak),
-            ("served", self.served),
-            ("storage_faults", self.storage_faults),
-            ("substitutions", self.substitutions),
-            ("work_reused", self.work_reused),
-            ("work_wasted", self.work_wasted),
-        ];
-        out.extend(named.map(|(name, value)| ([prefix.as_str(), name].concat(), value)));
+        out.extend(Self::NAMES.iter().zip(self.0).map(|(name, value)| ([prefix.as_str(), name].concat(), value)));
     }
 }
 

@@ -16,7 +16,7 @@ use crate::context::{TxnOutcome, TxnState};
 use crate::durability::WalStats;
 use crate::ids::TxnId;
 use crate::messages::TxnMsg;
-use crate::peer::{AxmlPeer, PeerConfig, PeerStats, WsdlCatalog};
+use crate::peer::{AxmlPeer, PeerConfig, PeerCounters, PeerStats, WsdlCatalog};
 use axml_doc::Fault;
 use axml_p2p::{Directory, FaultPlane, NetMetrics, PeerId, Sim, SimConfig, Snapshot, TraceJournal, TraceSink};
 use std::collections::BTreeMap;
@@ -420,6 +420,36 @@ impl ScenarioBuilder {
     }
 }
 
+/// Names typed run counters: the one place a counter registry is built.
+/// `net.*` from `net`, `peer.<k>.*` from each `(peer, row)`, and five
+/// `wal.*` totals from `wal`. [`Scenario::snapshot`] renders one run this
+/// way; a sweep merges the typed counters of its cases and renders once.
+pub fn render_counters(
+    net: &NetMetrics,
+    peers: impl ExactSizeIterator<Item = (PeerId, PeerCounters)>,
+    wal: &WalStats,
+) -> Snapshot {
+    let mut pairs = Vec::with_capacity(64 + PeerCounters::NAMES.len() * peers.len());
+    net.counters_into(&mut pairs);
+    for (p, row) in peers {
+        row.counters_into(p, &mut pairs);
+    }
+    pairs.extend(
+        [
+            ("wal.append_faults", wal.append_faults),
+            ("wal.bytes_appended", wal.bytes_appended),
+            ("wal.recovery_entries", wal.recovery_entries),
+            ("wal.segments_rotated", wal.segments_rotated),
+            ("wal.torn_tails_discarded", wal.torn_tails_discarded),
+        ]
+        .map(|(name, value)| (name.to_string(), value)),
+    );
+    // Every name is distinct, so collecting is one sort of a nearly
+    // sorted list and one bulk tree build — not a tree insertion per
+    // counter.
+    Snapshot { counters: pairs.into_iter().collect() }
+}
+
 /// A built scenario, ready to run.
 pub struct Scenario {
     /// The simulator (public: tests drive it directly when needed).
@@ -555,37 +585,15 @@ impl Scenario {
 
     /// One unified counter registry for the run: network counters
     /// (`net.*`) merged with every participant's protocol stats
-    /// (`peer<k>.*`) and the fleet-wide durability-sink totals (`wal.*`).
-    /// This is the snapshot trace dumps embed so a single artifact
-    /// carries both the event stream and the totals.
+    /// (`peer<k>.*`) and the fleet-wide durability-sink totals (`wal.*`),
+    /// rendered by [`render_counters`].
     pub fn snapshot(&self) -> Snapshot {
-        let mut pairs = Vec::with_capacity(64 + 25 * self.participants.len());
-        self.sim.metrics().counters_into(&mut pairs);
         let mut wal = WalStats::default();
         for &p in &self.participants {
-            let actor = self.sim.actor(p);
-            actor.stats.counters_into(p, &mut pairs);
-            let w = actor.wal_stats();
-            wal.segments_rotated += w.segments_rotated;
-            wal.bytes_appended += w.bytes_appended;
-            wal.recovery_entries += w.recovery_entries;
-            wal.torn_tails_discarded += w.torn_tails_discarded;
-            wal.append_faults += w.append_faults;
+            wal.merge(&self.sim.actor(p).wal_stats());
         }
-        pairs.extend(
-            [
-                ("wal.append_faults", wal.append_faults),
-                ("wal.bytes_appended", wal.bytes_appended),
-                ("wal.recovery_entries", wal.recovery_entries),
-                ("wal.segments_rotated", wal.segments_rotated),
-                ("wal.torn_tails_discarded", wal.torn_tails_discarded),
-            ]
-            .map(|(name, value)| (name.to_string(), value)),
-        );
-        // Every name is distinct, so collecting is one sort of a nearly
-        // sorted list and one bulk tree build — not a tree insertion per
-        // counter.
-        Snapshot { counters: pairs.into_iter().collect() }
+        let peers = self.participants.iter().map(|&p| (p, self.sim.actor(p).stats.counters()));
+        render_counters(self.sim.metrics(), peers, &wal)
     }
 
     /// Documents diverging from the baseline on connected peers

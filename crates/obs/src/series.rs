@@ -45,7 +45,13 @@ pub struct SeriesPoint {
 impl SeriesRegistry {
     /// Adds `value` to the point for (`metric`, `peer`, `at`).
     pub fn record(&mut self, metric: &str, peer: u32, at: u64, value: u64) {
-        let slot = self.series.entry(metric.to_string()).or_default().entry(peer).or_default().entry(at).or_default();
+        // Nearly every point names a metric already present: look before
+        // allocating its name.
+        let peers = match self.series.get_mut(metric) {
+            Some(peers) => peers,
+            None => self.series.entry(metric.to_string()).or_default(),
+        };
+        let slot = peers.entry(peer).or_default().entry(at).or_default();
         *slot = slot.saturating_add(value);
     }
 

@@ -284,6 +284,10 @@ impl FaultRuntime {
         &self.trace
     }
 
+    pub(crate) fn take_trace(&mut self) -> Vec<ScriptedFault> {
+        std::mem::take(&mut self.trace)
+    }
+
     /// Decides the fate of one send. Advances the per-link-kind
     /// occurrence counter; scripted faults take precedence over
     /// probabilistic draws; anything injected (partitions aside) is

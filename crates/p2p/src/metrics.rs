@@ -81,6 +81,65 @@ impl NetMetrics {
         self.injected_drops + self.injected_dups + self.injected_spikes + self.injected_reorders
     }
 
+    /// Adds another run's counters into these, counter by counter and
+    /// kind by kind — what [`Snapshot::merge`] does to the rendered
+    /// `net.*` registries, without naming anything.
+    pub fn merge(&mut self, other: &NetMetrics) {
+        // Destructured, so a new counter cannot be forgotten here.
+        let NetMetrics {
+            sent,
+            delivered,
+            send_failures,
+            dropped_in_flight,
+            by_kind,
+            timers_fired,
+            disconnects,
+            reconnects,
+            injected_drops,
+            partition_drops,
+            injected_dups,
+            injected_spikes,
+            injected_reorders,
+            out_of_order,
+            retransmits,
+            crash_restarts,
+            stale_timers,
+            drops_by_kind,
+            dups_by_kind,
+            retransmits_by_kind,
+        } = other;
+        for (into, add) in [
+            (&mut self.sent, sent),
+            (&mut self.delivered, delivered),
+            (&mut self.send_failures, send_failures),
+            (&mut self.dropped_in_flight, dropped_in_flight),
+            (&mut self.timers_fired, timers_fired),
+            (&mut self.disconnects, disconnects),
+            (&mut self.reconnects, reconnects),
+            (&mut self.injected_drops, injected_drops),
+            (&mut self.partition_drops, partition_drops),
+            (&mut self.injected_dups, injected_dups),
+            (&mut self.injected_spikes, injected_spikes),
+            (&mut self.injected_reorders, injected_reorders),
+            (&mut self.out_of_order, out_of_order),
+            (&mut self.retransmits, retransmits),
+            (&mut self.crash_restarts, crash_restarts),
+            (&mut self.stale_timers, stale_timers),
+        ] {
+            *into += *add;
+        }
+        for (into, add) in [
+            (&mut self.by_kind, by_kind),
+            (&mut self.drops_by_kind, drops_by_kind),
+            (&mut self.dups_by_kind, dups_by_kind),
+            (&mut self.retransmits_by_kind, retransmits_by_kind),
+        ] {
+            for (kind, value) in add {
+                *into.entry(*kind).or_default() += *value;
+            }
+        }
+    }
+
     /// Appends these counters to `out` as `(name, value)` pairs, names
     /// scoped under `net.`.
     pub fn counters_into(&self, out: &mut Vec<(String, u64)>) {
@@ -203,6 +262,26 @@ mod tests {
         assert_eq!(s.get("net.sent.invoke"), 4);
         assert_eq!(s.get("net.retransmits.invoke"), 2);
         assert_eq!(s.get("net.drops.invoke"), 0);
+    }
+
+    #[test]
+    fn merged_metrics_render_as_the_merged_snapshots() {
+        let mut a = NetMetrics::default();
+        a.sent = 3;
+        a.retransmits = 1;
+        *a.by_kind.entry("invoke").or_default() += 3;
+        *a.retransmits_by_kind.entry("invoke").or_default() += 1;
+        let mut b = NetMetrics::default();
+        b.sent = 2;
+        b.injected_drops = 1;
+        *b.by_kind.entry("invoke").or_default() += 1;
+        *b.by_kind.entry("ack").or_default() += 1;
+        *b.drops_by_kind.entry("ack").or_default() += 1;
+        let mut rendered = a.snapshot();
+        rendered.merge(&b.snapshot());
+        a.merge(&b);
+        assert_eq!(a.snapshot(), rendered);
+        assert_eq!((a.sent, a.kind("invoke"), a.kind("ack"), a.drops_of("ack")), (5, 4, 1, 1));
     }
 
     #[test]

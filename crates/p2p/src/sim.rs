@@ -868,6 +868,12 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
         self.state.trace.as_ref()
     }
 
+    /// Moves the collected journal out of a finished run: [`Self::trace`]
+    /// is `None` afterwards.
+    pub fn take_trace(&mut self) -> Option<TraceJournal> {
+        self.state.trace.take()
+    }
+
     /// The fault schedule this simulation was configured with.
     pub fn fault_plane(&self) -> &FaultPlane {
         self.state.fault.plane()
@@ -879,6 +885,11 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
     /// with the same partitions and crashes reproduces the run.
     pub fn fault_trace(&self) -> &[ScriptedFault] {
         self.state.fault.trace()
+    }
+
+    /// Moves [`Self::fault_trace`] out of a finished run, leaving it empty.
+    pub fn take_fault_trace(&mut self) -> Vec<ScriptedFault> {
+        self.state.fault.take_trace()
     }
 
     /// A peer's crash-restart incarnation (0 until its first crash).
