@@ -1462,7 +1462,10 @@ mod tests {
         let clean = run(false);
         assert!(clean.is_empty(), "correct peer must be monitor-clean: {clean:?}");
         let broken = run(true);
-        assert!(broken.iter().any(|f| f.rule == "M001"), "forward-order compensation must trigger M001: {broken:?}");
+        assert!(
+            broken.iter().any(|f| f.rule.monitor_id() == "M001"),
+            "forward-order compensation must trigger M001: {broken:?}"
+        );
     }
 
     #[test]
@@ -1506,7 +1509,7 @@ mod tests {
         assert!(findings.is_empty(), "{findings:?}");
         assert!(conf.is_clean(), "correct peer must conform: {}", conf.render_text());
         let (findings, conf) = run(true);
-        let m = findings.iter().find(|f| f.rule == "M001").expect("M001 finding");
+        let m = findings.iter().find(|f| f.rule.monitor_id() == "M001").expect("M001 finding");
         let d = conf.divergences.iter().find(|d| d.invariant == "I2").expect("I2 divergence");
         assert_eq!((d.seq, d.at, d.peer), (m.seq, m.at, m.peer), "monitor and spec disagree on the offender");
         assert_eq!(d.rule, "R08");

@@ -16,7 +16,7 @@ use axml_xml::Fragment;
 use std::sync::Arc;
 
 /// Reliable-delivery ids a message acknowledges on the side (see
-/// [`crate::peer::PeerConfig::reliable`]): what its sender owed the
+/// `AxmlPeer::send_reliable`): what its sender owed the
 /// receiver when it left. An inline array, so that a ride allocates
 /// nothing; what does not fit leaves in a [`TxnMsg::Ack`] of its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,7 +172,7 @@ pub enum TxnMsg {
     },
     /// At-least-once delivery envelope: the sender retransmits `inner`
     /// with bounded exponential backoff until the receiver acknowledges
-    /// `id` (see [`crate::peer::PeerConfig::reliable`]). The receiver
+    /// `id` (see `AxmlPeer::send_reliable`). The receiver
     /// always acks — even re-deliveries — and suppresses duplicates by
     /// `(sender, id)` so the protocol survives drop *and* duplication.
     Reliable {

@@ -148,15 +148,6 @@ pub struct PeerConfig {
     pub isolation: bool,
     /// Whether this peer is a super peer (it advertises this in chains).
     pub is_super: bool,
-    /// At-least-once delivery for protocol messages: wrap them in
-    /// [`TxnMsg::Reliable`] envelopes, acknowledge them, and retransmit
-    /// unacked sends with bounded exponential backoff. Keep-alives,
-    /// streams, chain gossip, `Commit` (pulled by `Inquire` when lost) and
-    /// `Inquire` itself stay best-effort. An acknowledgement
-    /// rides on the next envelope or chain update bound for the sender
-    /// and leaves alone when the handler ends without one; an `Invoke`'s
-    /// waits up to `retransmit_base / 3` for the answer to carry it.
-    pub reliable: bool,
     /// Suppress re-execution of an already-seen reliable delivery
     /// (`(sender, id)` dedup). Turning this off under message duplication
     /// is the canonical atomicity bug the chaos oracle catches.
@@ -218,7 +209,7 @@ impl PeerConfig {
                 self.ping_timeout, self.ping_interval
             ));
         }
-        if self.reliable && self.retransmit_base <= self.ack_hold().saturating_add(round_trip) {
+        if self.retransmit_base <= self.ack_hold().saturating_add(round_trip) {
             return Err(format!(
                 "retransmit_base {} must exceed the ack hold {} plus a round trip of {round_trip}",
                 self.retransmit_base,
@@ -244,7 +235,6 @@ impl Default for PeerConfig {
             eval: EvalMode::Lazy,
             isolation: false,
             is_super: false,
-            reliable: true,
             dedup: true,
             retransmit_base: 16,
             max_retransmits: 8,
@@ -986,16 +976,20 @@ impl AxmlPeer {
         }
     }
 
-    /// Sends a protocol message with at-least-once delivery when
-    /// [`PeerConfig::reliable`] is on: the payload travels inside a
-    /// [`TxnMsg::Reliable`] envelope, is registered in the outbox, and is
-    /// retransmitted with bounded exponential backoff until acked.
-    /// Loopback sends skip the envelope (a local call cannot be lost). A
-    /// synchronous [`SendError`] — the target is disconnected *right now*
-    /// — is returned unchanged: that is the paper's synchronous detection
-    /// path, not a delivery fault.
+    /// Sends a protocol message with at-least-once delivery: the payload
+    /// travels inside a [`TxnMsg::Reliable`] envelope, is registered in the
+    /// outbox, and is retransmitted with bounded exponential backoff until
+    /// acked. Keep-alives, streams, chain gossip, `Commit` (pulled by
+    /// `Inquire` when lost) and `Inquire` itself bypass this and stay
+    /// best-effort. An acknowledgement rides on the next envelope or chain
+    /// update bound for the sender and leaves alone when the handler ends
+    /// without one; an `Invoke`'s waits up to [`PeerConfig::ack_hold`] for
+    /// the answer to carry it. Loopback sends skip the envelope (a local
+    /// call cannot be lost). A synchronous [`SendError`] — the target is
+    /// disconnected *right now* — is returned unchanged: that is the
+    /// paper's synchronous detection path, not a delivery fault.
     fn send_reliable(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId, msg: TxnMsg) -> Result<(), SendError> {
-        if !self.config.reliable || to == self.id {
+        if to == self.id {
             return ctx.send(to, msg);
         }
         let id = (self.epoch << 48) | self.next_delivery;
@@ -3413,8 +3407,7 @@ mod tests {
         assert_eq!(config.ack_hold() + 2 * max_latency, 15);
         config.retransmit_base = 15;
         assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("retransmit_base 15")));
-        config.reliable = false;
-        assert_eq!(config.check_timing(max_latency), Ok(()));
+        config.retransmit_base = 16;
         config.ping_timeout = config.ping_interval + 2 * max_latency;
         assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("ping_timeout 20")));
         config.ping_interval = 0;

@@ -5,11 +5,12 @@
 //!
 //! - [`hist`] — fixed-layout log-bucketed [`Histogram`]s with
 //!   replay-stable merges and percentile tables.
-//! - [`monitor`] — the online protocol [`Monitor`], an event sink that
-//!   checks the paper's runtime invariants (reverse compensation order,
-//!   terminal-state finality, at-most-once delivery processing, abort
-//!   reachability) as the simulation runs and reports
-//!   [`MonitorFinding`]s.
+//! - [`monitor`] — the online protocol [`Monitor`], an event sink over
+//!   the rule engine `axml_trace::rules` (which `axml-spec` conformance
+//!   runs too) that checks the paper's runtime invariants (reverse
+//!   compensation order, terminal-state finality, at-most-once delivery
+//!   processing, abort reachability) as the simulation runs and reports
+//!   [`MonitorFinding`]s in journal order.
 //! - [`analytics`] — offline journal analytics: latency histogram
 //!   derivation and per-transaction critical paths.
 //! - [`series`] — the time-series plane: fixed-window gauge series

@@ -17,9 +17,11 @@
 //!   state hashing; violations come with shortest counterexample traces.
 //!   The `compensate_in_log_order` broken-peer variant is refuted with a
 //!   concrete trace; the clean catalogue explores with zero violations.
-//! - [`conform`] — replays recorded `axml-trace` journals against the
-//!   model's permitted transitions, reporting the first divergence with
-//!   its causal context. Wired into every traced `axml-chaos` case.
+//! - [`conform`] — replays recorded `axml-trace` journals through the
+//!   protocol rule engine (`axml_trace::rules`, shared with the online
+//!   monitor), naming each breach by its model invariant and rule and
+//!   reporting the first divergence with its causal context. Wired into
+//!   every traced `axml-chaos` case.
 //!
 //! The `axml-spec` binary exposes both: `axml-spec check` and
 //! `axml-spec conform --journal FILE`.

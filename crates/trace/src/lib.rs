@@ -11,6 +11,9 @@
 //! the simulator's seeded schedule, replaying a scripted fault plane
 //! reproduces the journal byte for byte.
 //!
+//! [`rules`] is the protocol rule engine over that stream, the one
+//! state machine behind both the online monitor and trace conformance.
+//!
 //! [`Snapshot`] is the companion registry: one flat `name → counter` map
 //! unifying the simulator's `NetMetrics` with per-peer protocol stats,
 //! included in trace dumps so a journal is self-describing.
@@ -27,6 +30,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
+
+pub mod rules;
 
 /// Where the simulator sends trace events.
 ///
