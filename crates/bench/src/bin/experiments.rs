@@ -1,204 +1,25 @@
 //! Regenerates every experiment table (DESIGN.md §5 / EXPERIMENTS.md).
 //!
 //! ```text
-//! experiments [e1|e2|…|e14|sweep|profile|hotpath|all] [--json] [--jobs N]
+//! experiments [all | e1 … e11]...
 //! ```
 //!
-//! With `--json`, rows are additionally emitted as JSON lines (one array
-//! per experiment) for downstream plotting. Every experiment that runs
-//! also writes a `BENCH_<id>.json` report (row count, rows digest, wall
-//! time, parameters) into the working directory; `bench-check` parses
-//! them back and CI archives them. Experiments with a traced latency
-//! sweep (currently E5) additionally embed per-metric histogram
-//! summaries in the report and drop the full distributions alongside it
-//! as a Prometheus text exposition (`BENCH_<id>.prom`).
-//!
-//! `--jobs N` (default: the host's available parallelism) shards the
-//! sim-heavy sweeps — E5, E6, E11, and the E12/`sweep` chaos matrix —
-//! across N worker threads. Every case runs in its own deterministic
-//! sim and results merge in canonical case order, so the rows, digests,
-//! and reports are byte-identical for every jobs value; only wall time
-//! changes. The `sweep` report records both the serial and the parallel
-//! sweep digest in its params so `bench-check` can prove they agree;
-//! the E13/`profile` report does the same for the observability plane
-//! (phase-histogram exposition + gauge-series JSON digests).
+//! Prints the named experiments' tables (all of them when none is named)
+//! in E1–E11 order. The output is deterministic: EXPERIMENTS.md's raw
+//! tables are this output, held to it by `tests/raw_tables.rs`.
 
 #![forbid(unsafe_code)]
 
-use axml_bench::{
-    e10_isolation, e11_scale, e12_sweep, e13_profile, e14_hotpath, e1_fig1, e2_fig2, e3_compensation,
-    e4_materialization, e5_recovery_cost, e6_churn, e7_peer_independent, e8_spheres, e9_extended_chaining, BenchReport,
-};
-use axml_obs::{render_prometheus, Histogram};
-use std::collections::BTreeMap;
-
-/// Runs one experiment: prints its table (plus JSON rows when asked) and
-/// writes its `BENCH_<id>.json` report. When `$hists` yields histograms,
-/// their summaries are embedded in the report and the full distributions
-/// written next to it as `BENCH_<id>.prom`.
-macro_rules! experiment {
-    ($id:literal, $want:expr, $json:expr, $params:expr, $run:expr, $table:path) => {
-        experiment!($id, $want, $json, $params, $run, $table, None);
-    };
-    ($id:literal, $want:expr, $json:expr, $params:expr, $run:expr, $table:path, $hists:expr) => {
-        if $want($id) {
-            let t0 = std::time::Instant::now();
-            let rows = $run;
-            let wall_time_us = t0.elapsed().as_micros() as u64;
-            $table(&rows).print();
-            let rows_json = serde_json::to_string(&rows).expect("serializable");
-            if $json {
-                println!("{rows_json}");
-            }
-            let mut report = BenchReport::from_run($id, $params, rows.len(), &rows_json, wall_time_us);
-            let hists: Option<BTreeMap<String, Histogram>> = $hists;
-            if let Some(hists) = hists {
-                report.histograms = Some(hists.iter().map(|(k, v)| (k.clone(), v.summary())).collect());
-                let prom_name = concat!("BENCH_", $id, ".prom");
-                if let Err(e) = std::fs::write(prom_name, render_prometheus(&hists)) {
-                    eprintln!("cannot write {prom_name}: {e}");
-                }
-            }
-            if let Err(e) = std::fs::write(report.file_name(), report.to_json() + "\n") {
-                eprintln!("cannot write {}: {e}", report.file_name());
-            }
-            println!();
-        }
-    };
-}
+use axml_bench::{render, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    // Experiment names are the non-flag args; `--jobs N` consumes its
-    // value, which would otherwise parse as a name.
-    let which: Vec<&str> = {
-        let mut w = Vec::new();
-        let mut skip = false;
-        for a in &args {
-            if skip {
-                skip = false;
-            } else if a == "--jobs" {
-                skip = true;
-            } else if !a.starts_with("--") {
-                w.push(a.as_str());
-            }
-        }
-        w
-    };
-    let all = which.is_empty() || which.contains(&"all");
-    let want = |name: &str| all || which.contains(&name);
-
-    experiment!("e1", want, json, &[], e1_fig1::run(), e1_fig1::table);
-    experiment!("e2", want, json, &[], e2_fig2::run(), e2_fig2::table);
-    experiment!("e3", want, json, &[("rounds", "10")], e3_compensation::run(10), e3_compensation::table);
-    experiment!("e4", want, json, &[], e4_materialization::run(), e4_materialization::table);
-    experiment!(
-        "e5",
-        want,
-        json,
-        &[],
-        e5_recovery_cost::run_jobs(jobs),
-        e5_recovery_cost::table,
-        Some(e5_recovery_cost::histograms_jobs(jobs))
-    );
-    experiment!("e6", want, json, &[("rounds", "20")], e6_churn::run_jobs(20, jobs), e6_churn::table);
-    experiment!("e7", want, json, &[("rounds", "12")], e7_peer_independent::run(12), e7_peer_independent::table);
-    experiment!("e8", want, json, &[("seeds", "16")], e8_spheres::run(16), e8_spheres::table);
-    experiment!("e9", want, json, &[], e9_extended_chaining::run(), e9_extended_chaining::table);
-    experiment!("e10", want, json, &[], e10_isolation::run(), e10_isolation::table);
-    experiment!("e11", want, json, &[], e11_scale::run_jobs(jobs), e11_scale::table);
-
-    // E12 / `sweep` is hand-rolled: its report carries the serial and
-    // parallel sweep digests in `params` (the macro only takes static
-    // params) so `bench-check` can prove the runner is jobs-invariant.
-    if want("e12") || want("sweep") {
-        let t0 = std::time::Instant::now();
-        let (rows, outcome) = e12_sweep::run_with_outcome(jobs);
-        let wall_time_us = t0.elapsed().as_micros() as u64;
-        e12_sweep::table(&rows).print();
-        let rows_json = serde_json::to_string(&rows).expect("serializable");
-        if json {
-            println!("{rows_json}");
-        }
-        let mut report = BenchReport::from_run("sweep", &[], rows.len(), &rows_json, wall_time_us);
-        report.params.insert("jobs".into(), jobs.to_string());
-        report.params.insert("digest_serial".into(), rows[0].digest.clone());
-        report.params.insert("digest_parallel".into(), rows[1].digest.clone());
-        let speedup = rows[0].wall_us as f64 / rows[1].wall_us.max(1) as f64;
-        report.params.insert("speedup_x100".into(), ((speedup * 100.0).round() as u64).to_string());
-        report.histograms = Some(outcome.histograms.iter().map(|(k, v)| (k.clone(), v.summary())).collect());
-        if let Err(e) = std::fs::write("BENCH_sweep.prom", render_prometheus(&outcome.histograms)) {
-            eprintln!("cannot write BENCH_sweep.prom: {e}");
-        }
-        if let Err(e) = std::fs::write(report.file_name(), report.to_json() + "\n") {
-            eprintln!("cannot write {}: {e}", report.file_name());
-        }
-        println!();
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    if let Some(bad) = args.iter().find(|a| *a != "all" && !names.contains(&a.as_str())) {
+        eprintln!("unknown experiment {bad}; expected `all` or some of: {}", names.join(" "));
+        std::process::exit(2);
     }
-
-    // E13 / `profile` is hand-rolled for the same reason: its report
-    // carries the serial and parallel observability-plane digests (phase
-    // exposition + gauge-series JSON) so `bench-check` can prove the
-    // sampler and profiler are jobs-invariant. The parallel run's phase
-    // distributions land in `BENCH_profile.prom` and its merged gauge
-    // series in `BENCH_profile.series`.
-    if want("e13") || want("profile") {
-        let t0 = std::time::Instant::now();
-        let (rows, outcome) = e13_profile::run_with_outcome(jobs);
-        let wall_time_us = t0.elapsed().as_micros() as u64;
-        e13_profile::table(&rows).print();
-        let rows_json = serde_json::to_string(&rows).expect("serializable");
-        if json {
-            println!("{rows_json}");
-        }
-        let mut report = BenchReport::from_run("profile", &[], rows.len(), &rows_json, wall_time_us);
-        report.params.insert("jobs".into(), jobs.to_string());
-        report.params.insert("digest_serial".into(), rows[0].obs_digest.clone());
-        report.params.insert("digest_parallel".into(), rows[1].obs_digest.clone());
-        report.params.insert("txns".into(), rows[1].txns.to_string());
-        report.params.insert("series_points".into(), rows[1].series_points.to_string());
-        report.histograms = Some(outcome.phase_histograms.iter().map(|(k, v)| (k.clone(), v.summary())).collect());
-        if let Err(e) = std::fs::write("BENCH_profile.prom", render_prometheus(&outcome.phase_histograms)) {
-            eprintln!("cannot write BENCH_profile.prom: {e}");
-        }
-        if let Err(e) = std::fs::write("BENCH_profile.series", outcome.series.to_json()) {
-            eprintln!("cannot write BENCH_profile.series: {e}");
-        }
-        if let Err(e) = std::fs::write(report.file_name(), report.to_json() + "\n") {
-            eprintln!("cannot write {}: {e}", report.file_name());
-        }
-        println!();
-    }
-
-    // E14 / `hotpath` is hand-rolled too: its report carries the
-    // unbatched (`digest_serial`) and batched (`digest_parallel`)
-    // delivery-flood digests so `bench-check` can prove link batching is
-    // a pure queue optimization, plus the per-path speedups.
-    if want("e14") || want("hotpath") {
-        let t0 = std::time::Instant::now();
-        let (rows, digest_unbatched, digest_batched) = e14_hotpath::run();
-        let wall_time_us = t0.elapsed().as_micros() as u64;
-        e14_hotpath::table(&rows).print();
-        let rows_json = serde_json::to_string(&rows).expect("serializable");
-        if json {
-            println!("{rows_json}");
-        }
-        let mut report = BenchReport::from_run("hotpath", &[], rows.len(), &rows_json, wall_time_us);
-        report.params.insert("digest_serial".into(), digest_unbatched);
-        report.params.insert("digest_parallel".into(), digest_batched);
-        for r in &rows {
-            report.params.insert(format!("speedup_x100_{}", r.path.replace('-', "_")), r.speedup_x100.to_string());
-        }
-        if let Err(e) = std::fs::write(report.file_name(), report.to_json() + "\n") {
-            eprintln!("cannot write {}: {e}", report.file_name());
-        }
-        println!();
-    }
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    let wanted: Vec<&str> = if all { names } else { args.iter().map(String::as_str).collect() };
+    print!("{}", render(&wanted));
 }

@@ -12,12 +12,11 @@ use axml_core::{AxmlPeer, PeerConfig, TxnMsg};
 use axml_p2p::{PeerId, Sim, SimConfig};
 use axml_query::{Locator, SelectQuery, UpdateAction};
 use axml_xml::Fragment;
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Concurrent writer transactions.
     pub writers: usize,

@@ -10,12 +10,11 @@
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_core::PeerConfig;
 use axml_workload::{tree_edges, TreeShape};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured tree size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Tree depth (fanout 2).
     pub depth: usize,
@@ -60,20 +59,13 @@ fn measure(depth: usize, chaining: bool, seed: u64) -> Row {
 
 /// Runs the sweep.
 pub fn run() -> Vec<Row> {
-    run_jobs(1)
-}
-
-/// Runs the sweep sharded across `jobs` workers — each `(depth,
-/// chaining)` sim is independent and deterministic, and results come
-/// back in case order, so the rows match the serial run byte for byte.
-pub fn run_jobs(jobs: usize) -> Vec<Row> {
-    let mut cases = Vec::new();
+    let mut rows = Vec::new();
     for depth in 1..=5usize {
         for chaining in [true, false] {
-            cases.push((depth, chaining));
+            rows.push(measure(depth, chaining, 23));
         }
     }
-    axml_chaos::par_map(&cases, jobs, |_, &(depth, chaining)| measure(depth, chaining, 23))
+    rows
 }
 
 /// Formats the rows.

@@ -16,12 +16,10 @@
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_core::PeerConfig;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// One measured variant of the Fig. 1 scenario.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Variant label.
     pub variant: String,
@@ -115,20 +113,6 @@ pub fn table(rows: &[Row]) -> Table {
     )
 }
 
-/// The scenario used by the Criterion bench (one full Fig. 1 run).
-pub fn bench_once(fault: bool) -> bool {
-    let b = if fault {
-        let mut c = PeerConfig::default();
-        c.use_alternative_providers = false;
-        ScenarioBuilder::fig1().fault_at(5).config(c)
-    } else {
-        ScenarioBuilder::fig1()
-    };
-    let mut s = b.build();
-    let report = s.run();
-    report.atomic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +136,6 @@ mod tests {
         assert!(replica.invokes > baseline.invokes, "redo costs extra invocations");
         let pi = by("peer-independent");
         assert!(!pi.committed && pi.atomic && pi.compensates > 0);
-    }
-
-    #[test]
-    fn bench_entry_points() {
-        assert!(bench_once(false));
-        assert!(bench_once(true));
     }
 
     #[test]

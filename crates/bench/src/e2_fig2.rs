@@ -12,12 +12,11 @@
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_core::{DetectHow, PeerConfig};
 use axml_p2p::PeerId;
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured disconnection case.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Scenario label, e.g. `b: parent, detected by child`.
     pub scenario: String,
@@ -198,11 +197,6 @@ pub fn table(rows: &[Row]) -> Table {
     )
 }
 
-/// One (b)-scenario run for the Criterion bench.
-pub fn bench_once(chaining: bool) -> u64 {
-    scenario_b(chaining).build().run().finished_at
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,10 +250,5 @@ mod tests {
             assert_eq!((first.at, first.how), (invoked + B_WORK, DetectHow::SendFailure), "chaining {chaining}");
             assert_eq!(report.stats[&PeerId(6)].detections.first(), Some(first), "chaining {chaining}: by AP6");
         }
-    }
-
-    #[test]
-    fn bench_entry_point() {
-        assert!(bench_once(true) > 0);
     }
 }

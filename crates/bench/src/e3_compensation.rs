@@ -17,12 +17,11 @@ use axml_core::compensate::{apply_compensation, compensation_for_effects};
 use axml_query::{ActionType, Effect, InsertPos, Locator, UpdateAction};
 use axml_workload::{random_ops, random_plain_doc, DocParams, OpMix};
 use axml_xml::{equivalent_ordered, equivalent_unordered, Document};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Document size (element nodes).
     pub doc_nodes: usize,
@@ -220,11 +219,6 @@ pub fn table(rows: &[Row]) -> Table {
     )
 }
 
-/// One dynamic round-trip for the Criterion bench.
-pub fn bench_once(doc_nodes: usize, ops_count: usize) -> bool {
-    trial(42, doc_nodes, ops_count, true).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,10 +252,5 @@ mod tests {
     fn trial_is_deterministic() {
         assert_eq!(trial(3, 100, 10, true), trial(3, 100, 10, true));
         assert_eq!(trial(3, 100, 10, false), trial(3, 100, 10, false));
-    }
-
-    #[test]
-    fn bench_entry_point() {
-        assert!(bench_once(100, 10));
     }
 }

@@ -9,12 +9,11 @@ use axml_doc::{EvalMode, Fault, MaterializationEngine, ResolvedCall, ServiceInvo
 use axml_query::SelectQuery;
 use axml_workload::{atp_document, random_axml_doc, DocParams};
 use axml_xml::Fragment;
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured query/mode combination.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Workload label.
     pub workload: String,
@@ -134,16 +133,6 @@ pub fn table(rows: &[Row]) -> Table {
     )
 }
 
-/// One lazy ATP query for the Criterion bench.
-pub fn bench_once(eager: bool) -> usize {
-    let atp = atp_document();
-    let q =
-        SelectQuery::parse("Select p/citizenship, p/points from p in ATPList//player where p/name/lastname = Federer;")
-            .expect("query");
-    let mode = if eager { EvalMode::Eager } else { EvalMode::Lazy };
-    measure("bench", &atp, &q, mode).calls_materialized
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,11 +160,5 @@ mod tests {
         assert!(lazy("5 of 20") <= lazy("20 of 20"));
         assert_eq!(eager("1 of 20"), 20);
         assert!(lazy("1 of 20") < 20, "lazy skips irrelevant calls");
-    }
-
-    #[test]
-    fn bench_entry_point() {
-        assert_eq!(bench_once(false), 1);
-        assert_eq!(bench_once(true), 2);
     }
 }

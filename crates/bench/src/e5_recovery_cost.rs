@@ -7,10 +7,7 @@
 
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_core::{PeerConfig, RecoveryStyle};
-use axml_obs::{derive_histograms, Histogram};
 use axml_workload::{tree_edges, trees::peer_at_depth, TreeShape};
-use serde::Serialize;
-use std::collections::BTreeMap;
 
 use crate::table::Table;
 
@@ -18,7 +15,7 @@ use crate::table::Table;
 const SHAPES: &[(usize, usize)] = &[(2, 2), (3, 2), (4, 2), (3, 3)];
 
 /// One measured configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Tree depth.
     pub depth: usize,
@@ -41,16 +38,6 @@ pub struct Row {
 }
 
 fn measure(shape: TreeShape, fault_depth: usize, forward: bool, seed: u64) -> Row {
-    measure_traced(shape, fault_depth, forward, seed, false).0
-}
-
-fn measure_traced(
-    shape: TreeShape,
-    fault_depth: usize,
-    forward: bool,
-    seed: u64,
-    traced: bool,
-) -> (Row, BTreeMap<String, Histogram>) {
     let edges = tree_edges(1, shape);
     let fault_peer = peer_at_depth(1, shape, fault_depth, seed);
     let mut config = PeerConfig::default();
@@ -58,17 +45,14 @@ fn measure_traced(
     config.use_alternative_providers = forward;
     let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Update).fault_at(fault_peer).config(config);
     builder.seed = seed;
-    builder.trace = traced;
     let builder = if forward {
         let (b, _replica) = builder.with_replica(fault_peer);
         b
     } else {
         builder
     };
-    let mut s = builder.build();
-    let report = s.run();
-    let hists = s.trace().map(derive_histograms).unwrap_or_default();
-    let row = Row {
+    let report = builder.build().run();
+    Row {
         depth: shape.depth,
         fanout: shape.fanout,
         fault_depth,
@@ -78,58 +62,21 @@ fn measure_traced(
         comp_nodes: report.stats.values().map(|s| s.comp_cost_nodes).sum(),
         messages: report.metrics.sent,
         resolution_time: report.outcome.as_ref().map(|o| o.resolved_at - o.started_at).unwrap_or(report.finished_at),
-    };
-    (row, hists)
-}
-
-/// The flattened case list, in the canonical (serial) sweep order.
-fn cases() -> Vec<(TreeShape, usize, bool)> {
-    let mut cases = Vec::new();
-    for &(depth, fanout) in SHAPES {
-        let shape = TreeShape { depth, fanout };
-        for fault_depth in 1..=depth {
-            for forward in [true, false] {
-                cases.push((shape, fault_depth, forward));
-            }
-        }
     }
-    cases
 }
 
 /// Runs the sweep.
 pub fn run() -> Vec<Row> {
-    run_jobs(1)
-}
-
-/// Runs the sweep sharded across `jobs` workers. Each configuration runs
-/// in its own deterministic sim; results come back in case order, so the
-/// rows are byte-identical to the serial run for every jobs value.
-pub fn run_jobs(jobs: usize) -> Vec<Row> {
-    axml_chaos::par_map(&cases(), jobs, |_, &(shape, fault_depth, forward)| measure(shape, fault_depth, forward, 11))
-}
-
-/// Re-runs the whole sweep traced and folds every run's derived latency
-/// histograms into one set (same fixed bucket layout ⇒ plain merges).
-/// Deterministic: same seeds, byte-identical summaries on every call.
-pub fn histograms() -> BTreeMap<String, Histogram> {
-    histograms_jobs(1)
-}
-
-/// [`histograms`] sharded across `jobs` workers; histogram merging is
-/// commutative and associative, but the fold still walks in case order
-/// so intermediate states (and any future order-sensitive metric) stay
-/// canonical.
-pub fn histograms_jobs(jobs: usize) -> BTreeMap<String, Histogram> {
-    let per_case = axml_chaos::par_map(&cases(), jobs, |_, &(shape, fault_depth, forward)| {
-        measure_traced(shape, fault_depth, forward, 11, true).1
-    });
-    let mut out: BTreeMap<String, Histogram> = BTreeMap::new();
-    for hists in per_case {
-        for (name, h) in hists {
-            out.entry(name).or_default().merge(&h);
+    let mut rows = Vec::new();
+    for &(depth, fanout) in SHAPES {
+        let shape = TreeShape { depth, fanout };
+        for fault_depth in 1..=depth {
+            for forward in [true, false] {
+                rows.push(measure(shape, fault_depth, forward, 11));
+            }
         }
     }
-    out
+    rows
 }
 
 /// Formats the rows.
@@ -159,11 +106,6 @@ pub fn table(rows: &[Row]) -> Table {
     )
 }
 
-/// One run for the Criterion bench.
-pub fn bench_once(depth: usize, forward: bool) -> bool {
-    measure(TreeShape { depth, fanout: 2 }, depth.max(1), forward, 3).atomic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,29 +133,5 @@ mod tests {
             rows.iter().find(|r| r.style == "backward" && r.depth == 4 && r.fault_depth == d).unwrap().comp_nodes
         };
         assert!(comp(1) >= comp(4), "late (shallow) faults undo more: {} vs {}", comp(1), comp(4));
-    }
-
-    #[test]
-    fn bench_entry_point() {
-        assert!(bench_once(2, true));
-        assert!(bench_once(2, false));
-    }
-
-    #[test]
-    fn histograms_are_deterministic_and_populated() {
-        let a = histograms();
-        let b = histograms();
-        assert_eq!(a, b, "traced replays must agree exactly");
-        // The sweep commits (forward) and aborts (backward), so both the
-        // commit-latency and abort-wave distributions must have samples.
-        assert!(a["commit_latency"].count() > 0, "{a:?}");
-        assert!(a["abort_drain"].count() > 0, "{a:?}");
-        assert!(a["retransmits_per_delivery"].count() > 0, "{a:?}");
-        // Tracing is observation only: the traced sweep's rows equal the
-        // untraced ones (spot-check one configuration).
-        let shape = TreeShape { depth: 3, fanout: 2 };
-        let (traced_row, _) = measure_traced(shape, 2, false, 11, true);
-        let plain = measure(shape, 2, false, 11);
-        assert_eq!(format!("{traced_row:?}"), format!("{plain:?}"));
     }
 }

@@ -12,12 +12,11 @@ use axml_core::PeerConfig;
 use axml_workload::{tree_edges, TreeShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured configuration (aggregated over seeds).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Probability each non-origin peer disconnects mid-run.
     pub p_disconnect: f64,
@@ -91,27 +90,7 @@ const CHURN: &[f64] = &[0.0, 0.1, 0.25, 0.5];
 
 /// Runs the sweep.
 pub fn run(trials: usize) -> Vec<Row> {
-    run_jobs(trials, 1)
-}
-
-/// Runs the sweep with every `(p, chaining, trial)` sim sharded across
-/// `jobs` workers. Each trial is an independent seeded sim; the fold
-/// back into per-configuration rows walks trials in canonical order, so
-/// the rows are byte-identical to the serial run for every jobs value.
-pub fn run_jobs(trials: usize, jobs: usize) -> Vec<Row> {
-    let mut cases = Vec::new();
-    for &p in CHURN {
-        for chaining in [true, false] {
-            for t in 0..trials {
-                let seed = t as u64 * 6151 + (p * 1000.0) as u64;
-                cases.push((seed, p, chaining));
-            }
-        }
-    }
-    let outcomes = axml_chaos::par_map(&cases, jobs, |_, &(seed, p, chaining)| one(seed, p, chaining));
-
     let mut rows = Vec::new();
-    let mut next = outcomes.into_iter();
     for &p in CHURN {
         for chaining in [true, false] {
             let mut resolved = 0usize;
@@ -121,8 +100,9 @@ pub fn run_jobs(trials: usize, jobs: usize) -> Vec<Row> {
             let mut reused = 0u64;
             let mut orphan = 0u64;
             let mut messages = 0u64;
-            for _ in 0..trials {
-                let (r, c, a, w, re, o, m) = next.next().expect("one outcome per case");
+            for t in 0..trials {
+                let seed = t as u64 * 6151 + (p * 1000.0) as u64;
+                let (r, c, a, w, re, o, m) = one(seed, p, chaining);
                 resolved += r as usize;
                 committed += c as usize;
                 atomic += (r && a) as usize;
@@ -174,11 +154,6 @@ pub fn table(rows: &[Row]) -> Table {
          reuses/salvages work (reused, orphan-stops > 0) and sustains a higher commit rate; \
          the gap grows with churn",
     )
-}
-
-/// One churn run for the Criterion bench.
-pub fn bench_once(chaining: bool) -> bool {
-    one(5, 0.25, chaining).0
 }
 
 #[cfg(test)]

@@ -20,12 +20,11 @@ use axml_core::PeerConfig;
 use axml_p2p::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured configuration (aggregated).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Probability the completed participant disconnects before the abort.
     pub p_disconnect: f64,
@@ -133,11 +132,6 @@ pub fn table(rows: &[Row]) -> Table {
          peer disconnects, peer-dependent compensation is lost, while peer-independent + replica \
          still reaches 1.0 (the definition runs on the replica) — the gap grows with p-disc",
     )
-}
-
-/// One trial for the Criterion bench.
-pub fn bench_once(peer_independent: bool) -> bool {
-    one(3, true, true, peer_independent)
 }
 
 #[cfg(test)]

@@ -13,12 +13,11 @@ use axml_p2p::PeerId;
 use axml_workload::{tree_edges, TreeShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured population mix (aggregated).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Fraction of super peers among participants (origin always super).
     pub super_fraction: f64,
@@ -123,11 +122,6 @@ pub fn table(rows: &[Row]) -> Table {
         "expected shape: atomic|guaranteed = 1.00 at every mix (the sphere check is sound); \
          P(guaranteed) reaches 1.0 only at 100% super peers; atomic|not < 1 under churn",
     )
-}
-
-/// One trial for the Criterion bench.
-pub fn bench_once(all_super: bool) -> bool {
-    one(9, if all_super { 1.0 } else { 0.0 }).2
 }
 
 #[cfg(test)]

@@ -14,18 +14,17 @@ use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_core::{ChainScope, PeerConfig};
 use axml_p2p::PeerId;
 use axml_workload::{tree_edges, TreeShape};
-use serde::Serialize;
 
 use crate::table::Table;
 
 /// One measured configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Tree depth (fanout 2).
     pub depth: usize,
     /// Peers in the tree.
     pub peers: usize,
-    /// `standard` or `extended`.
+    /// `invoke-only`, `standard` or `extended`.
     pub scope: String,
     /// Simulated time until the *origin* knows the full tree.
     pub origin_converged_at: u64,
@@ -38,15 +37,12 @@ pub struct Row {
     pub messages: u64,
 }
 
-fn measure(depth: usize, scope: Option<ChainScope>, seed: u64) -> Row {
+fn measure(depth: usize, scope: ChainScope, seed: u64) -> Row {
     let shape = TreeShape { depth, fanout: 2 };
     let edges = tree_edges(1, shape);
     let n_peers = edges.len() + 1;
     let mut config = PeerConfig::default();
-    match scope {
-        Some(sc) => config.chain_scope = sc,
-        None => config.chain_gossip = false, // strict piggyback-only chaining
-    }
+    config.chain_scope = scope;
     // Slow services keep the run going long enough to observe convergence.
     let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).config(config);
     builder.seed = seed;
@@ -78,9 +74,9 @@ fn measure(depth: usize, scope: Option<ChainScope>, seed: u64) -> Row {
         depth,
         peers: n_peers,
         scope: match scope {
-            Some(ChainScope::Standard) => "standard".into(),
-            Some(ChainScope::Extended) => "extended".into(),
-            None => "invoke-only".into(),
+            ChainScope::InvokeOnly => "invoke-only".into(),
+            ChainScope::Standard => "standard".into(),
+            ChainScope::Extended => "extended".into(),
         },
         origin_converged_at,
         all_converged_at,
@@ -93,7 +89,7 @@ fn measure(depth: usize, scope: Option<ChainScope>, seed: u64) -> Row {
 pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
     for depth in [2usize, 3, 4] {
-        for scope in [None, Some(ChainScope::Standard), Some(ChainScope::Extended)] {
+        for scope in [ChainScope::InvokeOnly, ChainScope::Standard, ChainScope::Extended] {
             rows.push(measure(depth, scope, 17));
         }
     }

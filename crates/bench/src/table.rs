@@ -71,11 +71,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

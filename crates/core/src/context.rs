@@ -250,7 +250,7 @@ impl TransactionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axml_query::{Locator, UpdateAction};
+    use axml_query::{Locator, NodePath, UpdateAction};
     use axml_xml::{Document, Fragment};
 
     fn ctx() -> TransactionContext {
@@ -324,6 +324,31 @@ mod tests {
         let flat: Vec<(String, Vec<UpdateAction>)> =
             indexed.into_iter().map(|(_, doc, actions)| (doc, actions)).collect();
         assert_eq!(flat, c.own_compensation().actions);
+    }
+
+    /// Deriving from a cloned log (`local_effects` + `from_effect_log`) and
+    /// from borrowed slices (`own_compensation`) give the same actions in
+    /// the same order, remote entries interleaved or not.
+    #[test]
+    fn cloned_and_borrowed_derivations_agree_action_for_action() {
+        let doc = Document::parse(r#"<r><a x="1"><b>t</b></a><c/><d><e/>text</d></r>"#).unwrap();
+        let subtrees: Vec<Fragment> = doc
+            .descendants_and_self(doc.root())
+            .filter(|&n| doc.name(n).is_ok())
+            .map(|n| Fragment::from_node(&doc, n).unwrap())
+            .collect();
+        let mut c = ctx();
+        for i in 0..120 {
+            let fragment = subtrees[i % subtrees.len()].clone();
+            let effect = Effect::Deleted { fragment, parent_path: NodePath(vec![i % 5]), position: i % 3 };
+            c.record_local(format!("doc{}", i % 8), "delete", vec![effect]);
+            if i % 3 == 0 {
+                c.record_remote(PeerId(2), InvocationId::new(PeerId(2), i as u64), "m");
+            }
+        }
+        let cloned = CompensatingService::from_effect_log(&c.local_effects());
+        assert_eq!(cloned.action_count(), 120);
+        assert_eq!(cloned, c.own_compensation());
     }
 
     #[test]

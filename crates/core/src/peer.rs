@@ -85,11 +85,16 @@ const TAG_ACK: u64 = 3;
 /// First tag available for payload timers.
 const TAG_PAYLOAD_BASE: u64 = 16;
 
-/// How far chain gossip and disconnect notifications reach (ablation of
-/// the paper's future work: "we are exploring the feasibility of
-/// extending \[chaining\] to uncles, cousins, etc.").
+/// How far chain gossip reaches (ablation of the paper's future work: "we
+/// are exploring the feasibility of extending \[chaining\] to uncles,
+/// cousins, etc.").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChainScope {
+    /// No gossip: strict piggyback-only chaining, where active-peer lists
+    /// travel solely with `Invoke`/`Result`. Cheaper, but interior peers
+    /// learn deeper edges only when results return, degrading scenarios
+    /// (c)/(d).
+    InvokeOnly,
     /// The paper's mechanism: parent, children, and siblings.
     #[default]
     Standard,
@@ -120,12 +125,8 @@ pub struct PeerConfig {
     pub peer_independent: bool,
     /// D4: piggyback active-peer lists and use them on detection.
     pub chaining: bool,
-    /// Gossip chain growth to parent/children/siblings as it happens.
-    /// Off = strict piggyback-only chaining (lists travel solely with
-    /// `Invoke`/`Result`): cheaper, but interior peers learn deeper edges
-    /// only when results return, degrading scenarios (c)/(d).
-    pub chain_gossip: bool,
-    /// How far gossip/notices reach (paper vs extended future work).
+    /// How far chain growth is gossiped as it happens: not at all, the
+    /// paper's parent/children/siblings, or the extended future work.
     pub chain_scope: ChainScope,
     /// Use the replica directory to re-invoke a failed/disconnected
     /// child's service on an alternative provider.
@@ -226,7 +227,6 @@ impl Default for PeerConfig {
             recovery: RecoveryStyle::ForwardFirst,
             peer_independent: false,
             chaining: true,
-            chain_gossip: true,
             chain_scope: ChainScope::Standard,
             use_alternative_providers: true,
             ping_interval: 10,
@@ -1449,7 +1449,7 @@ impl AxmlPeer {
     /// peer in peer order, leaving out the peers that hold it already. An
     /// update carries the acknowledgements owed to its target.
     fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
-        if !self.config.chaining || !self.config.chain_gossip {
+        if !self.config.chaining || self.config.chain_scope == ChainScope::InvokeOnly {
             return;
         }
         // Every target receives the same allocation.

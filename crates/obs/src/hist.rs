@@ -159,9 +159,8 @@ impl Histogram {
     }
 }
 
-/// A histogram's fixed-point summary, embedded in `BENCH_<id>.json`
-/// reports. All fields are integers so reports stay `Eq`-comparable and
-/// byte-stable across replays.
+/// A histogram's fixed-point summary. All fields are integers so
+/// summaries stay `Eq`-comparable and byte-stable across replays.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Number of samples.
