@@ -1375,29 +1375,21 @@ mod tests {
 
     #[test]
     fn duplicate_storm_keeps_the_dedup_set_bounded() {
-        // A tiny dedup capacity under heavy duplication: finalize-time
-        // pruning (plus the capacity trigger) must keep every peer's
-        // seen-set at or below capacity once the transaction resolves,
-        // while the high-water mark records the worst the storm managed.
-        let cap = 8;
+        // Heavy duplication at the default capacity, which the storm never
+        // reaches: the finalize-time prune alone must empty every peer's
+        // seen-set of the committed transaction's entries, while the
+        // high-water mark records the worst the storm managed.
         let mut b = builder_for("fig1").expect("known scenario");
         b.seed = 1009;
-        let mut cfg = PeerConfig::default();
-        cfg.dedup_capacity = cap;
         let plane = FaultPlane::probabilistic(9, 0.0, 0.5, 0.0, 0.0);
-        let mut s = b.config(cfg).fault_plane(plane).build();
+        let mut s = b.fault_plane(plane).build();
         let report = s.run();
         assert!(report.outcome.expect("resolved").committed);
         let mut suppressed = 0;
         let mut peak = 0;
         for &p in &s.participants {
             let actor = s.sim.actor(p);
-            assert!(
-                actor.seen_deliveries_len() <= cap,
-                "AP{} dedup set not pruned after finalize: {} entries (cap {cap})",
-                p.0,
-                actor.seen_deliveries_len()
-            );
+            assert_eq!(actor.seen_deliveries_len(), 0, "AP{} dedup set not pruned after the commit", p.0);
             suppressed += actor.stats.dup_suppressed;
             peak = peak.max(actor.stats.seen_peak);
         }

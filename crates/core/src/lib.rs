@@ -39,6 +39,8 @@
 pub mod chain;
 pub mod compensate;
 pub mod context;
+mod delivery;
+mod detector;
 pub mod durability;
 pub mod ids;
 pub mod isolation;
@@ -46,6 +48,7 @@ pub mod messages;
 pub mod peer;
 pub mod scenarios;
 pub mod spheres;
+mod timers;
 
 pub use chain::ActiveList;
 pub use compensate::{compensation_for_effects, CompensatingService, StaticCompensator};

@@ -15,8 +15,11 @@ use axml_p2p::{Message, PeerId};
 use axml_xml::Fragment;
 use std::sync::Arc;
 
+/// The simulator context of a peer that speaks this protocol.
+pub(crate) type Ctx<'a> = axml_p2p::Ctx<'a, TxnMsg>;
+
 /// Reliable-delivery ids a message acknowledges on the side (see
-/// `AxmlPeer::send_reliable`): what its sender owed the
+/// `Delivery::send`): what its sender owed the
 /// receiver when it left. An inline array, so that a ride allocates
 /// nothing; what does not fit leaves in a [`TxnMsg::Ack`] of its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,7 +175,7 @@ pub enum TxnMsg {
     },
     /// At-least-once delivery envelope: the sender retransmits `inner`
     /// with bounded exponential backoff until the receiver acknowledges
-    /// `id` (see `AxmlPeer::send_reliable`). The receiver
+    /// `id` (see `Delivery::send`). The receiver
     /// always acks — even re-deliveries — and suppresses duplicates by
     /// `(sender, id)` so the protocol survives drop *and* duplication.
     Reliable {
@@ -204,6 +207,26 @@ impl TxnMsg {
                 acks.as_slice()
             }
             _ => &[],
+        }
+    }
+
+    /// The transaction this message is about; `None` for transport
+    /// traffic (pings, acks). Drives trace attribution and dedup pruning.
+    pub fn txn(&self) -> Option<TxnId> {
+        match self {
+            TxnMsg::Invoke { txn, .. }
+            | TxnMsg::Result { txn, .. }
+            | TxnMsg::Fault { txn, .. }
+            | TxnMsg::Abort { txn }
+            | TxnMsg::Commit { txn, .. }
+            | TxnMsg::Inquire { txn }
+            | TxnMsg::Compensate { txn, .. }
+            | TxnMsg::Redirected { txn, .. }
+            | TxnMsg::DisconnectNotice { txn, .. }
+            | TxnMsg::StreamData { txn, .. }
+            | TxnMsg::ChainUpdate { txn, .. } => Some(*txn),
+            TxnMsg::Reliable { inner, .. } => inner.txn(),
+            TxnMsg::Ping | TxnMsg::Pong | TxnMsg::Ack { .. } => None,
         }
     }
 }

@@ -24,6 +24,19 @@
 //!   driven by synchronous send failures, keep-alive timeouts, and missed
 //!   sibling stream intervals, using the piggybacked active-peer list.
 //!
+//! # Layers
+//!
+//! This module is the protocol. Two layers under it keep their own state:
+//!
+//! | Module | Job | Hands the protocol |
+//! |--------|-----|--------------------|
+//! | `delivery` (`Delivery`) | outbox, retransmit backoff and give-up, owed acks, dedup set | a payload to act on; a delivery given up (`delivery_failed`) |
+//! | `detector` (`Detector`) | watches, keep-alive probes, sibling-stream clocks | the peers it suspects (`on_child_disconnected`, `on_sibling_disconnected`) |
+//! | `timers` (`Timers`) | every timer: what it is for, when it is due | the `Timer` kind that fired (`on_timer`) |
+//!
+//! A reconnect decides per timer kind, in one match, what becomes of the
+//! timers lost offline (`on_reconnect`); a crash builds all three afresh.
+//!
 //! # Reference model
 //!
 //! The `axml-spec` crate models this protocol as a small-step transition
@@ -36,7 +49,7 @@
 //! |-----------|----------------------|
 //! | R01 submit | [`AxmlPeer::submit`] |
 //! | R02 serve | `handle_invoke` |
-//! | R03 materialize | `apply_child_items` |
+//! | R03 materialize | `apply_child_items` → `keep_effects` |
 //! | R04 complete / resolve | `finish_serving`, `complete_serving` |
 //! | R05 fault | `fail_serving` |
 //! | R06 abort-up | `child_failed` → `abort_local` |
@@ -61,29 +74,22 @@
 use crate::chain::ActiveList;
 use crate::compensate::{compensation_for_effects, CompBundle, CompensatingService};
 use crate::context::{TransactionContext, TxnOutcome, TxnState};
+use crate::delivery::{Delivery, Pending};
+use crate::detector::Detector;
 use crate::durability::{self, DurabilitySink, JournalEntry, MemorySink, WalStats};
 use crate::ids::{InvocationId, TxnId};
 use crate::isolation::ConflictTable;
-use crate::messages::{AckIds, TxnMsg};
+use crate::messages::{Ctx, TxnMsg};
+use crate::timers::Timers;
 use axml_doc::{
     apply_call_results, EvalMode, Fault, MaterializationEngine, ParamValue, Repository, ResolvedCall, ServiceCall,
     ServiceInvoker, ServiceKind, ServiceRegistry,
 };
-use axml_p2p::{Actor, Ctx, Directory, EventKind, PeerId, PingMonitor, SendError, TimerId};
+use axml_p2p::{Actor, Directory, EventKind, PeerId, SendError};
 use axml_query::{Effect, NodePath, SelectQuery};
 use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Timer tag for the keep-alive timer (the next idle-link probe deadline).
-const TAG_PING: u64 = 1;
-/// Timer tag for the periodic sibling-stream tick.
-const TAG_STREAM: u64 = 2;
-/// Timer tag for the held-acknowledgement timer (the earliest deadline of
-/// an `Invoke`'s ack waiting for the answer to carry it).
-const TAG_ACK: u64 = 3;
-/// First tag available for payload timers.
-const TAG_PAYLOAD_BASE: u64 = 16;
 
 /// How far chain gossip reaches (ablation of the paper's future work: "we
 /// are exploring the feasibility of extending \[chaining\] to uncles,
@@ -163,11 +169,6 @@ pub struct PeerConfig {
     /// Retransmissions before the sender gives up and treats the silence
     /// as a failure ([`DetectHow::AckTimeout`]).
     pub max_retransmits: u32,
-    /// Soft bound on the `(sender, id)` dedup set: once it grows past
-    /// this, entries whose transaction has finalized here are pruned
-    /// (entries of live transactions are always kept). The high-water
-    /// mark is exposed as [`PeerStats::seen_peak`].
-    pub dedup_capacity: usize,
     /// **Deliberately broken, test-only.** Apply self-compensation
     /// batches in forward log order instead of §3.1's reverse order.
     /// Exists so the online protocol monitor (`axml-obs`, rule M001) can
@@ -197,6 +198,11 @@ impl PeerConfig {
     /// capped like a retransmission, at most `max_retransmits` times.
     pub fn decision_timeout(&self) -> u64 {
         self.retransmit_base.saturating_mul(4)
+    }
+
+    /// The wait for a decision after `inquiries` inquiries.
+    fn decision_wait(&self, inquiries: u32) -> u64 {
+        self.decision_timeout().saturating_mul(1u64 << inquiries.min(6))
     }
 
     /// Checks the two timing MUSTs — [`PeerConfig::ping_timeout`]'s and
@@ -238,7 +244,6 @@ impl Default for PeerConfig {
             dedup: true,
             retransmit_base: 16,
             max_retransmits: 8,
-            dedup_capacity: 1024,
             compensate_in_log_order: false,
         }
     }
@@ -459,13 +464,9 @@ enum ChildTarget {
     ParamFill { node: NodeId },
 }
 
-/// One resolved wave entry: the call, its result target, the provider
-/// peer, and the resolved parameters.
-type WaveEntry = (ServiceCall, ChildTarget, PeerId, Vec<(String, String)>);
-
 /// Bookkeeping for one outstanding child invocation.
 #[derive(Debug, Clone)]
-struct WaitingChild {
+pub(crate) struct WaitingChild {
     txn: TxnId,
     serving_inv: InvocationId,
     child_peer: PeerId,
@@ -475,6 +476,35 @@ struct WaitingChild {
     handlers: Vec<axml_doc::FaultHandler>,
     retries_left: u32,
     attempted: Vec<PeerId>,
+}
+
+impl WaitingChild {
+    /// The wait for `call`, resolved to `params` and issued to `peer` for
+    /// `txn`'s serving `serving_inv`, with the retries its handlers grant.
+    fn new(
+        txn: TxnId,
+        serving_inv: InvocationId,
+        call: ServiceCall,
+        target: ChildTarget,
+        peer: PeerId,
+        params: Vec<(String, String)>,
+    ) -> WaitingChild {
+        let retries_left = call.handlers.iter().find_map(|h| match &h.action {
+            axml_doc::HandlerAction::Retry { times, .. } => Some(*times),
+            _ => None,
+        });
+        WaitingChild {
+            txn,
+            serving_inv,
+            child_peer: peer,
+            method: call.method.to_string(),
+            params,
+            target,
+            handlers: call.handlers,
+            retries_left: retries_left.unwrap_or(0),
+            attempted: vec![peer],
+        }
+    }
 }
 
 /// One invocation this peer is processing.
@@ -492,61 +522,56 @@ struct Serving {
     rounds: usize,
 }
 
-#[derive(Debug, Clone)]
-enum TimerPayload {
+impl Serving {
+    /// A serving of `method` for `txn` that has issued nothing yet;
+    /// `reply_to` is its invoker, none at the origin.
+    fn new(
+        txn: TxnId,
+        inv: InvocationId,
+        reply_to: Option<PeerId>,
+        method: &str,
+        params: Vec<(String, String)>,
+        prefilled: Vec<(String, Vec<Fragment>)>,
+    ) -> Serving {
+        Serving {
+            txn,
+            inv,
+            reply_to,
+            method: method.to_string(),
+            params,
+            pending: BTreeSet::new(),
+            prefilled,
+            done_sc: BTreeSet::new(),
+            param_cache: BTreeMap::new(),
+            rounds: 0,
+        }
+    }
+}
+
+/// What a timer is for: the kinds of the peer's one `Timers` registry,
+/// each with its reconnect rule in `on_reconnect`.
+#[derive(Debug)]
+pub(crate) enum Timer {
     /// The simulated processing duration elapsed: finish the serving.
     ServiceDone(InvocationId),
     /// Re-issue a child invocation (handler retry, possibly to a replica).
     RetryChild {
         wc: WaitingChild,
-        to_peer: PeerId,
-        to_method: String,
         /// The failed invocation id still held in the serving's pending
         /// set; swapped for the fresh one at reissue time.
         placeholder: InvocationId,
     },
-    /// Submit a transaction (harness-scheduled).
-    Submit { method: String, params: Vec<(String, String)> },
+    /// The decision timeout of a participant awaiting `txn`'s outcome
+    /// that has sent `inquiries` inquiries.
+    Decision { txn: TxnId, inquiries: u32 },
     /// Retransmit an unacked reliable delivery (by delivery id).
     Retransmit(u64),
-    /// The decision timeout of a participant awaiting `txn`'s outcome.
-    Decision(TxnId),
-}
-
-/// A participant whose result has left and that has not heard the
-/// decision: the "completed, awaiting decision" state. Only the decision,
-/// an abort (pushed, or detected disconnection driving one), a received
-/// compensation or the peer's own crash ends it.
-#[derive(Debug, Clone, Copy)]
-struct AwaitingDecision {
-    /// `Inquire`s sent so far.
-    inquiries: u32,
-    /// The pending decision timer, as `(payload tag, simulator timer)`.
-    timer: (u64, TimerId),
-}
-
-/// One unacked reliable delivery awaiting its ack or next retransmission.
-#[derive(Debug, Clone)]
-struct PendingDelivery {
-    to: PeerId,
-    /// Shared with every envelope sent for this delivery.
-    msg: Arc<TxnMsg>,
-    attempts: u32,
-    /// The pending retransmit timer, as `(payload tag, simulator timer)`.
-    /// Tracked so an ack (or give-up) cancels the timer and drops its
-    /// payload instead of leaving a stale timer to fire after the outbox
-    /// entry is gone.
-    timer: Option<(u64, TimerId)>,
-}
-
-/// A received reliable delivery whose acknowledgement has not left yet.
-#[derive(Debug, Clone, Copy)]
-struct OwedAck {
-    to: PeerId,
-    id: u64,
-    /// When it leaves alone if nothing bound for `to` has carried it: the
-    /// time of receipt, or `ack_hold` later for an `Invoke`.
-    due: u64,
+    /// Send the acknowledgements held for an answer that did not come.
+    AckHold,
+    /// Probe the watched links that fell idle.
+    KeepAlive,
+    /// Stream to the siblings and check theirs.
+    Stream,
 }
 
 /// WSDL knowledge shared across the fabric: method → declared result
@@ -619,25 +644,21 @@ pub struct AxmlPeer {
     contexts: BTreeMap<TxnId, TransactionContext>,
     /// How many of `contexts` are still [`TxnState::Active`] — the
     /// `in_flight_txns` gauge, kept by [`Self::insert_context`] and
-    /// [`Self::resolve_context`] so a sample need not walk every context
+    /// [`Self::decide`] so a sample need not walk every context
     /// this peer has ever held.
     active_contexts: usize,
     servings: BTreeMap<InvocationId, Serving>,
     waiting: BTreeMap<InvocationId, WaitingChild>,
-    monitor: PingMonitor,
-    watch_counts: BTreeMap<PeerId, usize>,
-    timers: BTreeMap<u64, TimerPayload>,
-    next_tag: u64,
+    /// Every timer this peer has set, by what it is for.
+    timers: Timers,
+    /// At-least-once delivery under the protocol.
+    delivery: Delivery,
+    /// Keep-alive and sibling-stream failure detection.
+    detector: Detector,
+    /// Id counters, namespaced by the crash-restart incarnation so a
+    /// restarted peer reuses no id that may still be live.
     next_inv: u64,
     next_txn: u64,
-    /// The keep-alive timer, while one is queued.
-    ping_timer: Option<TimerId>,
-    /// The held-acknowledgement timer, while one is queued.
-    ack_timer: Option<TimerId>,
-    /// The sibling-stream timer, while one is queued.
-    stream_timer: Option<TimerId>,
-    stream_seq: u64,
-    stream_last: BTreeMap<(TxnId, PeerId), u64>,
     prefill_store: BTreeMap<TxnId, Vec<(String, Vec<Fragment>)>>,
     /// Results of completed servings, retained until the transaction
     /// resolves. If the consumer turns out to have disconnected (the
@@ -652,8 +673,9 @@ pub struct AxmlPeer {
     /// the grandparent crashes). Released when the transaction resolves.
     parent_watch: BTreeMap<TxnId, PeerId>,
     /// Transactions whose result has left this peer and whose decision it
-    /// has not heard (spec rule R12's `Done` frame).
-    awaiting: BTreeMap<TxnId, AwaitingDecision>,
+    /// has not heard (spec rule R12's `Done` frame), each with its decision
+    /// timer. Only a decision or the peer's own crash ends the wait.
+    awaiting: BTreeMap<TxnId, u64>,
     /// In-memory mirror of what the durability sink holds, for the
     /// [`Self::journal`] accessor and diagnostics. Only entries the sink
     /// durably acknowledged land here; after a crash-restart it is reset
@@ -663,25 +685,6 @@ pub struct AxmlPeer {
     /// before its consequences escape; on crash-restart the sink is the
     /// sole source of surviving entries.
     sink: Box<dyn DurabilitySink>,
-    /// Crash-restart epoch (the simulator incarnation at last restart).
-    /// Namespaces invocation/transaction/delivery counters so a restarted
-    /// peer never reuses an id that may still be live in the network.
-    epoch: u64,
-    next_delivery: u64,
-    /// Unacked reliable deliveries by delivery id.
-    outbox: BTreeMap<u64, PendingDelivery>,
-    /// Reliable deliveries already executed, by `(sender, id)` under
-    /// their transaction — a re-delivery carries the same payload, hence
-    /// the same transaction — so that a transaction's entries are one
-    /// range, pruned without touching the rest of the table once it
-    /// commits (see [`PeerConfig::dedup_capacity`]). Under `None` sit the
-    /// entries that protect nothing and go at the next finalize: those
-    /// recorded for a transaction that had already committed here.
-    seen_deliveries: BTreeSet<(Option<TxnId>, PeerId, u64)>,
-    /// Acknowledgements owed, oldest first: reliable ids received and not
-    /// yet acknowledged to their sender. Empty between handlers but for
-    /// the held acks of `Invoke`s.
-    owed: Vec<OwedAck>,
     /// Scratch list of peers — the ping tick's probes and suspects, a
     /// gossip round's targets — taken, filled, and put back empty, so
     /// neither job allocates.
@@ -697,15 +700,15 @@ impl AxmlPeer {
     /// Builds a peer holding the fabric's `directory` and `wsdl` — both
     /// copy-on-write, so every peer of a fabric shares one of each.
     pub fn on_fabric(id: PeerId, config: PeerConfig, directory: Directory, wsdl: WsdlCatalog) -> AxmlPeer {
-        let monitor = PingMonitor::new(config.ping_interval.max(1), config.ping_timeout.max(1));
-        let eval = config.eval;
         AxmlPeer {
             id,
+            engine: MaterializationEngine::new(config.eval),
+            delivery: Delivery::new(&config),
+            detector: Detector::new(&config),
             config,
             repo: Repository::new(),
             registry: ServiceRegistry::new(),
             directory,
-            engine: MaterializationEngine::new(eval),
             wsdl,
             auto_submit: None,
             conflicts: ConflictTable::new(),
@@ -716,28 +719,15 @@ impl AxmlPeer {
             active_contexts: 0,
             servings: BTreeMap::new(),
             waiting: BTreeMap::new(),
-            monitor,
-            watch_counts: BTreeMap::new(),
-            timers: BTreeMap::new(),
-            next_tag: TAG_PAYLOAD_BASE,
+            timers: Timers::default(),
             next_inv: 0,
             next_txn: 0,
-            ping_timer: None,
-            ack_timer: None,
-            stream_timer: None,
-            stream_seq: 0,
-            stream_last: BTreeMap::new(),
             prefill_store: BTreeMap::new(),
             completed_results: BTreeMap::new(),
             parent_watch: BTreeMap::new(),
             awaiting: BTreeMap::new(),
             journal: Vec::new(),
             sink: Box::new(MemorySink::new()),
-            epoch: 0,
-            next_delivery: 0,
-            outbox: BTreeMap::new(),
-            seen_deliveries: BTreeSet::new(),
-            owed: Vec::new(),
             peer_buf: Vec::new(),
         }
     }
@@ -761,18 +751,28 @@ impl AxmlPeer {
         }
     }
 
-    /// Moves `txn`'s context to the terminal `state`, ending any wait for
-    /// its decision. Returns false, changing nothing, if there is none or
-    /// it is terminal already (first decision wins).
-    fn resolve_context(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, state: TxnState) -> bool {
+    /// Decides `txn` here, the first decision winning: the context turns
+    /// terminal, the decision is journaled and traced (under `span`, the
+    /// origin's deciding serving), and dedup entries it frees go. False,
+    /// changing nothing, if there is no context or it is decided already.
+    fn decide(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, span: Option<InvocationId>, committed: bool) -> bool {
+        let state = if committed { TxnState::Committed } else { TxnState::Aborted };
         match self.contexts.get_mut(&txn) {
-            Some(tc) if !tc.is_terminal() => {
-                tc.resolve(state, ctx.now());
-                self.active_contexts -= 1;
-                self.stop_awaiting(ctx, txn);
-                true
-            }
-            _ => false,
+            Some(tc) if !tc.is_terminal() => tc.resolve(state, ctx.now()),
+            _ => return false,
+        }
+        self.active_contexts -= 1;
+        self.stop_awaiting(ctx, txn);
+        self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed, at: ctx.now() });
+        self.emit(ctx, Some(txn), span, None, || EventKind::Resolve { committed });
+        self.delivery.finalized(ctx, txn, committed);
+        true
+    }
+
+    /// Records the outcome of `txn`, decided at its origin here.
+    fn record_outcome(&mut self, ctx: &Ctx<'_>, txn: TxnId, committed: bool) {
+        if let Some(started_at) = self.contexts.get(&txn).map(|tc| tc.created_at) {
+            self.outcomes.push(TxnOutcome { txn, committed, started_at, resolved_at: ctx.now() });
         }
     }
 
@@ -792,7 +792,7 @@ impl AxmlPeer {
 
     /// True if the peer has no in-flight work.
     pub fn is_quiescent(&self) -> bool {
-        self.servings.is_empty() && self.waiting.is_empty() && self.outbox.is_empty()
+        self.servings.is_empty() && self.waiting.is_empty() && self.delivery.unacked() == 0
     }
 
     /// The durable journal accumulated so far (the entries the sink has
@@ -820,20 +820,13 @@ impl AxmlPeer {
     /// Peers currently being kept alive by this peer's failure detector
     /// (diagnostics; empty when quiescent).
     pub fn watched_peers(&self) -> Vec<PeerId> {
-        self.monitor.watched().collect()
+        self.detector.watched().collect()
     }
 
-    fn alloc_inv(&mut self) -> InvocationId {
-        let inv = InvocationId::new(self.id, (self.epoch << 48) | self.next_inv);
+    fn alloc_inv(&mut self, ctx: &Ctx<'_>) -> InvocationId {
+        let inv = InvocationId::new(self.id, (ctx.incarnation() << 48) | self.next_inv);
         self.next_inv += 1;
         inv
-    }
-
-    fn alloc_payload_tag(&mut self, payload: TimerPayload) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.timers.insert(tag, payload);
-        tag
     }
 
     // ------------------------------------------------------------------
@@ -847,7 +840,7 @@ impl AxmlPeer {
     /// written.
     fn emit(
         &self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         txn: Option<TxnId>,
         span: Option<InvocationId>,
         parent: Option<InvocationId>,
@@ -858,37 +851,17 @@ impl AxmlPeer {
         }
     }
 
-    fn journal_entry_label(entry: &JournalEntry) -> (TxnId, String) {
-        match entry {
-            JournalEntry::Begin { txn, .. } => (*txn, "begin".to_string()),
-            JournalEntry::Local { txn, op_label, effects, .. } => {
-                (*txn, format!("local {op_label} effects={}", effects.len()))
-            }
-            JournalEntry::RemoteInvoked { txn, inv, method, .. } => (*txn, format!("remote-invoked {inv} {method}")),
-            JournalEntry::RemoteCompleted { txn, inv, .. } => (*txn, format!("remote-completed {inv}")),
-            JournalEntry::Resolved { txn, committed, .. } => {
-                (*txn, format!("resolved {}", if *committed { "commit" } else { "abort" }))
-            }
-        }
-    }
-
-    /// Appends to the durability journal through the sink, mirroring a
-    /// durable write into the trace as a [`EventKind::LogAppend`] event —
-    /// every stable-storage transition is visible in the run's causal
-    /// record. Returns `false` on a storage fault: the entry is NOT
-    /// durable (nothing is traced or mirrored) and the caller must roll
-    /// back whatever the entry was about to make durable.
+    /// Appends to the durability journal through the sink. Returns
+    /// `false` on a storage fault: the entry is NOT durable (nothing is
+    /// traced or mirrored) and the caller must roll back whatever the entry
+    /// was about to make durable.
     #[must_use]
-    fn journal_append(&mut self, ctx: &mut Ctx<'_, TxnMsg>, entry: JournalEntry) -> bool {
+    fn journal_append(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) -> bool {
         if !self.sink.append(&entry) {
             self.stats.storage_faults += 1;
             return false;
         }
-        if ctx.tracing() {
-            let (txn, label) = Self::journal_entry_label(&entry);
-            ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
-        }
-        self.journal.push(entry);
+        self.journaled(ctx, entry);
         true
     }
 
@@ -897,237 +870,61 @@ impl AxmlPeer {
     /// is durable). Used wherever losing the entry would break atomicity
     /// rather than merely fail one serving: `Resolved` decisions,
     /// `RemoteInvoked` obligations, tombstones, recovery records.
-    fn journal_append_forced(&mut self, ctx: &mut Ctx<'_, TxnMsg>, entry: JournalEntry) {
+    fn journal_append_forced(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) {
         self.sink.append_forced(&entry);
+        self.journaled(ctx, entry);
+    }
+
+    /// Mirrors an entry the sink made durable, and traces it as a
+    /// [`EventKind::LogAppend`] event: every stable-storage transition is
+    /// visible in the run's causal record.
+    fn journaled(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) {
         if ctx.tracing() {
-            let (txn, label) = Self::journal_entry_label(&entry);
+            let (txn, label) = match &entry {
+                JournalEntry::Begin { txn, .. } => (*txn, "begin".to_string()),
+                JournalEntry::Local { txn, op_label, effects, .. } => {
+                    (*txn, format!("local {op_label} effects={}", effects.len()))
+                }
+                JournalEntry::RemoteInvoked { txn, inv, method, .. } => {
+                    (*txn, format!("remote-invoked {inv} {method}"))
+                }
+                JournalEntry::RemoteCompleted { txn, inv, .. } => (*txn, format!("remote-completed {inv}")),
+                JournalEntry::Resolved { txn, committed, .. } => {
+                    (*txn, format!("resolved {}", if *committed { "commit" } else { "abort" }))
+                }
+            };
             ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
         }
         self.journal.push(entry);
     }
 
     // ------------------------------------------------------------------
-    // At-least-once delivery (ack + retransmit + dedup).
+    // At-least-once delivery, and what a delivery given up means.
     // ------------------------------------------------------------------
 
     /// Current size of the `(sender, id)` dedup set (harness-visible so
     /// chaos profiles can assert boundedness).
     pub fn seen_deliveries_len(&self) -> usize {
-        self.seen_deliveries.len()
-    }
-
-    /// Evicts dedup entries whose transaction has finalized at this peer
-    /// (suppression is only load-bearing while the transaction can still
-    /// be damaged by a re-executed delivery). Entries of live or unknown
-    /// transactions are kept, so the set is *soft*-bounded: it can exceed
-    /// [`PeerConfig::dedup_capacity`] while many transactions are in
-    /// flight, but returns to it as they resolve. Called whenever a
-    /// transaction finalizes (`finalized`) and whenever an insert pushes
-    /// the set past capacity (`None`).
-    ///
-    /// Entries of *aborted* transactions are only evicted under capacity
-    /// pressure, never at finalize time: an aborted peer
-    /// can legitimately be re-invoked during forward recovery, and the
-    /// retransmission window for pre-abort deliveries is still open — a
-    /// stale retransmitted `Abort` that missed the pruned set would be
-    /// processed a second time and kill the freshly re-joined context.
-    /// A *committed* context refuses re-invocation forever, so its
-    /// entries protect nothing and go at the first opportunity.
-    ///
-    /// A finalize touches only the entries it evicts — the transaction's
-    /// own range if it committed, and the `None` range; capacity pressure
-    /// walks the table.
-    fn prune_seen(&mut self, ctx: &mut Ctx<'_, TxnMsg>, finalized: Option<TxnId>) {
-        let before = self.seen_deliveries.len();
-        match finalized {
-            Some(txn) => {
-                self.evict_seen_of(None);
-                if self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed) {
-                    self.evict_seen_of(Some(txn));
-                }
-            }
-            None => {
-                let contexts = &self.contexts;
-                self.seen_deliveries.retain(|(txn, ..)| match txn {
-                    Some(t) => contexts.get(t).is_none_or(|tc| !tc.is_terminal()),
-                    None => false,
-                });
-            }
-        }
-        let evicted = (before - self.seen_deliveries.len()) as u64;
-        if evicted > 0 {
-            self.emit(ctx, None, None, None, || EventKind::DedupPrune { evicted });
-        }
-    }
-
-    /// Removes the dedup entries filed under `txn`, one contiguous range.
-    fn evict_seen_of(&mut self, txn: Option<TxnId>) {
-        let range = (txn, PeerId(0), 0)..=(txn, PeerId(u32::MAX), u64::MAX);
-        while let Some(&entry) = self.seen_deliveries.range(range.clone()).next() {
-            self.seen_deliveries.remove(&entry);
-        }
+        self.delivery.seen_len()
     }
 
     /// Drops the keep-alive watch on the parent whose resolution `txn`'s
     /// completed serving was waiting for (no-op when none was armed).
     fn release_parent_watch(&mut self, txn: TxnId) {
         if let Some(parent) = self.parent_watch.remove(&txn) {
-            self.unwatch(parent);
+            self.detector.unwatch(parent);
         }
     }
 
-    /// Sends a protocol message with at-least-once delivery: the payload
-    /// travels inside a [`TxnMsg::Reliable`] envelope, is registered in the
-    /// outbox, and is retransmitted with bounded exponential backoff until
-    /// acked. Keep-alives, streams, chain gossip, `Commit` (pulled by
-    /// `Inquire` when lost) and `Inquire` itself bypass this and stay
-    /// best-effort. An acknowledgement rides on the next envelope or chain
-    /// update bound for the sender and leaves alone when the handler ends
-    /// without one; an `Invoke`'s waits up to [`PeerConfig::ack_hold`] for
-    /// the answer to carry it. Loopback sends skip the envelope (a local
-    /// call cannot be lost). A synchronous [`SendError`] — the target is
-    /// disconnected *right now* — is returned unchanged: that is the
-    /// paper's synchronous detection path, not a delivery fault.
-    fn send_reliable(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId, msg: TxnMsg) -> Result<(), SendError> {
-        if to == self.id {
-            return ctx.send(to, msg);
-        }
-        let id = (self.epoch << 48) | self.next_delivery;
-        self.next_delivery += 1;
-        let msg = Arc::new(msg);
-        let acks = self.carry_owed(ctx, to);
-        ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Arc::clone(&msg), acks })?;
-        let tag = self.alloc_payload_tag(TimerPayload::Retransmit(id));
-        let timer = ctx.set_timer(self.config.retransmit_base, tag);
-        self.outbox.insert(id, PendingDelivery { to, msg, attempts: 0, timer: Some((tag, timer)) });
-        Ok(())
+    /// Sends a protocol message at least once (`Delivery::send`).
+    fn send_reliable(&mut self, ctx: &mut Ctx<'_>, to: PeerId, msg: TxnMsg) -> Result<(), SendError> {
+        self.delivery.send(ctx, &mut self.timers, &mut self.stats, to, msg)
     }
 
-    /// A retransmit timer fired: resend if still unacked, escalating the
-    /// backoff; past the budget (or on a synchronous failure) treat the
-    /// silence as a detected failure and run the give-up action.
-    fn retransmit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, id: u64) {
-        use std::collections::btree_map::Entry;
-        // One entry lookup decides update-in-place vs give-up removal;
-        // the old shape re-found the key (`remove(&id).expect("checked
-        // above")`) on every give-up.
-        let (to, attempts, txn, live) = {
-            let Entry::Occupied(mut entry) = self.outbox.entry(id) else {
-                return; // acked (or given up) meanwhile
-            };
-            let pending = entry.get_mut();
-            pending.timer = None; // this very timer is what fired
-            pending.attempts += 1;
-            let (to, attempts) = (pending.to, pending.attempts);
-            let txn = txn_of(&pending.msg);
-            if attempts > self.config.max_retransmits {
-                (to, attempts, txn, Err(entry.remove()))
-            } else {
-                (to, attempts, txn, Ok(Arc::clone(&pending.msg)))
-            }
-        };
-        let msg = match live {
-            Err(pending) => {
-                self.stats.retransmit_giveups += 1;
-                self.emit(ctx, txn, None, None, || EventKind::RetransmitGiveUp { to: to.0, id });
-                self.record_detection(ctx, to, DetectHow::AckTimeout);
-                self.delivery_failed(ctx, pending);
-                return;
-            }
-            Ok(msg) => msg,
-        };
-        let envelope = TxnMsg::Reliable { id, attempt: attempts, inner: msg, acks: self.carry_owed(ctx, to) };
-        self.stats.retransmits += 1;
-        self.emit(ctx, txn, None, None, || EventKind::Retransmit { to: to.0, id, attempt: attempts });
-        match ctx.send(to, envelope) {
-            Ok(()) => {
-                // Saturating multiply: `base << attempts` would wrap for
-                // extreme bases, turning the backoff into an immediate
-                // retransmit storm.
-                let delay = self.config.retransmit_base.saturating_mul(1u64 << attempts.min(6));
-                let tag = self.alloc_payload_tag(TimerPayload::Retransmit(id));
-                let timer = ctx.set_timer(delay, tag);
-                if let Some(pending) = self.outbox.get_mut(&id) {
-                    pending.timer = Some((tag, timer));
-                }
-            }
-            Err(_) => {
-                if let Some(pending) = self.outbox.remove(&id) {
-                    self.record_detection(ctx, to, DetectHow::SendFailure);
-                    self.delivery_failed(ctx, pending);
-                }
-            }
-        }
-    }
-
-    /// Drops an outbox entry's pending retransmit timer (ack or give-up):
-    /// the sim timer is cancelled and its payload removed, so a stale
-    /// firing can never alias a delivery id reused after this one ends.
-    fn clear_delivery_timer(&mut self, ctx: &mut Ctx<'_, TxnMsg>, pending: &mut PendingDelivery) {
-        if let Some((tag, timer)) = pending.timer.take() {
-            self.timers.remove(&tag);
-            ctx.cancel_timer(timer);
-        }
-    }
-
-    /// The acknowledgement of `id` arrived, alone or carried: the delivery
-    /// is settled, and its retransmit timer must die with it, or the stale
-    /// firing would re-enter `retransmit` for a recycled outbox slot.
-    fn settle(&mut self, ctx: &mut Ctx<'_, TxnMsg>, id: u64) {
-        if let Some(mut pending) = self.outbox.remove(&id) {
-            self.clear_delivery_timer(ctx, &mut pending);
-        }
-    }
-
-    /// Removes the oldest ids owed to `to`, as many as one message
-    /// carries. The held-ack timer is cancelled with the last id owed.
-    fn take_owed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId) -> AckIds {
-        let mut acks = AckIds::default();
-        // An entry stays if it is another peer's or the array is full.
-        self.owed.retain(|o| o.to != to || !acks.push(o.id));
-        if self.owed.is_empty() {
-            if let Some(timer) = self.ack_timer.take() {
-                ctx.cancel_timer(timer);
-            }
-        }
-        acks
-    }
-
-    /// The ids owed to `to`, for an envelope or chain update about to
-    /// leave for it.
-    fn carry_owed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, to: PeerId) -> AckIds {
-        let acks = self.take_owed(ctx, to);
-        self.stats.acks_carried += acks.as_slice().len() as u64;
-        acks
-    }
-
-    /// Sends what is owed and due as one `Ack` per peer — with it, what
-    /// else that peer is owed — and arms the held-ack timer for the rest.
-    /// Run as every message handler returns, and by that timer.
-    fn flush_acks(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        let now = ctx.now();
-        while let Some(to) = self.owed.iter().find(|o| o.due <= now).map(|o| o.to) {
-            let ids = self.take_owed(ctx, to);
-            self.stats.acks_alone += ids.as_slice().len() as u64;
-            let _ = ctx.send(to, TxnMsg::Ack { ids });
-        }
-        self.arm_ack(ctx);
-    }
-
-    /// Arms the one held-ack timer for the earliest deadline, if an ack
-    /// is held and no timer runs. A later hold ends later, so the timer
-    /// never fires late.
-    fn arm_ack(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        if self.ack_timer.is_some() {
-            return;
-        }
-        if let Some(due) = self.owed.iter().map(|o| o.due).min() {
-            self.ack_timer = Some(ctx.set_timer(due.saturating_sub(ctx.now()), TAG_ACK));
-        }
-    }
-
-    /// A reliable delivery definitively failed: react per payload kind.
-    fn delivery_failed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, pending: PendingDelivery) {
+    /// A reliable delivery was given up, its receiver's silence detected
+    /// `how`: react per payload kind.
+    fn delivery_failed(&mut self, ctx: &mut Ctx<'_>, (pending, how): (Pending, DetectHow)) {
+        self.record_detection(ctx, pending.to, how);
         match *pending.msg {
             TxnMsg::Invoke { inv, .. } => {
                 // The child never acknowledged the invocation: same
@@ -1158,7 +955,7 @@ impl AxmlPeer {
     /// Tells the nearest reachable non-`dead` ancestor (from the chain)
     /// that `dead` is gone — the fallback when bad news cannot be
     /// delivered to the parent directly.
-    fn notice_ancestors(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, dead: PeerId) {
+    fn notice_ancestors(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId) {
         if !self.config.chaining {
             return;
         }
@@ -1176,29 +973,17 @@ impl AxmlPeer {
 
     /// Submits a transaction at this peer: invoke local service `method`.
     /// Returns the new transaction id. (Spec rule **R01**.)
-    pub fn submit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, method: &str, params: Vec<(String, String)>) -> TxnId {
-        let txn = TxnId::new(self.id, (self.epoch << 48) | self.next_txn);
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, method: &str, params: Vec<(String, String)>) -> TxnId {
+        let txn = TxnId::new(self.id, (ctx.incarnation() << 48) | self.next_txn);
         self.next_txn += 1;
         let chain = ActiveList::new(self.id, self.config.is_super);
         let tc = TransactionContext::new(txn, None, chain.clone(), ctx.now());
         self.journal_append_forced(ctx, JournalEntry::Begin { txn, parent: None, chain, at: ctx.now() });
         self.insert_context(tc);
-        let inv = self.alloc_inv();
+        let inv = self.alloc_inv(ctx);
         self.emit(ctx, Some(txn), Some(inv), None, || EventKind::Submit { method: method.to_string() });
-        let serving = Serving {
-            txn,
-            inv,
-            reply_to: None,
-            method: method.to_string(),
-            params,
-            pending: BTreeSet::new(),
-            prefilled: Vec::new(),
-            done_sc: BTreeSet::new(),
-            param_cache: BTreeMap::new(),
-            rounds: 0,
-        };
         self.stats.served += 1;
-        self.servings.insert(inv, serving);
+        self.servings.insert(inv, Serving::new(txn, inv, None, method, params, Vec::new()));
         self.advance_serving(ctx, inv);
         txn
     }
@@ -1213,7 +998,7 @@ impl AxmlPeer {
     #[allow(clippy::too_many_arguments)]
     fn handle_invoke(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         from: PeerId,
         txn: TxnId,
         inv: InvocationId,
@@ -1270,28 +1055,16 @@ impl AxmlPeer {
             let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
             return;
         }
-        let serving = Serving {
-            txn,
-            inv,
-            reply_to: Some(from),
-            method: method.to_string(),
-            params: params.to_vec(),
-            pending: BTreeSet::new(),
-            prefilled: prefilled.to_vec(),
-            done_sc: BTreeSet::new(),
-            param_cache: BTreeMap::new(),
-            rounds: 0,
-        };
         self.stats.served += 1;
-        self.servings.insert(inv, serving);
+        self.servings.insert(inv, Serving::new(txn, inv, Some(from), method, params.to_vec(), prefilled.to_vec()));
         self.emit(ctx, Some(txn), Some(inv), None, || EventKind::Serve { from: from.0, method: method.to_string() });
-        self.maybe_start_stream(ctx);
+        self.detector.arm_stream(ctx, &mut self.timers);
         self.advance_serving(ctx, inv);
     }
 
     /// Issues the next wave of sub-invocations for a serving, or — when
     /// nothing is pending — schedules its completion.
-    fn advance_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId) {
+    fn advance_serving(&mut self, ctx: &mut Ctx<'_>, serving_inv: InvocationId) {
         let Some(serving) = self.servings.get_mut(&serving_inv) else { return };
         if !serving.pending.is_empty() {
             return;
@@ -1340,21 +1113,20 @@ impl AxmlPeer {
         // simulated duration.
         let Some(serving) = self.servings.get(&serving_inv) else { return };
         let duration = self.registry.get(&serving.method).map(|d| d.duration).unwrap_or(1);
-        let tag = self.alloc_payload_tag(TimerPayload::ServiceDone(serving_inv));
-        ctx.set_timer(duration, tag);
+        self.timers.set(ctx, duration, Timer::ServiceDone(serving_inv));
     }
 
     /// Issues one wave of child invocations (applying prefills first).
     fn issue_wave(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         serving_inv: InvocationId,
         txn: TxnId,
         to_issue: Vec<(ServiceCall, ChildTarget)>,
     ) {
         // First, extend the chain with the whole wave so every child sees
         // its siblings (the paper's scenario (d) relies on this).
-        let mut wave: Vec<WaveEntry> = Vec::new();
+        let mut wave: Vec<WaitingChild> = Vec::new();
         for (call, target) in to_issue {
             // The serving can disappear mid-wave: issuing to an
             // unreachable peer without forward recovery fails it.
@@ -1369,7 +1141,7 @@ impl AxmlPeer {
                 serving.prefilled.iter().find(|(m, _)| *m == call.method).map(|(_, items)| items.clone());
             if let Some(items) = prefilled_items {
                 self.stats.work_reused += 1;
-                self.apply_child_items(ctx, txn, serving_inv, &target, &call.method, &items);
+                self.apply_child_items(ctx, txn, serving_inv, target, &call.method, &items);
                 continue;
             }
             // Resolve parameters; remote param-calls become waiting
@@ -1383,7 +1155,14 @@ impl AxmlPeer {
                             Err(_) => continue, // deeper nesting resolves in later waves
                         };
                         let peer = PeerId::from_url(&nc.service_url).unwrap_or(self.id);
-                        wave.push((nc.clone(), ChildTarget::ParamFill { node: pnode }, peer, params));
+                        wave.push(WaitingChild::new(
+                            txn,
+                            serving_inv,
+                            nc,
+                            ChildTarget::ParamFill { node: pnode },
+                            peer,
+                            params,
+                        ));
                     }
                     // Un-mark the outer call: it re-enters a later wave
                     // once its params are cached.
@@ -1393,7 +1172,7 @@ impl AxmlPeer {
                 }
                 Ok(params) => {
                     let peer = PeerId::from_url(&call.service_url).unwrap_or(self.id);
-                    wave.push((call, target, peer, params));
+                    wave.push(WaitingChild::new(txn, serving_inv, call, target, peer, params));
                 }
             }
         }
@@ -1407,8 +1186,8 @@ impl AxmlPeer {
                         // Shouldn't happen (parent added us), but be safe.
                         tc.chain = ActiveList::new(self.id, my_super);
                     }
-                    for (_, _, peer, _) in &wave {
-                        tc.chain.add_invocation(self.id, *peer, false);
+                    for wc in &wave {
+                        tc.chain.add_invocation(self.id, wc.child_peer, false);
                     }
                 }
             }
@@ -1416,11 +1195,11 @@ impl AxmlPeer {
         // …then send. Every `Invoke` of the wave carries the chain as it
         // stands now, whole wave included.
         let grew = !wave.is_empty();
-        for (call, target, peer, params) in wave {
+        for wc in wave {
             if !self.servings.contains_key(&serving_inv) {
                 return; // a send failure already failed this serving
             }
-            self.issue_child(ctx, serving_inv, txn, call, target, peer, params);
+            self.invoke(ctx, wc);
         }
         if grew {
             // Share the new edges with the parent, the siblings and the
@@ -1448,7 +1227,7 @@ impl AxmlPeer {
     /// Shares this peer's chain view with its gossip scope, one update per
     /// peer in peer order, leaving out the peers that hold it already. An
     /// update carries the acknowledgements owed to its target.
-    fn gossip_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
+    fn gossip_chain(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
         if !self.config.chaining || self.config.chain_scope == ChainScope::InvokeOnly {
             return;
         }
@@ -1462,7 +1241,7 @@ impl AxmlPeer {
             if t == self.id || holds_it(self, t) {
                 continue;
             }
-            let acks = self.carry_owed(ctx, t);
+            let acks = self.delivery.carry(ctx, &mut self.timers, &mut self.stats, t);
             let _ = ctx.send(t, TxnMsg::ChainUpdate { txn, chain: chain.clone(), acks });
         }
         targets.clear();
@@ -1475,7 +1254,7 @@ impl AxmlPeer {
     /// read off the chain `from` sent, not off the merged one: `from` has
     /// told the peers it knew of, and one it did not know is still owed
     /// the news by whoever does.
-    fn learn_chain(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
+    fn learn_chain(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
         if self.contexts.get_mut(&txn).is_some_and(|tc| tc.chain.merge_from(theirs)) {
             let scope = self.config.chain_scope;
             self.gossip_chain(ctx, txn, |_, t| {
@@ -1484,72 +1263,34 @@ impl AxmlPeer {
         }
     }
 
-    /// Merges a gossiped chain into a context that is still live.
-    fn handle_chain_update(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId, chain: &ActiveList) {
-        if self.contexts.get(&txn).is_some_and(|tc| !tc.is_terminal()) {
-            self.learn_chain(ctx, from, txn, chain);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_child(
-        &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
-        serving_inv: InvocationId,
-        txn: TxnId,
-        call: ServiceCall,
-        target: ChildTarget,
-        peer: PeerId,
-        params: Vec<(String, String)>,
-    ) {
-        let inv = self.alloc_inv();
-        let retries_left = call
-            .handlers
-            .iter()
-            .find_map(|h| match &h.action {
-                axml_doc::HandlerAction::Retry { times, .. } => Some(*times),
-                _ => None,
-            })
-            .unwrap_or(0);
-        let method: &str = &call.method;
+    /// Invokes `wc`'s child, logged (with its chain edge) and journaled
+    /// before the `Invoke` leaves: a crash between send and append would
+    /// orphan the child subtree, which would never be aborted.
+    fn invoke(&mut self, ctx: &mut Ctx<'_>, wc: WaitingChild) {
+        let (txn, peer, serving_inv) = (wc.txn, wc.child_peer, wc.serving_inv);
+        let inv = self.alloc_inv(ctx);
         if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.record_remote(peer, inv, method);
-            // A durable record of the outgoing invocation must exist
-            // before the Invoke leaves: a crash between send and append
-            // would orphan the child subtree (it would never be aborted).
-            self.journal_append_forced(
-                ctx,
-                JournalEntry::RemoteInvoked { txn, child: peer, inv, method: method.to_string() },
-            );
+            tc.record_remote(peer, inv, wc.method.as_str());
+            if self.config.chaining {
+                tc.chain.add_invocation(self.id, peer, false);
+            }
+            let method = wc.method.clone();
+            self.journal_append_forced(ctx, JournalEntry::RemoteInvoked { txn, child: peer, inv, method });
         }
         self.emit(ctx, Some(txn), Some(inv), Some(serving_inv), || EventKind::Invoke {
             to: peer.0,
-            method: method.to_string(),
+            method: wc.method.clone(),
         });
         let chain = self.current_chain(txn);
         let prefilled = self.prefill_store.get(&txn).cloned().unwrap_or_default();
-        let msg = TxnMsg::Invoke { txn, inv, method: method.to_string(), params: params.clone(), chain, prefilled };
-        let wc = WaitingChild {
-            txn,
-            serving_inv,
-            child_peer: peer,
-            method: method.to_string(),
-            params,
-            target,
-            handlers: call.handlers,
-            retries_left,
-            attempted: vec![peer],
-        };
+        let msg = TxnMsg::Invoke { txn, inv, method: wc.method.clone(), params: wc.params.clone(), chain, prefilled };
         self.waiting.insert(inv, wc);
         if let Some(s) = self.servings.get_mut(&serving_inv) {
             s.pending.insert(inv);
         }
         match self.send_reliable(ctx, peer, msg) {
-            Ok(()) => {
-                self.watch(ctx, peer);
-            }
+            Ok(()) => self.detector.watch(ctx, &mut self.timers, peer),
             Err(_) => {
-                // Synchronous detection: the target is gone right now.
                 self.record_detection(ctx, peer, DetectHow::SendFailure);
                 self.child_failed(ctx, inv, Fault::peer_unreachable(format!("{peer} unreachable")));
             }
@@ -1559,14 +1300,8 @@ impl AxmlPeer {
     /// The chain to piggyback on invocations. A singleton when chaining is
     /// disabled (children then know nothing beyond their invoker).
     fn current_chain(&self, txn: TxnId) -> ActiveList {
-        if self.config.chaining {
-            self.contexts
-                .get(&txn)
-                .map(|tc| tc.chain.clone())
-                .unwrap_or_else(|| ActiveList::new(self.id, self.config.is_super))
-        } else {
-            ActiveList::new(self.id, self.config.is_super)
-        }
+        let known = self.contexts.get(&txn).filter(|_| self.config.chaining);
+        known.map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, self.config.is_super))
     }
 
     fn resolve_params_for(
@@ -1602,21 +1337,59 @@ impl AxmlPeer {
         }
     }
 
-    /// Validates freshly-applied effects against the conflict table
-    /// (optimistic: apply, validate, roll back on conflict). Returns
-    /// `false` — with the effects already undone — on conflict.
-    fn guard_effects(&mut self, txn: TxnId, doc: &str, effects: &[Effect]) -> bool {
-        if !self.config.isolation || effects.is_empty() {
-            return true;
+    /// The effect barrier: `effects`, just applied to `doc` by a serving
+    /// of `txn`, are checked for isolation conflicts, journaled and logged
+    /// as `op_label`. A conflict or a refused append undoes them — effects
+    /// may not outlive an unlogged record — and fails the serving: false.
+    /// A materialization's item count is traced once the check passed.
+    #[allow(clippy::too_many_arguments)]
+    fn keep_effects(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        txn: TxnId,
+        serving_inv: InvocationId,
+        doc: String,
+        effects: Arc<[Effect]>,
+        op_label: impl FnOnce() -> String,
+        materialized: Option<usize>,
+    ) -> bool {
+        let conflict =
+            self.config.isolation && !effects.is_empty() && self.conflicts.claim_effects(txn, &doc, &effects).is_err();
+        let fault = if conflict {
+            self.stats.isolation_conflicts += 1;
+            Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"))
+        } else {
+            if !self.contexts.contains_key(&txn) {
+                return true;
+            }
+            if let Some(items) = materialized {
+                self.emit(ctx, Some(txn), Some(serving_inv), None, || EventKind::Materialize {
+                    doc: doc.clone(),
+                    items: items as u64,
+                });
+            }
+            if effects.is_empty() {
+                return true; // nothing to compensate, nothing to log
+            }
+            let op_label = op_label();
+            let entry = JournalEntry::Local {
+                txn,
+                doc: doc.clone(),
+                op_label: op_label.clone(),
+                effects: Arc::clone(&effects),
+            };
+            if self.journal_append(ctx, entry) {
+                if let Some(tc) = self.contexts.get_mut(&txn) {
+                    tc.record_local(doc, op_label, effects);
+                }
+                return true;
+            }
+            Fault::new("StorageFault", format!("journal append failed at {}", self.id))
+        };
+        if let Some(document) = self.repo.get_mut(&doc) {
+            let _ = crate::compensate::apply_compensation(document, &compensation_for_effects(&effects));
         }
-        if self.conflicts.claim_effects(txn, doc, effects).is_ok() {
-            return true;
-        }
-        self.stats.isolation_conflicts += 1;
-        if let Some(document) = self.repo.get_mut(doc) {
-            let inverse = compensation_for_effects(effects);
-            let _ = crate::compensate::apply_compensation(document, &inverse);
-        }
+        self.fail_serving(ctx, serving_inv, fault);
         false
     }
 
@@ -1625,10 +1398,10 @@ impl AxmlPeer {
     /// resolve, and each logged effect is a compensation obligation.)
     fn apply_child_items(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         txn: TxnId,
         serving_inv: InvocationId,
-        target: &ChildTarget,
+        target: ChildTarget,
         method: &str,
         items: &[Fragment],
     ) {
@@ -1637,7 +1410,7 @@ impl AxmlPeer {
                 // One allocation from here on: the journal entry, the
                 // sink's copy of it and the context's log record share it.
                 let effects: Arc<[Effect]> = {
-                    let Some(document) = self.repo.get_mut(doc) else { return };
+                    let Some(document) = self.repo.get_mut(&doc) else { return };
                     let Ok(sc_node) = sc_path.resolve(document) else { return };
                     let Some(call) = ServiceCall::parse(document, sc_node) else { return };
                     match apply_call_results(document, &call, sc_node, items) {
@@ -1645,44 +1418,13 @@ impl AxmlPeer {
                         Err(_) => return, // surfaced at execution
                     }
                 };
-                if !self.guard_effects(txn, doc, &effects) {
-                    let fault = Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"));
-                    self.fail_serving(ctx, serving_inv, fault);
-                    return;
-                }
-                if !self.contexts.contains_key(&txn) {
-                    return;
-                }
-                self.emit(ctx, Some(txn), Some(serving_inv), None, || EventKind::Materialize {
-                    doc: doc.clone(),
-                    items: items.len() as u64,
-                });
-                if effects.is_empty() {
-                    return; // nothing to compensate, nothing to log
-                }
-                let op_label = format!("materialize {method}");
-                let entry = JournalEntry::Local {
-                    txn,
-                    doc: doc.clone(),
-                    op_label: op_label.clone(),
-                    effects: Arc::clone(&effects),
-                };
-                if !self.journal_append(ctx, entry) {
-                    // Effect barrier: the effects may not outlive an
-                    // unlogged (uncompensatable) record. Undo them and
-                    // fail the serving — same shape as an
-                    // isolation-conflict rollback.
-                    self.undo_unlogged_effects(ctx, serving_inv, doc, &effects);
-                    return;
-                }
-                if let Some(tc) = self.contexts.get_mut(&txn) {
-                    tc.record_local(doc.as_str(), op_label, effects);
-                }
+                let op_label = || format!("materialize {method}");
+                self.keep_effects(ctx, txn, serving_inv, doc, effects, op_label, Some(items.len()));
             }
             ChildTarget::ParamFill { node } => {
                 if let Some(s) = self.servings.get_mut(&serving_inv) {
                     let text: String = items.iter().map(Fragment::text_content).collect();
-                    s.param_cache.insert(*node, text);
+                    s.param_cache.insert(node, text);
                 }
             }
         }
@@ -1690,18 +1432,13 @@ impl AxmlPeer {
 
     /// Runs the service body once every sub-invocation is in. (Spec rule
     /// **R04**: a completion at the origin is the commit decision.)
-    fn complete_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId) {
+    fn complete_serving(&mut self, ctx: &mut Ctx<'_>, serving_inv: InvocationId) {
         let Some(serving) = self.servings.get(&serving_inv) else { return };
         let txn = serving.txn;
         if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
-            // Resolved while we were processing: the work is moot. Tell
-            // the invoker so it does not wait on us forever.
+            // Resolved while we were processing: the work is moot.
             if let Some(serving) = self.servings.remove(&serving_inv) {
-                self.stats.work_wasted += 1;
-                if let Some(parent) = serving.reply_to {
-                    let fault = Fault::new("TxnResolved", format!("{txn} resolved at {}", self.id));
-                    let _ = self.send_reliable(ctx, parent, TxnMsg::Fault { txn, inv: serving.inv, fault });
-                }
+                self.waste(ctx, serving, "resolved");
             }
             return;
         }
@@ -1724,28 +1461,8 @@ impl AxmlPeer {
                 let updated = if effects.is_empty() { None } else { service_doc(&self.registry, &serving.method) };
                 if let Some(doc) = updated.map(str::to_string) {
                     let method = serving.method.clone();
-                    if !self.guard_effects(txn, &doc, &effects) {
-                        let fault = Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"));
-                        self.fail_serving(ctx, serving_inv, fault);
+                    if !self.keep_effects(ctx, txn, serving_inv, doc, effects, || method, None) {
                         return;
-                    }
-                    if self.contexts.contains_key(&txn) {
-                        let entry = JournalEntry::Local {
-                            txn,
-                            doc: doc.clone(),
-                            op_label: method.clone(),
-                            effects: Arc::clone(&effects),
-                        };
-                        if !self.journal_append(ctx, entry) {
-                            // Effect barrier (see apply_child_items): the
-                            // serving fails through the normal §3.2 abort
-                            // path.
-                            self.undo_unlogged_effects(ctx, serving_inv, &doc, &effects);
-                            return;
-                        }
-                        if let Some(tc) = self.contexts.get_mut(&txn) {
-                            tc.record_local(doc, method, effects);
-                        }
                     }
                 }
                 self.finish_serving(ctx, serving_inv, resp.items);
@@ -1753,27 +1470,10 @@ impl AxmlPeer {
         }
     }
 
-    /// A journal append was refused after `effects` had been applied to
-    /// `doc`: rolls them back and fails the serving with a storage fault.
-    fn undo_unlogged_effects(
-        &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
-        serving_inv: InvocationId,
-        doc: &str,
-        effects: &[Effect],
-    ) {
-        if let Some(document) = self.repo.get_mut(doc) {
-            let inverse = compensation_for_effects(effects);
-            let _ = crate::compensate::apply_compensation(document, &inverse);
-        }
-        let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
-        self.fail_serving(ctx, serving_inv, fault);
-    }
-
     /// Ships a successful serving's results. (Spec rule **R04**; after
     /// the resolve the frame is terminal — invariant I3 forbids any
     /// further activity under this transaction.)
-    fn finish_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId, items: Vec<Fragment>) {
+    fn finish_serving(&mut self, ctx: &mut Ctx<'_>, serving_inv: InvocationId, items: Vec<Fragment>) {
         let Some(serving) = self.servings.remove(&serving_inv) else { return };
         let txn = serving.txn;
         self.stats.completed += 1;
@@ -1810,12 +1510,8 @@ impl AxmlPeer {
                         }
                     }
                 }
-                self.resolve_context(ctx, txn, TxnState::Committed);
-                if let Some(started_at) = self.contexts.get(&txn).map(|tc| tc.created_at) {
-                    self.outcomes.push(TxnOutcome { txn, committed: true, started_at, resolved_at: ctx.now() });
-                    self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
-                    self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::Resolve { committed: true });
-                    self.prune_seen(ctx, Some(txn));
+                if self.decide(ctx, txn, Some(serving.inv), true) {
+                    self.record_outcome(ctx, txn, true);
                 }
                 self.results.insert(txn, items);
                 for peer in targets {
@@ -1847,13 +1543,12 @@ impl AxmlPeer {
                     // hoped about (scenario (b) from the orphan's side).
                     // A re-join may have a different parent (replica
                     // re-invocation): move the watch over.
-                    match self.parent_watch.insert(txn, parent) {
-                        Some(old) if old != parent => {
-                            self.unwatch(old);
-                            self.watch(ctx, parent);
+                    let old = self.parent_watch.insert(txn, parent);
+                    if old != Some(parent) {
+                        if let Some(old) = old {
+                            self.detector.unwatch(old);
                         }
-                        Some(_) => {}
-                        None => self.watch(ctx, parent),
+                        self.detector.watch(ctx, &mut self.timers, parent);
                     }
                 }
             }
@@ -1865,7 +1560,7 @@ impl AxmlPeer {
     /// super peer), or discard without chaining.
     fn reroute_past_dead_parent(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         txn: TxnId,
         dead_parent: PeerId,
         method: &str,
@@ -1881,7 +1576,7 @@ impl AxmlPeer {
             // "Traditional recovery would lead to AP6 discarding its work."
             self.stats.work_wasted += 1;
             self.abort_local(ctx, txn);
-            self.propagate_abort(ctx, txn, None);
+            self.propagate_abort(ctx, txn);
             return;
         }
         let chain =
@@ -1911,7 +1606,7 @@ impl AxmlPeer {
         // No reachable ancestor at all.
         self.stats.work_wasted += 1;
         self.abort_local(ctx, txn);
-        self.propagate_abort(ctx, txn, None);
+        self.propagate_abort(ctx, txn);
     }
 
     // ------------------------------------------------------------------
@@ -1921,7 +1616,7 @@ impl AxmlPeer {
     #[allow(clippy::too_many_arguments)]
     fn handle_result(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         from: PeerId,
         txn: TxnId,
         inv: InvocationId,
@@ -1936,7 +1631,7 @@ impl AxmlPeer {
             self.answer_with_outcome(ctx, from, txn);
             return;
         };
-        self.unwatch(from);
+        self.detector.unwatch(from);
         if self.contexts.contains_key(&txn) {
             self.journal_append_forced(ctx, JournalEntry::RemoteCompleted { txn, inv, comp: comp.clone() });
         }
@@ -1944,7 +1639,7 @@ impl AxmlPeer {
             tc.complete_remote(inv, comp.clone());
             self.learn_chain(ctx, from, txn, chain);
         }
-        self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, items);
+        self.apply_child_items(ctx, txn, wc.serving_inv, wc.target, &wc.method, items);
         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
             s.pending.remove(&inv);
         }
@@ -1962,7 +1657,7 @@ impl AxmlPeer {
     /// `Commit`, once: should that copy be lost too, the sender inquires.
     /// An undecided or aborted context, or none, says `Abort`, so the
     /// sender's effects do not linger.
-    fn answer_with_outcome(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId) {
+    fn answer_with_outcome(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId) {
         if self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed) {
             let _ = ctx.send(from, TxnMsg::Commit { txn, covered: None });
         } else {
@@ -1976,18 +1671,11 @@ impl AxmlPeer {
     /// record of it; nothing while it is undecided, and the inquirer asks
     /// again later. A crash-restarted origin answers from the contexts its
     /// journal replay rebuilt.
-    fn handle_inquire(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, txn: TxnId) {
-        match self.contexts.get(&txn).map(|tc| tc.state) {
-            Some(TxnState::Committed) => {
-                let _ = ctx.send(from, TxnMsg::Commit { txn, covered: None });
-            }
-            Some(TxnState::Aborted) => {
-                let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
-            }
-            None if txn.origin == self.id => {
-                let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
-            }
-            Some(TxnState::Active) | None => {}
+    fn handle_inquire(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId) {
+        match self.contexts.get(&txn) {
+            Some(tc) if tc.is_terminal() => self.answer_with_outcome(ctx, from, txn),
+            None if txn.origin == self.id => self.answer_with_outcome(ctx, from, txn),
+            _ => {}
         }
     }
 
@@ -1995,12 +1683,12 @@ impl AxmlPeer {
     /// disconnection): §3.2's recovery decision point. (Spec rule
     /// **R06**: if forward recovery is exhausted, the fault continues up
     /// and the abort cascades down.)
-    fn child_failed(&mut self, ctx: &mut Ctx<'_, TxnMsg>, inv: InvocationId, fault: Fault) {
+    fn child_failed(&mut self, ctx: &mut Ctx<'_>, inv: InvocationId, fault: Fault) {
         let Some(mut wc) = self.waiting.remove(&inv) else {
             self.stats.late_messages += 1;
             return;
         };
-        self.unwatch(wc.child_peer);
+        self.detector.unwatch(wc.child_peer);
         // NOTE: the failed invocation stays in the serving's `pending` set
         // while a retry/alternative is in flight — otherwise a sibling's
         // result arriving in the gap would make the serving look complete
@@ -2012,19 +1700,11 @@ impl AxmlPeer {
                     axml_doc::HandlerAction::Retry { wait, alternative, .. } if wc.retries_left > 0 => {
                         wc.retries_left -= 1;
                         self.stats.retries += 1;
-                        let (to_peer, to_method) = match &alternative {
-                            Some(alt) => {
-                                (PeerId::from_url(&alt.service_url).unwrap_or(wc.child_peer), alt.method.to_string())
-                            }
-                            None => (wc.child_peer, wc.method.clone()),
-                        };
-                        let tag = self.alloc_payload_tag(TimerPayload::RetryChild {
-                            wc,
-                            to_peer,
-                            to_method,
-                            placeholder: inv,
-                        });
-                        ctx.set_timer(wait.max(1), tag);
+                        if let Some(alt) = &alternative {
+                            wc.child_peer = PeerId::from_url(&alt.service_url).unwrap_or(wc.child_peer);
+                            wc.method = alt.method.to_string();
+                        }
+                        self.retry_child(ctx, wc, inv, wait.max(1));
                         return;
                     }
                     axml_doc::HandlerAction::Substitute(frags) => {
@@ -2033,7 +1713,7 @@ impl AxmlPeer {
                         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
                             s.pending.remove(&inv);
                         }
-                        self.apply_child_items(ctx, txn, wc.serving_inv, &wc.target, &wc.method, &frags);
+                        self.apply_child_items(ctx, txn, wc.serving_inv, wc.target, &wc.method, &frags);
                         self.advance_serving(ctx, wc.serving_inv);
                         return;
                     }
@@ -2046,16 +1726,8 @@ impl AxmlPeer {
             if self.config.use_alternative_providers {
                 if let Some(alt) = self.directory.alternative_provider(&wc.method, &wc.attempted) {
                     self.stats.alternatives_used += 1;
-                    let mut wc2 = wc.clone();
-                    wc2.attempted.push(alt);
-                    let to_method = wc2.method.clone();
-                    let tag = self.alloc_payload_tag(TimerPayload::RetryChild {
-                        wc: wc2,
-                        to_peer: alt,
-                        to_method,
-                        placeholder: inv,
-                    });
-                    ctx.set_timer(1, tag);
+                    wc.child_peer = alt;
+                    self.retry_child(ctx, wc, inv, 1);
                     return;
                 }
             }
@@ -2067,59 +1739,23 @@ impl AxmlPeer {
         self.fail_serving(ctx, wc.serving_inv, fault);
     }
 
-    /// Re-issues a waiting child (handler retry or alternative provider).
-    #[allow(clippy::too_many_arguments)]
-    fn reissue_child(
-        &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
-        mut wc: WaitingChild,
-        to_peer: PeerId,
-        to_method: String,
-        placeholder: InvocationId,
-    ) {
-        let txn = wc.txn;
+    /// Re-issues the failed invocation `failed` as `wc`, perhaps to a
+    /// replica, `delay` from now (handler retry or alternative provider).
+    fn retry_child(&mut self, ctx: &mut Ctx<'_>, mut wc: WaitingChild, failed: InvocationId, delay: u64) {
+        if !wc.attempted.contains(&wc.child_peer) {
+            wc.attempted.push(wc.child_peer);
+        }
+        self.timers.set(ctx, delay, Timer::RetryChild { wc, placeholder: failed });
+    }
+
+    /// A retry's time came: the failed invocation `placeholder`, held in
+    /// the serving's pending set meanwhile, gives way to a fresh one.
+    fn reissue_child(&mut self, ctx: &mut Ctx<'_>, wc: WaitingChild, placeholder: InvocationId) {
         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
             s.pending.remove(&placeholder);
         }
-        if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
-            return; // aborted meanwhile
-        }
-        let inv = self.alloc_inv();
-        wc.child_peer = to_peer;
-        wc.method = to_method.clone();
-        if !wc.attempted.contains(&to_peer) {
-            wc.attempted.push(to_peer);
-        }
-        if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.record_remote(to_peer, inv, to_method.clone());
-            if self.config.chaining {
-                tc.chain.add_invocation(self.id, to_peer, false);
-            }
-        }
-        if self.contexts.contains_key(&txn) {
-            self.journal_append_forced(
-                ctx,
-                JournalEntry::RemoteInvoked { txn, child: to_peer, inv, method: to_method.clone() },
-            );
-        }
-        self.emit(ctx, Some(txn), Some(inv), Some(wc.serving_inv), || EventKind::Invoke {
-            to: to_peer.0,
-            method: to_method.clone(),
-        });
-        let chain = self.current_chain(txn);
-        let prefilled = self.prefill_store.get(&txn).cloned().unwrap_or_default();
-        let msg = TxnMsg::Invoke { txn, inv, method: to_method, params: wc.params.clone(), chain, prefilled };
-        let serving_inv = wc.serving_inv;
-        self.waiting.insert(inv, wc);
-        if let Some(s) = self.servings.get_mut(&serving_inv) {
-            s.pending.insert(inv);
-        }
-        match self.send_reliable(ctx, to_peer, msg) {
-            Ok(()) => self.watch(ctx, to_peer),
-            Err(_) => {
-                self.record_detection(ctx, to_peer, DetectHow::SendFailure);
-                self.child_failed(ctx, inv, Fault::peer_unreachable(format!("{to_peer} unreachable")));
-            }
+        if self.contexts.get(&wc.txn).is_some_and(|tc| !tc.is_terminal()) {
+            self.invoke(ctx, wc);
         }
     }
 
@@ -2130,21 +1766,20 @@ impl AxmlPeer {
     /// A serving cannot complete: abort the local context and propagate
     /// per the nested recovery protocol. (Spec rule **R05**: the fault
     /// travels up to the invoker as a `Fault` message.)
-    fn fail_serving(&mut self, ctx: &mut Ctx<'_, TxnMsg>, serving_inv: InvocationId, fault: Fault) {
+    fn fail_serving(&mut self, ctx: &mut Ctx<'_>, serving_inv: InvocationId, fault: Fault) {
         let Some(serving) = self.servings.remove(&serving_inv) else { return };
         let txn = serving.txn;
         // Cancel the serving's outstanding children (they are told to
         // abort below, via propagate_abort — they are invoked peers).
-        let pending: Vec<InvocationId> = serving.pending.iter().copied().collect();
-        for inv in pending {
-            if let Some(wc) = self.waiting.remove(&inv) {
-                self.unwatch(wc.child_peer);
+        for inv in &serving.pending {
+            if let Some(wc) = self.waiting.remove(inv) {
+                self.detector.unwatch(wc.child_peer);
             }
         }
         // Abort locally (compensate own effects)…
         self.abort_local(ctx, txn);
         // …tell every other invoked peer…
-        self.propagate_abort(ctx, txn, None);
+        self.propagate_abort(ctx, txn);
         // …and notify the invoker (the upward "Abort TA" with the fault).
         match serving.reply_to {
             Some(parent) => {
@@ -2158,15 +1793,7 @@ impl AxmlPeer {
             }
             None => {
                 // Origin: the transaction is aborted.
-                if let Some(tc) = self.contexts.get(&txn) {
-                    let started = tc.created_at;
-                    self.outcomes.push(TxnOutcome {
-                        txn,
-                        committed: false,
-                        started_at: started,
-                        resolved_at: ctx.now(),
-                    });
-                }
+                self.record_outcome(ctx, txn, false);
             }
         }
     }
@@ -2174,15 +1801,12 @@ impl AxmlPeer {
     /// Compensates this peer's own effects from its log and marks the
     /// context aborted. (Spec rules **R06**/**R08**: undo runs in
     /// strictly decreasing log order — invariant I2.)
-    fn abort_local(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
+    fn abort_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         let mut batches = match self.contexts.get(&txn) {
             Some(tc) if !tc.is_terminal() => tc.own_compensation_indexed(),
             _ => return,
         };
-        self.resolve_context(ctx, txn, TxnState::Aborted);
-        self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
-        self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
-        self.prune_seen(ctx, Some(txn));
+        self.decide(ctx, txn, None, false);
         self.release_parent_watch(txn);
         self.completed_results.remove(&txn);
         self.conflicts.release(txn);
@@ -2223,25 +1847,38 @@ impl AxmlPeer {
     /// the servings alive would let late child results materialize
     /// effects into the already-aborted context, effects nothing will
     /// ever compensate.
-    fn drop_txn_work(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
+    fn drop_txn_work(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         let dead_servings: Vec<InvocationId> =
             self.servings.iter().filter(|(_, s)| s.txn == txn).map(|(i, _)| *i).collect();
         for inv in dead_servings {
             if let Some(serving) = self.servings.remove(&inv) {
-                self.stats.work_wasted += 1;
-                if let Some(parent) = serving.reply_to {
-                    let fault = Fault::new("TxnResolved", format!("{txn} aborted at {}", self.id));
-                    let _ = self.send_reliable(ctx, parent, TxnMsg::Fault { txn, inv: serving.inv, fault });
-                }
+                self.waste(ctx, serving, "aborted");
             }
         }
-        let dead_waits: Vec<InvocationId> =
-            self.waiting.iter().filter(|(_, w)| w.txn == txn).map(|(i, _)| *i).collect();
-        for inv in dead_waits {
-            if let Some(wc) = self.waiting.remove(&inv) {
-                self.unwatch(wc.child_peer);
-            }
+        self.drop_waits(txn);
+    }
+
+    /// Drops `serving`, its transaction decided (`verdict`) here, as wasted
+    /// work; its invoker, told `TxnResolved`, does not wait on it forever.
+    fn waste(&mut self, ctx: &mut Ctx<'_>, serving: Serving, verdict: &str) {
+        self.stats.work_wasted += 1;
+        if let Some(parent) = serving.reply_to {
+            let (txn, inv) = (serving.txn, serving.inv);
+            let fault = Fault::new("TxnResolved", format!("{txn} {verdict} at {}", self.id));
+            let _ = self.send_reliable(ctx, parent, TxnMsg::Fault { txn, inv, fault });
         }
+    }
+
+    /// Stops waiting for `txn`'s children, releasing their watches.
+    fn drop_waits(&mut self, txn: TxnId) {
+        let detector = &mut self.detector;
+        self.waiting.retain(|_, wc| {
+            let dead = wc.txn == txn;
+            if dead {
+                detector.unwatch(wc.child_peer);
+            }
+            !dead
+        });
     }
 
     fn execute_compensation(&mut self, comp: &CompensatingService) -> usize {
@@ -2259,73 +1896,49 @@ impl AxmlPeer {
     /// Sends abort/compensate messages to every peer this context invoked.
     /// (Spec rule **R07**; invariant I4 requires each of these aborts to
     /// land — resolve the target — or be absorbed by churn.)
-    fn propagate_abort(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, skip: Option<PeerId>) {
+    fn propagate_abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         let Some(tc) = self.contexts.get(&txn) else { return };
-        if self.config.peer_independent {
-            // Drive compensation directly using the collected definitions;
-            // peers without a collected definition get a plain Abort.
-            let bundles = tc.child_compensations();
-            let mut covered: BTreeSet<PeerId> = BTreeSet::new();
-            let mut to_send: Vec<(PeerId, CompensatingService)> = Vec::new();
-            for (peer, cs) in bundles {
-                covered.insert(peer);
-                to_send.push((peer, cs));
+        // Peer-independent: drive compensation directly from the collected
+        // definitions; the invoked peers without one get a plain Abort.
+        let bundles = if self.config.peer_independent { tc.child_compensations() } else { Vec::new() };
+        let invoked = tc.invoked_peers();
+        for (peer, cs) in &bundles {
+            // Our own bundle entry, if any, is our own log: `abort_local`
+            // compensated it.
+            if *peer == self.id {
+                continue;
             }
-            let invoked = tc.invoked_peers();
-            for (peer, cs) in to_send {
-                if Some(peer) == skip || peer == self.id {
-                    if peer == self.id {
-                        // Our own bundle entry (if any) is our own log —
-                        // already compensated by abort_local.
-                        continue;
-                    }
-                    continue;
-                }
-                self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
-                if self.send_reliable(ctx, peer, TxnMsg::Compensate { txn, service: cs.clone() }).is_err() {
-                    // Original peer gone: run it on a replica if one holds
-                    // the documents (structural addressing makes this
-                    // possible — the peer-independent payoff of E7).
-                    self.record_detection(ctx, peer, DetectHow::SendFailure);
-                    let mut sent = false;
-                    for (doc, _) in &cs.actions {
-                        if let Some(rep) = self.directory.alternative_replica(doc, &[peer, self.id]) {
-                            if self.send_reliable(ctx, rep, TxnMsg::Compensate { txn, service: cs.clone() }).is_ok() {
-                                sent = true;
-                                break;
-                            }
+            self.stats.aborts_sent += 1;
+            self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
+            if self.send_reliable(ctx, *peer, TxnMsg::Compensate { txn, service: cs.clone() }).is_err() {
+                // Original peer gone: run it on a replica if one holds the
+                // documents (structural addressing makes this possible —
+                // the peer-independent payoff of E7). Failing that, the
+                // compensation is lost, and the harness sees the document
+                // diverge.
+                self.record_detection(ctx, *peer, DetectHow::SendFailure);
+                for (doc, _) in &cs.actions {
+                    if let Some(rep) = self.directory.alternative_replica(doc, &[*peer, self.id]) {
+                        if self.send_reliable(ctx, rep, TxnMsg::Compensate { txn, service: cs.clone() }).is_ok() {
+                            break;
                         }
                     }
-                    if !sent {
-                        // Compensation lost — atomicity violated (counted
-                        // by the harness via document divergence).
-                    }
                 }
             }
-            for peer in invoked {
-                if Some(peer) == skip || peer == self.id || covered.contains(&peer) {
-                    continue;
-                }
-                self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
-                let _ = self.send_reliable(ctx, peer, TxnMsg::Abort { txn });
+        }
+        for peer in invoked {
+            if peer == self.id || bundles.iter().any(|(p, _)| *p == peer) {
+                continue;
             }
-        } else {
-            for peer in tc.invoked_peers() {
-                if Some(peer) == skip || peer == self.id {
-                    continue;
-                }
-                self.stats.aborts_sent += 1;
-                self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
-                let _ = self.send_reliable(ctx, peer, TxnMsg::Abort { txn });
-            }
+            self.stats.aborts_sent += 1;
+            self.emit(ctx, Some(txn), None, None, || EventKind::AbortPropagate { to: peer.0 });
+            let _ = self.send_reliable(ctx, peer, TxnMsg::Abort { txn });
         }
     }
 
     /// Delivers an `Abort`: abort locally, then continue the downward
     /// cascade. (Spec rules **R06**/**R07**.)
-    fn handle_abort(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, _from: PeerId) {
+    fn handle_abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, _from: PeerId) {
         self.stats.aborts_received += 1;
         if !self.contexts.contains_key(&txn) {
             // Tombstone: the Abort can overtake the Invoke (message
@@ -2350,7 +1963,7 @@ impl AxmlPeer {
             return;
         }
         self.abort_local(ctx, txn);
-        self.propagate_abort(ctx, txn, None);
+        self.propagate_abort(ctx, txn);
     }
 
     /// Delivers a `Commit` and cascades it, unacknowledged, to the
@@ -2358,13 +1971,10 @@ impl AxmlPeer {
     /// out. (Spec rule **R09**: a peer MUST NOT send `Commit` to a peer in
     /// the `covered` list it received. A copy that arrives again, or after
     /// an inquiry's answer, finds the context terminal and does nothing.)
-    fn handle_commit(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, covered: Option<&ActiveList>) {
-        if !self.resolve_context(ctx, txn, TxnState::Committed) {
+    fn handle_commit(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, covered: Option<&ActiveList>) {
+        if !self.decide(ctx, txn, None, true) {
             return;
         }
-        self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: true, at: ctx.now() });
-        self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: true });
-        self.prune_seen(ctx, Some(txn));
         self.release_parent_watch(txn);
         let invoked = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
         for peer in invoked {
@@ -2372,29 +1982,19 @@ impl AxmlPeer {
                 let _ = ctx.send(peer, TxnMsg::Commit { txn, covered: covered.cloned() });
             }
         }
-        self.stream_last.retain(|(t, _), _| *t != txn);
+        self.detector.end_streams(txn);
         self.completed_results.remove(&txn);
         self.conflicts.release(txn);
         // Residual work for a committed transaction (possible when a
         // recovery redo raced the commit) is moot: drop it and release
         // the failure detector.
-        let dead_servings: Vec<InvocationId> =
-            self.servings.iter().filter(|(_, s)| s.txn == txn).map(|(i, _)| *i).collect();
-        for inv in dead_servings {
-            self.servings.remove(&inv);
-        }
-        let dead_waits: Vec<InvocationId> =
-            self.waiting.iter().filter(|(_, w)| w.txn == txn).map(|(i, _)| *i).collect();
-        for inv in dead_waits {
-            if let Some(wc) = self.waiting.remove(&inv) {
-                self.unwatch(wc.child_peer);
-            }
-        }
+        self.servings.retain(|_, s| s.txn != txn);
+        self.drop_waits(txn);
     }
 
     /// Executes a received compensating service — statelessly, as §3.2
     /// prescribes. (Spec rule **R08**.)
-    fn handle_compensate(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, service: &CompensatingService) {
+    fn handle_compensate(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, service: &CompensatingService) {
         let actions: u64 = service.actions.iter().map(|(_, a)| a.len() as u64).sum();
         let cost = self.execute_compensation(service);
         self.emit(ctx, Some(txn), None, None, || EventKind::CompensateApply { actions });
@@ -2411,10 +2011,7 @@ impl AxmlPeer {
             );
             self.insert_context(t);
         }
-        if self.resolve_context(ctx, txn, TxnState::Aborted) {
-            self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
-            self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
-            self.prune_seen(ctx, Some(txn));
+        if self.decide(ctx, txn, None, false) {
             self.drop_txn_work(ctx, txn);
         }
         self.release_parent_watch(txn);
@@ -2428,28 +2025,24 @@ impl AxmlPeer {
     /// `txn`'s result has left this peer (a `Result` or a `Redirected`):
     /// only the decision can end its context now. Arms the decision timer
     /// afresh. The origin decides itself and never waits.
-    fn await_decision(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
+    fn await_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         if txn.origin == self.id || self.contexts.get(&txn).is_none_or(TransactionContext::is_terminal) {
             return;
         }
         self.stop_awaiting(ctx, txn);
-        let timer = self.arm_decision_timer(ctx, txn, 0);
-        self.awaiting.insert(txn, AwaitingDecision { inquiries: 0, timer });
+        self.arm_decision(ctx, txn, 0);
     }
 
-    /// Sets the decision timer of a wait that has sent `inquiries`
-    /// inquiries: the timeout, doubled per inquiry, capped at 64 times.
-    fn arm_decision_timer(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, inquiries: u32) -> (u64, TimerId) {
-        let delay = self.config.decision_timeout().saturating_mul(1u64 << inquiries.min(6));
-        let tag = self.alloc_payload_tag(TimerPayload::Decision(txn));
-        (tag, ctx.set_timer(delay, tag))
+    /// Waits for `txn`'s decision after `inquiries` inquiries.
+    fn arm_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
+        let tag = self.timers.set(ctx, self.config.decision_wait(inquiries), Timer::Decision { txn, inquiries });
+        self.awaiting.insert(txn, tag);
     }
 
     /// Ends the wait for `txn`'s decision, cancelling its timer.
-    fn stop_awaiting(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
-        if let Some(AwaitingDecision { timer: (tag, timer), .. }) = self.awaiting.remove(&txn) {
-            self.timers.remove(&tag);
-            ctx.cancel_timer(timer);
+    fn stop_awaiting(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+        if let Some(tag) = self.awaiting.remove(&txn) {
+            self.timers.cancel(ctx, tag);
         }
     }
 
@@ -2457,8 +2050,8 @@ impl AxmlPeer {
     /// origin — or, if it cannot be reached right now, the chain's closest
     /// super ancestor — and wait twice as long for the next try, up to
     /// `max_retransmits` inquiries. (Spec rule **R12**.)
-    fn inquire(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId) {
-        let Some(mut wait) = self.awaiting.remove(&txn) else { return };
+    fn inquire(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
+        self.awaiting.remove(&txn);
         let chain = self.contexts.get(&txn).map(|tc| &tc.chain);
         let fallback = chain.and_then(|c| c.closest_super_ancestor(self.id)).filter(|&p| p != txn.origin);
         let asked = [Some(txn.origin), fallback]
@@ -2469,10 +2062,8 @@ impl AxmlPeer {
             self.stats.inquiries += 1;
             self.emit(ctx, Some(txn), None, None, || EventKind::Inquire { to: to.0 });
         }
-        wait.inquiries += 1;
-        if wait.inquiries < self.config.max_retransmits {
-            wait.timer = self.arm_decision_timer(ctx, txn, wait.inquiries);
-            self.awaiting.insert(txn, wait);
+        if inquiries + 1 < self.config.max_retransmits {
+            self.arm_decision(ctx, txn, inquiries + 1);
         }
     }
 
@@ -2480,7 +2071,7 @@ impl AxmlPeer {
     // Disconnection handling (§3.3).
     // ------------------------------------------------------------------
 
-    fn record_detection(&mut self, ctx: &mut Ctx<'_, TxnMsg>, peer: PeerId, how: DetectHow) {
+    fn record_detection(&mut self, ctx: &mut Ctx<'_>, peer: PeerId, how: DetectHow) {
         let d = Detection { disconnected: peer, at: ctx.now(), how };
         // Concurrent notices about the same disconnection arrive in
         // bursts; keep one record per (peer, mechanism, instant).
@@ -2491,10 +2082,9 @@ impl AxmlPeer {
     }
 
     /// A watched child stopped responding (scenarios (a)/(c)).
-    fn on_child_disconnected(&mut self, ctx: &mut Ctx<'_, TxnMsg>, peer: PeerId, how: DetectHow) {
+    fn on_child_disconnected(&mut self, ctx: &mut Ctx<'_>, peer: PeerId, how: DetectHow) {
         self.record_detection(ctx, peer, how);
-        self.monitor.unwatch(peer);
-        self.watch_counts.remove(&peer);
+        self.detector.forget(peer);
         // Every outstanding invocation on that peer fails.
         let affected: Vec<InvocationId> =
             self.waiting.iter().filter(|(_, w)| w.child_peer == peer).map(|(i, _)| *i).collect();
@@ -2515,24 +2105,28 @@ impl AxmlPeer {
         }
         // The dead peer may also be a *parent* we keep-alive-watched while
         // a completed serving awaited its resolution (scenario (b) caught
-        // by ping timeout rather than send failure). Orphaned work is
-        // re-offered up the chain — or aborted — exactly as a chained
-        // disconnect notice would have it; it must never sit forever on a
-        // peer whose consumer is gone.
+        // by ping timeout rather than send failure): its work is orphaned
+        // exactly as a chained disconnect notice would have it.
         let orphaned: Vec<TxnId> = self.parent_watch.iter().filter(|(_, p)| **p == peer).map(|(t, _)| *t).collect();
         for txn in orphaned {
             self.parent_watch.remove(&txn);
-            if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
-                continue;
+            if self.contexts.get(&txn).is_some_and(|tc| !tc.is_terminal()) {
+                self.orphaned(ctx, txn, peer);
             }
-            let mine: Vec<InvocationId> = self.servings.iter().filter(|(_, s)| s.txn == txn).map(|(i, _)| *i).collect();
-            if !mine.is_empty() {
-                self.stats.orphan_stops += 1;
-                self.abort_local(ctx, txn);
-                self.propagate_abort(ctx, txn, None);
-            } else if let Some((method, items, comp)) = self.completed_results.remove(&txn) {
-                self.reroute_past_dead_parent(ctx, txn, peer, &method, items, comp);
-            }
+        }
+    }
+
+    /// `txn`'s consumer here, `dead`, is gone. A serving still running
+    /// stops, aborting its invokees with it; a result already returned,
+    /// maybe lost with `dead`, is re-offered up the chain for reuse — or
+    /// aborted, if the transaction already failed above.
+    fn orphaned(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId) {
+        if self.servings.values().any(|s| s.txn == txn) {
+            self.stats.orphan_stops += 1;
+            self.abort_local(ctx, txn);
+            self.propagate_abort(ctx, txn);
+        } else if let Some((method, items, comp)) = self.completed_results.remove(&txn) {
+            self.reroute_past_dead_parent(ctx, txn, dead, &method, items, comp);
         }
     }
 
@@ -2540,7 +2134,7 @@ impl AxmlPeer {
     #[allow(clippy::too_many_arguments)]
     fn handle_redirected(
         &mut self,
-        ctx: &mut Ctx<'_, TxnMsg>,
+        ctx: &mut Ctx<'_>,
         from: PeerId,
         txn: TxnId,
         failed_parent: PeerId,
@@ -2567,7 +2161,7 @@ impl AxmlPeer {
         // Keep the orphan's results for reuse when re-invoking the dead
         // peer's service, and its compensation bundle for abort-time.
         self.prefill_store.entry(txn).or_default().push((method.to_string(), items.to_vec()));
-        let orphan_inv = self.alloc_inv();
+        let orphan_inv = self.alloc_inv(ctx);
         if self.contexts.contains_key(&txn) {
             self.journal_append_forced(
                 ctx,
@@ -2584,7 +2178,7 @@ impl AxmlPeer {
     }
 
     /// A disconnect notice from the chain (scenarios (b)/(c)/(d)).
-    fn handle_notice(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, disconnected: PeerId) {
+    fn handle_notice(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, disconnected: PeerId) {
         self.record_detection(ctx, disconnected, DetectHow::Notice);
         let Some(tc) = self.contexts.get(&txn) else { return };
         if tc.is_terminal() {
@@ -2597,27 +2191,13 @@ impl AxmlPeer {
             return;
         }
         if my_parent == Some(disconnected) {
-            // Our consumer is gone: our work for this txn is orphaned.
-            let mine: Vec<InvocationId> = self.servings.iter().filter(|(_, s)| s.txn == txn).map(|(i, _)| *i).collect();
-            if !mine.is_empty() {
-                self.stats.orphan_stops += 1;
-                self.abort_local(ctx, txn);
-                // Abort our own invokees too (they are orphaned with us).
-                self.propagate_abort(ctx, txn, None);
-            } else if let Some((method, items, comp)) = self.completed_results.remove(&txn) {
-                // We completed, but our result may have been consumed by
-                // the dead peer (or dropped in flight): re-offer the work
-                // up the chain so it can be reused — or aborted, if the
-                // transaction already failed above us.
-                self.reroute_past_dead_parent(ctx, txn, disconnected, &method, items, comp);
-            }
+            self.orphaned(ctx, txn, disconnected);
         }
     }
 
     /// Sibling stream upkeep + silence detection (scenario (d)).
-    fn stream_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        self.stream_timer = None;
-        let Some(interval) = self.config.stream_interval else { return };
+    fn stream_tick(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(interval) = self.detector.stream_due() else { return };
         let active_txns: BTreeSet<TxnId> = self.servings.values().map(|s| s.txn).collect();
         if active_txns.is_empty() {
             return;
@@ -2629,8 +2209,7 @@ impl AxmlPeer {
             }
             let siblings = tc.chain.siblings_of(self.id);
             for sib in siblings {
-                self.stream_seq += 1;
-                let seq = self.stream_seq;
+                let seq = self.detector.next_stream_seq();
                 if ctx.send(sib, TxnMsg::StreamData { txn: *txn, seq }).is_err() {
                     // Scenario (d): sibling gone, detected by the stream.
                     self.on_sibling_disconnected(ctx, *txn, sib, DetectHow::SendFailure);
@@ -2638,30 +2217,15 @@ impl AxmlPeer {
             }
         }
         // Silence check: a sibling we have heard from before going quiet.
-        let now = ctx.now();
-        let silent: Vec<(TxnId, PeerId)> = self
-            .stream_last
-            .iter()
-            .filter(|((txn, _), last)| active_txns.contains(txn) && now.saturating_sub(**last) > interval * 3)
-            .map(|((t, p), _)| (*t, *p))
-            .collect();
-        for (txn, peer) in silent {
-            self.stream_last.remove(&(txn, peer));
+        for (txn, peer) in self.detector.silent_streams(&active_txns, ctx.now(), interval) {
             self.on_sibling_disconnected(ctx, txn, peer, DetectHow::StreamSilence);
         }
-        self.maybe_start_stream(ctx);
-    }
-
-    /// Arms the one stream timer, if streams are on and none is queued.
-    fn maybe_start_stream(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        if let (Some(interval), None) = (self.config.stream_interval, self.stream_timer) {
-            self.stream_timer = Some(ctx.set_timer(interval, TAG_STREAM));
-        }
+        self.detector.arm_stream(ctx, &mut self.timers);
     }
 
     /// Scenario (d): a sibling was detected disconnected; notify its
     /// parent and children from the chain — they then run (b)/(c).
-    fn on_sibling_disconnected(&mut self, ctx: &mut Ctx<'_, TxnMsg>, txn: TxnId, dead: PeerId, how: DetectHow) {
+    fn on_sibling_disconnected(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId, how: DetectHow) {
         self.record_detection(ctx, dead, how);
         if !self.config.chaining {
             return;
@@ -2690,37 +2254,24 @@ impl AxmlPeer {
     /// parent (upward `Fault`) and the invoked subtree. (Spec rule
     /// **R10**: the restart opens a fresh epoch; obligations from the
     /// crashed epoch are excused, not forgotten.)
-    fn crash_recover(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+    fn crash_recover(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.crash_recoveries += 1;
+        // The crash killed every timer and forgot what was sent, seen, owed
+        // or watched: the layers start afresh, and senders retransmit.
+        self.timers = Timers::default();
+        self.delivery = Delivery::new(&self.config);
+        self.detector = Detector::new(&self.config);
+        self.next_inv = 0;
+        self.next_txn = 0;
         self.servings.clear();
         self.waiting.clear();
-        self.timers.clear();
-        self.watch_counts.clear();
         self.parent_watch.clear();
         // Every in-doubt context is presumed aborted below: none waits on
-        // a decision any more, and the crash killed the timers.
+        // a decision any more.
         self.awaiting.clear();
-        self.monitor = PingMonitor::new(self.config.ping_interval.max(1), self.config.ping_timeout.max(1));
-        // The crash killed every timer, and what was owed is forgotten:
-        // the senders retransmit and are acknowledged again.
-        self.ping_timer = None;
-        self.ack_timer = None;
-        self.owed.clear();
-        self.stream_timer = None;
-        self.stream_seq = 0;
-        self.stream_last.clear();
         self.prefill_store.clear();
         self.completed_results.clear();
         self.conflicts = ConflictTable::new();
-        self.outbox.clear();
-        self.seen_deliveries.clear();
-        // Namespace freshly minted ids by the new incarnation so nothing
-        // we allocate collides with a pre-crash id still circulating.
-        self.epoch = ctx.incarnation();
-        self.next_inv = 0;
-        self.next_txn = 0;
-        self.next_delivery = 0;
-        self.next_tag = TAG_PAYLOAD_BASE;
         // Stable storage: the sink (not any in-memory copy) decides what
         // survived the crash — with an on-disk WAL this scans the segment
         // files, discards a torn tail, and returns the clean prefix. The
@@ -2740,27 +2291,18 @@ impl AxmlPeer {
             self.journal_append_forced(ctx, JournalEntry::Resolved { txn: *txn, committed: false, at: ctx.now() });
         }
         for txn in outcome.presumed_aborted {
-            let parent = self.contexts.get(&txn).and_then(|t| t.parent);
-            let started = self.contexts.get(&txn).map(|t| t.created_at).unwrap_or(0);
-            match parent {
+            match self.contexts.get(&txn).and_then(|t| t.parent) {
                 Some((pp, inv)) => {
                     // The invoker must learn its child's work is undone.
                     let fault = Fault::peer_unreachable(format!("{} crashed; presumed abort", self.id));
                     let _ = self.send_reliable(ctx, pp, TxnMsg::Fault { txn, inv, fault });
                 }
-                None if txn.origin == self.id => {
-                    self.outcomes.push(TxnOutcome {
-                        txn,
-                        committed: false,
-                        started_at: started,
-                        resolved_at: ctx.now(),
-                    });
-                }
+                None if txn.origin == self.id => self.record_outcome(ctx, txn, false),
                 None => {}
             }
             // Invoked peers (and collected compensations) are in the
             // replayed log: push the abort down the tree.
-            self.propagate_abort(ctx, txn, None);
+            self.propagate_abort(ctx, txn);
         }
         // Contexts that were already aborted on disk may have died with
         // abort propagation still in flight: the crash killed the retry
@@ -2776,91 +2318,31 @@ impl AxmlPeer {
                 let fault = Fault::peer_unreachable(format!("{} restarted; aborted", self.id));
                 let _ = self.send_reliable(ctx, pp, TxnMsg::Fault { txn, inv, fault });
             }
-            self.propagate_abort(ctx, txn, None);
+            self.propagate_abort(ctx, txn);
         }
     }
 
     // ------------------------------------------------------------------
-    // Keep-alive.
+    // Keep-alive: the detector probes, the protocol acts on its suspects.
     // ------------------------------------------------------------------
 
-    fn watch(&mut self, ctx: &mut Ctx<'_, TxnMsg>, peer: PeerId) {
-        if peer == self.id {
-            return;
-        }
-        *self.watch_counts.entry(peer).or_insert(0) += 1;
-        if !self.monitor.is_watching(peer) {
-            self.monitor.watch(peer, ctx.now());
-        }
-        self.arm_ping(ctx);
-    }
-
-    /// Arms the one keep-alive timer for the monitor's next probe
-    /// deadline, if something is watched and no timer runs. Deadlines only
-    /// move later while the timer waits, so it never fires late.
-    fn arm_ping(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        if self.config.ping_interval == 0 || self.ping_timer.is_some() {
-            return;
-        }
-        if let Some(deadline) = self.monitor.next_deadline() {
-            self.ping_timer = Some(ctx.set_timer(deadline.saturating_sub(ctx.now()), TAG_PING));
-        }
-    }
-
-    /// Back online: the simulator discarded the timers that came due
-    /// meanwhile, so the keep-alive, held-ack and stream timers are set
-    /// anew — an earlier one still queued is cancelled first, or two would
-    /// run. A peer that could not listen cannot accuse anyone of silence:
-    /// every watched peer's and every streaming sibling's silence is
-    /// counted from now.
-    fn rearm_link_timers(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        for timer in [self.ping_timer.take(), self.ack_timer.take(), self.stream_timer.take()].into_iter().flatten() {
-            ctx.cancel_timer(timer);
-        }
-        self.monitor.restart(ctx.now());
-        for last in self.stream_last.values_mut() {
-            *last = ctx.now();
-        }
-        self.arm_ping(ctx);
-        self.arm_ack(ctx);
-        if !self.servings.is_empty() {
-            self.maybe_start_stream(ctx);
-        }
-    }
-
-    fn unwatch(&mut self, peer: PeerId) {
-        if let Some(count) = self.watch_counts.get_mut(&peer) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.watch_counts.remove(&peer);
-                self.monitor.unwatch(peer);
-            }
-        }
-    }
-
-    /// The keep-alive timer fired: probe the links that have been idle
-    /// for a full interval (a link that carried any message since is
-    /// alive and is left alone), declare the peers silent past the
-    /// timeout disconnected, and re-arm for the next deadline.
-    fn ping_tick(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        self.ping_timer = None;
+    /// The keep-alive timer fired: the peers whose probe could not be
+    /// sent, then those silent past the timeout, are disconnected.
+    fn ping_tick(&mut self, ctx: &mut Ctx<'_>) {
         // Reusable buffer (taken, not borrowed: `on_child_disconnected`
         // needs `&mut self` while we iterate).
         let mut peers = std::mem::take(&mut self.peer_buf);
-        self.stats.keepalive_suppressed += self.monitor.due_into(ctx.now(), &mut peers);
-        self.stats.keepalive_probes += peers.len() as u64;
-        // Keep the probes that failed synchronously: those peers are gone.
-        peers.retain(|&peer| ctx.send(peer, TxnMsg::Ping).is_err());
+        self.detector.probe(ctx, &mut self.stats, &mut peers);
         for &peer in &peers {
             self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
         }
-        self.monitor.suspects_into(ctx.now(), &mut peers);
+        self.detector.suspects_into(ctx.now(), &mut peers);
         for &peer in &peers {
             self.on_child_disconnected(ctx, peer, DetectHow::PingTimeout);
         }
         peers.clear();
         self.peer_buf = peers;
-        self.arm_ping(ctx);
+        self.detector.arm_keepalive(ctx, &mut self.timers);
     }
 }
 
@@ -2888,82 +2370,19 @@ fn service_query<'r>(registry: &'r ServiceRegistry, method: &str) -> Option<&'r 
     }
 }
 
-/// The transaction a protocol message belongs to (`None` for transport
-/// traffic: pings, acks). Drives trace attribution and dedup pruning.
-fn txn_of(msg: &TxnMsg) -> Option<TxnId> {
-    match msg {
-        TxnMsg::Invoke { txn, .. }
-        | TxnMsg::Result { txn, .. }
-        | TxnMsg::Fault { txn, .. }
-        | TxnMsg::Abort { txn }
-        | TxnMsg::Commit { txn, .. }
-        | TxnMsg::Inquire { txn }
-        | TxnMsg::Compensate { txn, .. }
-        | TxnMsg::Redirected { txn, .. }
-        | TxnMsg::DisconnectNotice { txn, .. }
-        | TxnMsg::StreamData { txn, .. }
-        | TxnMsg::ChainUpdate { txn, .. } => Some(*txn),
-        TxnMsg::Reliable { inner, .. } => txn_of(inner),
-        TxnMsg::Ping | TxnMsg::Pong | TxnMsg::Ack { .. } => None,
-    }
-}
-
 impl AxmlPeer {
     /// Acts on one received message. The acknowledgements it makes this
     /// peer owe leave with whatever the handler sends their way; the
     /// caller flushes the rest.
-    fn receive(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+    fn receive(&mut self, ctx: &mut Ctx<'_>, from: PeerId, msg: TxnMsg) {
         // Any traffic from a peer proves liveness.
-        self.monitor.heard_from(from, ctx.now());
-        // An acknowledgement settles a delivery the same whichever kind
-        // of message brought it.
-        for &acked in msg.acks() {
-            self.settle(ctx, acked);
-        }
-        // Look inside the at-least-once envelope before protocol dispatch.
+        self.detector.heard_from(from, ctx.now());
         // Handlers borrow the payload: the sender's outbox holds it too
         // (in the simulator, the same allocation) until our ack arrives,
         // so taking it by value would copy every delivery.
-        let msg = match &msg {
-            TxnMsg::Reliable { id, inner, .. } => {
-                let id = *id;
-                let txn = txn_of(inner);
-                // Single-pass dedup: one insert both tests and records. A
-                // re-delivery leaves the set untouched, so the peak and
-                // capacity bookkeeping belong to first sight only. An
-                // entry about a transaction that has committed here
-                // protects nothing — a committed context refuses every
-                // re-invocation — and is filed under no transaction, where
-                // the next finalize finds it (as it would one without a
-                // transaction, though none is ever sent reliably).
-                let committed = |t: &TxnId| self.contexts.get(t).is_some_and(|tc| tc.state == TxnState::Committed);
-                let again =
-                    self.config.dedup && !self.seen_deliveries.insert((txn.filter(|t| !committed(t)), from, id));
-                // Always ack — even re-deliveries, since the original ack
-                // may itself have been lost. The ack is owed from here on
-                // and due as this handler returns, but for a first
-                // `Invoke`: the one message whose answer goes back on this
-                // link — a wave's `ChainUpdate`, the `Result`, a refusal —
-                // waits for it. A re-delivery's sender is retransmitting
-                // already and is not kept waiting.
-                let hold = if !again && matches!(**inner, TxnMsg::Invoke { .. }) { self.config.ack_hold() } else { 0 };
-                self.owed.push(OwedAck { to: from, id, due: ctx.now().saturating_add(hold) });
-                self.emit(ctx, txn, None, None, || EventKind::AckSend { to: from.0, id });
-                if again {
-                    self.stats.dup_suppressed += 1;
-                    self.emit(ctx, txn, None, None, || EventKind::DedupSuppress { from: from.0, id });
-                    return;
-                }
-                if self.config.dedup {
-                    self.stats.seen_peak = self.stats.seen_peak.max(self.seen_deliveries.len() as u64);
-                    if self.seen_deliveries.len() > self.config.dedup_capacity {
-                        self.prune_seen(ctx, None);
-                    }
-                }
-                &**inner
-            }
-            TxnMsg::Ack { .. } => return,
-            other => other,
+        let Some(msg) = self.delivery.receive(ctx, &mut self.timers, &mut self.stats, &self.contexts, from, &msg)
+        else {
+            return;
         };
         match msg {
             TxnMsg::Invoke { txn, inv, method, params, chain, prefilled } => {
@@ -2988,10 +2407,14 @@ impl AxmlPeer {
             }
             TxnMsg::DisconnectNotice { txn, disconnected } => self.handle_notice(ctx, *txn, *disconnected),
             TxnMsg::StreamData { txn, .. } => {
-                self.stream_last.insert((*txn, from), ctx.now());
-                self.maybe_start_stream(ctx);
+                self.detector.heard_stream(*txn, from, ctx.now());
+                self.detector.arm_stream(ctx, &mut self.timers);
             }
-            TxnMsg::ChainUpdate { txn, chain, .. } => self.handle_chain_update(ctx, from, *txn, chain),
+            // A gossiped chain is merged into a context that is still live.
+            TxnMsg::ChainUpdate { txn, chain, .. } if self.contexts.get(txn).is_some_and(|tc| !tc.is_terminal()) => {
+                self.learn_chain(ctx, from, *txn, chain);
+            }
+            TxnMsg::ChainUpdate { .. } => {}
             // Unwrapped above; a nested envelope is never constructed.
             TxnMsg::Reliable { .. } | TxnMsg::Ack { .. } => {}
         }
@@ -2999,68 +2422,57 @@ impl AxmlPeer {
 }
 
 impl Actor<TxnMsg> for AxmlPeer {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, TxnMsg>, from: PeerId, msg: TxnMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: PeerId, msg: TxnMsg) {
         self.receive(ctx, from, msg);
-        self.flush_acks(ctx);
+        self.delivery.flush(ctx, &mut self.timers, &mut self.stats);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TxnMsg>, tag: u64) {
-        match tag {
-            0 => {
-                if let Some((method, params)) = self.auto_submit.clone() {
-                    self.submit(ctx, &method, params);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        let Some(timer) = self.timers.fired(tag) else {
+            // Tag 0 is the harness's: submit the scenario's transaction.
+            if let (0, Some((method, params))) = (tag, self.auto_submit.clone()) {
+                self.submit(ctx, &method, params);
+            }
+            return;
+        };
+        match timer {
+            Timer::ServiceDone(inv) => self.complete_serving(ctx, inv),
+            Timer::RetryChild { wc, placeholder } => self.reissue_child(ctx, wc, placeholder),
+            Timer::Decision { txn, inquiries } => self.inquire(ctx, txn, inquiries),
+            Timer::Retransmit(id) => {
+                if let Some(given_up) = self.delivery.retransmit(ctx, &mut self.timers, &mut self.stats, id) {
+                    self.delivery_failed(ctx, given_up);
                 }
             }
-            TAG_PING => self.ping_tick(ctx),
-            TAG_STREAM => self.stream_tick(ctx),
-            TAG_ACK => {
-                self.ack_timer = None;
-                self.flush_acks(ctx);
-            }
-            _ => match self.timers.remove(&tag) {
-                Some(TimerPayload::ServiceDone(inv)) => self.complete_serving(ctx, inv),
-                Some(TimerPayload::RetryChild { wc, to_peer, to_method, placeholder }) => {
-                    self.reissue_child(ctx, wc, to_peer, to_method, placeholder)
-                }
-                Some(TimerPayload::Submit { method, params }) => {
-                    self.submit(ctx, &method, params);
-                }
-                Some(TimerPayload::Retransmit(id)) => self.retransmit(ctx, id),
-                Some(TimerPayload::Decision(txn)) => self.inquire(ctx, txn),
-                None => {}
-            },
+            Timer::AckHold => self.delivery.ack_due(ctx, &mut self.timers, &mut self.stats),
+            Timer::KeepAlive => self.ping_tick(ctx),
+            Timer::Stream => self.stream_tick(ctx),
         }
     }
 
-    fn on_reconnect(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
-        // Timers set while offline were discarded by the simulator:
-        // re-arm the delivery layer or pending outbox entries would
-        // never retransmit (and quiescence would never be reached).
-        let ids: Vec<u64> = self.outbox.keys().copied().collect();
-        for id in ids {
-            // Retire the pre-disconnect timer's bookkeeping first — its
-            // payload entry would otherwise leak, and a firing that beat
-            // the disconnect would chain a second timer for this entry.
-            if let Some(mut pending) = self.outbox.remove(&id) {
-                self.clear_delivery_timer(ctx, &mut pending);
-                let tag = self.alloc_payload_tag(TimerPayload::Retransmit(id));
-                let timer = ctx.set_timer(self.config.retransmit_base, tag);
-                pending.timer = Some((tag, timer));
-                self.outbox.insert(id, pending);
-            }
-        }
-        // And for every wait on a decision, at the backoff it had reached.
-        for (txn, mut wait) in std::mem::take(&mut self.awaiting) {
-            self.timers.remove(&wait.timer.0);
-            ctx.cancel_timer(wait.timer.1);
-            wait.timer = self.arm_decision_timer(ctx, txn, wait.inquiries);
-            self.awaiting.insert(txn, wait);
-        }
-        // Same for the keep-alive, the held acks and the stream loop.
-        self.rearm_link_timers(ctx);
+    /// Back online: the simulator dropped every timer that came due
+    /// meanwhile. What becomes of each is decided here, once per kind.
+    fn on_reconnect(&mut self, ctx: &mut Ctx<'_>) {
+        let (now, config) = (ctx.now(), &self.config);
+        self.timers.rearm(ctx, |timer, due| match timer {
+            // Every unacked delivery retransmits afresh, in id order, or
+            // none would ever be acked and the peer never be quiescent.
+            Timer::Retransmit(id) => Some(((0, None, *id), config.retransmit_base)),
+            // Every wait on a decision goes on at the backoff it had
+            // reached, in transaction order.
+            Timer::Decision { txn, inquiries } => Some(((1, Some(*txn), 0), config.decision_wait(*inquiries))),
+            // Work whose time came offline is done now; the rest keeps it.
+            Timer::ServiceDone(_) | Timer::RetryChild { .. } => (due <= now).then_some(((2, None, 0), 0)),
+            // Their layers set the link timers anew below, counting every
+            // silence from now: a peer that could not listen accuses nobody.
+            Timer::AckHold | Timer::KeepAlive | Timer::Stream => None,
+        });
+        self.detector.resume_keepalive(ctx, &mut self.timers);
+        self.delivery.rearm_ack(ctx, &mut self.timers);
+        self.detector.resume_stream(ctx, &mut self.timers, !self.servings.is_empty());
     }
 
-    fn on_crash_restart(&mut self, ctx: &mut Ctx<'_, TxnMsg>) {
+    fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
         self.crash_recover(ctx);
     }
 
@@ -3070,21 +2482,16 @@ impl Actor<TxnMsg> for AxmlPeer {
         // series is replay-stable. `in_flight_txns` counts non-terminal
         // contexts (the backlog that still holds resources); terminal
         // contexts stay in the map for the oracle but are settled work.
-        out.push(("outbox_depth", self.outbox.len() as u64));
+        // Every unacked delivery holds one retransmit timer.
+        let unacked = self.delivery.unacked() as u64;
+        out.push(("outbox_depth", unacked));
         debug_assert_eq!(self.active_contexts, self.contexts.values().filter(|tc| !tc.is_terminal()).count());
         out.push(("in_flight_txns", self.active_contexts as u64));
-        out.push(("dedup_seen", self.seen_deliveries.len() as u64));
-        out.push(("retransmit_timers", self.outbox.values().filter(|p| p.timer.is_some()).count() as u64));
+        out.push(("dedup_seen", self.delivery.seen_len() as u64));
+        out.push(("retransmit_timers", unacked));
         let wal = self.sink.stats();
         out.push(("wal_bytes", wal.bytes_appended));
         out.push(("wal_segments", wal.segments_rotated));
-    }
-}
-
-impl AxmlPeer {
-    /// Schedules a transaction submission at a future time (harness use).
-    pub fn schedule_submit(&mut self, method: &str, params: Vec<(String, String)>) -> u64 {
-        self.alloc_payload_tag(TimerPayload::Submit { method: method.to_string(), params })
     }
 }
 
@@ -3097,6 +2504,41 @@ mod tests {
 
     fn fabric(n: u32) -> Vec<AxmlPeer> {
         (0..n).map(|i| AxmlPeer::new(PeerId(i), PeerConfig::default())).collect()
+    }
+
+    /// Hosts `main` on `peer` with the `root` query over its `out` nodes.
+    fn host_root(peer: &mut AxmlPeer, main: &str) {
+        peer.repo.put_xml("main", main).unwrap();
+        let query = SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d");
+        peer.registry.register(ServiceDef::query("root", "main", query).with_results(&["out"]));
+    }
+
+    /// Three peers under `config`: AP1's `root` materializes one call to
+    /// AP2's `fetch`, which answers a single `out`.
+    fn root_fetch(config: PeerConfig) -> Vec<AxmlPeer> {
+        let mut peers: Vec<AxmlPeer> = (0..3).map(|i| AxmlPeer::new(PeerId(i), config.clone())).collect();
+        host_root(
+            &mut peers[1],
+            r#"<d><out>x</out><axml:sc mode="replace" serviceNameSpace="r" serviceURL="peer://ap2" methodName="fetch"/></d>"#,
+        );
+        peers[1].wsdl.publish("fetch", &["out"]);
+        peers[2].registry.register(
+            ServiceDef::function("fetch", |_| Ok(vec![Fragment::elem_text("out", "y")])).with_results(&["out"]),
+        );
+        peers
+    }
+
+    /// A simulator over `peers` in which AP1 submits `method` at t=0.
+    fn submitting(sim_config: SimConfig, peers: Vec<AxmlPeer>, method: &str) -> Sim<TxnMsg, AxmlPeer> {
+        let mut sim = Sim::new(sim_config, peers);
+        sim.actor_mut(PeerId(1)).auto_submit = Some((method.into(), vec![]));
+        sim.schedule_timer(0, PeerId(1), 0);
+        sim
+    }
+
+    /// How many retransmit timers `peer` has registered.
+    fn retransmit_timers(peer: &AxmlPeer) -> usize {
+        peer.timers.kinds().filter(|t| matches!(t, Timer::Retransmit(_))).count()
     }
 
     #[test]
@@ -3133,18 +2575,8 @@ mod tests {
         assert_eq!(m, before);
     }
 
-    /// Local nesting across peers: "the service call parameters may
-    /// themselves be defined as service calls" — here the parameter call
-    /// targets a *remote* peer, exercising the ParamFill wave machinery.
-    #[test]
-    fn remote_param_call_resolves_before_outer_invocation() {
-        let mut peers = fabric(4);
-        // AP1: origin; its doc embeds outer@AP2 with param = inner@AP3.
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>local</out>
+    /// AP1's `main` embeds `outer`@AP2 whose parameter is `inner`@AP3.
+    const NESTED_PARAM_CALL: &str = r#"<d><out>local</out>
                     <axml:sc mode="replace" serviceNameSpace="o" serviceURL="peer://ap2" methodName="outer">
                         <axml:params>
                             <axml:param name="in">
@@ -3152,17 +2584,15 @@ mod tests {
                             </axml:param>
                         </axml:params>
                     </axml:sc>
-                </d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
+                </d>"#;
+
+    /// Local nesting across peers: "the service call parameters may
+    /// themselves be defined as service calls" — here the parameter call
+    /// targets a *remote* peer, exercising the ParamFill wave machinery.
+    #[test]
+    fn remote_param_call_resolves_before_outer_invocation() {
+        let mut peers = fabric(4);
+        host_root(&mut peers[1], NESTED_PARAM_CALL);
         peers[1].wsdl.publish("outer", &["out"]);
         peers[1].wsdl.publish("inner", &["seed"]);
         // AP2: outer echoes its parameter.
@@ -3177,9 +2607,7 @@ mod tests {
         peers[3].registry.register(
             ServiceDef::function("inner", |_| Ok(vec![Fragment::elem_text("seed", "42")])).with_results(&["seed"]),
         );
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(SimConfig::default(), peers, "root");
         sim.run();
         let origin = sim.actor(PeerId(1));
         let outcome = origin.outcomes.first().expect("resolved");
@@ -3197,36 +2625,12 @@ mod tests {
     #[test]
     fn param_call_fault_aborts_transaction() {
         let mut peers = fabric(4);
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>local</out>
-                    <axml:sc mode="replace" serviceNameSpace="o" serviceURL="peer://ap2" methodName="outer">
-                        <axml:params>
-                            <axml:param name="in">
-                                <axml:sc mode="replace" serviceNameSpace="i" serviceURL="peer://ap3" methodName="inner"/>
-                            </axml:param>
-                        </axml:params>
-                    </axml:sc>
-                </d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
+        host_root(&mut peers[1], NESTED_PARAM_CALL);
         peers[2].registry.register(ServiceDef::function("outer", |_| Ok(vec![])).with_results(&["out"]));
         let mut inner = ServiceDef::function("inner", |_| Ok(vec![]));
         inner.injected_fault = Some(Fault::injected("param provider down"));
         peers[3].registry.register(inner);
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(SimConfig::default(), peers, "root");
         sim.run();
         let origin = sim.actor(PeerId(1));
         assert!(!origin.outcomes.first().expect("resolved").committed);
@@ -3236,24 +2640,11 @@ mod tests {
     #[test]
     fn unknown_service_faults_back() {
         let mut peers = fabric(3);
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>x</out><axml:sc serviceNameSpace="g" serviceURL="peer://ap2" methodName="ghost"/></d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
+        host_root(
+            &mut peers[1],
+            r#"<d><out>x</out><axml:sc serviceNameSpace="g" serviceURL="peer://ap2" methodName="ghost"/></d>"#,
         );
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(SimConfig::default(), peers, "root");
         sim.run();
         let origin = sim.actor(PeerId(1));
         assert!(!origin.outcomes.first().expect("resolved").committed);
@@ -3263,9 +2654,7 @@ mod tests {
     fn submitting_unknown_local_method_resolves_aborted() {
         let mut peers = fabric(2);
         peers[1].repo.put_xml("main", "<d/>").unwrap();
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("nope".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(SimConfig::default(), peers, "nope");
         sim.run();
         let origin = sim.actor(PeerId(1));
         let outcome = origin.outcomes.first().expect("resolved");
@@ -3274,52 +2663,25 @@ mod tests {
     }
 
     /// Regression: an ack must retire the delivery's pending retransmit
-    /// timer. Before the fix, the payload stayed in `timers` after the
-    /// outbox entry was removed, and the stale timer fired into
-    /// `retransmit` for a delivery that no longer existed.
+    /// timer. Before the fix, the timer outlived the outbox entry it was
+    /// set for, and its stale firing went into `retransmit` for a delivery
+    /// that no longer existed.
     #[test]
     fn ack_clears_retransmit_timer_state() {
-        let mut peers = fabric(3);
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>x</out><axml:sc mode="replace" serviceNameSpace="r" serviceURL="peer://ap2" methodName="fetch"/></d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
-        peers[1].wsdl.publish("fetch", &["out"]);
-        peers[2].registry.register(
-            ServiceDef::function("fetch", |_| Ok(vec![Fragment::elem_text("out", "y")])).with_results(&["out"]),
-        );
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(SimConfig::default(), root_fetch(PeerConfig::default()), "root");
         // Latency is 1..=5 and `fetch` takes one tick, so the Invoke's ack
         // is back by t=11, on the `Result` — well before its retransmit
-        // timer (base 16) would fire. At this
-        // checkpoint every Retransmit payload must match a live outbox
-        // entry; an orphaned payload is exactly the pre-fix stale state.
+        // timer (base 16) would fire. At this checkpoint every retransmit
+        // timer must belong to an unacked delivery, one each; an orphaned
+        // timer is exactly the pre-fix stale state.
         sim.run_until(12);
         for id in [PeerId(1), PeerId(2)] {
             let p = sim.actor(id);
-            let orphaned = p
-                .timers
-                .values()
-                .filter(|t| matches!(t, TimerPayload::Retransmit(d) if !p.outbox.contains_key(d)))
-                .count();
-            assert_eq!(orphaned, 0, "{id}: acked deliveries left timer state behind");
+            assert_eq!(retransmit_timers(p), p.delivery.unacked(), "{id}: acked deliveries left timers behind");
         }
         sim.run();
         assert!(sim.actor(PeerId(1)).outcomes.first().expect("resolved").committed);
-        assert!(sim.actor(PeerId(1)).outbox.is_empty());
+        assert!(sim.actor(PeerId(1)).is_quiescent());
     }
 
     /// A reconnect sets the keep-alive timer anew whether or not the old
@@ -3333,12 +2695,10 @@ mod tests {
         s.sim.run_until(30);
         // AP1 waits for AP2 and watches it; nothing else is in flight, so
         // the keep-alive timer is the only one the reconnect will touch.
-        let ap1 = s.sim.actor(PeerId(1));
-        assert!(ap1.outbox.is_empty() && ap1.owed.is_empty());
-        let queued = ap1.ping_timer.expect("watching AP2");
+        let keepalive_only = |p: &AxmlPeer| p.timers.kinds().map(|t| matches!(t, Timer::KeepAlive)).eq([true]);
+        assert!(keepalive_only(s.sim.actor(PeerId(1))), "watching AP2, nothing owed or unacked");
         s.sim.run_until(32);
-        let rearmed = s.sim.actor(PeerId(1)).ping_timer.expect("still watching AP2");
-        assert_ne!(queued, rearmed);
+        assert!(keepalive_only(s.sim.actor(PeerId(1))), "still watching AP2");
         assert_eq!(s.sim.cancelled_timers(), 1, "the queued timer was cancelled");
     }
 
@@ -3349,26 +2709,6 @@ mod tests {
     /// answers with the outcome it holds, and no `Abort` leaves it.
     #[test]
     fn a_result_delivered_again_after_the_commit_is_answered_with_the_commit() {
-        let mut peers = fabric(3);
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>x</out><axml:sc mode="replace" serviceNameSpace="r" serviceURL="peer://ap2" methodName="fetch"/></d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
-        peers[1].wsdl.publish("fetch", &["out"]);
-        peers[2].registry.register(
-            ServiceDef::function("fetch", |_| Ok(vec![Fragment::elem_text("out", "y")])).with_results(&["out"]),
-        );
         let mut sim_config = SimConfig::default();
         // The copy arrives 30 ticks after the original: the origin has
         // committed on the original long before.
@@ -3379,9 +2719,7 @@ mod tests {
             nth: 0,
             action: axml_p2p::FaultAction::Duplicate { extra: 30 },
         });
-        let mut sim = Sim::new(sim_config, peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(sim_config, root_fetch(PeerConfig::default()), "root");
         sim.run();
         let origin = sim.actor(PeerId(1));
         assert!(origin.outcomes.first().expect("resolved").committed);
@@ -3424,62 +2762,33 @@ mod tests {
         config.retransmit_base = 1 << 62;
         config.max_retransmits = 3;
         config.ping_interval = 0; // isolate the delivery layer's timers
-        let mut peers: Vec<AxmlPeer> = (0..3).map(|i| AxmlPeer::new(PeerId(i), config.clone())).collect();
-        peers[1]
-            .repo
-            .put_xml(
-                "main",
-                r#"<d><out>x</out><axml:sc mode="replace" serviceNameSpace="r" serviceURL="peer://ap2" methodName="fetch"/></d>"#,
-            )
-            .unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
-        peers[1].wsdl.publish("fetch", &["out"]);
-        peers[2].registry.register(
-            ServiceDef::function("fetch", |_| Ok(vec![Fragment::elem_text("out", "y")])).with_results(&["out"]),
-        );
         let mut sim_config = SimConfig::default();
         // Drop every message: the Invoke is never acked and the sender
         // must walk its full backoff schedule to the give-up.
         sim_config.fault = FaultPlane::probabilistic(7, 1.0, 0.0, 0.0, 0.0);
-        let mut sim = Sim::new(sim_config, peers);
-        sim.actor_mut(PeerId(1)).auto_submit = Some(("root".into(), vec![]));
-        sim.schedule_timer(0, PeerId(1), 0);
+        let mut sim = submitting(sim_config, root_fetch(config), "root");
         sim.run();
         let p1 = sim.actor(PeerId(1));
         assert!(p1.stats.retransmit_giveups >= 1, "delivery gave up");
         assert!(p1.stats.detections.iter().any(|d| d.how == DetectHow::AckTimeout), "give-up detected as ack timeout");
-        assert!(p1.outbox.is_empty());
-        let leftover = p1.timers.values().filter(|t| matches!(t, TimerPayload::Retransmit(_))).count();
-        assert_eq!(leftover, 0, "give-up cleared its timer state");
+        assert_eq!(p1.delivery.unacked(), 0);
+        assert_eq!(retransmit_timers(p1), 0, "give-up cleared its timer state");
         assert!(!p1.outcomes.first().expect("resolved").committed, "undeliverable invoke aborts");
         // Saturation: the doubled backoff pins to u64::MAX. The wrapping
         // shift instead produced zero delays, giving up at 3 * 2^62.
         assert_eq!(sim.now(), u64::MAX, "backoff saturated instead of wrapping");
     }
 
+    /// The harness submits `auto_submit` whenever it fires tag 0.
     #[test]
-    fn schedule_submit_timer_payload() {
+    fn every_harness_timer_0_submits_a_transaction() {
         let mut peers = fabric(2);
-        peers[1].repo.put_xml("main", "<d><out>v</out></d>").unwrap();
-        peers[1].registry.register(
-            ServiceDef::query(
-                "root",
-                "main",
-                SelectQuery::parse("Select v//out from v in d").expect("static query: Select v//out from v in d"),
-            )
-            .with_results(&["out"]),
-        );
-        let tag = peers[1].schedule_submit("root", vec![]);
-        let mut sim = Sim::new(SimConfig::default(), peers);
-        sim.schedule_timer(5, PeerId(1), tag);
+        host_root(&mut peers[1], "<d><out>v</out></d>");
+        let mut sim = submitting(SimConfig::default(), peers, "root");
+        sim.schedule_timer(50, PeerId(1), 0);
         sim.run();
-        assert_eq!(sim.actor(PeerId(1)).outcomes.len(), 1);
+        let outcomes = &sim.actor(PeerId(1)).outcomes;
+        assert_eq!(outcomes.iter().filter(|o| o.committed).count(), 2, "{outcomes:?}");
+        assert!(outcomes[1].started_at >= 50);
     }
 }
