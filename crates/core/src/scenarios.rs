@@ -62,7 +62,10 @@ pub struct ScenarioBuilder {
     pub replicas: Vec<(u32, u32)>,
     /// Scheduled disconnects `(time, peer)`.
     pub disconnects: Vec<(u64, u32)>,
-    /// When the transaction is submitted.
+    /// Scheduled reconnects `(time, peer)`.
+    pub reconnects: Vec<(u64, u32)>,
+    /// When the transaction is submitted — or, if the origin is offline
+    /// then, when it comes back.
     pub submit_at: u64,
     /// Hard stop for the simulation.
     pub deadline: u64,
@@ -97,6 +100,7 @@ impl ScenarioBuilder {
             handlers: Vec::new(),
             replicas: Vec::new(),
             disconnects: Vec::new(),
+            reconnects: Vec::new(),
             submit_at: 0,
             deadline: 100_000,
             fault: FaultPlane::default(),
@@ -167,6 +171,12 @@ impl ScenarioBuilder {
     /// Builder: disconnect a peer at a time.
     pub fn disconnect(mut self, at: u64, peer: u32) -> Self {
         self.disconnects.push((at, peer));
+        self
+    }
+
+    /// Builder: reconnect a peer at a time.
+    pub fn reconnect(mut self, at: u64, peer: u32) -> Self {
+        self.reconnects.push((at, peer));
         self
     }
 
@@ -335,10 +345,13 @@ impl ScenarioBuilder {
         for &(at, p) in &self.disconnects {
             sim.schedule_disconnect(at, PeerId(p));
         }
+        for &(at, p) in &self.reconnects {
+            sim.schedule_reconnect(at, PeerId(p));
+        }
         // Submission.
         let origin = PeerId(self.origin);
         sim.actor_mut(origin).auto_submit = Some((format!("S{}", self.origin), vec![]));
-        sim.schedule_timer(self.submit_at, origin, 0);
+        sim.schedule_timer(self.submit_time(), origin, 0);
         // Baseline snapshot for atomicity checking.
         let baseline = peers
             .iter()
@@ -353,6 +366,29 @@ impl ScenarioBuilder {
             participants: peers.iter().map(|p| PeerId(*p)).collect(),
             baseline,
             deadline: self.deadline,
+        }
+    }
+
+    /// When the origin submits: at `submit_at`, unless it is offline then
+    /// and comes back later, in which case at its return. The simulator
+    /// drops a timer that comes due on an offline peer, and the submit
+    /// timer is the harness's, which no reconnect of the peer's re-arms.
+    /// Every churn event is set before the submit timer, so at one tick
+    /// the churn goes first — disconnects before reconnects.
+    fn submit_time(&self) -> u64 {
+        if self.supers.contains(&self.origin) {
+            return self.submit_at;
+        }
+        // The origin's churn as `(time, back online)`, in the order it runs.
+        let downs = self.disconnects.iter().map(|&(at, p)| (at, p, false));
+        let ups = self.reconnects.iter().map(|&(at, p)| (at, p, true));
+        let mut churn: Vec<(u64, bool)> =
+            downs.chain(ups).filter(|(_, p, _)| *p == self.origin).map(|(at, _, up)| (at, up)).collect();
+        churn.sort_by_key(|(at, _)| *at);
+        let (before, after): (Vec<_>, Vec<_>) = churn.into_iter().partition(|(at, _)| *at <= self.submit_at);
+        match before.last() {
+            Some((_, false)) => after.into_iter().find(|(_, up)| *up).map_or(self.submit_at, |(at, _)| at),
+            _ => self.submit_at,
         }
     }
 

@@ -131,6 +131,59 @@ mod tests {
         assert!((500..2600).contains(&v), "{v}");
     }
 
+    /// Readers extracting several subtrees at once race to fill the
+    /// document's memory of what each is a copy of, while a writer keeps
+    /// emptying it: every fragment a reader gets is its own subtree's.
+    #[test]
+    fn concurrent_readers_each_get_the_subtrees_they_asked_for() {
+        // Subtrees large enough that a capture leaves room for another
+        // reader to fill a memory in the middle of it.
+        let results = "<m>x</m>".repeat(60);
+        let players: String = (0..8)
+            .map(|k| format!("<player n=\"{k}\"><name>P{k}</name><points>{k}</points>{results}</player>"))
+            .collect();
+        let mut repo = Repository::new();
+        repo.put_xml("atp", &format!("<ATPList>{players}</ATPList>")).unwrap();
+        let s = SharedRepository::new(repo);
+        let q = SelectQuery::parse("Select p/points from p in ATPList//player").unwrap();
+        let mut handles = Vec::new();
+        for reader in 0..4 {
+            let (s, q) = (s.clone(), q.clone());
+            handles.push(thread::spawn(move || {
+                for round in 0..2000 {
+                    s.read(|repo| {
+                        let doc = repo.get("atp").unwrap();
+                        let mut ids: Vec<_> = doc.children(doc.root()).unwrap().collect();
+                        let turn = (reader + round) % ids.len();
+                        ids.rotate_left(turn);
+                        ids.truncate(3 + turn % 6);
+                        for (id, fragment) in ids.iter().zip(doc.extract_fragments(&ids)) {
+                            assert_eq!(fragment.to_xml(), doc.subtree_to_xml(*id), "reader {reader}, round {round}");
+                        }
+                    });
+                    let points = s.query("atp", &q).unwrap();
+                    let texts: Vec<String> = points.iter().map(Fragment::text_content).collect();
+                    assert_eq!(texts, (0..8).map(|k| k.to_string()).collect::<Vec<_>>());
+                }
+            }));
+        }
+        let writer = s.clone();
+        handles.push(thread::spawn(move || {
+            for round in 0..600 {
+                writer.write(|repo| {
+                    let doc = repo.get_mut("atp").unwrap();
+                    let players: Vec<_> = doc.children(doc.root()).unwrap().collect();
+                    for player in players {
+                        doc.set_attr(player, "round", round.to_string()).unwrap();
+                    }
+                });
+                thread::yield_now();
+            }
+        }));
+        handles.into_iter().for_each(|h| h.join().unwrap());
+        s.read(|repo| repo.get("atp").unwrap().check_consistency().unwrap());
+    }
+
     #[test]
     fn handles_counted() {
         let s = shared();

@@ -448,6 +448,103 @@ proptest! {
     }
 }
 
+/// A frame whose checksum is right for whatever `payload` holds.
+fn frame_of(payload: &[u8]) -> Vec<u8> {
+    let mut frame = u32::try_from(payload.len()).unwrap().to_le_bytes().to_vec();
+    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Writes `entries`' frames followed by `tail` as segment 0 — the final
+/// one, or, with `sealed`, a sealed one before a clean segment 1 holding
+/// `entries` again — and recovers the directory on a 2 MiB-stack thread,
+/// as `par_map` workers do. Returns where the clean frames end and what
+/// recovery said.
+fn recover_hostile(entries: &[JournalEntry], tail: &[u8], sealed: bool) -> (u64, Result<Recovered, WalError>) {
+    let tmp = TempDir::new();
+    let clean: Vec<u8> = entries.iter().flat_map(encode_frame).collect();
+    std::fs::write(segment_path(tmp.path(), 0), [&clean[..], tail].concat()).unwrap();
+    if sealed {
+        std::fs::write(segment_path(tmp.path(), 1), &clean).unwrap();
+    }
+    let dir = tmp.path().to_path_buf();
+    let recovered = std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(move || recover_dir(&dir))
+        .unwrap()
+        .join()
+        .expect("recovery neither panics nor overflows a worker stack");
+    (clean.len() as u64, recovered)
+}
+
+/// The two answers recovery may give for `entries` and then, if
+/// `damaged`, bytes that are none: in the final segment the entries, the
+/// damage cut off; in a sealed one `CorruptInterior` where it starts.
+fn clean_prefix_or_refusal(
+    entries: &[JournalEntry],
+    damaged: bool,
+    sealed: bool,
+    (clean_end, recovered): (u64, Result<Recovered, WalError>),
+) -> Result<(), TestCaseError> {
+    match recovered {
+        Ok(r) if !(sealed && damaged) => {
+            let copies = if sealed { 2 } else { 1 };
+            prop_assert_eq!(r.entries.len(), copies * entries.len());
+            prop_assert!(r.entries.starts_with(entries));
+            prop_assert_eq!(r.torn_tails_discarded, u64::from(damaged));
+            prop_assert_eq!(r.last_segment_len, clean_end);
+        }
+        Err(WalError::CorruptInterior { segment: 0, offset }) if sealed && damaged => {
+            prop_assert_eq!(offset, clean_end);
+        }
+        other => prop_assert!(false, "sealed={} damaged={}: {:?}", sealed, damaged, other),
+    }
+    Ok(())
+}
+
+/// What a hostile frame can carry under a checksum that is right for it:
+/// any bytes, a journal entry cut short, or nesting far past what the
+/// JSON parser admits.
+fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 1..512),
+        (0u64..50, any::<usize>()).prop_map(|(i, cut)| {
+            let json = serde_json::to_string(&entry(i)).unwrap();
+            json.as_bytes()[..cut % json.len()].to_vec()
+        }),
+        Just("[".repeat(2_000).into_bytes()),
+    ]
+}
+
+proptest! {
+    /// Arbitrary bytes after a clean prefix: as the final segment, a torn
+    /// tail cut back to that prefix; in a sealed segment, a hard
+    /// `CorruptInterior` at the prefix's end. Never a panic.
+    #[test]
+    fn arbitrary_bytes_in_a_segment_recover_the_clean_prefix_or_refuse(
+        picks in prop::collection::vec(0u64..50, 0..6),
+        tail in prop::collection::vec(any::<u8>(), 0..2_048),
+        sealed in any::<bool>(),
+    ) {
+        let entries: Vec<JournalEntry> = picks.iter().map(|&i| entry(i)).collect();
+        clean_prefix_or_refusal(&entries, !tail.is_empty(), sealed, recover_hostile(&entries, &tail, sealed))?;
+    }
+
+    /// Frames whose checksum is right over a payload that is not a journal
+    /// entry: the same two answers, and no panic or stack overflow on the
+    /// way to them.
+    #[test]
+    fn a_checksummed_hostile_payload_is_a_torn_tail_or_a_corrupt_interior(
+        picks in prop::collection::vec(0u64..50, 0..6),
+        payload in hostile_payload(),
+        sealed in any::<bool>(),
+    ) {
+        let entries: Vec<JournalEntry> = picks.iter().map(|&i| entry(i)).collect();
+        clean_prefix_or_refusal(&entries, true, sealed, recover_hostile(&entries, &frame_of(&payload), sealed))?;
+    }
+}
+
 #[test]
 fn an_entry_holding_a_fragment_hundreds_of_levels_deep_recovers_on_a_worker_stack() {
     // The JSON parser refuses input nested deeper than

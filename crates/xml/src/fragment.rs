@@ -20,6 +20,11 @@
 //! number of allocations per table, and dropping the last holder frees
 //! three blocks without looking at a node.
 //!
+//! A document remembers which fragment each of its unedited subtrees is a
+//! copy of — the one it was instantiated from, or its last capture — and
+//! its extractions and removals hand that fragment back instead of
+//! capturing the subtree again (DESIGN.md §18).
+//!
 //! The builders ([`Fragment::with_child`] and friends) write into the
 //! table in place while the fragment is its only holder and spans all of
 //! it; otherwise they copy the viewed subtree out first.
@@ -316,6 +321,20 @@ impl Capture {
         Capture { table: Table::with_capacity(size), open: NONE, captured: 0 }
     }
 
+    /// Copies of the subtrees in slots `tops` of `doc`, one after the
+    /// other; `None` if there are none. One walk each sizes the table and
+    /// a second fills it, so a capture makes the same few allocations
+    /// whatever the subtrees' size and number.
+    fn copies(doc: &Document, tops: impl Iterator<Item = u32> + Clone) -> Option<Capture> {
+        let mut size = Size::default();
+        tops.clone().for_each(|top| doc.measure(top, &mut size));
+        (size.nodes > 0).then(|| {
+            let mut capture = Capture::sized(size);
+            tops.for_each(|top| capture.copy(doc, top));
+            capture
+        })
+    }
+
     /// One step of a walk of `doc`: entering a node appends its record
     /// and the strings it holds, leaving an element closes it.
     fn visit(&mut self, doc: &Document, step: Visit) {
@@ -491,25 +510,28 @@ impl Fragment {
         Ok(all.remove(0))
     }
 
-    /// Captures the subtree rooted at `node` as a fragment (non-destructive).
-    ///
-    /// One walk sizes the table and a second fills it, so the capture makes
-    /// the same few allocations whatever the subtree's size.
+    /// Captures the subtree rooted at `node` as a fragment (non-destructive):
+    /// a fresh copy, whatever the document remembers of it (for that, see
+    /// [`Document::extract_fragment`]).
     pub fn from_node(doc: &Document, node: NodeId) -> Result<Fragment, TreeError> {
-        let top = doc.slot_of(node)?;
-        let mut size = Size::default();
-        doc.measure(top, &mut size);
-        let mut capture = Capture::sized(size);
-        capture.copy(doc, top);
-        Ok(Fragment::whole(capture.table))
+        Ok(Fragment::capture(doc, doc.slot_of(node)?))
     }
 
-    /// Materializes this fragment as a fresh **detached** node in `doc`.
+    /// A fresh copy of the subtree in slot `top` of `doc`.
+    pub(crate) fn capture(doc: &Document, top: u32) -> Fragment {
+        let capture = Capture::copies(doc, std::iter::once(top)).expect("a subtree has a root");
+        Fragment::whole(capture.table)
+    }
+
+    /// Materializes this fragment as a fresh **detached** node in `doc`,
+    /// which remembers that the new subtree is a copy of this fragment.
     ///
     /// Returns the new subtree's root id; attach it with the `Document`
     /// editing API.
     pub fn instantiate(&self, doc: &mut Document) -> NodeId {
-        self.table.instantiate(self.root as usize, doc)
+        let id = self.table.instantiate(self.root as usize, doc);
+        doc.copies[id.raw().0 as usize].get_or_init(|| self.clone());
+        id
     }
 
     fn node(&self) -> &Node {
@@ -565,6 +587,12 @@ impl Fragment {
         out
     }
 
+    /// Whether `a` and `b` are the same subtree of the same table — one a
+    /// clone of the other — rather than merely equal trees.
+    pub fn ptr_eq(a: &Fragment, b: &Fragment) -> bool {
+        Arc::ptr_eq(&a.table, &b.table) && a.root == b.root
+    }
+
     /// Total node count of this fragment.
     pub fn node_count(&self) -> usize {
         self.end() - self.root as usize
@@ -607,11 +635,11 @@ impl ExactSizeIterator for Children<'_> {}
 /// whichever tables hold them and wherever in those they start.
 impl PartialEq for Fragment {
     fn eq(&self, other: &Fragment) -> bool {
-        let (a, b) = (&*self.table, &*other.table);
-        let (ra, rb) = (self.root as usize, other.root as usize);
-        if Arc::ptr_eq(&self.table, &other.table) && ra == rb {
+        if Fragment::ptr_eq(self, other) {
             return true;
         }
+        let (a, b) = (&*self.table, &*other.table);
+        let (ra, rb) = (self.root as usize, other.root as usize);
         let len = self.node_count();
         // Kinds compare names and strings; where two elements' subtrees
         // end and what attributes they have is left to compare.
@@ -668,47 +696,83 @@ impl Deserialize for Fragment {
 }
 
 impl Document {
-    /// Captures the subtree at `node` as a fragment without modifying
-    /// the document.
+    /// The subtree at `node` as a fragment, without modifying the
+    /// document: the fragment it remembers the subtree is a copy of, or
+    /// else a capture, remembered from now on.
     pub fn extract_fragment(&self, node: NodeId) -> Result<Fragment, TreeError> {
-        Fragment::from_node(self, node)
+        let top = self.slot_of(node)?;
+        Ok(self.copies[top as usize].get_or_init(|| Fragment::capture(self, top)).clone())
     }
 
-    /// Captures the subtrees at `nodes` — skipping the ids that are stale
-    /// — as views into one table: sized once, filled once, whatever their
-    /// number.
+    /// [`Self::extract_fragment`] for each of `nodes`, skipping the ids
+    /// that are stale. The subtrees the document remembers no copy of are
+    /// captured together into one table — sized once, filled once, whatever
+    /// their number — and each is remembered as its view into it.
     pub fn extract_fragments(&self, nodes: &[NodeId]) -> Vec<Fragment> {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
         let tops = nodes.iter().filter_map(|node| self.slot_of(*node).ok());
-        let mut size = Size::default();
-        tops.clone().for_each(|top| self.measure(top, &mut size));
-        let mut capture = Capture::sized(size);
-        tops.for_each(|top| capture.copy(self, top));
-        capture.fragments().collect()
+        // Each memory is read once: another reader of a shared document
+        // may fill one at any time.
+        let mut fragments = Vec::with_capacity(tops.clone().count());
+        fragments.extend(tops.clone().map(|top| self.copies[top as usize].get().cloned()));
+        let unknown = tops.clone().zip(&fragments).filter(|(_, known)| known.is_none()).map(|(top, _)| top);
+        let mut captured = Capture::copies(self, unknown).map(Capture::fragments).into_iter().flatten();
+        fragments.iter_mut().filter(|known| known.is_none()).for_each(|slot| *slot = captured.next());
+        // A node listed twice, or captured by another reader meanwhile,
+        // hands out the copy remembered first.
+        let remembered = |(fragment, top): (Option<Fragment>, u32)| {
+            self.copies[top as usize].get_or_init(|| fragment.expect("captured above")).clone()
+        };
+        fragments.into_iter().zip(tops).map(remembered).collect()
+    }
+
+    /// Makes room for freeing the subtrees at `tops` at once, and a table
+    /// for those the document remembers no copy of — `None` if it
+    /// remembers them all.
+    fn prepare_removal(&mut self, tops: impl Iterator<Item = u32>) -> Option<Capture> {
+        let (mut size, mut known) = (Size::default(), 0);
+        for top in tops {
+            match self.copies[top as usize].get() {
+                Some(copy) => known += copy.node_count(),
+                None => self.measure(top, &mut size),
+            }
+        }
+        self.reserve_free(known + size.nodes);
+        (size.nodes > 0).then(|| Capture::sized(size))
+    }
+
+    /// Frees the detached subtree at `top`: returns the fragment it is
+    /// remembered to be a copy of, or else appends it to `capture`. The
+    /// slots are freed in the same order either way.
+    fn free_into(&mut self, top: u32, capture: &mut Option<Capture>) -> Option<Fragment> {
+        let known = self.copies[top as usize].take();
+        match capture.as_mut().filter(|_| known.is_none()) {
+            Some(capture) => capture.take(self, top),
+            None => {
+                self.free_subtree(top, |_, _| ());
+            }
+        }
+        known
     }
 
     /// Removes the subtree at `node`, returning `(fragment, parent,
     /// position)` — everything a compensating insert needs.
     ///
-    /// After a walk that only sizes the table, one walk both captures the
-    /// subtree and frees its slots.
+    /// The fragment is the one the subtree is remembered to be a copy of,
+    /// handed back as the walk that frees its slots goes; or else, after a
+    /// walk that only sizes the table, that same walk captures it.
     pub fn remove_to_fragment(&mut self, node: NodeId) -> Result<(Fragment, NodeId, usize), TreeError> {
         let top = self.slot_of(node)?;
         let (parent, pos) = self.detach(node)?;
-        let mut size = Size::default();
-        self.measure(top, &mut size);
-        self.reserve_free(size.nodes);
-        let mut capture = Capture::sized(size);
-        capture.take(self, top);
+        let mut capture = self.prepare_removal(std::iter::once(top));
+        let known = self.free_into(top, &mut capture);
         self.compact_if_sparse();
-        Ok((Fragment::whole(capture.table), parent, pos))
+        let fragment = known.or_else(|| capture?.fragments().next()).expect("remembered or captured");
+        Ok((fragment, parent, pos))
     }
 
     /// [`Self::remove_to_fragment`] for each of `nodes` in turn — the same
-    /// fragments, positions and freed slots — with the fragments views
-    /// into one table.
+    /// fragments, positions and freed slots — with the fragments the
+    /// document remembers no copy of captured into one table.
     ///
     /// The subtrees must be disjoint. An id that is stale, the root,
     /// unattached, listed twice or inside another's subtree is an error
@@ -723,7 +787,6 @@ impl Document {
         if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
             return Err(TreeError::StaleNode);
         }
-        let mut size = Size::default();
         // The parent last found to have none of `nodes` above it: of
         // siblings, only the first climbs.
         let mut clear = None;
@@ -738,17 +801,19 @@ impl Document {
                 }
                 clear = Some(parent);
             }
-            self.measure(node.raw().0, &mut size);
         }
-        self.reserve_free(size.nodes);
-        let mut capture = Capture::sized(size);
-        let mut places = Vec::with_capacity(nodes.len());
+        let mut capture = self.prepare_removal(nodes.iter().map(|node| node.raw().0));
+        let mut removed = Vec::with_capacity(nodes.len());
         for &node in nodes {
-            places.push(self.detach(node)?);
-            capture.take(self, node.raw().0);
+            let (parent, pos) = self.detach(node)?;
+            removed.push((self.free_into(node.raw().0, &mut capture), parent, pos));
         }
         self.compact_if_sparse();
-        Ok(capture.fragments().zip(places).map(|(fragment, (parent, pos))| (fragment, parent, pos)).collect())
+        let mut captured = capture.map(Capture::fragments).into_iter().flatten();
+        let fragments = removed.into_iter().map(|(known, parent, pos)| {
+            (known.or_else(|| captured.next()).expect("remembered or captured"), parent, pos)
+        });
+        Ok(fragments.collect())
     }
 
     /// Instantiates `fragment` and inserts it under `parent` at `pos`.

@@ -278,7 +278,8 @@ impl<'a> Cursor<'a> {
 
     /// Parses one element, nesting level `depth`. If `into_root` is true,
     /// the element's name and attributes overwrite `node` (used for the
-    /// document root); otherwise a fresh child is appended under `node`.
+    /// document root); otherwise a fresh child, its attributes set while it
+    /// is still detached, is appended under `node`.
     fn parse_element_into(
         &mut self,
         doc: &mut Document,
@@ -295,9 +296,7 @@ impl<'a> Cursor<'a> {
             doc.set_name(node, name.clone()).expect("root is an element");
             node
         } else {
-            let e = doc.create_element(name.clone());
-            doc.append_child(node, e).expect("parent is live");
-            e
+            doc.create_element(name.clone())
         };
         // Attributes.
         loop {
@@ -318,6 +317,9 @@ impl<'a> Cursor<'a> {
                 None => return Err(self.err("unterminated start tag")),
             }
         }
+        if !into_root {
+            doc.append_fresh(node, elem);
+        }
         if self.eat("/>") {
             return Ok(());
         }
@@ -336,17 +338,17 @@ impl<'a> Cursor<'a> {
             } else if self.starts_with("<!--") {
                 self.pos += 4;
                 let c = doc.create_comment(self.read_until("-->")?);
-                doc.append_child(elem, c).expect("elem live");
+                doc.append_fresh(elem, c);
             } else if self.starts_with("<![CDATA[") {
                 self.pos += 9;
                 let c = doc.create_cdata(self.read_until("]]>")?);
-                doc.append_child(elem, c).expect("elem live");
+                doc.append_fresh(elem, c);
             } else if self.starts_with("<?") {
                 self.pos += 2;
                 let body = self.read_until("?>")?;
                 let (target, data) = body.split_once(|c: char| c.is_ascii_whitespace()).unwrap_or((body, ""));
                 let p = doc.create_pi(target, data.trim());
-                doc.append_child(elem, p).expect("elem live");
+                doc.append_fresh(elem, p);
             } else if self.starts_with("<") {
                 self.parse_element_into(doc, elem, false, depth + 1)?;
             } else if self.at_end() {
@@ -365,7 +367,7 @@ impl<'a> Cursor<'a> {
                 let keep = if self.opts.trim_whitespace { !decoded.trim().is_empty() } else { !decoded.is_empty() };
                 if keep {
                     let t = doc.create_text(if self.opts.trim_whitespace { decoded.trim() } else { &decoded });
-                    doc.append_child(elem, t).expect("elem live");
+                    doc.append_fresh(elem, t);
                 }
             }
         }

@@ -14,6 +14,7 @@
 //!    [`crate::Fragment`] captures the removed subtree.
 
 use crate::error::TreeError;
+use crate::fragment::Fragment;
 use crate::name::QName;
 use crate::node::{index, Attr, Leaf, Node, Size, Span, Strings, NONE};
 pub use crate::node::{Attrs, NodeKind};
@@ -221,6 +222,10 @@ pub struct Document {
     /// Unset until a by-name lookup wants it (see [`Self::elements_named`]),
     /// so a document nobody looks into by name never pays for one.
     names: OnceLock<NameIndex>,
+    /// Per slot, the fragment the subtree rooted there is an exact copy
+    /// of, if one is known (DESIGN.md §18, "A subtree remembers what it is
+    /// a copy of"). Filled through `&self`, emptied by every edit below.
+    pub(crate) copies: Vec<OnceLock<Fragment>>,
 }
 
 const WANTS_ELEMENT: TreeError = TreeError::WrongKind { expected: "element" };
@@ -289,6 +294,7 @@ impl Document {
             root: NodeId { index: 0, generation: 0 },
             live: 0,
             names: OnceLock::new(),
+            copies: Vec::new(),
         };
         doc.root = doc.create_element(root_name);
         doc
@@ -351,6 +357,7 @@ impl Document {
         } else {
             assert!(self.slots.len() < VACANT as usize, "more than u32::MAX - 1 nodes");
             self.slots.push(slot);
+            self.copies.push(OnceLock::new());
             NodeId { index: self.slots.len() as u32 - 1, generation: 0 }
         };
         if let (Some(names), Node::Element { name, .. }) = (self.names.get_mut(), &self.slots[id.index as usize].node) {
@@ -367,6 +374,7 @@ impl Document {
         let id = NodeId { index: at, generation: slot.generation };
         slot.generation = slot.generation.wrapping_add(1);
         slot.parent = VACANT;
+        self.copies[at as usize].take();
         self.live -= 1;
         self.strings.measure(&slot.node, &mut self.dead);
         if let (Some(names), Node::Element { name, .. }) = (self.names.get_mut(), &slot.node) {
@@ -415,6 +423,15 @@ impl Document {
             slot.node = self.strings.copy_in(&old, &slot.node);
         }
         self.dead = Size::default();
+    }
+
+    /// The node in slot `at` was edited: neither its subtree nor any above
+    /// it is a copy of what it was.
+    fn forget(&mut self, mut at: u32) {
+        while at != NONE {
+            self.copies[at as usize].take();
+            at = self.slots[at as usize].parent;
+        }
     }
 
     /// Adds what the subtree at `top` takes to `size`.
@@ -507,6 +524,7 @@ impl Document {
     /// Takes the node in slot `child` out of its parent's child list.
     fn unlink(&mut self, child: u32) {
         let Slot { parent, prev, next, .. } = self.slots[child as usize];
+        self.forget(parent);
         let (first, children) = self.child_list_mut(parent);
         *children -= 1;
         let first = if *first == child { std::mem::replace(first, next) } else { *first };
@@ -567,7 +585,20 @@ impl Document {
         }
         let before = self.nth_child(parent.index, index);
         self.link(parent.index, child.index, before);
+        self.forget(parent.index);
         Ok(())
+    }
+
+    /// Appends `child`, created detached just now, as the last child of
+    /// the live element `parent`: how the parser builds a document. A node
+    /// made just now cannot be above `parent`, and no fragment has been
+    /// taken from a document still being parsed, so `insert_child`'s two
+    /// walks up from `parent` — the cycle check and `forget` — would find
+    /// nothing. Skipping them and its other checks takes 30 % off a parse
+    /// (DESIGN.md §18).
+    pub(crate) fn append_fresh(&mut self, parent: NodeId, child: NodeId) {
+        debug_assert!(self.slots[child.index as usize].parent == NONE && child != self.root);
+        self.link(parent.index, child.index, NONE);
     }
 
     /// Inserts detached node `child` immediately before `reference`
@@ -683,6 +714,7 @@ impl Document {
             names.remove(node, &old);
             names.insert(node, &name);
         }
+        self.forget(node.index);
         Ok(())
     }
 
@@ -703,6 +735,7 @@ impl Document {
         let old = self.strings.str(*held).to_string();
         self.dead.text += old.len();
         *held = self.strings.push_str(text.as_ref());
+        self.forget(node.index);
         self.compact_if_sparse();
         Ok(old)
     }
@@ -777,6 +810,7 @@ impl Document {
                 None
             }
         };
+        self.forget(node.index);
         self.compact_if_sparse();
         Ok(old)
     }
@@ -791,6 +825,7 @@ impl Document {
         run.end -= 1;
         dead.attrs += 1;
         dead.text += old.len();
+        self.forget(node.index);
         self.compact_if_sparse();
         Ok(Some(old))
     }
@@ -1044,9 +1079,10 @@ impl Document {
     /// Checks that every child list is linked both ways under a parent
     /// that counts it right, that nodes without a parent have no siblings,
     /// that the live count, the free list and the dead-string accounting
-    /// match the slots and — once the name index is built — that it lists
-    /// every live element exactly once, under its current name. Returns
-    /// the number of live nodes on success.
+    /// match the slots, that every fragment a subtree remembers being a
+    /// copy of equals a fresh capture of it and — once the name index is
+    /// built — that it lists every live element exactly once, under its
+    /// current name. Returns the number of live nodes on success.
     pub fn check_consistency(&self) -> Result<usize, String> {
         let (mut seen, mut parented, mut listed) = (0usize, 0usize, 0usize);
         let mut held = Size::default();
@@ -1110,6 +1146,18 @@ impl Document {
         }
         if self.get(self.root).is_none_or(|root| root.parent != NONE) {
             return Err("root is not live at the top".into());
+        }
+        if self.copies.len() != self.slots.len() {
+            return Err(format!("{} slots, {} remembered copies", self.slots.len(), self.copies.len()));
+        }
+        for (at, copy) in self.copies.iter().enumerate().filter_map(|(at, copy)| Some((at as u32, copy.get()?))) {
+            if self.slots[at as usize].parent == VACANT {
+                return Err(format!("free slot {at} remembers {copy}"));
+            }
+            let held = Fragment::capture(self, at);
+            if *copy != held {
+                return Err(format!("{}: remembers {copy}, holds {held}", self.id_at(at)));
+            }
         }
         if let Some(names) = self.names.get() {
             // Every live element sits where `pos` says under its current

@@ -22,6 +22,14 @@
 //! a builder that writes into a batch table in place whenever it is the
 //! only holder — not asking whether it spans the table — fails
 //! `a_view_of_a_batch_table_is_copied_out_before_it_is_built_on`.
+//!
+//! A subtree remembers the fragment it is a copy of until an edit below it
+//! (DESIGN.md §18). Dropping the forgetting from any one of the six places
+//! an edit does it — `insert_child`, `unlink`, `set_name`, `set_node_text`,
+//! `set_attr`, `remove_attr` — fails
+//! `a_fragment_handed_out_is_what_its_subtree_held_just_before`; all but
+//! the last also fail `scripts_agree` and
+//! `a_batch_capture_is_the_captures_one_by_one`.
 
 use axml_query::NodePath;
 use axml_xml::{Document, Fragment, FragmentKind, NodeId, QName, TreeError};
@@ -557,6 +565,30 @@ impl Pair {
         self.compare();
     }
 
+    /// Extracts from both documents the whole tree, the children of a
+    /// node, a node and everything above it, or a few ids of any kind; each
+    /// fragment handed out must render what `subtree_to_xml` did just
+    /// before, and a second extraction hands out the same fragments again.
+    fn extract(&self, (how, k): (usize, usize)) {
+        let doc = &self.plain;
+        let live: Vec<NodeId> = self.known.iter().copied().filter(|n| doc.contains(*n)).collect();
+        let one = live.get(k % live.len().max(1)).copied().unwrap_or(doc.root());
+        let ids: Vec<NodeId> = match how % 4 {
+            0 => vec![doc.root()],
+            1 => doc.children(one).unwrap().collect(),
+            2 => std::iter::once(one).chain(doc.ancestors(one)).collect(),
+            _ => (0..k % 5).map(|j| self.known[(k / 5 + j * 7) % self.known.len()]).collect(),
+        };
+        for doc in [&self.plain, &self.indexed] {
+            let expected: Vec<String> =
+                ids.iter().filter(|n| doc.contains(**n)).map(|n| doc.subtree_to_xml(*n)).collect();
+            let first = doc.extract_fragments(&ids);
+            assert_eq!(first.iter().map(Fragment::to_xml).collect::<Vec<_>>(), expected, "extracting {ids:?}");
+            let again = doc.extract_fragments(&ids);
+            assert!(first.iter().zip(&again).all(|(a, b)| Fragment::ptr_eq(a, b)), "extracting {ids:?} again");
+        }
+    }
+
     fn compare(&self) {
         let m = &self.model;
         for doc in [&self.plain, &self.indexed] {
@@ -612,6 +644,27 @@ proptest! {
         let mut pair = Pair::new();
         pair.compare();
         for step in script {
+            pair.step(step);
+        }
+    }
+
+    /// A document remembers which fragment a subtree is a copy of and
+    /// hands that out again instead of copying (DESIGN.md §18). Scripts of
+    /// every edit — fragments inserted, built nodes attached, detached and
+    /// attached again, deleted, replaced, renamed, texts and attributes set
+    /// and removed, subtrees removed one by one and in batches — run with
+    /// extractions between their steps, so that edits land below subtrees
+    /// that remember: every fragment extracted renders what its subtree
+    /// did just before, every one removed what the old arena captures, and
+    /// `check_consistency` compares each remembered copy with its subtree.
+    #[test]
+    fn a_fragment_handed_out_is_what_its_subtree_held_just_before(
+        script in script_strategy(60),
+        extractions in prop::collection::vec((any::<usize>(), any::<usize>()), 60),
+    ) {
+        let mut pair = Pair::new();
+        for (step, extraction) in script.into_iter().zip(extractions) {
+            pair.extract(extraction);
             pair.step(step);
         }
     }
