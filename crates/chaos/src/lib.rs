@@ -45,13 +45,12 @@ use axml_p2p::{
     StorageFaultPlane, TraceJournal,
 };
 use axml_spec::Conformance;
-use axml_store::{WalConfig, WalSink};
+use axml_store::WalSink;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod gen;
 mod parallel;
@@ -94,8 +93,8 @@ pub fn builder_for(name: &str) -> Option<ScenarioBuilder> {
         // do — then AP3 crash-restarts while doing it (the scenario's
         // defining crash lives in the builder's own fault plane; the
         // sweep merges it into whatever profile plane it applies). Every
-        // peer runs a disk-backed WAL: the restarted peer must rebuild
-        // its mid-compensation state purely from its segments.
+        // peer runs a WAL: the restarted peer must rebuild its
+        // mid-compensation state purely from its segments.
         "fig1-crash" => {
             let mut b = ScenarioBuilder::fig1().fault_at(2);
             b.durations.insert(2, 60);
@@ -119,7 +118,7 @@ pub enum Profile {
     /// Everything: the mixed message faults plus a windowed partition
     /// and a crash-restart, both placed deterministically from the seed.
     Storm,
-    /// Storage faults: every peer runs a disk-backed WAL whose appends
+    /// Storage faults: every peer runs a WAL whose appends
     /// draw torn writes and sync failures from the seed, plus mixed
     /// message faults and a seeded crash-restart that leaves a
     /// partial-segment artifact for recovery to discard.
@@ -179,7 +178,7 @@ pub fn plane_for(profile: Profile, seed: u64, peers: &[u32]) -> FaultPlane {
             // Mild message faults so the storage plane does the damage:
             // torn appends and sync failures on every peer's WAL while
             // the protocol is in flight, plus a seeded crash whose
-            // restart must recover from the segments on disk (including
+            // restart must recover from its segments (including
             // the partial-segment garbage the crash leaves behind).
             let mut p = FaultPlane::probabilistic(seed, 0.02, 0.04, 0.04, 0.01);
             p.storage =
@@ -557,39 +556,17 @@ pub struct TraceDump {
     pub phase_histograms: BTreeMap<String, Histogram>,
 }
 
-/// Scratch WAL directories for one run's disk-backed sinks, removed on
-/// drop so sweeps leave nothing behind in the temp dir. The paths are
-/// process-unique (pid + counter) and never enter digests, snapshots, or
-/// traces, so runs stay byte-identical regardless of where they land.
-struct WalDirs {
-    base: PathBuf,
-}
-
-impl Drop for WalDirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.base);
-    }
-}
-
-static WAL_RUN: AtomicU64 = AtomicU64::new(0);
-
-/// Gives every participant a disk-backed [`WalSink`] (one directory per
-/// peer) drawing storage faults from `storage` with a per-peer seed
-/// derived only from `(seed, peer)` — never from thread or path — so a
-/// parallel sweep injects the exact same storage faults as a serial one.
-fn attach_wal_sinks(s: &mut Scenario, storage: &StorageFaultPlane, seed: u64) -> WalDirs {
-    let base = std::env::temp_dir().join(format!(
-        "axml-chaos-wal-{}-{}",
-        std::process::id(),
-        WAL_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
+/// Gives every participant an in-memory [`WalSink`] drawing storage
+/// faults from `storage` with a per-peer seed derived only from
+/// `(seed, peer)` — never from thread or order — so a parallel sweep
+/// injects the exact same storage faults as a serial one. The simulator
+/// owns the crash, so the log need not outlive the process: the sinks
+/// make no filesystem call.
+pub fn attach_wal_sinks(s: &mut Scenario, storage: &StorageFaultPlane, seed: u64) {
     for &p in &s.participants {
-        let config = WalConfig::new(base.join(format!("peer-{}", p.0)));
         let peer_seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(u64::from(p.0));
-        let sink = WalSink::with_faults(config, storage.clone(), peer_seed).expect("scratch WAL directory is writable");
-        s.sim.actor_mut(p).set_durability_sink(Box::new(sink));
+        s.sim.actor_mut(p).set_durability_sink(Box::new(WalSink::in_memory(storage.clone(), peer_seed)));
     }
-    WalDirs { base }
 }
 
 /// The case's scenario builder.
@@ -622,8 +599,8 @@ fn run_inner(
     effective.crashes.extend(b.fault.crashes.iter().copied());
     effective.partitions.extend(b.fault.partitions.iter().cloned());
     effective.script.extend(b.fault.script.iter().cloned());
-    // Whether the scenario itself demands disk-backed durability (its own
-    // crash schedule must recover from real segments).
+    // Whether the scenario itself demands a WAL (its own crash schedule
+    // must recover from the segments).
     let scenario_wants_wal = !b.fault.crashes.is_empty();
     // What a false suspicion is told apart by: the scenario's disconnects
     // (a super peer ignores its own) and the window of two timeouts.
@@ -639,11 +616,13 @@ fn run_inner(
         b = b.traced().sampled(SAMPLE_INTERVAL);
     }
     let mut s = b.config(cfg).fault_plane(effective).build();
-    // Disk-backed durability whenever storage faults are in play or the
-    // scenario is about crash-restart-from-disk; everything else keeps
-    // the in-memory sink (perfectly durable storage, pre-WAL behavior).
+    // A WAL whenever storage faults are in play or the scenario is about
+    // crash-restart from the segments; everything else keeps the peer's
+    // default `MemorySink` (perfectly durable storage, pre-WAL behavior).
     let storage = s.sim.fault_plane().storage.clone();
-    let _wal_dirs = (!storage.is_inert() || scenario_wants_wal).then(|| attach_wal_sinks(&mut s, &storage, case.seed));
+    if !storage.is_inert() || scenario_wants_wal {
+        attach_wal_sinks(&mut s, &storage, case.seed);
+    }
     // The online protocol monitor observes every run (traced or not);
     // observation never perturbs the seeded schedule, so digests are
     // unaffected.
@@ -783,9 +762,9 @@ pub fn plane_of(events: &[ChaosEvent]) -> FaultPlane {
 /// not per-message events, so they cannot be shrunk away item by item —
 /// but dropping them (as a bare [`plane_of`] would) changes the run's
 /// semantics and makes candidate verdicts meaningless. Every candidate
-/// re-run gets its own fresh scratch WAL directories and per-peer fault
-/// RNGs seeded only from `(case.seed, peer)` (see `attach_wal_sinks`),
-/// so no disk or RNG state bleeds between ddmin iterations.
+/// re-run gets fresh WAL sinks and per-peer fault RNGs seeded only from
+/// `(case.seed, peer)` (see [`attach_wal_sinks`]), so no segment or RNG
+/// state bleeds between ddmin iterations.
 pub fn shrink(case: &CaseConfig, events: Vec<ChaosEvent>, storage: &StorageFaultPlane) -> Vec<ChaosEvent> {
     let fails = |evs: &[ChaosEvent]| {
         let mut plane = plane_of(evs);
@@ -1178,10 +1157,10 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
         use axml_obs::render_prometheus;
-        // `fig1-crash` and `Storage` put the disk-backed WAL (tempdir
-        // scratch space, seeded storage faults) under the byte-identity
-        // bar too: paths and thread placement must never leak into
-        // digests, snapshots, or histograms.
+        // `fig1-crash` and `Storage` put the WAL (seeded storage faults,
+        // crash recovery) under the byte-identity bar too: thread
+        // placement must never leak into digests, snapshots, or
+        // histograms.
         let scenarios: Vec<String> = vec!["fig1".into(), "deep".into(), "fig1-crash".into()];
         let profiles = [Profile::Mixed, Profile::Storm, Profile::Storage];
         let serial = sweep_jobs(&scenarios, &profiles, 0..3, true, 1);
@@ -1215,8 +1194,8 @@ mod tests {
     fn crash_restart_rebuilds_state_from_wal_segments() {
         // fig1-crash with no message faults at all: AP3 dies while
         // compensating its completed subtree, and its restart rebuilds
-        // the mid-compensation state purely from its on-disk segments
-        // (`set_durability_sink` replaced the in-memory sink before the
+        // the mid-compensation state purely from its WAL segments
+        // (`set_durability_sink` replaced the default sink before the
         // run, and `crash_recover` reloads the journal from the sink's
         // recovery scan — there is no in-memory clone path left). The
         // oracle, the online monitor, and the spec gate must all pass,
@@ -1234,7 +1213,7 @@ mod tests {
                 recovered_somewhere = true;
             }
         }
-        assert!(recovered_somewhere, "at least one seed must recover journal entries from disk");
+        assert!(recovered_somewhere, "at least one seed must recover journal entries from its segments");
     }
 
     #[test]
@@ -1254,7 +1233,7 @@ mod tests {
         );
         assert!(out.findings.is_empty(), "monitor findings: {:?}", out.findings);
         assert!(out.snapshot.get("wal.bytes_appended") > 0, "WAL appends happened");
-        assert!(out.snapshot.get("wal.recovery_entries") > 0, "crash recovery replayed disk entries");
+        assert!(out.snapshot.get("wal.recovery_entries") > 0, "crash recovery replayed logged entries");
         assert!(out.snapshot.get("wal.append_faults") > 0, "storage faults fired somewhere in the sweep");
     }
 

@@ -27,12 +27,12 @@
 //! `smoke` is the small CI variant (2 scenarios × storm × 16 seeds).
 //! `store-smoke` is the durability CI check: per seed it runs the
 //! traced `fig1-crash` case under the `storage` fault profile — every
-//! peer on a disk-backed WAL, torn appends and sync failures in flight,
+//! peer on a WAL, torn appends and sync failures in flight,
 //! a mid-compensation kill+restart recovering from the segments — and
 //! diffs the recovered run's final document state digest against an
 //! uncrashed, fault-free reference of the same abort. It exits non-zero
 //! on any digest mismatch, oracle violation, or if recovery never
-//! actually replayed entries from disk.
+//! actually replayed entries from its segments.
 //! `shrink-demo` deliberately disables duplicate suppression under the
 //! duplication profile and shows the oracle catching it — it exits
 //! non-zero if the broken variant is NOT caught.
@@ -265,7 +265,7 @@ fn main() {
                     ok = false;
                 }
                 if recovered == 0 {
-                    println!("  FAIL: restart never replayed WAL entries from disk");
+                    println!("  FAIL: restart never replayed WAL entries from its segments");
                     ok = false;
                 }
                 if crashed.doc_digest != reference.doc_digest {

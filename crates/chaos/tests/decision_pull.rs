@@ -6,12 +6,11 @@
 //! the origin, which answers from its decision record — and says nothing
 //! while it is undecided, so the participant asks again later.
 
-use axml_chaos::{run_case, CaseConfig, Profile};
+use axml_chaos::{attach_wal_sinks, run_case, CaseConfig, Profile};
 use axml_core::context::TxnState;
 use axml_core::peer::PeerConfig;
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_p2p::{CrashEvent, EventKind, FaultAction, FaultPlane, PeerId, ScriptedFault};
-use axml_store::{WalConfig, WalSink};
+use axml_p2p::{CrashEvent, EventKind, FaultAction, FaultPlane, PeerId, ScriptedFault, StorageFaultPlane};
 
 /// The scripted loss of the first `commit` the origin AP1 sends to each
 /// of `peers`.
@@ -73,23 +72,18 @@ fn an_undecided_origin_answers_nothing_and_the_inquirer_asks_again() {
 #[test]
 fn a_crash_restarted_origin_answers_from_its_replayed_wal() {
     // AP1 decides at about t=20, loses its decision to AP2, and
-    // crash-restarts at t=40 from the segments on disk; AP2 asks at about
+    // crash-restarts at t=40 from its WAL segments; AP2 asks at about
     // t=70.
     let mut fault = lost_commits(&[2]);
     fault.crashes.push(CrashEvent { at: 40, peer: PeerId(1) });
     let mut s = ScenarioBuilder::new(1, &[(1, 2)]).fault_plane(fault).build();
-    let dir = std::env::temp_dir().join(format!("axml-decision-pull-{}", std::process::id()));
-    for &p in &s.participants.clone() {
-        let sink = WalSink::create(WalConfig::new(dir.join(format!("peer-{}", p.0)))).expect("scratch WAL");
-        s.sim.actor_mut(p).set_durability_sink(Box::new(sink));
-    }
+    attach_wal_sinks(&mut s, &StorageFaultPlane::default(), 0);
     let report = s.run();
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(report.outcome.is_some_and(|o| o.committed));
     let txn = report.txn.expect("submitted");
     let (origin, ap2) = (s.sim.actor(PeerId(1)), s.sim.actor(PeerId(2)));
     assert_eq!(origin.stats.crash_recoveries, 1);
-    assert!(origin.wal_stats().recovery_entries > 0, "the restart read the decision back from disk");
+    assert!(origin.wal_stats().recovery_entries > 0, "the restart read the decision back from its segments");
     assert_eq!(origin.context(txn).expect("replayed").state, TxnState::Committed);
     assert_eq!(ap2.stats.inquiries, 1);
     assert_eq!(ap2.context(txn).expect("joined").state, TxnState::Committed);

@@ -1,5 +1,10 @@
 //! Cross-commit byte pins.
 //!
+//! The WAL pin is a sealed segment *file*, written and read back through
+//! a directory sink and `recover_dir`: the on-disk format is what must
+//! not drift, so this test keeps the medium a real peer writes, although
+//! every chaos case logs to memory.
+//!
 //! CI's replay diffs compare two runs of the *same* binary, so an
 //! encoder that drifts passes them. The files under `tests/golden/` were
 //! written by the commit before the streaming encoder landed (the
@@ -94,9 +99,9 @@ fn checked_in_wal_segment_recovers_and_reencodes_byte_for_byte() {
         let entries = fig1_entries();
         let mut config = WalConfig::new(scratch.0.join("bless"));
         config.segment_bytes = entries.iter().map(|e| axml_store::encode_frame(e).len() as u64).sum();
-        let mut sink = WalSink::create(config).expect("temp dir is writable");
+        let mut sink = WalSink::create(config.clone()).expect("temp dir is writable");
         entries.iter().for_each(|e| sink.append_forced(e));
-        std::fs::copy(sink.dir().join("wal-00000000.seg"), golden("fig1.wal-00000000.seg"))
+        std::fs::copy(config.dir.join("wal-00000000.seg"), golden("fig1.wal-00000000.seg"))
             .expect("golden is writable");
     }
     let sealed = std::fs::read(golden("fig1.wal-00000000.seg")).expect("golden segment is checked in");
@@ -114,12 +119,12 @@ fn checked_in_wal_segment_recovers_and_reencodes_byte_for_byte() {
     // segment's own length, so the last append seals it, as it did then.
     let mut config = WalConfig::new(scratch.0.join("new"));
     config.segment_bytes = sealed.len() as u64;
-    let mut sink = WalSink::create(config).expect("temp dir is writable");
+    let mut sink = WalSink::create(config.clone()).expect("temp dir is writable");
     for e in &recovered.entries {
         assert!(sink.append(e), "a fault-free sink acknowledges every append");
     }
     assert_eq!(sink.stats().segments_rotated, 1, "the segment was sealed");
-    let rewritten = std::fs::read(sink.dir().join("wal-00000000.seg")).expect("segment exists");
+    let rewritten = std::fs::read(config.dir.join("wal-00000000.seg")).expect("segment exists");
     assert!(rewritten == sealed, "WAL frames drifted from tests/golden/fig1.wal-00000000.seg");
 }
 

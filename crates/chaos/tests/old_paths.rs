@@ -4,11 +4,18 @@
 //! a time — once per case, and merged per sweep, where a case and a sweep
 //! now keep their counters typed and name them only when asked. The old
 //! paths live here only.
+//!
+//! The recomposed case also keeps the old WAL medium: each peer logs to
+//! segment files in a scratch directory, as a real peer does, where the
+//! shipped case logs to memory. Both media share one codec and one
+//! recovery, so every cell must count the same `WalStats` either way —
+//! this file is the on-disk reference for that.
 
 use axml_chaos::{
     builder_for, case_matrix, doc_state_digest, load_corpus, par_map, plane_for, run_case, run_digest, run_with_plane,
     sweep_jobs, CaseConfig, Profile, SCENARIOS,
 };
+use axml_core::durability::WalStats;
 use axml_core::scenarios::{Scenario, ScenarioReport};
 use axml_obs::render_snapshot_prometheus;
 use axml_p2p::{FaultPlane, Snapshot};
@@ -94,29 +101,45 @@ fn old_run_digest(s: &Scenario, report: &ScenarioReport) -> u64 {
     old_fnv64(&text)
 }
 
+/// The WAL counters of every participant, added up as a case adds them.
+fn wal_stats(s: &Scenario) -> WalStats {
+    let mut wal = WalStats::default();
+    for &p in &s.participants {
+        wal.merge(&s.sim.actor(p).wal_stats());
+    }
+    wal
+}
+
 /// Shipped path and recomposition are the same program; streaming and
-/// string-building digests agree on it.
-fn check_digests(case: &CaseConfig, plane: &FaultPlane, tag: &str) {
+/// string-building digests agree on it, and the segment files of the
+/// recomposition count what the shipped case's memory segments count.
+/// Returns whether the case ran a WAL.
+fn check_digests(case: &CaseConfig, plane: &FaultPlane, tag: &str) -> bool {
     let shipped = run_with_plane(case, plane.clone());
     let f = finish(case, plane, tag);
     let label = case.label();
+    assert_eq!(shipped.wal, wal_stats(&f.s), "{label}: WAL counters on disk and in memory");
     assert_eq!(run_digest(&f.s, &f.report), old_run_digest(&f.s, &f.report), "{label}: run digest");
     assert_eq!(doc_state_digest(&f.s), old_fnv64(&old_doc_lines(&f.s)), "{label}: document digest");
     assert_eq!(shipped.digest, run_digest(&f.s, &f.report), "{label}: one pass in `run_inner`, run digest");
     assert_eq!(shipped.doc_digest, doc_state_digest(&f.s), "{label}: one pass in `run_inner`, document digest");
+    f.wal.is_some()
 }
 
 #[test]
 fn streaming_digests_equal_the_string_built_ones_on_every_cell() {
+    let mut logged = 0;
     for scenario in SCENARIOS {
         for &profile in Profile::all() {
             for seed in [0, 7] {
                 let case = CaseConfig::new(scenario, profile, seed);
                 let plane = plane_for(profile, seed, &builder_for(scenario).expect("known").peers());
-                check_digests(&case, &plane, "cells");
+                logged += usize::from(check_digests(&case, &plane, "cells"));
             }
         }
     }
+    // The `storage` column and the `fig1-crash` row, at both seeds.
+    assert_eq!(logged, 2 * (SCENARIOS.len() + Profile::all().len() - 1), "cells that ran a WAL");
 }
 
 #[test]

@@ -351,7 +351,15 @@ impl ScenarioBuilder {
         // Submission.
         let origin = PeerId(self.origin);
         sim.actor_mut(origin).auto_submit = Some((format!("S{}", self.origin), vec![]));
-        sim.schedule_timer(self.submit_time(), origin, 0);
+        let submit_at = self.submit_time();
+        // A crash-restart kills every timer set before it, the harness's
+        // too: an origin that crash-restarts at or before its submit time
+        // has the timer set by `Scenario::run` once its last such restart
+        // has happened.
+        let restart = self.fault.crashes.iter().filter(|c| c.peer == origin && c.at <= submit_at).map(|c| c.at).max();
+        if restart.is_none() {
+            sim.schedule_timer(submit_at, origin, 0);
+        }
         // Baseline snapshot for atomicity checking.
         let baseline = peers
             .iter()
@@ -366,6 +374,7 @@ impl ScenarioBuilder {
             participants: peers.iter().map(|p| PeerId(*p)).collect(),
             baseline,
             deadline: self.deadline,
+            submit_after_restart: restart.map(|restart| (restart, submit_at)),
         }
     }
 
@@ -497,6 +506,9 @@ pub struct Scenario {
     /// Every participant's `(name, xml)` before the transaction, by name.
     baseline: BTreeMap<PeerId, Vec<(String, String)>>,
     deadline: u64,
+    /// `(restart, at)`: the origin crash-restarts at `restart`, at or
+    /// before its submit time `at`, so the submit timer is set after it.
+    submit_after_restart: Option<(u64, u64)>,
 }
 
 /// What a scenario run produced.
@@ -520,6 +532,10 @@ pub struct ScenarioReport {
 impl Scenario {
     /// Runs to quiescence (or the deadline) and reports.
     pub fn run(&mut self) -> ScenarioReport {
+        if let Some((restart, at)) = self.submit_after_restart.take() {
+            self.sim.run_until(restart);
+            self.sim.schedule_timer(at, self.origin, 0);
+        }
         let finished_at = self.sim.run_until(self.deadline);
         let outcome = self.sim.actor(self.origin).outcomes.first().cloned();
         let txn = outcome.as_ref().map(|o| o.txn).or_else(|| self.root_txn());
@@ -722,7 +738,7 @@ mod tests {
         // The unified registry carries the fleet's durability-sink
         // totals. Under the default in-memory sinks the append
         // accounting still runs (bytes flow through the same codec), so
-        // the counters are live even before a disk-backed WAL attaches.
+        // the counters are live even before a WAL sink attaches.
         let mut s = ScenarioBuilder::fig1().build();
         s.run();
         let snap = s.snapshot();

@@ -114,7 +114,7 @@ pub struct CrashEvent {
 /// Storage (WAL) fault knobs, applied by a durability sink that holds a
 /// copy of this plane. Unlike the network knobs these never act on
 /// messages: they decide the fate of journal *appends* and what garbage a
-/// crash leaves on disk.
+/// crash leaves in a segment.
 ///
 /// All faults are **prospective** — an append either becomes durable and
 /// is acknowledged, or fails and is reported before any consequence

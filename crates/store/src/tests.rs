@@ -29,6 +29,14 @@ impl Drop for TempDir {
     }
 }
 
+/// Drops a directory sink's buffered writer, so the next append opens
+/// the tail segment afresh.
+fn drop_writer(sink: &mut WalSink) {
+    if let Medium::Dir { writer, .. } = &mut sink.medium {
+        *writer = None;
+    }
+}
+
 fn entry(i: u64) -> JournalEntry {
     let txn = TxnId::new(PeerId(1), i);
     match i % 3 {
@@ -362,13 +370,13 @@ fn a_sink_over_sealed_segments_and_a_torn_tail_recovers_them() {
 
 #[test]
 fn a_segment_already_at_its_clean_length_is_opened_without_truncating() {
-    // What `open_writer` skips must not change what lands on disk: bytes
+    // What `Medium::open` skips must not change what lands on disk: bytes
     // past the clean mark are still cut, bytes up to it still kept.
     let tmp = TempDir::new();
     let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
     assert!(sink.append(&entry(0)));
     let clean_len = sink.clean_len;
-    sink.writer = None;
+    drop_writer(&mut sink);
     let path = segment_path(tmp.path(), 0);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(b"left by nobody");
@@ -376,7 +384,7 @@ fn a_segment_already_at_its_clean_length_is_opened_without_truncating() {
     assert!(sink.append(&entry(1)));
     assert_eq!(std::fs::metadata(&path).unwrap().len(), sink.clean_len);
     assert!(sink.clean_len > clean_len);
-    sink.writer = None;
+    drop_writer(&mut sink);
     assert!(sink.append(&entry(2)), "a tail already at the clean length is appended to in place");
     assert_eq!(sink.crash_restart(), (0..3).map(entry).collect::<Vec<_>>());
 }
@@ -611,4 +619,107 @@ fn a_subtree_at_the_depth_limit_survives_a_wal_round_trip() {
     let recovered = recover_dir(tmp.path()).expect("a clean WAL recovers");
     assert_eq!(recovered.torn_tails_discarded, 0, "the deep frame is not mistaken for a torn tail");
     assert_eq!(recovered.entries, entries, "nor does it take the acknowledged decision after it along");
+}
+
+/// A sink's segments as bytes, in order: the files of a directory sink,
+/// the vectors of an in-memory one.
+fn segments_of(sink: &WalSink) -> Vec<Vec<u8>> {
+    match &sink.medium {
+        Medium::Dir { dir, .. } => {
+            let indices = segment_indices(dir).unwrap();
+            assert_eq!(indices, (0..indices.len() as u64).collect::<Vec<_>>(), "segment files are numbered densely");
+            indices.iter().map(|&i| std::fs::read(segment_path(dir, i)).unwrap()).collect()
+        }
+        Medium::Memory(segments) => segments.clone(),
+    }
+}
+
+/// One step a sink takes in the media property.
+#[derive(Debug, Clone)]
+enum Step {
+    Append(u64),
+    Forced(u64),
+    Crash,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u64..50).prop_map(Step::Append),
+        (0u64..50).prop_map(Step::Append),
+        (0u64..50).prop_map(Step::Forced),
+        Just(Step::Crash),
+    ]
+}
+
+/// A fault probability: never, sometimes, mostly or always.
+fn prob() -> impl Strategy<Value = f64> {
+    (0u8..4).prop_map(|p| [0.0, 0.3, 0.7, 1.0][p as usize])
+}
+
+proptest! {
+    /// The two media are one log: the same appends, forced appends and
+    /// crashes under the same seeded faults leave byte-identical segments
+    /// after every step, with the same append results, recovered entries,
+    /// write position and `WalStats`.
+    #[test]
+    fn a_directory_and_a_memory_sink_hold_the_same_segments_after_every_step(
+        steps in prop::collection::vec(step(), 1..40),
+        torn in prob(),
+        sync in prob(),
+        partial in any::<bool>(),
+        segment_bytes in 64u64..600,
+        seed in 0u64..1_000,
+    ) {
+        let faults = StorageFaultPlane {
+            torn_append_prob: torn,
+            sync_failure_prob: sync,
+            partial_segment_on_crash: partial,
+        };
+        let tmp = TempDir::new();
+        let mut config = WalConfig::new(tmp.path());
+        config.segment_bytes = segment_bytes;
+        let mut dir = WalSink::with_faults(config, faults.clone(), seed).unwrap();
+        let mut mem = WalSink::in_memory(faults, seed);
+        mem.segment_bytes = segment_bytes;
+        for (n, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Append(i) => prop_assert_eq!(dir.append(&entry(i)), mem.append(&entry(i)), "step {}", n),
+                Step::Forced(i) => {
+                    dir.append_forced(&entry(i));
+                    mem.append_forced(&entry(i));
+                }
+                Step::Crash => prop_assert_eq!(dir.crash_restart(), mem.crash_restart(), "step {}", n),
+            }
+            let (on_disk, in_memory) = (segments_of(&dir), segments_of(&mem));
+            let lengths = |segments: &[Vec<u8>]| segments.iter().map(Vec::len).collect::<Vec<_>>();
+            prop_assert!(
+                on_disk == in_memory,
+                "step {}: {:?}: segment lengths {:?} on disk, {:?} in memory",
+                n, step, lengths(&on_disk), lengths(&in_memory)
+            );
+            prop_assert_eq!(
+                (dir.segment, dir.clean_len, dir.torn_bytes),
+                (mem.segment, mem.clean_len, mem.torn_bytes),
+                "step {}", n
+            );
+            prop_assert_eq!(dir.stats(), mem.stats(), "step {}", n);
+        }
+        prop_assert_eq!(dir.crash_restart(), mem.crash_restart());
+        prop_assert_eq!(segments_of(&dir), segments_of(&mem));
+    }
+}
+
+#[test]
+fn an_in_memory_sink_recovers_a_torn_tail_and_rotates() {
+    let faults = StorageFaultPlane { partial_segment_on_crash: true, ..StorageFaultPlane::default() };
+    let mut sink = WalSink::in_memory(faults, 11);
+    sink.segment_bytes = 256;
+    let entries: Vec<JournalEntry> = (0..20).map(entry).collect();
+    for e in &entries {
+        assert!(sink.append(e));
+    }
+    assert!(sink.stats().segments_rotated >= 2);
+    assert_eq!(sink.crash_restart(), entries, "garbage tail discarded, segments stitched in order");
+    assert_eq!(sink.stats().torn_tails_discarded, 1);
+    assert!(format!("{sink:?}").contains("memory_segments"));
 }
