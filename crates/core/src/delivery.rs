@@ -10,7 +10,7 @@
 //! `Invoke`'s waits up to [`PeerConfig::ack_hold`] for the answer to carry
 //! it. Keep-alives, streams, gossip, `Commit` and `Inquire` go around it.
 
-use crate::context::{TransactionContext, TxnState};
+use crate::context::TxnState;
 use crate::ids::TxnId;
 use crate::messages::{AckIds, Ctx, TxnMsg};
 use crate::peer::{DetectHow, PeerConfig, PeerStats, Timer};
@@ -166,13 +166,14 @@ impl Delivery {
     /// to act on, or `None` for an `Ack` or a suppressed re-delivery. The
     /// envelope's own ack is due as the handler returns, but for a first
     /// `Invoke`'s, which the answer going back on this link carries.
+    /// `state` says where each transaction stands here, `None` if unknown.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn receive<'m>(
         &mut self,
         ctx: &mut Ctx<'_>,
         timers: &mut Timers,
         stats: &mut PeerStats,
-        contexts: &BTreeMap<TxnId, TransactionContext>,
+        state: impl Fn(TxnId) -> Option<TxnState>,
         from: PeerId,
         msg: &'m TxnMsg,
     ) -> Option<&'m TxnMsg> {
@@ -190,7 +191,7 @@ impl Delivery {
         // One insert both tests and records. An entry about a transaction
         // committed here protects nothing — a committed context refuses
         // every re-invocation — and is filed under no transaction.
-        let committed = |t: &TxnId| contexts.get(t).is_some_and(|tc| tc.state == TxnState::Committed);
+        let committed = |t: &TxnId| state(*t) == Some(TxnState::Committed);
         let again = self.dedup && !self.seen.insert((txn.filter(|t| !committed(t)), from, id));
         let hold = if !again && matches!(inner, TxnMsg::Invoke { .. }) { self.ack_hold } else { 0 };
         self.owed.push(OwedAck { to: from, id, due: ctx.now().saturating_add(hold) });
@@ -204,7 +205,7 @@ impl Delivery {
             stats.seen_peak = stats.seen_peak.max(self.seen.len() as u64);
             if self.seen.len() > self.capacity {
                 let before = self.seen.len();
-                self.seen.retain(|(txn, ..)| txn.is_some_and(|t| contexts.get(&t).is_none_or(|tc| !tc.is_terminal())));
+                self.seen.retain(|(txn, ..)| txn.is_some_and(|t| state(t).is_none_or(|s| s == TxnState::Active)));
                 self.pruned(ctx, before);
             }
         }
@@ -311,23 +312,23 @@ impl Delivery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::ActiveList;
     use axml_p2p::{Actor, LatencyModel, Sim, SimConfig};
 
     /// One end of a link: peer 0 sends a reliable `Abort` about each of
     /// `txns` when the harness's timer fires, peer 1 takes them in knowing
-    /// `contexts`.
+    /// where each of `states` stands.
     struct End {
         delivery: Delivery,
         timers: Timers,
         stats: PeerStats,
-        contexts: BTreeMap<TxnId, TransactionContext>,
+        states: BTreeMap<TxnId, TxnState>,
         txns: Vec<TxnId>,
     }
 
     impl Actor<TxnMsg> for End {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: PeerId, msg: TxnMsg) {
-            self.delivery.receive(ctx, &mut self.timers, &mut self.stats, &self.contexts, from, &msg);
+            let state = |txn| self.states.get(&txn).copied();
+            self.delivery.receive(ctx, &mut self.timers, &mut self.stats, state, from, &msg);
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
@@ -345,23 +346,15 @@ mod tests {
     fn capacity_pressure_prunes_the_decided_and_keeps_the_live() {
         let config = PeerConfig::default();
         let txn = |n| TxnId::new(PeerId(0), n);
-        let decided = |n, state| {
-            let mut tc = TransactionContext::new(txn(n), None, ActiveList::new(PeerId(0), false), 0);
-            tc.resolve(state, 0);
-            (txn(n), tc)
-        };
-        let end = |txns: Vec<TxnId>, contexts| End {
+        let end = |txns: Vec<TxnId>, states| End {
             delivery: Delivery { capacity: 4, ..Delivery::new(&config) },
             timers: Timers::default(),
             stats: PeerStats::default(),
-            contexts,
+            states,
             txns,
         };
-        let receiver = BTreeMap::from([
-            decided(0, TxnState::Committed),
-            decided(1, TxnState::Committed),
-            decided(2, TxnState::Aborted),
-        ]);
+        let receiver =
+            BTreeMap::from([(txn(0), TxnState::Committed), (txn(1), TxnState::Committed), (txn(2), TxnState::Aborted)]);
         // One tick per message: the deliveries arrive in the order sent.
         let sim_config = SimConfig { latency: LatencyModel { min: 1, max: 1 }, ..SimConfig::default() };
         let mut sim =

@@ -548,6 +548,23 @@ impl Serving {
     }
 }
 
+/// Everything a peer holds for one transaction: §3.2's context, and what
+/// it keeps beside it until [`AxmlPeer::decide`] lets it go.
+#[derive(Debug)]
+struct Txn {
+    tc: TransactionContext,
+    /// The result returned — method, items and compensation bundle — kept
+    /// for a re-route should its consumer vanish.
+    returned: Option<(String, Arc<[Fragment]>, CompBundle)>,
+    /// The parent keep-alive-watched while that result awaits its
+    /// resolution: one gone after the result left is detected here.
+    watched: Option<PeerId>,
+    /// The decision timer, while the decision is awaited (spec rule R12).
+    decision_timer: Option<u64>,
+    /// Results orphans re-routed here, for a re-invoked service to reuse.
+    prefill: Vec<(String, Vec<Fragment>)>,
+}
+
 /// What a timer is for: the kinds of the peer's one `Timers` registry,
 /// each with its reconnect rule in `on_reconnect`.
 #[derive(Debug)]
@@ -641,8 +658,9 @@ pub struct AxmlPeer {
     pub outcomes: Vec<TxnOutcome>,
     /// Results of committed transactions originated here.
     pub results: BTreeMap<TxnId, Vec<Fragment>>,
-    contexts: BTreeMap<TxnId, TransactionContext>,
-    /// How many of `contexts` are still [`TxnState::Active`] — the
+    /// Every transaction this peer has taken part in.
+    txns: BTreeMap<TxnId, Txn>,
+    /// How many of `txns` are still [`TxnState::Active`] — the
     /// `in_flight_txns` gauge, kept by [`Self::insert_context`] and
     /// [`Self::decide`] so a sample need not walk every context
     /// this peer has ever held.
@@ -659,23 +677,6 @@ pub struct AxmlPeer {
     /// restarted peer reuses no id that may still be live.
     next_inv: u64,
     next_txn: u64,
-    prefill_store: BTreeMap<TxnId, Vec<(String, Vec<Fragment>)>>,
-    /// Results of completed servings, retained until the transaction
-    /// resolves. If the consumer turns out to have disconnected (the
-    /// result was dropped in flight), a chain notice lets us re-offer the
-    /// work to an ancestor — scenario (c)'s reuse.
-    completed_results: BTreeMap<TxnId, (String, Arc<[Fragment]>, CompBundle)>,
-    /// Parents we keep-alive-watch while our completed serving awaits
-    /// their resolution. A child whose parent vanishes *after* the result
-    /// was returned has effects nobody else will compensate: without its
-    /// own detection it would keep them forever if every notice/abort
-    /// path to it also died (e.g. the parent disconnects mid-abort and
-    /// the grandparent crashes). Released when the transaction resolves.
-    parent_watch: BTreeMap<TxnId, PeerId>,
-    /// Transactions whose result has left this peer and whose decision it
-    /// has not heard (spec rule R12's `Done` frame), each with its decision
-    /// timer. Only a decision or the peer's own crash ends the wait.
-    awaiting: BTreeMap<TxnId, u64>,
     /// In-memory mirror of what the durability sink holds, for the
     /// [`Self::journal`] accessor and diagnostics. Only entries the sink
     /// durably acknowledged land here; after a crash-restart it is reset
@@ -715,17 +716,13 @@ impl AxmlPeer {
             stats: PeerStats::default(),
             outcomes: Vec::new(),
             results: BTreeMap::new(),
-            contexts: BTreeMap::new(),
+            txns: BTreeMap::new(),
             active_contexts: 0,
             servings: BTreeMap::new(),
             waiting: BTreeMap::new(),
             timers: Timers::default(),
             next_inv: 0,
             next_txn: 0,
-            prefill_store: BTreeMap::new(),
-            completed_results: BTreeMap::new(),
-            parent_watch: BTreeMap::new(),
-            awaiting: BTreeMap::new(),
             journal: Vec::new(),
             sink: Box::new(MemorySink::new()),
             peer_buf: Vec::new(),
@@ -734,35 +731,65 @@ impl AxmlPeer {
 
     /// The context of a transaction, if this peer participated.
     pub fn context(&self, txn: TxnId) -> Option<&TransactionContext> {
-        self.contexts.get(&txn)
+        self.txns.get(&txn).map(|t| &t.tc)
     }
 
     /// All transaction ids this peer has contexts for.
     pub fn known_txns(&self) -> Vec<TxnId> {
-        self.contexts.keys().copied().collect()
+        self.txns.keys().copied().collect()
     }
 
-    /// Adds `tc` as its transaction's context (over an older, terminal
-    /// one when the peer re-joins).
+    /// Adds `tc` as its transaction's context. A peer that re-joins
+    /// replaces its older, terminal context and keeps the prefill.
     fn insert_context(&mut self, tc: TransactionContext) {
         self.active_contexts += usize::from(!tc.is_terminal());
-        if let Some(old) = self.contexts.insert(tc.txn, tc) {
-            self.active_contexts -= usize::from(!old.is_terminal());
-        }
+        let held = self.txns.remove(&tc.txn);
+        self.active_contexts -= held.as_ref().map_or(0, |t| usize::from(!t.tc.is_terminal()));
+        let prefill = held.map(|t| t.prefill).unwrap_or_default();
+        self.txns.insert(tc.txn, Txn { tc, returned: None, watched: None, decision_timer: None, prefill });
+    }
+
+    /// Records `txn`, unknown here, as begun with nothing done, for the
+    /// caller to decide at once: an `Abort` or `Compensate` overtook the
+    /// `Invoke`, or a compensation targets a replica. The decided tombstone
+    /// refuses the late `Invoke` instead of resurrecting the transaction.
+    fn tombstone(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+        let chain = ActiveList::new(txn.origin, false);
+        self.journal_append_forced(ctx, JournalEntry::Begin { txn, parent: None, chain: chain.clone(), at: ctx.now() });
+        self.insert_context(TransactionContext::new(txn, None, chain, ctx.now()));
     }
 
     /// Decides `txn` here, the first decision winning: the context turns
     /// terminal, the decision is journaled and traced (under `span`, the
-    /// origin's deciding serving), and dedup entries it frees go. False,
-    /// changing nothing, if there is no context or it is decided already.
+    /// origin's deciding serving), and the transaction is let go, here
+    /// only: its returned result, parent watch, decision timer, isolation
+    /// claims and the dedup entries the decision frees. False, changing
+    /// nothing, if there is no context or it is decided already.
+    ///
+    /// Two releases stay asymmetric, each measured (DESIGN.md §8):
+    /// - Sibling streams end on a commit only. Ending them on an abort too
+    ///   moves the gen-sweep from 523 / 757 commits / aborts to 527 / 753
+    ///   and `false_suspicions` from 233 to 237.
+    /// - The prefill outlives the decision: a peer re-invoked after its
+    ///   abort re-joins, and its serving reuses it. Freeing it here moves
+    ///   the gen-sweep to 524 / 756.
     fn decide(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, span: Option<InvocationId>, committed: bool) -> bool {
         let state = if committed { TxnState::Committed } else { TxnState::Aborted };
-        match self.contexts.get_mut(&txn) {
-            Some(tc) if !tc.is_terminal() => tc.resolve(state, ctx.now()),
-            _ => return false,
-        }
+        let Some(t) = self.txns.get_mut(&txn).filter(|t| !t.tc.is_terminal()) else { return false };
+        t.tc.resolve(state, ctx.now());
+        t.returned = None;
+        let (watched, timer) = (t.watched.take(), t.decision_timer.take());
         self.active_contexts -= 1;
-        self.stop_awaiting(ctx, txn);
+        if let Some(tag) = timer {
+            self.timers.cancel(ctx, tag);
+        }
+        if let Some(parent) = watched {
+            self.detector.unwatch(parent);
+        }
+        self.conflicts.release(txn);
+        if committed {
+            self.detector.end_streams(txn);
+        }
         self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed, at: ctx.now() });
         self.emit(ctx, Some(txn), span, None, || EventKind::Resolve { committed });
         self.delivery.finalized(ctx, txn, committed);
@@ -771,7 +798,7 @@ impl AxmlPeer {
 
     /// Records the outcome of `txn`, decided at its origin here.
     fn record_outcome(&mut self, ctx: &Ctx<'_>, txn: TxnId, committed: bool) {
-        if let Some(started_at) = self.contexts.get(&txn).map(|tc| tc.created_at) {
+        if let Some(started_at) = self.context(txn).map(|tc| tc.created_at) {
             self.outcomes.push(TxnOutcome { txn, committed, started_at, resolved_at: ctx.now() });
         }
     }
@@ -784,7 +811,7 @@ impl AxmlPeer {
     /// This peer's undecided transactions, each with where it stands:
     /// `"serving"`, or `"awaiting the decision"` once its result has left.
     pub fn undecided(&self) -> impl Iterator<Item = (TxnId, &'static str)> + '_ {
-        self.contexts.values().filter(|tc| !tc.is_terminal()).map(|tc| {
+        self.txns.values().map(|t| &t.tc).filter(|tc| !tc.is_terminal()).map(|tc| {
             let serving = self.servings.values().any(|s| s.txn == tc.txn);
             (tc.txn, if serving { "serving" } else { "awaiting the decision" })
         })
@@ -908,14 +935,6 @@ impl AxmlPeer {
         self.delivery.seen_len()
     }
 
-    /// Drops the keep-alive watch on the parent whose resolution `txn`'s
-    /// completed serving was waiting for (no-op when none was armed).
-    fn release_parent_watch(&mut self, txn: TxnId) {
-        if let Some(parent) = self.parent_watch.remove(&txn) {
-            self.detector.unwatch(parent);
-        }
-    }
-
     /// Sends a protocol message at least once (`Delivery::send`).
     fn send_reliable(&mut self, ctx: &mut Ctx<'_>, to: PeerId, msg: TxnMsg) -> Result<(), SendError> {
         self.delivery.send(ctx, &mut self.timers, &mut self.stats, to, msg)
@@ -935,9 +954,7 @@ impl AxmlPeer {
                 // The parent never consumed our result: re-offer the work
                 // up the chain (scenario (b)), unless the transaction has
                 // resolved here meanwhile.
-                if let Some((method, items, comp)) = self.completed_results.get(&txn).cloned() {
-                    self.reroute_past_dead_parent(ctx, txn, pending.to, &method, items, comp);
-                }
+                self.reroute_past_dead_parent(ctx, txn, pending.to);
             }
             TxnMsg::Fault { txn, .. } => {
                 // The upward abort never got through: route the bad news
@@ -959,7 +976,7 @@ impl AxmlPeer {
         if !self.config.chaining {
             return;
         }
-        let Some(chain) = self.contexts.get(&txn).map(|tc| tc.chain.clone()) else { return };
+        let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
         for target in chain.ancestors_of(self.id).into_iter().filter(|p| *p != dead) {
             if self.send_reliable(ctx, target, TxnMsg::DisconnectNotice { txn, disconnected: dead }).is_ok() {
                 break;
@@ -1012,7 +1029,7 @@ impl AxmlPeer {
         // compensated) may legitimately be re-invoked during forward
         // recovery — it re-joins with a fresh context. A committed
         // context refuses.
-        let rejoining = match self.contexts.get(&txn) {
+        let rejoining = match self.context(txn) {
             Some(tc) if tc.state == TxnState::Committed => {
                 let fault = Fault::new("TxnResolved", format!("{txn} already committed at {}", self.id));
                 let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
@@ -1021,7 +1038,7 @@ impl AxmlPeer {
             Some(tc) if tc.is_terminal() => true,
             _ => false,
         };
-        if rejoining || !self.contexts.contains_key(&txn) {
+        if rejoining || !self.txns.contains_key(&txn) {
             let tc = TransactionContext::new(txn, Some((from, inv)), chain.clone(), ctx.now());
             // The context must be durable before we take on the serving:
             // a crash after effects but before a recoverable Begin could
@@ -1044,7 +1061,7 @@ impl AxmlPeer {
             }
             self.insert_context(tc);
         }
-        let tc = self.contexts.get_mut(&txn).expect("inserted above");
+        let tc = &mut self.txns.get_mut(&txn).expect("inserted above").tc;
         // Adopt the (possibly richer) incoming chain, marking ourselves.
         tc.chain.merge_from(chain);
         if self.config.is_super {
@@ -1180,7 +1197,7 @@ impl AxmlPeer {
         {
             let my_super = self.config.is_super;
             let chaining = self.config.chaining;
-            if let Some(tc) = self.contexts.get_mut(&txn) {
+            if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
                 if chaining {
                     if !tc.chain.contains(self.id) {
                         // Shouldn't happen (parent added us), but be safe.
@@ -1232,7 +1249,7 @@ impl AxmlPeer {
             return;
         }
         // Every target receives the same allocation.
-        let Some(chain) = self.contexts.get(&txn).map(|tc| tc.chain.clone()) else { return };
+        let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
         let mut targets = std::mem::take(&mut self.peer_buf);
         targets.extend(Self::gossip_scope(self.config.chain_scope, &chain, self.id));
         targets.sort();
@@ -1255,7 +1272,7 @@ impl AxmlPeer {
     /// told the peers it knew of, and one it did not know is still owed
     /// the news by whoever does.
     fn learn_chain(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
-        if self.contexts.get_mut(&txn).is_some_and(|tc| tc.chain.merge_from(theirs)) {
+        if self.txns.get_mut(&txn).is_some_and(|t| t.tc.chain.merge_from(theirs)) {
             let scope = self.config.chain_scope;
             self.gossip_chain(ctx, txn, |_, t| {
                 t == from || Self::gossip_scope(scope, theirs, from).any(|told| told == t)
@@ -1269,7 +1286,7 @@ impl AxmlPeer {
     fn invoke(&mut self, ctx: &mut Ctx<'_>, wc: WaitingChild) {
         let (txn, peer, serving_inv) = (wc.txn, wc.child_peer, wc.serving_inv);
         let inv = self.alloc_inv(ctx);
-        if let Some(tc) = self.contexts.get_mut(&txn) {
+        if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
             tc.record_remote(peer, inv, wc.method.as_str());
             if self.config.chaining {
                 tc.chain.add_invocation(self.id, peer, false);
@@ -1282,7 +1299,7 @@ impl AxmlPeer {
             method: wc.method.clone(),
         });
         let chain = self.current_chain(txn);
-        let prefilled = self.prefill_store.get(&txn).cloned().unwrap_or_default();
+        let prefilled = self.txns.get(&txn).map(|t| t.prefill.clone()).unwrap_or_default();
         let msg = TxnMsg::Invoke { txn, inv, method: wc.method.clone(), params: wc.params.clone(), chain, prefilled };
         self.waiting.insert(inv, wc);
         if let Some(s) = self.servings.get_mut(&serving_inv) {
@@ -1300,7 +1317,7 @@ impl AxmlPeer {
     /// The chain to piggyback on invocations. A singleton when chaining is
     /// disabled (children then know nothing beyond their invoker).
     fn current_chain(&self, txn: TxnId) -> ActiveList {
-        let known = self.contexts.get(&txn).filter(|_| self.config.chaining);
+        let known = self.context(txn).filter(|_| self.config.chaining);
         known.map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, self.config.is_super))
     }
 
@@ -1359,7 +1376,7 @@ impl AxmlPeer {
             self.stats.isolation_conflicts += 1;
             Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"))
         } else {
-            if !self.contexts.contains_key(&txn) {
+            if !self.txns.contains_key(&txn) {
                 return true;
             }
             if let Some(items) = materialized {
@@ -1379,7 +1396,7 @@ impl AxmlPeer {
                 effects: Arc::clone(&effects),
             };
             if self.journal_append(ctx, entry) {
-                if let Some(tc) = self.contexts.get_mut(&txn) {
+                if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
                     tc.record_local(doc, op_label, effects);
                 }
                 return true;
@@ -1435,7 +1452,7 @@ impl AxmlPeer {
     fn complete_serving(&mut self, ctx: &mut Ctx<'_>, serving_inv: InvocationId) {
         let Some(serving) = self.servings.get(&serving_inv) else { return };
         let txn = serving.txn;
-        if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
+        if self.context(txn).map(|t| t.is_terminal()).unwrap_or(true) {
             // Resolved while we were processing: the work is moot.
             if let Some(serving) = self.servings.remove(&serving_inv) {
                 self.waste(ctx, serving, "resolved");
@@ -1479,7 +1496,7 @@ impl AxmlPeer {
         self.stats.completed += 1;
         let comp: CompBundle = if self.config.peer_independent {
             let mut bundle = Vec::new();
-            if let Some(tc) = self.contexts.get(&txn) {
+            if let Some(tc) = self.context(txn) {
                 let own = tc.own_compensation();
                 if !own.is_empty() {
                     bundle.push((self.id, own));
@@ -1499,7 +1516,7 @@ impl AxmlPeer {
                 // name them in it, so nobody tells them again. Without
                 // chaining, cascade through direct invokees only. Each
                 // leaves once: a participant that misses it inquires.
-                let (mut targets, covered) = match self.contexts.get(&txn) {
+                let (mut targets, covered) = match self.context(txn) {
                     Some(tc) => (tc.invoked_peers(), self.config.chaining.then(|| tc.chain.clone())),
                     None => (Vec::new(), None),
                 };
@@ -1528,22 +1545,24 @@ impl AxmlPeer {
                 self.emit(ctx, Some(txn), Some(serving.inv), None, || EventKind::ResultReturn { to: parent.0 });
                 let msg =
                     TxnMsg::Result { txn, inv: serving.inv, items: Arc::clone(&items), comp: comp.clone(), chain };
+                // Retained for a re-route should the parent vanish.
+                if let Some(t) = self.txns.get_mut(&txn) {
+                    t.returned = Some((serving.method, items, comp));
+                }
                 if self.send_reliable(ctx, parent, msg).is_err() {
                     // Scenario (b): parent disconnected, detected while
                     // returning results.
                     self.record_detection(ctx, parent, DetectHow::SendFailure);
-                    self.reroute_past_dead_parent(ctx, txn, parent, &serving.method, items, comp);
+                    self.reroute_past_dead_parent(ctx, txn, parent);
                 } else {
-                    // Retained for a re-route should the parent vanish.
-                    self.completed_results.insert(txn, (serving.method, items, comp));
-                    self.await_decision(ctx, txn);
                     // Our effects are live until the parent resolves the
                     // transaction — keep-alive-watch it so a parent that
                     // vanishes mid-protocol is *detected* here, not just
                     // hoped about (scenario (b) from the orphan's side).
                     // A re-join may have a different parent (replica
                     // re-invocation): move the watch over.
-                    let old = self.parent_watch.insert(txn, parent);
+                    let old = self.txns.get_mut(&txn).and_then(|t| t.watched.replace(parent));
+                    self.await_decision(ctx, txn);
                     if old != Some(parent) {
                         if let Some(old) = old {
                             self.detector.unwatch(old);
@@ -1555,23 +1574,20 @@ impl AxmlPeer {
         }
     }
 
-    /// Scenario (b): the parent is gone; re-route results to the nearest
-    /// reachable ancestor from the chain (falling back to the closest
-    /// super peer), or discard without chaining.
-    fn reroute_past_dead_parent(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        txn: TxnId,
-        dead_parent: PeerId,
-        method: &str,
-        items: Arc<[Fragment]>,
-        comp: CompBundle,
-    ) {
+    /// Scenario (b): the parent is gone; re-route the result returned for
+    /// `txn`, if any, to the nearest reachable ancestor from the chain
+    /// (falling back to the closest super peer), or discard without
+    /// chaining.
+    fn reroute_past_dead_parent(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead_parent: PeerId) {
         // Whatever happens below, this result is now either delivered via
         // Redirected or discarded — don't re-offer it on later notices.
-        // The dead parent will never resolve us; stop watching it.
-        self.completed_results.remove(&txn);
-        self.release_parent_watch(txn);
+        // The dead parent will never resolve us; stop watching it. The
+        // transaction is not decided here: nothing else is let go.
+        let Some(t) = self.txns.get_mut(&txn) else { return };
+        let Some((method, items, comp)) = t.returned.take() else { return };
+        if let Some(parent) = t.watched.take() {
+            self.detector.unwatch(parent);
+        }
         if !self.config.chaining {
             // "Traditional recovery would lead to AP6 discarding its work."
             self.stats.work_wasted += 1;
@@ -1579,8 +1595,7 @@ impl AxmlPeer {
             self.propagate_abort(ctx, txn);
             return;
         }
-        let chain =
-            self.contexts.get(&txn).map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, false));
+        let chain = self.context(txn).map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, false));
         let mut candidates: Vec<PeerId> =
             chain.ancestors_of(self.id).into_iter().filter(|p| *p != dead_parent).collect();
         if let Some(sp) = chain.closest_super_ancestor(self.id) {
@@ -1592,7 +1607,7 @@ impl AxmlPeer {
             let msg = TxnMsg::Redirected {
                 txn,
                 failed_parent: dead_parent,
-                method: method.to_string(),
+                method: method.clone(),
                 items: Arc::clone(&items),
                 comp: comp.clone(),
             };
@@ -1632,11 +1647,9 @@ impl AxmlPeer {
             return;
         };
         self.detector.unwatch(from);
-        if self.contexts.contains_key(&txn) {
+        if let Some(t) = self.txns.get_mut(&txn) {
+            t.tc.complete_remote(inv, comp.clone());
             self.journal_append_forced(ctx, JournalEntry::RemoteCompleted { txn, inv, comp: comp.clone() });
-        }
-        if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.complete_remote(inv, comp.clone());
             self.learn_chain(ctx, from, txn, chain);
         }
         self.apply_child_items(ctx, txn, wc.serving_inv, wc.target, &wc.method, items);
@@ -1658,7 +1671,7 @@ impl AxmlPeer {
     /// An undecided or aborted context, or none, says `Abort`, so the
     /// sender's effects do not linger.
     fn answer_with_outcome(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId) {
-        if self.contexts.get(&txn).is_some_and(|tc| tc.state == TxnState::Committed) {
+        if self.context(txn).is_some_and(|tc| tc.state == TxnState::Committed) {
             let _ = ctx.send(from, TxnMsg::Commit { txn, covered: None });
         } else {
             let _ = self.send_reliable(ctx, from, TxnMsg::Abort { txn });
@@ -1672,7 +1685,7 @@ impl AxmlPeer {
     /// again later. A crash-restarted origin answers from the contexts its
     /// journal replay rebuilt.
     fn handle_inquire(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId) {
-        match self.contexts.get(&txn) {
+        match self.context(txn) {
             Some(tc) if tc.is_terminal() => self.answer_with_outcome(ctx, from, txn),
             None if txn.origin == self.id => self.answer_with_outcome(ctx, from, txn),
             _ => {}
@@ -1754,7 +1767,7 @@ impl AxmlPeer {
         if let Some(s) = self.servings.get_mut(&wc.serving_inv) {
             s.pending.remove(&placeholder);
         }
-        if self.contexts.get(&wc.txn).is_some_and(|tc| !tc.is_terminal()) {
+        if self.context(wc.txn).is_some_and(|tc| !tc.is_terminal()) {
             self.invoke(ctx, wc);
         }
     }
@@ -1802,14 +1815,11 @@ impl AxmlPeer {
     /// context aborted. (Spec rules **R06**/**R08**: undo runs in
     /// strictly decreasing log order — invariant I2.)
     fn abort_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        let mut batches = match self.contexts.get(&txn) {
+        let mut batches = match self.context(txn) {
             Some(tc) if !tc.is_terminal() => tc.own_compensation_indexed(),
             _ => return,
         };
         self.decide(ctx, txn, None, false);
-        self.release_parent_watch(txn);
-        self.completed_results.remove(&txn);
-        self.conflicts.release(txn);
         if !batches.is_empty() {
             if self.config.compensate_in_log_order {
                 // Test-only broken variant: undo in forward order so the
@@ -1897,7 +1907,7 @@ impl AxmlPeer {
     /// (Spec rule **R07**; invariant I4 requires each of these aborts to
     /// land — resolve the target — or be absorbed by churn.)
     fn propagate_abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        let Some(tc) = self.contexts.get(&txn) else { return };
+        let Some(tc) = self.context(txn) else { return };
         // Peer-independent: drive compensation directly from the collected
         // definitions; the invoked peers without one get a plain Abort.
         let bundles = if self.config.peer_independent { tc.child_compensations() } else { Vec::new() };
@@ -1937,33 +1947,21 @@ impl AxmlPeer {
     }
 
     /// Delivers an `Abort`: abort locally, then continue the downward
-    /// cascade. (Spec rules **R06**/**R07**.)
-    fn handle_abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, _from: PeerId) {
+    /// cascade; about a transaction unknown here, leave a tombstone.
+    /// (Spec rules **R06**/**R07**.)
+    fn handle_abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         self.stats.aborts_received += 1;
-        if !self.contexts.contains_key(&txn) {
-            // Tombstone: the Abort can overtake the Invoke (message
-            // latencies are independent). Recording a terminal context
-            // makes the late Invoke get refused instead of resurrecting
-            // the transaction.
-            let mut t = TransactionContext::new(txn, None, ActiveList::new(txn.origin, false), ctx.now());
-            t.resolve(TxnState::Aborted, ctx.now());
-            self.journal_append_forced(
-                ctx,
-                JournalEntry::Begin { txn, parent: None, chain: t.chain.clone(), at: ctx.now() },
-            );
-            self.journal_append_forced(ctx, JournalEntry::Resolved { txn, committed: false, at: ctx.now() });
-            // The tombstone is a terminal decision: emit it, so abort
-            // reachability is visible to the online monitor even when the
-            // Abort overtook the Invoke.
-            self.emit(ctx, Some(txn), None, None, || EventKind::Resolve { committed: false });
-            self.insert_context(t);
-            return;
+        match self.context(txn) {
+            Some(tc) if tc.is_terminal() => {}
+            Some(_) => {
+                self.abort_local(ctx, txn);
+                self.propagate_abort(ctx, txn);
+            }
+            None => {
+                self.tombstone(ctx, txn);
+                self.decide(ctx, txn, None, false);
+            }
         }
-        if self.contexts.get(&txn).map(|t| t.is_terminal()).unwrap_or(true) {
-            return;
-        }
-        self.abort_local(ctx, txn);
-        self.propagate_abort(ctx, txn);
     }
 
     /// Delivers a `Commit` and cascades it, unacknowledged, to the
@@ -1975,16 +1973,12 @@ impl AxmlPeer {
         if !self.decide(ctx, txn, None, true) {
             return;
         }
-        self.release_parent_watch(txn);
-        let invoked = self.contexts.get(&txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
+        let invoked = self.context(txn).map(|tc| tc.invoked_peers()).unwrap_or_default();
         for peer in invoked {
             if peer != self.id && !covered.is_some_and(|c| c.contains(peer)) {
                 let _ = ctx.send(peer, TxnMsg::Commit { txn, covered: covered.cloned() });
             }
         }
-        self.detector.end_streams(txn);
-        self.completed_results.remove(&txn);
-        self.conflicts.release(txn);
         // Residual work for a committed transaction (possible when a
         // recovery redo raced the commit) is moot: drop it and release
         // the failure detector.
@@ -2003,19 +1997,12 @@ impl AxmlPeer {
         // Mark the context resolved *without* self-compensating: the
         // compensation just ran. Create a tombstone if we never saw the
         // transaction (replica-targeted compensation).
-        if !self.contexts.contains_key(&txn) {
-            let t = TransactionContext::new(txn, None, ActiveList::new(txn.origin, false), ctx.now());
-            self.journal_append_forced(
-                ctx,
-                JournalEntry::Begin { txn, parent: None, chain: t.chain.clone(), at: ctx.now() },
-            );
-            self.insert_context(t);
+        if !self.txns.contains_key(&txn) {
+            self.tombstone(ctx, txn);
         }
         if self.decide(ctx, txn, None, false) {
             self.drop_txn_work(ctx, txn);
         }
-        self.release_parent_watch(txn);
-        self.conflicts.release(txn);
     }
 
     // ------------------------------------------------------------------
@@ -2026,23 +2013,20 @@ impl AxmlPeer {
     /// only the decision can end its context now. Arms the decision timer
     /// afresh. The origin decides itself and never waits.
     fn await_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        if txn.origin == self.id || self.contexts.get(&txn).is_none_or(TransactionContext::is_terminal) {
+        let Some(t) = self.txns.get_mut(&txn).filter(|t| txn.origin != self.id && !t.tc.is_terminal()) else {
             return;
+        };
+        if let Some(tag) = t.decision_timer.take() {
+            self.timers.cancel(ctx, tag);
         }
-        self.stop_awaiting(ctx, txn);
         self.arm_decision(ctx, txn, 0);
     }
 
     /// Waits for `txn`'s decision after `inquiries` inquiries.
     fn arm_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
         let tag = self.timers.set(ctx, self.config.decision_wait(inquiries), Timer::Decision { txn, inquiries });
-        self.awaiting.insert(txn, tag);
-    }
-
-    /// Ends the wait for `txn`'s decision, cancelling its timer.
-    fn stop_awaiting(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        if let Some(tag) = self.awaiting.remove(&txn) {
-            self.timers.cancel(ctx, tag);
+        if let Some(t) = self.txns.get_mut(&txn) {
+            t.decision_timer = Some(tag);
         }
     }
 
@@ -2051,8 +2035,10 @@ impl AxmlPeer {
     /// super ancestor — and wait twice as long for the next try, up to
     /// `max_retransmits` inquiries. (Spec rule **R12**.)
     fn inquire(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
-        self.awaiting.remove(&txn);
-        let chain = self.contexts.get(&txn).map(|tc| &tc.chain);
+        if let Some(t) = self.txns.get_mut(&txn) {
+            t.decision_timer = None;
+        }
+        let chain = self.context(txn).map(|tc| &tc.chain);
         let fallback = chain.and_then(|c| c.closest_super_ancestor(self.id)).filter(|&p| p != txn.origin);
         let asked = [Some(txn.origin), fallback]
             .into_iter()
@@ -2093,8 +2079,7 @@ impl AxmlPeer {
         if self.config.chaining {
             let txns: BTreeSet<TxnId> = affected.iter().filter_map(|i| self.waiting.get(i)).map(|w| w.txn).collect();
             for txn in txns {
-                let descs: Vec<PeerId> =
-                    self.contexts.get(&txn).map(|tc| tc.chain.descendants_of(peer)).unwrap_or_default();
+                let descs: Vec<PeerId> = self.context(txn).map(|tc| tc.chain.descendants_of(peer)).unwrap_or_default();
                 for desc in descs {
                     let _ = self.send_reliable(ctx, desc, TxnMsg::DisconnectNotice { txn, disconnected: peer });
                 }
@@ -2107,10 +2092,11 @@ impl AxmlPeer {
         // a completed serving awaited its resolution (scenario (b) caught
         // by ping timeout rather than send failure): its work is orphaned
         // exactly as a chained disconnect notice would have it.
-        let orphaned: Vec<TxnId> = self.parent_watch.iter().filter(|(_, p)| **p == peer).map(|(t, _)| *t).collect();
+        let orphaned: Vec<TxnId> =
+            self.txns.iter().filter(|(_, t)| t.watched == Some(peer)).map(|(txn, _)| *txn).collect();
         for txn in orphaned {
-            self.parent_watch.remove(&txn);
-            if self.contexts.get(&txn).is_some_and(|tc| !tc.is_terminal()) {
+            // One decided meanwhile, by an earlier one's abort, watches nobody.
+            if self.txns.get_mut(&txn).and_then(|t| t.watched.take()).is_some() {
                 self.orphaned(ctx, txn, peer);
             }
         }
@@ -2125,8 +2111,8 @@ impl AxmlPeer {
             self.stats.orphan_stops += 1;
             self.abort_local(ctx, txn);
             self.propagate_abort(ctx, txn);
-        } else if let Some((method, items, comp)) = self.completed_results.remove(&txn) {
-            self.reroute_past_dead_parent(ctx, txn, dead, &method, items, comp);
+        } else {
+            self.reroute_past_dead_parent(ctx, txn, dead);
         }
     }
 
@@ -2148,7 +2134,7 @@ impl AxmlPeer {
         // is unwanted. Aborted: tell it to abort (and compensate) itself —
         // without this, an orphan whose Redirected loses the race against
         // the abort would keep its effects forever. Committed: tell it so.
-        if let Some(state) = self.contexts.get(&txn).filter(|t| t.is_terminal()).map(|t| t.state) {
+        if let Some(state) = self.context(txn).filter(|t| t.is_terminal()).map(|t| t.state) {
             if state != TxnState::Committed && self.config.peer_independent && !comp.is_empty() {
                 for (peer, cs) in comp {
                     let _ = self.send_reliable(ctx, *peer, TxnMsg::Compensate { txn, service: cs.clone() });
@@ -2160,17 +2146,15 @@ impl AxmlPeer {
         }
         // Keep the orphan's results for reuse when re-invoking the dead
         // peer's service, and its compensation bundle for abort-time.
-        self.prefill_store.entry(txn).or_default().push((method.to_string(), items.to_vec()));
         let orphan_inv = self.alloc_inv(ctx);
-        if self.contexts.contains_key(&txn) {
+        if let Some(t) = self.txns.get_mut(&txn) {
+            t.prefill.push((method.to_string(), items.to_vec()));
+            t.tc.record_orphan_comp(from, orphan_inv, method, comp.clone());
             self.journal_append_forced(
                 ctx,
                 JournalEntry::RemoteInvoked { txn, child: from, inv: orphan_inv, method: method.to_string() },
             );
             self.journal_append_forced(ctx, JournalEntry::RemoteCompleted { txn, inv: orphan_inv, comp: comp.clone() });
-        }
-        if let Some(tc) = self.contexts.get_mut(&txn) {
-            tc.record_orphan_comp(from, orphan_inv, method, comp.clone());
         }
         // Now treat the dead parent like a disconnected child (it may or
         // may not be one of ours; if it is, recovery starts here).
@@ -2180,7 +2164,7 @@ impl AxmlPeer {
     /// A disconnect notice from the chain (scenarios (b)/(c)/(d)).
     fn handle_notice(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, disconnected: PeerId) {
         self.record_detection(ctx, disconnected, DetectHow::Notice);
-        let Some(tc) = self.contexts.get(&txn) else { return };
+        let Some(tc) = self.context(txn) else { return };
         if tc.is_terminal() {
             return;
         }
@@ -2203,7 +2187,7 @@ impl AxmlPeer {
             return;
         }
         for txn in &active_txns {
-            let Some(tc) = self.contexts.get(txn) else { continue };
+            let Some(tc) = self.context(*txn) else { continue };
             if tc.is_terminal() {
                 continue;
             }
@@ -2230,7 +2214,7 @@ impl AxmlPeer {
         if !self.config.chaining {
             return;
         }
-        let Some(tc) = self.contexts.get(&txn) else { return };
+        let Some(tc) = self.context(txn) else { return };
         let chain = tc.chain.clone();
         if let Some(parent) = chain.parent_of(dead) {
             let _ = self.send_reliable(ctx, parent, TxnMsg::DisconnectNotice { txn, disconnected: dead });
@@ -2265,12 +2249,11 @@ impl AxmlPeer {
         self.next_txn = 0;
         self.servings.clear();
         self.waiting.clear();
-        self.parent_watch.clear();
         // Every in-doubt context is presumed aborted below: none waits on
-        // a decision any more.
-        self.awaiting.clear();
-        self.prefill_store.clear();
-        self.completed_results.clear();
+        // a decision any more, and nothing else held beside a context
+        // survives.
+        self.txns.clear();
+        self.active_contexts = 0;
         self.conflicts = ConflictTable::new();
         // Stable storage: the sink (not any in-memory copy) decides what
         // survived the crash — with an on-disk WAL this scans the segment
@@ -2285,13 +2268,14 @@ impl AxmlPeer {
         self.emit(ctx, None, None, None, || EventKind::Restart {
             presumed_aborts: outcome.presumed_aborted.len() as u64,
         });
-        self.contexts = contexts.into_iter().map(|t| (t.txn, t)).collect();
-        self.active_contexts = self.contexts.values().filter(|tc| !tc.is_terminal()).count();
+        for tc in contexts {
+            self.insert_context(tc);
+        }
         for txn in &outcome.presumed_aborted {
             self.journal_append_forced(ctx, JournalEntry::Resolved { txn: *txn, committed: false, at: ctx.now() });
         }
         for txn in outcome.presumed_aborted {
-            match self.contexts.get(&txn).and_then(|t| t.parent) {
+            match self.context(txn).and_then(|t| t.parent) {
                 Some((pp, inv)) => {
                     // The invoker must learn its child's work is undone.
                     let fault = Fault::peer_unreachable(format!("{} crashed; presumed abort", self.id));
@@ -2313,7 +2297,7 @@ impl AxmlPeer {
         // re-establish the obligation both ways for every recovered
         // aborted context.
         for txn in outcome.already_terminal {
-            let Some(tc) = self.contexts.get(&txn).filter(|t| t.state == TxnState::Aborted) else { continue };
+            let Some(tc) = self.context(txn).filter(|t| t.state == TxnState::Aborted) else { continue };
             if let Some((pp, inv)) = tc.parent {
                 let fault = Fault::peer_unreachable(format!("{} restarted; aborted", self.id));
                 let _ = self.send_reliable(ctx, pp, TxnMsg::Fault { txn, inv, fault });
@@ -2380,8 +2364,9 @@ impl AxmlPeer {
         // Handlers borrow the payload: the sender's outbox holds it too
         // (in the simulator, the same allocation) until our ack arrives,
         // so taking it by value would copy every delivery.
-        let Some(msg) = self.delivery.receive(ctx, &mut self.timers, &mut self.stats, &self.contexts, from, &msg)
-        else {
+        let txns = &self.txns;
+        let state = |txn: TxnId| txns.get(&txn).map(|t| t.tc.state);
+        let Some(msg) = self.delivery.receive(ctx, &mut self.timers, &mut self.stats, state, from, &msg) else {
             return;
         };
         match msg {
@@ -2394,7 +2379,7 @@ impl AxmlPeer {
             TxnMsg::Fault { inv, fault, .. } => {
                 self.child_failed(ctx, *inv, fault.clone());
             }
-            TxnMsg::Abort { txn } => self.handle_abort(ctx, *txn, from),
+            TxnMsg::Abort { txn } => self.handle_abort(ctx, *txn),
             TxnMsg::Commit { txn, covered } => self.handle_commit(ctx, *txn, covered.as_ref()),
             TxnMsg::Inquire { txn } => self.handle_inquire(ctx, from, *txn),
             TxnMsg::Compensate { txn, service } => self.handle_compensate(ctx, *txn, service),
@@ -2411,7 +2396,7 @@ impl AxmlPeer {
                 self.detector.arm_stream(ctx, &mut self.timers);
             }
             // A gossiped chain is merged into a context that is still live.
-            TxnMsg::ChainUpdate { txn, chain, .. } if self.contexts.get(txn).is_some_and(|tc| !tc.is_terminal()) => {
+            TxnMsg::ChainUpdate { txn, chain, .. } if self.context(*txn).is_some_and(|tc| !tc.is_terminal()) => {
                 self.learn_chain(ctx, from, *txn, chain);
             }
             TxnMsg::ChainUpdate { .. } => {}
@@ -2485,7 +2470,7 @@ impl Actor<TxnMsg> for AxmlPeer {
         // Every unacked delivery holds one retransmit timer.
         let unacked = self.delivery.unacked() as u64;
         out.push(("outbox_depth", unacked));
-        debug_assert_eq!(self.active_contexts, self.contexts.values().filter(|tc| !tc.is_terminal()).count());
+        debug_assert_eq!(self.active_contexts, self.txns.values().filter(|t| !t.tc.is_terminal()).count());
         out.push(("in_flight_txns", self.active_contexts as u64));
         out.push(("dedup_seen", self.delivery.seen_len() as u64));
         out.push(("retransmit_timers", unacked));
@@ -2729,8 +2714,45 @@ mod tests {
         assert_eq!(sim.metrics().kind("commit"), 2, "the decision, and the answer to the late copy");
         let txn = origin.outcomes[0].txn;
         for id in [PeerId(1), PeerId(2)] {
-            assert_eq!(sim.actor(id).contexts[&txn].state, TxnState::Committed, "{id}");
+            assert_eq!(sim.actor(id).txns[&txn].tc.state, TxnState::Committed, "{id}");
             assert!(sim.actor(id).is_quiescent(), "{id}");
+        }
+    }
+
+    /// A decision lets go of everything a peer held beside the context.
+    /// Fig. 1, Fig. 2, Fig. 1 with S5 failing, and Fig. 1 with S2 slow and
+    /// failing, so the AP3 subtree has returned its results before the
+    /// abort (with peer-independent compensation it is told `Compensate`,
+    /// not `Abort`), each with peer-independent compensation and chaining
+    /// on and off: no decided record holds a returned result, a watched
+    /// parent or a decision timer.
+    #[test]
+    fn a_decided_transaction_holds_no_result_watch_or_timer() {
+        use crate::scenarios::ScenarioBuilder;
+        for (peer_independent, chaining) in [(false, false), (false, true), (true, false), (true, true)] {
+            let config =
+                PeerConfig { peer_independent, chaining, use_alternative_providers: false, ..Default::default() };
+            let cases = [
+                ("fig1", ScenarioBuilder::fig1()),
+                ("fig2", ScenarioBuilder::fig2()),
+                ("fig1-abort", ScenarioBuilder::fig1().fault_at(5)),
+                ("fig1, S2 slow and faulty", ScenarioBuilder::fig1().fault_at(2).duration(2, 60)),
+            ];
+            for (name, builder) in cases {
+                let mut s = builder.config(config.clone()).build();
+                assert!(s.run().outcome.is_some(), "{name}: resolved");
+                let case = format!("{name}, peer_independent={peer_independent}, chaining={chaining}");
+                let mut decided = 0;
+                for &id in &s.participants {
+                    for (txn, t) in s.sim.actor(id).txns.iter().filter(|(_, t)| t.tc.is_terminal()) {
+                        decided += 1;
+                        assert!(t.returned.is_none(), "{case}: {id} {txn} keeps its returned result");
+                        assert_eq!(t.watched, None, "{case}: {id} {txn} watches its parent");
+                        assert_eq!(t.decision_timer, None, "{case}: {id} {txn} keeps a decision timer");
+                    }
+                }
+                assert_eq!(decided, 6, "{case}: every participant decided");
+            }
         }
     }
 

@@ -125,3 +125,35 @@ fn aborted_loser_leaves_no_trace() {
     assert_eq!(writes, 1, "{doc}");
     assert!(!doc.contains("initial"), "the winner's replace landed: {doc}");
 }
+
+/// An origin that updates its own document lets go of its claims when it
+/// commits: the same update, submitted again 200 ticks later, commits too
+/// instead of conflicting with the first transaction's claims.
+#[test]
+fn an_origin_commit_releases_its_own_claims() {
+    let mut peers: Vec<AxmlPeer> = (0..2u32)
+        .map(|id| AxmlPeer::new(PeerId(id), PeerConfig { isolation: true, ..PeerConfig::default() }))
+        .collect();
+    peers[1].repo.put_xml("mine", "<d><slot>initial</slot></d>").unwrap();
+    peers[1].registry.register(
+        ServiceDef::update(
+            "write",
+            "mine",
+            UpdateAction::replace(
+                Locator::parse("Select v/slot from v in d").unwrap(),
+                vec![Fragment::elem_text("slot", "written")],
+            ),
+        )
+        .with_results(&["slot"]),
+    );
+    let mut sim = Sim::new(SimConfig::default(), peers);
+    sim.actor_mut(PeerId(1)).auto_submit = Some(("write".into(), vec![]));
+    sim.schedule_timer(0, PeerId(1), 0);
+    sim.schedule_timer(200, PeerId(1), 0);
+    sim.run();
+    let origin = sim.actor(PeerId(1));
+    assert_eq!(origin.outcomes.len(), 2);
+    assert!(origin.outcomes.iter().all(|o| o.committed), "{:?}", origin.outcomes);
+    assert_eq!(origin.stats.isolation_conflicts, 0);
+    assert!(origin.conflicts.is_empty(), "no claim outlives its transaction");
+}
