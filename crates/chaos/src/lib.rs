@@ -42,7 +42,7 @@ use axml_obs::{
 };
 use axml_p2p::{
     CrashEvent, EventKind, FaultPlane, Fnv64, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot,
-    StorageFaultPlane, TraceJournal,
+    StorageFaultPlane, TraceEvent, TraceJournal,
 };
 use axml_spec::Conformance;
 use axml_store::WalSink;
@@ -55,7 +55,7 @@ use std::rc::Rc;
 pub mod gen;
 mod parallel;
 pub use gen::{gen_scenario_names, GenAction, GenConfig, GenHandler, GenScenario};
-pub use parallel::par_map;
+pub use parallel::{par_each, par_map};
 
 /// Scenario names the harness knows how to build.
 pub const SCENARIOS: &[&str] = &["fig1", "fig2", "fig1-abort", "deep", "fig1-crash"];
@@ -63,9 +63,10 @@ pub const SCENARIOS: &[&str] = &["fig1", "fig2", "fig1-abort", "deep", "fig1-cra
 /// Gauge-sampling window width (sim-time ticks) for traced runs. Every
 /// traced run samples each peer's gauges (outbox depth, in-flight
 /// contexts, dedup-set size, retransmit timers, WAL bytes/segments) at
-/// multiples of this interval; the resulting `Gauge` events fold into
-/// the sweep's [`SeriesRegistry`]. Sampling is observation-only — it
-/// never perturbs the seeded event schedule or the run digest.
+/// multiples of this interval into the journal's sample column, which
+/// the sweep folds into its [`SeriesRegistry`]. Sampling is
+/// observation-only — it never perturbs the seeded event schedule or the
+/// run digest.
 pub const SAMPLE_INTERVAL: u64 = 25;
 
 /// Builds the named scenario's tree (fault plane and config not yet
@@ -545,10 +546,6 @@ pub struct TraceDump {
     /// per-case histograms merge into sweep-level distributions by plain
     /// counter addition, independent of merge order.
     pub histograms: BTreeMap<String, Histogram>,
-    /// The sampled gauge series folded from the journal's `Gauge`
-    /// events ([`SeriesRegistry::from_journal`]). Pointwise-additive,
-    /// so per-case registries aggregate order-free across a sweep.
-    pub series: SeriesRegistry,
     /// Phase-width histograms from the per-transaction profiler
     /// (`phase_<name>` plus `txn_total`; see
     /// [`ProfileReport::phase_histograms`]) — same fixed bucket layout
@@ -611,8 +608,8 @@ fn run_inner(
     b.batch_links = case.batch_links;
     if traced {
         // Traced runs also sample the time-series plane: per-peer
-        // gauges at fixed window boundaries, folded into the journal as
-        // `Gauge` events.
+        // gauges at fixed window boundaries, written into the journal's
+        // sample column (no observer sees them).
         b = b.traced().sampled(SAMPLE_INTERVAL);
     }
     let mut s = b.config(cfg).fault_plane(effective).build();
@@ -657,7 +654,6 @@ fn run_inner(
     }
     let dump = s.sim.take_trace().map(|journal| TraceDump {
         histograms: derive_histograms(&journal),
-        series: SeriesRegistry::from_journal(&journal),
         phase_histograms: ProfileReport::from_journal(&journal).phase_histograms(),
         journal,
     });
@@ -978,8 +974,8 @@ pub struct SweepOutcome {
     /// Every monitor finding across the sweep as `(case label, finding)`,
     /// in canonical case order.
     pub findings: Vec<(String, MonitorFinding)>,
-    /// All per-case gauge series aggregated pointwise
-    /// ([`SeriesRegistry::absorb`] — commutative, so worker count never
+    /// Every case's gauge samples folded pointwise
+    /// ([`SeriesRegistry::absorb_samples`] — a sum, so worker count never
     /// shows in the aggregate).
     pub series: SeriesRegistry,
     /// All per-case phase histograms merged (`phase_<name>` +
@@ -993,7 +989,8 @@ pub struct SweepOutcome {
 struct CaseRun {
     result: CaseResult,
     histograms: BTreeMap<String, Histogram>,
-    series: SeriesRegistry,
+    /// The journal's gauge samples, folded into the sweep's series.
+    samples: Vec<TraceEvent>,
     phase_histograms: BTreeMap<String, Histogram>,
     violation: Option<Violation>,
 }
@@ -1004,7 +1001,7 @@ struct CaseRun {
 fn run_cell(case: &CaseConfig) -> CaseRun {
     let b = builder_of(case);
     let plane = plane_for(case.profile, case.seed, &b.peers());
-    let (result, dump) = run_traced(case, b, plane);
+    let (result, mut dump) = run_traced(case, b, plane);
     let violation = (!result.verdict.ok).then(|| {
         // Replay the shrunk schedule traced: the violation ships with
         // the exact lifecycle story of a minimal failing run — and that
@@ -1022,7 +1019,7 @@ fn run_cell(case: &CaseConfig) -> CaseRun {
     CaseRun {
         result,
         histograms: dump.histograms,
-        series: dump.series,
+        samples: dump.journal.take_samples(),
         phase_histograms: dump.phase_histograms,
         violation,
     }
@@ -1053,9 +1050,10 @@ pub fn case_matrix(
 /// Runs the scenario × profile × seed matrix through the oracle on
 /// `jobs` worker threads, shrinking every violation where it is found.
 /// Cases are claimed work-stealing style but merged in canonical case
-/// order, so the outcome — report counts, digest, merged snapshot,
-/// merged histograms, findings — is byte-identical for every `jobs`
-/// value (see [`par_map`]).
+/// order as they finish, so the outcome — report counts, digest, merged
+/// snapshot, merged histograms, findings — is byte-identical for every
+/// `jobs` value, and a case's run is let go once merged (see
+/// [`par_each`]).
 pub fn sweep_jobs(
     scenarios: &[String],
     profiles: &[Profile],
@@ -1064,41 +1062,47 @@ pub fn sweep_jobs(
     jobs: usize,
 ) -> SweepOutcome {
     let cases = case_matrix(scenarios, profiles, seeds, dedup);
-    let runs = par_map(&cases, jobs, |_, case| run_cell(case));
     let mut out = SweepOutcome::default();
     let mut digest = Fnv64::default();
     // The cases' typed counters, merged; named once, after the loop.
     let mut net = NetMetrics::default();
     let mut peers: BTreeMap<PeerId, PeerCounters> = BTreeMap::new();
     let mut wal = WalStats::default();
-    for (case, run) in cases.iter().zip(runs) {
-        out.runs += 1;
-        match run.result.committed {
-            Some(true) => out.committed += 1,
-            Some(false) => out.aborted += 1,
-            None => {}
-        }
-        out.open_contexts += run.result.open_contexts;
-        out.open_contexts_excused.extend(run.result.open_contexts_excused.iter().map(|c| (case.label(), c.clone())));
-        out.false_suspicions += run.result.false_suspicions;
-        let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
-        net.merge(&run.result.metrics);
-        for (&p, st) in &run.result.stats {
-            peers.entry(p).or_default().merge(&st.counters());
-        }
-        wal.merge(&run.result.wal);
-        for (name, h) in &run.histograms {
-            out.histograms.entry(name.clone()).or_default().merge(h);
-        }
-        out.series.absorb(&run.series);
-        for (name, h) in &run.phase_histograms {
-            out.phase_histograms.entry(name.clone()).or_default().merge(h);
-        }
-        out.findings.extend(run.result.findings.iter().cloned().map(|f| (case.label(), f)));
-        if let Some(v) = run.violation {
-            out.violations.push(v);
-        }
-    }
+    par_each(
+        &cases,
+        jobs,
+        |_, case| run_cell(case),
+        |i, run| {
+            let case = &cases[i];
+            out.runs += 1;
+            match run.result.committed {
+                Some(true) => out.committed += 1,
+                Some(false) => out.aborted += 1,
+                None => {}
+            }
+            out.open_contexts += run.result.open_contexts;
+            out.open_contexts_excused
+                .extend(run.result.open_contexts_excused.iter().map(|c| (case.label(), c.clone())));
+            out.false_suspicions += run.result.false_suspicions;
+            let _ = writeln!(digest, "{} {:016x} ok={}", case.label(), run.result.digest, run.result.verdict.ok);
+            net.merge(&run.result.metrics);
+            for (&p, st) in &run.result.stats {
+                peers.entry(p).or_default().merge(&st.counters());
+            }
+            wal.merge(&run.result.wal);
+            for (name, h) in &run.histograms {
+                out.histograms.entry(name.clone()).or_default().merge(h);
+            }
+            out.series.absorb_samples(&run.samples);
+            for (name, h) in &run.phase_histograms {
+                out.phase_histograms.entry(name.clone()).or_default().merge(h);
+            }
+            out.findings.extend(run.result.findings.iter().cloned().map(|f| (case.label(), f)));
+            if let Some(v) = run.violation {
+                out.violations.push(v);
+            }
+        },
+    );
     out.digest = digest.finish();
     out.snapshot = chaos_snapshot(&net, peers.into_iter(), &wal, out.false_suspicions);
     out

@@ -70,7 +70,7 @@ use axml_chaos::{
     run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenConfig, GenScenario,
     Profile, SweepOutcome, SCENARIOS,
 };
-use axml_obs::{critical_paths, percentile_table, render_prometheus};
+use axml_obs::{critical_paths, percentile_table, render_prometheus, SeriesRegistry};
 use axml_p2p::FaultPlane;
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
@@ -451,7 +451,7 @@ fn main() {
             print!("{}", percentile_table(hists));
             println!();
             println!("== gauge series (window={} ticks)", axml_chaos::SAMPLE_INTERVAL);
-            print!("{}", dump.series.render_summary());
+            print!("{}", SeriesRegistry::from_journal(&dump.journal).render_summary());
             if let Some(path) = parse_flag(&args, "--prom") {
                 if let Err(e) = std::fs::write(&path, render_prometheus(hists)) {
                     eprintln!("cannot write {path}: {e}");

@@ -22,12 +22,14 @@
 //!   the plain-data result is sent back over a channel, tagged with the
 //!   item's index;
 //! - the caller reassembles results **by index**, so the returned `Vec`
-//!   is in item order no matter how the workers interleaved.
+//!   is in item order no matter how the workers interleaved;
+//!   [`par_each`] hands them to a consumer in that order as they come.
 //!
 //! Any fold over the returned `Vec` is therefore order-canonical: a
 //! merge of snapshots, histograms, or digest text built left-to-right
 //! over it is byte-identical for `jobs = 1` and `jobs = N`.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -45,9 +47,28 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    let mut out = Vec::with_capacity(items.len());
+    par_each(items, jobs, f, |_, r| out.push(r));
+    out
+}
+
+/// [`par_map`] without the `Vec`: hands each result to `consume` on the
+/// calling thread, in item order, as soon as every earlier item's result
+/// has been handed over. A fold inside `consume` is as order-canonical as
+/// one over [`par_map`]'s output, but only results that finished ahead of
+/// a slower earlier item wait in memory — a sweep folds its cases as they
+/// come instead of holding every case until the last one is done.
+pub fn par_each<T, R, F, C>(items: &[T], jobs: usize, f: F, mut consume: C)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    C: FnMut(usize, R),
+{
     let jobs = jobs.max(1).min(items.len());
     if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        items.iter().enumerate().for_each(|(i, t)| consume(i, f(i, t)));
+        return;
     }
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
@@ -68,12 +89,18 @@ where
             });
         }
         drop(tx);
-        // Collect while workers run; place by index to canonicalize.
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        // Consume while workers run; results that arrive early wait, by
+        // index, until the ones before them are in.
+        let mut waiting: BTreeMap<usize, R> = BTreeMap::new();
+        let mut due = 0;
         for (i, r) in rx {
-            slots[i] = Some(r);
+            waiting.insert(i, r);
+            while let Some(r) = waiting.remove(&due) {
+                consume(due, r);
+                due += 1;
+            }
         }
-        slots.into_iter().map(|r| r.expect("every claimed index produced a result")).collect()
+        assert_eq!(due, items.len(), "every claimed index produced a result");
     })
 }
 
@@ -120,5 +147,10 @@ mod tests {
         };
         let serial = par_map(&items, 1, slow);
         assert_eq!(par_map(&items, 8, slow), serial);
+        // `par_each` hands the results over in the same order.
+        let mut handed = Vec::new();
+        par_each(&items, 8, slow, |i, r| handed.push((i, r)));
+        assert!(handed.iter().enumerate().all(|(i, &(j, _))| i == j));
+        assert_eq!(handed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), serial);
     }
 }

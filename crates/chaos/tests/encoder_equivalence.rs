@@ -251,14 +251,15 @@ proptest! {
             round_trips(e)?;
         }
         // The journal's one-buffer writer is the per-event encoder, line
-        // by line, and a loaded journal is the one that was written.
+        // by line over the merged order (gauges sit in the sample
+        // column), and a loaded journal is the one that was written.
         let mut journal = TraceJournal::default();
         for e in &events {
             journal.record(e.at, e.peer, e.epoch, e.txn, e.span, e.parent, e.kind.clone());
         }
         let lines = journal.to_json_lines();
         let per_event: String =
-            journal.events().iter().map(|e| serde_json::to_string(e).expect("events serialize") + "\n").collect();
+            journal.iter().map(|e| serde_json::to_string(e).expect("events serialize") + "\n").collect();
         prop_assert_eq!(&lines, &per_event);
         prop_assert_eq!(TraceJournal::from_json_lines(&lines).expect("own output loads"), journal);
     }

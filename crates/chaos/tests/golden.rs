@@ -29,6 +29,7 @@
 use axml_chaos::{builder_for, plane_for, run_with_plane_traced, CaseConfig, CorpusEntry, Profile};
 use axml_core::durability::{DurabilitySink, JournalEntry};
 use axml_core::scenarios::ScenarioBuilder;
+use axml_p2p::{fnv64, TraceJournal};
 use axml_store::{recover_dir, WalConfig, WalSink};
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -81,6 +82,25 @@ fn demo_journal_tree_and_snapshot_match_the_checked_in_bytes() {
     pinned(&golden("demo.tree"), dump.journal.render_tree().as_bytes(), "causal tree");
     pinned(&golden("demo.snapshot"), result.snapshot().render().as_bytes(), "snapshot");
     assert_eq!(dump.journal.len(), 229, "the demo journal holds 229 events");
+}
+
+/// A stored journal loads into the two columns the live one keeps, and
+/// renders back to the pinned bytes without blessing.
+#[test]
+fn demo_journal_loads_back_into_its_columns_and_rerenders_the_checked_in_bytes() {
+    let text = std::fs::read_to_string(golden("demo.jsonl")).expect("golden journal is checked in");
+    let tree = std::fs::read_to_string(golden("demo.tree")).expect("golden tree is checked in");
+    let loaded = TraceJournal::from_json_lines(&text).expect("golden journal loads");
+    assert!(loaded.to_json_lines() == text, "a loaded journal re-encodes to demo.jsonl");
+    assert!(loaded.render_tree() == tree, "a loaded journal re-renders demo.tree");
+    assert_eq!(loaded.digest(), fnv64(text.as_bytes()));
+    assert_eq!(format!("{:016x}", loaded.digest()), "b31869ef6b8d3a54");
+    let case = CaseConfig::new("fig1-abort", Profile::Mixed, 5);
+    let plane = plane_for(case.profile, case.seed, &builder_for(&case.scenario).expect("known scenario").peers());
+    let (_, dump) = run_with_plane_traced(&case, plane);
+    assert_eq!(loaded.events(), dump.journal.events(), "the same protocol events");
+    assert_eq!(loaded.samples(), dump.journal.samples(), "the same samples");
+    assert_eq!((loaded.events().len(), loaded.samples().len()), (103, 126));
 }
 
 /// The journals of a clean Fig. 1 run, participant by participant — what

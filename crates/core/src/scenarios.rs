@@ -77,7 +77,7 @@ pub struct ScenarioBuilder {
     pub trace: bool,
     /// Gauge-sampling window width in sim-time units (0 = off, the
     /// default). Forwarded to [`SimConfig::sample_interval`]; only
-    /// meaningful on traced/observed runs.
+    /// meaningful on traced runs: samples go to the journal alone.
     pub sample_interval: u64,
     /// Per-link delivery batching (on by default). Forwarded to
     /// [`SimConfig::batch_links`]; a pure queue optimization, exposed

@@ -2,10 +2,12 @@
 //! trace events, dumped when a chaos run goes wrong.
 //!
 //! A [`FlightRecorder`] is an [`EventSink`] the chaos harness attaches
-//! to *every* run (traced or not): each stamped event lands in its
-//! emitting peer's [`EventRing`], so at any moment the recorder holds
-//! the last ≤ `capacity` events per peer and a count of how much older
-//! history was evicted. When an oracle violation, monitor finding, or
+//! to *every* run (traced or not): each stamped protocol event lands in
+//! its emitting peer's [`EventRing`], so at any moment the recorder
+//! holds the last ≤ `capacity` events per peer and a count of how much
+//! older history was evicted. Gauge samples never reach a sink, so a
+//! ring is protocol history only, and a traced run dumps what the same
+//! run untraced dumps. When an oracle violation, monitor finding, or
 //! conformance break surfaces, [`FlightRecorder::dump`] renders that
 //! context — what each peer was doing just before the failure — and the
 //! harness files it next to the shrunk reproducer and inside `corpus/`

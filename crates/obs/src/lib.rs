@@ -14,8 +14,8 @@
 //! - [`analytics`] — offline journal analytics: latency histogram
 //!   derivation and per-transaction critical paths.
 //! - [`series`] — the time-series plane: fixed-window gauge series
-//!   ([`SeriesRegistry`]) folded from the simulator's sampled `Gauge`
-//!   events, with order-free aggregation across runs.
+//!   ([`SeriesRegistry`]) folded from the journal's sample column, with
+//!   order-free aggregation across runs.
 //! - [`profile`] — the per-transaction phase profiler
 //!   ([`ProfileReport`]): invoke/serve/decide/compensate/recover
 //!   windows plus critical-path self-time attribution.

@@ -1,17 +1,20 @@
 //! The deterministic time-series plane: fixed-window integer gauge
-//! series recovered from journal [`EventKind::Gauge`] events.
+//! series recovered from a journal's sample column
+//! ([`TraceJournal::samples`]).
 //!
 //! The simulator samples every live actor's gauges at fixed sim-time
-//! window boundaries (`SimConfig::sample_interval`), emitting one
-//! `Gauge` event per (peer, metric, boundary). This module folds those
-//! events into a [`SeriesRegistry`]: `metric → peer → boundary → value`,
+//! window boundaries (`SimConfig::sample_interval`), writing one
+//! [`EventKind::Gauge`] sample per (peer, metric, boundary) into the
+//! journal beside its protocol events. This module folds those samples
+//! into a [`SeriesRegistry`]: `metric → peer → boundary → value`,
 //! all `BTreeMap`s, so iteration (and every rendering) is byte-stable.
-//! Registries from different runs combine with [`SeriesRegistry::absorb`]
-//! — a pointwise sum, which is commutative and associative, so a
-//! parallel sweep merged in canonical case order produces the same
-//! registry as a serial one regardless of worker interleaving.
+//! The sample columns of many runs fold into one registry with
+//! [`SeriesRegistry::absorb_samples`] — a pointwise sum, which is
+//! commutative and associative, so a parallel sweep merged in canonical
+//! case order produces the same registry as a serial one regardless of
+//! worker interleaving.
 
-use axml_trace::{EventKind, TraceJournal};
+use axml_trace::{EventKind, TraceEvent, TraceJournal};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -55,25 +58,20 @@ impl SeriesRegistry {
         *slot = slot.saturating_add(value);
     }
 
-    /// Builds a registry from a journal's [`EventKind::Gauge`] events.
+    /// Builds a registry from a journal's samples.
     pub fn from_journal(journal: &TraceJournal) -> Self {
         let mut reg = Self::default();
-        for e in journal.events() {
-            if let EventKind::Gauge { name, value } = &e.kind {
-                reg.record(name, e.peer, e.at, *value);
-            }
-        }
+        reg.absorb_samples(journal.samples());
         reg
     }
 
-    /// Pointwise sum of another registry into this one. Commutative and
-    /// associative, so aggregation order never shows in the result.
-    pub fn absorb(&mut self, other: &SeriesRegistry) {
-        for (metric, peers) in &other.series {
-            for (peer, points) in peers {
-                for (at, value) in points {
-                    self.record(metric, *peer, *at, *value);
-                }
+    /// Adds every [`EventKind::Gauge`] reading of `samples` (a journal's
+    /// sample column) to its point; anything else is skipped. A pointwise
+    /// sum: the order columns are folded in never shows in the result.
+    pub fn absorb_samples(&mut self, samples: &[TraceEvent]) {
+        for e in samples {
+            if let EventKind::Gauge { name, value } = &e.kind {
+                self.record(name, e.peer, e.at, *value);
             }
         }
     }
@@ -166,10 +164,11 @@ mod tests {
 
     fn journal() -> TraceJournal {
         let mut j = TraceJournal::default();
-        j.record(25, 0, 0, None, None, None, EventKind::Gauge { name: "outbox_depth".into(), value: 2 });
-        j.record(25, 1, 0, None, None, None, EventKind::Gauge { name: "outbox_depth".into(), value: 0 });
-        j.record(25, 0, 0, None, None, None, EventKind::Gauge { name: "wal_bytes".into(), value: 512 });
-        j.record(50, 0, 0, None, None, None, EventKind::Gauge { name: "outbox_depth".into(), value: 1 });
+        j.sample(25, 0, 0, "outbox_depth", 2);
+        j.sample(25, 1, 0, "outbox_depth", 0);
+        j.sample(25, 0, 0, "wal_bytes", 512);
+        j.record(30, 0, 0, None, None, None, EventKind::Crash);
+        j.sample(50, 0, 0, "outbox_depth", 1);
         j
     }
 
@@ -185,16 +184,16 @@ mod tests {
 
     #[test]
     fn absorb_is_a_pointwise_sum_and_commutes() {
-        let mut a = SeriesRegistry::default();
-        a.record("outbox_depth", 0, 25, 2);
-        a.record("dedup_seen", 1, 25, 4);
-        let mut b = SeriesRegistry::default();
-        b.record("outbox_depth", 0, 25, 3);
-        b.record("outbox_depth", 0, 50, 1);
-        let mut ab = a.clone();
-        ab.absorb(&b);
-        let mut ba = b.clone();
-        ba.absorb(&a);
+        let mut a = TraceJournal::default();
+        a.sample(25, 0, 0, "outbox_depth", 2);
+        a.sample(25, 1, 0, "dedup_seen", 4);
+        let mut b = TraceJournal::default();
+        b.sample(25, 0, 0, "outbox_depth", 3);
+        b.sample(50, 0, 0, "outbox_depth", 1);
+        let mut ab = SeriesRegistry::from_journal(&a);
+        ab.absorb_samples(b.samples());
+        let mut ba = SeriesRegistry::from_journal(&b);
+        ba.absorb_samples(a.samples());
         assert_eq!(ab, ba, "absorb commutes");
         assert_eq!(ab.series["outbox_depth"][&0][&25], 5, "shared points sum");
         assert_eq!(ab.series["outbox_depth"][&0][&50], 1);

@@ -51,9 +51,9 @@ pub trait Actor<M: Message> {
 
     /// Reports instantaneous gauge readings for the time-series sampler
     /// (optional hook). Called at fixed sim-time window boundaries when
-    /// [`SimConfig::sample_interval`] is nonzero and a trace sink or
-    /// observer is attached; push `(metric, value)` pairs in a fixed
-    /// order (the order becomes the emission order of the gauge events).
+    /// [`SimConfig::sample_interval`] is nonzero and a trace sink is
+    /// collecting; push `(metric, value)` pairs in a fixed order (the
+    /// order becomes the journal order of the samples).
     /// Read-only by design: sampling must never perturb the schedule.
     fn sample_gauges(&self, _out: &mut Vec<(&'static str, u64)>) {}
 }
@@ -109,14 +109,15 @@ pub struct SimConfig {
     /// byte-identical journal.
     pub trace: TraceSink,
     /// Gauge-sampling window width in sim-time units (0 = sampling off,
-    /// the default). When nonzero and a trace sink or observer is
-    /// attached, the simulator emits one [`EventKind::Gauge`] event per
-    /// `(peer, metric)` at every window boundary `k * sample_interval`,
-    /// stamped at the boundary time and reflecting the state after all
-    /// events at times `<=` the boundary. Sampling is observation-only:
-    /// it reads actors through [`Actor::sample_gauges`] and never
-    /// touches the RNG or the event queue, so enabling it cannot change
-    /// the schedule.
+    /// the default). When nonzero and a trace sink is collecting, the
+    /// simulator writes one [`EventKind::Gauge`] sample per
+    /// `(peer, metric)` into the journal's sample column at every window
+    /// boundary `k * sample_interval`, stamped at the boundary time and
+    /// reflecting the state after all events at times `<=` the boundary.
+    /// Observers never see a sample, so without a journal nothing is
+    /// sampled. Sampling is observation-only: it reads actors through
+    /// [`Actor::sample_gauges`] and never touches the RNG or the event
+    /// queue, so enabling it cannot change the schedule.
     pub sample_interval: u64,
     /// Coalesce consecutive same-tick deliveries on a link into one
     /// batched queue event (on by default). Batching is purely a queue
@@ -304,6 +305,8 @@ pub struct SimState<M> {
     sample_interval: u64,
     /// Next unsampled window boundary (only meaningful when sampling).
     next_sample: u64,
+    /// One actor's readings at one boundary; kept to reuse its buffer.
+    gauges: Vec<(&'static str, u64)>,
     /// Per-link batching toggle (see [`SimConfig::batch_links`]).
     batch_links: bool,
     /// Slab of message batches referenced by [`Event::DeliverBatch`];
@@ -583,6 +586,7 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
                 emitted: 0,
                 sample_interval: config.sample_interval,
                 next_sample: config.sample_interval,
+                gauges: Vec::new(),
                 batch_links: config.batch_links,
                 batches: Vec::new(),
                 free_batches: Vec::new(),
@@ -616,8 +620,9 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
     /// Attaches an online event observer (e.g. the `axml-obs` protocol
     /// monitor or flight recorder). Observers receive every lifecycle
     /// event as it is emitted, in attachment order, whether or not a
-    /// journal is collecting. Observation-only: attaching one never
-    /// changes the seeded event schedule.
+    /// journal is collecting; gauge samples go to the journal alone.
+    /// Observation-only: attaching one never changes the seeded event
+    /// schedule.
     pub fn attach_observer(&mut self, sink: SharedSink) {
         self.state.observers.push(sink);
     }
@@ -798,33 +803,28 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
         self.state.now
     }
 
-    /// Emits gauge samples for every window boundary strictly before
-    /// `next_at`. A pure function of the schedule: boundaries are fixed
-    /// multiples of the interval, actors are read in peer order, and
-    /// each actor reports its gauges in its own fixed order — so the
-    /// sampled series is byte-identical on every replay.
+    /// Writes gauge samples into the journal for every window boundary
+    /// strictly before `next_at`. A pure function of the schedule:
+    /// boundaries are fixed multiples of the interval, actors are read in
+    /// peer order, and each actor reports its gauges in its own fixed
+    /// order — so the sampled series is byte-identical on every replay.
+    /// Samples bypass [`SimState::emit_event`]: no observer consumes
+    /// them, but each takes the next seq, so the seqs observers see match
+    /// the journal's.
     fn sample_windows_before(&mut self, next_at: u64) {
         let interval = self.state.sample_interval;
-        if interval == 0 || (self.state.trace.is_none() && self.state.observers.is_empty()) {
+        let Some(journal) = self.state.trace.as_mut().filter(|_| interval > 0) else {
             return;
-        }
+        };
+        let gauges = &mut self.state.gauges;
         while self.state.next_sample < next_at {
             let at = self.state.next_sample;
-            let mut gauges: Vec<(&'static str, u64)> = Vec::new();
             for (peer, actor) in self.actors.iter().enumerate() {
-                gauges.clear();
-                actor.sample_gauges(&mut gauges);
+                actor.sample_gauges(gauges);
                 let epoch = self.state.incarnation[peer];
+                self.state.emitted += gauges.len() as u64;
                 for (name, value) in gauges.drain(..) {
-                    self.state.emit_event(
-                        at,
-                        peer as u32,
-                        epoch,
-                        None,
-                        None,
-                        None,
-                        EventKind::Gauge { name: name.into(), value },
-                    );
+                    journal.sample(at, peer as u32, epoch, name, value);
                 }
             }
             let bumped = self.state.next_sample.saturating_add(interval);
@@ -1423,7 +1423,12 @@ mod tests {
                 s.schedule_timer(t * 5, PeerId(0), 1);
             }
             s.run();
-            let journal = s.trace().map(|j| j.events().to_vec()).unwrap_or_default();
+            // The merged order: protocol events and samples by seq.
+            let journal = s.trace().map(|j| j.iter().cloned().collect::<Vec<_>>()).unwrap_or_default();
+            if let Some(j) = s.trace() {
+                assert!(j.events().iter().all(|e| e.kind.label() != "gauge"), "samples sit in their own column");
+                assert!(journal.iter().map(|e| e.seq).eq(0..j.len() as u64), "one seq counter numbers both");
+            }
             (s.actor(PeerId(1)).deliveries_at.clone(), journal)
         };
         let (plain, none) = run(0, TraceSink::Disabled);
@@ -1448,6 +1453,56 @@ mod tests {
         // Off means off: no gauge events without a sample interval.
         let (_, untimed) = run(0, TraceSink::Memory);
         assert!(untimed.iter().all(|e| e.kind.label() != "gauge"));
+    }
+
+    #[test]
+    fn observers_see_protocol_events_only_and_the_journal_seqs() {
+        use axml_trace::{EventSink, SharedSink, TraceEvent};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        #[derive(Default)]
+        struct Collect(Vec<TraceEvent>);
+        impl EventSink for Collect {
+            fn on_event(&mut self, event: &TraceEvent) {
+                self.0.push(event.clone());
+            }
+        }
+        /// Resolves on every timer; reports one gauge.
+        struct Sampled;
+        impl Actor<Msg> for Sampled {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: PeerId, _msg: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
+                ctx.emit(Some(TxnRef::new(0, 0)), None, None, EventKind::Resolve { committed: true });
+            }
+            fn sample_gauges(&self, out: &mut Vec<(&'static str, u64)>) {
+                out.push(("depth", 1));
+            }
+        }
+        let run = |trace: TraceSink| {
+            let mut s = Sim::new(SimConfig { trace, sample_interval: 4, ..Default::default() }, vec![Sampled]);
+            let seen = Rc::new(RefCell::new(Collect::default()));
+            let sink: SharedSink = seen.clone();
+            s.attach_observer(sink);
+            for t in [3, 9, 17] {
+                s.schedule_timer(t, PeerId(0), 1);
+            }
+            s.run();
+            let observed = std::mem::take(&mut seen.borrow_mut().0);
+            (observed, s.take_trace())
+        };
+        let (observed, journal) = run(TraceSink::Memory);
+        let journal = journal.expect("traced");
+        assert_eq!(journal.samples().len(), 4, "boundaries 4, 8, 12 and 16");
+        assert_eq!(observed, journal.events(), "the observer sees the protocol events, seqs and all");
+        assert_eq!(observed.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 3, 6]);
+        // Without a journal nothing is sampled: the same events, numbered
+        // without the samples' seqs.
+        let (alone, none) = run(TraceSink::Disabled);
+        assert!(none.is_none());
+        assert_eq!(alone.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        let unnumbered = |es: &[TraceEvent]| es.iter().map(|e| TraceEvent { seq: 0, ..e.clone() }).collect::<Vec<_>>();
+        assert_eq!(unnumbered(&alone), unnumbered(&observed));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! [`TraceEvent`]s (invoke, materialize, log-append, compensate,
 //! abort-propagate, ack/retransmit/dedup, detect, crash/restart), the
 //! simulator stamps them with logical time and collects them into a
-//! per-run [`TraceJournal`]. Because event order is a pure function of
-//! the simulator's seeded schedule, replaying a scripted fault plane
-//! reproduces the journal byte for byte.
+//! per-run [`TraceJournal`], beside the gauge samples of its window
+//! sampler. Because event order is a pure function of the simulator's
+//! seeded schedule, replaying a scripted fault plane reproduces the
+//! journal byte for byte.
 //!
 //! [`rules`] is the protocol rule engine over that stream, the one
 //! state machine behind both the online monitor and trace conformance.
@@ -58,13 +59,15 @@ impl TraceSink {
 ///
 /// Where [`TraceJournal`] *stores* the event stream for post-hoc
 /// analysis, an `EventSink` *watches* it as the run unfolds — the
-/// simulator hands every stamped event to the attached sink before (or
-/// instead of) journaling it. Sinks are observation-only: they must not
-/// influence the event schedule, so attaching one never perturbs a
-/// seeded run. The online protocol monitor in `axml-obs` is the primary
-/// implementation.
+/// simulator hands every stamped protocol event to the attached sink
+/// before (or instead of) journaling it. Gauge samples never reach a
+/// sink: the window sampler writes them into the journal's sample column
+/// only. Sinks are observation-only: they must not influence the event
+/// schedule, so attaching one never perturbs a seeded run. The online
+/// protocol monitor in `axml-obs` is the primary implementation.
 pub trait EventSink {
-    /// Called once per emitted event, in emission (seq) order.
+    /// Called once per emitted protocol event, in emission (seq) order.
+    /// The seqs a sink sees skip the journal's samples.
     fn on_event(&mut self, event: &TraceEvent);
 }
 
@@ -323,12 +326,14 @@ pub enum EventKind {
     Disconnect,
     /// The simulator reconnected this peer.
     Reconnect,
-    /// A sampled gauge reading (time-series plane). Emitted by the
+    /// A sampled gauge reading (time-series plane). Written by the
     /// simulator's window sampler at fixed sim-time boundaries: `at` is
     /// the window boundary, `name` the metric (`outbox_depth`,
     /// `wal_bytes`, …), `value` the instantaneous reading on the
-    /// emitting peer. Gauges are observation-only — the protocol
-    /// monitor and spec conformance checker ignore them.
+    /// sampled peer. A sample is not a protocol event: it lives in the
+    /// journal's sample column ([`TraceJournal::samples`]), no
+    /// [`EventSink`] receives it, and readers of
+    /// [`TraceJournal::events`] never see it.
     Gauge {
         /// Metric name (snake_case, no peer prefix — the event's `peer`
         /// field scopes it).
@@ -491,13 +496,22 @@ impl TraceEvent {
 }
 
 /// The per-run event journal collected by the simulator.
+///
+/// Protocol events and the gauge samples of the time-series plane
+/// ([`EventKind::Gauge`]) are kept in two columns, numbered by one `seq`
+/// counter. Readers of the protocol walk [`Self::events`] and never step
+/// over a sample; [`Self::samples`] is the other column. Only the
+/// renderers ([`Self::to_json_lines`], [`Self::render_tree`],
+/// [`Self::digest`]) merge the two back, by `seq`, through [`Self::iter`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceJournal {
     events: Vec<TraceEvent>,
+    samples: Vec<TraceEvent>,
 }
 
 impl TraceJournal {
-    /// Stamps and appends one event; `seq` is assigned here.
+    /// Stamps and appends one event; `seq` is assigned here. A
+    /// [`EventKind::Gauge`] lands in the sample column.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -509,28 +523,61 @@ impl TraceJournal {
         parent: Option<SpanRef>,
         kind: EventKind,
     ) {
-        let seq = self.events.len() as u64;
-        self.events.push(TraceEvent { seq, at, peer, epoch, txn, span, parent, kind });
+        self.push(TraceEvent { seq: self.len() as u64, at, peer, epoch, txn, span, parent, kind });
     }
 
-    /// All events, in emission order.
+    /// Stamps and appends one gauge sample (the simulator's window
+    /// sampler writes through here); `seq` comes from the counter the
+    /// protocol events share.
+    pub fn sample(&mut self, at: u64, peer: u32, epoch: u64, name: &'static str, value: u64) {
+        let kind = EventKind::Gauge { name: Cow::Borrowed(name), value };
+        let seq = self.len() as u64;
+        self.samples.push(TraceEvent { seq, at, peer, epoch, txn: None, span: None, parent: None, kind });
+    }
+
+    /// Files an event in its column.
+    fn push(&mut self, event: TraceEvent) {
+        match event.kind {
+            EventKind::Gauge { .. } => self.samples.push(event),
+            _ => self.events.push(event),
+        }
+    }
+
+    /// The protocol events, in emission order — every entry but the
+    /// gauge samples.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    /// Number of events recorded.
+    /// The gauge samples, in emission order.
+    pub fn samples(&self) -> &[TraceEvent] {
+        &self.samples
+    }
+
+    /// Moves the sample column out, leaving it empty.
+    pub fn take_samples(&mut self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.samples)
+    }
+
+    /// Every entry, protocol events and samples merged by `seq`: the
+    /// order they were recorded in.
+    pub fn iter(&self) -> Entries<'_> {
+        Entries { events: &self.events, samples: &self.samples }
+    }
+
+    /// Number of entries recorded, samples included.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.samples.len()
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
-    /// Count of events with a given [`EventKind::label`].
+    /// Count of entries with a given [`EventKind::label`].
     pub fn count(&self, label: &str) -> usize {
-        self.events.iter().filter(|e| e.kind.label() == label).count()
+        self.iter().filter(|e| e.kind.label() == label).count()
     }
 
     /// The journal as JSON lines (one event per line). This is the
@@ -539,8 +586,8 @@ impl TraceJournal {
     pub fn to_json_lines(&self) -> String {
         // One buffer for the whole journal; an event line averages
         // some 126 bytes.
-        let mut out = String::with_capacity(self.events.len() * 128);
-        for e in &self.events {
+        let mut out = String::with_capacity(self.len() * 128);
+        for e in self.iter() {
             e.write_json(&mut out);
             out.push('\n');
         }
@@ -549,11 +596,11 @@ impl TraceJournal {
 
     /// Parses a journal back from [`Self::to_json_lines`] output.
     pub fn from_json_lines(text: &str) -> Result<TraceJournal, String> {
-        let mut events = Vec::new();
+        let mut journal = TraceJournal::default();
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            events.push(serde_json::from_str::<TraceEvent>(line).map_err(|e| format!("{e:?}"))?);
+            journal.push(serde_json::from_str::<TraceEvent>(line).map_err(|e| format!("{e:?}"))?);
         }
-        Ok(TraceJournal { events })
+        Ok(journal)
     }
 
     /// FNV-1a digest of the JSON-lines form — a compact replay-stability
@@ -575,7 +622,7 @@ impl TraceJournal {
         let mut txns: Vec<TxnTree<'_>> = Vec::new();
         let mut txn_index: HashMap<TxnRef, usize> = HashMap::new();
         let mut loose: Vec<&TraceEvent> = Vec::new();
-        for e in &self.events {
+        for e in self.iter() {
             let Some(t) = e.txn else {
                 loose.push(e);
                 continue;
@@ -586,7 +633,7 @@ impl TraceJournal {
             });
             txns[tree].file(e);
         }
-        let mut out = String::with_capacity(self.events.len() * 64);
+        let mut out = String::with_capacity(self.len() * 64);
         for tree in &mut txns {
             tree.render(&mut out);
         }
@@ -599,6 +646,38 @@ impl TraceJournal {
         out
     }
 }
+
+/// A journal's entries in `seq` order: the two columns merged
+/// ([`TraceJournal::iter`]). Each column is in `seq` order already; where
+/// a loaded journal breaks that, each column still keeps its own order.
+#[derive(Debug, Clone)]
+pub struct Entries<'a> {
+    events: &'a [TraceEvent],
+    samples: &'a [TraceEvent],
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = &'a TraceEvent;
+
+    fn next(&mut self) -> Option<&'a TraceEvent> {
+        let sample_first = match (self.events.first(), self.samples.first()) {
+            (Some(e), Some(s)) => s.seq < e.seq,
+            (None, _) => true,
+            (Some(_), None) => false,
+        };
+        let column = if sample_first { &mut self.samples } else { &mut self.events };
+        let (first, rest) = column.split_first()?;
+        *column = rest;
+        Some(first)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.events.len() + self.samples.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
 
 fn push_event_line(out: &mut String, depth: usize, e: &TraceEvent) {
     push_indent(out, depth);
@@ -916,7 +995,6 @@ mod tests {
     fn assert_tree_loses_nothing(j: &TraceJournal, tree: &str) {
         let mut shown: Vec<&str> = tree.lines().map(str::trim_start).filter(|l| l.starts_with("[t=")).collect();
         let mut expected: Vec<String> = j
-            .events()
             .iter()
             .map(|e| {
                 let mut line = String::new();
@@ -1008,8 +1086,8 @@ mod tests {
         j.record(25, 2, 0, None, None, None, EventKind::Gauge { name: "outbox_depth".into(), value: 3 });
         let back = TraceJournal::from_json_lines(&j.to_json_lines()).unwrap();
         assert_eq!(back, j);
-        assert!(matches!(&j.events()[1].kind, EventKind::Gauge { name: Cow::Borrowed(_), .. }));
-        assert!(matches!(&back.events()[1].kind, EventKind::Gauge { name: Cow::Owned(_), .. }));
+        assert!(matches!(&j.samples()[0].kind, EventKind::Gauge { name: Cow::Borrowed(_), .. }));
+        assert!(matches!(&back.samples()[0].kind, EventKind::Gauge { name: Cow::Owned(_), .. }));
     }
 
     #[test]
@@ -1219,6 +1297,40 @@ mod tests {
         assert_eq!(back, j, "gauge events survive the JSON round trip");
         assert!(j.render_tree().contains("gauge name=wal_bytes value=4096"));
         assert_tree_loses_nothing(&j, &j.render_tree());
+    }
+
+    #[test]
+    fn samples_sit_in_their_own_column_and_merge_back_by_seq() {
+        let mut j = TraceJournal::default();
+        j.sample(0, 1, 0, "outbox_depth", 0);
+        j.record(3, 1, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Submit { method: "book".into() });
+        j.sample(25, 1, 0, "outbox_depth", 2);
+        j.record(25, 2, 0, None, None, None, EventKind::Gauge { name: "wal_bytes".into(), value: 64 });
+        j.record(30, 1, 0, Some(TxnRef::new(1, 0)), None, None, EventKind::Resolve { committed: true });
+        assert_eq!(j.len(), 5);
+        let seqs = |es: &[TraceEvent]| es.iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(j.events()), [1, 4], "protocol events keep the seq of one shared counter");
+        assert_eq!(seqs(j.samples()), [0, 2, 3], "`record` files a gauge as a sample");
+        assert_eq!(j.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(j.iter().len(), 5);
+        assert_eq!((j.count("gauge"), j.count("submit")), (3, 1));
+        // The stored form is one line per entry in seq order, and loading
+        // it splits the columns as they were.
+        let text = j.to_json_lines();
+        let line_seqs: Vec<bool> =
+            text.lines().enumerate().map(|(i, l)| l.starts_with(&format!("{{\"seq\":{i},"))).collect();
+        assert_eq!(line_seqs, [true; 5], "{text}");
+        let back = TraceJournal::from_json_lines(&text).unwrap();
+        assert_eq!((back.events(), back.samples()), (j.events(), j.samples()));
+        assert!(j.render_tree().ends_with(
+            "(no txn)\n\
+             \x20 [t=    0 AP1 e0] gauge name=outbox_depth value=0\n\
+             \x20 [t=   25 AP1 e0] gauge name=outbox_depth value=2\n\
+             \x20 [t=   25 AP2 e0] gauge name=wal_bytes value=64\n"
+        ));
+        let mut taken = j.clone();
+        assert_eq!(taken.take_samples(), j.samples());
+        assert!(taken.samples().is_empty() && taken.events() == j.events());
     }
 
     #[test]

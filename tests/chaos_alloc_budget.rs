@@ -29,7 +29,10 @@
 //! causal tree and the counter registry rendered to text for every case;
 //! 1,174 with the journal kept as events, the counters typed and a gauge
 //! point that names a metric already seen allocating nothing; 1,152 with
-//! WAL segments in memory.
+//! WAL segments in memory; 1,065 once gauge samples stayed out of the
+//! observers and sat in a journal column of their own (no flight-ring
+//! copy of a sample, no per-case series registry, one reading buffer per
+//! simulator instead of one per window).
 //!
 //! Those are release counts; a debug build's assertions add about 12 per
 //! case. Each budget leaves 25 allocations of room above the release
@@ -47,7 +50,7 @@ use common::allocations;
 const PER_CASE_BUDGET: u64 = 942;
 
 /// Allocations one traced case may make, averaged over the 25 cells.
-const PER_TRACED_CASE_BUDGET: u64 = 1_177;
+const PER_TRACED_CASE_BUDGET: u64 = 1_090;
 
 /// Runs the 25 cells at case seed 0 through `run`; returns the
 /// allocations they made.
