@@ -37,7 +37,7 @@ use axml_core::durability::WalStats;
 use axml_core::peer::{DetectHow, PeerCounters, PeerStats};
 use axml_core::scenarios::{render_counters, Scenario, ScenarioBuilder, ScenarioReport};
 use axml_obs::{
-    derive_histograms, FlightRecorder, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
+    derive_histograms, flight_dump, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use axml_p2p::{
@@ -292,13 +292,6 @@ pub struct CaseResult {
     /// journal to check); divergences downgrade a clean verdict exactly
     /// like monitor findings do.
     pub conformance: Option<axml_spec::Conformance>,
-    /// The flight recorder's rendered dump — the last ≤64 trace events
-    /// per peer at the moment the run ended. Present exactly when the
-    /// verdict is a violation (oracle, monitor, or conformance), so
-    /// every failure ships with its immediate event context. The
-    /// recorder rides every run, traced or not, as a sim observer;
-    /// recording never perturbs the seeded schedule or the digest.
-    pub flight: Option<String>,
 }
 
 impl CaseResult {
@@ -553,6 +546,14 @@ pub struct TraceDump {
     pub phase_histograms: BTreeMap<String, Histogram>,
 }
 
+impl TraceDump {
+    /// The run's flight dump: each peer's last ≤ [`DEFAULT_FLIGHT_CAPACITY`]
+    /// protocol events, cut from the journal ([`flight_dump`]).
+    pub fn flight(&self) -> String {
+        flight_dump(self.journal.events(), DEFAULT_FLIGHT_CAPACITY)
+    }
+}
+
 /// Gives every participant an in-memory [`WalSink`] drawing storage
 /// faults from `storage` with a per-peer seed derived only from
 /// `(seed, peer)` — never from thread or order — so a parallel sweep
@@ -625,10 +626,6 @@ fn run_inner(
     // unaffected.
     let monitor = Rc::new(RefCell::new(Monitor::new()));
     s.sim.attach_observer(monitor.clone());
-    // The flight recorder keeps each peer's last events so a violation
-    // ships with its immediate context even on untraced runs.
-    let recorder = Rc::new(RefCell::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)));
-    s.sim.attach_observer(recorder.clone());
     let report = s.run();
     let findings = monitor.borrow_mut().finish().to_vec();
     // Traced runs also replay their journal against the executable
@@ -657,7 +654,6 @@ fn run_inner(
         phase_histograms: ProfileReport::from_journal(&journal).phase_histograms(),
         journal,
     });
-    let flight = (!verdict.ok).then(|| recorder.borrow().dump());
     let result = CaseResult {
         committed: report.outcome.as_ref().map(|o| o.committed),
         open_contexts: s.participants.iter().map(|&p| s.sim.actor(p).open_contexts()).sum(),
@@ -673,7 +669,6 @@ fn run_inner(
         wal,
         findings,
         conformance,
-        flight,
     };
     (result, dump)
 }
@@ -849,8 +844,8 @@ pub struct CorpusEntry {
     /// The shrunk scripted plane (probabilities zero; storage knobs
     /// preserved verbatim from the failing run).
     pub plane: FaultPlane,
-    /// Flight-recorder dump captured when the violation was surfaced —
-    /// the last events per peer of the shrunk failing run. Optional
+    /// Flight dump captured when the violation was surfaced — the last
+    /// events per peer of the shrunk failing run. Optional
     /// (and absent keys read as `None`), so entries checked in before
     /// the recorder existed still parse.
     pub flight: Option<String>,
@@ -863,10 +858,11 @@ impl CorpusEntry {
         self.replay_with_flight().0
     }
 
-    /// Like [`Self::replay`], but also hands back the replay's
-    /// flight-recorder dump when the run violated — a fresh last-events
-    /// context for diagnosis, independent of the (possibly stale)
-    /// recorded [`Self::flight`].
+    /// Like [`Self::replay`], but also hands back the replay's flight
+    /// dump when the run violated — a fresh last-events context for
+    /// diagnosis, independent of the (possibly stale) recorded
+    /// [`Self::flight`]. The replay is traced: the dump is cut from its
+    /// journal.
     pub fn replay_with_flight(&self) -> (Result<(), String>, Option<String>) {
         let profile = match Profile::parse(&self.profile) {
             Some(p) => p,
@@ -877,8 +873,8 @@ impl CorpusEntry {
         }
         let mut case = CaseConfig::new(&self.scenario, profile, self.seed);
         case.dedup = self.dedup;
-        let result = run_with_plane(&case, self.plane.clone());
-        let flight = result.flight.clone();
+        let (result, dump) = run_with_plane_traced(&case, self.plane.clone());
+        let flight = (!result.verdict.ok).then(|| dump.flight());
         (self.check_expectation(&result), flight)
     }
 
@@ -932,10 +928,10 @@ pub struct Violation {
     pub reproducer: Option<String>,
     /// Lifecycle trace of the shrunk reproducer's run.
     pub trace: Option<TraceDump>,
-    /// Flight-recorder dump of the shrunk reproducer's run (falls back
-    /// to the original failing run's dump when shrinking failed), so
-    /// the violation always carries its last-events context.
-    pub flight: Option<String>,
+    /// Flight dump of the shrunk reproducer's run (falls back to the
+    /// cell's own run when shrinking failed), so the violation always
+    /// carries its last-events context.
+    pub flight: String,
 }
 
 /// A sweep's aggregate outcome. Every aggregate is merged in canonical
@@ -1005,15 +1001,15 @@ fn run_cell(case: &CaseConfig) -> CaseRun {
     let violation = (!result.verdict.ok).then(|| {
         // Replay the shrunk schedule traced: the violation ships with
         // the exact lifecycle story of a minimal failing run — and that
-        // run's flight-recorder dump — not just the schedule.
-        let (reproducer, trace, flight) = match shrink_failure(case, &result) {
+        // run's flight dump — not just the schedule.
+        let (reproducer, trace) = match shrink_failure(case, &result) {
             Some(plane) => {
-                let (repro_result, dump) = run_with_plane_traced(case, plane.clone());
                 let json = serde_json::to_string(&plane).unwrap_or_else(|_| "<unserializable>".into());
-                (Some(json), Some(dump), repro_result.flight)
+                (Some(json), Some(run_with_plane_traced(case, plane).1))
             }
-            None => (None, None, result.flight.clone()),
+            None => (None, None),
         };
+        let flight = trace.as_ref().unwrap_or(&dump).flight();
         Violation { case: case.clone(), reason: result.verdict.reason.clone(), reproducer, trace, flight }
     });
     CaseRun {
@@ -1293,15 +1289,11 @@ mod tests {
 
     #[test]
     fn violations_carry_a_flight_recorder_dump() {
-        // A clean run ships no dump; a violating run (broken no-dedup
-        // under duplication) ships the bounded per-peer event ring, and
-        // the dump survives the corpus round trip: a `CorpusEntry` built
-        // from the violation embeds it, serializes it, and a replay via
-        // `replay_with_flight` regenerates an equivalent one.
-        let clean = run_case(&CaseConfig::new("fig1", Profile::Drops, 0));
-        assert!(clean.verdict.ok);
-        assert!(clean.flight.is_none(), "clean runs carry no flight dump");
-
+        // A violating run (broken no-dedup under duplication) dumps each
+        // peer's last events from its traced journal, and the dump
+        // survives the corpus round trip: a `CorpusEntry` built from the
+        // violation embeds it, serializes it, and a replay via
+        // `replay_with_flight` regenerates it. A clean replay dumps nothing.
         let mut caught = None;
         for seed in 0..40 {
             let mut case = CaseConfig::new("fig1", Profile::Dups, seed);
@@ -1313,26 +1305,37 @@ mod tests {
             }
         }
         let (case, result) = caught.expect("oracle never caught the broken variant in 40 seeds");
-        let flight = result.flight.as_ref().expect("violations carry a flight dump");
+        let (traced, dump) = run_with_plane_traced(&case, result.plane.clone());
+        assert!(!traced.verdict.ok, "the traced run violates too");
+        let flight = dump.flight();
         assert!(flight.starts_with("flight recorder: last <="), "dump has the header: {flight}");
         assert!(flight.contains("-- AP"), "dump has per-peer sections: {flight}");
 
-        let entry = CorpusEntry {
+        let entry_of = |case: &CaseConfig, expect: &str, plane: FaultPlane, flight| CorpusEntry {
             note: "test".into(),
-            expect: "violation".into(),
+            expect: expect.into(),
             scenario: case.scenario.clone(),
             profile: case.profile.name().to_string(),
             seed: case.seed,
             dedup: case.dedup,
-            plane: result.plane.clone(),
-            flight: result.flight.clone(),
+            plane,
+            flight,
         };
+        let entry = entry_of(&case, "violation", result.plane.clone(), Some(flight));
         let text = serde_json::to_string(&entry).expect("serializable");
         let back: CorpusEntry = serde_json::from_str(&text).expect("round-trips");
         assert_eq!(back.flight, entry.flight, "flight dump survives the corpus round trip");
         let (verdict, replay_flight) = back.replay_with_flight();
         assert!(verdict.is_ok(), "entry still reproduces: {verdict:?}");
         assert_eq!(replay_flight, entry.flight, "a deterministic replay regenerates the same dump");
+
+        let clean = CaseConfig::new("fig1", Profile::Drops, 0);
+        let plane = plane_for(clean.profile, clean.seed, &builder_of(&clean).peers());
+        assert_eq!(
+            entry_of(&clean, "pass", plane, None).replay_with_flight(),
+            (Ok(()), None),
+            "clean runs dump nothing"
+        );
     }
 
     #[test]

@@ -53,13 +53,12 @@
 //! violation's shrunk reproducer into DIR as a `CorpusEntry` JSON.
 //! `corpus` replays every checked-in `corpus/*.json` entry against its
 //! expectation (fixed entries stay clean, tracked ones still reproduce);
-//! `--flight DIR` writes the flight-recorder dump of each replay that
+//! `--flight DIR` writes the flight dump of each (traced) replay that
 //! still violates into DIR next to the entry name.
 //!
-//! Every run in every mode carries the bounded per-peer flight recorder;
-//! on a violation its dump (the last events each peer saw before the
-//! oracle fired) is printed with the shrunk reproducer and embedded in
-//! `--corpus` entries. `--series FILE` on `sweep`/`gen-sweep` writes the
+//! A violation's flight dump (the last events of each peer before the
+//! oracle fired, cut from the shrunk reproducer's journal) is printed
+//! with the reproducer and embedded in `--corpus` entries. `--series FILE` on `sweep`/`gen-sweep` writes the
 //! merged gauge series (sampled every `SAMPLE_INTERVAL` ticks on every
 //! traced run) as JSON lines — byte-identical across `--jobs` values.
 
@@ -157,11 +156,9 @@ fn report(out: &SweepOutcome) -> bool {
                 println!("    {line}");
             }
         }
-        if let Some(flight) = &v.flight {
-            println!("  flight recorder at the violation:");
-            for line in flight.lines() {
-                println!("    {line}");
-            }
+        println!("  flight recorder at the violation:");
+        for line in v.flight.lines() {
+            println!("    {line}");
         }
     }
     out.violations.is_empty()
@@ -331,7 +328,7 @@ fn main() {
                         seed: v.case.seed,
                         dedup: v.case.dedup,
                         plane,
-                        flight: v.flight.clone(),
+                        flight: Some(v.flight.clone()),
                     };
                     let file = format!(
                         "{dir}/{}-{}-{}.json",

@@ -18,7 +18,8 @@
 //!   delivery, zeros included (acknowledged-first-try deliveries count).
 
 use crate::hist::Histogram;
-use axml_trace::{EventKind, SpanRef, TraceEvent, TraceJournal, TxnRef};
+use crate::profile::{events_by_txn, CriticalPath};
+use axml_trace::{EventKind, TraceJournal, TxnRef};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -73,7 +74,7 @@ pub fn derive_histograms(journal: &TraceJournal) -> BTreeMap<String, Histogram> 
                 if let Some(t) = e.txn {
                     if let Some(&(origin, at0)) = submitted.get(&t) {
                         if origin == e.peer {
-                            commit.observe(e.at - at0);
+                            commit.observe(e.at.saturating_sub(at0));
                         }
                     }
                 }
@@ -126,113 +127,19 @@ pub fn derive_histograms(journal: &TraceJournal) -> BTreeMap<String, Histogram> 
     out
 }
 
-/// One span's aggregate on a transaction's invocation tree.
-#[derive(Debug, Clone)]
-struct SpanAgg {
-    peer: u32,
-    /// Time of the event `peer` was taken from — the (at, peer)-minimal
-    /// event, so the choice is a pure function of the event multiset,
-    /// not of journal order.
-    peer_at: u64,
-    first: u64,
-    last: u64,
-    parent: Option<SpanRef>,
-}
-
-fn span_aggregates(events: &[&TraceEvent]) -> BTreeMap<SpanRef, SpanAgg> {
-    let mut spans: BTreeMap<SpanRef, SpanAgg> = BTreeMap::new();
-    for e in events {
-        let Some(s) = e.span else { continue };
-        let agg =
-            spans.entry(s).or_insert(SpanAgg { peer: e.peer, peer_at: e.at, first: e.at, last: e.at, parent: None });
-        agg.first = agg.first.min(e.at);
-        agg.last = agg.last.max(e.at);
-        if (e.at, e.peer) < (agg.peer_at, agg.peer) {
-            agg.peer = e.peer;
-            agg.peer_at = e.at;
-        }
-        // Smallest named parent wins — again multiset-pure. Real
-        // journals name at most one parent per span (its Invoke).
-        if let Some(p) = e.parent {
-            agg.parent = Some(agg.parent.map_or(p, |cur| cur.min(p)));
-        }
-    }
-    spans
-}
-
-/// Renders each transaction's critical path: the root-to-leaf chain of
-/// invocation spans that finishes last, i.e. the chain that bounds the
-/// transaction's wall-clock (sim-time) duration.
+/// Renders each transaction's critical path ([`crate::profile`]'s walk):
+/// the root-to-leaf chain of invocation spans that finishes last, i.e.
+/// the chain that bounds the transaction's wall-clock (sim-time)
+/// duration. Each span shows its invoking-side peer and its own extent.
 pub fn critical_paths(journal: &TraceJournal) -> String {
-    // Group events per transaction, preserving emission order.
-    let mut by_txn: BTreeMap<TxnRef, Vec<&TraceEvent>> = BTreeMap::new();
-    for e in journal.events() {
-        if let Some(t) = e.txn {
-            by_txn.entry(t).or_default().push(e);
-        }
-    }
     let mut out = String::new();
-    for (txn, events) in &by_txn {
-        let spans = span_aggregates(events);
-        if spans.is_empty() {
-            continue;
-        }
-        // Children index; roots are spans whose parent is unknown or
-        // outside the recorded span set.
-        let mut children: BTreeMap<SpanRef, Vec<SpanRef>> = BTreeMap::new();
-        let mut roots: Vec<SpanRef> = Vec::new();
-        for (&name, agg) in &spans {
-            match agg.parent.filter(|p| spans.contains_key(p)) {
-                Some(p) => children.entry(p).or_default().push(name),
-                None => roots.push(name),
-            }
-        }
-        // A span's completion is bounded by its whole subtree (an abort
-        // can resolve the root while compensation still runs below it),
-        // so rank by the deepest finish, not a span's own last event.
-        fn deep_last(
-            span: SpanRef,
-            spans: &BTreeMap<SpanRef, SpanAgg>,
-            children: &BTreeMap<SpanRef, Vec<SpanRef>>,
-            memo: &mut BTreeMap<SpanRef, u64>,
-        ) -> u64 {
-            if let Some(&v) = memo.get(&span) {
-                return v;
-            }
-            // Seed the memo before recursing so a malformed journal with
-            // a parent cycle terminates instead of overflowing.
-            memo.insert(span, spans[&span].last);
-            let mut last = spans[&span].last;
-            if let Some(cs) = children.get(&span) {
-                for &c in cs {
-                    last = last.max(deep_last(c, spans, children, memo));
-                }
-            }
-            memo.insert(span, last);
-            last
-        }
-        let mut memo = BTreeMap::new();
-        // The critical root is the one whose subtree finishes last.
-        roots.sort_by_key(|&r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(r)));
-        let Some(mut cur) = roots.last().copied() else { continue };
-        let t0 = spans[&cur].first;
-        let t_end = deep_last(cur, &spans, &children, &mut memo);
-        let _ = write!(out, "{txn}: critical path {} ticks\n  ", t_end - t0);
-        loop {
-            let a = &spans[&cur];
-            let _ = write!(out, "{cur}@AP{} [{}..{}]", a.peer, a.first, a.last);
-            // Greedy descent: the child whose subtree finishes last
-            // bounds the parent's completion.
-            let next = children.get(&cur).and_then(|cs| {
-                cs.iter().copied().max_by_key(|&c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(c)))
-            });
-            match next {
-                Some(c) => {
-                    let _ = write!(out, " -> ");
-                    cur = c;
-                }
-                None => break,
-            }
+    for (txn, events) in &events_by_txn(journal) {
+        let path = CriticalPath::walk(events);
+        let Some(&(root, t_end)) = path.chain.first() else { continue };
+        let _ = write!(out, "{txn}: critical path {} ticks\n  ", t_end - path.spans[&root].first);
+        for (i, (span, _)) in path.chain.iter().enumerate() {
+            let a = &path.spans[span];
+            let _ = write!(out, "{}{span}@AP{} [{}..{}]", if i == 0 { "" } else { " -> " }, a.peer, a.first, a.last);
         }
         out.push('\n');
     }
@@ -245,6 +152,7 @@ pub fn critical_paths(journal: &TraceJournal) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_trace::SpanRef;
     use proptest::prelude::*;
 
     fn journal() -> TraceJournal {
@@ -274,6 +182,17 @@ mod tests {
         assert_eq!(h["commit_latency"].count(), 1);
         assert_eq!(h["commit_latency"].sum(), 24);
         assert_eq!(h["abort_drain"].count(), 0, "no abort wave in a clean commit");
+    }
+
+    #[test]
+    fn a_resolve_stamped_before_its_submit_observes_zero() {
+        // A journal file is outside input: its times need not grow.
+        let mut j = TraceJournal::default();
+        let t = || Some(TxnRef::new(1, 0));
+        j.record(10, 1, 0, t(), None, None, EventKind::Submit { method: "m".into() });
+        j.record(5, 1, 0, t(), None, None, EventKind::Resolve { committed: true });
+        let h = derive_histograms(&j);
+        assert_eq!((h["commit_latency"].count(), h["commit_latency"].max()), (1, Some(0)));
     }
 
     #[test]

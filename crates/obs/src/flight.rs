@@ -1,87 +1,80 @@
-//! The violation flight recorder: bounded per-peer rings of recent
-//! trace events, dumped when a chaos run goes wrong.
+//! The violation flight dump: what each peer did last before a chaos run
+//! went wrong, cut from the run's journal.
 //!
-//! A [`FlightRecorder`] is an [`EventSink`] the chaos harness attaches
-//! to *every* run (traced or not): each stamped protocol event lands in
-//! its emitting peer's [`EventRing`], so at any moment the recorder
-//! holds the last ≤ `capacity` events per peer and a count of how much
-//! older history was evicted. Gauge samples never reach a sink, so a
-//! ring is protocol history only, and a traced run dumps what the same
-//! run untraced dumps. When an oracle violation, monitor finding, or
-//! conformance break surfaces, [`FlightRecorder::dump`] renders that
-//! context — what each peer was doing just before the failure — and the
-//! harness files it next to the shrunk reproducer and inside `corpus/`
-//! entries. Recording is observation-only: the sink never touches the
-//! event schedule, so a recorded run is byte-identical to a bare one.
+//! [`flight_dump`] renders the last ≤ `capacity` protocol events of every
+//! peer ([`axml_trace::peer_tail`]) and how much older history it left
+//! out. The chaos harness renders it from a traced run's journal when an
+//! oracle violation, monitor finding, or conformance break surfaces, and
+//! files it next to the shrunk reproducer and inside `corpus/` entries.
+//! Gauge samples sit in a column of their own, so a dump is protocol
+//! history only. [`FlightRecorder`] is an [`EventSink`] that keeps the
+//! events it is fed and renders the same dump, for a run that has no
+//! journal.
 
-use axml_trace::{EventRing, EventSink, TraceEvent};
+use axml_trace::{peer_tail, EventSink, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default ring capacity per peer — enough to hold a whole abort wave
-/// on any scenario in the matrix while keeping dumps skimmable.
+/// Default events kept per peer — enough to hold a whole abort wave on
+/// any scenario in the matrix while keeping dumps skimmable.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
 
-/// Bounded per-peer recent-event recorder.
+/// Renders `events` (journal order): a header, then one section per peer
+/// with its last ≤ `capacity` events oldest-first and the count of older
+/// ones left out. Deterministic (peer order, journal order), so a
+/// replayed failure dumps byte-identical context.
+pub fn flight_dump(events: &[TraceEvent], capacity: usize) -> String {
+    let mut seen: BTreeMap<u32, usize> = BTreeMap::new();
+    for e in events {
+        *seen.entry(e.peer).or_default() += 1;
+    }
+    let kept_of = |n: usize| n.min(capacity);
+    let kept: usize = seen.values().map(|&n| kept_of(n)).sum();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "flight recorder: last <={capacity} events per peer ({} peers, {kept} kept, {} dropped)",
+        seen.len(),
+        events.len() - kept
+    );
+    for (&peer, &n) in &seen {
+        let _ = writeln!(out, "-- AP{peer}: {} kept, {} dropped", kept_of(n), n - kept_of(n));
+        for e in peer_tail(events, peer, capacity) {
+            out.push_str("  ");
+            e.write_line(&mut out);
+            if let Some(txn) = &e.txn {
+                out.push_str(" txn=");
+                txn.push_to(&mut out);
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// An event sink keeping every event it is fed, dumped as [`flight_dump`]
+/// renders a journal.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     capacity: usize,
-    rings: BTreeMap<u32, EventRing>,
+    events: Vec<TraceEvent>,
 }
 
 impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events per peer.
+    /// A recorder whose dump shows the last `capacity` events per peer.
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder { capacity, rings: BTreeMap::new() }
+        FlightRecorder { capacity, events: Vec::new() }
     }
 
-    /// Events currently held across all peers.
-    pub fn len(&self) -> usize {
-        self.rings.values().map(|r| r.len()).sum()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events evicted across all peers.
-    pub fn dropped(&self) -> u64 {
-        self.rings.values().map(|r| r.dropped()).sum()
-    }
-
-    /// Renders the recorder: a header, then one section per peer with
-    /// its kept events oldest-first. Deterministic (peer order, ring
-    /// order), so a replayed failure dumps byte-identical context.
+    /// The [`flight_dump`] of the events fed so far.
     pub fn dump(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "flight recorder: last <={} events per peer ({} peers, {} kept, {} dropped)",
-            self.capacity,
-            self.rings.len(),
-            self.len(),
-            self.dropped()
-        );
-        for (peer, ring) in &self.rings {
-            let _ = writeln!(out, "-- AP{peer}: {} kept, {} dropped", ring.len(), ring.dropped());
-            for e in ring.iter() {
-                out.push_str("  ");
-                e.write_line(&mut out);
-                if let Some(txn) = &e.txn {
-                    out.push_str(" txn=");
-                    txn.push_to(&mut out);
-                }
-                out.push('\n');
-            }
-        }
-        out
+        flight_dump(&self.events, self.capacity)
     }
 }
 
 impl EventSink for FlightRecorder {
     fn on_event(&mut self, event: &TraceEvent) {
-        self.rings.entry(event.peer).or_insert_with(|| EventRing::new(self.capacity)).push(event.clone());
+        self.events.push(event.clone());
     }
 }
 
@@ -110,8 +103,6 @@ mod tests {
             fr.on_event(&event(at, 0, EventKind::Crash));
         }
         fr.on_event(&event(9, 1, EventKind::Reconnect));
-        assert_eq!(fr.len(), 3, "peer 0 capped at 2, peer 1 holds 1");
-        assert_eq!(fr.dropped(), 3);
         let dump = fr.dump();
         assert!(dump.starts_with("flight recorder: last <=2 events per peer (2 peers, 3 kept, 3 dropped)"), "{dump}");
         assert!(dump.contains("-- AP0: 2 kept, 3 dropped"), "{dump}");
@@ -125,7 +116,6 @@ mod tests {
     #[test]
     fn empty_recorder_dumps_a_bare_header() {
         let fr = FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY);
-        assert!(fr.is_empty());
         assert_eq!(fr.dump(), "flight recorder: last <=64 events per peer (0 peers, 0 kept, 0 dropped)\n");
     }
 }

@@ -19,8 +19,8 @@
 //! - [`profile`] — the per-transaction phase profiler
 //!   ([`ProfileReport`]): invoke/serve/decide/compensate/recover
 //!   windows plus critical-path self-time attribution.
-//! - [`flight`] — the violation [`FlightRecorder`]: bounded per-peer
-//!   rings of recent events, dumped when a chaos run goes wrong.
+//! - [`flight`] — the violation [`flight_dump`]: each peer's last events,
+//!   cut from a journal when a chaos run goes wrong.
 //! - [`exposition`] — the single Prometheus text renderer/parser all of
 //!   the above share.
 //!
@@ -44,7 +44,7 @@ pub use analytics::{critical_paths, derive_histograms};
 pub use exposition::{
     metric_name, parse_exposition, render_prometheus, render_series_prometheus, render_snapshot_prometheus,
 };
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{flight_dump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::{bucket_bound, percentile_table, Histogram, HistogramSummary, FINITE_BUCKETS};
 pub use monitor::{Monitor, MonitorFinding};
 pub use profile::{phase_of, PhaseWindow, ProfileReport, TxnProfile, PHASES};

@@ -17,6 +17,7 @@
 use crate::hist::Histogram;
 use axml_trace::{EventKind, SpanRef, TraceEvent, TraceJournal, TxnRef};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -120,22 +121,35 @@ pub struct ProfileReport {
     pub txns: Vec<TxnProfile>,
 }
 
+/// A journal's transaction-tagged events grouped per transaction, each
+/// group in emission order.
+pub(crate) fn events_by_txn(journal: &TraceJournal) -> BTreeMap<TxnRef, Vec<&TraceEvent>> {
+    let mut by_txn: BTreeMap<TxnRef, Vec<&TraceEvent>> = BTreeMap::new();
+    for e in journal.events() {
+        if let Some(t) = e.txn {
+            by_txn.entry(t).or_default().push(e);
+        }
+    }
+    by_txn
+}
+
 /// Span aggregate for the critical-path walk. Every field is a pure
 /// function of the span's event multiset (never of journal order), so
 /// a permuted journal profiles identically.
-struct SpanAgg {
+pub(crate) struct SpanAgg {
     /// (at, peer)-minimal event's peer — the *invoking* side for a
     /// remote span, since the parent stamps the `Invoke` record before
     /// the callee serves.
-    peer: u32,
+    pub(crate) peer: u32,
     /// Time `peer` was taken from (the multiset tie-break anchor).
     peer_at: u64,
     /// The serving peer — (at, peer)-minimal over `Serve`/`Submit`
     /// events. Self-time is attributed here: the invocation *executes*
     /// on the serving peer.
     serve_peer: Option<(u64, u32)>,
-    first: u64,
-    last: u64,
+    pub(crate) first: u64,
+    /// The span's own last event.
+    pub(crate) last: u64,
     parent: Option<SpanRef>,
 }
 
@@ -155,7 +169,7 @@ fn deep_last(
         return v;
     }
     // Seed before recursing so a malformed journal with a parent cycle
-    // terminates instead of overflowing (same guard as `critical_paths`).
+    // terminates instead of overflowing.
     memo.insert(span, spans[&span].last);
     let mut last = spans[&span].last;
     if let Some(cs) = children.get(&span) {
@@ -167,89 +181,98 @@ fn deep_last(
     last
 }
 
-/// Walks one transaction's invocation tree and returns the critical
-/// path with self-time attribution. Tie-breaking matches
-/// [`crate::critical_paths`]: deepest finish wins, then the smallest
-/// span id (ids order as their text).
-fn critical_path(events: &[&TraceEvent]) -> Vec<PathStep> {
-    let mut spans: BTreeMap<SpanRef, SpanAgg> = BTreeMap::new();
-    for e in events {
-        let Some(s) = e.span else { continue };
-        let agg = spans.entry(s).or_insert(SpanAgg {
-            peer: e.peer,
-            peer_at: e.at,
-            serve_peer: None,
-            first: e.at,
-            last: e.at,
-            parent: None,
-        });
-        agg.first = agg.first.min(e.at);
-        agg.last = agg.last.max(e.at);
-        if (e.at, e.peer) < (agg.peer_at, agg.peer) {
-            agg.peer = e.peer;
-            agg.peer_at = e.at;
-        }
-        if let Some(p) = e.parent {
-            agg.parent = Some(agg.parent.map_or(p, |cur| cur.min(p)));
-        }
-        if matches!(e.kind, EventKind::Serve { .. } | EventKind::Submit { .. })
-            && agg.serve_peer.is_none_or(|sp| (e.at, e.peer) < sp)
-        {
-            agg.serve_peer = Some((e.at, e.peer));
-        }
-    }
-    if spans.is_empty() {
-        return Vec::new();
-    }
-    let mut children: BTreeMap<SpanRef, Vec<SpanRef>> = BTreeMap::new();
-    let mut roots: Vec<SpanRef> = Vec::new();
-    for (&name, agg) in &spans {
-        match agg.parent.filter(|p| spans.contains_key(p)) {
-            Some(p) => children.entry(p).or_default().push(name),
-            None => roots.push(name),
-        }
-    }
-    let mut memo = BTreeMap::new();
-    roots.sort_by_key(|&r| (deep_last(r, &spans, &children, &mut memo), std::cmp::Reverse(r)));
-    let Some(mut cur) = roots.last().copied() else { return Vec::new() };
-    // Collect the chain first, then attribute self-time between
-    // consecutive steps.
-    let mut chain: Vec<SpanRef> = vec![cur];
-    while let Some(c) = children.get(&cur).and_then(|cs| {
-        cs.iter().copied().max_by_key(|&c| (deep_last(c, &spans, &children, &mut memo), std::cmp::Reverse(c)))
-    }) {
-        chain.push(c);
-        cur = c;
-    }
-    let mut steps = Vec::with_capacity(chain.len());
-    for (i, &span) in chain.iter().enumerate() {
-        let agg = &spans[&span];
-        let end = deep_last(span, &spans, &children, &mut memo);
-        // Self-time: head before the critical child starts, plus tail
-        // after the child's subtree finishes. The leaf keeps its whole
-        // extent. Telescoping, the chain sums to end₀ − first₀.
-        let self_time = match chain.get(i + 1) {
-            Some(&child) => {
-                let child_agg = &spans[&child];
-                let child_end = deep_last(child, &spans, &children, &mut memo);
-                child_agg.first.saturating_sub(agg.first) + end.saturating_sub(child_end)
+/// One transaction's critical path: the root-to-leaf chain of invocation
+/// spans that finishes last, i.e. the chain that bounds the transaction's
+/// sim-time duration. A span's completion is bounded by its whole subtree
+/// (an abort can resolve the root while compensation still runs below
+/// it), so spans rank by their subtree's deepest finish, then by the
+/// smallest span id (ids order as their text).
+pub(crate) struct CriticalPath {
+    /// Every span of the transaction.
+    pub(crate) spans: BTreeMap<SpanRef, SpanAgg>,
+    /// The chain, root first, each span with its subtree's deepest
+    /// finish; empty when no span was recorded.
+    pub(crate) chain: Vec<(SpanRef, u64)>,
+}
+
+impl CriticalPath {
+    /// Walks one transaction's invocation tree.
+    pub(crate) fn walk(events: &[&TraceEvent]) -> CriticalPath {
+        let mut spans: BTreeMap<SpanRef, SpanAgg> = BTreeMap::new();
+        for e in events {
+            let Some(s) = e.span else { continue };
+            let agg = spans.entry(s).or_insert(SpanAgg {
+                peer: e.peer,
+                peer_at: e.at,
+                serve_peer: None,
+                first: e.at,
+                last: e.at,
+                parent: None,
+            });
+            agg.first = agg.first.min(e.at);
+            agg.last = agg.last.max(e.at);
+            if (e.at, e.peer) < (agg.peer_at, agg.peer) {
+                agg.peer = e.peer;
+                agg.peer_at = e.at;
             }
-            None => end.saturating_sub(agg.first),
-        };
-        steps.push(PathStep { span, peer: agg.executing_peer(), first: agg.first, deep_last: end, self_time });
+            // Smallest named parent wins — again multiset-pure. Real
+            // journals name at most one parent per span (its Invoke).
+            if let Some(p) = e.parent {
+                agg.parent = Some(agg.parent.map_or(p, |cur| cur.min(p)));
+            }
+            if matches!(e.kind, EventKind::Serve { .. } | EventKind::Submit { .. })
+                && agg.serve_peer.is_none_or(|sp| (e.at, e.peer) < sp)
+            {
+                agg.serve_peer = Some((e.at, e.peer));
+            }
+        }
+        // Roots are spans whose parent is unknown or outside the recorded
+        // span set.
+        let mut children: BTreeMap<SpanRef, Vec<SpanRef>> = BTreeMap::new();
+        let mut roots: Vec<SpanRef> = Vec::new();
+        for (&name, agg) in &spans {
+            match agg.parent.filter(|p| spans.contains_key(p)) {
+                Some(p) => children.entry(p).or_default().push(name),
+                None => roots.push(name),
+            }
+        }
+        let mut memo = BTreeMap::new();
+        let mut last_of = |span| deep_last(span, &spans, &children, &mut memo);
+        // The critical root is the one whose subtree finishes last; below
+        // it, greedy descent: the child whose subtree finishes last bounds
+        // the parent's completion.
+        let mut chain = Vec::new();
+        let mut candidates = roots.as_slice();
+        while let Some(step) = candidates.iter().map(|&c| (c, last_of(c))).max_by_key(|&(c, end)| (end, Reverse(c))) {
+            chain.push(step);
+            candidates = children.get(&step.0).map_or(&[], Vec::as_slice);
+        }
+        CriticalPath { spans, chain }
     }
-    steps
+
+    /// The chain with self-time attribution: a span's head before its
+    /// critical child starts, plus its tail after the child's subtree
+    /// finishes; the leaf keeps its whole extent. Telescoping, the steps
+    /// sum to end₀ − first₀.
+    fn steps(&self) -> Vec<PathStep> {
+        let steps = self.chain.iter().enumerate().map(|(i, &(span, end))| {
+            let agg = &self.spans[&span];
+            let self_time = match self.chain.get(i + 1) {
+                Some(&(child, child_end)) => {
+                    self.spans[&child].first.saturating_sub(agg.first) + end.saturating_sub(child_end)
+                }
+                None => end.saturating_sub(agg.first),
+            };
+            PathStep { span, peer: agg.executing_peer(), first: agg.first, deep_last: end, self_time }
+        });
+        steps.collect()
+    }
 }
 
 impl ProfileReport {
     /// Profiles every transaction in the journal.
     pub fn from_journal(journal: &TraceJournal) -> Self {
-        let mut by_txn: BTreeMap<TxnRef, Vec<&TraceEvent>> = BTreeMap::new();
-        for e in journal.events() {
-            if let Some(t) = e.txn {
-                by_txn.entry(t).or_default().push(e);
-            }
-        }
+        let by_txn = events_by_txn(journal);
         let mut txns = Vec::with_capacity(by_txn.len());
         for (&txn, events) in &by_txn {
             let first = events.iter().map(|e| e.at).min().unwrap_or(0);
@@ -270,7 +293,7 @@ impl ProfileReport {
                     w.events += 1;
                 }
             }
-            let path = critical_path(events);
+            let path = CriticalPath::walk(events).steps();
             let mut by_peer: BTreeMap<u32, u64> = BTreeMap::new();
             for step in &path {
                 *by_peer.entry(step.peer).or_default() += step.self_time;

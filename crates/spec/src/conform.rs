@@ -5,13 +5,12 @@
 //! maps to, with the recent events at the diverging peer as causal context.
 
 use axml_trace::rules::{Breach, Rules};
-use axml_trace::{EventKind, TraceEvent, TraceJournal, TxnRef};
+use axml_trace::{peer_tail, EventKind, TraceEvent, TraceJournal, TxnRef};
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// How many recent per-peer events a divergence report carries.
+/// How many of its peer's last events a divergence report carries.
 const CONTEXT_DEPTH: usize = 6;
 
 /// One divergence between the recorded trace and the model.
@@ -94,18 +93,6 @@ impl Conformance {
     }
 }
 
-/// Streaming conformance checker. Feed events in journal order, then
-/// call [`ConformanceChecker::finish`]. It borrows the events it is fed
-/// (`'j`, the journal's lifetime): the causal context of a divergence is
-/// rendered from them only when one is reported.
-#[derive(Debug, Default)]
-pub struct ConformanceChecker<'j> {
-    rules: Rules,
-    events: usize,
-    // Causal context: the last few events per peer.
-    recent: BTreeMap<u32, VecDeque<&'j TraceEvent>>,
-}
-
 /// One rendered event line for context reporting.
 fn render_event(e: &TraceEvent) -> String {
     let mut s = format!("#{} t={} AP{}", e.seq, e.at, e.peer);
@@ -128,10 +115,11 @@ fn render_event(e: &TraceEvent) -> String {
     s
 }
 
-/// Attaches the recent events at the breach's peer — or, when it never
+/// Attaches the last events at the breach's peer in `before` (the
+/// journal up to the event that raised it) — or, when that peer never
 /// spoke, at the peer whose event raised the breach.
-fn attach_context(recent: &BTreeMap<u32, VecDeque<&TraceEvent>>, b: &mut Breach) {
-    let of = |peer| recent.get(&peer).map(|r| r.iter().map(|e| render_event(e)).collect()).unwrap_or_default();
+fn attach_context(before: &[TraceEvent], b: &mut Breach) {
+    let of = |peer| peer_tail(before, peer, CONTEXT_DEPTH).map(render_event).collect::<Vec<_>>();
     b.context = of(b.peer);
     if b.context.is_empty() {
         b.context = of(b.origin);
@@ -145,40 +133,18 @@ impl From<Breach> for Divergence {
     }
 }
 
-impl<'j> ConformanceChecker<'j> {
-    /// A fresh checker with no observations.
-    #[must_use]
-    pub fn new() -> ConformanceChecker<'j> {
-        ConformanceChecker::default()
-    }
-
-    /// Replays one event (journal order).
-    pub fn on_event(&mut self, e: &'j TraceEvent) {
-        self.events += 1;
-        self.rules.on_event(e, |b| attach_context(&self.recent, b));
-        let buf = self.recent.entry(e.peer).or_default();
-        buf.push_back(e);
-        if buf.len() > CONTEXT_DEPTH {
-            buf.pop_front();
-        }
-    }
-
-    /// Flushes end-of-run obligations (I4 reachability, outstanding I5
-    /// repeats) and returns the verdict.
-    #[must_use]
-    pub fn finish(self) -> Conformance {
-        let recent = &self.recent;
-        let breaches = self.rules.finish(|b| attach_context(recent, b));
-        Conformance { events: self.events, divergences: breaches.into_iter().map(Into::into).collect() }
-    }
-}
-
-/// Replays a stored journal and returns the conformance verdict.
+/// Replays a stored journal and returns the conformance verdict. A
+/// divergence's context is cut from the journal where the divergence was
+/// raised; an end-of-run one sees the whole journal.
 #[must_use]
 pub fn check_journal(journal: &TraceJournal) -> Conformance {
-    let mut c = ConformanceChecker::new();
-    journal.events().iter().for_each(|e| c.on_event(e));
-    c.finish()
+    let events = journal.events();
+    let mut rules = Rules::default();
+    for (i, e) in events.iter().enumerate() {
+        rules.on_event(e, |b| attach_context(&events[..i], b));
+    }
+    let breaches = rules.finish(|b| attach_context(events, b));
+    Conformance { events: events.len(), divergences: breaches.into_iter().map(Into::into).collect() }
 }
 
 #[cfg(test)]
@@ -262,6 +228,16 @@ mod tests {
         assert_eq!((v.divergences.len(), d.invariant, d.rule, d.peer), (1, "I4", "R06/R07", 4));
         // Context falls back to the sender when the target never spoke.
         assert_eq!(d.context, ["#0 t=10 AP1 T1.0 abort-propagate to=AP4"]);
+    }
+
+    #[test]
+    fn a_breach_raised_mid_journal_carries_no_later_event() {
+        let resolve = |at, committed| (at, 2, EventKind::Resolve { committed });
+        let later = |at| (at, 2, EventKind::AckSend { to: 1, id: at });
+        let v = run(vec![resolve(5, false), later(6), resolve(9, true), later(12), later(15)]);
+        let d = v.first().expect("divergence");
+        assert_eq!((v.divergences.len(), d.invariant, d.seq), (1, "I3", 2));
+        assert_eq!(d.context, ["#0 t=5 AP2 T1.0 resolve committed=false", "#1 t=6 AP2 T1.0 ack-send to=AP1 id=6"]);
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod conform;
 pub mod model;
 
 pub use check::{check, check_catalogue, CheckReport, SpecViolation};
-pub use conform::{check_journal, Conformance, ConformanceChecker, Divergence};
+pub use conform::{check_journal, Conformance, Divergence};
 pub use model::{Msg, MsgKind, PeerFrame, Phase, SpecConfig, SpecStep, State};

@@ -469,7 +469,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Appends the one-line human rendering (`[t=…] label detail span=…
     /// parent=…`, no newline) — shared by [`TraceJournal::render_tree`]
-    /// and the flight recorder.
+    /// and the flight dump.
     pub fn write_line(&self, out: &mut String) {
         out.push_str("[t=");
         // The time is right-aligned to five columns.
@@ -853,63 +853,15 @@ impl Snapshot {
     }
 }
 
-/// A bounded ring of recent [`TraceEvent`]s — the storage primitive
-/// behind the flight recorder in `axml-obs`.
-///
-/// Pushing beyond `capacity` evicts the oldest event; `dropped` counts
-/// evictions so a dump can say how much history was lost. Iteration is
-/// oldest-first, so a dump reads like the tail of the journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRing {
-    capacity: usize,
-    events: std::collections::VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// Empty ring holding at most `capacity` events (capacity 0 keeps
-    /// nothing and counts every push as dropped).
-    pub fn new(capacity: usize) -> Self {
-        EventRing { capacity, events: std::collections::VecDeque::with_capacity(capacity.min(64)), dropped: 0 }
-    }
-
-    /// Appends one event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted (or refused, at capacity 0) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
+/// The last ≤ `n` events of `peer` in `events`, oldest first: what the
+/// peer did before a journal position, for `events` cut there
+/// (`&journal.events()[..pos]`). The one tail view behind a flight dump
+/// and a conformance divergence's context; it copies nothing.
+pub fn peer_tail(events: &[TraceEvent], peer: u32, n: usize) -> impl Iterator<Item = &TraceEvent> {
+    let start = n.checked_sub(1).map_or(events.len(), |skip| {
+        events.iter().enumerate().rev().filter(|(_, e)| e.peer == peer).nth(skip).map_or(0, |(i, _)| i)
+    });
+    events[start..].iter().filter(move |e| e.peer == peer)
 }
 
 /// Streaming FNV-1a — the workspace's standard cheap fingerprint. Takes
@@ -1265,26 +1217,17 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_evicts_oldest_and_counts_drops() {
-        let mut ring = EventRing::new(3);
-        for at in 0..5 {
-            ring.push(TraceEvent {
-                seq: at,
-                at,
-                peer: 0,
-                epoch: 0,
-                txn: None,
-                span: None,
-                parent: None,
-                kind: EventKind::Gauge { name: "outbox_depth".into(), value: at },
-            });
+    fn peer_tail_is_the_last_n_events_of_one_peer_oldest_first() {
+        let mut j = TraceJournal::default();
+        for at in 0..6 {
+            j.record(at, (at % 2) as u32, 0, None, None, None, EventKind::Crash);
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let ats: Vec<u64> = ring.iter().map(|e| e.at).collect();
-        assert_eq!(ats, vec![2, 3, 4], "oldest-first, oldest two evicted");
-        let zero = EventRing::new(0);
-        assert!(zero.is_empty() && zero.capacity() == 0);
+        let ats = |events: &[TraceEvent], peer, n| peer_tail(events, peer, n).map(|e| e.at).collect::<Vec<_>>();
+        assert_eq!(ats(j.events(), 0, 2), [2, 4], "the newest two, oldest first");
+        assert_eq!(ats(j.events(), 1, 9), [1, 3, 5], "fewer than n: all of them");
+        assert_eq!(ats(&j.events()[..4], 1, 9), [1, 3], "nothing at or after the position");
+        assert_eq!(ats(j.events(), 0, 0), [0u64; 0]);
+        assert_eq!(ats(j.events(), 7, 3), [0u64; 0], "a peer that never spoke");
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub struct Breach {
     pub txn: Option<TxnRef>,
     /// Human-readable explanation.
     pub detail: String,
-    /// Recent events at `peer`, filled in by a checker that keeps them.
+    /// The last events at `peer`, filled in by a checker that has the
+    /// journal to cut them from.
     pub context: Vec<String>,
 }
 

@@ -1,10 +1,10 @@
 //! Heap allocations per chaos case, as a deterministic test.
 //!
 //! One case seed of every scenario × profile cell through
-//! `axml_chaos::run_case` — the path the sweeps' shrinker, the corpus
-//! replay and the benchmark's `fault-matrix` take — and through
-//! `axml_chaos::run_with_plane_traced`, the path every sweep cell and the
-//! benchmark's `traced-matrix` take. A case is seeded and single-threaded,
+//! `axml_chaos::run_case` — the path the sweeps' shrinker and the
+//! benchmark's `fault-matrix` take — and through
+//! `axml_chaos::run_with_plane_traced`, the path every sweep cell, the
+//! corpus replay and the benchmark's `traced-matrix` take. A case is seeded and single-threaded,
 //! so its allocation count is a pure function of the code.
 //!
 //! `run_case`: 2,294 per case at the commit before a case stopped
@@ -23,7 +23,10 @@
 //! case kept its counters typed — no registry of some 190 `String` keys,
 //! no copied fault trace, one scenario builder; 917 once a case's WAL
 //! segments lived in memory (no scratch directory path, no file handle or
-//! buffered writer per peer, no directory listing on recovery).
+//! buffered writer per peer, no directory listing on recovery); 906 once
+//! gauge samples stayed out of the observers; 860 once a case kept no
+//! flight ring of its own (a violation's dump is cut from a traced
+//! journal).
 //!
 //! Traced: 1,668 per case with the journal rendered to JSON lines, its
 //! causal tree and the counter registry rendered to text for every case;
@@ -32,7 +35,9 @@
 //! WAL segments in memory; 1,065 once gauge samples stayed out of the
 //! observers and sat in a journal column of their own (no flight-ring
 //! copy of a sample, no per-case series registry, one reading buffer per
-//! simulator instead of one per window).
+//! simulator instead of one per window); 1,008 once a case kept no flight
+//! ring and conformance kept no per-peer context queues (both cut from
+//! the journal when there is something to report).
 //!
 //! Those are release counts; a debug build's assertions add about 12 per
 //! case. Each budget leaves 25 allocations of room above the release
@@ -47,10 +52,10 @@ use axml_chaos::{builder_for, plane_for, run_case, run_with_plane_traced, CaseCo
 use common::allocations;
 
 /// Allocations one `run_case` may make, averaged over the 25 cells.
-const PER_CASE_BUDGET: u64 = 942;
+const PER_CASE_BUDGET: u64 = 885;
 
 /// Allocations one traced case may make, averaged over the 25 cells.
-const PER_TRACED_CASE_BUDGET: u64 = 1_090;
+const PER_TRACED_CASE_BUDGET: u64 = 1_033;
 
 /// Runs the 25 cells at case seed 0 through `run`; returns the
 /// allocations they made.
