@@ -615,8 +615,8 @@ fn run_inner(
     }
     let mut s = b.config(cfg).fault_plane(effective).build();
     // A WAL whenever storage faults are in play or the scenario is about
-    // crash-restart from the segments; everything else keeps the peer's
-    // default `MemorySink` (perfectly durable storage, pre-WAL behavior).
+    // crash-restart from the segments; everywhere else a peer has no sink
+    // and its journal is perfectly durable storage (pre-WAL behavior).
     let storage = s.sim.fault_plane().storage.clone();
     if !storage.is_inert() || scenario_wants_wal {
         attach_wal_sinks(&mut s, &storage, case.seed);

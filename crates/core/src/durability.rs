@@ -276,46 +276,82 @@ pub trait DurabilitySink: fmt::Debug + Send {
     fn stats(&self) -> WalStats;
 }
 
-/// The default sink: perfectly durable in-memory storage. Keeps the
-/// pre-WAL behavior (and determinism) — every append succeeds, and a
-/// crash-restart returns everything ever appended.
+/// A peer's durable journal: the entries stable storage holds, written
+/// through the peer's [`DurabilitySink`] if it has one.
 ///
-/// `bytes_appended` is what the entries would occupy in the journal's
-/// JSON codec. Nothing here writes that encoding, so an append only
-/// stores the entry; [`DurabilitySink::stats`] encodes the entries added
-/// since the last read — each entry once, and none in a run that never
-/// asks.
+/// Without a sink the journal is itself perfectly durable storage: every
+/// append succeeds and a crash-restart keeps every entry. With one, an
+/// entry is kept only once the sink acknowledged it, and a crash-restart
+/// replaces the entries with what the sink recovered.
+///
+/// Without a sink `bytes_appended` is what the entries would occupy in the
+/// journal's JSON codec. Nothing writes that encoding, so [`Self::stats`]
+/// encodes the entries added since the last read — each entry once, and
+/// none in a run that never asks.
 #[derive(Debug, Default)]
-pub struct MemorySink {
+pub(crate) struct Journal {
     entries: Vec<JournalEntry>,
-    stats: WalStats,
-    /// How many of `entries` are counted, and their encoded bytes.
+    sink: Option<Box<dyn DurabilitySink>>,
+    /// Without a sink: the entries held at the last crash-restart.
+    recovered: u64,
+    /// Without a sink: how many of `entries` are counted, and their
+    /// encoded bytes.
     counted: Cell<(usize, u64)>,
 }
 
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl DurabilitySink for MemorySink {
-    fn append(&mut self, entry: &JournalEntry) -> bool {
-        self.entries.push(entry.clone());
-        true
+impl Journal {
+    /// The durable entries, oldest first.
+    pub(crate) fn entries(&self) -> &[JournalEntry] {
+        &self.entries
     }
 
-    fn append_forced(&mut self, entry: &JournalEntry) {
-        self.append(entry);
+    /// Writes through `sink` from now on. The entries already held are
+    /// forced into it first, so it holds the full durable history.
+    pub(crate) fn set_sink(&mut self, mut sink: Box<dyn DurabilitySink>) {
+        for e in &self.entries {
+            sink.append_forced(e);
+        }
+        self.sink = Some(sink);
     }
 
-    fn crash_restart(&mut self) -> Vec<JournalEntry> {
-        self.stats.recovery_entries = self.entries.len() as u64;
-        self.entries.clone()
+    /// Appends one entry and returns it as kept, or `None` on a storage
+    /// fault: the entry is not durable and its consequences must not
+    /// escape.
+    pub(crate) fn append(&mut self, entry: JournalEntry) -> Option<&JournalEntry> {
+        if let Some(sink) = &mut self.sink {
+            if !sink.append(&entry) {
+                return None;
+            }
+        }
+        self.entries.push(entry);
+        self.entries.last()
     }
 
-    fn stats(&self) -> WalStats {
+    /// Appends one entry through transient storage faults
+    /// ([`DurabilitySink::append_forced`]) and returns it as kept.
+    pub(crate) fn append_forced(&mut self, entry: JournalEntry) -> &JournalEntry {
+        if let Some(sink) = &mut self.sink {
+            sink.append_forced(&entry);
+        }
+        self.entries.push(entry);
+        &self.entries[self.entries.len() - 1]
+    }
+
+    /// Simulates a crash followed by a restart and returns the entries
+    /// that survived it, oldest first.
+    pub(crate) fn crash_restart(&mut self) -> &[JournalEntry] {
+        match &mut self.sink {
+            Some(sink) => self.entries = sink.crash_restart(),
+            None => self.recovered = self.entries.len() as u64,
+        }
+        &self.entries
+    }
+
+    /// Stable-storage activity counters (`wal.*`).
+    pub(crate) fn stats(&self) -> WalStats {
+        if let Some(sink) = &self.sink {
+            return sink.stats();
+        }
         let (counted, mut bytes) = self.counted.get();
         let mut line = String::new();
         for entry in &self.entries[counted..] {
@@ -324,7 +360,7 @@ impl DurabilitySink for MemorySink {
             bytes += line.len() as u64;
         }
         self.counted.set((self.entries.len(), bytes));
-        WalStats { bytes_appended: bytes, ..self.stats }
+        WalStats { bytes_appended: bytes, recovery_entries: self.recovered, ..WalStats::default() }
     }
 }
 
@@ -546,6 +582,8 @@ mod tests {
         }
     }
 
+    // A journal without a sink is the in-memory store: the two tests
+    // below keep the names they had when that store was a sink of its own.
     #[test]
     fn memory_sink_counts_every_appended_byte_whenever_it_is_read() {
         let (tc, _) = sample_context(Some(TxnState::Aborted));
@@ -554,48 +592,50 @@ mod tests {
         let encoded = |entries: &[JournalEntry]| -> u64 {
             entries.iter().map(|e| serde_json::to_string(e).unwrap().len() as u64).sum()
         };
-        let mut sink = MemorySink::new();
-        assert_eq!(sink.stats().bytes_appended, 0);
+        let mut held = Journal::default();
+        assert_eq!(held.stats().bytes_appended, 0);
         // Reads interleave with plain and forced appends and a crash: each
         // read sees all bytes appended so far, never fewer than before.
         let mut last = 0;
         for (i, entry) in journal.iter().chain(&journal).enumerate() {
             match i % 3 {
-                0 => assert!(sink.append(entry)),
-                1 => sink.append_forced(entry),
+                0 => assert!(held.append(entry.clone()).is_some()),
+                1 => {
+                    held.append_forced(entry.clone());
+                }
                 _ => {
-                    assert_eq!(sink.crash_restart().len(), i, "a crash loses nothing");
-                    assert!(sink.append(entry));
+                    assert_eq!(held.crash_restart().len(), i, "a crash loses nothing");
+                    assert!(held.append(entry.clone()).is_some());
                 }
             }
             if i % 2 == 0 {
-                let read = sink.stats().bytes_appended;
+                let read = held.stats().bytes_appended;
                 assert!(read > last, "monotone under appends");
-                assert_eq!(sink.stats().bytes_appended, read, "reading does not change what is read");
+                assert_eq!(held.stats().bytes_appended, read, "reading does not change what is read");
                 last = read;
             }
         }
         let all: Vec<JournalEntry> = journal.iter().chain(&journal).cloned().collect();
-        assert_eq!(sink.stats().bytes_appended, encoded(&all));
-        assert_eq!(sink.crash_restart(), all);
-        assert_eq!(sink.stats().recovery_entries, all.len() as u64);
-        // A sink that is read only once, at the end, reports the same.
-        let mut unread = MemorySink::new();
+        assert_eq!(held.stats().bytes_appended, encoded(&all));
+        assert_eq!(held.crash_restart(), all);
+        assert_eq!(held.stats().recovery_entries, all.len() as u64);
+        // A journal that is read only once, at the end, reports the same.
+        let mut unread = Journal::default();
         for entry in &all {
-            unread.append(entry);
+            unread.append(entry.clone());
         }
-        assert_eq!(unread.stats(), WalStats { recovery_entries: 0, ..sink.stats() });
+        assert_eq!(unread.stats(), WalStats { recovery_entries: 0, ..held.stats() });
     }
 
     #[test]
     fn memory_sink_keeps_the_effect_lists_it_is_handed() {
         let (tc, _) = sample_context(None);
         let journal = journal_of(&tc);
-        let mut sink = MemorySink::new();
+        let mut held = Journal::default();
         for entry in &journal {
-            assert!(sink.append(entry));
+            assert!(held.append(entry.clone()).is_some());
         }
-        let recovered = sink.crash_restart();
+        let recovered = held.crash_restart();
         let lists = |entries: &[JournalEntry]| -> Vec<Arc<[Effect]>> {
             entries
                 .iter()
@@ -605,7 +645,7 @@ mod tests {
                 })
                 .collect()
         };
-        let (ours, theirs) = (lists(&journal), lists(&recovered));
+        let (ours, theirs) = (lists(&journal), lists(recovered));
         assert!(!ours.is_empty());
         assert_eq!(ours.len(), theirs.len());
         assert!(ours.iter().zip(&theirs).all(|(a, b)| Arc::ptr_eq(a, b)), "stored and recovered without a copy");

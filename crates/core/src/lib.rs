@@ -55,7 +55,7 @@ pub use compensate::{compensation_for_effects, CompensatingService, StaticCompen
 pub use context::{LogRecord, TransactionContext, TxnOutcome, TxnState};
 pub use durability::{
     decode as decode_journal, encode as encode_journal, journal_of, recover_in_doubt, replay as replay_journal,
-    DurabilitySink, JournalEntry, MemorySink, RecoveryOutcome, WalStats,
+    DurabilitySink, JournalEntry, RecoveryOutcome, WalStats,
 };
 pub use ids::{InvocationId, TxnId};
 pub use isolation::{Claim, Conflict, ConflictTable};

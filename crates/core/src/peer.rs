@@ -76,7 +76,7 @@ use crate::compensate::{compensation_for_effects, CompBundle, CompensatingServic
 use crate::context::{TransactionContext, TxnOutcome, TxnState};
 use crate::delivery::{Delivery, Pending};
 use crate::detector::Detector;
-use crate::durability::{self, DurabilitySink, JournalEntry, MemorySink, WalStats};
+use crate::durability::{self, DurabilitySink, Journal, JournalEntry, WalStats};
 use crate::ids::{InvocationId, TxnId};
 use crate::isolation::ConflictTable;
 use crate::messages::{Ctx, TxnMsg};
@@ -677,15 +677,9 @@ pub struct AxmlPeer {
     /// restarted peer reuses no id that may still be live.
     next_inv: u64,
     next_txn: u64,
-    /// In-memory mirror of what the durability sink holds, for the
-    /// [`Self::journal`] accessor and diagnostics. Only entries the sink
-    /// durably acknowledged land here; after a crash-restart it is reset
-    /// to exactly what the sink recovered from stable storage.
-    journal: Vec<JournalEntry>,
-    /// Stable storage for the journal. Every entry goes through the sink
-    /// before its consequences escape; on crash-restart the sink is the
-    /// sole source of surviving entries.
-    sink: Box<dyn DurabilitySink>,
+    /// The durable journal. Every entry is made durable before its
+    /// consequences escape; on crash-restart it holds only what survived.
+    journal: Journal,
     /// Scratch list of peers — the ping tick's probes and suspects, a
     /// gossip round's targets — taken, filled, and put back empty, so
     /// neither job allocates.
@@ -723,8 +717,7 @@ impl AxmlPeer {
             timers: Timers::default(),
             next_inv: 0,
             next_txn: 0,
-            journal: Vec::new(),
-            sink: Box::new(MemorySink::new()),
+            journal: Journal::default(),
             peer_buf: Vec::new(),
         }
     }
@@ -822,26 +815,23 @@ impl AxmlPeer {
         self.servings.is_empty() && self.waiting.is_empty() && self.delivery.unacked() == 0
     }
 
-    /// The durable journal accumulated so far (the entries the sink has
-    /// acknowledged; after a restart, what it recovered).
+    /// The durable journal accumulated so far (with a sink, the entries it
+    /// acknowledged; after a restart, what survived the crash).
     pub fn journal(&self) -> &[JournalEntry] {
-        &self.journal
+        self.journal.entries()
     }
 
-    /// Replaces the durability sink (e.g. with an on-disk WAL). Entries
-    /// already journaled are carried over so the new sink holds the full
-    /// durable history; normally called right after construction, before
-    /// the peer runs.
-    pub fn set_durability_sink(&mut self, mut sink: Box<dyn DurabilitySink>) {
-        for e in &self.journal {
-            sink.append_forced(e);
-        }
-        self.sink = sink;
+    /// Sets the durability sink (e.g. an on-disk WAL). Entries already
+    /// journaled are carried over so the sink holds the full durable
+    /// history; normally called right after construction, before the peer
+    /// runs. Without one the journal itself is perfectly durable storage.
+    pub fn set_durability_sink(&mut self, sink: Box<dyn DurabilitySink>) {
+        self.journal.set_sink(sink);
     }
 
-    /// The durability sink's activity counters (`wal.*`).
+    /// The journal's stable-storage activity counters (`wal.*`).
     pub fn wal_stats(&self) -> WalStats {
-        self.sink.stats()
+        self.journal.stats()
     }
 
     /// Peers currently being kept alive by this peer's failure detector
@@ -878,17 +868,16 @@ impl AxmlPeer {
         }
     }
 
-    /// Appends to the durability journal through the sink. Returns
-    /// `false` on a storage fault: the entry is NOT durable (nothing is
-    /// traced or mirrored) and the caller must roll back whatever the entry
-    /// was about to make durable.
+    /// Appends to the durability journal. Returns `false` on a storage
+    /// fault: the entry is NOT durable (nothing is traced or kept) and the
+    /// caller must roll back whatever the entry was about to make durable.
     #[must_use]
     fn journal_append(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) -> bool {
-        if !self.sink.append(&entry) {
+        let Some(entry) = self.journal.append(entry) else {
             self.stats.storage_faults += 1;
             return false;
-        }
-        self.journaled(ctx, entry);
+        };
+        trace_journaled(ctx, entry);
         true
     }
 
@@ -898,31 +887,7 @@ impl AxmlPeer {
     /// rather than merely fail one serving: `Resolved` decisions,
     /// `RemoteInvoked` obligations, tombstones, recovery records.
     fn journal_append_forced(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) {
-        self.sink.append_forced(&entry);
-        self.journaled(ctx, entry);
-    }
-
-    /// Mirrors an entry the sink made durable, and traces it as a
-    /// [`EventKind::LogAppend`] event: every stable-storage transition is
-    /// visible in the run's causal record.
-    fn journaled(&mut self, ctx: &mut Ctx<'_>, entry: JournalEntry) {
-        if ctx.tracing() {
-            let (txn, label) = match &entry {
-                JournalEntry::Begin { txn, .. } => (*txn, "begin".to_string()),
-                JournalEntry::Local { txn, op_label, effects, .. } => {
-                    (*txn, format!("local {op_label} effects={}", effects.len()))
-                }
-                JournalEntry::RemoteInvoked { txn, inv, method, .. } => {
-                    (*txn, format!("remote-invoked {inv} {method}"))
-                }
-                JournalEntry::RemoteCompleted { txn, inv, .. } => (*txn, format!("remote-completed {inv}")),
-                JournalEntry::Resolved { txn, committed, .. } => {
-                    (*txn, format!("resolved {}", if *committed { "commit" } else { "abort" }))
-                }
-            };
-            ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
-        }
-        self.journal.push(entry);
+        trace_journaled(ctx, self.journal.append_forced(entry));
     }
 
     // ------------------------------------------------------------------
@@ -1424,8 +1389,8 @@ impl AxmlPeer {
     ) {
         match target {
             ChildTarget::ApplySc { doc, sc_path } => {
-                // One allocation from here on: the journal entry, the
-                // sink's copy of it and the context's log record share it.
+                // One allocation from here on: the journal entry and the
+                // context's log record share it.
                 let effects: Arc<[Effect]> = {
                     let Some(document) = self.repo.get_mut(&doc) else { return };
                     let Ok(sc_node) = sc_path.resolve(document) else { return };
@@ -2255,14 +2220,12 @@ impl AxmlPeer {
         self.txns.clear();
         self.active_contexts = 0;
         self.conflicts = ConflictTable::new();
-        // Stable storage: the sink (not any in-memory copy) decides what
-        // survived the crash — with an on-disk WAL this scans the segment
-        // files, discards a torn tail, and returns the clean prefix. The
-        // mirror is reset to exactly that, then contexts are replayed
-        // from it. A re-begun transaction yields two contexts for one
-        // txn; the map insert order keeps the latest incarnation.
-        self.journal = self.sink.crash_restart();
-        let mut contexts = durability::replay(&self.journal).unwrap_or_default();
+        // Stable storage decides what survived the crash: a WAL sink scans
+        // its segments, discards a torn tail, and hands back the clean
+        // prefix; without a sink every entry survives. Contexts are
+        // replayed from that. A re-begun transaction yields two contexts
+        // for one txn; the map insert order keeps the latest incarnation.
+        let mut contexts = durability::replay(self.journal.crash_restart()).unwrap_or_default();
         let outcome = durability::recover_in_doubt(&mut contexts, &mut self.repo, ctx.now());
         self.stats.presumed_aborts += outcome.presumed_aborted.len() as u64;
         self.emit(ctx, None, None, None, || EventKind::Restart {
@@ -2331,6 +2294,27 @@ impl AxmlPeer {
 }
 
 struct NeedParams(Vec<ServiceCall>);
+
+/// Traces an entry the journal made durable as an
+/// [`EventKind::LogAppend`] event: every stable-storage transition is
+/// visible in the run's causal record. Takes the context alone, so the
+/// journal stays borrowed for the entry.
+fn trace_journaled(ctx: &mut Ctx<'_>, entry: &JournalEntry) {
+    if ctx.tracing() {
+        let (txn, label) = match entry {
+            JournalEntry::Begin { txn, .. } => (*txn, "begin".to_string()),
+            JournalEntry::Local { txn, op_label, effects, .. } => {
+                (*txn, format!("local {op_label} effects={}", effects.len()))
+            }
+            JournalEntry::RemoteInvoked { txn, inv, method, .. } => (*txn, format!("remote-invoked {inv} {method}")),
+            JournalEntry::RemoteCompleted { txn, inv, .. } => (*txn, format!("remote-completed {inv}")),
+            JournalEntry::Resolved { txn, committed, .. } => {
+                (*txn, format!("resolved {}", if *committed { "commit" } else { "abort" }))
+            }
+        };
+        ctx.emit(Some(txn.into()), None, None, EventKind::LogAppend { entry: label });
+    }
+}
 
 /// The hosted document `method` is declared over. Borrows the registry
 /// alone, so the caller's other fields stay free.
@@ -2474,7 +2458,7 @@ impl Actor<TxnMsg> for AxmlPeer {
         out.push(("in_flight_txns", self.active_contexts as u64));
         out.push(("dedup_seen", self.delivery.seen_len() as u64));
         out.push(("retransmit_timers", unacked));
-        let wal = self.sink.stats();
+        let wal = self.journal.stats();
         out.push(("wal_bytes", wal.bytes_appended));
         out.push(("wal_segments", wal.segments_rotated));
     }

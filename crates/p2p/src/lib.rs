@@ -20,9 +20,9 @@
 //!   how AP6 "detects the disconnection of AP3 *while trying to return the
 //!   results*" in scenario (b). Messages in flight when the target
 //!   disconnects are dropped (detection then falls to timeouts).
-//! - [`ChurnSchedule`]: scripted or randomly generated disconnect /
-//!   reconnect events. **Super peers** ("trusted peers which do not
-//!   disconnect") are exempt.
+//! - Scripted churn: [`Sim::schedule_disconnect`] and
+//!   [`Sim::schedule_reconnect`]. **Super peers** ("trusted peers which
+//!   do not disconnect") ignore a disconnect.
 //! - [`PingMonitor`]: the keep-alive failure detector peers embed
 //!   ("related P2P research relies on ping (or keep-alive) messages to
 //!   detect peer disconnection").
@@ -33,7 +33,6 @@
 //! - [`Directory`]: peer addressing (`peer://ap2` ↔ [`PeerId`]) and the
 //!   replica registry used for forward recovery on replicated documents.
 
-pub mod churn;
 pub mod detect;
 pub mod directory;
 pub mod fault;
@@ -41,7 +40,6 @@ pub mod ids;
 pub mod metrics;
 pub mod sim;
 
-pub use churn::{ChurnEvent, ChurnSchedule};
 pub use detect::PingMonitor;
 pub use directory::Directory;
 pub use fault::{CrashEvent, FaultAction, FaultPlane, Partition, ScriptedFault, StorageFaultPlane};

@@ -531,11 +531,6 @@ impl<M: Message> Ctx<'_, M> {
         self.state.super_peer.get(peer.0 as usize).copied().unwrap_or(false)
     }
 
-    /// A seeded random draw in `[lo, hi]`.
-    pub fn rand_range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.state.rng.gen_range(lo..=hi)
-    }
-
     /// True if a trace sink is collecting events or an online observer is
     /// attached. Protocol layers use this to skip building event payloads
     /// on unobserved runs.
@@ -643,12 +638,6 @@ impl<M: Message, A: Actor<M>> Sim<M, A> {
     /// Schedules a reconnect at time `at`.
     pub fn schedule_reconnect(&mut self, at: u64, peer: PeerId) {
         self.state.schedule(at, Event::Reconnect(peer));
-    }
-
-    /// Schedules a crash-restart at time `at` (skipped if the peer is
-    /// disconnected when it fires).
-    pub fn schedule_crash_restart(&mut self, at: u64, peer: PeerId) {
-        self.state.schedule(at, Event::CrashRestart(peer));
     }
 
     /// Schedules a timer on a peer from outside (how the harness starts a
@@ -1262,12 +1251,10 @@ mod tests {
                 assert_eq!(ctx.incarnation(), 1);
             }
         }
-        let mut c = Sim::new(
-            SimConfig::default(),
-            vec![Crashy { crashes: 0, fired: vec![] }, Crashy { crashes: 0, fired: vec![] }],
-        );
+        let mut config = SimConfig::default();
+        config.fault.crashes.push(CrashEvent { at: 50, peer: PeerId(0) });
+        let mut c = Sim::new(config, vec![Crashy { crashes: 0, fired: vec![] }, Crashy { crashes: 0, fired: vec![] }]);
         c.schedule_timer(0, PeerId(0), 1);
-        c.schedule_crash_restart(50, PeerId(0));
         c.run();
         assert_eq!(c.actor(PeerId(0)).crashes, 1);
         assert_eq!(c.actor(PeerId(0)).fired, vec![1], "post-crash timer never fired");
@@ -1278,9 +1265,10 @@ mod tests {
 
     #[test]
     fn crash_of_offline_peer_is_skipped() {
-        let mut s = sim(2);
+        let mut config = SimConfig::default();
+        config.fault.crashes.push(CrashEvent { at: 10, peer: PeerId(1) });
+        let mut s = Sim::new(config, vec![Echo::default(), Echo::default()]);
         s.schedule_disconnect(0, PeerId(1));
-        s.schedule_crash_restart(10, PeerId(1));
         s.run();
         assert_eq!(s.metrics().crash_restarts, 0);
         assert_eq!(s.incarnation(PeerId(1)), 0);
@@ -1314,11 +1302,11 @@ mod tests {
         s.run();
         assert!(s.trace().is_none(), "no journal unless the sink is on");
 
-        let config = SimConfig { trace: TraceSink::Memory, ..Default::default() };
+        let mut config = SimConfig { trace: TraceSink::Memory, ..Default::default() };
+        config.fault.crashes.push(CrashEvent { at: 20, peer: PeerId(1) });
         let mut s = Sim::new(config, vec![Echo::default(), Echo::default()]);
         s.schedule_disconnect(5, PeerId(1));
         s.schedule_reconnect(10, PeerId(1));
-        s.schedule_crash_restart(20, PeerId(1));
         s.run();
         let j = s.trace().expect("journal collected");
         assert_eq!(j.count("disconnect"), 1);

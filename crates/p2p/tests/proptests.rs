@@ -6,7 +6,7 @@
 //! - Clock monotonicity: actors observe non-decreasing time.
 //! - Churn bookkeeping: connectivity reflects the last applied event.
 
-use axml_p2p::{Actor, ChurnSchedule, Ctx, Message, PeerId, Sim, SimConfig};
+use axml_p2p::{Actor, Ctx, Message, PeerId, Sim, SimConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -75,13 +75,16 @@ proptest! {
     fn message_conservation(
         seed in 0u64..500,
         kicks in prop::collection::vec((0u64..50, 0u32..4, 0u64..20), 1..12),
-        churn_seed in 0u64..100,
-        p_disc in 0.0f64..0.8,
+        flips in prop::collection::vec((0u64..100, 0u32..4, any::<bool>()), 0..12),
     ) {
         let mut sim = build(seed, &kicks);
-        let peers: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let schedule = ChurnSchedule::random(churn_seed, &peers, &[], 100, 20, p_disc);
-        schedule.install(&mut sim);
+        for &(at, peer, disconnect) in &flips {
+            if disconnect {
+                sim.schedule_disconnect(at, PeerId(peer));
+            } else {
+                sim.schedule_reconnect(at, PeerId(peer));
+            }
+        }
         sim.run();
         let m = sim.metrics();
         prop_assert_eq!(

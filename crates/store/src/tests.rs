@@ -723,3 +723,89 @@ fn an_in_memory_sink_recovers_a_torn_tail_and_rotates() {
     assert_eq!(sink.stats().torn_tails_discarded, 1);
     assert!(format!("{sink:?}").contains("memory_segments"));
 }
+
+/// What a peer's sink was asked and answered: the journal the peer must
+/// hold (the acknowledged appends, replaced by the recovery at a crash),
+/// the last recovery, and the refused entries.
+#[derive(Debug, Default)]
+struct Witnessed {
+    held: Vec<JournalEntry>,
+    recovered: Vec<JournalEntry>,
+    refused: Vec<JournalEntry>,
+}
+
+/// A sink that writes through a [`WalSink`] and records into [`Witnessed`].
+#[derive(Debug)]
+struct Witness {
+    sink: WalSink,
+    seen: std::sync::Arc<std::sync::Mutex<Witnessed>>,
+}
+
+impl DurabilitySink for Witness {
+    fn append(&mut self, entry: &JournalEntry) -> bool {
+        let acked = self.sink.append(entry);
+        let mut seen = self.seen.lock().unwrap();
+        if acked { &mut seen.held } else { &mut seen.refused }.push(entry.clone());
+        acked
+    }
+
+    fn append_forced(&mut self, entry: &JournalEntry) {
+        self.sink.append_forced(entry);
+        self.seen.lock().unwrap().held.push(entry.clone());
+    }
+
+    fn crash_restart(&mut self) -> Vec<JournalEntry> {
+        let recovered = self.sink.crash_restart();
+        let mut seen = self.seen.lock().unwrap();
+        seen.held.clone_from(&recovered);
+        seen.recovered.clone_from(&recovered);
+        recovered
+    }
+
+    fn stats(&self) -> WalStats {
+        self.sink.stats()
+    }
+}
+
+#[test]
+fn a_peer_on_a_tearing_wal_holds_exactly_what_its_sink_acknowledged_and_recovered() {
+    // AP3 of Fig. 1 crashes at t=30 while serving S3, on a WAL that tears
+    // a third of its appends. Before the crash its journal is what the
+    // sink acknowledged — never a refused entry; after it, what the sink
+    // recovered, then what it acknowledged since.
+    use axml_core::peer::PeerConfig;
+    use axml_core::scenarios::ScenarioBuilder;
+    use axml_p2p::{CrashEvent, FaultPlane};
+    let (mut refused, mut recovered) = (0, 0);
+    for seed in 0..16 {
+        let mut cfg = PeerConfig::default();
+        cfg.use_alternative_providers = false;
+        let mut b = ScenarioBuilder::fig1().config(cfg);
+        b.durations.insert(3, 50);
+        let mut fault = FaultPlane::default();
+        fault.crashes.push(CrashEvent { at: 30, peer: PeerId(3) });
+        let mut s = b.fault_plane(fault).build();
+        let seen = std::sync::Arc::default();
+        let tearing = StorageFaultPlane { torn_append_prob: 0.3, ..StorageFaultPlane::default() };
+        let sink = Witness { sink: WalSink::in_memory(tearing, seed), seen: std::sync::Arc::clone(&seen) };
+        s.sim.actor_mut(PeerId(3)).set_durability_sink(Box::new(sink));
+        s.sim.run_until(29);
+        {
+            let (journal, seen) = (s.sim.actor(PeerId(3)).journal(), seen.lock().unwrap());
+            assert_eq!(journal, seen.held, "seed {seed}: before the crash");
+            assert!(seen.refused.iter().all(|e| !journal.contains(e)), "seed {seed}: a refused entry is held");
+            refused += seen.refused.len();
+        }
+        let report = s.run();
+        assert!(report.atomic, "seed {seed}");
+        let ap3 = s.sim.actor(PeerId(3));
+        assert_eq!(ap3.stats.crash_recoveries, 1, "seed {seed}");
+        let seen = seen.lock().unwrap();
+        assert_eq!(ap3.journal(), seen.held, "seed {seed}: after the crash");
+        assert!(ap3.journal().starts_with(&seen.recovered), "seed {seed}");
+        assert_eq!(ap3.wal_stats().recovery_entries, seen.recovered.len() as u64, "seed {seed}");
+        recovered += seen.recovered.len();
+    }
+    assert!(refused > 0, "the WAL tore some appends before the crash");
+    assert!(recovered > 0, "the crash recovered some entries");
+}

@@ -53,7 +53,7 @@ pub mod prelude {
         EvalMode, Fault, MaterializationEngine, Repository, ScMode, ServiceCall, ServiceDef, ServiceRegistry,
         TransparentView,
     };
-    pub use axml_p2p::{ChurnSchedule, Directory, PeerId, Sim, SimConfig};
+    pub use axml_p2p::{Directory, PeerId, Sim, SimConfig};
     pub use axml_query::{Locator, PathExpr, SelectQuery, UpdateAction};
     pub use axml_xml::{Document, Fragment, NodeId, QName};
 }

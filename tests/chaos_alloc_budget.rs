@@ -26,7 +26,8 @@
 //! buffered writer per peer, no directory listing on recovery); 906 once
 //! gauge samples stayed out of the observers; 860 once a case kept no
 //! flight ring of its own (a violation's dump is cut from a traced
-//! journal).
+//! journal); 835 once a journal entry is held once (no second copy in a
+//! peer's default sink).
 //!
 //! Traced: 1,668 per case with the journal rendered to JSON lines, its
 //! causal tree and the counter registry rendered to text for every case;
@@ -37,7 +38,8 @@
 //! copy of a sample, no per-case series registry, one reading buffer per
 //! simulator instead of one per window); 1,008 once a case kept no flight
 //! ring and conformance kept no per-peer context queues (both cut from
-//! the journal when there is something to report).
+//! the journal when there is something to report); 982 once a journal
+//! entry is held once.
 //!
 //! Those are release counts; a debug build's assertions add about 12 per
 //! case. Each budget leaves 25 allocations of room above the release
@@ -52,10 +54,10 @@ use axml_chaos::{builder_for, plane_for, run_case, run_with_plane_traced, CaseCo
 use common::allocations;
 
 /// Allocations one `run_case` may make, averaged over the 25 cells.
-const PER_CASE_BUDGET: u64 = 885;
+const PER_CASE_BUDGET: u64 = 860;
 
 /// Allocations one traced case may make, averaged over the 25 cells.
-const PER_TRACED_CASE_BUDGET: u64 = 1_033;
+const PER_TRACED_CASE_BUDGET: u64 = 1_007;
 
 /// Runs the 25 cells at case seed 0 through `run`; returns the
 /// allocations they made.

@@ -1,7 +1,8 @@
 //! Durability integration: journal a *live* peer's context mid-run,
 //! crash it, and recover the in-doubt transaction by presumed abort.
 
-use axml::core::durability::{decode, encode, journal_of, recover_in_doubt, replay};
+use axml::core::durability::{decode, encode, journal_of, recover_in_doubt, replay, JournalEntry};
+use axml::p2p::CrashEvent;
 use axml::prelude::*;
 
 /// Freeze Fig. 1 mid-flight, snapshot AP3's journal + repository (what a
@@ -87,4 +88,34 @@ fn aborted_run_journals_are_terminal_everywhere() {
             assert_eq!(before, after);
         }
     }
+}
+
+/// A peer without a durability sink is its own stable storage: crashed
+/// mid-transaction, it keeps every journalled entry, counts each byte
+/// once, and recovers from all of them.
+#[test]
+fn a_peer_without_a_sink_keeps_its_whole_journal_through_a_crash() {
+    let mut builder = ScenarioBuilder::fig1();
+    builder.durations.insert(3, 500);
+    builder.fault.crashes.push(CrashEvent { at: 60, peer: PeerId(3) });
+    let mut scenario = builder.build();
+    scenario.sim.run_until(59);
+    let ap3 = scenario.sim.actor(PeerId(3));
+    let before = ap3.journal().to_vec();
+    let bytes = ap3.wal_stats().bytes_appended;
+    assert!(ap3.known_txns().iter().any(|&t| !ap3.context(t).unwrap().is_terminal()), "mid-transaction");
+    // Each entry's JSON line is counted once (`encode` adds a newline each).
+    assert_eq!(bytes, (encode(&before).len() - before.len()) as u64);
+
+    scenario.sim.run_until(60);
+    let ap3 = scenario.sim.actor(PeerId(3));
+    assert_eq!(ap3.stats.crash_recoveries, 1);
+    let (kept, appended) = ap3.journal().split_at(before.len());
+    assert_eq!(kept, before, "the crash lost nothing");
+    // Since then, recovery journalled one abort per in-doubt context.
+    assert_eq!(appended.len() as u64, ap3.stats.presumed_aborts);
+    assert!(appended.iter().all(|e| matches!(e, JournalEntry::Resolved { committed: false, .. })));
+    let wal = ap3.wal_stats();
+    assert_eq!(wal.recovery_entries, before.len() as u64);
+    assert_eq!(wal.bytes_appended, bytes + (encode(appended).len() - appended.len()) as u64);
 }

@@ -213,7 +213,6 @@ fn prelude_covers_the_daily_api() {
     let _ = RecoveryStyle::ForwardFirst;
     let _ = EvalMode::Lazy;
     let _: Option<TxnOutcome> = None;
-    let _ = ChurnSchedule::new();
     let chain = ActiveList::new(PeerId(1), true);
     assert!(sphere_guarantees_atomicity(&chain));
     let _ = CompensatingService::default();
