@@ -498,6 +498,9 @@ pub fn apply_call_results(
     // first slot: siblings, so one table holds them all.
     let mut previous: Vec<NodeId> = Vec::new();
     if call.mode == ScMode::Replace {
+        if let Some(effects) = kept_results(doc, call, sc_node, &sc_path, items) {
+            return Ok(effects);
+        }
         previous.extend(call.result_nodes(doc));
         previous.reverse();
     }
@@ -519,6 +522,42 @@ pub fn apply_call_results(
         effects.push(Effect::Inserted { node, path, fragment: item.clone() });
     }
     Ok(effects)
+}
+
+/// The effects of a replace that would put back what the call holds, with
+/// the tree left as it is — or `None` if anything differs and the results
+/// must be copied. The call holds `items` when there are as many results,
+/// they are consecutive children of the `axml:sc`, and each is an unedited
+/// copy equal to the item for its place. The effects are the copying
+/// path's: deletes last first, each with the fragment the removal would
+/// hand back, then inserts, each naming the kept root.
+fn kept_results(
+    doc: &Document,
+    call: &ServiceCall,
+    sc_node: NodeId,
+    sc_path: &NodePath,
+    items: &[Fragment],
+) -> Option<Vec<Effect>> {
+    let base = doc.position_in_parent(call.result_nodes(doc).next()?).ok()?;
+    let held = doc.children(sc_node).ok()?.skip(base).take(items.len());
+    let unchanged = held.len() == items.len()
+        && call.result_nodes(doc).eq(held.clone())
+        && held.clone().zip(items).all(|(node, item)| doc.remembered_copy(node) == Some(item));
+    if !unchanged {
+        return None;
+    }
+    let mut effects = Vec::with_capacity(2 * items.len());
+    effects.extend(held.clone().enumerate().rev().map(|(k, node)| Effect::Deleted {
+        fragment: doc.remembered_copy(node).expect("checked above").clone(),
+        parent_path: sc_path.clone(),
+        position: base + k,
+    }));
+    effects.extend(held.zip(items).enumerate().map(|(k, (node, item))| {
+        let path = sc_path.child(base + k);
+        debug_assert_eq!(Ok(&path), NodePath::of(doc, node).as_ref());
+        Effect::Inserted { node, path, fragment: item.clone() }
+    }));
+    Some(effects)
 }
 
 /// The name tests a query can match (relevance analysis input).
@@ -997,6 +1036,120 @@ mod tests {
         let engine = MaterializationEngine { max_depth: 3, ..Default::default() };
         let err = engine.materialize_call(&mut doc, &call, &mut Loopy, 0).unwrap_err();
         assert!(err.message.contains("max depth"), "{err}");
+    }
+
+    /// A replace call with a stale result, a control child first.
+    const HOLDER: &str = r#"<d><axml:sc mode="replace" serviceNameSpace="s" serviceURL="peer://p"
+        methodName="m"><axml:params/><stale/></axml:sc></d>"#;
+
+    /// Two result items, in a table of their own at every call.
+    fn two_items() -> Vec<Fragment> {
+        Fragment::parse_all(r#"<out><a>1</a></out><out><b x="2">two</b></out>"#).unwrap()
+    }
+
+    /// A document whose call holds copies of `items`, put there by the
+    /// copying path.
+    fn holding(items: &[Fragment]) -> (Document, ServiceCall) {
+        let mut doc = Document::parse(HOLDER).unwrap();
+        let call = ServiceCall::scan(&doc).remove(0);
+        apply_call_results(&mut doc, &call, call.node.unwrap(), items).unwrap();
+        assert!(call.result_nodes(&doc).all(|r| doc.remembered_copy(r).is_some()));
+        (doc, call)
+    }
+
+    /// Applies `items` to the call of `doc` and to the same call in a
+    /// re-parse of `doc`, which remembers no copies and so copies them.
+    /// Checks that both land on the same bytes and effects, whatever root
+    /// an insert names; returns the effects and whether every result of
+    /// `doc` was kept in place.
+    fn reapply(doc: &mut Document, call: &ServiceCall, items: &[Fragment]) -> (Vec<Effect>, bool) {
+        let mut copied = Document::parse(&doc.to_xml()).unwrap();
+        let copied_call = ServiceCall::scan(&copied).remove(0);
+        let expected = apply_call_results(&mut copied, &copied_call, copied_call.node.unwrap(), items).unwrap();
+        let held = call.result_children(doc);
+        let effects = apply_call_results(doc, call, call.node.unwrap(), items).unwrap();
+        doc.check_consistency().unwrap();
+        assert_eq!(doc.to_xml(), copied.to_xml());
+        // Every insert names one root, whichever it kept or made.
+        let root = doc.root();
+        let anonymous = |effects: &[Effect]| -> Vec<Effect> {
+            let name_root = |e: &Effect| match e {
+                Effect::Inserted { path, fragment, .. } => {
+                    Effect::Inserted { node: root, path: path.clone(), fragment: fragment.clone() }
+                }
+                deleted => deleted.clone(),
+            };
+            effects.iter().map(name_root).collect()
+        };
+        assert_eq!(anonymous(&effects), anonymous(&expected), "the effects the copying path logs");
+        let inserted: Vec<NodeId> = effects
+            .iter()
+            .filter_map(|e| if let Effect::Inserted { node, .. } = e { Some(*node) } else { None })
+            .collect();
+        (effects, inserted == held)
+    }
+
+    #[test]
+    fn a_call_that_returns_the_items_it_holds_keeps_its_results_in_place() {
+        let items = two_items();
+        let (mut doc, call) = holding(&items);
+        let (before, xml) = (call.result_children(&doc), doc.to_xml());
+        let (effects, kept) = reapply(&mut doc, &call, &items);
+        assert!(kept, "{effects:?}");
+        assert_eq!(call.result_children(&doc), before);
+        assert_eq!(doc.to_xml(), xml);
+        // Deletes last first, with the copies the removals would hand back.
+        let positions: Vec<usize> = effects
+            .iter()
+            .filter_map(|e| if let Effect::Deleted { position, .. } = e { Some(*position) } else { None })
+            .collect();
+        assert_eq!(positions, [2, 1]);
+        let Effect::Deleted { fragment, .. } = &effects[0] else { panic!("{effects:?}") };
+        assert!(Fragment::ptr_eq(fragment, &items[1]));
+    }
+
+    #[test]
+    fn equal_items_from_another_table_are_kept_too() {
+        let (mut doc, call) = holding(&two_items());
+        let before = call.result_children(&doc);
+        let (_, kept) = reapply(&mut doc, &call, &two_items());
+        assert!(kept);
+        assert_eq!(call.result_children(&doc), before);
+    }
+
+    #[test]
+    fn anything_that_differs_takes_the_copying_path() {
+        let items = two_items();
+        let other = Fragment::elem_text("out", "3");
+        let cases: [(&str, Vec<Fragment>); 3] = [
+            ("a different item", vec![items[0].clone(), other]),
+            ("fewer items", vec![items[0].clone()]),
+            ("more items", vec![items[0].clone(), items[1].clone(), items[0].clone()]),
+        ];
+        for (case, returned) in cases {
+            let (mut doc, call) = holding(&items);
+            let (_, kept) = reapply(&mut doc, &call, &returned);
+            assert!(!kept, "{case}");
+        }
+
+        // A control child between the two results.
+        let (mut doc, call) = holding(&items);
+        let (sc, params) = (call.node.unwrap(), doc.children(call.node.unwrap()).unwrap().next().unwrap());
+        doc.detach(params).unwrap();
+        doc.insert_child(sc, 1, params).unwrap();
+        assert!(call.result_nodes(&doc).all(|r| doc.remembered_copy(r).is_some()));
+        let (_, kept) = reapply(&mut doc, &call, &items);
+        assert!(!kept, "a control child between the results");
+
+        // A result edited back into what it was: equal, but no copy known.
+        let (mut doc, call) = holding(&items);
+        let second = call.result_children(&doc)[1];
+        let b = doc.children(second).unwrap().next().unwrap();
+        doc.set_attr(b, "x", "2").unwrap();
+        assert_eq!(doc.remembered_copy(second), None);
+        assert_eq!(Fragment::from_node(&doc, second).unwrap(), items[1]);
+        let (_, kept) = reapply(&mut doc, &call, &items);
+        assert!(!kept, "an edited result");
     }
 
     #[test]

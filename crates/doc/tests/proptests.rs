@@ -458,6 +458,83 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// Results kept in place against the copying path.
+// ----------------------------------------------------------------------
+
+/// One call's result items: `<rK>x</rK>` or `<rK>y</rK>`.
+fn items_strategy() -> impl Strategy<Value = Vec<Fragment>> {
+    prop::collection::vec((0usize..3, 0usize..2), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|(k, t)| Fragment::elem_text(format!("r{k}"), ["x", "y"][t])).collect())
+}
+
+/// Equal effects, whatever node an insert names.
+fn same_but_node(a: &Effect, b: &Effect) -> bool {
+    match (a, b) {
+        (Effect::Inserted { path, fragment, .. }, Effect::Inserted { path: p, fragment: f, .. }) => {
+            path == p && fragment == f
+        }
+        _ => a == b,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A replace call re-materialized with the items it holds — the same
+    /// fragments (`again` 0) or equal ones from another table (1) — keeps
+    /// its results; with others (2, unless equal), or in merge mode, it
+    /// copies. Either
+    /// way the document and the log are the copying path's, which the
+    /// same calls take in a re-parse of the document: it remembers no
+    /// copies. Compensating either log restores the same bytes.
+    #[test]
+    fn results_kept_in_place_match_the_copying_path(
+        doc in axml_doc_strategy(),
+        first in prop::collection::vec(items_strategy(), 8),
+        again in prop::collection::vec(0usize..3, 8),
+        others in prop::collection::vec(items_strategy(), 8),
+    ) {
+        let mut doc = doc;
+        let apply = |doc: &mut Document, call: &ServiceCall, items: &[Fragment]| {
+            axml_doc::apply_call_results(doc, call, call.node.unwrap(), items).unwrap()
+        };
+        for (call, items) in ServiceCall::scan(&doc).iter().zip(&first) {
+            apply(&mut doc, call, items);
+        }
+        let before = doc.to_xml();
+        let mut copied = Document::parse(&before).unwrap();
+        let (calls, copied_calls) = (ServiceCall::scan(&doc), ServiceCall::scan(&copied));
+        prop_assert_eq!(calls.len(), copied_calls.len());
+        let (mut log, mut copied_log) = (Vec::new(), Vec::new());
+        for (k, (call, copied_call)) in calls.iter().zip(&copied_calls).take(first.len()).enumerate() {
+            let items: Vec<Fragment> = match again[k] {
+                0 => first[k].clone(),
+                1 => first[k].iter().map(|f| Fragment::parse_one(&f.to_xml()).unwrap()).collect(),
+                _ => others[k].clone(),
+            };
+            let held = call.result_children(&doc);
+            let effects = apply(&mut doc, call, &items);
+            let expected = apply(&mut copied, copied_call, &items);
+            prop_assert_eq!(doc.to_xml(), copied.to_xml());
+            prop_assert!(effects.len() == expected.len() && effects.iter().zip(&expected).all(|(a, b)| same_but_node(a, b)));
+            let inserted: Vec<NodeId> =
+                effects.iter().filter_map(|e| if let Effect::Inserted { node, .. } = e { Some(*node) } else { None }).collect();
+            let kept = !inserted.is_empty() && inserted == held;
+            let holds = call.mode == axml_doc::ScMode::Replace && !items.is_empty() && items == first[k];
+            prop_assert_eq!(kept, holds, "call {}: again={}, mode {:?}", k, again[k], call.mode);
+            log.extend(effects);
+            copied_log.extend(expected);
+        }
+        doc.check_consistency().unwrap();
+        compensate(&mut doc, &log);
+        compensate(&mut copied, &copied_log);
+        prop_assert_eq!(doc.to_xml(), before.clone());
+        prop_assert_eq!(copied.to_xml(), before);
+        doc.check_consistency().unwrap();
+    }
+}
+
+// ----------------------------------------------------------------------
 // By-name lookups against the walks they replace.
 // ----------------------------------------------------------------------
 

@@ -196,7 +196,10 @@ pub enum Effect {
     /// A subtree was inserted. `node` is the unique ID the paper's insert
     /// returns; `path` is its structural address for replica-side replay.
     Inserted {
-        /// Arena id of the new subtree root (local to this document).
+        /// Arena id of the subtree root (local to this document): the new
+        /// one, or — when a replace puts back results the call already
+        /// held, and `apply_call_results` keeps them in place — the kept
+        /// one. Compensation goes by `path`, not by this id.
         node: NodeId,
         /// Structural address of the new subtree root.
         path: NodePath,

@@ -696,6 +696,13 @@ impl Deserialize for Fragment {
 }
 
 impl Document {
+    /// The fragment the subtree at `node` is remembered to be an exact
+    /// copy of, if any: set when it was instantiated or last captured,
+    /// gone once it or anything below it is edited. `None` for a stale id.
+    pub fn remembered_copy(&self, node: NodeId) -> Option<&Fragment> {
+        self.copies[self.slot_of(node).ok()? as usize].get()
+    }
+
     /// The subtree at `node` as a fragment, without modifying the
     /// document: the fragment it remembers the subtree is a copy of, or
     /// else a capture, remembered from now on.
