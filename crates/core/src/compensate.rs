@@ -19,8 +19,17 @@
 //! one peer is a plain list of update actions any peer holding (a replica
 //! of) the document can execute — the enabler for §3.2's
 //! **peer-independent compensation**.
+//!
+//! A batch may only put back what the document already holds: the undo
+//! of a replace that kept a call's results in place deletes them and
+//! re-inserts equal fragments at the same positions. [`apply_compensation`],
+//! which every undo goes through (an abort, a received compensation, the
+//! rollback after a refused log append, crash recovery), recognises that
+//! shape first ([`put_back_cost`], read-only) and then leaves the tree
+//! alone, reporting the node cost the copying would have. Only the kept
+//! nodes' ids differ from a run that copies.
 
-use axml_query::{Effect, InsertPos, Locator, QueryError, UpdateAction};
+use axml_query::{ActionType, Effect, InsertPos, Locator, QueryError, UpdateAction};
 use axml_xml::Document;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -60,14 +69,63 @@ pub fn compensation_for_effects(effects: &[Effect]) -> Vec<UpdateAction> {
 }
 
 /// Applies compensating actions to a document, returning the total node
-/// cost. Actions are applied in the given (already-reversed) order.
+/// cost. Actions are applied in the given (already-reversed) order, unless
+/// they would only put back what the document already holds
+/// ([`put_back_cost`]): then the document is left as it is, at the same
+/// cost.
 pub fn apply_compensation(doc: &mut Document, actions: &[UpdateAction]) -> Result<usize, QueryError> {
+    if let Some(cost) = put_back_cost(doc, actions) {
+        return Ok(cost);
+    }
     let mut cost = 0usize;
     for action in actions {
         let report = action.apply(doc)?;
         cost += report.cost_nodes;
     }
     Ok(cost)
+}
+
+/// The node cost of applying `actions` to `doc` if all they would do is
+/// put back what is already there, or `None` if they must run.
+///
+/// That is the undo of a replace of n results by n equal items, which is
+/// what `axml_doc::apply_call_results` logs when it keeps a call's
+/// results in place: n deletes, by node path, of the consecutive children
+/// of one parent from position `base` on, highest position first; then n
+/// inserts of one fragment each under that parent, at the same positions
+/// in ascending order; and each deleted child an unedited copy
+/// ([`Document::remembered_copy`]) `==` the fragment put back in its
+/// place. Running such a batch frees those children and instantiates
+/// equal ones where they were. The cost is what that run reports: the
+/// deleted and the inserted node count of each pair.
+pub fn put_back_cost(doc: &Document, actions: &[UpdateAction]) -> Option<usize> {
+    if !actions.len().is_multiple_of(2) {
+        return None;
+    }
+    let (deletes, inserts) = actions.split_at(actions.len() / 2);
+    let n = deletes.len();
+    let Locator::Node(lowest) = &deletes.last()?.location else { return None };
+    let (&base, parent_path) = lowest.0.split_last()?;
+    let parent = parent_path.iter().try_fold(doc.root(), |node, &k| doc.child_at(node, k).ok().flatten())?;
+    let held = doc.children(parent).ok()?.skip(base).take(n);
+    if held.len() != n {
+        return None;
+    }
+    let mut cost = 0;
+    for (k, (node, (delete, insert))) in held.zip(deletes.iter().rev().zip(inserts)).enumerate() {
+        let position = base + k;
+        let deletes_it = delete.ty == ActionType::Delete
+            && matches!(&delete.location, Locator::Node(path) if path.0.split_last() == Some((&position, parent_path)));
+        let puts_back = insert.ty == ActionType::Insert
+            && insert.insert_pos == InsertPos::At(position)
+            && matches!(&insert.location, Locator::Node(path) if path.0 == parent_path);
+        let ([fragment], Some(copy)) = (insert.data.as_slice(), doc.remembered_copy(node)) else { return None };
+        if !(deletes_it && puts_back && copy == fragment) {
+            return None;
+        }
+        cost += copy.node_count() + fragment.node_count();
+    }
+    Some(cost)
 }
 
 /// Compensating-service definitions addressed per peer: what a recovering
@@ -208,8 +266,8 @@ impl StaticCompensator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axml_query::{Locator, PathExpr};
-    use axml_xml::{equivalent_ordered, Fragment};
+    use axml_query::{Locator, NodePath, PathExpr};
+    use axml_xml::{equivalent_ordered, Fragment, NodeId};
 
     fn atp() -> Document {
         Document::parse(
@@ -251,6 +309,96 @@ mod tests {
         assert_eq!(comp.len(), 2, "delete the inserted USA node, re-insert Spanish");
         apply_compensation(&mut doc, &comp).unwrap();
         assert_eq!(doc.to_xml(), before);
+    }
+
+    /// `<d><x/><a>1</a><b>2</b><c>3</c></d>`, whose `a`, `b` and `c` the
+    /// document remembers as copies of the returned fragments.
+    fn remembering() -> (Document, Vec<Fragment>) {
+        let mut doc = Document::parse("<d><x/></d>").unwrap();
+        let items = Fragment::parse_all("<a>1</a><b>2</b><c>3</c>").unwrap();
+        for (k, item) in items.iter().enumerate() {
+            doc.insert_fragment(doc.root(), k + 1, item).unwrap();
+        }
+        (doc, items)
+    }
+
+    fn delete(k: usize) -> UpdateAction {
+        UpdateAction::delete(Locator::Node(NodePath(vec![k])))
+    }
+
+    fn put(k: usize, item: &Fragment) -> UpdateAction {
+        UpdateAction::insert_at(Locator::Node(NodePath::root()), vec![item.clone()], InsertPos::At(k))
+    }
+
+    /// Applies `batch` to `doc` and, copying, to a re-parse of it, which
+    /// remembers no copies; both must land on the same bytes, cost and
+    /// `Ok`/`Err`. Returns whether `doc` was left alone, ids and all.
+    fn against_copying(doc: &mut Document, batch: &[UpdateAction]) -> bool {
+        let mut copied = Document::parse(&doc.to_xml()).unwrap();
+        assert_eq!(put_back_cost(&copied, batch), None);
+        let expected = apply_compensation(&mut copied, batch).ok();
+        let children: Vec<NodeId> = doc.children(doc.root()).unwrap().collect();
+        let put_back = put_back_cost(doc, batch);
+        let cost = apply_compensation(doc, batch).ok();
+        doc.check_consistency().unwrap();
+        assert_eq!(doc.to_xml(), copied.to_xml());
+        assert_eq!(cost, expected);
+        if put_back.is_some() {
+            assert_eq!(put_back, cost);
+            assert!(doc.children(doc.root()).unwrap().eq(children));
+        }
+        put_back.is_some()
+    }
+
+    #[test]
+    fn a_batch_that_puts_back_what_is_there_leaves_the_tree_alone() {
+        let (mut doc, items) = remembering();
+        let batch = [delete(3), delete(2), put(2, &items[1]), put(3, &items[2])];
+        assert_eq!(put_back_cost(&doc, &batch), Some(8), "two nodes out and two in, twice");
+        assert!(against_copying(&mut doc, &batch));
+        let equal = Fragment::parse_one("<a>1</a>").unwrap();
+        assert!(against_copying(&mut doc, &[delete(1), put(1, &equal)]), "an equal fragment of another table");
+    }
+
+    #[test]
+    fn a_batch_that_puts_back_anything_else_runs() {
+        let (_, items) = remembering();
+        let (a, b, c) = (&items[0], &items[1], &items[2]);
+        let under_x = UpdateAction::insert_at(Locator::Node(NodePath(vec![0])), vec![a.clone()], InsertPos::At(0));
+        let cases = [
+            ("positions not consecutive", vec![delete(3), delete(1), put(1, a), put(2, b)]),
+            ("lowest position deleted first", vec![delete(1), delete(2), put(1, a), put(2, b)]),
+            ("fragments swapped", vec![delete(2), delete(1), put(1, b), put(2, a)]),
+            ("a fragment that differs", vec![delete(1), put(1, &Fragment::elem_text("a", "9"))]),
+            ("another parent", vec![delete(1), under_x]),
+            ("one insert short", vec![delete(2), delete(1), put(1, a)]),
+            (
+                "two fragments in one insert",
+                vec![
+                    delete(1),
+                    UpdateAction::insert_at(
+                        Locator::Node(NodePath::root()),
+                        vec![a.clone(), b.clone()],
+                        InsertPos::At(1),
+                    ),
+                ],
+            ),
+            ("a delete by query", vec![UpdateAction::delete(Locator::parse("d/a").unwrap()), put(1, a)]),
+            ("an append", vec![delete(3), UpdateAction::insert(Locator::Node(NodePath::root()), vec![c.clone()])]),
+            ("past the last child", vec![delete(4), put(4, a)]),
+            ("nothing", vec![]),
+        ];
+        for (case, batch) in cases {
+            let (mut doc, _) = remembering();
+            assert!(!against_copying(&mut doc, &batch), "{case}");
+        }
+
+        // A child edited back into what it was: equal, but not remembered.
+        let (mut doc, _) = remembering();
+        let at_b = doc.child_at(doc.root(), 2).unwrap().unwrap();
+        doc.set_attr(at_b, "t", "1").unwrap();
+        doc.remove_attr(at_b, "t").unwrap();
+        assert!(!against_copying(&mut doc, &[delete(2), put(2, b)]), "an edited child");
     }
 
     #[test]

@@ -535,6 +535,110 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// An undo that only puts back what the document holds, against the
+// copying path.
+// ----------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each call is re-materialized once more, with the items it holds
+    /// (`again` 0 or 1) or others (2), its results kept in place or — when
+    /// `forget` makes the document forget the first result's copy —
+    /// copied. Then a call may be edited: 1 sets an attribute on one of
+    /// its results (and, `undo`, removes it again), 2 inserts an `<e/>`
+    /// among its children, 3 sets one on the document root. Then every
+    /// call's effects are undone, last call first, through
+    /// `apply_compensation`. Each undo lands where the copying path lands
+    /// on a re-parse of the document, which remembers no copies: the same
+    /// bytes, cost and `Ok`/`Err`. `put_back_cost` fires on exactly the
+    /// undos of a replace that returned, item for item, the results the
+    /// call held, with no result edited since and no `<e/>` before one;
+    /// those leave the call's children, ids and all, as they are.
+    #[test]
+    fn put_back_batches_match_the_copying_path(
+        doc in axml_doc_strategy(),
+        first in prop::collection::vec(items_strategy(), 8),
+        again in prop::collection::vec(0usize..3, 8),
+        others in prop::collection::vec(items_strategy(), 8),
+        forget in prop::collection::vec(any::<bool>(), 8),
+        edits in prop::collection::vec((0usize..4, 0usize..8, any::<bool>()), 8),
+    ) {
+        use axml_core::compensate::{apply_compensation, compensation_for_effects, put_back_cost};
+
+        let mut doc = doc;
+        let apply = |doc: &mut Document, call: &ServiceCall, items: &[Fragment]| {
+            axml_doc::apply_call_results(doc, call, call.node.unwrap(), items).unwrap()
+        };
+        let calls = ServiceCall::scan(&doc);
+        for (call, items) in calls.iter().zip(&first) {
+            apply(&mut doc, call, items);
+        }
+        let mut undos = Vec::new();
+        for (k, call) in calls.iter().enumerate().take(first.len()) {
+            let items: Vec<Fragment> = match again[k] {
+                0 => first[k].clone(),
+                1 => first[k].iter().map(|f| Fragment::parse_one(&f.to_xml()).unwrap()).collect(),
+                _ => others[k].clone(),
+            };
+            let held = call.result_children(&doc);
+            let held_xml: Vec<String> = held.iter().map(|&r| Fragment::from_node(&doc, r).unwrap().to_xml()).collect();
+            if let (true, Some(&r)) = (forget[k], held.first()) {
+                doc.set_attr(r, "t", "1").unwrap();
+                doc.remove_attr(r, "t").unwrap();
+            }
+            let effects = apply(&mut doc, call, &items);
+            let returns_held =
+                call.mode == axml_doc::ScMode::Replace && !items.is_empty() && items.iter().map(Fragment::to_xml).eq(held_xml);
+            undos.push((effects, returns_held));
+        }
+        for (k, (_, returns_held)) in undos.iter_mut().enumerate() {
+            let (sc, results) = (calls[k].node.unwrap(), calls[k].result_children(&doc));
+            let (kind, at, undo) = edits[k];
+            *returns_held &= match (kind, results.last()) {
+                (1, Some(_)) => {
+                    let r = results[at % results.len()];
+                    doc.set_attr(r, "t", "1").unwrap();
+                    if undo {
+                        doc.remove_attr(r, "t").unwrap();
+                    }
+                    false
+                }
+                (2, last) => {
+                    let at = at % (doc.children(sc).unwrap().len() + 1);
+                    let after = last.is_none_or(|&r| at > doc.position_in_parent(r).unwrap());
+                    doc.insert_fragment(sc, at, &Fragment::elem("e")).unwrap();
+                    after
+                }
+                (3, _) => {
+                    doc.set_attr(doc.root(), "edited", "1").unwrap();
+                    true
+                }
+                _ => true,
+            };
+        }
+        for (k, (effects, put_back)) in undos.into_iter().enumerate().rev() {
+            let batch = compensation_for_effects(&effects);
+            let mut copied = Document::parse(&doc.to_xml()).unwrap();
+            prop_assert_eq!(put_back_cost(&copied, &batch), None);
+            let expected = apply_compensation(&mut copied, &batch);
+            let sc = calls[k].node.unwrap();
+            let children: Vec<NodeId> = doc.children(sc).unwrap().collect();
+            let fired = put_back_cost(&doc, &batch);
+            let cost = apply_compensation(&mut doc, &batch);
+            doc.check_consistency().unwrap();
+            prop_assert_eq!(doc.to_xml(), copied.to_xml());
+            prop_assert_eq!(cost.as_ref().ok(), expected.as_ref().ok());
+            prop_assert_eq!(fired.is_some(), put_back, "call {}: again={}, edit {:?}", k, again[k], edits[k]);
+            if fired.is_some() {
+                prop_assert_eq!(fired, cost.ok());
+                prop_assert_eq!(doc.children(sc).unwrap().collect::<Vec<_>>(), children);
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // By-name lookups against the walks they replace.
 // ----------------------------------------------------------------------
 

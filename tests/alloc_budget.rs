@@ -24,7 +24,8 @@
 //! once a document stored the same records and a list of subtrees was
 //! captured as one table, 908 once a subtree remembered the fragment it is
 //! a copy of, 895 once a journal entry is held once, 868 once a call that
-//! returns what it holds keeps it — and the properties of that table the count rests on: a
+//! returns what it holds keeps it, 616 once an abort that only puts back
+//! what a call holds leaves it there — and the properties of that table the count rests on: a
 //! clone allocates nothing, a capture allocates the same few blocks
 //! whatever the subtree's size and however many subtrees, putting a
 //! subtree back into a document that has the room allocates nothing at
@@ -50,8 +51,8 @@ const PER_TXN_BUDGET: u64 = 270;
 /// (6,496 at the parent of the commit that made `Fragment` a flat table).
 /// A debug build checks every derived path against a climbed one
 /// (`apply_call_results`), which is one more allocation per applied item:
-/// 994 there against 868.
-const PER_BIG_DOC_TXN_BUDGET: u64 = if cfg!(debug_assertions) { 1_021 } else { 895 };
+/// 742 there against 616.
+const PER_BIG_DOC_TXN_BUDGET: u64 = if cfg!(debug_assertions) { 769 } else { 643 };
 /// Allocations one capture of a subtree may make, whatever its size: the
 /// table's three vectors and the `Arc` around them.
 const PER_CAPTURE_BUDGET: u64 = 4;

@@ -3,10 +3,11 @@
 //!
 //! Once the stream is warm, a committed step re-materializes each call
 //! with the items it holds, so every result subtree stays where it is,
-//! node id and all. The aborting step after it undoes that step's effects
-//! by their logged paths and fragments, and leaves every document byte
-//! for byte as it was before the step. Every document stays consistent
-//! throughout.
+//! node id and all. The aborting step after it keeps them too: it
+//! materializes each call with the same items, and its compensation only
+//! puts back what the calls hold, so it leaves the tree alone
+//! (`axml_core::compensate::put_back_cost`). Every document stays
+//! consistent after every step.
 
 #[path = "common/big_doc.rs"]
 mod big_doc;
@@ -30,7 +31,11 @@ fn snapshot(s: &Scenario) -> Vec<(String, Vec<Vec<NodeId>>)> {
 #[test]
 fn a_committed_big_doc_step_keeps_every_result_and_an_abort_restores_every_byte() {
     let mut s = big_doc::scenario(0);
-    big_doc::run(&mut s, 0..4); // warm-up: every call materialized and undone once
+    for step in 0..4 {
+        // Warm-up: every call materialized and undone once.
+        big_doc::run(&mut s, step..step + 1);
+        snapshot(&s);
+    }
     let mut kept = 0;
     for step in (4..12).step_by(2) {
         let before = snapshot(&s);
@@ -43,8 +48,9 @@ fn a_committed_big_doc_step_keeps_every_result_and_an_abort_restores_every_byte(
 
         big_doc::run(&mut s, step + 1..step + 2);
         let aborted = snapshot(&s);
-        for ((xml, _), (now, _)) in committed.iter().zip(&aborted) {
-            assert_eq!(xml, now, "step {} left a document changed", step + 1);
+        for ((xml, held), (now_xml, now)) in committed.iter().zip(&aborted) {
+            assert_eq!(xml, now_xml, "step {} left a document changed", step + 1);
+            assert_eq!(held, now, "step {} moved a result", step + 1);
         }
     }
     let outcomes = &s.sim.actor(s.origin).outcomes;
