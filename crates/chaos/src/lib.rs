@@ -1114,7 +1114,6 @@ pub fn sweep(scenarios: &[String], profiles: &[Profile], seeds: std::ops::Range<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axml_core::peer::PeerConfig;
 
     #[test]
     fn identical_seed_and_config_produce_identical_runs() {
@@ -1411,38 +1410,47 @@ mod tests {
         assert_eq!(ra.digest, run_with_plane(&case, rb.plane).digest);
     }
 
+    /// The journal of Fig. 1 with S2 slow and faulty, and a copy with
+    /// AP3's first two `CompensateOp` events swapped: an undo in forward
+    /// log order. The whole AP3 subtree completes first, so AP3 holds
+    /// several forward log records (child materializations plus its own
+    /// update) when the abort arrives — giving §3.1's reverse-order rule an
+    /// actual order to check.
+    fn swapped_compensation_journals() -> (TraceJournal, TraceJournal) {
+        let mut b = ScenarioBuilder::fig1().fault_at(2).traced();
+        b.seed = 1000;
+        b.durations.insert(2, 60);
+        b.config.use_alternative_providers = false;
+        let mut s = b.build();
+        let report = s.run();
+        assert_eq!(report.outcome.map(|o| o.committed), Some(false), "fig1-abort aborts");
+        let clean = s.sim.take_trace().expect("traced run");
+        let mut entries: Vec<TraceEvent> = clean.iter().cloned().collect();
+        let ops: Vec<usize> = (0..entries.len())
+            .filter(|&i| entries[i].peer == 3 && matches!(entries[i].kind, EventKind::CompensateOp { .. }))
+            .take(2)
+            .collect();
+        let [first, second] = ops[..] else { panic!("AP3 undoes fewer than two records") };
+        let (head, tail) = entries.split_at_mut(second);
+        std::mem::swap(&mut head[first].kind, &mut tail[0].kind);
+        let mut swapped = TraceJournal::default();
+        for e in entries {
+            swapped.record(e.at, e.peer, e.epoch, e.txn, e.span, e.parent, e.kind);
+        }
+        (clean, swapped)
+    }
+
     #[test]
     fn monitor_catches_out_of_order_compensation() {
-        // The deliberately broken peer variant applies self-compensation
-        // batches in forward log order; the online monitor's rule M001
-        // (§3.1 reverse order) must flag it, and must stay silent on the
-        // correct reverse-order peer under the same schedule.
-        let run = |broken: bool| {
-            // Fig. 1 with S2 slow and faulty: the whole AP3 subtree
-            // completes first, so AP3 accumulates several forward log
-            // records (child materializations plus its own update)
-            // before the abort arrives — giving the reverse-order rule
-            // an actual order to check.
-            let mut b = ScenarioBuilder::fig1().fault_at(2);
-            b.seed = 1000;
-            b.durations.insert(2, 60);
-            let mut cfg = PeerConfig::default();
-            cfg.use_alternative_providers = false;
-            cfg.compensate_in_log_order = broken;
-            let monitor = Rc::new(RefCell::new(Monitor::new()));
-            let mut s = b.config(cfg).build();
-            s.sim.attach_observer(monitor.clone());
-            let report = s.run();
-            assert_eq!(report.outcome.map(|o| o.committed), Some(false), "fig1-abort aborts");
-            let mut m = monitor.borrow_mut();
-            m.finish().to_vec()
-        };
-        let clean = run(false);
-        assert!(clean.is_empty(), "correct peer must be monitor-clean: {clean:?}");
-        let broken = run(true);
+        // The online monitor's rule M001 (§3.1 reverse order) must flag
+        // the swapped undo, and stay silent on the undo the peer ran.
+        let (clean, swapped) = swapped_compensation_journals();
+        let findings = Monitor::replay(&clean);
+        assert!(findings.is_empty(), "correct peer must be monitor-clean: {findings:?}");
+        let findings = Monitor::replay(&swapped);
         assert!(
-            broken.iter().any(|f| f.rule.monitor_id() == "M001"),
-            "forward-order compensation must trigger M001: {broken:?}"
+            findings.iter().any(|f| f.rule.monitor_id() == "M001"),
+            "forward-order compensation must trigger M001: {findings:?}"
         );
     }
 
@@ -1464,29 +1472,15 @@ mod tests {
 
     #[test]
     fn spec_conformance_refutes_forward_order_compensation() {
-        // The same broken-peer recipe as the monitor test above, checked
-        // by replaying the journal against the reference model: M001
-        // surfaces as invariant I2 / rule R08, and the monitor and the
-        // spec must agree on the offending event.
-        let run = |broken: bool| {
-            let mut b = ScenarioBuilder::fig1().fault_at(2).traced();
-            b.seed = 1000;
-            b.durations.insert(2, 60);
-            let mut cfg = PeerConfig::default();
-            cfg.use_alternative_providers = false;
-            cfg.compensate_in_log_order = broken;
-            let monitor = Rc::new(RefCell::new(Monitor::new()));
-            let mut s = b.config(cfg).build();
-            s.sim.attach_observer(monitor.clone());
-            s.run();
-            let findings = monitor.borrow_mut().finish().to_vec();
-            let conformance = axml_spec::check_journal(s.trace().expect("traced run"));
-            (findings, conformance)
-        };
-        let (findings, conf) = run(false);
-        assert!(findings.is_empty(), "{findings:?}");
+        // The same swapped journal as the monitor test above, checked by
+        // replaying it against the reference model: M001 surfaces as
+        // invariant I2 / rule R08, and the monitor and the spec must agree
+        // on the offending event.
+        let (clean, swapped) = swapped_compensation_journals();
+        let conf = axml_spec::check_journal(&clean);
         assert!(conf.is_clean(), "correct peer must conform: {}", conf.render_text());
-        let (findings, conf) = run(true);
+        let findings = Monitor::replay(&swapped);
+        let conf = axml_spec::check_journal(&swapped);
         let m = findings.iter().find(|f| f.rule.monitor_id() == "M001").expect("M001 finding");
         let d = conf.divergences.iter().find(|d| d.invariant == "I2").expect("I2 divergence");
         assert_eq!((d.seq, d.at, d.peer), (m.seq, m.at, m.peer), "monitor and spec disagree on the offender");

@@ -32,5 +32,5 @@ fn a_traced_run_dumps_the_flight_of_the_run_an_untraced_one_makes() {
         assert!(!flight.contains("gauge"), "{}: protocol history only", case.label());
         true
     });
-    assert_eq!(dumps.iter().filter(|&&dumped| dumped).count(), 348, "violating cases, each with a dump");
+    assert_eq!(dumps.iter().filter(|&&dumped| dumped).count(), 337, "violating cases, each with a dump");
 }

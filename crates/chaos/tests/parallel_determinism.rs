@@ -27,7 +27,7 @@ fn traced_matrix_observability_plane_is_jobs_invariant_and_pinned() {
     assert_eq!(serial.phase_histograms, parallel.phase_histograms);
     assert_eq!(serial.series.to_json(), parallel.series.to_json());
     let plane = render_prometheus(&parallel.phase_histograms) + &parallel.series.to_json();
-    assert_eq!(format!("{:016x}", fnv64(plane.as_bytes())), "fb8b72bc03a82b5e");
+    assert_eq!(format!("{:016x}", fnv64(plane.as_bytes())), "b6c62897932c0153");
 }
 
 proptest! {

@@ -240,11 +240,6 @@ impl TransactionContext {
             self.resolved_at = Some(now);
         }
     }
-
-    /// Count of outstanding (incomplete) remote invocations.
-    pub fn pending_remote(&self) -> usize {
-        self.log.iter().filter(|r| matches!(r, LogRecord::Remote { completed: false, .. })).count()
-    }
 }
 
 #[cfg(test)]
@@ -279,9 +274,7 @@ mod tests {
         let i2 = InvocationId::new(PeerId(1), 1);
         c.record_remote(PeerId(2), i1, "S2");
         c.record_remote(PeerId(3), i2, "S3");
-        assert_eq!(c.pending_remote(), 2);
         assert!(c.complete_remote(i1, Vec::new()));
-        assert_eq!(c.pending_remote(), 1);
         assert!(!c.complete_remote(InvocationId::new(PeerId(9), 9), Vec::new()));
         assert_eq!(c.invoked_peers(), vec![PeerId(2), PeerId(3)]);
     }

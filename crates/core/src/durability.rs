@@ -6,14 +6,14 @@
 //! appendable [`JournalEntry`], encoded as one JSON line, and a crashed
 //! peer rebuilds its contexts by [`replay`]ing the journal. Recovery
 //! follows **presumed abort**: any context that is not terminal after
-//! replay is in doubt, so its logged effects are compensated — using the
-//! same dynamic compensation machinery as live aborts (§3.1).
+//! replay is in doubt, and the restarted peer aborts it exactly as it
+//! aborts a live one — its logged effects are compensated in reverse log
+//! order (§3.1), and the decision is journaled and traced.
 
 use crate::chain::ActiveList;
 use crate::compensate::CompBundle;
 use crate::context::{LogRecord, TransactionContext, TxnState};
 use crate::ids::{InvocationId, TxnId};
-use axml_doc::Repository;
 use axml_p2p::PeerId;
 use axml_query::Effect;
 use serde::{Deserialize, Serialize};
@@ -364,44 +364,13 @@ impl Journal {
     }
 }
 
-/// The outcome of crash recovery at one peer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryOutcome {
-    /// Contexts found in doubt (non-terminal) and presumed aborted.
-    pub presumed_aborted: Vec<TxnId>,
-    /// Contexts found already terminal (nothing to do).
-    pub already_terminal: Vec<TxnId>,
-    /// Total compensation cost in nodes.
-    pub comp_cost_nodes: usize,
-}
-
-/// Crash recovery (presumed abort): every in-doubt context's own effects
-/// are compensated against the repository, and the context is marked
-/// aborted. Committed/aborted contexts are left untouched.
-pub fn recover_in_doubt(contexts: &mut [TransactionContext], repo: &mut Repository, now: u64) -> RecoveryOutcome {
-    let mut outcome = RecoveryOutcome::default();
-    for tc in contexts.iter_mut() {
-        if tc.is_terminal() {
-            outcome.already_terminal.push(tc.txn);
-            continue;
-        }
-        let comp = tc.own_compensation();
-        for (doc, actions) in &comp.actions {
-            if let Some(document) = repo.get_mut(doc) {
-                if let Ok(cost) = crate::compensate::apply_compensation(document, actions) {
-                    outcome.comp_cost_nodes += cost;
-                }
-            }
-        }
-        tc.resolve(TxnState::Aborted, now);
-        outcome.presumed_aborted.push(tc.txn);
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::TxnMsg;
+    use crate::peer::{AxmlPeer, PeerConfig};
+    use axml_doc::Repository;
+    use axml_p2p::{CrashEvent, Sim, SimConfig};
     use axml_query::{Locator, UpdateAction};
     use axml_xml::Fragment;
 
@@ -467,30 +436,66 @@ mod tests {
         assert!(rebuilt.iter().any(|c| c == &tc2));
     }
 
+    /// Stable storage holding a journal as its encoded text.
+    #[derive(Debug)]
+    struct Disk(String);
+
+    impl DurabilitySink for Disk {
+        fn append(&mut self, entry: &JournalEntry) -> bool {
+            self.0.push_str(&encode(std::slice::from_ref(entry)));
+            true
+        }
+
+        fn append_forced(&mut self, entry: &JournalEntry) {
+            self.append(entry);
+        }
+
+        fn crash_restart(&mut self) -> Vec<JournalEntry> {
+            decode(&self.0).unwrap()
+        }
+
+        fn stats(&self) -> WalStats {
+            WalStats::default()
+        }
+    }
+
+    /// Crash-restarts AP3, holding `repo` and, on disk, `tc`'s journal.
+    fn restart_with(tc: &TransactionContext, repo: Repository) -> Sim<TxnMsg, AxmlPeer> {
+        let mut config = SimConfig::default();
+        config.fault.crashes.push(CrashEvent { at: 1, peer: PeerId(3) });
+        let peers = (0..7).map(|p| AxmlPeer::new(PeerId(p), PeerConfig::default())).collect();
+        let mut sim = Sim::new(config, peers);
+        let ap3 = sim.actor_mut(PeerId(3));
+        ap3.repo = repo;
+        ap3.set_durability_sink(Box::new(Disk(encode(&journal_of(tc)))));
+        sim.run_until(1);
+        sim
+    }
+
     #[test]
     fn crash_recovery_presumes_abort_and_compensates() {
         // Crash with an in-doubt context: the written slot must revert.
-        let (tc, mut repo) = sample_context(None);
+        let (tc, repo) = sample_context(None);
         assert!(repo.get("d3").unwrap().to_xml().contains("written"));
-        let journal = journal_of(&tc);
-        // …crash; reboot from the journal…
-        let mut contexts = replay(&decode(&encode(&journal)).unwrap()).unwrap();
-        let outcome = recover_in_doubt(&mut contexts, &mut repo, 99);
-        assert_eq!(outcome.presumed_aborted, vec![tc.txn]);
-        assert!(outcome.comp_cost_nodes > 0);
-        assert!(repo.get("d3").unwrap().to_xml().contains("initial"), "{}", repo.get("d3").unwrap().to_xml());
-        assert_eq!(contexts[0].state, TxnState::Aborted);
+        let sim = restart_with(&tc, repo);
+        let ap3 = sim.actor(PeerId(3));
+        assert_eq!((ap3.stats.presumed_aborts, ap3.stats.compensations_executed), (1, 1));
+        assert!(ap3.stats.comp_cost_nodes > 0);
+        let d3 = ap3.repo.get("d3").unwrap().to_xml();
+        assert!(d3.contains("initial"), "{d3}");
+        assert_eq!(ap3.context(tc.txn).unwrap().state, TxnState::Aborted);
+        assert!(matches!(ap3.journal().last(), Some(JournalEntry::Resolved { committed: false, .. })));
     }
 
     #[test]
     fn crash_recovery_leaves_terminal_contexts_alone() {
-        let (tc, mut repo) = sample_context(Some(TxnState::Committed));
+        let (tc, repo) = sample_context(Some(TxnState::Committed));
         let before = repo.get("d3").unwrap().to_xml();
-        let mut contexts = vec![tc.clone()];
-        let outcome = recover_in_doubt(&mut contexts, &mut repo, 99);
-        assert_eq!(outcome.already_terminal, vec![tc.txn]);
-        assert!(outcome.presumed_aborted.is_empty());
-        assert_eq!(repo.get("d3").unwrap().to_xml(), before, "committed effects are durable");
+        let sim = restart_with(&tc, repo);
+        let ap3 = sim.actor(PeerId(3));
+        assert_eq!((ap3.stats.presumed_aborts, ap3.stats.compensations_executed), (0, 0));
+        assert_eq!(ap3.context(tc.txn).unwrap().state, TxnState::Committed);
+        assert_eq!(ap3.repo.get("d3").unwrap().to_xml(), before, "committed effects are durable");
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub use chain::ActiveList;
 pub use compensate::{compensation_for_effects, CompensatingService, StaticCompensator};
 pub use context::{LogRecord, TransactionContext, TxnOutcome, TxnState};
 pub use durability::{
-    decode as decode_journal, encode as encode_journal, journal_of, recover_in_doubt, replay as replay_journal,
-    DurabilitySink, JournalEntry, RecoveryOutcome, WalStats,
+    decode as decode_journal, encode as encode_journal, journal_of, replay as replay_journal, DurabilitySink,
+    JournalEntry, WalStats,
 };
 pub use ids::{InvocationId, TxnId};
 pub use isolation::{Claim, Conflict, ConflictTable};

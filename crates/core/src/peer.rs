@@ -169,12 +169,6 @@ pub struct PeerConfig {
     /// Retransmissions before the sender gives up and treats the silence
     /// as a failure ([`DetectHow::AckTimeout`]).
     pub max_retransmits: u32,
-    /// **Deliberately broken, test-only.** Apply self-compensation
-    /// batches in forward log order instead of §3.1's reverse order.
-    /// Exists so the online protocol monitor (`axml-obs`, rule M001) can
-    /// be demonstrated catching an out-of-order compensation; never
-    /// enable it outside that demonstration.
-    pub compensate_in_log_order: bool,
 }
 
 impl PeerConfig {
@@ -244,7 +238,6 @@ impl Default for PeerConfig {
             dedup: true,
             retransmit_base: 16,
             max_retransmits: 8,
-            compensate_in_log_order: false,
         }
     }
 }
@@ -1780,17 +1773,12 @@ impl AxmlPeer {
     /// context aborted. (Spec rules **R06**/**R08**: undo runs in
     /// strictly decreasing log order — invariant I2.)
     fn abort_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        let mut batches = match self.context(txn) {
+        let batches = match self.context(txn) {
             Some(tc) if !tc.is_terminal() => tc.own_compensation_indexed(),
             _ => return,
         };
         self.decide(ctx, txn, None, false);
         if !batches.is_empty() {
-            if self.config.compensate_in_log_order {
-                // Test-only broken variant: undo in forward order so the
-                // online monitor's §3.1 reverse-order rule has a target.
-                batches.reverse();
-            }
             let actions: u64 = batches.iter().map(|(_, _, a)| a.len() as u64).sum();
             self.emit(ctx, Some(txn), None, None, || EventKind::CompensateDerive { actions });
             for (undoes, doc, acts) in &batches {
@@ -2197,12 +2185,12 @@ impl AxmlPeer {
     /// wiped (the simulator already discarded our timers and in-flight
     /// messages to us); contexts are replayed from the durability
     /// journal — the model of stable storage — and every in-doubt
-    /// context is *presumed aborted*: its own effects are compensated
-    /// against the repository, the resolution is journaled (so a second
-    /// crash does not re-compensate), and the abort is pushed to the
-    /// parent (upward `Fault`) and the invoked subtree. (Spec rule
-    /// **R10**: the restart opens a fresh epoch; obligations from the
-    /// crashed epoch are excused, not forgotten.)
+    /// context is *presumed aborted* by [`Self::abort_local`]: its own
+    /// effects are compensated in reverse log order, the resolution is
+    /// journaled (so a second crash does not re-compensate), and the abort
+    /// is pushed to the parent (upward `Fault`) and the invoked subtree.
+    /// (Spec rule **R10**: the restart opens a fresh epoch; obligations
+    /// from the crashed epoch are excused, not forgotten.)
     fn crash_recover(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.crash_recoveries += 1;
         // The crash killed every timer and forgot what was sent, seen, owed
@@ -2225,19 +2213,20 @@ impl AxmlPeer {
         // prefix; without a sink every entry survives. Contexts are
         // replayed from that. A re-begun transaction yields two contexts
         // for one txn; the map insert order keeps the latest incarnation.
-        let mut contexts = durability::replay(self.journal.crash_restart()).unwrap_or_default();
-        let outcome = durability::recover_in_doubt(&mut contexts, &mut self.repo, ctx.now());
-        self.stats.presumed_aborts += outcome.presumed_aborted.len() as u64;
-        self.emit(ctx, None, None, None, || EventKind::Restart {
-            presumed_aborts: outcome.presumed_aborted.len() as u64,
-        });
-        for tc in contexts {
+        let (mut in_doubt, mut terminal) = (Vec::new(), Vec::new());
+        for tc in durability::replay(self.journal.crash_restart()).unwrap_or_default() {
+            let list = if tc.is_terminal() { &mut terminal } else { &mut in_doubt };
+            list.push(tc.txn);
             self.insert_context(tc);
         }
-        for txn in &outcome.presumed_aborted {
-            self.journal_append_forced(ctx, JournalEntry::Resolved { txn: *txn, committed: false, at: ctx.now() });
+        self.stats.presumed_aborts += in_doubt.len() as u64;
+        self.emit(ctx, None, None, None, || EventKind::Restart { presumed_aborts: in_doubt.len() as u64 });
+        // A presumed abort is an abort: the one undo every abort runs,
+        // decided, journaled, traced and costed like any other.
+        for &txn in &in_doubt {
+            self.abort_local(ctx, txn);
         }
-        for txn in outcome.presumed_aborted {
+        for txn in in_doubt {
             match self.context(txn).and_then(|t| t.parent) {
                 Some((pp, inv)) => {
                     // The invoker must learn its child's work is undone.
@@ -2259,7 +2248,7 @@ impl AxmlPeer {
         // an invoker that knows takes the `Fault` for a late message), so
         // re-establish the obligation both ways for every recovered
         // aborted context.
-        for txn in outcome.already_terminal {
+        for txn in terminal {
             let Some(tc) = self.context(txn).filter(|t| t.state == TxnState::Aborted) else { continue };
             if let Some((pp, inv)) = tc.parent {
                 let fault = Fault::peer_unreachable(format!("{} restarted; aborted", self.id));

@@ -29,8 +29,6 @@ pub const ATTR_METHOD: &str = "methodName";
 /// `frequency` attribute (periodic invocation interval, in simulated time
 /// units).
 pub const ATTR_FREQUENCY: &str = "frequency";
-/// `lastInvoked` bookkeeping attribute maintained by the engine.
-pub const ATTR_LAST_INVOKED: &str = "lastInvoked";
 /// `name` attribute of `axml:param` and `faultName` of `axml:catch`.
 pub const ATTR_NAME: &str = "name";
 /// `faultName` attribute of `axml:catch`.

@@ -379,12 +379,6 @@ impl ServiceCall {
         self
     }
 
-    /// Builder: adds a nested-call parameter.
-    pub fn with_call_param(mut self, name: impl Into<String>, call: ServiceCall) -> ServiceCall {
-        self.params.push(Param { name: name.into(), value: ParamValue::Call(Box::new(call)) });
-        self
-    }
-
     /// Builder: adds a fault handler.
     pub fn with_handler(mut self, handler: FaultHandler) -> ServiceCall {
         self.handlers.push(handler);

@@ -15,7 +15,7 @@
 //! - [`check`] — BFS over all interleavings of small configurations
 //!   (2–4 peers, optional fault/crash/duplicate events) with canonical
 //!   state hashing; violations come with shortest counterexample traces.
-//!   The `compensate_in_log_order` broken-peer variant is refuted with a
+//!   The forward-order-compensation broken-peer variant is refuted with a
 //!   concrete trace; the clean catalogue explores with zero violations.
 //! - [`conform`] — replays recorded `axml-trace` journals through the
 //!   protocol rule engine (`axml_trace::rules`, shared with the online

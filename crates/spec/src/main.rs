@@ -9,7 +9,7 @@
 //! `check` explores the clean configuration catalogue (or one named
 //! configuration) and exits nonzero on any invariant violation; with
 //! `--broken` it explores the broken variants instead — the
-//! `compensate_in_log_order` peer and lost commits with no inquiry — and
+//! forward-order-compensation peer and lost commits with no inquiry — and
 //! exits nonzero unless each yields its expected counterexample (I2 and
 //! I4). `conform` replays a JSON-lines trace journal
 //! (e.g. from `axml-chaos trace --journal`) against the model and exits

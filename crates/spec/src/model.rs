@@ -283,8 +283,7 @@ pub struct SpecConfig {
     /// Deliver each returned result twice (duplicate delivery).
     pub dup_results: bool,
     /// Broken-peer variant: compensate in forward log order instead of
-    /// reverse (`PeerConfig::compensate_in_log_order` in `core`). The
-    /// checker must refute this with an I2 counterexample.
+    /// reverse. The checker must refute this with an I2 counterexample.
     pub broken_forward_compensation: bool,
     /// R11: an undelivered `Commit` may vanish.
     pub lose_commits: bool,
@@ -391,8 +390,9 @@ impl SpecConfig {
 
     /// The broken-peer variant the checker must refute: a fork where the
     /// origin can materialize two sibling results before the third child
-    /// faults, then compensates in *forward* log order. Mirrors
-    /// `PeerConfig::compensate_in_log_order` in `core`.
+    /// faults, then compensates in *forward* log order. `axml-chaos`'s
+    /// tests feed `conform` the same fault as a recorded journal with two
+    /// undo events swapped.
     #[must_use]
     pub fn broken_variant() -> SpecConfig {
         let mut c = SpecConfig::new("fork4-abort-broken", 1, &[(1, 2), (1, 3), (1, 4)]);

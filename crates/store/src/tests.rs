@@ -56,12 +56,14 @@ fn torn_commit_record_presumes_abort_and_compensates() {
     // End-to-end presumed-abort recovery through a torn tail: a peer
     // journals Begin + Local effects, then crashes while writing the
     // commit record — the frame tears, so the decision was never
-    // acknowledged. Recovery discards the torn tail, replay finds the
-    // context in doubt, and presumed abort compensates the logged
-    // effects, restoring the document to its baseline.
+    // acknowledged. The restarted peer's WAL discards the torn tail,
+    // replay finds the context in doubt, and the peer's presumed abort
+    // compensates the logged effects, restoring the document to its
+    // baseline.
     use axml_core::context::TxnState;
-    use axml_core::durability::{recover_in_doubt, replay};
+    use axml_core::peer::{AxmlPeer, PeerConfig};
     use axml_doc::Repository;
+    use axml_p2p::{CrashEvent, Sim, SimConfig};
     use axml_query::{Locator, UpdateAction};
     use axml_xml::Fragment;
 
@@ -75,28 +77,32 @@ fn torn_commit_record_presumes_abort_and_compensates() {
 
     let txn = TxnId::new(PeerId(1), 0);
     let mut sink = WalSink::create(WalConfig::new(tmp.path())).unwrap();
-    assert!(sink.append(&JournalEntry::Begin { txn, parent: None, chain: ActiveList::new(PeerId(1), true), at: 1 }));
-    assert!(sink.append(&JournalEntry::Local {
-        txn,
-        doc: "d1".into(),
-        op_label: "replace".into(),
-        effects: report.effects.into(),
-    }));
+    let begin = JournalEntry::Begin { txn, parent: None, chain: ActiveList::new(PeerId(1), true), at: 1 };
+    let local =
+        JournalEntry::Local { txn, doc: "d1".into(), op_label: "replace".into(), effects: report.effects.into() };
+    assert!(sink.append(&begin));
+    assert!(sink.append(&local));
     // The commit decision tears mid-write and the peer dies before the
     // heal: the torn frame stays on disk, but it was never acknowledged.
     sink.faults = StorageFaultPlane { torn_append_prob: 1.0, sync_failure_prob: 0.0, partial_segment_on_crash: false };
     assert!(!sink.append(&JournalEntry::Resolved { txn, committed: true, at: 2 }));
-    let entries = sink.crash_restart();
-    assert_eq!(sink.stats().torn_tails_discarded, 1, "the torn commit record is a discarded crash artifact");
-    assert_eq!(entries.len(), 2, "Begin + Local survive; the unacknowledged decision does not");
+    // The peer holding that disk and the document crashes and restarts.
+    let mut config = SimConfig::default();
+    config.fault.crashes.push(CrashEvent { at: 3, peer: PeerId(1) });
+    let peers = (0..2).map(|p| AxmlPeer::new(PeerId(p), PeerConfig::default())).collect();
+    let mut sim = Sim::new(config, peers);
+    let peer = sim.actor_mut(PeerId(1));
+    peer.repo = repo;
+    peer.set_durability_sink(Box::new(sink));
+    sim.run_until(3);
 
-    let mut contexts = replay(&entries).unwrap();
-    assert_eq!(contexts.len(), 1);
-    assert_eq!(contexts[0].state, TxnState::Active, "no decision on disk: the context is in doubt");
-    let outcome = recover_in_doubt(&mut contexts, &mut repo, 99);
-    assert_eq!(outcome.presumed_aborted, vec![txn]);
-    assert_eq!(contexts[0].state, TxnState::Aborted);
-    assert_eq!(repo.get("d1").unwrap().to_xml(), baseline, "compensation undid the logged effects");
+    let peer = sim.actor(PeerId(1));
+    assert_eq!(peer.wal_stats().torn_tails_discarded, 1, "the torn commit record is a discarded crash artifact");
+    let decision = JournalEntry::Resolved { txn, committed: false, at: 3 };
+    assert_eq!(peer.journal(), [begin, local, decision], "the unacknowledged commit is presumed an abort");
+    assert_eq!(peer.stats.presumed_aborts, 1);
+    assert_eq!(peer.context(txn).unwrap().state, TxnState::Aborted);
+    assert_eq!(peer.repo.get("d1").unwrap().to_xml(), baseline, "compensation undid the logged effects");
 }
 
 #[test]

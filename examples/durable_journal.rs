@@ -1,58 +1,45 @@
-//! Durability: journal a transaction context to disk, "crash", replay,
-//! and recover in-doubt work by presumed abort.
+//! Durability: a peer journals its transaction context as it works; crashed
+//! mid-flight, it replays the journal and recovers its in-doubt work by
+//! presumed abort — the same undo every abort runs.
 //!
 //! ```text
 //! cargo run --example durable_journal
 //! ```
 
-use axml::core::durability::{decode, encode, journal_of, recover_in_doubt, replay};
-use axml::core::{ActiveList, InvocationId, TransactionContext, TxnId};
+use axml::core::durability::encode;
+use axml::p2p::CrashEvent;
 use axml::prelude::*;
 
 fn main() {
-    // A peer (AP3) serving part of transaction T1.0: it has replaced a
-    // slot in its document and invoked S6 on AP6.
-    let txn = TxnId::new(PeerId(1), 0);
-    let mut chain = ActiveList::new(PeerId(1), true);
-    chain.add_invocation(PeerId(1), PeerId(3), false);
-    let mut tc = TransactionContext::new(txn, Some((PeerId(1), InvocationId::new(PeerId(1), 0))), chain, 10);
+    // Fig. 1, with AP3 serving its part of T1.0 for 500 ticks: its
+    // materialization effects land early, its own body runs late.
+    let mut builder = ScenarioBuilder::fig1();
+    builder.durations.insert(3, 500);
+    builder.fault.crashes.push(CrashEvent { at: 60, peer: PeerId(3) });
+    let mut scenario = builder.build();
+    scenario.sim.run_until(59);
 
-    let mut repo = Repository::new();
-    repo.put_xml("d3", "<d><slot>initial</slot></d>").unwrap();
-    let action =
-        UpdateAction::replace(Locator::parse("d/slot").unwrap(), vec![Fragment::elem_text("slot", "half-done-work")]);
-    let report = action.apply(repo.get_mut("d3").unwrap()).unwrap();
-    tc.record_local("d3", "S3", report.effects);
-    tc.record_remote(PeerId(6), InvocationId::new(PeerId(3), 0), "S6");
-
-    println!("document before crash : {}", repo.get("d3").unwrap().to_xml());
-
-    // Persist the journal (JSON lines), as the peer would incrementally.
-    let path = std::env::temp_dir().join("axml-demo-journal.jsonl");
-    let text = encode(&journal_of(&tc));
-    std::fs::write(&path, &text).expect("journal written");
-    println!("\njournal ({} entries) written to {}:", journal_of(&tc).len(), path.display());
+    let ap3 = scenario.sim.actor(PeerId(3));
+    println!("AP3's d3 before the crash : {}", ap3.repo.get("d3").unwrap().to_xml());
+    // What stable storage holds: the journal, one JSON line per entry.
+    let text = encode(ap3.journal());
+    println!("\njournal ({} entries):", ap3.journal().len());
     for line in text.lines() {
         let shown = if line.len() > 100 { format!("{}…", &line[..100]) } else { line.to_string() };
         println!("  {shown}");
     }
 
-    // 💥 crash: the in-memory context is gone; only the repo (recovered
-    // from its own storage) and the journal survive.
-    drop(tc);
-
-    // Reboot: replay the journal, find the in-doubt context, presume
-    // abort, and compensate from the log.
-    let loaded = decode(&std::fs::read_to_string(&path).expect("journal read")).expect("journal decodes");
-    let mut contexts = replay(&loaded).expect("journal replays");
-    println!("\nreplayed {} context(s); state: {:?}", contexts.len(), contexts[0].state);
-    let outcome = recover_in_doubt(&mut contexts, &mut repo, 99);
+    // 💥 crash at t=60: the in-memory context is gone; AP3 restarts,
+    // replays the journal, finds the context in doubt, presumes abort and
+    // compensates from the log.
+    scenario.sim.run_until(60);
+    let ap3 = scenario.sim.actor(PeerId(3));
     println!(
-        "recovery: presumed aborted {:?}, compensated {} node(s)",
-        outcome.presumed_aborted, outcome.comp_cost_nodes
+        "\nrecovery: presumed aborted {} transaction(s), compensated {} node(s)",
+        ap3.stats.presumed_aborts, ap3.stats.comp_cost_nodes
     );
-    println!("document after recovery: {}", repo.get("d3").unwrap().to_xml());
-    assert!(repo.get("d3").unwrap().to_xml().contains("initial"));
-    std::fs::remove_file(&path).ok();
+    let recovered = ap3.repo.get("d3").unwrap().to_xml();
+    println!("AP3's d3 after recovery : {recovered}");
+    assert!(recovered.contains("initial-3") && !recovered.contains("done-"));
     println!("\n✔ the in-doubt transaction's effects were rolled back from the durable log");
 }

@@ -29,7 +29,8 @@
 //! journal); 835 once a journal entry is held once (no second copy in a
 //! peer's default sink); 834 once the cells were built before the count
 //! started, as the profiler builds them (the scenario name each
-//! `CaseConfig` allocates is no longer counted).
+//! `CaseConfig` allocates is no longer counted); 835 once a restarted
+//! peer presumes abort through the abort every peer runs.
 //!
 //! Traced: 1,668 per case with the journal rendered to JSON lines, its
 //! causal tree and the counter registry rendered to text for every case;
@@ -41,7 +42,8 @@
 //! simulator instead of one per window); 1,008 once a case kept no flight
 //! ring and conformance kept no per-peer context queues (both cut from
 //! the journal when there is something to report); 982 once a journal
-//! entry is held once; 981 with the cells built before the count.
+//! entry is held once; 981 with the cells built before the count; 982
+//! once a restarted peer's presumed abort is traced like any abort.
 //!
 //! Those are release counts; a debug build's assertions add about 12 per
 //! case. Each budget leaves 25 allocations of room above the release

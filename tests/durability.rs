@@ -1,92 +1,119 @@
-//! Durability integration: journal a *live* peer's context mid-run,
-//! crash it, and recover the in-doubt transaction by presumed abort.
+//! Durability integration: crash a *live* peer mid-run and recover its
+//! in-doubt transaction by presumed abort.
 
-use axml::core::durability::{decode, encode, journal_of, recover_in_doubt, replay, JournalEntry};
-use axml::p2p::CrashEvent;
+use axml::core::durability::{decode, encode, journal_of, replay, JournalEntry};
+use axml::p2p::{CrashEvent, EventKind};
 use axml::prelude::*;
+use axml_obs::Monitor;
 
-/// Freeze Fig. 1 mid-flight, snapshot AP3's journal + repository (what a
-/// real peer would have on disk), and run crash recovery on the copy.
+/// Crash AP3 of a traced Fig. 1 run mid-flight: its restart presumes the
+/// in-doubt transaction aborted through the one abort every peer runs, so
+/// the undo is counted, journaled and traced, and both checkers accept it.
 #[test]
 fn mid_flight_crash_recovers_by_presumed_abort() {
-    let mut builder = ScenarioBuilder::fig1();
-    // Keep AP3's serving alive long enough to freeze mid-flight: its own
+    let mut builder = ScenarioBuilder::fig1().traced();
+    // Keep AP3's serving alive long enough to crash mid-flight: its own
     // body runs late, but its materialization effects land early.
     builder.durations.insert(3, 500);
+    builder.fault.crashes.push(CrashEvent { at: 60, peer: PeerId(3) });
     let mut scenario = builder.build();
-    // Run long enough for AP3 to have materialized S4/S5 results (local
-    // effects in its log) but not completed S3.
-    scenario.sim.run_until(60);
+    scenario.sim.run_until(59);
     let ap3 = scenario.sim.actor(PeerId(3));
-    let txns = ap3.known_txns();
-    assert_eq!(txns.len(), 1);
-    let tc = ap3.context(txns[0]).expect("active context");
+    let tc = ap3.context(ap3.known_txns()[0]).expect("context");
     assert!(!tc.is_terminal(), "mid-flight");
     assert!(!tc.local_effects().is_empty(), "materialization effects logged");
+    let dirty = ap3.repo.get("d3").unwrap().to_xml();
+    assert!(dirty.contains("done-"), "partial effects visible: {dirty}");
 
-    // What survives the crash: the journal and the repository.
-    let journal_text = encode(&journal_of(tc));
-    let mut disk_repo = ap3.repo.clone();
-    let dirty = disk_repo.get("d3").unwrap().to_xml();
-    assert!(dirty.contains("done-"), "partial effects visible on disk: {dirty}");
-
-    // 💥 reboot: replay + presumed abort.
-    let mut contexts = replay(&decode(&journal_text).unwrap()).unwrap();
-    let outcome = recover_in_doubt(&mut contexts, &mut disk_repo, 999);
-    assert_eq!(outcome.presumed_aborted, txns);
-    let recovered = disk_repo.get("d3").unwrap().to_xml();
+    // 💥 crash and restart: replay + presumed abort.
+    scenario.sim.run_until(60);
+    let ap3 = scenario.sim.actor(PeerId(3));
+    let stats = &ap3.stats;
+    assert_eq!((stats.presumed_aborts, stats.compensations_executed), (1, 1));
+    assert!(stats.comp_cost_nodes > 0);
+    let recovered = ap3.repo.get("d3").unwrap().to_xml();
     assert!(recovered.contains("initial-3"), "{recovered}");
     assert!(!recovered.contains("done-"), "all partial effects rolled back: {recovered}");
+
+    scenario.run();
+    let journal = scenario.trace().expect("traced run");
+    // After AP3's restart: the decision, then the undo in reverse log order.
+    let after: Vec<&EventKind> = (journal.events().iter().filter(|e| e.peer == 3).map(|e| &e.kind))
+        .skip_while(|k| !matches!(k, EventKind::Restart { .. }))
+        .filter(|k| k.label() == "resolve" || k.label().starts_with("compensate"))
+        .collect();
+    let undoes: Vec<u64> = (after.iter().skip(2))
+        .map_while(|k| match k {
+            EventKind::CompensateOp { undoes, .. } => Some(*undoes),
+            _ => None,
+        })
+        .collect();
+    assert!(matches!(after[..], [EventKind::Resolve { committed: false }, EventKind::CompensateDerive { .. }, ..]));
+    assert!(matches!(after.get(2 + undoes.len()), Some(EventKind::CompensateApply { .. })), "{after:?}");
+    assert!(!undoes.is_empty() && undoes.windows(2).all(|w| w[0] > w[1]), "reverse log order: {undoes:?}");
+    assert_eq!(Monitor::replay(journal), vec![]);
+    let conformance = axml_spec::check_journal(journal);
+    assert!(conformance.is_clean(), "{}", conformance.render_text());
 }
 
-/// A committed context's journal replays to Committed and recovery leaves
-/// its effects durable.
+/// A committed context's journal replays to Committed, and a crash after
+/// the commit leaves its effects durable.
 #[test]
 fn committed_journal_survives_crash_untouched() {
-    let mut scenario = ScenarioBuilder::fig1().build();
-    let report = scenario.run();
-    assert!(report.outcome.unwrap().committed);
+    let mut builder = ScenarioBuilder::fig1();
+    builder.fault.crashes.push(CrashEvent { at: 1_000, peer: PeerId(3) });
+    let mut scenario = builder.build();
+    scenario.sim.run_until(999);
     let ap3 = scenario.sim.actor(PeerId(3));
     let txn = ap3.known_txns()[0];
     let tc = ap3.context(txn).unwrap();
     assert_eq!(tc.state, TxnState::Committed);
-
-    let journal_text = encode(&journal_of(tc));
-    let mut disk_repo = ap3.repo.clone();
-    let committed_doc = disk_repo.get("d3").unwrap().to_xml();
-
-    let mut contexts = replay(&decode(&journal_text).unwrap()).unwrap();
+    let contexts = replay(&decode(&encode(&journal_of(tc))).unwrap()).unwrap();
     assert_eq!(contexts[0].state, TxnState::Committed);
-    let outcome = recover_in_doubt(&mut contexts, &mut disk_repo, 999);
-    assert!(outcome.presumed_aborted.is_empty());
-    assert_eq!(disk_repo.get("d3").unwrap().to_xml(), committed_doc, "committed effects are durable");
+    let committed_doc = ap3.repo.get("d3").unwrap().to_xml();
+
+    let report = scenario.run();
+    assert!(report.outcome.unwrap().committed);
+    let ap3 = scenario.sim.actor(PeerId(3));
+    assert_eq!((ap3.stats.crash_recoveries, ap3.stats.presumed_aborts), (1, 0));
+    assert_eq!(ap3.context(txn).unwrap().state, TxnState::Committed);
+    assert_eq!(ap3.repo.get("d3").unwrap().to_xml(), committed_doc, "committed effects are durable");
 }
 
 /// Journals of every participant after a full aborted run replay to
-/// Aborted contexts with nothing left to do.
+/// Aborted contexts, and a crash of every participant afterwards has
+/// nothing left to undo.
 #[test]
 fn aborted_run_journals_are_terminal_everywhere() {
     let mut cfg = PeerConfig::default();
     cfg.use_alternative_providers = false;
-    let mut scenario = ScenarioBuilder::fig1().fault_at(5).config(cfg).build();
-    let report = scenario.run();
-    assert!(!report.outcome.unwrap().committed);
-    for p in [1u32, 2, 3, 4, 5, 6] {
+    let mut builder = ScenarioBuilder::fig1().fault_at(5).config(cfg);
+    let peers = [1u32, 2, 3, 4, 5, 6];
+    builder.fault.crashes.extend(peers.map(|p| CrashEvent { at: 1_000, peer: PeerId(p) }));
+    let mut scenario = builder.build();
+    scenario.sim.run_until(999);
+    let docs = |scenario: &Scenario, p: u32| -> Vec<String> {
+        let repo = &scenario.sim.actor(PeerId(p)).repo;
+        repo.names().iter().map(|n| repo.get(n).unwrap().to_xml()).collect()
+    };
+    let before: Vec<Vec<String>> = peers.iter().map(|&p| docs(&scenario, p)).collect();
+    for p in peers {
         let actor = scenario.sim.actor(PeerId(p));
         for txn in actor.known_txns() {
             let tc = actor.context(txn).unwrap();
-            let journal = journal_of(tc);
-            let replayed = replay(&decode(&encode(&journal)).unwrap()).unwrap();
+            let replayed = replay(&decode(&encode(&journal_of(tc))).unwrap()).unwrap();
             assert_eq!(&replayed[0], tc, "AP{p} journal is faithful");
             assert!(replayed[0].is_terminal());
-            // Recovery on a terminal context is a no-op.
-            let mut repo = actor.repo.clone();
-            let before: Vec<String> = repo.names().iter().map(|n| repo.get(n).unwrap().to_xml()).collect();
-            let mut ctxs = replayed;
-            recover_in_doubt(&mut ctxs, &mut repo, 999);
-            let after: Vec<String> = repo.names().iter().map(|n| repo.get(n).unwrap().to_xml()).collect();
-            assert_eq!(before, after);
         }
+    }
+
+    let report = scenario.run();
+    assert!(!report.outcome.unwrap().committed);
+    for (p, before) in peers.into_iter().zip(before) {
+        // Recovery on terminal contexts undoes nothing.
+        let stats = &scenario.sim.actor(PeerId(p)).stats;
+        assert_eq!((stats.crash_recoveries, stats.presumed_aborts), (1, 0), "AP{p}");
+        assert_eq!(docs(&scenario, p), before, "AP{p}");
     }
 }
 
