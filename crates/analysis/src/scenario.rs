@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// chaos harness's `gen` module) draw from the same list the linter
 /// checks against — the two can never drift apart.
 pub const RAISABLE_FAULTS: &[&str] =
-    &["PeerUnreachable", "NoSuchService", "ExecutionFault", "InjectedFault", "TxnResolved", "IsolationConflict"];
+    &["PeerUnreachable", "NoSuchService", "ExecutionFault", "InjectedFault", "TxnResolved"];
 
 /// The peers of the invocation tree proper (edges + origin, no replicas).
 fn tree_peers(b: &ScenarioBuilder) -> BTreeSet<u32> {

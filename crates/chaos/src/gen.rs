@@ -286,7 +286,7 @@ impl GenScenario {
                 .iter()
                 .copied()
                 .filter(|n| *n != "InjectedFault" || fault_below)
-                .filter(|n| *n != "TxnResolved" && *n != "IsolationConflict" && *n != "NoSuchService")
+                .filter(|n| *n != "TxnResolved" && *n != "NoSuchService")
                 .collect();
             let catch = if rng.chance(50) { None } else { Some((*rng.pick(&named)).to_string()) };
             let mut action = if rng.chance(50) {

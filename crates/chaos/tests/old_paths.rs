@@ -195,7 +195,6 @@ fn old_snapshot(s: &Scenario) -> Snapshot {
         let st = &actor.stats;
         for (name, value) in [
             ("served", st.served),
-            ("isolation_conflicts", st.isolation_conflicts),
             ("completed", st.completed),
             ("faults_raised", st.faults_raised),
             ("retries", st.retries),

@@ -43,7 +43,6 @@ mod delivery;
 mod detector;
 pub mod durability;
 pub mod ids;
-pub mod isolation;
 pub mod messages;
 pub mod peer;
 pub mod scenarios;
@@ -58,7 +57,6 @@ pub use durability::{
     JournalEntry, WalStats,
 };
 pub use ids::{InvocationId, TxnId};
-pub use isolation::{Claim, Conflict, ConflictTable};
 pub use messages::TxnMsg;
 pub use peer::{AxmlPeer, ChainScope, DetectHow, Detection, PeerConfig, PeerStats, RecoveryStyle, WsdlCatalog};
 pub use spheres::sphere_guarantees_atomicity;

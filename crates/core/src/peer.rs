@@ -78,7 +78,6 @@ use crate::delivery::{Delivery, Pending};
 use crate::detector::Detector;
 use crate::durability::{self, DurabilitySink, Journal, JournalEntry, WalStats};
 use crate::ids::{InvocationId, TxnId};
-use crate::isolation::ConflictTable;
 use crate::messages::{Ctx, TxnMsg};
 use crate::timers::Timers;
 use axml_doc::{
@@ -150,9 +149,6 @@ pub struct PeerConfig {
     pub stream_interval: Option<u64>,
     /// Lazy or eager materialization (§3.1).
     pub eval: EvalMode,
-    /// Enable path-level isolation (first-writer-wins conflict detection
-    /// between concurrent transactions at this peer).
-    pub isolation: bool,
     /// Whether this peer is a super peer (it advertises this in chains).
     pub is_super: bool,
     /// Suppress re-execution of an already-seen reliable delivery
@@ -233,7 +229,6 @@ impl Default for PeerConfig {
             ping_timeout: 25,
             stream_interval: None,
             eval: EvalMode::Lazy,
-            isolation: false,
             is_super: false,
             dedup: true,
             retransmit_base: 16,
@@ -287,8 +282,6 @@ pub struct Detection {
 pub struct PeerStats {
     /// Invocations served (started).
     pub served: u64,
-    /// Effects rolled back due to isolation conflicts.
-    pub isolation_conflicts: u64,
     /// Servings completed successfully.
     pub completed: u64,
     /// Faults this peer raised (own service failures).
@@ -367,7 +360,6 @@ impl PeerStats {
             self.dup_suppressed,
             self.faults_raised,
             self.inquiries,
-            self.isolation_conflicts,
             self.keepalive_probes,
             self.keepalive_suppressed,
             self.late_messages,
@@ -397,7 +389,7 @@ pub struct PeerCounters(pub [u64; PeerCounters::NAMES.len()]);
 
 impl PeerCounters {
     /// The counter names, sorted: the `peer.<id>.` suffixes of a registry.
-    pub const NAMES: [&'static str; 30] = [
+    pub const NAMES: [&'static str; 29] = [
         "aborts_received",
         "aborts_sent",
         "acks_alone",
@@ -411,7 +403,6 @@ impl PeerCounters {
         "dup_suppressed",
         "faults_raised",
         "inquiries",
-        "isolation_conflicts",
         "keepalive_probes",
         "keepalive_suppressed",
         "late_messages",
@@ -643,8 +634,6 @@ pub struct AxmlPeer {
     pub wsdl: WsdlCatalog,
     /// Transaction to submit when timer tag 0 fires.
     pub auto_submit: Option<(String, Vec<(String, String)>)>,
-    /// Path-level conflict table (used when `config.isolation` is on).
-    pub conflicts: ConflictTable,
     /// Counters.
     pub stats: PeerStats,
     /// Outcomes of transactions originated here.
@@ -699,7 +688,6 @@ impl AxmlPeer {
             directory,
             wsdl,
             auto_submit: None,
-            conflicts: ConflictTable::new(),
             stats: PeerStats::default(),
             outcomes: Vec::new(),
             results: BTreeMap::new(),
@@ -748,9 +736,9 @@ impl AxmlPeer {
     /// Decides `txn` here, the first decision winning: the context turns
     /// terminal, the decision is journaled and traced (under `span`, the
     /// origin's deciding serving), and the transaction is let go, here
-    /// only: its returned result, parent watch, decision timer, isolation
-    /// claims and the dedup entries the decision frees. False, changing
-    /// nothing, if there is no context or it is decided already.
+    /// only: its returned result, parent watch, decision timer and the
+    /// dedup entries the decision frees. False, changing nothing, if there
+    /// is no context or it is decided already.
     ///
     /// Two releases stay asymmetric, each measured (DESIGN.md §8):
     /// - Sibling streams end on a commit only. Ending them on an abort too
@@ -772,7 +760,6 @@ impl AxmlPeer {
         if let Some(parent) = watched {
             self.detector.unwatch(parent);
         }
-        self.conflicts.release(txn);
         if committed {
             self.detector.end_streams(txn);
         }
@@ -1313,10 +1300,10 @@ impl AxmlPeer {
     }
 
     /// The effect barrier: `effects`, just applied to `doc` by a serving
-    /// of `txn`, are checked for isolation conflicts, journaled and logged
-    /// as `op_label`. A conflict or a refused append undoes them — effects
-    /// may not outlive an unlogged record — and fails the serving: false.
-    /// A materialization's item count is traced once the check passed.
+    /// of `txn`, are journaled and logged as `op_label`. A refused append
+    /// undoes them — effects may not outlive an unlogged record — and
+    /// fails the serving: false. A materialization's item count is traced
+    /// first.
     #[allow(clippy::too_many_arguments)]
     fn keep_effects(
         &mut self,
@@ -1328,43 +1315,35 @@ impl AxmlPeer {
         op_label: impl FnOnce() -> String,
         materialized: Option<usize>,
     ) -> bool {
-        let conflict =
-            self.config.isolation && !effects.is_empty() && self.conflicts.claim_effects(txn, &doc, &effects).is_err();
-        let fault = if conflict {
-            self.stats.isolation_conflicts += 1;
-            Fault::new("IsolationConflict", format!("{txn} conflicts on {doc}"))
-        } else {
-            if !self.txns.contains_key(&txn) {
-                return true;
-            }
-            if let Some(items) = materialized {
-                self.emit(ctx, Some(txn), Some(serving_inv), None, || EventKind::Materialize {
-                    doc: doc.clone(),
-                    items: items as u64,
-                });
-            }
-            if effects.is_empty() {
-                return true; // nothing to compensate, nothing to log
-            }
-            let op_label = op_label();
-            let entry = JournalEntry::Local {
-                txn,
+        if !self.txns.contains_key(&txn) {
+            return true;
+        }
+        if let Some(items) = materialized {
+            self.emit(ctx, Some(txn), Some(serving_inv), None, || EventKind::Materialize {
                 doc: doc.clone(),
-                op_label: op_label.clone(),
-                effects: Arc::clone(&effects),
-            };
-            if self.journal_append(ctx, entry) {
-                if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
-                    tc.record_local(doc, op_label, effects);
-                }
-                return true;
+                items: items as u64,
+            });
+        }
+        if effects.is_empty() {
+            return true; // nothing to compensate, nothing to log
+        }
+        let op_label = op_label();
+        let entry =
+            JournalEntry::Local { txn, doc: doc.clone(), op_label: op_label.clone(), effects: Arc::clone(&effects) };
+        if self.journal_append(ctx, entry) {
+            if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
+                tc.record_local(doc, op_label, effects);
             }
-            Fault::new("StorageFault", format!("journal append failed at {}", self.id))
-        };
+            return true;
+        }
         if let Some(document) = self.repo.get_mut(&doc) {
             let _ = crate::compensate::apply_compensation(document, &compensation_for_effects(&effects));
         }
-        self.fail_serving(ctx, serving_inv, fault);
+        self.fail_serving(
+            ctx,
+            serving_inv,
+            Fault::new("StorageFault", format!("journal append failed at {}", self.id)),
+        );
         false
     }
 
@@ -2207,7 +2186,6 @@ impl AxmlPeer {
         // survives.
         self.txns.clear();
         self.active_contexts = 0;
-        self.conflicts = ConflictTable::new();
         // Stable storage decides what survived the crash: a WAL sink scans
         // its segments, discards a torn tail, and hands back the clean
         // prefix; without a sink every entry survives. Contexts are

@@ -1564,21 +1564,16 @@ mod config_matrix_tests {
             for chaining in [false, true] {
                 for eval in [EvalMode::Lazy, EvalMode::Eager] {
                     for scope in [ChainScope::Standard, ChainScope::Extended] {
-                        for isolation in [false, true] {
-                            let mut cfg = PeerConfig::default();
-                            cfg.peer_independent = peer_independent;
-                            cfg.chaining = chaining;
-                            cfg.eval = eval;
-                            cfg.chain_scope = scope;
-                            cfg.isolation = isolation;
-                            let mut s = ScenarioBuilder::fig1().config(cfg).build();
-                            let report = s.run();
-                            let label = format!(
-                                "pi={peer_independent} chain={chaining} eval={eval:?} scope={scope:?} iso={isolation}"
-                            );
-                            assert!(report.outcome.as_ref().map(|o| o.committed).unwrap_or(false), "{label}");
-                            assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
-                        }
+                        let mut cfg = PeerConfig::default();
+                        cfg.peer_independent = peer_independent;
+                        cfg.chaining = chaining;
+                        cfg.eval = eval;
+                        cfg.chain_scope = scope;
+                        let mut s = ScenarioBuilder::fig1().config(cfg).build();
+                        let report = s.run();
+                        let label = format!("pi={peer_independent} chain={chaining} eval={eval:?} scope={scope:?}");
+                        assert!(report.outcome.as_ref().map(|o| o.committed).unwrap_or(false), "{label}");
+                        assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
                     }
                 }
             }

@@ -19,7 +19,7 @@ use walk::{Away, Walk};
 /// Crash windows at t < 80 over the named chaos scenario.
 fn crash_walk(name: &str) -> Walk {
     let mut walk = Walk::default();
-    walk.crashes(name, &builder_for(name).expect("known scenario"), 0..80);
+    walk.every_window(name, &builder_for(name).expect("known scenario"), 0..80, &[Away::Crash]);
     walk
 }
 
@@ -36,7 +36,7 @@ fn every_crash_window_over_fig2_is_clean() {
 #[test]
 fn every_crash_window_over_the_chain_is_clean() {
     let mut walk = Walk::default();
-    walk.crashes("chain", &ScenarioBuilder::new(1, &[(1, 2), (2, 3)]), 0..80);
+    walk.every_window("chain", &ScenarioBuilder::new(1, &[(1, 2), (2, 3)]), 0..80, &[Away::Crash]);
     walk.assert_clean(3 * 80);
 }
 
@@ -46,7 +46,7 @@ fn every_crash_window_over_the_first_sixteen_generated_scenarios_is_clean() {
     let mut walk = Walk::default();
     for seed in 0..16 {
         let name = format!("gen:{seed}");
-        walk.crashes(&name, &builder_for(&name).expect("generated scenario"), 0..80);
+        walk.every_window(&name, &builder_for(&name).expect("generated scenario"), 0..80, &[Away::Crash]);
     }
     walk.assert_clean(9_920);
 }
