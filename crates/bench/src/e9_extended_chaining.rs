@@ -11,7 +11,7 @@
 //! messages.
 
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_core::{ChainScope, PeerConfig};
+use axml_core::{Chaining, PeerConfig};
 use axml_p2p::PeerId;
 use axml_workload::{tree_edges, TreeShape};
 
@@ -37,12 +37,13 @@ pub struct Row {
     pub messages: u64,
 }
 
-fn measure(depth: usize, scope: ChainScope, seed: u64) -> Row {
+/// `label` names `scope` in the table.
+fn measure(depth: usize, scope: Chaining, label: &str, seed: u64) -> Row {
     let shape = TreeShape { depth, fanout: 2 };
     let edges = tree_edges(1, shape);
     let n_peers = edges.len() + 1;
     let mut config = PeerConfig::default();
-    config.chain_scope = scope;
+    config.chaining = scope;
     // Slow services keep the run going long enough to observe convergence.
     let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).config(config);
     builder.seed = seed;
@@ -73,11 +74,7 @@ fn measure(depth: usize, scope: ChainScope, seed: u64) -> Row {
     Row {
         depth,
         peers: n_peers,
-        scope: match scope {
-            ChainScope::InvokeOnly => "invoke-only".into(),
-            ChainScope::Standard => "standard".into(),
-            ChainScope::Extended => "extended".into(),
-        },
+        scope: label.into(),
         origin_converged_at,
         all_converged_at,
         chain_updates: scenario.sim.metrics().kind("chain-update"),
@@ -89,8 +86,10 @@ fn measure(depth: usize, scope: ChainScope, seed: u64) -> Row {
 pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
     for depth in [2usize, 3, 4] {
-        for scope in [ChainScope::InvokeOnly, ChainScope::Standard, ChainScope::Extended] {
-            rows.push(measure(depth, scope, 17));
+        for (scope, label) in
+            [(Chaining::InvokeOnly, "invoke-only"), (Chaining::Standard, "standard"), (Chaining::Extended, "extended")]
+        {
+            rows.push(measure(depth, scope, label, 17));
         }
     }
     rows

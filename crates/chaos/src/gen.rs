@@ -38,47 +38,30 @@
 //! serde-serializable value — so `gen:<seed>` works as a scenario *name*
 //! in the sweep matrix and every worker rebuilds the identical case.
 
-use axml_core::peer::PeerConfig;
+use axml_core::peer::{Chaining, PeerConfig};
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_doc::EvalMode;
 use axml_p2p::{CrashEvent, PeerId};
 use serde::{Deserialize, Serialize};
 
-/// Shape and probability knobs for the generator. The default
-/// configuration is what `gen:<seed>` scenario names resolve through, so
-/// its values are part of the sweep's determinism contract — change them
-/// and every generated digest changes.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Maximum tree depth below the origin.
-    pub max_depth: u32,
-    /// Maximum children per peer.
-    pub max_fanout: u32,
-    /// Hard cap on tree peers (keeps sim cost bounded).
-    pub max_peers: u32,
-    /// Percent chance a service fault is injected somewhere.
-    pub fault_pct: u64,
-    /// Percent chance each edge carries a handler stack.
-    pub handler_pct: u64,
-    /// Percent chance of one scheduled disconnect.
-    pub disconnect_pct: u64,
-    /// Percent chance of one scheduled crash-restart.
-    pub crash_pct: u64,
-}
+// The generator's shape bounds and odds. `gen:<seed>` scenario names
+// resolve through them, so they are part of the sweep's determinism
+// contract: change one and every generated digest changes.
 
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_depth: 3,
-            max_fanout: 3,
-            max_peers: 9,
-            fault_pct: 45,
-            handler_pct: 30,
-            disconnect_pct: 25,
-            crash_pct: 25,
-        }
-    }
-}
+/// Maximum tree depth below the origin.
+const MAX_DEPTH: u32 = 3;
+/// Maximum children per peer.
+const MAX_FANOUT: u32 = 3;
+/// Hard cap on tree peers (keeps sim cost bounded).
+const MAX_PEERS: u32 = 9;
+/// Percent chance a service fault is injected somewhere.
+const FAULT_PCT: u64 = 45;
+/// Percent chance each edge carries a handler stack.
+const HANDLER_PCT: u64 = 30;
+/// Percent chance of one scheduled disconnect.
+const DISCONNECT_PCT: u64 = 25;
+/// Percent chance of one scheduled crash-restart.
+const CRASH_PCT: u64 = 25;
 
 /// What a generated handler does when its catch matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -189,9 +172,9 @@ impl Rng {
 }
 
 impl GenScenario {
-    /// Generates the scenario for `seed` under `config`. Pure: the same
-    /// inputs always produce the same value, byte for byte.
-    pub fn generate(seed: u64, config: &GenConfig) -> GenScenario {
+    /// Generates the scenario for `seed`. Pure: the same seed always
+    /// produces the same value, byte for byte.
+    pub fn generate(seed: u64) -> GenScenario {
         let mut rng = Rng::new(seed);
 
         // --- Tree shape: BFS growth with fresh ids (W001-clean). The
@@ -200,7 +183,7 @@ impl GenScenario {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut next_id: u32 = 2;
         let mut frontier: Vec<(u32, u32)> = Vec::new(); // (peer, depth)
-        let root_children = rng.range(1, u64::from(config.max_fanout)) as u32;
+        let root_children = rng.range(1, u64::from(MAX_FANOUT)) as u32;
         for _ in 0..root_children {
             edges.push((1, next_id));
             frontier.push((next_id, 1));
@@ -210,12 +193,12 @@ impl GenScenario {
         while i < frontier.len() {
             let (peer, depth) = frontier[i];
             i += 1;
-            if depth >= config.max_depth || next_id > config.max_peers {
+            if depth >= MAX_DEPTH || next_id > MAX_PEERS {
                 continue;
             }
-            let kids = rng.below(u64::from(config.max_fanout) + 1) as u32;
+            let kids = rng.below(u64::from(MAX_FANOUT) + 1) as u32;
             for _ in 0..kids {
-                if next_id > config.max_peers {
+                if next_id > MAX_PEERS {
                     break;
                 }
                 edges.push((peer, next_id));
@@ -238,7 +221,7 @@ impl GenScenario {
         // recovery possible. Alternative providers are only enabled when
         // a replica of the faulty peer exists: without one, provider
         // re-lookup would re-invoke the same failing provider forever.
-        let inject_fault = rng.chance(config.fault_pct).then(|| *rng.pick(&peers));
+        let inject_fault = rng.chance(FAULT_PCT).then(|| *rng.pick(&peers));
         let mut replicas: Vec<u32> = Vec::new();
         let mut faulty_has_replica = false;
         if let Some(f) = inject_fault {
@@ -275,7 +258,7 @@ impl GenScenario {
         };
         let mut handlers: Vec<GenHandler> = Vec::new();
         for &(peer, child) in &edges {
-            if !rng.chance(config.handler_pct) {
+            if !rng.chance(HANDLER_PCT) {
                 continue;
             }
             let fault_below = inject_fault.map(|f| subtree(child).contains(&f)).unwrap_or(false);
@@ -330,7 +313,7 @@ impl GenScenario {
         // inside the active window (W004-clean; the origin must survive
         // to record the outcome the oracle judges).
         let mut disconnects: Vec<(u64, u32)> = Vec::new();
-        if rng.chance(config.disconnect_pct) {
+        if rng.chance(DISCONNECT_PCT) {
             let candidates: Vec<u32> = peers.iter().copied().filter(|p| *p != 1 && !supers.contains(p)).collect();
             if !candidates.is_empty() {
                 disconnects.push((rng.range(15, 90), *rng.pick(&candidates)));
@@ -341,7 +324,7 @@ impl GenScenario {
 
         // --- Crash-restart schedule: any tree peer, mid-flight.
         let mut crashes: Vec<(u64, u32)> = Vec::new();
-        if rng.chance(config.crash_pct) {
+        if rng.chance(CRASH_PCT) {
             crashes.push((rng.range(10, 90), *rng.pick(&peers)));
         }
 
@@ -365,9 +348,9 @@ impl GenScenario {
     }
 
     /// Resolves the `<suffix>` of a `gen:<suffix>` scenario name: the
-    /// generation seed, under the default [`GenConfig`].
+    /// generation seed.
     pub fn from_name_suffix(suffix: &str) -> Option<GenScenario> {
-        suffix.parse::<u64>().ok().map(|seed| GenScenario::generate(seed, &GenConfig::default()))
+        suffix.parse::<u64>().ok().map(GenScenario::generate)
     }
 
     /// The scenario name this spec answers to in the sweep matrix.
@@ -391,7 +374,7 @@ impl GenScenario {
         let mut cfg = PeerConfig::default();
         cfg.eval = if self.eager_eval { EvalMode::Eager } else { EvalMode::Lazy };
         cfg.peer_independent = self.peer_independent;
-        cfg.chaining = self.chaining;
+        cfg.chaining = if self.chaining { Chaining::Standard } else { Chaining::Off };
         cfg.use_alternative_providers = self.use_alternative_providers;
         cfg.stream_interval = self.stream_interval;
         b = b.config(cfg);
@@ -437,8 +420,8 @@ mod tests {
     #[test]
     fn same_seed_same_spec_bytes() {
         for seed in [0, 1, 7, 42, 1_000_003] {
-            let a = GenScenario::generate(seed, &GenConfig::default());
-            let b = GenScenario::generate(seed, &GenConfig::default());
+            let a = GenScenario::generate(seed);
+            let b = GenScenario::generate(seed);
             assert_eq!(a, b);
             assert_eq!(a.to_json(), b.to_json(), "seed {seed}");
             let back: GenScenario = serde_json::from_str(&a.to_json()).expect("round-trips");
@@ -448,7 +431,7 @@ mod tests {
 
     #[test]
     fn name_resolution_matches_direct_generation() {
-        let g = GenScenario::generate(17, &GenConfig::default());
+        let g = GenScenario::generate(17);
         assert_eq!(g.name(), "gen:17");
         assert_eq!(GenScenario::from_name_suffix("17"), Some(g));
         assert_eq!(GenScenario::from_name_suffix("not-a-seed"), None);
@@ -459,7 +442,7 @@ mod tests {
         // Across a modest seed range the generator must exercise every
         // major dimension at least once — otherwise the "generated
         // scenario space" is narrower than advertised.
-        let gens: Vec<GenScenario> = (0..64).map(|s| GenScenario::generate(s, &GenConfig::default())).collect();
+        let gens: Vec<GenScenario> = (0..64).map(GenScenario::generate).collect();
         assert!(gens.iter().any(|g| g.inject_fault.is_some()));
         assert!(gens.iter().any(|g| g.inject_fault.is_none()));
         assert!(gens.iter().any(|g| !g.handlers.is_empty()));
@@ -486,7 +469,7 @@ mod tests {
         // cleanliness — checked here over a dense seed range, and again
         // as a proptest over sparse random seeds in tests/gen.rs.
         for seed in 0..256 {
-            let g = GenScenario::generate(seed, &GenConfig::default());
+            let g = GenScenario::generate(seed);
             let report = axml_analysis::analyze_all(&g.builder());
             assert!(report.is_clean(), "gen:{seed} not lint-clean:\n{}", report.render_text());
         }

@@ -66,8 +66,8 @@
 
 use axml_chaos::{
     builder_for, events_of, gen_scenario_names, load_corpus, plane_for, run_case, run_with_plane,
-    run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenConfig, GenScenario,
-    Profile, SweepOutcome, SCENARIOS,
+    run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenScenario, Profile,
+    SweepOutcome, SCENARIOS,
 };
 use axml_obs::{critical_paths, percentile_table, render_prometheus, SeriesRegistry};
 use axml_p2p::FaultPlane;
@@ -280,7 +280,7 @@ fn main() {
                 eprintln!("usage: axml-chaos gen <seed> [--run [--profile P] [--seed N]]");
                 std::process::exit(1);
             };
-            let g = GenScenario::generate(seed, &GenConfig::default());
+            let g = GenScenario::generate(seed);
             println!("{}", g.to_json());
             if args.iter().any(|a| a == "--run") {
                 let profile = parse_flag(&args, "--profile")

@@ -2,13 +2,13 @@
 //!
 //! `Commit` leaves once, with no ack and no retransmission. A participant
 //! whose result has left and that hears no decision within the decision
-//! timeout (`PeerConfig::decision_timeout`, 64 ticks) sends `Inquire` to
+//! timeout (`DECISION_TIMEOUT`, 64 ticks) sends `Inquire` to
 //! the origin, which answers from its decision record — and says nothing
 //! while it is undecided, so the participant asks again later.
 
 use axml_chaos::{attach_wal_sinks, run_case, CaseConfig, Profile};
 use axml_core::context::TxnState;
-use axml_core::peer::PeerConfig;
+use axml_core::peer::DECISION_TIMEOUT;
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_p2p::{CrashEvent, EventKind, FaultAction, FaultPlane, PeerId, ScriptedFault, StorageFaultPlane};
 
@@ -59,8 +59,7 @@ fn an_undecided_origin_answers_nothing_and_the_inquirer_asks_again() {
     assert!(asked.len() >= 2, "AP2 asked again: {asked:?}");
     assert!(asked.iter().all(|&at| at < decided.at), "every inquiry came before the decision: {asked:?}");
     // Each wait is twice the one before it.
-    let timeout = PeerConfig::default().decision_timeout();
-    assert_eq!(asked[1] - asked[0], 2 * timeout);
+    assert_eq!(asked[1] - asked[0], 2 * DECISION_TIMEOUT);
     // Nobody answered them: the one `Commit` per participant is the
     // origin's decision, and no `Abort` was sent.
     assert_eq!(report.metrics.kind("commit"), 2);

@@ -9,7 +9,7 @@
 //! with it, and `from_str` must give `x` back.
 
 use axml_chaos::{
-    builder_for, plane_for, run_with_plane_traced, CaseConfig, GenAction, GenConfig, GenHandler, GenScenario, Profile,
+    builder_for, plane_for, run_with_plane_traced, CaseConfig, GenAction, GenHandler, GenScenario, Profile,
 };
 use axml_core::durability::{self, JournalEntry};
 use axml_core::scenarios::ScenarioBuilder;
@@ -331,7 +331,7 @@ proptest! {
 
     #[test]
     fn generated_scenarios(seed in any::<u64>(), catch in prop::option::of(nasty()), times in edgy_u32(), wait in edgy_u64()) {
-        let mut spec = GenScenario::generate(seed, &GenConfig::default());
+        let mut spec = GenScenario::generate(seed);
         spec.handlers.push(GenHandler { peer: 1, child: 2, catch, action: GenAction::Retry { times, wait } });
         spec.handlers.push(GenHandler { peer: 1, child: 3, catch: None, action: GenAction::Substitute });
         spec.stream_interval = Some(wait);

@@ -9,7 +9,7 @@
 //!    seeds drawn from all of `u64` must generate scenarios that pass
 //!    every analyzer rule.
 
-use axml_chaos::{gen_scenario_names, sweep_jobs, GenConfig, GenScenario, Profile};
+use axml_chaos::{gen_scenario_names, sweep_jobs, GenScenario, Profile};
 use proptest::prelude::*;
 
 #[test]
@@ -40,7 +40,7 @@ proptest! {
 
     #[test]
     fn sparse_seeds_generate_lint_clean_scenarios(seed in any::<u64>()) {
-        let g = GenScenario::generate(seed, &GenConfig::default());
+        let g = GenScenario::generate(seed);
         let report = axml_analysis::analyze_all(&g.builder());
         prop_assert!(
             report.is_clean(),
@@ -52,8 +52,8 @@ proptest! {
 
     #[test]
     fn sparse_seeds_generate_byte_stable_specs(seed in any::<u64>()) {
-        let a = GenScenario::generate(seed, &GenConfig::default());
-        let b = GenScenario::generate(seed, &GenConfig::default());
+        let a = GenScenario::generate(seed);
+        let b = GenScenario::generate(seed);
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 }

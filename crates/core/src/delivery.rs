@@ -7,13 +7,13 @@
 //! re-delivery too, since the first ack may have been lost — and
 //! suppresses re-executions. An ack rides on the next envelope or chain
 //! update bound for its sender, or leaves alone as the handler ends; an
-//! `Invoke`'s waits up to [`PeerConfig::ack_hold`] for the answer to carry
+//! `Invoke`'s waits up to [`ACK_HOLD`] for the answer to carry
 //! it. Keep-alives, streams, gossip, `Commit` and `Inquire` go around it.
 
 use crate::context::TxnState;
 use crate::ids::TxnId;
 use crate::messages::{AckIds, Ctx, TxnMsg};
-use crate::peer::{DetectHow, PeerConfig, PeerStats, Timer};
+use crate::peer::{DetectHow, PeerStats, Timer, ACK_HOLD, MAX_RETRANSMITS, RETRANSMIT_BASE};
 use crate::timers::Timers;
 use axml_p2p::{EventKind, PeerId, SendError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,7 +35,7 @@ struct OwedAck {
     to: PeerId,
     id: u64,
     /// When it leaves alone if nothing bound for `to` has carried it: the
-    /// time of receipt, or `ack_hold` later for an `Invoke`.
+    /// time of receipt, or [`ACK_HOLD`] later for an `Invoke`.
     due: u64,
 }
 
@@ -57,10 +57,13 @@ pub(crate) struct Delivery {
     /// Oldest first; empty between handlers but for `Invoke`s' held acks.
     owed: Vec<OwedAck>,
     ack_timer: Option<u64>,
-    retransmit_base: u64,
-    max_retransmits: u32,
-    ack_hold: u64,
     dedup: bool,
+}
+
+/// `base` doubled per try, `tries` times, capped at `base × 64`: the wait
+/// before a retransmission and before a repeated decision inquiry.
+pub(crate) fn backoff(base: u64, tries: u32) -> u64 {
+    base << tries.min(6)
 }
 
 /// Emits a delivery event about `txn` when the run is traced.
@@ -76,8 +79,9 @@ impl Delivery {
     /// the high-water mark is [`PeerStats::seen_peak`].
     pub(crate) const DEDUP_CAPACITY: usize = 1024;
 
-    /// The layer of a fresh peer incarnation: nothing sent, seen or owed.
-    pub(crate) fn new(config: &PeerConfig) -> Delivery {
+    /// The layer of a fresh peer incarnation: nothing sent, seen or owed;
+    /// re-deliveries are suppressed if `dedup` ([`crate::PeerConfig::dedup`]).
+    pub(crate) fn new(dedup: bool) -> Delivery {
         Delivery {
             next_id: 0,
             outbox: BTreeMap::new(),
@@ -85,10 +89,7 @@ impl Delivery {
             capacity: Self::DEDUP_CAPACITY,
             owed: Vec::new(),
             ack_timer: None,
-            retransmit_base: config.retransmit_base,
-            max_retransmits: config.max_retransmits,
-            ack_hold: config.ack_hold(),
-            dedup: config.dedup,
+            dedup,
         }
     }
 
@@ -122,7 +123,7 @@ impl Delivery {
         let msg = Arc::new(msg);
         let acks = self.carry(ctx, timers, stats, to);
         ctx.send(to, TxnMsg::Reliable { id, attempt: 0, inner: Arc::clone(&msg), acks })?;
-        let timer = timers.set(ctx, self.retransmit_base, Timer::Retransmit(id));
+        let timer = timers.set(ctx, RETRANSMIT_BASE, Timer::Retransmit(id));
         self.outbox.insert(id, Pending { to, msg, attempts: 0, timer });
         Ok(())
     }
@@ -141,7 +142,7 @@ impl Delivery {
         let pending = self.outbox.get_mut(&id)?;
         pending.attempts += 1;
         let (to, attempt, txn) = (pending.to, pending.attempts, pending.msg.txn());
-        if attempt > self.max_retransmits {
+        if attempt > MAX_RETRANSMITS {
             stats.retransmit_giveups += 1;
             trace(ctx, txn, || EventKind::RetransmitGiveUp { to: to.0, id });
             return self.outbox.remove(&id).map(|p| (p, DetectHow::AckTimeout));
@@ -153,9 +154,7 @@ impl Delivery {
         if ctx.send(to, TxnMsg::Reliable { id, attempt, inner, acks }).is_err() {
             return self.outbox.remove(&id).map(|p| (p, DetectHow::SendFailure));
         }
-        // Saturating: `base << attempt` would wrap for extreme bases into
-        // a same-instant retransmit storm.
-        let delay = self.retransmit_base.saturating_mul(1u64 << attempt.min(6));
+        let delay = backoff(RETRANSMIT_BASE, attempt);
         if let Some(pending) = self.outbox.get_mut(&id) {
             pending.timer = timers.set(ctx, delay, Timer::Retransmit(id));
         }
@@ -193,7 +192,7 @@ impl Delivery {
         // every re-invocation — and is filed under no transaction.
         let committed = |t: &TxnId| state(*t) == Some(TxnState::Committed);
         let again = self.dedup && !self.seen.insert((txn.filter(|t| !committed(t)), from, id));
-        let hold = if !again && matches!(inner, TxnMsg::Invoke { .. }) { self.ack_hold } else { 0 };
+        let hold = if !again && matches!(inner, TxnMsg::Invoke { .. }) { ACK_HOLD } else { 0 };
         self.owed.push(OwedAck { to: from, id, due: ctx.now().saturating_add(hold) });
         trace(ctx, txn, || EventKind::AckSend { to: from.0, id });
         if again {
@@ -344,10 +343,9 @@ mod tests {
     /// if committed — and keeps every live one, however many.
     #[test]
     fn capacity_pressure_prunes_the_decided_and_keeps_the_live() {
-        let config = PeerConfig::default();
         let txn = |n| TxnId::new(PeerId(0), n);
         let end = |txns: Vec<TxnId>, states| End {
-            delivery: Delivery { capacity: 4, ..Delivery::new(&config) },
+            delivery: Delivery { capacity: 4, ..Delivery::new(true) },
             timers: Timers::default(),
             stats: PeerStats::default(),
             states,

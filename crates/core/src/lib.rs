@@ -58,5 +58,5 @@ pub use durability::{
 };
 pub use ids::{InvocationId, TxnId};
 pub use messages::TxnMsg;
-pub use peer::{AxmlPeer, ChainScope, DetectHow, Detection, PeerConfig, PeerStats, RecoveryStyle, WsdlCatalog};
+pub use peer::{AxmlPeer, Chaining, DetectHow, Detection, PeerConfig, PeerStats, RecoveryStyle, WsdlCatalog};
 pub use spheres::sphere_guarantees_atomicity;

@@ -65,7 +65,7 @@
 //! A commit is pulled, an abort is pushed. `Commit` leaves once, as a
 //! plain message with no envelope, ack or retransmission. A participant
 //! whose result has left is *awaiting the decision*; if none arrives
-//! within [`PeerConfig::decision_timeout`] it sends `Inquire` to the
+//! within [`DECISION_TIMEOUT`] it sends `Inquire` to the
 //! origin, which answers from its decision record (`Commit`, `Abort`, or
 //! presumed abort when it holds none), and asks again with doubling
 //! delays. `Abort` stays reliable: it also reaches peers still serving,
@@ -74,7 +74,7 @@
 use crate::chain::ActiveList;
 use crate::compensate::{compensation_for_effects, CompBundle, CompensatingService};
 use crate::context::{TransactionContext, TxnOutcome, TxnState};
-use crate::delivery::{Delivery, Pending};
+use crate::delivery::{backoff, Delivery, Pending};
 use crate::detector::Detector;
 use crate::durability::{self, DurabilitySink, Journal, JournalEntry, WalStats};
 use crate::ids::{InvocationId, TxnId};
@@ -82,7 +82,7 @@ use crate::messages::{Ctx, TxnMsg};
 use crate::timers::Timers;
 use axml_doc::{
     apply_call_results, EvalMode, Fault, MaterializationEngine, ParamValue, Repository, ResolvedCall, ServiceCall,
-    ServiceInvoker, ServiceKind, ServiceRegistry,
+    ServiceInvoker, ServiceKind, ServiceRegistry, MAX_DEPTH,
 };
 use axml_p2p::{Actor, Directory, EventKind, PeerId, SendError};
 use axml_query::{Effect, NodePath, SelectQuery};
@@ -90,21 +90,33 @@ use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// How far chain gossip reaches (ablation of the paper's future work: "we
+/// Chaining (§3.3, ablation D4): whether active-peer lists are
+/// piggybacked and used on detection, and how far their growth is
+/// gossiped as it happens — the paper's future work reaches further: "we
 /// are exploring the feasibility of extending \[chaining\] to uncles,
-/// cousins, etc.").
+/// cousins, etc.".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChainScope {
-    /// No gossip: strict piggyback-only chaining, where active-peer lists
-    /// travel solely with `Invoke`/`Result`. Cheaper, but interior peers
-    /// learn deeper edges only when results return, degrading scenarios
-    /// (c)/(d).
+pub enum Chaining {
+    /// No chaining: invocations carry a singleton list and a detection
+    /// falls back to traditional recovery.
+    Off,
+    /// Strict piggyback-only chaining: active-peer lists travel solely
+    /// with `Invoke`/`Result`. Cheaper, but interior peers learn deeper
+    /// edges only when results return, degrading scenarios (c)/(d).
     InvokeOnly,
-    /// The paper's mechanism: parent, children, and siblings.
+    /// The paper's mechanism: growth is gossiped to parent, children, and
+    /// siblings.
     #[default]
     Standard,
     /// Extended: additionally grandparent, uncles, and cousins.
     Extended,
+}
+
+impl Chaining {
+    /// Whether active-peer lists are kept at all.
+    pub fn is_on(self) -> bool {
+        self != Chaining::Off
+    }
 }
 
 /// How a peer recovers from child faults (ablation D3).
@@ -128,11 +140,9 @@ pub struct PeerConfig {
     /// D5: ship compensating-service bundles with results and drive
     /// compensation from the recovering peer.
     pub peer_independent: bool,
-    /// D4: piggyback active-peer lists and use them on detection.
-    pub chaining: bool,
-    /// How far chain growth is gossiped as it happens: not at all, the
-    /// paper's parent/children/siblings, or the extended future work.
-    pub chain_scope: ChainScope,
+    /// D4: piggyback active-peer lists and use them on detection, and
+    /// how far their growth is gossiped.
+    pub chaining: Chaining,
     /// Use the replica directory to re-invoke a failed/disconnected
     /// child's service on an alternative provider.
     pub use_alternative_providers: bool,
@@ -155,49 +165,39 @@ pub struct PeerConfig {
     /// (`(sender, id)` dedup). Turning this off under message duplication
     /// is the canonical atomicity bug the chaos oracle catches.
     pub dedup: bool,
-    /// Delay before the first retransmission; doubles per attempt (capped
-    /// at `base × 64`, saturating — an extreme base never wraps into a
-    /// same-instant retransmit storm). MUST exceed the longest an
-    /// acknowledgement is held, [`PeerConfig::ack_hold`], plus one maximal
-    /// round trip, or fault-free runs retransmit spuriously
-    /// ([`PeerConfig::check_timing`]).
-    pub retransmit_base: u64,
-    /// Retransmissions before the sender gives up and treats the silence
-    /// as a failure ([`DetectHow::AckTimeout`]).
-    pub max_retransmits: u32,
 }
 
+/// Delay before the first retransmission; doubles per attempt, capped at
+/// `RETRANSMIT_BASE × 64`. MUST exceed the longest an acknowledgement is
+/// held, [`ACK_HOLD`], plus one maximal round trip, or fault-free runs
+/// retransmit spuriously ([`PeerConfig::check_timing`]).
+pub const RETRANSMIT_BASE: u64 = 16;
+
+/// Retransmissions before the sender gives up and treats the silence as a
+/// failure ([`DetectHow::AckTimeout`]); also the most inquiries a
+/// participant sends for a decision.
+pub const MAX_RETRANSMITS: u32 = 8;
+
+/// How long an `Invoke`'s acknowledgement waits for the answer to carry
+/// it: a third of [`RETRANSMIT_BASE`], so that the bound beside it comes to
+/// `RETRANSMIT_BASE > 1.5 ×` the maximal round trip — 16 or more with the
+/// shipped 1–5 tick latency. Below that an `Invoke` served for longer than
+/// the hold can be sent again before its ack is back.
+pub const ACK_HOLD: u64 = RETRANSMIT_BASE / 3;
+
+/// How long a participant whose result has left waits for the decision
+/// before it asks the origin for it: four times [`RETRANSMIT_BASE`], 64
+/// ticks. A whole fault-free Fig. 1 commit, submit to decision, takes 46
+/// ticks at the 99th percentile of a 4,000-commit stream, and a
+/// participant waits only for part of it, so a fault-free commit sends no
+/// `Inquire`. Each further inquiry waits twice as long, capped like a
+/// retransmission, at most [`MAX_RETRANSMITS`] times.
+pub const DECISION_TIMEOUT: u64 = 4 * RETRANSMIT_BASE;
+
 impl PeerConfig {
-    /// How long an `Invoke`'s acknowledgement waits for the answer to
-    /// carry it: a third of `retransmit_base`, derived rather than set, so
-    /// that the bound beside [`PeerConfig::retransmit_base`] comes to
-    /// `retransmit_base > 1.5 ×` the maximal round trip — 16 or more with
-    /// the shipped 1–5 tick latency. Below that an `Invoke` served for
-    /// longer than the hold can be sent again before its ack is back.
-    pub fn ack_hold(&self) -> u64 {
-        self.retransmit_base / 3
-    }
-
-    /// How long a participant whose result has left waits for the
-    /// decision before it asks the origin for it: four times
-    /// `retransmit_base`, derived like [`PeerConfig::ack_hold`] — 64 ticks
-    /// as shipped. A whole fault-free Fig. 1 commit, submit to decision,
-    /// takes 46 ticks at the 99th percentile of a 4,000-commit stream, and
-    /// a participant waits only for part of it, so a fault-free commit
-    /// sends no `Inquire`. Each further inquiry waits twice as long,
-    /// capped like a retransmission, at most `max_retransmits` times.
-    pub fn decision_timeout(&self) -> u64 {
-        self.retransmit_base.saturating_mul(4)
-    }
-
-    /// The wait for a decision after `inquiries` inquiries.
-    fn decision_wait(&self, inquiries: u32) -> u64 {
-        self.decision_timeout().saturating_mul(1u64 << inquiries.min(6))
-    }
-
     /// Checks the two timing MUSTs — [`PeerConfig::ping_timeout`]'s and
-    /// [`PeerConfig::retransmit_base`]'s — for a fabric whose messages take
-    /// at most `max_latency` one way, and names the one that fails.
+    /// [`RETRANSMIT_BASE`]'s — for a fabric whose messages take at most
+    /// `max_latency` one way, and names the one that fails.
     pub fn check_timing(&self, max_latency: u64) -> Result<(), String> {
         let round_trip = 2 * max_latency;
         if self.ping_interval > 0 && self.ping_timeout <= self.ping_interval.saturating_add(round_trip) {
@@ -206,11 +206,9 @@ impl PeerConfig {
                 self.ping_timeout, self.ping_interval
             ));
         }
-        if self.retransmit_base <= self.ack_hold().saturating_add(round_trip) {
+        if RETRANSMIT_BASE <= ACK_HOLD.saturating_add(round_trip) {
             return Err(format!(
-                "retransmit_base {} must exceed the ack hold {} plus a round trip of {round_trip}",
-                self.retransmit_base,
-                self.ack_hold()
+                "RETRANSMIT_BASE {RETRANSMIT_BASE} must exceed the ack hold {ACK_HOLD} plus a round trip of {round_trip}"
             ));
         }
         Ok(())
@@ -222,8 +220,7 @@ impl Default for PeerConfig {
         PeerConfig {
             recovery: RecoveryStyle::ForwardFirst,
             peer_independent: false,
-            chaining: true,
-            chain_scope: ChainScope::Standard,
+            chaining: Chaining::Standard,
             use_alternative_providers: true,
             ping_interval: 10,
             ping_timeout: 25,
@@ -231,8 +228,6 @@ impl Default for PeerConfig {
             eval: EvalMode::Lazy,
             is_super: false,
             dedup: true,
-            retransmit_base: 16,
-            max_retransmits: 8,
         }
     }
 }
@@ -680,7 +675,7 @@ impl AxmlPeer {
         AxmlPeer {
             id,
             engine: MaterializationEngine::new(config.eval),
-            delivery: Delivery::new(&config),
+            delivery: Delivery::new(config.dedup),
             detector: Detector::new(&config),
             config,
             repo: Repository::new(),
@@ -918,7 +913,7 @@ impl AxmlPeer {
     /// that `dead` is gone — the fallback when bad news cannot be
     /// delivered to the parent directly.
     fn notice_ancestors(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId) {
-        if !self.config.chaining {
+        if !self.config.chaining.is_on() {
             return;
         }
         let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
@@ -1035,8 +1030,8 @@ impl AxmlPeer {
         // The hosted document the service is declared over, if any.
         if let Some(doc_name) = service_doc(&self.registry, &serving.method) {
             serving.rounds += 1;
-            if serving.rounds > self.engine.max_depth {
-                let fault = Fault::execution(format!("materialization exceeded {} waves", self.engine.max_depth));
+            if serving.rounds > MAX_DEPTH {
+                let fault = Fault::execution(format!("materialization exceeded {MAX_DEPTH} waves"));
                 self.fail_serving(ctx, serving_inv, fault);
                 return;
             }
@@ -1141,7 +1136,7 @@ impl AxmlPeer {
         // Chain first…
         {
             let my_super = self.config.is_super;
-            let chaining = self.config.chaining;
+            let chaining = self.config.chaining.is_on();
             if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
                 if chaining {
                     if !tc.chain.contains(self.id) {
@@ -1177,11 +1172,11 @@ impl AxmlPeer {
     }
 
     /// `of`'s gossip scope in `chain`: parent, children and siblings — the
-    /// paper's chaining scope — and under [`ChainScope::Extended`]
+    /// paper's chaining scope — and under [`Chaining::Extended`]
     /// grandparent, uncles and cousins.
-    fn gossip_scope(scope: ChainScope, chain: &ActiveList, of: PeerId) -> impl Iterator<Item = PeerId> + '_ {
+    fn gossip_scope(scope: Chaining, chain: &ActiveList, of: PeerId) -> impl Iterator<Item = PeerId> + '_ {
         let near = chain.parent_of(of).into_iter().chain(chain.children(of)).chain(chain.siblings(of));
-        let far = (scope == ChainScope::Extended)
+        let far = (scope == Chaining::Extended)
             .then(|| chain.grandparent_of(of).into_iter().chain(chain.uncles_of(of)).chain(chain.cousins_of(of)));
         near.chain(far.into_iter().flatten())
     }
@@ -1190,13 +1185,13 @@ impl AxmlPeer {
     /// peer in peer order, leaving out the peers that hold it already. An
     /// update carries the acknowledgements owed to its target.
     fn gossip_chain(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
-        if !self.config.chaining || self.config.chain_scope == ChainScope::InvokeOnly {
+        if matches!(self.config.chaining, Chaining::Off | Chaining::InvokeOnly) {
             return;
         }
         // Every target receives the same allocation.
         let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
         let mut targets = std::mem::take(&mut self.peer_buf);
-        targets.extend(Self::gossip_scope(self.config.chain_scope, &chain, self.id));
+        targets.extend(Self::gossip_scope(self.config.chaining, &chain, self.id));
         targets.sort();
         targets.dedup();
         for &t in &targets {
@@ -1218,7 +1213,7 @@ impl AxmlPeer {
     /// the news by whoever does.
     fn learn_chain(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
         if self.txns.get_mut(&txn).is_some_and(|t| t.tc.chain.merge_from(theirs)) {
-            let scope = self.config.chain_scope;
+            let scope = self.config.chaining;
             self.gossip_chain(ctx, txn, |_, t| {
                 t == from || Self::gossip_scope(scope, theirs, from).any(|told| told == t)
             });
@@ -1233,7 +1228,7 @@ impl AxmlPeer {
         let inv = self.alloc_inv(ctx);
         if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
             tc.record_remote(peer, inv, wc.method.as_str());
-            if self.config.chaining {
+            if self.config.chaining.is_on() {
                 tc.chain.add_invocation(self.id, peer, false);
             }
             let method = wc.method.clone();
@@ -1262,7 +1257,7 @@ impl AxmlPeer {
     /// The chain to piggyback on invocations. A singleton when chaining is
     /// disabled (children then know nothing beyond their invoker).
     fn current_chain(&self, txn: TxnId) -> ActiveList {
-        let known = self.context(txn).filter(|_| self.config.chaining);
+        let known = self.context(txn).filter(|_| self.config.chaining.is_on());
         known.map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, self.config.is_super))
     }
 
@@ -1454,7 +1449,7 @@ impl AxmlPeer {
                 // chaining, cascade through direct invokees only. Each
                 // leaves once: a participant that misses it inquires.
                 let (mut targets, covered) = match self.context(txn) {
-                    Some(tc) => (tc.invoked_peers(), self.config.chaining.then(|| tc.chain.clone())),
+                    Some(tc) => (tc.invoked_peers(), self.config.chaining.is_on().then(|| tc.chain.clone())),
                     None => (Vec::new(), None),
                 };
                 if let Some(chain) = &covered {
@@ -1525,7 +1520,7 @@ impl AxmlPeer {
         if let Some(parent) = t.watched.take() {
             self.detector.unwatch(parent);
         }
-        if !self.config.chaining {
+        if !self.config.chaining.is_on() {
             // "Traditional recovery would lead to AP6 discarding its work."
             self.stats.work_wasted += 1;
             self.abort_local(ctx, txn);
@@ -1956,7 +1951,7 @@ impl AxmlPeer {
 
     /// Waits for `txn`'s decision after `inquiries` inquiries.
     fn arm_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
-        let tag = self.timers.set(ctx, self.config.decision_wait(inquiries), Timer::Decision { txn, inquiries });
+        let tag = self.timers.set(ctx, backoff(DECISION_TIMEOUT, inquiries), Timer::Decision { txn, inquiries });
         if let Some(t) = self.txns.get_mut(&txn) {
             t.decision_timer = Some(tag);
         }
@@ -1965,7 +1960,7 @@ impl AxmlPeer {
     /// The decision timer fired on a context still undecided: ask the
     /// origin — or, if it cannot be reached right now, the chain's closest
     /// super ancestor — and wait twice as long for the next try, up to
-    /// `max_retransmits` inquiries. (Spec rule **R12**.)
+    /// [`MAX_RETRANSMITS`] inquiries. (Spec rule **R12**.)
     fn inquire(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inquiries: u32) {
         if let Some(t) = self.txns.get_mut(&txn) {
             t.decision_timer = None;
@@ -1980,7 +1975,7 @@ impl AxmlPeer {
             self.stats.inquiries += 1;
             self.emit(ctx, Some(txn), None, None, || EventKind::Inquire { to: to.0 });
         }
-        if inquiries + 1 < self.config.max_retransmits {
+        if inquiries + 1 < MAX_RETRANSMITS {
             self.arm_decision(ctx, txn, inquiries + 1);
         }
     }
@@ -2008,7 +2003,7 @@ impl AxmlPeer {
             self.waiting.iter().filter(|(_, w)| w.child_peer == peer).map(|(i, _)| *i).collect();
         // Scenario (c) chaining: warn the disconnected peer's descendants
         // before recovering, so they stop wasting effort / offer reuse.
-        if self.config.chaining {
+        if self.config.chaining.is_on() {
             let txns: BTreeSet<TxnId> = affected.iter().filter_map(|i| self.waiting.get(i)).map(|w| w.txn).collect();
             for txn in txns {
                 let descs: Vec<PeerId> = self.context(txn).map(|tc| tc.chain.descendants_of(peer)).unwrap_or_default();
@@ -2143,7 +2138,7 @@ impl AxmlPeer {
     /// parent and children from the chain — they then run (b)/(c).
     fn on_sibling_disconnected(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId, how: DetectHow) {
         self.record_detection(ctx, dead, how);
-        if !self.config.chaining {
+        if !self.config.chaining.is_on() {
             return;
         }
         let Some(tc) = self.context(txn) else { return };
@@ -2175,7 +2170,7 @@ impl AxmlPeer {
         // The crash killed every timer and forgot what was sent, seen, owed
         // or watched: the layers start afresh, and senders retransmit.
         self.timers = Timers::default();
-        self.delivery = Delivery::new(&self.config);
+        self.delivery = Delivery::new(self.config.dedup);
         self.detector = Detector::new(&self.config);
         self.next_inv = 0;
         self.next_txn = 0;
@@ -2389,14 +2384,14 @@ impl Actor<TxnMsg> for AxmlPeer {
     /// Back online: the simulator dropped every timer that came due
     /// meanwhile. What becomes of each is decided here, once per kind.
     fn on_reconnect(&mut self, ctx: &mut Ctx<'_>) {
-        let (now, config) = (ctx.now(), &self.config);
+        let now = ctx.now();
         self.timers.rearm(ctx, |timer, due| match timer {
             // Every unacked delivery retransmits afresh, in id order, or
             // none would ever be acked and the peer never be quiescent.
-            Timer::Retransmit(id) => Some(((0, None, *id), config.retransmit_base)),
+            Timer::Retransmit(id) => Some(((0, None, *id), RETRANSMIT_BASE)),
             // Every wait on a decision goes on at the backoff it had
             // reached, in transaction order.
-            Timer::Decision { txn, inquiries } => Some(((1, Some(*txn), 0), config.decision_wait(*inquiries))),
+            Timer::Decision { txn, inquiries } => Some(((1, Some(*txn), 0), backoff(DECISION_TIMEOUT, *inquiries))),
             // Work whose time came offline is done now; the rest keeps it.
             Timer::ServiceDone(_) | Timer::RetryChild { .. } => (due <= now).then_some(((2, None, 0), 0)),
             // Their layers set the link timers anew below, counting every
@@ -2680,7 +2675,9 @@ mod tests {
     #[test]
     fn a_decided_transaction_holds_no_result_watch_or_timer() {
         use crate::scenarios::ScenarioBuilder;
-        for (peer_independent, chaining) in [(false, false), (false, true), (true, false), (true, true)] {
+        for (peer_independent, chaining) in
+            [(false, Chaining::Off), (false, Chaining::Standard), (true, Chaining::Off), (true, Chaining::Standard)]
+        {
             let config =
                 PeerConfig { peer_independent, chaining, use_alternative_providers: false, ..Default::default() };
             let cases = [
@@ -2692,7 +2689,7 @@ mod tests {
             for (name, builder) in cases {
                 let mut s = builder.config(config.clone()).build();
                 assert!(s.run().outcome.is_some(), "{name}: resolved");
-                let case = format!("{name}, peer_independent={peer_independent}, chaining={chaining}");
+                let case = format!("{name}, peer_independent={peer_independent}, chaining={chaining:?}");
                 let mut decided = 0;
                 for &id in &s.participants {
                     for (txn, t) in s.sim.actor(id).txns.iter().filter(|(_, t)| t.tc.is_terminal()) {
@@ -2708,32 +2705,26 @@ mod tests {
     }
 
     /// The shipped configuration meets both timing MUSTs on the shipped
-    /// fabric, and `retransmit_base` is as low as the derived hold allows:
-    /// one less, and a held ack can come back a tick too late.
+    /// fabric, and `RETRANSMIT_BASE` is as low as the derived hold allows:
+    /// one tick more of latency, and a held ack can come back too late.
     #[test]
     fn the_timing_musts_are_checked_against_the_round_trip() {
         let max_latency = SimConfig::default().latency.max;
         let mut config = PeerConfig::default();
         assert_eq!(config.check_timing(max_latency), Ok(()));
-        assert_eq!(config.ack_hold() + 2 * max_latency, 15);
-        config.retransmit_base = 15;
-        assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("retransmit_base 15")));
-        config.retransmit_base = 16;
+        assert_eq!(ACK_HOLD + 2 * max_latency, RETRANSMIT_BASE - 1);
+        assert!(config.check_timing(max_latency + 1).is_err_and(|why| why.contains("RETRANSMIT_BASE 16")));
         config.ping_timeout = config.ping_interval + 2 * max_latency;
         assert!(config.check_timing(max_latency).is_err_and(|why| why.contains("ping_timeout 20")));
         config.ping_interval = 0;
         assert_eq!(config.check_timing(max_latency), Ok(()));
     }
 
-    /// Regression: with an extreme `retransmit_base`, the backoff must
-    /// saturate instead of wrapping (`base << attempts` overflowed into a
-    /// zero delay — a same-instant retransmit storm), and give-up must
-    /// clear all pending timer state for the abandoned delivery.
+    /// Give-up must clear all pending timer state for the abandoned
+    /// delivery.
     #[test]
-    fn extreme_backoff_saturates_and_giveup_clears_timer_state() {
+    fn giveup_clears_timer_state() {
         let mut config = PeerConfig::default();
-        config.retransmit_base = 1 << 62;
-        config.max_retransmits = 3;
         config.ping_interval = 0; // isolate the delivery layer's timers
         let mut sim_config = SimConfig::default();
         // Drop every message: the Invoke is never acked and the sender
@@ -2747,9 +2738,6 @@ mod tests {
         assert_eq!(p1.delivery.unacked(), 0);
         assert_eq!(retransmit_timers(p1), 0, "give-up cleared its timer state");
         assert!(!p1.outcomes.first().expect("resolved").committed, "undeliverable invoke aborts");
-        // Saturation: the doubled backoff pins to u64::MAX. The wrapping
-        // shift instead produced zero delays, giving up at 3 * 2^62.
-        assert_eq!(sim.now(), u64::MAX, "backoff saturated instead of wrapping");
     }
 
     /// The harness submits `auto_submit` whenever it fires tag 0.

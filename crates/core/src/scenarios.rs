@@ -685,7 +685,7 @@ mod tests {
     use super::*;
     use crate::chain::ActiveList;
     use crate::durability::JournalEntry;
-    use crate::peer::{DetectHow, RecoveryStyle};
+    use crate::peer::{Chaining, DetectHow, RecoveryStyle};
 
     // ------------------------------------------------------------------
     // Happy path.
@@ -952,7 +952,7 @@ mod tests {
         // AP3 much later, and the recovery on the replica redoes S6 from
         // scratch — no reuse.
         let mut cfg = PeerConfig::default();
-        cfg.chaining = false;
+        cfg.chaining = Chaining::Off;
         cfg.ping_interval = 300;
         cfg.ping_timeout = 700;
         let (b, _replica) = fig2_with(&[(6, 60)]).with_replica(3);
@@ -1410,7 +1410,7 @@ mod tests {
     fn every_participant_is_told_the_decision_once_by_the_origin_or_else_by_its_invoker() {
         let deep = ScenarioBuilder::new(1, &[(1, 2), (2, 3), (3, 4)]);
         for b in [ScenarioBuilder::fig1(), ScenarioBuilder::fig2(), deep] {
-            for chaining in [true, false] {
+            for chaining in [Chaining::Standard, Chaining::Off] {
                 let mut cfg = PeerConfig::default();
                 cfg.chaining = chaining;
                 let b = b.clone().config(cfg);
@@ -1420,9 +1420,9 @@ mod tests {
                     // With chaining the origin's `Commit` names the whole
                     // tree, so nobody passes it on; without, each invoker
                     // passes on the one it received.
-                    let told_by = PeerId(if chaining { b.origin } else { invoker });
+                    let told_by = PeerId(if chaining.is_on() { b.origin } else { invoker });
                     let from = &sim.actor(PeerId(child)).seen.commits_from;
-                    assert_eq!(from, &[told_by], "AP{child}, chaining {chaining}, edges {:?}", b.edges);
+                    assert_eq!(from, &[told_by], "AP{child}, chaining {chaining:?}, edges {:?}", b.edges);
                 }
             }
         }
@@ -1553,28 +1553,29 @@ mod tests {
 #[cfg(test)]
 mod config_matrix_tests {
     use super::*;
-    use crate::peer::ChainScope;
+    use crate::peer::Chaining;
     use axml_doc::EvalMode;
+
+    /// The chaining settings that differ in behaviour: gossip reaches only
+    /// as far as chaining is on.
+    const CHAINING: [Chaining; 3] = [Chaining::Off, Chaining::Standard, Chaining::Extended];
 
     /// The happy path commits and stays atomic under every configuration
     /// knob combination.
     #[test]
     fn happy_path_commits_under_all_config_combinations() {
         for peer_independent in [false, true] {
-            for chaining in [false, true] {
+            for chaining in CHAINING {
                 for eval in [EvalMode::Lazy, EvalMode::Eager] {
-                    for scope in [ChainScope::Standard, ChainScope::Extended] {
-                        let mut cfg = PeerConfig::default();
-                        cfg.peer_independent = peer_independent;
-                        cfg.chaining = chaining;
-                        cfg.eval = eval;
-                        cfg.chain_scope = scope;
-                        let mut s = ScenarioBuilder::fig1().config(cfg).build();
-                        let report = s.run();
-                        let label = format!("pi={peer_independent} chain={chaining} eval={eval:?} scope={scope:?}");
-                        assert!(report.outcome.as_ref().map(|o| o.committed).unwrap_or(false), "{label}");
-                        assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
-                    }
+                    let mut cfg = PeerConfig::default();
+                    cfg.peer_independent = peer_independent;
+                    cfg.chaining = chaining;
+                    cfg.eval = eval;
+                    let mut s = ScenarioBuilder::fig1().config(cfg).build();
+                    let report = s.run();
+                    let label = format!("pi={peer_independent} chaining={chaining:?} eval={eval:?}");
+                    assert!(report.outcome.as_ref().map(|o| o.committed).unwrap_or(false), "{label}");
+                    assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
                 }
             }
         }
@@ -1584,19 +1585,16 @@ mod config_matrix_tests {
     #[test]
     fn fault_aborts_atomically_under_all_config_combinations() {
         for peer_independent in [false, true] {
-            for chaining in [false, true] {
-                for scope in [ChainScope::Standard, ChainScope::Extended] {
-                    let mut cfg = PeerConfig::default();
-                    cfg.peer_independent = peer_independent;
-                    cfg.chaining = chaining;
-                    cfg.chain_scope = scope;
-                    cfg.use_alternative_providers = false;
-                    let mut s = ScenarioBuilder::fig1().fault_at(5).config(cfg).build();
-                    let report = s.run();
-                    let label = format!("pi={peer_independent} chain={chaining} scope={scope:?}");
-                    assert!(!report.outcome.as_ref().map(|o| o.committed).unwrap_or(true), "{label}");
-                    assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
-                }
+            for chaining in CHAINING {
+                let mut cfg = PeerConfig::default();
+                cfg.peer_independent = peer_independent;
+                cfg.chaining = chaining;
+                cfg.use_alternative_providers = false;
+                let mut s = ScenarioBuilder::fig1().fault_at(5).config(cfg).build();
+                let report = s.run();
+                let label = format!("pi={peer_independent} chaining={chaining:?}");
+                assert!(!report.outcome.as_ref().map(|o| o.committed).unwrap_or(true), "{label}");
+                assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
             }
         }
     }
@@ -1623,7 +1621,7 @@ mod config_matrix_tests {
     #[test]
     fn commit_cascade_without_chaining() {
         let mut cfg = PeerConfig::default();
-        cfg.chaining = false;
+        cfg.chaining = Chaining::Off;
         let mut s = ScenarioBuilder::fig1().config(cfg).build();
         let report = s.run();
         let txn = report.txn.unwrap();
@@ -1639,13 +1637,13 @@ mod config_matrix_tests {
     /// informant's scope is read off the chain it sent: read off the merged
     /// chain, the two halves of the tree each count on the other to tell
     /// cousins neither has heard of yet, and at seed 59 under
-    /// [`ChainScope::Extended`] AP2's subtree never hears of AP3's.
+    /// [`Chaining::Extended`] AP2's subtree never hears of AP3's.
     #[test]
     fn every_peer_learns_the_whole_tree_under_either_scope() {
         let edges: Vec<(u32, u32)> = (2..=15).map(|child| (child / 2, child)).collect();
-        for (scope, seed) in [(ChainScope::Standard, 17), (ChainScope::Extended, 17), (ChainScope::Extended, 59)] {
+        for (scope, seed) in [(Chaining::Standard, 17), (Chaining::Extended, 17), (Chaining::Extended, 59)] {
             let mut cfg = PeerConfig::default();
-            cfg.chain_scope = scope;
+            cfg.chaining = scope;
             let mut b = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).with_seed(seed).config(cfg);
             for peer in 1..=15 {
                 b.durations.insert(peer, 40);
@@ -1666,7 +1664,7 @@ mod config_matrix_tests {
     #[test]
     fn extended_scope_scenario_b_still_reuses_work() {
         let mut cfg = PeerConfig::default();
-        cfg.chain_scope = ChainScope::Extended;
+        cfg.chaining = Chaining::Extended;
         cfg.ping_interval = 300;
         cfg.ping_timeout = 700;
         let mut b = ScenarioBuilder::fig2();

@@ -26,9 +26,6 @@ pub const ATTR_SERVICE_NS: &str = "serviceNameSpace";
 pub const ATTR_SERVICE_URL: &str = "serviceURL";
 /// `methodName` attribute.
 pub const ATTR_METHOD: &str = "methodName";
-/// `frequency` attribute (periodic invocation interval, in simulated time
-/// units).
-pub const ATTR_FREQUENCY: &str = "frequency";
 /// `name` attribute of `axml:param` and `faultName` of `axml:catch`.
 pub const ATTR_NAME: &str = "name";
 /// `faultName` attribute of `axml:catch`.

@@ -8,8 +8,8 @@
 //! the paper assume of the AXML platform:
 //!
 //! - [`ServiceCall`]: the embedded-call element, with `mode`
-//!   (`replace`/`merge`), `frequency` (periodic calls), parameters that may
-//!   themselves be service calls (**local nesting**), and BPEL4WS-style
+//!   (`replace`/`merge`), parameters that may themselves be service calls
+//!   (**local nesting**), and BPEL4WS-style
 //!   fault handlers (`axml:catch`, `axml:catchAll`, `axml:retry` — §3.2);
 //! - [`ServiceDef`]: AXML services — "Web services defined as
 //!   queries/updates over AXML documents" — plus simulated generic Web
@@ -39,7 +39,7 @@ pub mod view;
 pub use fault::Fault;
 pub use materialize::{
     apply_call_results, EvalMode, InvocationRecord, LocalInvoker, MaterializationEngine, MaterializationReport,
-    ResolvedCall, ServiceInvoker, ServiceResponse,
+    ResolvedCall, ServiceInvoker, ServiceResponse, MAX_DEPTH,
 };
 pub use repo::Repository;
 pub use sc::{FaultHandler, HandlerAction, Param, ParamValue, ScMode, ServiceCall};

@@ -124,21 +124,22 @@ impl MaterializationReport {
     }
 }
 
+/// Recursion bound for nested calls (param calls and calls returned as
+/// results), and for the waves a peer's serving materializes.
+pub const MAX_DEPTH: usize = 8;
+
 /// The materialization engine.
 #[derive(Debug, Clone)]
 pub struct MaterializationEngine {
     /// Lazy or eager evaluation.
     pub mode: EvalMode,
-    /// Recursion bound for nested calls (param calls and calls returned
-    /// as results).
-    pub max_depth: usize,
     /// Values for `$name (external value)` parameters.
     pub externals: BTreeMap<String, String>,
 }
 
 impl Default for MaterializationEngine {
     fn default() -> Self {
-        MaterializationEngine { mode: EvalMode::Lazy, max_depth: 8, externals: BTreeMap::new() }
+        MaterializationEngine { mode: EvalMode::Lazy, externals: BTreeMap::new() }
     }
 }
 
@@ -172,7 +173,7 @@ impl MaterializationEngine {
     ///
     /// Materializing a call can insert *new* embedded calls (results that
     /// are themselves service calls); the engine iterates to a fixpoint,
-    /// bounded by `max_depth` rounds.
+    /// bounded by [`MAX_DEPTH`] rounds.
     pub fn materialize_for_query(
         &self,
         doc: &mut Document,
@@ -199,7 +200,7 @@ impl MaterializationEngine {
     ) -> Result<MaterializationReport, Fault> {
         let mut report = MaterializationReport::default();
         let mut done: BTreeSet<NodeId> = BTreeSet::new();
-        for _round in 0..self.max_depth {
+        for _round in 0..MAX_DEPTH {
             let todo = self.calls_for_round(doc, query, &done, invoker);
             if todo.is_empty() {
                 break;
@@ -313,10 +314,10 @@ impl MaterializationEngine {
         invoker: &mut dyn ServiceInvoker,
         depth: usize,
     ) -> Result<MaterializationReport, Fault> {
-        if depth > self.max_depth {
+        if depth > MAX_DEPTH {
             return Err(Fault::execution(format!(
-                "nested materialization exceeded max depth {} at {}",
-                self.max_depth, call.method
+                "nested materialization exceeded max depth {MAX_DEPTH} at {}",
+                call.method
             )));
         }
         let mut report = MaterializationReport::default();
@@ -372,7 +373,7 @@ impl MaterializationEngine {
                     ParamValue::Call(nested) => {
                         // Local nesting: "evaluating a service call may require
                         // evaluating the parameters' service calls first".
-                        if depth >= self.max_depth {
+                        if depth >= MAX_DEPTH {
                             return Err(Fault::execution("parameter call nesting too deep"));
                         }
                         let resolved = self.resolve_params(nested, invoker, report, depth + 1)?;
@@ -1033,7 +1034,7 @@ mod tests {
         let src = r#"<r><axml:sc methodName="loop" serviceURL="peer://a" serviceNameSpace="x"/></r>"#;
         let mut doc = Document::parse(src).unwrap();
         let call = ServiceCall::scan(&doc).remove(0);
-        let engine = MaterializationEngine { max_depth: 3, ..Default::default() };
+        let engine = MaterializationEngine::default();
         let err = engine.materialize_call(&mut doc, &call, &mut Loopy, 0).unwrap_err();
         assert!(err.message.contains("max depth"), "{err}");
     }
@@ -1179,127 +1180,5 @@ mod tests {
         // Parent steps don't count as wildcards.
         let q = SelectQuery::parse("Select p/a/.. from p in r").unwrap();
         assert!(!QueryNames::collect(&q).any_wildcard);
-    }
-}
-
-/// Bookkeeping for periodic materialization: last invocation time per
-/// `axml:sc` node.
-pub type PeriodicTable = std::collections::BTreeMap<NodeId, u64>;
-
-impl MaterializationEngine {
-    /// The embedded calls whose `frequency` interval has elapsed —
-    /// "an embedded service call may be invoked … periodically (specified
-    /// by the `frequency` attribute)". Calls never invoked before are due
-    /// immediately.
-    pub fn due_calls(&self, doc: &Document, table: &PeriodicTable, now: u64) -> Vec<ServiceCall> {
-        ServiceCall::scan(doc)
-            .into_iter()
-            .filter(|c| match (c.frequency, c.node) {
-                (Some(freq), Some(node)) => match table.get(&node) {
-                    None => true,
-                    Some(&last) => now.saturating_sub(last) >= freq,
-                },
-                _ => false,
-            })
-            .collect()
-    }
-
-    /// Materializes every due periodic call, updating the table.
-    pub fn materialize_due(
-        &self,
-        doc: &mut Document,
-        invoker: &mut dyn ServiceInvoker,
-        table: &mut PeriodicTable,
-        now: u64,
-    ) -> Result<MaterializationReport, Fault> {
-        let due = self.due_calls(doc, table, now);
-        let mut report = MaterializationReport::default();
-        for call in due {
-            let node = call.node.expect("scanned calls have nodes");
-            let sub = self.materialize_call(doc, &call, invoker, 0)?;
-            report.merge(sub);
-            table.insert(node, now);
-        }
-        Ok(report)
-    }
-}
-
-#[cfg(test)]
-mod periodic_tests {
-    use super::*;
-
-    struct Counter(u32);
-
-    impl ServiceInvoker for Counter {
-        fn invoke(&mut self, _call: &ResolvedCall) -> Result<ServiceResponse, Fault> {
-            self.0 += 1;
-            Ok(ServiceResponse { items: vec![Fragment::elem_text("tick", self.0.to_string())], effects: vec![] })
-        }
-    }
-
-    const SRC: &str = r#"<r>
-        <axml:sc methodName="feed" serviceURL="peer://a" serviceNameSpace="f" frequency="10" mode="replace"/>
-        <axml:sc methodName="once" serviceURL="peer://a" serviceNameSpace="o" mode="replace"/>
-    </r>"#;
-
-    #[test]
-    fn only_frequency_calls_are_periodic() {
-        let doc = Document::parse(SRC).unwrap();
-        let engine = MaterializationEngine::default();
-        let table = PeriodicTable::new();
-        let due = engine.due_calls(&doc, &table, 0);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].method, "feed");
-    }
-
-    #[test]
-    fn due_respects_interval() {
-        let mut doc = Document::parse(SRC).unwrap();
-        let engine = MaterializationEngine::default();
-        let mut table = PeriodicTable::new();
-        let mut inv = Counter(0);
-        // t=0: due (never invoked); result replaces.
-        let r = engine.materialize_due(&mut doc, &mut inv, &mut table, 0).unwrap();
-        assert_eq!(r.materialized, 1);
-        assert!(doc.to_xml().contains("<tick>1</tick>"));
-        // t=5: not due yet.
-        let r = engine.materialize_due(&mut doc, &mut inv, &mut table, 5).unwrap();
-        assert_eq!(r.materialized, 0);
-        // t=10: due again; replace mode swaps the tick.
-        let r = engine.materialize_due(&mut doc, &mut inv, &mut table, 10).unwrap();
-        assert_eq!(r.materialized, 1);
-        assert!(doc.to_xml().contains("<tick>2</tick>"));
-        assert!(!doc.to_xml().contains("<tick>1</tick>"));
-    }
-
-    #[test]
-    fn periodic_effects_feed_the_log_like_any_materialization() {
-        let mut doc = Document::parse(SRC).unwrap();
-        let engine = MaterializationEngine::default();
-        let mut table = PeriodicTable::new();
-        let mut inv = Counter(0);
-        let before = doc.to_xml();
-        let r1 = engine.materialize_due(&mut doc, &mut inv, &mut table, 0).unwrap();
-        let r2 = engine.materialize_due(&mut doc, &mut inv, &mut table, 20).unwrap();
-        let mut all = r1.effects;
-        all.extend(r2.effects);
-        // Compensating the combined log restores the original document.
-        for e in all.iter().rev() {
-            match e {
-                axml_query::Effect::Deleted { fragment, parent_path, position } => {
-                    axml_query::UpdateAction::insert_at(
-                        axml_query::Locator::Node(parent_path.clone()),
-                        vec![fragment.clone()],
-                        axml_query::InsertPos::At(*position),
-                    )
-                    .apply(&mut doc)
-                    .unwrap();
-                }
-                axml_query::Effect::Inserted { path, .. } => {
-                    axml_query::UpdateAction::delete(axml_query::Locator::Node(path.clone())).apply(&mut doc).unwrap();
-                }
-            }
-        }
-        assert_eq!(doc.to_xml(), before);
     }
 }

@@ -138,8 +138,6 @@ pub struct ServiceCall {
     pub service_url: NameId,
     /// `methodName` — the service to invoke. Interned.
     pub method: NameId,
-    /// Periodic invocation interval (simulated time units), if any.
-    pub frequency: Option<u64>,
     /// Parameters.
     pub params: Vec<Param>,
     /// Fault handlers, in document order (first match wins; `catchAll`
@@ -160,7 +158,6 @@ impl ServiceCall {
             service_ns: NameId::new(doc.attr(node, consts::ATTR_SERVICE_NS).unwrap_or_default()),
             service_url: NameId::new(doc.attr(node, consts::ATTR_SERVICE_URL).unwrap_or_default()),
             method: NameId::new(doc.attr(node, consts::ATTR_METHOD).unwrap_or_default()),
-            frequency: doc.attr(node, consts::ATTR_FREQUENCY).and_then(|f| f.parse().ok()),
             params: Vec::new(),
             handlers: Vec::new(),
         };
@@ -294,9 +291,6 @@ impl ServiceCall {
             .with_attr(consts::ATTR_SERVICE_NS, self.service_ns.clone())
             .with_attr(consts::ATTR_SERVICE_URL, self.service_url.clone())
             .with_attr(consts::ATTR_METHOD, self.method.clone());
-        if let Some(f) = self.frequency {
-            sc = sc.with_attr(consts::ATTR_FREQUENCY, f.to_string());
-        }
         if !self.params.is_empty() {
             let mut params = Fragment::elem(QName::prefixed(consts::AXML_PREFIX, consts::PARAMS));
             for p in &self.params {
@@ -367,7 +361,6 @@ impl ServiceCall {
             service_ns: method.clone(),
             service_url: service_url.into(),
             method,
-            frequency: None,
             params: Vec::new(),
             handlers: Vec::new(),
         }
@@ -554,13 +547,6 @@ mod tests {
         assert_eq!(calls.len(), 2);
         assert_eq!(calls[0].method, "outer");
         assert_eq!(calls[1].method, "returned");
-    }
-
-    #[test]
-    fn frequency_attribute() {
-        let src = r#"<r><axml:sc methodName="feed" serviceURL="peer://a" serviceNameSpace="f" frequency="50"/></r>"#;
-        let doc = Document::parse(src).unwrap();
-        assert_eq!(ServiceCall::scan(&doc)[0].frequency, Some(50));
     }
 
     #[test]

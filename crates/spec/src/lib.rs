@@ -12,7 +12,7 @@
 //!   configurations (per-peer phase, forward-log length, compensation
 //!   progress, in-flight messages), independent of `core::peer`. Rules
 //!   `R01`–`R10`, invariants `I1`–`I5`.
-//! - [`check`] — BFS over all interleavings of small configurations
+//! - [`check`](mod@check) — BFS over all interleavings of small configurations
 //!   (2–4 peers, optional fault/crash/duplicate events) with canonical
 //!   state hashing; violations come with shortest counterexample traces.
 //!   The forward-order-compensation broken-peer variant is refuted with a

@@ -7,7 +7,7 @@
 //! per-peer abstract frame (phase, forward-log length, compensation
 //! progress, outstanding children) plus the multiset of undelivered
 //! messages. [`SpecConfig::successors`] enumerates every enabled
-//! transition; the bounded checker ([`crate::check`]) explores all
+//! transition; the bounded checker ([`crate::check`](mod@crate::check)) explores all
 //! interleavings, and the conformance checker ([`crate::conform`])
 //! replays real trace journals against the same rule vocabulary.
 //!

@@ -289,7 +289,7 @@ pub enum EventKind {
         /// Attempt number (1-based for the first resend).
         attempt: u32,
     },
-    /// Retransmission gave up after `max_retransmits` attempts.
+    /// Retransmission gave up after `MAX_RETRANSMITS` attempts.
     RetransmitGiveUp {
         /// Receiving peer.
         to: u32,

@@ -46,7 +46,7 @@ pub use axml_xml as xml;
 pub mod prelude {
     pub use axml_core::scenarios::{Flavor, Scenario, ScenarioBuilder, ScenarioReport};
     pub use axml_core::{
-        sphere_guarantees_atomicity, ActiveList, AxmlPeer, CompensatingService, InvocationId, PeerConfig,
+        sphere_guarantees_atomicity, ActiveList, AxmlPeer, Chaining, CompensatingService, InvocationId, PeerConfig,
         RecoveryStyle, TransactionContext, TxnId, TxnMsg, TxnOutcome, TxnState,
     };
     pub use axml_doc::{

@@ -20,7 +20,7 @@ fn run_random(
     let shape = TreeShape { depth, fanout };
     let edges = tree_edges(1, shape);
     let mut config = PeerConfig::default();
-    config.chaining = chaining;
+    config.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
     config.peer_independent = peer_independent;
     let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Update).config(config);
     builder.seed = seed;

@@ -10,16 +10,23 @@
 //! leave no participant holding an undecided context (`walk/mod.rs`, the
 //! harness the crash walk shares).
 //!
-//! Then walks every participant of Fig. 1, Fig. 2 and the chain
-//! AP1 → AP2 → AP3 offline at every start t < 80 for {1, 2, 3, 5, 8, 13}
-//! ticks: 7,200 windows, one test per scenario. Not all of them pass yet.
+//! Then walks every non-super participant of Fig. 1, Fig. 2, the chain
+//! AP1 → AP2 → AP3 and the generated scenarios `gen:0` to `gen:15`
+//! offline at every start t < 80 for {1, 2, 3, 5, 8, 13} ticks: 6,720
+//! windows over the named scenarios, one test each, and 43,200 over the
+//! generated ones, two tests of eight seeds that are ignored in a debug
+//! build and run by CI in release. Not all of them pass yet.
 //! `walk/offline.ledger` lists each failing window with its class, and a
 //! test fails on a failing window the ledger does not list and on a listed
 //! window that passes: a fix deletes the lines of the windows it mends. A
-//! window whose away peer is super must pass (§3.3's sphere), so none is
-//! listed. On two cores the three walks take 25 s one after another in a
-//! debug build, 16 s as `cargo test` runs them in parallel, and 2.7 s one
-//! after another in release.
+//! super peer is not walked offline: the simulator ignores its disconnect,
+//! so the window is the undisturbed run, as
+//! `a_super_peer_offline_is_the_undisturbed_run` checks.
+//!
+//! On two cores the three named walks take 26 s one after another in a
+//! debug build, 16 s as `cargo test` runs them in parallel, and 2.8 s one
+//! after another in release; the two generated walks take 45 s one after
+//! the other in release, 30 s in parallel.
 //!
 //! The origin itself away when its submit comes due is the harness's to
 //! handle: the submit timer is set from outside, so the peer's reconnect
@@ -28,37 +35,81 @@
 mod walk;
 
 use axml::prelude::*;
-use axml_chaos::builder_for;
+use axml_chaos::{builder_for, doc_state_digest};
 use walk::{Away, Walk};
 
-/// The failing offline windows of the named scenarios, one a line.
+/// The failing offline windows of the walked scenarios, one a line.
 const LEDGER: &str = include_str!("walk/offline.ledger");
 
-/// The offline lengths each participant of a named scenario is walked with.
-const LENGTHS: [Away; 6] =
-    [Away::Offline(1), Away::Offline(2), Away::Offline(3), Away::Offline(5), Away::Offline(8), Away::Offline(13)];
+/// The offline lengths each participant of a walked scenario is walked with.
+const LENGTHS: [u64; 6] = [1, 2, 3, 5, 8, 13];
 
-/// Every participant of `builder` offline at every t < 80 for each of
-/// [`LENGTHS`], held to the ledger's lines for `label`.
-fn assert_offline_ledger(label: &str, builder: &ScenarioBuilder) {
+/// Every non-super participant of each of `labels`' scenarios offline at
+/// every t < 80 for each of [`LENGTHS`], `expected_windows` in all, held to
+/// the ledger's lines for `labels`.
+fn assert_offline_ledger(labels: &[&str], expected_windows: usize) {
     let mut walk = Walk::default();
-    walk.every_window(label, builder, 0..80, &LENGTHS);
-    walk.assert_ledger(label, builder.peers().len() * 80 * LENGTHS.len(), LEDGER);
+    for &label in labels {
+        let builder = match label {
+            "chain" => ScenarioBuilder::new(1, &[(1, 2), (2, 3)]),
+            name => builder_for(name).expect("known scenario"),
+        };
+        walk.every_window(label, &builder, 0..80, &LENGTHS.map(Away::Offline));
+    }
+    walk.assert_ledger(labels, expected_windows, LEDGER);
 }
 
 #[test]
 fn every_offline_window_over_fig1_is_in_the_ledger_or_passes() {
-    assert_offline_ledger("fig1", &builder_for("fig1").expect("known scenario"));
+    assert_offline_ledger(&["fig1"], 6 * 480);
 }
 
 #[test]
 fn every_offline_window_over_fig2_is_in_the_ledger_or_passes() {
-    assert_offline_ledger("fig2", &builder_for("fig2").expect("known scenario"));
+    assert_offline_ledger(&["fig2"], 5 * 480);
 }
 
 #[test]
 fn every_offline_window_over_the_chain_is_in_the_ledger_or_passes() {
-    assert_offline_ledger("chain", &ScenarioBuilder::new(1, &[(1, 2), (2, 3)]));
+    assert_offline_ledger(&["chain"], 3 * 480);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "23,520 windows: run in release")]
+fn every_offline_window_over_gen_0_to_7_is_in_the_ledger_or_passes() {
+    assert_offline_ledger(&["gen:0", "gen:1", "gen:2", "gen:3", "gen:4", "gen:5", "gen:6", "gen:7"], 23_520);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "19,680 windows: run in release")]
+fn every_offline_window_over_gen_8_to_15_is_in_the_ledger_or_passes() {
+    assert_offline_ledger(&["gen:8", "gen:9", "gen:10", "gen:11", "gen:12", "gen:13", "gen:14", "gen:15"], 19_680);
+}
+
+/// The simulator drops a super peer's disconnect ("trusted peers which do
+/// not disconnect"), so a window with one offline is the undisturbed run:
+/// the same outcome at the same time, the same messages by kind and the
+/// same documents. The walks above therefore run no such window.
+#[test]
+fn a_super_peer_offline_is_the_undisturbed_run() {
+    let builder = builder_for("fig2").expect("known scenario");
+    assert_eq!(builder.supers, [1], "AP1 is Fig. 2's super peer");
+    let observe = |builder: ScenarioBuilder| {
+        let mut scenario = builder.build();
+        let report = scenario.run();
+        (report.outcome, report.metrics.by_kind, doc_state_digest(&scenario))
+    };
+    let undisturbed = observe(builder.clone());
+    assert!(undisturbed.0.as_ref().is_some_and(|o| o.committed));
+    let mut windows = 0;
+    for at in 0..80 {
+        for len in LENGTHS {
+            let away = observe(builder.clone().disconnect(at, 1).reconnect(at + len, 1));
+            assert_eq!(away, undisturbed, "AP1 offline {at}..{}", at + len);
+            windows += 1;
+        }
+    }
+    assert_eq!(windows, 480);
 }
 
 /// Every window over `edges` with one of `offline` away.
@@ -102,7 +153,7 @@ fn either_child_of_a_fork_back_from_an_offline_window_finishes_its_service() {
 #[test]
 fn an_origin_away_at_its_submit_time_submits_when_it_comes_back() {
     let mut walk = Walk::default();
-    for len in [1, 2, 3, 5, 8, 13] {
+    for len in LENGTHS {
         walk.window("fig1", ScenarioBuilder::fig1(), 1, 0, Away::Offline(len));
     }
     walk.assert_clean(6);
