@@ -7,7 +7,6 @@
 //! that transaction) are super peers."
 
 use crate::chain::ActiveList;
-use axml_p2p::PeerId;
 
 /// Static check: does the (planned or observed) participant set guarantee
 /// atomicity under arbitrary churn?
@@ -20,32 +19,10 @@ pub fn sphere_guarantees_atomicity(chain: &ActiveList) -> bool {
     chain.all_super()
 }
 
-/// The subset of participants that break the sphere (non-super peers).
-pub fn sphere_violations(chain: &ActiveList) -> Vec<PeerId> {
-    chain
-        .all_peers()
-        .into_iter()
-        .filter(|p| {
-            // A peer not marked super in the list is a potential
-            // disconnection point.
-            !peer_is_super(chain, *p)
-        })
-        .collect()
-}
-
-fn peer_is_super(chain: &ActiveList, peer: PeerId) -> bool {
-    fn go(node: &crate::chain::ChainNode, peer: PeerId) -> Option<bool> {
-        if node.peer == peer {
-            return Some(node.is_super);
-        }
-        node.children.iter().find_map(|c| go(c, peer))
-    }
-    go(&chain.root, peer).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_p2p::PeerId;
 
     #[test]
     fn all_super_guarantees() {
@@ -53,7 +30,6 @@ mod tests {
         l.add_invocation(PeerId(1), PeerId(2), true);
         l.add_invocation(PeerId(2), PeerId(3), true);
         assert!(sphere_guarantees_atomicity(&l));
-        assert!(sphere_violations(&l).is_empty());
     }
 
     #[test]
@@ -62,13 +38,11 @@ mod tests {
         l.add_invocation(PeerId(1), PeerId(2), true);
         l.add_invocation(PeerId(2), PeerId(3), false);
         assert!(!sphere_guarantees_atomicity(&l));
-        assert_eq!(sphere_violations(&l), vec![PeerId(3)]);
     }
 
     #[test]
     fn origin_counts_too() {
         let l = ActiveList::new(PeerId(1), false);
         assert!(!sphere_guarantees_atomicity(&l));
-        assert_eq!(sphere_violations(&l), vec![PeerId(1)]);
     }
 }

@@ -34,15 +34,13 @@ pub struct Failure {
     pub class: &'static str,
     /// The undecided contexts on connected peers.
     pub open: Vec<String>,
-    /// Whether the peer that went away is a super peer.
-    pub away_super: bool,
 }
 
 impl Failure {
-    /// The window as one line of `walk/offline.ledger`: the window, its
-    /// class, and `super` or `non-super` for the peer that went away.
+    /// The window as one line of `walk/offline.ledger`: the window and its
+    /// class.
     pub fn ledger_line(&self) -> String {
-        format!("{} {} {}", self.window, self.class, if self.away_super { "super" } else { "non-super" })
+        format!("{} {}", self.window, self.class)
     }
 }
 
@@ -61,7 +59,6 @@ impl Walk {
     /// Runs `builder`'s transaction with `peer` away from `at` as `away`
     /// says and judges it; `label` names the scenario in what is recorded.
     pub fn window(&mut self, label: &str, builder: ScenarioBuilder, peer: u32, at: u64, away: Away) {
-        let away_super = builder.supers.contains(&peer);
         let (mut scenario, what) = match away {
             Away::Offline(len) => {
                 (builder.disconnect(at, peer).reconnect(at + len, peer).build(), format!("offline {at}..{}", at + len))
@@ -85,7 +82,7 @@ impl Walk {
             (Some(_), true) if !unexcused.is_empty() => "open",
             (Some(_), true) => return,
         };
-        self.failures.push(Failure { window, class, open: unexcused, away_super });
+        self.failures.push(Failure { window, class, open: unexcused });
     }
 
     /// Every window of `builder` with one of its peers away from each tick
