@@ -32,7 +32,7 @@ MONITOR_FINDINGS='monitor: 5 finding(s)'
 # `core::peer` is the protocol; delivery, failure detection and the timer
 # registry live in their own modules. These bounds (lines) keep the split
 # from quietly growing back.
-LAYER_BOUNDS='peer:2755 delivery:500 detector:500'
+LAYER_BOUNDS='peer:2721 delivery:500 detector:500'
 # The benchmark's message count and commit latency in ticks are exact at
 # seed 0: one `<workload> <metric> <value> <unit>` line each.
 BIG_DOC_MSGS='big-doc msgs_per_txn 43.19 count'

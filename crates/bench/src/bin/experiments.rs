@@ -1,11 +1,11 @@
 //! Regenerates every experiment table (DESIGN.md §5 / EXPERIMENTS.md).
 //!
 //! ```text
-//! experiments [all | e1 … e9 | e11]...
+//! experiments [all | e1 … e8 | e11]...
 //! ```
 //!
 //! Prints the named experiments' tables (all of them when none is named)
-//! in E1–E9, E11 order. The output is deterministic: EXPERIMENTS.md's raw
+//! in E1–E8, E11 order. The output is deterministic: EXPERIMENTS.md's raw
 //! tables are this output, held to it by `tests/raw_tables.rs`.
 
 #![forbid(unsafe_code)]

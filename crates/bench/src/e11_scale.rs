@@ -8,7 +8,7 @@
 //! Lazy-vs-eager containment is covered separately in E4.
 
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_core::{Chaining, PeerConfig};
+use axml_core::PeerConfig;
 use axml_workload::{tree_edges, TreeShape};
 
 use crate::table::Table;
@@ -38,7 +38,7 @@ fn measure(depth: usize, chaining: bool, seed: u64) -> Row {
     let shape = TreeShape { depth, fanout: 2 };
     let edges = tree_edges(1, shape);
     let mut config = PeerConfig::default();
-    config.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
+    config.chaining = chaining;
     let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Update).config(config);
     builder.seed = seed;
     let mut s = builder.build();

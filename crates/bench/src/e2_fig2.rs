@@ -10,7 +10,7 @@
 //! tick AP6 returns its result.
 
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_core::{Chaining, DetectHow, PeerConfig};
+use axml_core::{DetectHow, PeerConfig};
 use axml_p2p::PeerId;
 
 use crate::table::Table;
@@ -44,7 +44,7 @@ pub struct Row {
 
 fn config(chaining: bool, streams: bool) -> PeerConfig {
     let mut c = PeerConfig::default();
-    c.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
+    c.chaining = chaining;
     if streams {
         c.stream_interval = Some(7);
         c.ping_interval = 400;

@@ -7,7 +7,7 @@
 //! with churn.
 
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_core::{Chaining, PeerConfig};
+use axml_core::PeerConfig;
 
 use axml_workload::{tree_edges, TreeShape};
 use rand::rngs::StdRng;
@@ -44,7 +44,7 @@ fn one(seed: u64, p_disconnect: f64, chaining: bool) -> (bool, bool, bool, u64, 
     let shape = TreeShape { depth: 3, fanout: 2 }; // 15 peers
     let edges = tree_edges(1, shape);
     let mut config = PeerConfig::default();
-    config.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
+    config.chaining = chaining;
     // Pings are the slow fallback detector; the chaining paths (send
     // failures, redirects, notices) race ahead of them.
     config.ping_interval = 40;

@@ -6,13 +6,15 @@
 //!
 //! The paper (a 6-page protocol paper) contains **two figures and no
 //! measured tables**; E1 and E2 reproduce Fig. 1 and Fig. 2 as executable
-//! scenarios, E3–E8 quantify each qualitative claim the text makes, E9
-//! explores its stated future work, and E11 is an extension. There is no
-//! E10: the system runs one transaction at a time per document, as the
-//! paper scopes it, so no experiment races two. Each experiment module
-//! exposes a `run(...)` returning row structs plus a table printer;
-//! [`render`] drives them for the `experiments` binary and for the test
-//! that holds EXPERIMENTS.md's raw tables to its output.
+//! scenarios, E3–E8 quantify each qualitative claim the text makes, and
+//! E11 is an extension. There is no E9: chaining gossips to parent,
+//! children and siblings only, as §3.3 scopes it, so no experiment
+//! widens that scope. There is no E10: the system runs one transaction at
+//! a time per document, as the paper scopes it, so no experiment races
+//! two. Each experiment module exposes a `run(...)` returning row structs
+//! plus a table printer; [`render`] drives them for the `experiments`
+//! binary and for the test that holds EXPERIMENTS.md's raw tables to its
+//! output.
 //! Every number is a pure function of the code: times are simulator
 //! ticks, never wall clock.
 
@@ -25,7 +27,6 @@ pub mod e5_recovery_cost;
 pub mod e6_churn;
 pub mod e7_peer_independent;
 pub mod e8_spheres;
-pub mod e9_extended_chaining;
 pub mod table;
 
 pub use table::Table;
@@ -43,7 +44,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e6", || e6_churn::table(&e6_churn::run(20))),
     ("e7", || e7_peer_independent::table(&e7_peer_independent::run(12))),
     ("e8", || e8_spheres::table(&e8_spheres::run(16))),
-    ("e9", || e9_extended_chaining::table(&e9_extended_chaining::run())),
     ("e11", || e11_scale::table(&e11_scale::run())),
 ];
 

@@ -1,4 +1,4 @@
-//! EXPERIMENTS.md's raw E1–E9 and E11 tables are what `experiments` prints.
+//! EXPERIMENTS.md's raw E1–E8 and E11 tables are what `experiments` prints.
 //!
 //! The block runs from the first table after `## Raw tables` up to the
 //! `== E12` heading. A change that moves a number rewrites the block with

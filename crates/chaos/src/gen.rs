@@ -38,7 +38,7 @@
 //! serde-serializable value — so `gen:<seed>` works as a scenario *name*
 //! in the sweep matrix and every worker rebuilds the identical case.
 
-use axml_core::peer::{Chaining, PeerConfig};
+use axml_core::peer::PeerConfig;
 use axml_core::scenarios::{Flavor, ScenarioBuilder};
 use axml_doc::EvalMode;
 use axml_p2p::{CrashEvent, PeerId};
@@ -374,7 +374,7 @@ impl GenScenario {
         let mut cfg = PeerConfig::default();
         cfg.eval = if self.eager_eval { EvalMode::Eager } else { EvalMode::Lazy };
         cfg.peer_independent = self.peer_independent;
-        cfg.chaining = if self.chaining { Chaining::Standard } else { Chaining::Off };
+        cfg.chaining = self.chaining;
         cfg.use_alternative_providers = self.use_alternative_providers;
         cfg.stream_interval = self.stream_interval;
         b = b.config(cfg);

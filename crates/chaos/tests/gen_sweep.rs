@@ -8,9 +8,19 @@
 //!    not just the dense prefix the unit test walks: sparse random
 //!    seeds drawn from all of `u64` must generate scenarios that pass
 //!    every analyzer rule.
+//! 3. Backward-only recovery (ablation D3) keeps the guarantee: every
+//!    generated scenario, run once under its own disconnect and crash
+//!    schedule with `RecoveryStyle::BackwardOnly`, passes the oracle.
 
-use axml_chaos::{gen_scenario_names, sweep_jobs, GenScenario, Profile};
+use axml_chaos::{
+    attach_wal_sinks, check_atomicity, gen_scenario_names, open_contexts, sweep_jobs, GenScenario, Profile,
+};
+use axml_core::peer::RecoveryStyle;
+use axml_obs::Monitor;
+use axml_p2p::StorageFaultPlane;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[test]
 fn generated_sweep_parallel_matches_serial() {
@@ -33,6 +43,34 @@ fn generated_sweep_parallel_matches_serial() {
         assert_eq!(s.reason, p.reason);
         assert_eq!(s.reproducer, p.reproducer);
     }
+}
+
+#[test]
+fn backward_only_recovery_passes_the_oracle_on_every_generated_scenario() {
+    let mut failures = Vec::new();
+    for seed in 0..64 {
+        let mut b = GenScenario::generate(seed).builder();
+        b.config.recovery = RecoveryStyle::BackwardOnly;
+        let crashes = !b.fault.crashes.is_empty();
+        let mut s = b.build();
+        if crashes {
+            attach_wal_sinks(&mut s, &StorageFaultPlane::default(), seed);
+        }
+        let monitor = Rc::new(RefCell::new(Monitor::new()));
+        s.sim.attach_observer(monitor.clone());
+        let report = s.run();
+        let verdict = check_atomicity(&s, &report);
+        if !verdict.ok {
+            failures.push(format!("gen:{seed}: {}", verdict.reason));
+        }
+        for f in monitor.borrow_mut().finish() {
+            failures.push(format!("gen:{seed}: online monitor: {f}"));
+        }
+        for open in open_contexts(&s).1 {
+            failures.push(format!("gen:{seed}: {open}, unexcused"));
+        }
+    }
+    assert!(failures.is_empty(), "{} failure(s):\n{}", failures.len(), failures.join("\n"));
 }
 
 proptest! {

@@ -196,26 +196,6 @@ impl ActiveList {
         out
     }
 
-    /// The grandparent of `peer`.
-    pub fn grandparent_of(&self, peer: PeerId) -> Option<PeerId> {
-        self.parent_of(peer).and_then(|p| self.parent_of(p))
-    }
-
-    /// The uncles of `peer` — its parent's siblings. Part of the paper's
-    /// future-work **extended chaining** ("we are exploring the
-    /// feasibility of extending the same to uncles, cousins, etc.").
-    pub fn uncles_of(&self, peer: PeerId) -> Vec<PeerId> {
-        match self.parent_of(peer) {
-            None => Vec::new(),
-            Some(parent) => self.siblings_of(parent),
-        }
-    }
-
-    /// The cousins of `peer` — children of its uncles.
-    pub fn cousins_of(&self, peer: PeerId) -> Vec<PeerId> {
-        self.uncles_of(peer).into_iter().flat_map(|u| self.children_of(u)).collect()
-    }
-
     /// The closest super-peer ancestor of `peer` (scenario (b): "AP6 can
     /// try the next closest peer (AP1) or the closest super peer").
     pub fn closest_super_ancestor(&self, peer: PeerId) -> Option<PeerId> {
@@ -475,47 +455,5 @@ mod tests {
         let json = serde_json::to_string(&l).unwrap();
         let back: ActiveList = serde_json::from_str(&json).unwrap();
         assert_eq!(back, l);
-    }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-
-    /// Depth-3 binary tree: 1 → {2,3}, 2 → {4,5}, 3 → {6,7}.
-    fn tree() -> ActiveList {
-        let mut l = ActiveList::new(PeerId(1), false);
-        l.add_invocation(PeerId(1), PeerId(2), false);
-        l.add_invocation(PeerId(1), PeerId(3), false);
-        l.add_invocation(PeerId(2), PeerId(4), false);
-        l.add_invocation(PeerId(2), PeerId(5), false);
-        l.add_invocation(PeerId(3), PeerId(6), false);
-        l.add_invocation(PeerId(3), PeerId(7), false);
-        l
-    }
-
-    #[test]
-    fn grandparent() {
-        let l = tree();
-        assert_eq!(l.grandparent_of(PeerId(4)), Some(PeerId(1)));
-        assert_eq!(l.grandparent_of(PeerId(2)), None);
-        assert_eq!(l.grandparent_of(PeerId(1)), None);
-    }
-
-    #[test]
-    fn uncles() {
-        let l = tree();
-        assert_eq!(l.uncles_of(PeerId(4)), vec![PeerId(3)]);
-        assert_eq!(l.uncles_of(PeerId(6)), vec![PeerId(2)]);
-        assert!(l.uncles_of(PeerId(2)).is_empty(), "the origin's children have no uncles");
-        assert!(l.uncles_of(PeerId(1)).is_empty());
-    }
-
-    #[test]
-    fn cousins() {
-        let l = tree();
-        assert_eq!(l.cousins_of(PeerId(4)), vec![PeerId(6), PeerId(7)]);
-        assert_eq!(l.cousins_of(PeerId(7)), vec![PeerId(4), PeerId(5)]);
-        assert!(l.cousins_of(PeerId(2)).is_empty());
     }
 }

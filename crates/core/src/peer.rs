@@ -90,35 +90,6 @@ use axml_xml::{Fragment, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Chaining (§3.3, ablation D4): whether active-peer lists are
-/// piggybacked and used on detection, and how far their growth is
-/// gossiped as it happens — the paper's future work reaches further: "we
-/// are exploring the feasibility of extending \[chaining\] to uncles,
-/// cousins, etc.".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chaining {
-    /// No chaining: invocations carry a singleton list and a detection
-    /// falls back to traditional recovery.
-    Off,
-    /// Strict piggyback-only chaining: active-peer lists travel solely
-    /// with `Invoke`/`Result`. Cheaper, but interior peers learn deeper
-    /// edges only when results return, degrading scenarios (c)/(d).
-    InvokeOnly,
-    /// The paper's mechanism: growth is gossiped to parent, children, and
-    /// siblings.
-    #[default]
-    Standard,
-    /// Extended: additionally grandparent, uncles, and cousins.
-    Extended,
-}
-
-impl Chaining {
-    /// Whether active-peer lists are kept at all.
-    pub fn is_on(self) -> bool {
-        self != Chaining::Off
-    }
-}
-
 /// How a peer recovers from child faults (ablation D3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryStyle {
@@ -140,9 +111,11 @@ pub struct PeerConfig {
     /// D5: ship compensating-service bundles with results and drive
     /// compensation from the recovering peer.
     pub peer_independent: bool,
-    /// D4: piggyback active-peer lists and use them on detection, and
-    /// how far their growth is gossiped.
-    pub chaining: Chaining,
+    /// D4: piggyback active-peer lists, gossip their growth to parent,
+    /// children and siblings, and use them on detection (§3.3); off, an
+    /// invocation carries a singleton list and a detection falls back to
+    /// traditional recovery.
+    pub chaining: bool,
     /// Use the replica directory to re-invoke a failed/disconnected
     /// child's service on an alternative provider.
     pub use_alternative_providers: bool,
@@ -189,9 +162,11 @@ pub const ACK_HOLD: u64 = RETRANSMIT_BASE / 3;
 /// before it asks the origin for it: four times [`RETRANSMIT_BASE`], 64
 /// ticks. A whole fault-free Fig. 1 commit, submit to decision, takes 46
 /// ticks at the 99th percentile of a 4,000-commit stream, and a
-/// participant waits only for part of it, so a fault-free commit sends no
-/// `Inquire`. Each further inquiry waits twice as long, capped like a
-/// retransmission, at most [`MAX_RETRANSMITS`] times.
+/// participant waits only for part of it, so a fault-free commit of Fig.
+/// 1's size sends no `Inquire`. The wait does not grow with the tree: a
+/// fault-free commit over 511 peers takes over 100 ticks and sends
+/// hundreds (ROADMAP item 12). Each further inquiry waits twice as long,
+/// capped like a retransmission, at most [`MAX_RETRANSMITS`] times.
 pub const DECISION_TIMEOUT: u64 = 4 * RETRANSMIT_BASE;
 
 impl PeerConfig {
@@ -220,7 +195,7 @@ impl Default for PeerConfig {
         PeerConfig {
             recovery: RecoveryStyle::ForwardFirst,
             peer_independent: false,
-            chaining: Chaining::Standard,
+            chaining: true,
             use_alternative_providers: true,
             ping_interval: 10,
             ping_timeout: 25,
@@ -913,7 +888,7 @@ impl AxmlPeer {
     /// that `dead` is gone — the fallback when bad news cannot be
     /// delivered to the parent directly.
     fn notice_ancestors(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId) {
-        if !self.config.chaining.is_on() {
+        if !self.config.chaining {
             return;
         }
         let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
@@ -1136,7 +1111,7 @@ impl AxmlPeer {
         // Chain first…
         {
             let my_super = self.config.is_super;
-            let chaining = self.config.chaining.is_on();
+            let chaining = self.config.chaining;
             if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
                 if chaining {
                     if !tc.chain.contains(self.id) {
@@ -1172,26 +1147,22 @@ impl AxmlPeer {
     }
 
     /// `of`'s gossip scope in `chain`: parent, children and siblings — the
-    /// paper's chaining scope — and under [`Chaining::Extended`]
-    /// grandparent, uncles and cousins.
-    fn gossip_scope(scope: Chaining, chain: &ActiveList, of: PeerId) -> impl Iterator<Item = PeerId> + '_ {
-        let near = chain.parent_of(of).into_iter().chain(chain.children(of)).chain(chain.siblings(of));
-        let far = (scope == Chaining::Extended)
-            .then(|| chain.grandparent_of(of).into_iter().chain(chain.uncles_of(of)).chain(chain.cousins_of(of)));
-        near.chain(far.into_iter().flatten())
+    /// paper's chaining scope.
+    fn gossip_scope(chain: &ActiveList, of: PeerId) -> impl Iterator<Item = PeerId> + '_ {
+        chain.parent_of(of).into_iter().chain(chain.children(of)).chain(chain.siblings(of))
     }
 
     /// Shares this peer's chain view with its gossip scope, one update per
     /// peer in peer order, leaving out the peers that hold it already. An
     /// update carries the acknowledgements owed to its target.
     fn gossip_chain(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, holds_it: impl Fn(&AxmlPeer, PeerId) -> bool) {
-        if matches!(self.config.chaining, Chaining::Off | Chaining::InvokeOnly) {
+        if !self.config.chaining {
             return;
         }
         // Every target receives the same allocation.
         let Some(chain) = self.context(txn).map(|tc| tc.chain.clone()) else { return };
         let mut targets = std::mem::take(&mut self.peer_buf);
-        targets.extend(Self::gossip_scope(self.config.chaining, &chain, self.id));
+        targets.extend(Self::gossip_scope(&chain, self.id));
         targets.sort();
         targets.dedup();
         for &t in &targets {
@@ -1213,10 +1184,7 @@ impl AxmlPeer {
     /// the news by whoever does.
     fn learn_chain(&mut self, ctx: &mut Ctx<'_>, from: PeerId, txn: TxnId, theirs: &ActiveList) {
         if self.txns.get_mut(&txn).is_some_and(|t| t.tc.chain.merge_from(theirs)) {
-            let scope = self.config.chaining;
-            self.gossip_chain(ctx, txn, |_, t| {
-                t == from || Self::gossip_scope(scope, theirs, from).any(|told| told == t)
-            });
+            self.gossip_chain(ctx, txn, |_, t| t == from || Self::gossip_scope(theirs, from).any(|told| told == t));
         }
     }
 
@@ -1228,7 +1196,7 @@ impl AxmlPeer {
         let inv = self.alloc_inv(ctx);
         if let Some(Txn { tc, .. }) = self.txns.get_mut(&txn) {
             tc.record_remote(peer, inv, wc.method.as_str());
-            if self.config.chaining.is_on() {
+            if self.config.chaining {
                 tc.chain.add_invocation(self.id, peer, false);
             }
             let method = wc.method.clone();
@@ -1257,7 +1225,7 @@ impl AxmlPeer {
     /// The chain to piggyback on invocations. A singleton when chaining is
     /// disabled (children then know nothing beyond their invoker).
     fn current_chain(&self, txn: TxnId) -> ActiveList {
-        let known = self.context(txn).filter(|_| self.config.chaining.is_on());
+        let known = self.context(txn).filter(|_| self.config.chaining);
         known.map(|tc| tc.chain.clone()).unwrap_or_else(|| ActiveList::new(self.id, self.config.is_super))
     }
 
@@ -1449,7 +1417,7 @@ impl AxmlPeer {
                 // chaining, cascade through direct invokees only. Each
                 // leaves once: a participant that misses it inquires.
                 let (mut targets, covered) = match self.context(txn) {
-                    Some(tc) => (tc.invoked_peers(), self.config.chaining.is_on().then(|| tc.chain.clone())),
+                    Some(tc) => (tc.invoked_peers(), self.config.chaining.then(|| tc.chain.clone())),
                     None => (Vec::new(), None),
                 };
                 if let Some(chain) = &covered {
@@ -1520,7 +1488,7 @@ impl AxmlPeer {
         if let Some(parent) = t.watched.take() {
             self.detector.unwatch(parent);
         }
-        if !self.config.chaining.is_on() {
+        if !self.config.chaining {
             // "Traditional recovery would lead to AP6 discarding its work."
             self.stats.work_wasted += 1;
             self.abort_local(ctx, txn);
@@ -2003,7 +1971,7 @@ impl AxmlPeer {
             self.waiting.iter().filter(|(_, w)| w.child_peer == peer).map(|(i, _)| *i).collect();
         // Scenario (c) chaining: warn the disconnected peer's descendants
         // before recovering, so they stop wasting effort / offer reuse.
-        if self.config.chaining.is_on() {
+        if self.config.chaining {
             let txns: BTreeSet<TxnId> = affected.iter().filter_map(|i| self.waiting.get(i)).map(|w| w.txn).collect();
             for txn in txns {
                 let descs: Vec<PeerId> = self.context(txn).map(|tc| tc.chain.descendants_of(peer)).unwrap_or_default();
@@ -2138,7 +2106,7 @@ impl AxmlPeer {
     /// parent and children from the chain — they then run (b)/(c).
     fn on_sibling_disconnected(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, dead: PeerId, how: DetectHow) {
         self.record_detection(ctx, dead, how);
-        if !self.config.chaining.is_on() {
+        if !self.config.chaining {
             return;
         }
         let Some(tc) = self.context(txn) else { return };
@@ -2675,9 +2643,7 @@ mod tests {
     #[test]
     fn a_decided_transaction_holds_no_result_watch_or_timer() {
         use crate::scenarios::ScenarioBuilder;
-        for (peer_independent, chaining) in
-            [(false, Chaining::Off), (false, Chaining::Standard), (true, Chaining::Off), (true, Chaining::Standard)]
-        {
+        for (peer_independent, chaining) in [(false, false), (false, true), (true, false), (true, true)] {
             let config =
                 PeerConfig { peer_independent, chaining, use_alternative_providers: false, ..Default::default() };
             let cases = [
@@ -2689,7 +2655,7 @@ mod tests {
             for (name, builder) in cases {
                 let mut s = builder.config(config.clone()).build();
                 assert!(s.run().outcome.is_some(), "{name}: resolved");
-                let case = format!("{name}, peer_independent={peer_independent}, chaining={chaining:?}");
+                let case = format!("{name}, peer_independent={peer_independent}, chaining={chaining}");
                 let mut decided = 0;
                 for &id in &s.participants {
                     for (txn, t) in s.sim.actor(id).txns.iter().filter(|(_, t)| t.tc.is_terminal()) {

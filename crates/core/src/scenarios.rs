@@ -685,7 +685,7 @@ mod tests {
     use super::*;
     use crate::chain::ActiveList;
     use crate::durability::JournalEntry;
-    use crate::peer::{Chaining, DetectHow, RecoveryStyle};
+    use crate::peer::{DetectHow, RecoveryStyle};
 
     // ------------------------------------------------------------------
     // Happy path.
@@ -952,7 +952,7 @@ mod tests {
         // AP3 much later, and the recovery on the replica redoes S6 from
         // scratch — no reuse.
         let mut cfg = PeerConfig::default();
-        cfg.chaining = Chaining::Off;
+        cfg.chaining = false;
         cfg.ping_interval = 300;
         cfg.ping_timeout = 700;
         let (b, _replica) = fig2_with(&[(6, 60)]).with_replica(3);
@@ -1410,7 +1410,7 @@ mod tests {
     fn every_participant_is_told_the_decision_once_by_the_origin_or_else_by_its_invoker() {
         let deep = ScenarioBuilder::new(1, &[(1, 2), (2, 3), (3, 4)]);
         for b in [ScenarioBuilder::fig1(), ScenarioBuilder::fig2(), deep] {
-            for chaining in [Chaining::Standard, Chaining::Off] {
+            for chaining in [true, false] {
                 let mut cfg = PeerConfig::default();
                 cfg.chaining = chaining;
                 let b = b.clone().config(cfg);
@@ -1420,9 +1420,9 @@ mod tests {
                     // With chaining the origin's `Commit` names the whole
                     // tree, so nobody passes it on; without, each invoker
                     // passes on the one it received.
-                    let told_by = PeerId(if chaining.is_on() { b.origin } else { invoker });
+                    let told_by = PeerId(if chaining { b.origin } else { invoker });
                     let from = &sim.actor(PeerId(child)).seen.commits_from;
-                    assert_eq!(from, &[told_by], "AP{child}, chaining {chaining:?}, edges {:?}", b.edges);
+                    assert_eq!(from, &[told_by], "AP{child}, chaining {chaining}, edges {:?}", b.edges);
                 }
             }
         }
@@ -1553,19 +1553,14 @@ mod tests {
 #[cfg(test)]
 mod config_matrix_tests {
     use super::*;
-    use crate::peer::Chaining;
     use axml_doc::EvalMode;
-
-    /// The chaining settings that differ in behaviour: gossip reaches only
-    /// as far as chaining is on.
-    const CHAINING: [Chaining; 3] = [Chaining::Off, Chaining::Standard, Chaining::Extended];
 
     /// The happy path commits and stays atomic under every configuration
     /// knob combination.
     #[test]
     fn happy_path_commits_under_all_config_combinations() {
         for peer_independent in [false, true] {
-            for chaining in CHAINING {
+            for chaining in [false, true] {
                 for eval in [EvalMode::Lazy, EvalMode::Eager] {
                     let mut cfg = PeerConfig::default();
                     cfg.peer_independent = peer_independent;
@@ -1573,7 +1568,7 @@ mod config_matrix_tests {
                     cfg.eval = eval;
                     let mut s = ScenarioBuilder::fig1().config(cfg).build();
                     let report = s.run();
-                    let label = format!("pi={peer_independent} chaining={chaining:?} eval={eval:?}");
+                    let label = format!("pi={peer_independent} chaining={chaining} eval={eval:?}");
                     assert!(report.outcome.as_ref().map(|o| o.committed).unwrap_or(false), "{label}");
                     assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
                 }
@@ -1585,14 +1580,14 @@ mod config_matrix_tests {
     #[test]
     fn fault_aborts_atomically_under_all_config_combinations() {
         for peer_independent in [false, true] {
-            for chaining in CHAINING {
+            for chaining in [false, true] {
                 let mut cfg = PeerConfig::default();
                 cfg.peer_independent = peer_independent;
                 cfg.chaining = chaining;
                 cfg.use_alternative_providers = false;
                 let mut s = ScenarioBuilder::fig1().fault_at(5).config(cfg).build();
                 let report = s.run();
-                let label = format!("pi={peer_independent} chaining={chaining:?}");
+                let label = format!("pi={peer_independent} chaining={chaining}");
                 assert!(!report.outcome.as_ref().map(|o| o.committed).unwrap_or(true), "{label}");
                 assert!(report.atomic, "{label}: {:?}", s.divergent_docs());
             }
@@ -1621,7 +1616,7 @@ mod config_matrix_tests {
     #[test]
     fn commit_cascade_without_chaining() {
         let mut cfg = PeerConfig::default();
-        cfg.chaining = Chaining::Off;
+        cfg.chaining = false;
         let mut s = ScenarioBuilder::fig1().config(cfg).build();
         let report = s.run();
         let txn = report.txn.unwrap();
@@ -1633,46 +1628,24 @@ mod config_matrix_tests {
     }
 
     /// A relay stops short of the peers its informant tells itself, and
-    /// every peer still learns the whole tree while the leaves compute. The
-    /// informant's scope is read off the chain it sent: read off the merged
-    /// chain, the two halves of the tree each count on the other to tell
-    /// cousins neither has heard of yet, and at seed 59 under
-    /// [`Chaining::Extended`] AP2's subtree never hears of AP3's.
+    /// every peer still learns the whole tree while the leaves compute. In
+    /// this one-wave tree an informant knows every sibling of its wave from
+    /// its `Invoke`, so reading its scope off the merged chain instead of
+    /// the chain it sent tells the same peers (DESIGN.md §5, chain gossip).
     #[test]
     fn every_peer_learns_the_whole_tree_under_either_scope() {
         let edges: Vec<(u32, u32)> = (2..=15).map(|child| (child / 2, child)).collect();
-        for (scope, seed) in [(Chaining::Standard, 17), (Chaining::Extended, 17), (Chaining::Extended, 59)] {
-            let mut cfg = PeerConfig::default();
-            cfg.chaining = scope;
-            let mut b = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).with_seed(seed).config(cfg);
-            for peer in 1..=15 {
-                b.durations.insert(peer, 40);
-            }
-            let mut s = b.build();
-            s.sim.run_until(100);
-            let txn = s.sim.actor(PeerId(1)).known_txns()[0];
-            for peer in 1..=15 {
-                let known = s.sim.actor(PeerId(peer)).context(txn).expect("invoked").chain.all_peers().len();
-                assert_eq!(known, 15, "{scope:?}, seed {seed}: AP{peer} knows {known} of the 15 peers at t=100");
-            }
-            assert!(s.run().outcome.is_some_and(|o| o.committed));
+        let mut b = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query).with_seed(17);
+        for peer in 1..=15 {
+            b.durations.insert(peer, 40);
         }
-    }
-
-    /// Extended chaining also runs the disconnection scenarios correctly
-    /// (scenario (b) with reuse).
-    #[test]
-    fn extended_scope_scenario_b_still_reuses_work() {
-        let mut cfg = PeerConfig::default();
-        cfg.chaining = Chaining::Extended;
-        cfg.ping_interval = 300;
-        cfg.ping_timeout = 700;
-        let mut b = ScenarioBuilder::fig2();
-        b.durations.insert(6, 60);
-        let (b, replica) = b.with_replica(3);
-        let mut s = b.disconnect(30, 3).config(cfg).build();
-        let report = s.run();
-        assert!(report.outcome.unwrap().committed);
-        assert_eq!(report.stats[&PeerId(replica)].work_reused, 1);
+        let mut s = b.build();
+        s.sim.run_until(100);
+        let txn = s.sim.actor(PeerId(1)).known_txns()[0];
+        for peer in 1..=15 {
+            let known = s.sim.actor(PeerId(peer)).context(txn).expect("invoked").chain.all_peers().len();
+            assert_eq!(known, 15, "AP{peer} knows {known} of the 15 peers at t=100");
+        }
+        assert!(s.run().outcome.is_some_and(|o| o.committed));
     }
 }

@@ -17,7 +17,7 @@ use axml::prelude::*;
 fn run(chaining: bool) {
     println!("— scenario (b), chaining {} —", if chaining { "ON" } else { "OFF" });
     let mut config = PeerConfig::default();
-    config.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
+    config.chaining = chaining;
     // Slow pings: the chaining path (send-failure detection) races far
     // ahead of the keep-alive fallback.
     config.ping_interval = 300;

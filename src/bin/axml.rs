@@ -130,7 +130,7 @@ fn cmd_fig2(args: &[String]) -> Result<(), String> {
     let which = args.first().map(String::as_str).unwrap_or("b");
     let chaining = !args.iter().any(|a| a == "--no-chaining");
     let mut cfg = PeerConfig::default();
-    cfg.chaining = if chaining { Chaining::Standard } else { Chaining::Off };
+    cfg.chaining = chaining;
     let mut builder = ScenarioBuilder::fig2().flavor(Flavor::Update);
     match which {
         "a" => {
