@@ -1,104 +1,4 @@
-//! Static verification for the atomicity stack: audits the three paper
-//! pillars — compensation soundness (§3.1), scenario well-formedness for
-//! nested recovery (§3.2), and active-peer-list chaining invariants
-//! (§3.3) — without executing a single scenario.
-//!
-//! Rule families:
-//!
-//! - `C…` ([`compensation`]): effect logs and compensation bundles —
-//!   does the composed inverse really restore the document?
-//! - `W…` ([`scenario`]): scenario descriptions — is the invocation
-//!   graph a tree, can every handler fire, does every declaration
-//!   reference something real?
-//! - `L…` ([`chain`]): active-peer lists — tree-ness, navigation-view
-//!   consistency, super-fallback correctness, notation round-trip.
-//!
-//! The `axml-analyze` binary runs the full rule set over the built-in
-//! scenarios (and, with `--demo-broken`, over a deliberately-broken
-//! fixture) and exits nonzero when anything is found.
-
-#![forbid(unsafe_code)]
-
-pub mod chain;
-pub mod compensation;
-pub mod diag;
-pub mod fixture;
-pub mod scenario;
-
-pub use chain::{analyze_chain, analyze_chain_against, analyze_notation};
-pub use compensation::{analyze_action_roundtrip, analyze_compensation, analyze_effect_log};
-pub use diag::{Diagnostic, Report, Severity};
-pub use scenario::{analyze_scenario, RAISABLE_FAULTS};
-
-use axml_core::scenarios::ScenarioBuilder;
-use axml_query::{InsertPos, Locator, NodePath, UpdateAction};
-use axml_xml::{Document, Fragment};
-
-/// Runs every rule family over a scenario description: the W-rules over
-/// the declaration, the L-rules over the invocation tree it plans to
-/// unfold, and the C-rules over real effect logs obtained by probing each
-/// peer's document with structural delete/replace/insert round-trips.
-pub fn analyze_all(builder: &ScenarioBuilder) -> Report {
-    let mut report = Report::default();
-    report.extend(analyze_scenario(builder));
-    report.extend(analyze_chain(&builder.planned_chain()));
-    let probes = [
-        UpdateAction::delete(Locator::Node(NodePath(vec![0]))),
-        UpdateAction::replace(Locator::Node(NodePath(vec![1])), vec![Fragment::elem_text("probe", "x")]),
-        UpdateAction::insert_at(
-            Locator::Node(NodePath(vec![])),
-            vec![Fragment::elem_text("probe", "y")],
-            InsertPos::At(0),
-        ),
-    ];
-    let mut peers = builder.peers();
-    peers.retain(|p| builder.edges.iter().any(|(a, b)| a == p || b == p) || *p == builder.origin);
-    for p in peers {
-        let Ok(doc) = Document::parse(&builder.doc_xml(p)) else {
-            continue; // already reported as W006
-        };
-        for probe in &probes {
-            report.extend_with_context(&format!("peer {p}"), analyze_action_roundtrip(&doc, probe));
-        }
-    }
-    report
-}
-
-/// Runs every rule family over the deliberately-broken fixture.
-pub fn analyze_broken_fixture() -> Report {
-    let f = fixture::broken();
-    let mut report = Report::default();
-    report.extend_with_context("scenario", analyze_scenario(&f.builder));
-    report.extend_with_context("chain", analyze_chain(&f.chain));
-    report.extend_with_context("chain", analyze_chain_against(&f.chain, &f.builder.planned_chain()));
-    report.extend_with_context("chain", analyze_notation(&f.notation));
-    report.extend_with_context("log", analyze_effect_log(&f.effects));
-    report.extend_with_context("log", analyze_compensation(&f.effects, &f.compensation));
-    report.extend_with_context("log", analyze_compensation(&f.reordered_effects, &f.reordered_compensation));
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shipped_scenarios_are_clean() {
-        for (name, b) in [("fig1", ScenarioBuilder::fig1()), ("fig2", ScenarioBuilder::fig2())] {
-            let report = analyze_all(&b);
-            assert!(report.is_clean(), "{name}: {}", report.render_text());
-        }
-    }
-
-    #[test]
-    fn broken_fixture_trips_every_rule_in_the_catalogue() {
-        let report = analyze_broken_fixture();
-        let ids = report.rule_ids();
-        for expected in [
-            "C001", "C002", "C003", "C004", "C005", "C006", "W001", "W002", "W003", "W004", "W005", "W006", "W007",
-            "L001", "L002", "L003", "L004", "L005",
-        ] {
-            assert!(ids.contains(&expected), "missing {expected}; fired: {ids:?}");
-        }
-    }
-}
+//! Empty placeholder, kept so `benchmark/Cargo.lock` keeps resolving
+//! unchanged: see this package's `Cargo.toml`. Scenario well-formedness is
+//! checked by `axml_core::scenarios::ScenarioBuilder::check`, which every
+//! `build()` runs.

@@ -1,5 +1,5 @@
-//! Seeded scenario generator: random invocation trees, lint-clean **by
-//! construction**.
+//! Seeded scenario generator: random invocation trees that pass
+//! [`ScenarioBuilder::check`] **by construction**.
 //!
 //! The hand-written sweep scenarios cover the paper's two figures; the
 //! composition shapes §3.2's recovery rules were actually designed for —
@@ -13,34 +13,33 @@
 //! lazy vs eager materialization, peer-independent compensation,
 //! chaining on/off, service durations, and disconnect/crash schedules.
 //!
-//! Every constraint the static verifier enforces (axml-analyze's W/L
-//! rules) is honored structurally while generating, not checked after
-//! the fact:
+//! Each scenario rule is honored while generating:
 //!
 //! - the invocation graph is grown as a tree rooted at the origin with
-//!   fresh ids (W001: no cycles, no multi-parents, no orphans);
-//! - named catches only use [`axml_analysis::RAISABLE_FAULTS`], and
-//!   `InjectedFault` catches only appear on calls whose subtree really
-//!   contains the injected fault (W002);
-//! - a retry handler guarding the permanently-failing subtree is only
-//!   emitted when a replica of the failing peer exists — otherwise the
-//!   generator flips it to a substitution (W003);
+//!   fresh ids (W001);
+//! - named catches only name faults a call meets, and `InjectedFault`
+//!   catches only appear on calls whose subtree holds the injected fault
+//!   (W002);
 //! - disconnects target connected non-super participants inside the
 //!   simulated window, and never the origin — the origin's outcome *is*
 //!   the oracle's subject (W004);
 //! - supers, replicas, handlers, durations, and the injected fault all
 //!   reference declared participants and edges (W005);
-//! - handler XML comes from the same builder helpers the hand-written
-//!   scenarios use (W006), and per-call handler stacks are distinct
-//!   named catches with at most one trailing catchAll (W007).
+//! - per-call handler stacks are distinct named catches with at most one
+//!   trailing catchAll (W007).
+//!
+//! A retry guarding the permanently failing subtree is emitted only when
+//! a replica of the failing peer exists; otherwise the generator makes it
+//! a substitution, since the retry would re-invoke the same failing
+//! provider.
 //!
 //! The same seed always yields the same [`GenScenario`] — a plain
 //! serde-serializable value — so `gen:<seed>` works as a scenario *name*
 //! in the sweep matrix and every worker rebuilds the identical case.
 
 use axml_core::peer::PeerConfig;
-use axml_core::scenarios::{Flavor, ScenarioBuilder};
-use axml_doc::EvalMode;
+use axml_core::scenarios::{Flavor, Handler, Recovery, ScenarioBuilder};
+use axml_doc::{EvalMode, Fault};
 use axml_p2p::{CrashEvent, PeerId};
 use serde::{Deserialize, Serialize};
 
@@ -62,34 +61,6 @@ const HANDLER_PCT: u64 = 30;
 const DISCONNECT_PCT: u64 = 25;
 /// Percent chance of one scheduled crash-restart.
 const CRASH_PCT: u64 = 25;
-
-/// What a generated handler does when its catch matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GenAction {
-    /// `axml:retry times=.. wait=..`.
-    Retry {
-        /// Retry attempts before giving up.
-        times: u32,
-        /// Wait between attempts (sim ticks).
-        wait: u64,
-    },
-    /// Forward recovery with a default value.
-    Substitute,
-}
-
-/// One generated fault handler, attached to the `axml:sc` call
-/// `peer → child`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GenHandler {
-    /// The invoking peer whose document carries the handler.
-    pub peer: u32,
-    /// The invoked child the call targets.
-    pub child: u32,
-    /// `Some(fault)` = `axml:catch faultName=..`; `None` = `axml:catchAll`.
-    pub catch: Option<String>,
-    /// The recovery action.
-    pub action: GenAction,
-}
 
 /// A deterministic, serializable scenario spec: everything needed to
 /// rebuild the exact [`ScenarioBuilder`], derived purely from a seed.
@@ -118,7 +89,7 @@ pub struct GenScenario {
     /// The peer whose service fails while processing, if any.
     pub inject_fault: Option<u32>,
     /// Handler stacks, in attachment order.
-    pub handlers: Vec<GenHandler>,
+    pub handlers: Vec<Handler>,
     /// Tree peers that get a replica (ids assigned by the builder in
     /// this order: max-peer + 1, + 2, …).
     pub replicas: Vec<u32>,
@@ -242,7 +213,7 @@ impl GenScenario {
         }
         let use_alternative_providers = inject_fault.is_none() || faulty_has_replica;
 
-        // --- Handler stacks per edge (W002/W003/W007-clean).
+        // --- Handler stacks per edge (W002/W007-clean).
         let subtree = |root: u32| -> Vec<u32> {
             let mut seen = vec![root];
             let mut queue = vec![root];
@@ -256,47 +227,45 @@ impl GenScenario {
             }
             seen
         };
-        let mut handlers: Vec<GenHandler> = Vec::new();
+        let mut handlers: Vec<Handler> = Vec::new();
         for &(peer, child) in &edges {
             if !rng.chance(HANDLER_PCT) {
                 continue;
             }
             let fault_below = inject_fault.map(|f| subtree(child).contains(&f)).unwrap_or(false);
-            // Catch choice: catchAll, or a named catch drawn from the
-            // linter's own raisable list — `InjectedFault` only where the
-            // injected fault really sits below this call.
-            let named: Vec<&str> = axml_analysis::RAISABLE_FAULTS
-                .iter()
-                .copied()
-                .filter(|n| *n != "InjectedFault" || fault_below)
-                .filter(|n| *n != "TxnResolved" && *n != "NoSuchService")
+            // Catch choice: catchAll, or a named catch of a fault a service
+            // call can meet here — `InjectedFault` only where the injected
+            // fault really sits below this call.
+            let named: Vec<&str> = [Fault::PEER_UNREACHABLE, Fault::EXECUTION, Fault::INJECTED]
+                .into_iter()
+                .filter(|n| *n != Fault::INJECTED || fault_below)
                 .collect();
             let catch = if rng.chance(50) { None } else { Some((*rng.pick(&named)).to_string()) };
             let mut action = if rng.chance(50) {
-                GenAction::Retry { times: rng.range(1, 2) as u32, wait: rng.range(1, 8) }
+                Recovery::Retry { times: rng.range(1, 2) as u32, wait: rng.range(1, 8) }
             } else {
-                GenAction::Substitute
+                Recovery::Substitute
             };
-            // W003: retrying a permanently-failing subtree with no
-            // replica just re-invokes the same failing provider — flip
-            // the handler to forward recovery by substitution.
+            // Retrying a permanently-failing subtree with no replica just
+            // re-invokes the same failing provider — flip the handler to
+            // forward recovery by substitution.
             let retry_guards_fault =
-                fault_below && catch.as_deref().map(|n| n == "InjectedFault").unwrap_or(true) && !faulty_has_replica;
-            if retry_guards_fault && matches!(action, GenAction::Retry { .. }) {
-                action = GenAction::Substitute;
+                fault_below && catch.as_deref().map(|n| n == Fault::INJECTED).unwrap_or(true) && !faulty_has_replica;
+            if retry_guards_fault && matches!(action, Recovery::Retry { .. }) {
+                action = Recovery::Substitute;
             }
-            handlers.push(GenHandler { peer, child, catch: catch.clone(), action });
+            handlers.push(Handler { peer, child, catch: catch.clone(), action });
             // Optionally a trailing catchAll behind a named catch —
             // distinct by construction, so nothing is shadowed (W007).
             if catch.is_some() && rng.chance(30) {
                 let trailing = if fault_below && !faulty_has_replica {
-                    GenAction::Substitute
+                    Recovery::Substitute
                 } else if rng.chance(50) {
-                    GenAction::Retry { times: 1, wait: rng.range(1, 8) }
+                    Recovery::Retry { times: 1, wait: rng.range(1, 8) }
                 } else {
-                    GenAction::Substitute
+                    Recovery::Substitute
                 };
-                handlers.push(GenHandler { peer, child, catch: None, action: trailing });
+                handlers.push(Handler { peer, child, catch: None, action: trailing });
             }
         }
 
@@ -381,12 +350,7 @@ impl GenScenario {
         if let Some(f) = self.inject_fault {
             b = b.fault_at(f);
         }
-        for h in &self.handlers {
-            b = match h.action {
-                GenAction::Retry { times, wait } => b.retry_handler(h.peer, h.child, h.catch.as_deref(), times, wait),
-                GenAction::Substitute => b.substitute_handler(h.peer, h.child, h.catch.as_deref()),
-            };
-        }
+        b.handlers.extend(self.handlers.iter().cloned());
         for &of in &self.replicas {
             let (nb, _replica) = b.with_replica(of);
             b = nb;
@@ -456,22 +420,20 @@ mod tests {
         assert!(gens.iter().any(|g| !g.update_flavor));
         assert!(gens.iter().any(|g| g.handlers.iter().any(|h| h.catch.is_none())));
         assert!(gens.iter().any(|g| g.handlers.iter().any(|h| h.catch.is_some())));
-        assert!(gens.iter().any(|g| g.handlers.iter().any(|h| matches!(h.action, GenAction::Retry { .. }))));
-        assert!(gens.iter().any(|g| g.handlers.iter().any(|h| h.action == GenAction::Substitute)));
+        assert!(gens.iter().any(|g| g.handlers.iter().any(|h| matches!(h.action, Recovery::Retry { .. }))));
+        assert!(gens.iter().any(|g| g.handlers.iter().any(|h| h.action == Recovery::Substitute)));
         let depths: std::collections::BTreeSet<usize> =
             gens.iter().map(|g| g.builder().planned_chain().to_notation().matches('[').count()).collect();
         assert!(depths.len() > 1, "trees of different nesting depths: {depths:?}");
     }
 
     #[test]
-    fn every_generated_scenario_is_lint_clean() {
-        // The construction-time constraints really do imply analyzer
-        // cleanliness — checked here over a dense seed range, and again
-        // as a proptest over sparse random seeds in tests/gen.rs.
+    fn every_generated_scenario_passes_check() {
+        // The construction-time constraints really do imply the scenario
+        // rules — checked here over a dense seed range, and again over
+        // sparse random seeds in tests/gen_sweep.rs.
         for seed in 0..256 {
-            let g = GenScenario::generate(seed);
-            let report = axml_analysis::analyze_all(&g.builder());
-            assert!(report.is_clean(), "gen:{seed} not lint-clean:\n{}", report.render_text());
+            assert_eq!(GenScenario::generate(seed).builder().check(), Ok(()), "gen:{seed}");
         }
     }
 }

@@ -54,7 +54,7 @@ use std::rc::Rc;
 
 pub mod gen;
 mod parallel;
-pub use gen::{gen_scenario_names, GenAction, GenHandler, GenScenario};
+pub use gen::{gen_scenario_names, GenScenario};
 pub use parallel::{par_each, par_map};
 
 /// Scenario names the harness knows how to build.

@@ -8,11 +8,9 @@
 //! to the parse of that very text, `Value`'s own `Serialize` must agree
 //! with it, and `from_str` must give `x` back.
 
-use axml_chaos::{
-    builder_for, plane_for, run_with_plane_traced, CaseConfig, GenAction, GenHandler, GenScenario, Profile,
-};
+use axml_chaos::{builder_for, plane_for, run_with_plane_traced, CaseConfig, GenScenario, Profile};
 use axml_core::durability::{self, JournalEntry};
-use axml_core::scenarios::ScenarioBuilder;
+use axml_core::scenarios::{Handler, Recovery, ScenarioBuilder};
 use axml_core::{InvocationId, TxnId};
 use axml_obs::series::SeriesPoint;
 use axml_p2p::{
@@ -332,8 +330,8 @@ proptest! {
     #[test]
     fn generated_scenarios(seed in any::<u64>(), catch in prop::option::of(nasty()), times in edgy_u32(), wait in edgy_u64()) {
         let mut spec = GenScenario::generate(seed);
-        spec.handlers.push(GenHandler { peer: 1, child: 2, catch, action: GenAction::Retry { times, wait } });
-        spec.handlers.push(GenHandler { peer: 1, child: 3, catch: None, action: GenAction::Substitute });
+        spec.handlers.push(Handler { peer: 1, child: 2, catch, action: Recovery::Retry { times, wait } });
+        spec.handlers.push(Handler { peer: 1, child: 3, catch: None, action: Recovery::Substitute });
         spec.stream_interval = Some(wait);
         round_trips(&spec)?;
     }

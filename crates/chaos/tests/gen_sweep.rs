@@ -4,10 +4,10 @@
 //!    `gen:<seed>` scenarios resolve through `builder_for` inside the
 //!    workers, so a nondeterministic generator (or a merge reorder)
 //!    would show up here as a digest mismatch between `--jobs` values.
-//! 2. Lint-cleanliness is by construction for the *whole* seed space,
+//! 2. Well-formedness is by construction for the *whole* seed space,
 //!    not just the dense prefix the unit test walks: sparse random
 //!    seeds drawn from all of `u64` must generate scenarios that pass
-//!    every analyzer rule.
+//!    `ScenarioBuilder::check`.
 //! 3. Backward-only recovery (ablation D3) keeps the guarantee: every
 //!    generated scenario, run once under its own disconnect and crash
 //!    schedule with `RecoveryStyle::BackwardOnly`, passes the oracle.
@@ -77,15 +77,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sparse_seeds_generate_lint_clean_scenarios(seed in any::<u64>()) {
-        let g = GenScenario::generate(seed);
-        let report = axml_analysis::analyze_all(&g.builder());
-        prop_assert!(
-            report.is_clean(),
-            "gen:{} not lint-clean:\n{}",
-            seed,
-            report.render_text()
-        );
+    fn sparse_seeds_generate_scenarios_that_pass_check(seed in any::<u64>()) {
+        prop_assert_eq!(GenScenario::generate(seed).builder().check(), Ok(()), "gen:{}", seed);
     }
 
     #[test]

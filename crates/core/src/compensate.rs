@@ -442,6 +442,37 @@ mod tests {
     }
 
     #[test]
+    fn every_compensating_action_is_addressed_by_node_and_an_insert_carries_its_fragment() {
+        let mut doc = atp();
+        let mut effects = Vec::new();
+        for action in [
+            UpdateAction::delete(Locator::parse("ATPList/player/citizenship").unwrap()),
+            UpdateAction::insert(
+                Locator::Path(PathExpr::parse("ATPList/player[@rank=1]").unwrap()),
+                vec![Fragment::elem_text("points", "475")],
+            ),
+            UpdateAction::replace(
+                Locator::parse("Select p/name from p in ATPList//player where p/name/lastname = Nadal;").unwrap(),
+                vec![Fragment::elem_text("name", "R. Nadal")],
+            ),
+        ] {
+            effects.extend(action.apply(&mut doc).unwrap().effects);
+        }
+        let comp = compensation_for_effects(&effects);
+        assert_eq!(comp.len(), effects.len());
+        for (action, effect) in comp.iter().zip(effects.iter().rev()) {
+            assert!(matches!(action.location, Locator::Node(_)), "{action:?}");
+            match effect {
+                Effect::Deleted { fragment, .. } => {
+                    assert_eq!(action.ty, ActionType::Insert);
+                    assert_eq!(action.data, std::slice::from_ref(fragment));
+                }
+                Effect::Inserted { .. } => assert_eq!((action.ty, action.data.len()), (ActionType::Delete, 0)),
+            }
+        }
+    }
+
+    #[test]
     fn compensating_service_executes_on_replica() {
         // Effects captured on one copy compensate an identical replica.
         let mut primary = atp();

@@ -946,7 +946,7 @@ impl AxmlPeer {
         // context refuses.
         let rejoining = match self.context(txn) {
             Some(tc) if tc.state == TxnState::Committed => {
-                let fault = Fault::new("TxnResolved", format!("{txn} already committed at {}", self.id));
+                let fault = Fault::txn_resolved(format!("{txn} already committed at {}", self.id));
                 let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
                 return;
             }
@@ -970,7 +970,7 @@ impl AxmlPeer {
                 JournalEntry::Begin { txn, parent: Some((from, inv)), chain: chain.clone(), at: ctx.now() },
             );
             if !begun {
-                let fault = Fault::new("StorageFault", format!("journal append failed at {}", self.id));
+                let fault = Fault::storage(format!("journal append failed at {}", self.id));
                 let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
                 return;
             }
@@ -1302,11 +1302,7 @@ impl AxmlPeer {
         if let Some(document) = self.repo.get_mut(&doc) {
             let _ = crate::compensate::apply_compensation(document, &compensation_for_effects(&effects));
         }
-        self.fail_serving(
-            ctx,
-            serving_inv,
-            Fault::new("StorageFault", format!("journal append failed at {}", self.id)),
-        );
+        self.fail_serving(ctx, serving_inv, Fault::storage(format!("journal append failed at {}", self.id)));
         false
     }
 
@@ -1769,7 +1765,7 @@ impl AxmlPeer {
         self.stats.work_wasted += 1;
         if let Some(parent) = serving.reply_to {
             let (txn, inv) = (serving.txn, serving.inv);
-            let fault = Fault::new("TxnResolved", format!("{txn} {verdict} at {}", self.id));
+            let fault = Fault::txn_resolved(format!("{txn} {verdict} at {}", self.id));
             let _ = self.send_reliable(ctx, parent, TxnMsg::Fault { txn, inv, fault });
         }
     }
@@ -2601,11 +2597,11 @@ mod tests {
         assert_eq!(s.sim.cancelled_timers(), 1, "the queued timer was cancelled");
     }
 
-    /// ROADMAP item 1: a `Result` delivered a second time *after* the
-    /// origin has committed — commit dropped the dedup entry that would
-    /// have suppressed it — used to be answered with `Abort`, and the
-    /// child undid work the transaction had committed with. The origin
-    /// answers with the outcome it holds, and no `Abort` leaves it.
+    /// The split-outcome window: a `Result` delivered a second time
+    /// *after* the origin has committed — commit dropped the dedup entry
+    /// that would have suppressed it — used to be answered with `Abort`,
+    /// and the child undid work the transaction had committed with. The
+    /// origin answers with the outcome it holds, and no `Abort` leaves it.
     #[test]
     fn a_result_delivered_again_after_the_commit_is_answered_with_the_commit() {
         let mut sim_config = SimConfig::default();

@@ -19,7 +19,9 @@ use crate::messages::TxnMsg;
 use crate::peer::{AxmlPeer, PeerConfig, PeerCounters, PeerStats, WsdlCatalog};
 use axml_doc::Fault;
 use axml_p2p::{Directory, FaultPlane, NetMetrics, PeerId, Sim, SimConfig, Snapshot, TraceJournal, TraceSink};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fmt::Write as _;
 
 /// What kind of service each peer exposes.
@@ -33,6 +35,124 @@ pub enum Flavor {
     /// the update *and* materialization.
     Update,
 }
+
+/// What a scenario's fault handler does when its catch matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Recovery {
+    /// `axml:retry times=.. wait=..`.
+    Retry {
+        /// Retry attempts before giving up.
+        times: u32,
+        /// Wait between attempts (sim ticks).
+        wait: u64,
+    },
+    /// Forward recovery with a default value.
+    Substitute,
+}
+
+/// A fault handler on the `axml:sc` call `peer → child`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Handler {
+    /// The invoking peer whose document carries the handler.
+    pub peer: u32,
+    /// The invoked child the call targets.
+    pub child: u32,
+    /// `Some(fault)` = `axml:catch faultName=..`; `None` = `axml:catchAll`.
+    pub catch: Option<String>,
+    /// The recovery action.
+    pub action: Recovery,
+}
+
+impl Handler {
+    /// Appends the handler's XML, as it sits inside its `axml:sc`.
+    fn write_xml(&self, xml: &mut String) {
+        let _ = match &self.catch {
+            Some(f) => write!(xml, r#"<axml:catch faultName="{f}">"#),
+            None => write!(xml, "<axml:catchAll>"),
+        };
+        let _ = match self.action {
+            Recovery::Retry { times, wait } => write!(xml, r#"<axml:retry times="{times}" wait="{wait}"/>"#),
+            Recovery::Substitute => write!(xml, "<out>substituted-{}-{}</out>", self.peer, self.child),
+        };
+        xml.push_str(if self.catch.is_some() { "</axml:catch>" } else { "</axml:catchAll>" });
+    }
+}
+
+/// Why [`ScenarioBuilder::check`] refuses a scenario: one variant per
+/// rule, each naming what breaks it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// W001: the invocation edges are not a tree rooted at the origin.
+    NotATree {
+        /// The offending edge `(parent, child)`.
+        edge: (u32, u32),
+        /// What is wrong with it.
+        why: &'static str,
+    },
+    /// W002: a named catch can never fire.
+    DeadCatch {
+        /// The handler's peer.
+        peer: u32,
+        /// The handler's child.
+        child: u32,
+        /// The fault name it catches.
+        fault: String,
+        /// Why that fault never comes.
+        why: &'static str,
+    },
+    /// W004: a scheduled disconnect does nothing.
+    IdleDisconnect {
+        /// When.
+        at: u64,
+        /// Whom.
+        peer: u32,
+        /// Why nothing happens.
+        why: &'static str,
+    },
+    /// W005: a declaration names a peer or a call the scenario lacks.
+    Dangling {
+        /// The declaration.
+        what: &'static str,
+        /// The peer it names.
+        peer: u32,
+    },
+    /// W007: an earlier handler on the same call matches every fault this
+    /// one would, so this one never fires.
+    ShadowedHandler {
+        /// The handlers' peer.
+        peer: u32,
+        /// The handlers' child.
+        child: u32,
+        /// What the shadowed handler catches (`None`: everything).
+        catch: Option<String>,
+        /// What the earlier handler catches.
+        by: Option<String>,
+    },
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let catch = |c: &Option<String>| c.as_ref().map_or("catchAll".to_string(), |n| format!("catch of `{n}`"));
+        match self {
+            ScenarioError::NotATree { edge: (p, c), why } => write!(f, "W001 edge ({p}, {c}): {why}"),
+            ScenarioError::DeadCatch { peer, child, fault, why } => {
+                write!(f, "W002 AP{peer}'s call to AP{child} catches `{fault}`, but {why}")
+            }
+            ScenarioError::IdleDisconnect { at, peer, why } => {
+                write!(f, "W004 disconnect of AP{peer} at t={at}: {why}")
+            }
+            ScenarioError::Dangling { what, peer } => write!(f, "W005 {what} AP{peer}, absent from the scenario"),
+            ScenarioError::ShadowedHandler { peer, child, catch: c, by } => write!(
+                f,
+                "W007 AP{peer}'s call to AP{child}: the {} never fires, the earlier {} matches first",
+                catch(c),
+                catch(by)
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// Declarative description of an invocation-tree scenario.
 #[derive(Debug, Clone)]
@@ -54,9 +174,9 @@ pub struct ScenarioBuilder {
     /// Inject a fault into this peer's service (it fails *while
     /// processing*, i.e. after its own sub-invocations completed).
     pub inject_fault: Option<u32>,
-    /// Fault handlers: `(peer, child, handler-xml)` attached to the
-    /// `axml:sc` element in `peer`'s document that targets `child`.
-    pub handlers: Vec<(u32, u32, String)>,
+    /// Fault handlers, each attached to the `axml:sc` element in its
+    /// peer's document that targets its child, in declaration order.
+    pub handlers: Vec<Handler>,
     /// Replicas: `(of, replica)` — peer `replica` hosts a copy of
     /// `d{of}` and provides `S{of}`.
     pub replicas: Vec<(u32, u32)>,
@@ -217,38 +337,23 @@ impl ScenarioBuilder {
     }
 
     /// Builder: attach an `axml:retry` handler on `peer`'s call to `child`.
-    pub fn retry_handler(mut self, peer: u32, child: u32, fault_name: Option<&str>, times: u32, wait: u64) -> Self {
-        let open = match fault_name {
-            Some(f) => format!(r#"<axml:catch faultName="{f}">"#),
-            None => "<axml:catchAll>".to_string(),
-        };
-        let close = match fault_name {
-            Some(_) => "</axml:catch>",
-            None => "</axml:catchAll>",
-        };
-        self.handlers.push((peer, child, format!(r#"{open}<axml:retry times="{times}" wait="{wait}"/>{close}"#)));
-        self
+    pub fn retry_handler(self, peer: u32, child: u32, fault_name: Option<&str>, times: u32, wait: u64) -> Self {
+        self.handler(peer, child, fault_name, Recovery::Retry { times, wait })
     }
 
     /// Builder: attach a substitution handler (forward recovery with a
     /// default value) on `peer`'s call to `child`.
-    pub fn substitute_handler(mut self, peer: u32, child: u32, fault_name: Option<&str>) -> Self {
-        let open = match fault_name {
-            Some(f) => format!(r#"<axml:catch faultName="{f}">"#),
-            None => "<axml:catchAll>".to_string(),
-        };
-        let close = match fault_name {
-            Some(_) => "</axml:catch>",
-            None => "</axml:catchAll>",
-        };
-        self.handlers.push((peer, child, format!(r#"{open}<out>substituted-{peer}-{child}</out>{close}"#)));
+    pub fn substitute_handler(self, peer: u32, child: u32, fault_name: Option<&str>) -> Self {
+        self.handler(peer, child, fault_name, Recovery::Substitute)
+    }
+
+    fn handler(mut self, peer: u32, child: u32, fault_name: Option<&str>, action: Recovery) -> Self {
+        self.handlers.push(Handler { peer, child, catch: fault_name.map(str::to_string), action });
         self
     }
 
-    /// The children `peer` invokes, in edge order. Public so static
-    /// analysis can walk the planned invocation tree without building the
-    /// simulator.
-    pub fn children_of(&self, peer: u32) -> Vec<u32> {
+    /// The children `peer` invokes, in edge order.
+    fn children_of(&self, peer: u32) -> Vec<u32> {
         self.edges.iter().filter(|(p, _)| *p == peer).map(|(_, c)| *c).collect()
     }
 
@@ -276,8 +381,8 @@ impl ScenarioBuilder {
                 xml,
                 r#"<axml:sc mode="replace" serviceNameSpace="S{child}" serviceURL="peer://ap{child}" methodName="S{child}">"#
             );
-            for (_, _, handler) in self.handlers.iter().filter(|(p, c, _)| *p == peer && *c == child) {
-                xml.push_str(handler);
+            for handler in self.handlers.iter().filter(|h| h.peer == peer && h.child == child) {
+                handler.write_xml(&mut xml);
             }
             xml.push_str("</axml:sc>");
         }
@@ -288,8 +393,7 @@ impl ScenarioBuilder {
     /// The active-peer list this scenario unfolds into when every
     /// invocation succeeds: the invocation tree reachable from the origin,
     /// with super peers marked. Replicas are excluded — they join only
-    /// during recovery. Unreachable edges are simply not part of the
-    /// chain (the well-formedness lints flag them).
+    /// during recovery.
     pub fn planned_chain(&self) -> crate::chain::ActiveList {
         let mut chain = crate::chain::ActiveList::new(PeerId(self.origin), self.supers.contains(&self.origin));
         let mut seen = std::collections::BTreeSet::from([self.origin]);
@@ -333,8 +437,122 @@ impl ScenarioBuilder {
         }
     }
 
+    /// Checks the scenario rules, first broken rule first:
+    ///
+    /// - W001: the edges form a tree rooted at the origin — no self-loop,
+    ///   no edge twice, no parent of the origin or second parent of a
+    ///   peer, and every peer reachable from the origin;
+    /// - W005: every super, replica, handler, injected fault and duration
+    ///   names a peer (or, for a handler, a call) of the scenario;
+    /// - W004: every disconnect takes a non-super peer of the scenario
+    ///   down before the deadline;
+    /// - W007: no handler sits behind an earlier one on the same call that
+    ///   is a catchAll or catches the same name;
+    /// - W002: every named catch names a fault in [`Fault::RAISABLE`], and
+    ///   an `InjectedFault` catch sits above the injected fault.
+    ///
+    /// It scans the builder's own lists and allocates nothing on a
+    /// well-formed scenario.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        let tree_edge = |edge: (u32, u32), why| Err(ScenarioError::NotATree { edge, why });
+        for (i, &(p, c)) in self.edges.iter().enumerate() {
+            let earlier = &self.edges[..i];
+            if p == c {
+                return tree_edge((p, c), "a peer invokes itself");
+            } else if earlier.contains(&(p, c)) {
+                return tree_edge((p, c), "the edge is declared twice");
+            } else if c == self.origin {
+                return tree_edge((p, c), "the origin has a parent; the root of the tree has none");
+            } else if earlier.iter().any(|&(_, d)| d == c) {
+                return tree_edge((p, c), "the child has a second parent; the active-peer list is a tree");
+            }
+        }
+        if let Some(&edge) = self.edges.iter().find(|&&(_, c)| !self.descends(c, self.origin)) {
+            return tree_edge(edge, "the origin cannot reach it; its peers never join the transaction");
+        }
+        let dangling = |what, peer| Err(ScenarioError::Dangling { what, peer });
+        if let Some(&s) = self.supers.iter().find(|&&s| !self.involves(s)) {
+            return dangling("a super marker on", s);
+        }
+        if let Some(&(of, _)) = self.replicas.iter().find(|&&(of, _)| !self.in_tree(of)) {
+            return dangling("a replica of the tree peer", of);
+        }
+        if let Some(h) = self.handlers.iter().find(|h| !self.edges.contains(&(h.peer, h.child))) {
+            return dangling("a handler on the call to", h.child);
+        }
+        if let Some(f) = self.inject_fault.filter(|&f| !self.involves(f)) {
+            return dangling("an injected fault at", f);
+        }
+        if let Some(&d) = self.durations.keys().find(|&&d| !self.involves(d)) {
+            return dangling("a service duration for", d);
+        }
+        for &(at, peer) in &self.disconnects {
+            let why = if !self.involves(peer) {
+                "the peer is not in the scenario"
+            } else if self.supers.contains(&peer) {
+                "a super peer does not disconnect; the simulator ignores it"
+            } else if at > self.deadline {
+                "it is scheduled after the deadline"
+            } else {
+                continue;
+            };
+            return Err(ScenarioError::IdleDisconnect { at, peer, why });
+        }
+        for (i, h) in self.handlers.iter().enumerate() {
+            let on_call = |e: &&Handler| e.peer == h.peer && e.child == h.child;
+            if let Some(by) =
+                self.handlers[..i].iter().filter(on_call).find(|e| e.catch.is_none() || e.catch == h.catch)
+            {
+                let (catch, by) = (h.catch.clone(), by.catch.clone());
+                return Err(ScenarioError::ShadowedHandler { peer: h.peer, child: h.child, catch, by });
+            }
+            let Some(name) = h.catch.as_deref() else { continue };
+            let why = if !Fault::RAISABLE.contains(&name) {
+                "no component raises it"
+            } else if name == Fault::INJECTED && !self.inject_fault.is_some_and(|f| self.descends(f, h.child)) {
+                "no fault is injected below the call"
+            } else {
+                continue;
+            };
+            return Err(ScenarioError::DeadCatch { peer: h.peer, child: h.child, fault: name.to_string(), why });
+        }
+        Ok(())
+    }
+
+    /// Whether `peer` is `ancestor` or below it, walking up the edges
+    /// (each peer's first parent) at most once per edge.
+    fn descends(&self, mut peer: u32, ancestor: u32) -> bool {
+        for _ in 0..=self.edges.len() {
+            if peer == ancestor {
+                return true;
+            }
+            match self.edges.iter().find(|&&(_, c)| c == peer) {
+                Some(&(p, _)) => peer = p,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    /// Whether `peer` is the origin or an end of an edge.
+    fn in_tree(&self, peer: u32) -> bool {
+        peer == self.origin || self.edges.iter().any(|&(p, c)| p == peer || c == peer)
+    }
+
+    /// Whether `peer` is in the tree or hosts a replica ([`Self::peers`]).
+    fn involves(&self, peer: u32) -> bool {
+        self.in_tree(peer) || self.replicas.iter().any(|&(_, r)| r == peer)
+    }
+
     /// Builds the simulator and supporting state.
+    ///
+    /// # Panics
+    ///
+    /// If the scenario breaks a rule of [`Self::check`].
     pub fn build(self) -> Scenario {
+        if let Err(e) = self.check() {
+            panic!("malformed scenario: {e}");
+        }
         let peers = self.peers();
         let sim_config = self.sim_config();
         debug_assert_eq!(self.config.check_timing(sim_config.latency.max), Ok(()));
@@ -686,6 +904,168 @@ mod tests {
     use crate::chain::ActiveList;
     use crate::durability::JournalEntry;
     use crate::peer::{DetectHow, RecoveryStyle};
+
+    // ------------------------------------------------------------------
+    // Scenario rules.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn shipped_and_recovery_scenarios_pass_check() {
+        let (replicated, _) = ScenarioBuilder::fig1().fault_at(5).with_replica(5);
+        for b in [
+            ScenarioBuilder::fig1(),
+            ScenarioBuilder::fig2(),
+            replicated.retry_handler(3, 5, Some("InjectedFault"), 2, 3),
+            ScenarioBuilder::fig1().fault_at(5).substitute_handler(3, 5, None),
+            // A retry of a permanently failing subtree with no replica is
+            // legal: it retries, then propagates.
+            ScenarioBuilder::fig1().fault_at(5).retry_handler(3, 5, None, 2, 3),
+            // Distinct named catches, broadest last.
+            ScenarioBuilder::fig1()
+                .retry_handler(1, 2, Some("ExecutionFault"), 1, 1)
+                .retry_handler(1, 2, Some("PeerUnreachable"), 1, 1)
+                .substitute_handler(1, 2, None),
+            ScenarioBuilder::fig2().disconnect(30, 3).reconnect(50, 3),
+        ] {
+            assert_eq!(b.check(), Ok(()), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn a_storage_fault_catch_can_fire() {
+        // A provider whose journal refuses an append answers StorageFault.
+        let b = ScenarioBuilder::fig1().substitute_handler(1, 3, Some("StorageFault"));
+        assert_eq!(b.check(), Ok(()));
+    }
+
+    #[test]
+    fn handlers_render_inside_their_call() {
+        let b = ScenarioBuilder::new(1, &[(1, 2)])
+            .retry_handler(1, 2, Some("ExecutionFault"), 2, 3)
+            .substitute_handler(1, 2, None);
+        assert_eq!(
+            b.doc_xml(1),
+            concat!(
+                "<d><slot>initial-1</slot><out>base-1</out>",
+                r#"<axml:sc mode="replace" serviceNameSpace="S2" serviceURL="peer://ap2" methodName="S2">"#,
+                r#"<axml:catch faultName="ExecutionFault"><axml:retry times="2" wait="3"/></axml:catch>"#,
+                "<axml:catchAll><out>substituted-1-2</out></axml:catchAll>",
+                "</axml:sc></d>",
+            )
+        );
+    }
+
+    #[test]
+    fn check_refuses_a_graph_that_is_not_a_tree_rooted_at_the_origin() {
+        let refused = |edges: &[(u32, u32)]| match ScenarioBuilder::new(1, edges).check() {
+            Err(ScenarioError::NotATree { edge, .. }) => edge,
+            other => panic!("{edges:?}: {other:?}"),
+        };
+        assert_eq!(refused(&[(1, 2), (2, 2)]), (2, 2), "a self-loop");
+        assert_eq!(refused(&[(1, 2), (1, 2)]), (1, 2), "an edge twice");
+        assert_eq!(refused(&[(1, 2), (2, 1)]), (2, 1), "a parent of the origin");
+        assert_eq!(refused(&[(1, 2), (1, 3), (2, 4), (3, 4)]), (3, 4), "a second parent");
+        assert_eq!(refused(&[(1, 2), (7, 8)]), (7, 8), "an unreachable edge");
+        assert_eq!(refused(&[(1, 2), (7, 8), (8, 7)]), (7, 8), "an unreachable cycle");
+    }
+
+    #[test]
+    fn check_refuses_dangling_declarations() {
+        let refused = |b: ScenarioBuilder| match b.check() {
+            Err(ScenarioError::Dangling { what, peer }) => (what, peer),
+            other => panic!("{other:?}"),
+        };
+        let mut replica_of_stranger = ScenarioBuilder::fig1();
+        replica_of_stranger.replicas.push((77, 10));
+        for (b, kind, peer) in [
+            (ScenarioBuilder::fig1().super_peer(42), "super", 42),
+            (replica_of_stranger, "replica", 77),
+            (ScenarioBuilder::fig1().substitute_handler(2, 5, None), "handler", 5),
+            (ScenarioBuilder::fig1().fault_at(9), "fault", 9),
+            (ScenarioBuilder::fig1().duration(9, 3), "duration", 9),
+        ] {
+            let (what, at) = refused(b);
+            assert!(what.contains(kind) && at == peer, "{kind} {peer}: {what} {at}");
+        }
+    }
+
+    #[test]
+    fn check_refuses_a_disconnect_that_does_nothing() {
+        let refused = |b: ScenarioBuilder| match b.check() {
+            Err(ScenarioError::IdleDisconnect { at, peer, why }) => (at, peer, why),
+            other => panic!("{other:?}"),
+        };
+        assert!(refused(ScenarioBuilder::fig2().disconnect(10, 99)).2.contains("not in the scenario"));
+        assert!(refused(ScenarioBuilder::fig2().disconnect(20, 1)).2.contains("super"));
+        assert!(refused(ScenarioBuilder::fig1().deadline(100).disconnect(101, 3)).2.contains("deadline"));
+    }
+
+    #[test]
+    fn check_refuses_a_handler_behind_an_earlier_match() {
+        let b =
+            ScenarioBuilder::fig1().retry_handler(1, 2, None, 1, 1).retry_handler(1, 2, Some("ExecutionFault"), 1, 1);
+        let catch = Some("ExecutionFault".to_string());
+        assert_eq!(
+            b.check(),
+            Err(ScenarioError::ShadowedHandler { peer: 1, child: 2, catch: catch.clone(), by: None })
+        );
+        let b = ScenarioBuilder::fig1().retry_handler(1, 2, Some("ExecutionFault"), 1, 1).substitute_handler(
+            1,
+            2,
+            Some("ExecutionFault"),
+        );
+        assert_eq!(b.check(), Err(ScenarioError::ShadowedHandler { peer: 1, child: 2, by: catch.clone(), catch }));
+    }
+
+    #[test]
+    fn check_refuses_a_catch_that_cannot_fire() {
+        let refused = |b: ScenarioBuilder| match b.check() {
+            Err(ScenarioError::DeadCatch { why, .. }) => why,
+            other => panic!("{other:?}"),
+        };
+        assert!(refused(ScenarioBuilder::fig1().retry_handler(1, 2, Some("NoSuchFaultEver"), 1, 1)).contains("raises"));
+        let off_branch = ScenarioBuilder::fig1().fault_at(5).retry_handler(1, 2, Some("InjectedFault"), 1, 1);
+        assert!(refused(off_branch).contains("below"));
+        assert!(refused(ScenarioBuilder::fig1().substitute_handler(3, 5, Some("InjectedFault"))).contains("below"));
+    }
+
+    /// A scenario breaking every rule: (7, 8) is cut off from the origin,
+    /// super 42 names no peer, AP99 is not there to disconnect, the named
+    /// catch on (1, 2) sits behind a catchAll, and nothing raises the
+    /// fault (2, 3) catches. The catchAll retry on (1, 2) guards AP2's
+    /// permanent fault with no replica, which is legal.
+    fn broken() -> ScenarioBuilder {
+        ScenarioBuilder::new(1, &[(1, 2), (2, 3), (7, 8)])
+            .fault_at(2)
+            .retry_handler(1, 2, None, 2, 3)
+            .retry_handler(1, 2, Some("ExecutionFault"), 1, 1)
+            .retry_handler(2, 3, Some("NoSuchFaultEver"), 1, 1)
+            .disconnect(10, 99)
+            .super_peer(42)
+    }
+
+    #[test]
+    fn a_broken_scenario_fails_check_one_rule_at_a_time() {
+        let mut b = broken();
+        let rule = |b: &ScenarioBuilder| b.check().map_err(|e| e.to_string()[..4].to_string());
+        assert_eq!(rule(&b), Err("W001".into()));
+        b.edges.pop();
+        assert_eq!(rule(&b), Err("W005".into()));
+        b.supers.clear();
+        assert_eq!(rule(&b), Err("W004".into()));
+        b.disconnects.clear();
+        assert_eq!(rule(&b), Err("W007".into()));
+        b.handlers.remove(1);
+        assert_eq!(rule(&b), Err("W002".into()));
+        b.handlers.pop();
+        assert_eq!(rule(&b), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed scenario: W001 edge (7, 8)")]
+    fn a_broken_scenario_does_not_build() {
+        broken().build();
+    }
 
     // ------------------------------------------------------------------
     // Happy path.
@@ -1197,11 +1577,14 @@ mod tests {
 
     #[test]
     fn all_super_sphere_survives_scheduled_churn() {
-        // Every participant is a super peer: scheduled disconnects are
-        // ignored and atomicity is guaranteed.
+        // Every participant is a super peer: disconnects the simulator is
+        // handed are ignored and atomicity is guaranteed. (A builder
+        // refuses to schedule them.)
         let mut b = ScenarioBuilder::fig2();
         b.supers = vec![1, 2, 3, 4, 5, 6];
-        let mut s = b.disconnect(30, 3).disconnect(40, 6).build();
+        let mut s = b.build();
+        s.sim.schedule_disconnect(30, PeerId(3));
+        s.sim.schedule_disconnect(40, PeerId(6));
         let report = s.run();
         assert!(report.outcome.expect("resolved").committed);
         assert!(report.atomic);
@@ -1353,6 +1736,23 @@ mod tests {
             assert!(told_by(peer, 3, (5, 6)), "AP{peer} did not learn AP5→AP6 through AP3");
             assert_eq!(updates.len(), 2, "AP{peer} is told each wave once: {updates:?}");
         }
+    }
+
+    #[test]
+    fn a_relay_reaches_a_sibling_its_informant_did_not_know() {
+        // AP3 is away, so AP1 re-invokes S3 on its replica AP5 after AP2's
+        // `Invoke` has left: AP2's chain does not hold AP5. AP2's wave
+        // (AP2 → AP4) reaches AP1, whose merged chain does hold AP5 as
+        // AP2's sibling; AP2 has not told AP5, so AP1 relays it.
+        let (b, replica) = ScenarioBuilder::new(1, &[(1, 2), (1, 3), (2, 4)]).with_replica(3);
+        let b = b.disconnect(0, 3);
+        let sim = tapped(b.clone(), |_| {});
+        committed(&sim, &b);
+        let handed = &sim.actor(PeerId(2)).seen.invoked_with[0].1;
+        assert!(!handed.contains(PeerId(replica)), "AP2 was invoked before AP{replica}: {}", handed.to_notation());
+        let carries = |c: &ActiveList| c.parent_of(PeerId(4)) == Some(PeerId(2));
+        let updates = &sim.actor(PeerId(replica)).seen.updated_with;
+        assert!(updates.iter().any(|(from, c)| *from == PeerId(1) && carries(c)), "{updates:?}");
     }
 
     #[test]

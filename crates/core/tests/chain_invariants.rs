@@ -6,9 +6,9 @@
 use axml_core::ActiveList;
 use axml_p2p::PeerId;
 
-/// Asserts the invariants the static analyzer's L-rules check at runtime:
-/// peer uniqueness, `parent_of`/`children_of` mutual consistency, super
-/// ancestry, and notation round-trip.
+/// Asserts the active-list invariants: peer uniqueness,
+/// `parent_of`/`children_of` mutual consistency, super ancestry, and
+/// notation round-trip.
 fn assert_tree_invariants(l: &ActiveList) {
     let peers = l.all_peers();
     let mut sorted = peers.clone();

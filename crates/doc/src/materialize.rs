@@ -363,30 +363,31 @@ impl MaterializationEngine {
     ) -> Result<Vec<(String, String)>, Fault> {
         let mut out = Vec::with_capacity(call.params.len());
         for p in &call.params {
-            let value =
-                match &p.value {
-                    ParamValue::Literal(v) => v.clone(),
-                    ParamValue::External(name) => self.externals.get(name).cloned().ok_or_else(|| {
-                        Fault::new("MissingExternal", format!("no value for external parameter ${name}"))
-                    })?,
-                    ParamValue::Xml(frags) => frags.iter().map(Fragment::text_content).collect(),
-                    ParamValue::Call(nested) => {
-                        // Local nesting: "evaluating a service call may require
-                        // evaluating the parameters' service calls first".
-                        if depth >= MAX_DEPTH {
-                            return Err(Fault::execution("parameter call nesting too deep"));
-                        }
-                        let resolved = self.resolve_params(nested, invoker, report, depth + 1)?;
-                        let rc = ResolvedCall {
-                            service_url: nested.service_url.clone(),
-                            service_ns: nested.service_ns.clone(),
-                            method: nested.method.clone(),
-                            params: resolved,
-                        };
-                        let items = self.invoke_with_handlers(nested, &rc, invoker, report)?;
-                        items.iter().map(Fragment::text_content).collect::<String>()
+            let value = match &p.value {
+                ParamValue::Literal(v) => v.clone(),
+                ParamValue::External(name) => self
+                    .externals
+                    .get(name)
+                    .cloned()
+                    .ok_or_else(|| Fault::missing_external(format!("no value for external parameter ${name}")))?,
+                ParamValue::Xml(frags) => frags.iter().map(Fragment::text_content).collect(),
+                ParamValue::Call(nested) => {
+                    // Local nesting: "evaluating a service call may require
+                    // evaluating the parameters' service calls first".
+                    if depth >= MAX_DEPTH {
+                        return Err(Fault::execution("parameter call nesting too deep"));
                     }
-                };
+                    let resolved = self.resolve_params(nested, invoker, report, depth + 1)?;
+                    let rc = ResolvedCall {
+                        service_url: nested.service_url.clone(),
+                        service_ns: nested.service_ns.clone(),
+                        method: nested.method.clone(),
+                        params: resolved,
+                    };
+                    let items = self.invoke_with_handlers(nested, &rc, invoker, report)?;
+                    items.iter().map(Fragment::text_content).collect::<String>()
+                }
+            };
             out.push((p.name.clone(), value));
         }
         Ok(out)

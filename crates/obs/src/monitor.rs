@@ -1,6 +1,7 @@
 //! Online protocol monitor: an [`EventSink`] that checks the paper's
-//! runtime invariants *as the protocol runs*, where `axml-analyze` checks
-//! recovery rules statically and the chaos oracle checks the final state.
+//! runtime invariants *as the protocol runs*, where `ScenarioBuilder::check`
+//! holds a scenario's rules before it runs and the chaos oracle checks the
+//! final state.
 //! It adapts the rule engine [`axml_trace::rules`], which trace
 //! conformance runs too, and names its rules M001 (reverse compensation
 //! order), M002 (terminal means terminal), M003 (at-most-once processing)

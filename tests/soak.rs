@@ -73,12 +73,12 @@ fn transaction_during_outage_aborts_later_ones_commit() {
 fn interleaved_transactions_from_two_origins() {
     // AP1 and AP4 run transactions over overlapping participants with
     // staggered, overlapping schedules (query flavor: no write conflicts).
-    let edges = [(1u32, 2u32), (1, 3), (4, 2), (4, 3)];
-    let mut builder = ScenarioBuilder::new(1, &edges).flavor(Flavor::Query);
+    // AP4 hosts a copy of d1, whose S1 calls AP2 and AP3 as AP1's does.
+    let (mut builder, second) = ScenarioBuilder::new(1, &[(1, 2), (1, 3)]).flavor(Flavor::Query).with_replica(1);
+    assert_eq!(second, 4);
     builder.deadline = 50_000;
     let mut scenario = builder.build();
-    // AP4 also needs a root service: reuse S4 (it hosts d4 with edges 2,3).
-    scenario.sim.actor_mut(PeerId(4)).auto_submit = Some(("S4".into(), vec![]));
+    scenario.sim.actor_mut(PeerId(4)).auto_submit = Some(("S1".into(), vec![]));
     // The builder already scheduled AP1's first submission at t=0.
     for k in 0..3u64 {
         if k > 0 {
