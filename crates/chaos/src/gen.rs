@@ -371,7 +371,7 @@ impl GenScenario {
 /// The scenario-name list for a generated sweep: `gen:<base>`,
 /// `gen:<base+1>`, …— each resolving deterministically through
 /// [`crate::builder_for`], so the existing sweep machinery (case matrix,
-/// parallel runner, oracle, monitor, conformance gate, shrinker) runs
+/// parallel runner, oracle, monitor, shrinker) runs
 /// generated cases unchanged.
 pub fn gen_scenario_names(base_seed: u64, count: u64) -> Vec<String> {
     (0..count).map(|i| format!("gen:{}", base_seed + i)).collect()

@@ -37,14 +37,12 @@ use axml_core::durability::WalStats;
 use axml_core::peer::{DetectHow, PeerCounters, PeerStats};
 use axml_core::scenarios::{render_counters, Scenario, ScenarioBuilder, ScenarioReport};
 use axml_obs::{
-    derive_histograms, flight_dump, Histogram, Monitor, MonitorFinding, ProfileReport, SeriesRegistry,
-    DEFAULT_FLIGHT_CAPACITY,
+    derive_histograms, flight_dump, Histogram, Monitor, MonitorFinding, SeriesRegistry, DEFAULT_FLIGHT_CAPACITY,
 };
 use axml_p2p::{
     CrashEvent, EventKind, FaultPlane, Fnv64, NetMetrics, Partition, PeerId, ScriptedFault, Snapshot,
     StorageFaultPlane, TraceEvent, TraceJournal,
 };
-use axml_spec::Conformance;
 use axml_store::WalSink;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -286,12 +284,6 @@ pub struct CaseResult {
     /// atomicity oracle passes but the monitor does not, the verdict is
     /// downgraded to a violation.
     pub findings: Vec<MonitorFinding>,
-    /// Trace conformance against the executable reference model
-    /// (`axml-spec`): the journal of a traced run replayed against the
-    /// model's permitted transitions. `None` for untraced runs (no
-    /// journal to check); divergences downgrade a clean verdict exactly
-    /// like monitor findings do.
-    pub conformance: Option<axml_spec::Conformance>,
 }
 
 impl CaseResult {
@@ -342,7 +334,7 @@ pub fn check_atomicity(s: &Scenario, report: &ScenarioReport) -> Verdict {
         // substitute (or a replica re-invocation) carry the transaction
         // to commit, so the subtree's aborted contexts are the expected
         // residue of a *correct* run. Those runs are still gated by the
-        // online monitor and the spec conformance check.
+        // online monitor.
         let excused = s.participants.iter().any(|&p| {
             if !s.sim.is_connected(p) {
                 return true;
@@ -539,11 +531,6 @@ pub struct TraceDump {
     /// per-case histograms merge into sweep-level distributions by plain
     /// counter addition, independent of merge order.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Phase-width histograms from the per-transaction profiler
-    /// (`phase_<name>` plus `txn_total`; see
-    /// [`ProfileReport::phase_histograms`]) — same fixed bucket layout
-    /// as the latency histograms, merged the same way.
-    pub phase_histograms: BTreeMap<String, Histogram>,
 }
 
 impl TraceDump {
@@ -623,23 +610,17 @@ fn run_inner(
     }
     // The online protocol monitor observes every run (traced or not);
     // observation never perturbs the seeded schedule, so digests are
-    // unaffected.
+    // unaffected. It runs the same rules (`axml_trace::rules`) over the
+    // same protocol events that `axml_spec::check_journal` replays from a
+    // stored journal, so a traced run needs no second pass.
     let monitor = Rc::new(RefCell::new(Monitor::new()));
     s.sim.attach_observer(monitor.clone());
     let report = s.run();
     let findings = monitor.borrow_mut().finish().to_vec();
-    // Traced runs also replay their journal against the executable
-    // reference model (spec rules R01–R10, invariants I2–I5).
-    let conformance = s.trace().map(axml_spec::check_journal);
     let mut verdict = check_atomicity(&s, &report);
     if verdict.ok {
         if let Some(f) = findings.first() {
             verdict = Verdict::violation(format!("online monitor: {f}"));
-        }
-    }
-    if verdict.ok {
-        if let Some(d) = conformance.as_ref().and_then(Conformance::first) {
-            verdict = Verdict::violation(format!("spec conformance: {d}"));
         }
     }
     let mut doc_digest = Fnv64::default();
@@ -649,11 +630,7 @@ fn run_inner(
     for &p in &s.participants {
         wal.merge(&s.sim.actor(p).wal_stats());
     }
-    let dump = s.sim.take_trace().map(|journal| TraceDump {
-        histograms: derive_histograms(&journal),
-        phase_histograms: ProfileReport::from_journal(&journal).phase_histograms(),
-        journal,
-    });
+    let dump = s.sim.take_trace().map(|journal| TraceDump { histograms: derive_histograms(&journal), journal });
     let result = CaseResult {
         committed: report.outcome.as_ref().map(|o| o.committed),
         open_contexts: s.participants.iter().map(|&p| s.sim.actor(p).open_contexts()).sum(),
@@ -668,7 +645,6 @@ fn run_inner(
         stats: report.stats,
         wal,
         findings,
-        conformance,
     };
     (result, dump)
 }
@@ -974,9 +950,6 @@ pub struct SweepOutcome {
     /// ([`SeriesRegistry::absorb_samples`] — a sum, so worker count never
     /// shows in the aggregate).
     pub series: SeriesRegistry,
-    /// All per-case phase histograms merged (`phase_<name>` +
-    /// `txn_total`, fixed bucket layout).
-    pub phase_histograms: BTreeMap<String, Histogram>,
 }
 
 /// What one worker hands back for one sweep cell: the traced case run
@@ -987,7 +960,6 @@ struct CaseRun {
     histograms: BTreeMap<String, Histogram>,
     /// The journal's gauge samples, folded into the sweep's series.
     samples: Vec<TraceEvent>,
-    phase_histograms: BTreeMap<String, Histogram>,
     violation: Option<Violation>,
 }
 
@@ -1012,13 +984,7 @@ fn run_cell(case: &CaseConfig) -> CaseRun {
         let flight = trace.as_ref().unwrap_or(&dump).flight();
         Violation { case: case.clone(), reason: result.verdict.reason.clone(), reproducer, trace, flight }
     });
-    CaseRun {
-        result,
-        histograms: dump.histograms,
-        samples: dump.journal.take_samples(),
-        phase_histograms: dump.phase_histograms,
-        violation,
-    }
+    CaseRun { result, histograms: dump.histograms, samples: dump.journal.take_samples(), violation }
 }
 
 /// The canonical case list of a sweep matrix: scenario-major, then
@@ -1090,9 +1056,6 @@ pub fn sweep_jobs(
                 out.histograms.entry(name.clone()).or_default().merge(h);
             }
             out.series.absorb_samples(&run.samples);
-            for (name, h) in &run.phase_histograms {
-                out.phase_histograms.entry(name.clone()).or_default().merge(h);
-            }
             out.findings.extend(run.result.findings.iter().cloned().map(|f| (case.label(), f)));
             if let Some(v) = run.violation {
                 out.violations.push(v);
@@ -1175,17 +1138,12 @@ mod tests {
             assert_eq!(render_prometheus(&par.histograms), render_prometheus(&serial.histograms));
             assert_eq!(par.series, serial.series, "jobs={jobs}: gauge series merge is order-free");
             assert_eq!(par.series.to_json(), serial.series.to_json());
-            assert_eq!(par.phase_histograms, serial.phase_histograms, "jobs={jobs}");
             assert_eq!(par.findings, serial.findings, "jobs={jobs}");
             assert_eq!(par.violations.len(), serial.violations.len());
         }
         assert!(serial.histograms.values().any(|h| h.count() > 0), "traced sweep derives latency samples");
         assert!(!serial.series.is_empty(), "traced sweep samples gauge series");
         assert!(serial.series.series.contains_key("outbox_depth"), "peer gauges reach the series plane");
-        assert!(
-            serial.phase_histograms.get("txn_total").is_some_and(|h| h.count() > 0),
-            "phase profiler derives transaction totals"
-        );
         assert!(serial.snapshot.get("net.sent") > 0, "merged snapshot aggregates counters");
     }
 
@@ -1197,16 +1155,17 @@ mod tests {
         // (`set_durability_sink` replaced the default sink before the
         // run, and `crash_recover` reloads the journal from the sink's
         // recovery scan — there is no in-memory clone path left). The
-        // oracle, the online monitor, and the spec gate must all pass,
-        // and every participant's document must equal the baseline.
+        // oracle and the online monitor must pass, the journal must
+        // conform to the reference model, and every participant's
+        // document must equal the baseline.
         let mut recovered_somewhere = false;
         for seed in 0..4 {
             let case = CaseConfig::new("fig1-crash", Profile::Drops, seed);
             let plane = FaultPlane::probabilistic(case.seed, 0.0, 0.0, 0.0, 0.0);
-            let (result, _dump) = run_with_plane_traced(&case, plane);
+            let (result, dump) = run_with_plane_traced(&case, plane);
             assert!(result.verdict.ok, "seed {seed}: {}", result.verdict.reason);
             assert_eq!(result.committed, Some(false), "seed {seed}: fig1-crash aborts");
-            assert!(result.conformance.expect("traced").is_clean());
+            assert!(axml_spec::check_journal(&dump.journal).is_clean());
             assert_eq!(result.stats[&PeerId(3)].crash_recoveries, 1, "seed {seed}: AP3 crash-restarted");
             if result.wal.recovery_entries > 0 {
                 recovered_somewhere = true;
@@ -1219,9 +1178,9 @@ mod tests {
     fn storage_profile_sweep_is_clean_and_exercises_the_wal() {
         // The storage fault profile — torn appends, sync failures, crash
         // garbage — swept under the full gate: zero atomicity
-        // violations, zero monitor findings, zero conformance breaks,
-        // while the `wal.*` counters prove the faults actually fired and
-        // recovery actually ran.
+        // violations and zero monitor findings, while the `wal.*`
+        // counters prove the faults actually fired and recovery actually
+        // ran.
         let scenarios: Vec<String> = vec!["fig1".into(), "fig1-crash".into()];
         let out = sweep(&scenarios, &[Profile::Storage], 0..4, true);
         assert_eq!(out.runs, 8);
@@ -1452,22 +1411,6 @@ mod tests {
             findings.iter().any(|f| f.rule.monitor_id() == "M001"),
             "forward-order compensation must trigger M001: {findings:?}"
         );
-    }
-
-    #[test]
-    fn spec_conformance_rides_traced_runs() {
-        // Clean traced case: the journal conforms to the reference model
-        // and the verdict stays clean.
-        let case = CaseConfig::new("fig1", Profile::Mixed, 3);
-        let b = builder_for("fig1").expect("known scenario");
-        let plane = plane_for(Profile::Mixed, 3, &b.peers());
-        let (result, _dump) = run_with_plane_traced(&case, plane);
-        let conf = result.conformance.as_ref().expect("traced runs carry a conformance verdict");
-        assert!(conf.is_clean(), "{}", conf.render_text());
-        assert!(conf.events > 0);
-        assert!(result.verdict.ok, "{}", result.verdict.reason);
-        // Untraced runs have no journal to check.
-        assert!(run_case(&case).conformance.is_none());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! axml-chaos gen-sweep [--base-seed B] [--count N] [--seeds N] [--profiles p,q] [--no-dedup] [--jobs N] [--prom FILE] [--series FILE] [--corpus DIR]
 //! axml-chaos corpus [--dir DIR] [--flight DIR]
 //! axml-chaos trace (--demo | <scenario> [--profile P] [--seed N] [--script FILE] [--no-dedup]) [--journal FILE]
-//! axml-chaos stats (--demo | <scenario> [--profile P] [--seed N] [--script FILE] [--no-dedup]) [--prom FILE]
 //! ```
 //!
 //! `sweep` runs the full scenario × profile × seed matrix (default
@@ -26,7 +25,7 @@
 //! (cases merge in canonical order, not completion order).
 //! `smoke` is the small CI variant (2 scenarios × storm × 16 seeds).
 //! `store-smoke` is the durability CI check: per seed it runs the
-//! traced `fig1-crash` case under the `storage` fault profile — every
+//! `fig1-crash` case under the `storage` fault profile — every
 //! peer on a WAL, torn appends and sync failures in flight,
 //! a mid-compensation kill+restart recovering from the segments — and
 //! diffs the recovered run's final document state digest against an
@@ -39,15 +38,15 @@
 //! `trace` replays one case with the lifecycle-event journal on and
 //! pretty-prints the causal tree plus the unified counter snapshot;
 //! `--script` replays a shrunk reproducer file instead of a profile and
-//! `--journal` writes the raw JSON-lines journal for `axml-obs`.
-//! `stats` replays one case traced and prints the trace analytics:
-//! per-transaction critical paths, the latency percentile table, and the
-//! monitor findings; `--prom` writes the Prometheus text exposition.
+//! `--journal` writes the raw JSON-lines journal for `axml-obs`, which
+//! prints its critical paths, percentiles, monitor findings and
+//! Prometheus exposition (`axml-obs FILE`) and its phases and gauge
+//! series (`axml-obs profile FILE`).
 //! `gen` prints the deterministic `GenScenario` spec for a seed as JSON
 //! (with `--run`, also executes it as one traced chaos case).
 //! `gen-sweep` sweeps `count` *generated* scenarios (`gen:<base-seed>` …)
 //! across the profile × seed matrix through the exact same machinery as
-//! `sweep` — oracle, monitor, conformance gate, canonical-order merge,
+//! `sweep` — oracle, monitor, canonical-order merge,
 //! `--jobs` byte-identity, `--prom` — defaulting to 64 scenarios ×
 //! 5 profiles × 4 seeds = 1280 runs. `--corpus DIR` writes each
 //! violation's shrunk reproducer into DIR as a `CorpusEntry` JSON.
@@ -69,16 +68,16 @@ use axml_chaos::{
     run_with_plane_traced, shrink_failure, sweep_jobs, CaseConfig, CaseResult, CorpusEntry, GenScenario, Profile,
     SweepOutcome, SCENARIOS,
 };
-use axml_obs::{critical_paths, percentile_table, render_prometheus, SeriesRegistry};
+use axml_obs::render_prometheus;
 use axml_p2p::FaultPlane;
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Resolves the shared `trace` / `stats` case syntax:
+/// Resolves `trace`'s case syntax:
 /// `(--demo | <scenario> [--profile P] [--seed N] [--script FILE] [--no-dedup])`.
-fn resolve_case(cmd: &str, args: &[String]) -> (CaseConfig, FaultPlane) {
+fn resolve_case(args: &[String]) -> (CaseConfig, FaultPlane) {
     let (scenario, profile, seed) = if args.iter().any(|a| a == "--demo") {
         // A run worth looking at: Fig. 1 with S5 failing under
         // mixed network faults — the full §3.2 recovery story.
@@ -86,7 +85,7 @@ fn resolve_case(cmd: &str, args: &[String]) -> (CaseConfig, FaultPlane) {
     } else {
         let Some(scenario) = args.get(1).filter(|a| !a.starts_with("--")).cloned() else {
             eprintln!(
-                "usage: axml-chaos {cmd} (--demo | <scenario> [--profile P] [--seed N] [--script FILE] [--no-dedup])"
+                "usage: axml-chaos trace (--demo | <scenario> [--profile P] [--seed N] [--script FILE] [--no-dedup])"
             );
             std::process::exit(1);
         };
@@ -229,8 +228,7 @@ fn main() {
         "store-smoke" => {
             // The crashed side: fig1-crash (AP3 killed mid-compensation,
             // restart from its WAL segments) under the storage fault
-            // profile, traced so the spec conformance gate rides along.
-            // The reference side: the same abort, fault-free and
+            // profile. The reference side: the same abort, fault-free and
             // uncrashed. Both end at the pre-transaction baseline, so
             // their final-document digests must be identical.
             let mut ok = true;
@@ -238,7 +236,7 @@ fn main() {
                 let case = CaseConfig::new("fig1-crash", Profile::Storage, seed);
                 let b = builder_for("fig1-crash").expect("known scenario");
                 let plane = plane_for(Profile::Storage, seed, &b.peers());
-                let (crashed, _dump) = run_with_plane_traced(&case, plane);
+                let crashed = run_with_plane(&case, plane);
                 let ref_case = CaseConfig::new("fig1-abort", Profile::Storage, seed);
                 let reference = run_with_plane(&ref_case, FaultPlane::probabilistic(seed, 0.0, 0.0, 0.0, 0.0));
                 let recovered = crashed.wal.recovery_entries;
@@ -420,7 +418,7 @@ fn main() {
             caught
         }
         "trace" => {
-            let (case, plane) = resolve_case("trace", &args);
+            let (case, plane) = resolve_case(&args);
             let (result, dump) = run_with_plane_traced(&case, plane);
             println!("case {}", case.label());
             println!("{}", dump.journal.render_tree());
@@ -435,43 +433,10 @@ fn main() {
             print_verdict(&result);
             true
         }
-        "stats" => {
-            let (case, plane) = resolve_case("stats", &args);
-            let (result, dump) = run_with_plane_traced(&case, plane);
-            println!("case {}", case.label());
-            println!();
-            println!("== critical paths");
-            print!("{}", critical_paths(&dump.journal));
-            println!();
-            println!("== latency percentiles (sim-time ticks)");
-            let hists = &dump.histograms;
-            print!("{}", percentile_table(hists));
-            println!();
-            println!("== gauge series (window={} ticks)", axml_chaos::SAMPLE_INTERVAL);
-            print!("{}", SeriesRegistry::from_journal(&dump.journal).render_summary());
-            if let Some(path) = parse_flag(&args, "--prom") {
-                if let Err(e) = std::fs::write(&path, render_prometheus(hists)) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!();
-                println!("== prometheus exposition written to {path}");
-            }
-            println!();
-            if result.findings.is_empty() {
-                println!("== monitor: clean (0 findings)");
-            } else {
-                println!("== monitor: {} finding(s)", result.findings.len());
-                for f in &result.findings {
-                    println!("  {f}");
-                }
-            }
-            result.findings.is_empty()
-        }
         other => {
             eprintln!(
                 "unknown command `{other}` \
-                 (expected sweep | smoke | store-smoke | shrink-demo | gen | gen-sweep | corpus | trace | stats)"
+                 (expected sweep | smoke | store-smoke | shrink-demo | gen | gen-sweep | corpus | trace)"
             );
             false
         }

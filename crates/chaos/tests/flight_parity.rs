@@ -5,7 +5,10 @@
 //! a shrunk reproducer or a corpus replay. Each case here runs traced and
 //! untraced and the two must land on the same verdict and digest; every
 //! violating case's journal then renders a dump of protocol history only
-//! (the journal keeps gauge samples in a column of their own).
+//! (the journal keeps gauge samples in a column of their own), and
+//! replaying it through the reference model diverges on exactly the
+//! events the online monitor flagged: a traced case needs no replay of
+//! its own.
 
 use axml_chaos::{builder_for, case_matrix, par_map, plane_for, run_with_plane, run_with_plane_traced, Profile};
 
@@ -30,6 +33,10 @@ fn a_traced_run_dumps_the_flight_of_the_run_an_untraced_one_makes() {
         assert!(flight.starts_with("flight recorder: last <=64 events per peer ("), "{}: {flight}", case.label());
         assert!(flight.contains("\n-- AP"), "{}: {flight}", case.label());
         assert!(!flight.contains("gauge"), "{}: protocol history only", case.label());
+        let divergences: Vec<_> =
+            axml_spec::check_journal(&dump.journal).divergences.iter().map(|d| (d.seq, d.peer)).collect();
+        let findings: Vec<_> = traced.findings.iter().map(|f| (f.seq, f.peer)).collect();
+        assert_eq!(divergences, findings, "{}", case.label());
         true
     });
     assert_eq!(dumps.iter().filter(|&&dumped| dumped).count(), 337, "violating cases, each with a dump");

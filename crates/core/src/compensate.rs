@@ -195,72 +195,6 @@ impl CompensatingService {
         }
         Ok(cost)
     }
-
-    /// Merges another definition to run **before** this one finishes —
-    /// i.e. `other`'s actions are appended (they compensate earlier work).
-    pub fn then(mut self, other: CompensatingService) -> CompensatingService {
-        self.actions.extend(other.actions);
-        self
-    }
-}
-
-/// The classical pre-declared compensation model (the baseline the paper
-/// argues is infeasible for AXML).
-///
-/// A static compensator is configured **once, at service-definition
-/// time**, with a fixed inverse action per operation — "current
-/// compensation based models assume the existence of a pre-defined
-/// compensating operation (for each operation)". It cannot see the log,
-/// so for operations whose effects depend on run-time materialization
-/// (lazy queries!) it either has *no* inverse or an inverse computed from
-/// stale assumptions. Experiment E3 quantifies the failure.
-#[derive(Debug, Clone, Default)]
-pub struct StaticCompensator {
-    inverses: BTreeMap<String, Vec<UpdateAction>>,
-}
-
-impl StaticCompensator {
-    /// An empty compensator.
-    pub fn new() -> StaticCompensator {
-        StaticCompensator::default()
-    }
-
-    /// Pre-declares the inverse for operation `op_label`.
-    pub fn declare(&mut self, op_label: impl Into<String>, inverse: Vec<UpdateAction>) {
-        self.inverses.insert(op_label.into(), inverse);
-    }
-
-    /// The pre-declared inverse for an operation, if any. Note what is
-    /// *not* here: no access to the run-time log.
-    pub fn inverse_of(&self, op_label: &str) -> Option<&[UpdateAction]> {
-        self.inverses.get(op_label).map(Vec::as_slice)
-    }
-
-    /// Compensates a sequence of executed operation labels (reverse
-    /// order). Operations without a declared inverse are skipped — the
-    /// classical model silently under-compensates them. Returns
-    /// `(cost, missing)` where `missing` counts skipped operations.
-    pub fn compensate(&self, doc: &mut Document, executed_ops: &[String]) -> (usize, usize) {
-        let mut cost = 0usize;
-        let mut missing = 0usize;
-        for op in executed_ops.iter().rev() {
-            match self.inverse_of(op) {
-                None => missing += 1,
-                Some(actions) => {
-                    for a in actions {
-                        // Tolerate failures: the stale inverse may no longer
-                        // apply (that is the point of E3).
-                        let mut tolerant = a.clone();
-                        tolerant.allow_empty_location = true;
-                        if let Ok(report) = tolerant.apply(doc) {
-                            cost += report.cost_nodes;
-                        }
-                    }
-                }
-            }
-        }
-        (cost, missing)
-    }
 }
 
 #[cfg(test)]
@@ -503,87 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn compensating_service_then_chains() {
-        let a = CompensatingService { actions: vec![("d1".into(), vec![])] };
-        let b = CompensatingService { actions: vec![("d2".into(), vec![])] };
-        let c = a.then(b);
-        assert_eq!(c.actions.len(), 2);
-        assert_eq!(c.actions[0].0, "d1");
-    }
-
-    #[test]
     fn empty_log_compensates_to_nothing() {
         let cs = CompensatingService::from_effect_log(&[("atp".into(), vec![])]);
         assert!(cs.is_empty());
         assert_eq!(compensation_for_effects(&[]).len(), 0);
-    }
-
-    #[test]
-    fn static_compensator_misses_undeclared_ops() {
-        let mut doc = atp();
-        let sc = StaticCompensator::new();
-        let (cost, missing) = sc.compensate(&mut doc, &["op1".into(), "op2".into()]);
-        assert_eq!(cost, 0);
-        assert_eq!(missing, 2);
-    }
-
-    #[test]
-    fn static_compensator_applies_declared_inverse() {
-        // A fixed delete→insert pair *declared in advance* works only when
-        // the run-time state matches the declaration-time assumption.
-        let mut doc = atp();
-        let before = doc.to_xml();
-        let del = UpdateAction::delete(
-            Locator::parse("Select p/citizenship from p in ATPList//player where p/name/lastname = Federer;").unwrap(),
-        );
-        let mut sc = StaticCompensator::new();
-        // Declared statically: "the inverse of deleteCitizenship is insert
-        // <citizenship>Swiss</citizenship> under Federer's player".
-        sc.declare(
-            "deleteCitizenship",
-            vec![UpdateAction::insert(
-                Locator::parse("Select p from p in ATPList//player where p/name/lastname = Federer;").unwrap(),
-                vec![Fragment::elem_text("citizenship", "Swiss")],
-            )],
-        );
-        del.apply(&mut doc).unwrap();
-        let (cost, missing) = sc.compensate(&mut doc, &["deleteCitizenship".into()]);
-        assert_eq!(missing, 0);
-        assert!(cost > 0);
-        // Here the assumption held, so the doc is equivalent (order may
-        // differ: static inverse appends rather than restoring position).
-        assert!(axml_xml::equivalent_unordered(&doc, &Document::parse(&before).unwrap()));
-    }
-
-    #[test]
-    fn static_compensator_wrong_after_state_change() {
-        // The documented failure: the citizenship changed at run time, the
-        // static inverse restores the stale value.
-        let mut doc = atp();
-        let mut sc = StaticCompensator::new();
-        sc.declare(
-            "deleteCitizenship",
-            vec![UpdateAction::insert(
-                Locator::parse("Select p from p in ATPList//player where p/name/lastname = Federer;").unwrap(),
-                vec![Fragment::elem_text("citizenship", "Swiss")],
-            )],
-        );
-        // Run-time surprise: the citizenship was updated to Monaco before
-        // the delete (e.g. by a materialized service call).
-        UpdateAction::replace(
-            Locator::parse("Select p/citizenship from p in ATPList//player where p/name/lastname = Federer;").unwrap(),
-            vec![Fragment::elem_text("citizenship", "Monaco")],
-        )
-        .apply(&mut doc)
-        .unwrap();
-        let reference = doc.to_xml(); // the state compensation should restore
-        UpdateAction::delete(
-            Locator::parse("Select p/citizenship from p in ATPList//player where p/name/lastname = Federer;").unwrap(),
-        )
-        .apply(&mut doc)
-        .unwrap();
-        sc.compensate(&mut doc, &["deleteCitizenship".into()]);
-        assert!(doc.to_xml().contains("Swiss"), "static inverse restored the stale value");
-        assert!(!axml_xml::equivalent_unordered(&doc, &Document::parse(&reference).unwrap()), "which is wrong");
     }
 }

@@ -10,9 +10,8 @@
 //!   operations are *constructed at run time from the log*, never
 //!   pre-declared. Insert ⇄ delete (by unique node ID), replace →
 //!   replace-back (logged old value), query → inverse of whatever its lazy
-//!   materialization actually did. A [`compensate::StaticCompensator`]
-//!   baseline implements the classical pre-declared model the paper argues
-//!   against; experiment E3 measures where it breaks.
+//!   materialization actually did. Experiment E3 measures where the
+//!   classical pre-declared model the paper argues against breaks.
 //! - **Nested + peer-independent recovery (§3.2)** — [`peer::AxmlPeer`]'s
 //!   abort protocol: a failing peer aborts its transaction context,
 //!   compensates its local effects and propagates `Abort TA` to its
@@ -50,7 +49,7 @@ pub mod spheres;
 mod timers;
 
 pub use chain::ActiveList;
-pub use compensate::{compensation_for_effects, CompensatingService, StaticCompensator};
+pub use compensate::{compensation_for_effects, CompensatingService};
 pub use context::{LogRecord, TransactionContext, TxnOutcome, TxnState};
 pub use durability::{
     decode as decode_journal, encode as encode_journal, journal_of, replay as replay_journal, DurabilitySink,

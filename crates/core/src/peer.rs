@@ -939,6 +939,13 @@ impl AxmlPeer {
         chain: &ActiveList,
         prefilled: &[(String, Vec<Fragment>)],
     ) {
+        // An unserved method is refused before anything is journaled: a
+        // context begun for it would have no serving, wait or timer to end it.
+        if self.registry.get(method).is_none() {
+            let fault = Fault::no_such_service(format!("{method} at {}", self.id));
+            let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
+            return;
+        }
         // Context (re)use: one context per transaction per peer. A peer
         // whose context was *aborted* (e.g. the subtree failed and was
         // compensated) may legitimately be re-invoked during forward
@@ -981,11 +988,6 @@ impl AxmlPeer {
         tc.chain.merge_from(chain);
         if self.config.is_super {
             tc.chain.mark_super(self.id);
-        }
-        if self.registry.get(method).is_none() {
-            let fault = Fault::no_such_service(format!("{method} at {}", self.id));
-            let _ = self.send_reliable(ctx, from, TxnMsg::Fault { txn, inv, fault });
-            return;
         }
         self.stats.served += 1;
         self.servings.insert(inv, Serving::new(txn, inv, Some(from), method, params.to_vec(), prefilled.to_vec()));

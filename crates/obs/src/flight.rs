@@ -4,7 +4,7 @@
 //! [`flight_dump`] renders the last ≤ `capacity` protocol events of every
 //! peer ([`axml_trace::peer_tail`]) and how much older history it left
 //! out. The chaos harness renders it from a traced run's journal when an
-//! oracle violation, monitor finding, or conformance break surfaces, and
+//! oracle violation or monitor finding surfaces, and
 //! files it next to the shrunk reproducer and inside `corpus/` entries.
 //! Gauge samples sit in a column of their own, so a dump is protocol
 //! history only. [`FlightRecorder`] is an [`EventSink`] that keeps the

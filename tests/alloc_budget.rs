@@ -33,8 +33,7 @@
 //! already is.
 //!
 //! The two per-transaction tests print their exact totals (`alloc-count
-//! …`, shown with `--nocapture`); CI checks that
-//! `examples/hot_path_profile.rs` counts the same.
+//! …`, shown with `--nocapture`).
 //!
 //! `common/mod.rs` holds the counting `GlobalAlloc`; it counts per thread,
 //! so the tests here do not see one another.

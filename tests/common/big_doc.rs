@@ -2,8 +2,7 @@
 //! `stream.rs`) from the public pieces it is made of: the query-flavor
 //! Fig. 1 tree over documents carrying a 2,000-node `<payload>` and 20
 //! `<out>` result subtrees each, committing on even steps and aborting —
-//! S5 fails — on odd ones. Shared by `tests/alloc_budget.rs` and
-//! `examples/hot_path_profile.rs`.
+//! S5 fails — on odd ones. Used by `tests/alloc_budget.rs`.
 #![allow(dead_code)] // each includer uses its own part
 
 use axml::prelude::*;

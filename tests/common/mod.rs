@@ -1,7 +1,6 @@
-//! A counting `GlobalAlloc` for the allocation-budget tests and
-//! `examples/hot_path_profile.rs`, which include this file as a module —
-//! that keeps the only `unsafe` in the repository outside every
-//! `#![forbid(unsafe_code)]` crate.
+//! A counting `GlobalAlloc` for the allocation-budget tests, which
+//! include this file as a module — that keeps the only `unsafe` in the
+//! repository outside every `#![forbid(unsafe_code)]` crate.
 //!
 //! The count is per thread: the harness runs each test on a thread of its
 //! own and everything measured here is single-threaded, so a test reads
